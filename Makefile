@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet smoke shard-smoke sparse-smoke trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex conformance-fuzz-seeds shootout bench-harness bench-kernel bench-json bench-trace bench-metrics bench-shards bench-sparse profile clean
+.PHONY: all build test race vet benchmark-check smoke shard-smoke trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex conformance-fuzz-seeds shootout profile clean
 
 all: vet test
 
@@ -17,6 +17,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# The repo benchmark (BENCHMARK.json, benchmark/) is a Go module of its own
+# that the root `go build ./...` and `go test ./...` never compile, so an API
+# break in a function it pins is invisible to them. This compiles and tests
+# it against the working tree.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Determinism smoke: a 4-worker checkpointed sweep must be byte-identical
 # to a serial sweep, and so must a resume against the finished journal.
@@ -43,22 +50,6 @@ shard-smoke: build
 		-workers 1 -shards 4 -quiet -json > /tmp/wormnet-sharded.json
 	cmp /tmp/wormnet-serial.json /tmp/wormnet-sharded.json
 	@echo "shard-smoke: 4-shard sweep byte-identical to serial"
-
-# Sparse-kernel smoke: the activity-driven sparse cycle kernel (the
-# default) must be byte-identical to the dense reference kernel that
-# rescans the whole fabric every cycle — serial and sharded. This is the
-# sparse kernel's conformance contract (DESIGN.md §12).
-sparse-smoke: build
-	$(GO) build -o /tmp/wormnet-loadsweep ./cmd/loadsweep
-	/tmp/wormnet-loadsweep -k 4 -n 2 -points 4 -warmup 500 -measure 2000 \
-		-workers 1 -quiet -json > /tmp/wormnet-sparse.json
-	/tmp/wormnet-loadsweep -k 4 -n 2 -points 4 -warmup 500 -measure 2000 \
-		-workers 1 -dense-kernel -quiet -json > /tmp/wormnet-dense.json
-	cmp /tmp/wormnet-sparse.json /tmp/wormnet-dense.json
-	/tmp/wormnet-loadsweep -k 4 -n 2 -points 4 -warmup 500 -measure 2000 \
-		-workers 1 -dense-kernel -shards 4 -quiet -json > /tmp/wormnet-dense-sharded.json
-	cmp /tmp/wormnet-sparse.json /tmp/wormnet-dense-sharded.json
-	@echo "sparse-smoke: dense reference kernel byte-identical to sparse, serial and sharded"
 
 # Flight-recorder smoke: a saturated single-VC run must capture a decodable
 # event stream containing detection verdicts, and the bounded ring mode must
@@ -197,71 +188,6 @@ metrics-smoke: build
 	grep -q '^wormnet_cycles_total' /tmp/wormnet-series/aggregate.prom
 	@echo "metrics-smoke: live scrape OK, series parse OK, metered sweep byte-identical"
 
-# Serial vs parallel sweep wall-clock; writes results/harness_bench.txt.
-bench-harness:
-	$(GO) test -run NONE -bench 'BenchmarkSweep' -benchtime 2x \
-		./internal/harness/ | tee results/harness_bench.txt
-
-# Hot-path kernel benchmarks (engine cycle + deadlock oracle) with
-# allocation reporting; writes results/kernel_bench.txt. The oracle and
-# engine Step must report 0 allocs/op.
-bench-kernel:
-	$(GO) test -run NONE -bench 'EngineStep|Oracle' -benchmem -benchtime 2s \
-		. | tee results/kernel_bench.txt
-
-# Machine-readable perf baseline: the same kernel benchmarks parsed into
-# BENCH_kernel.json (op times, allocs/op, fabric sizes) via cmd/benchjson,
-# so the perf trajectory is tracked across PRs instead of living only in
-# results/*.txt.
-bench-json:
-	$(GO) build -o /tmp/wormnet-benchjson ./cmd/benchjson
-	$(GO) test -run NONE -bench 'EngineStep|Oracle' -benchmem -benchtime 2s \
-		. | tee /tmp/wormnet-kernel-bench.txt | /tmp/wormnet-benchjson \
-		> BENCH_kernel.json
-	@echo "bench-json: wrote BENCH_kernel.json"
-
-# Flight-recorder overhead: the engine cycle benched with tracing off, with
-# the ring recorder, and with streaming JSONL encoding; writes
-# results/trace_overhead.txt. The TraceOff row must match the untraced
-# saturation bench (disabled tracing is one predicted branch per emit site)
-# and TraceRing must report 0 allocs/op.
-bench-trace:
-	$(GO) test -run NONE -bench 'EngineStepTrace' -benchmem -benchtime 2s \
-		. | tee results/trace_overhead.txt
-
-# Metrics overhead: the engine cycle benched with metrics off, with the
-# registry counters only, with the default-window sampler, and with the
-# sampler plus a continuously scraped HTTP exporter; writes
-# results/metrics_overhead.txt. The MetricsOff row must match the unmetered
-# saturation bench, and the Registry/Sampler rows must report 0 allocs/op.
-bench-metrics:
-	$(GO) test -run NONE -bench 'EngineStepMetrics' -benchmem -benchtime 2s \
-		. | tee results/metrics_overhead.txt
-
-# Engine-cycle wall-clock vs shard count on the paper-scale 8-ary 3-cube;
-# writes results/shard_scaling.txt. Output is byte-identical across the row
-# by construction, so this only measures speed. Real speedup requires real
-# cores: the file records how many were available when it was generated.
-bench-shards:
-	@echo "# Saturated engine cycle vs shard count (8-ary 3-cube, 512 nodes)." > results/shard_scaling.txt
-	@echo "# Generated on a machine with $$(nproc) CPU(s) visible to the Go runtime." >> results/shard_scaling.txt
-	@echo "# Speedup needs real cores: on a single-CPU host the barrier's" >> results/shard_scaling.txt
-	@echo "# per-phase goroutine fan-out is pure overhead, so shards>1 can only" >> results/shard_scaling.txt
-	@echo "# be slower there; regenerate on a multi-core machine to measure scaling." >> results/shard_scaling.txt
-	$(GO) test -run NONE -bench 'EngineStepShards' -benchmem -benchtime 2s \
-		. | tee -a results/shard_scaling.txt
-
-# Sparse vs dense cycle-kernel wall-clock on a large 16-ary 3-cube
-# (4096 nodes), at light load (where the sparse kernel's advantage is the
-# idle fraction of the fabric) and at saturation (where it must stay
-# within a few percent of dense); writes results/sparse_kernel.txt.
-bench-sparse:
-	@echo "# Engine cycle: sparse (activity-driven) vs dense (full-rescan) kernel" > results/sparse_kernel.txt
-	@echo "# on a 16-ary 3-cube (4096 nodes); byte-identical output, wall-clock only." >> results/sparse_kernel.txt
-	@echo "# Generated on a machine with $$(nproc) CPU(s)." >> results/sparse_kernel.txt
-	$(GO) test -run NONE -bench 'EngineStepSparse' -benchmem -benchtime 2s \
-		. | tee -a results/sparse_kernel.txt
-
 # Three-way NDM/PDM/CMH detection shootout at a deadlock-prone operating
 # point; regenerates results/cmh_shootout.txt (detection-latency
 # histograms, true/false mark split, probe bandwidth). See EXPERIMENTS.md.
@@ -285,8 +211,7 @@ clean:
 		/tmp/wormnet-ring.jsonl /tmp/wormnet-trace-summary.txt \
 		/tmp/wormnet-metricsview /tmp/wormnet-metrics.pid \
 		/tmp/wormnet-run.series.jsonl /tmp/wormnet-plain.json /tmp/wormnet-metered.json \
-		/tmp/wormnet-sparse.json /tmp/wormnet-dense.json /tmp/wormnet-dense-sharded.json \
-		/tmp/wormnet-forensics /tmp/wormnet-benchjson /tmp/wormnet-kernel-bench.txt \
+		/tmp/wormnet-sharded.json /tmp/wormnet-forensics /tmp/wormnet-mcheck \
 		/tmp/wormnet-incidents.jsonl /tmp/wormnet-incidents-s4.jsonl \
 		/tmp/wormnet-incidents-replay.jsonl /tmp/wormnet-forensics-events.jsonl \
 		/tmp/wormnet-forensics-on.txt /tmp/wormnet-forensics-off.txt \

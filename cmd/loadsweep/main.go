@@ -104,7 +104,6 @@ func main() {
 		asJSON     = flag.Bool("json", false, "emit JSON instead of the text table")
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
 		shards     = flag.Int("shards", 0, "worker shards per simulation under the deterministic cycle barrier (0 = serial; output is identical for any count)")
-		dense      = flag.Bool("dense-kernel", false, "use the dense reference cycle kernel (full-fabric scans; byte-identical to the default sparse kernel)")
 	)
 	var obs harness.Observe
 	obs.AddFlags(flag.CommandLine)
@@ -161,7 +160,6 @@ func main() {
 			cfg.Warmup = *warmup
 			cfg.Measure = *measure
 			cfg.Shards = *shards
-			cfg.DenseKernel = *dense
 			sc, err := cfg.SimConfig()
 			if err != nil {
 				fail("%v", err)

@@ -20,6 +20,8 @@
 package detect
 
 import (
+	"slices"
+
 	"wormnet/internal/router"
 	"wormnet/internal/topology"
 	"wormnet/internal/trace"
@@ -56,27 +58,11 @@ type Detector interface {
 	// and reused every cycle: implementations must not retain them past the
 	// call. txLinks is empty on a quiescent cycle — no flit moved anywhere —
 	// and implementations must keep their inactivity counters running across
-	// arbitrarily long quiescent stretches (the engine iterates only
-	// Fabric.BusyLinks for that, and separately relies on quiescence to
-	// short-circuit its deadlock oracle, so EndCycle must not mutate fabric
-	// state).
+	// arbitrarily long quiescent stretches (the fabric's busy-link lists
+	// give them the channels to count; the engine separately relies on
+	// quiescence to short-circuit its deadlock oracle, so EndCycle must not
+	// mutate fabric state).
 	EndCycle(now int64, txLinks []router.LinkID, transmitted []bool)
-}
-
-// Sharded is implemented by detectors whose EndCycle work splits along the
-// fabric's occupancy shards: a serial pass over the cycle's transmitted
-// links (which may touch state owned by any shard, e.g. NDM's promotion of
-// another router's G/P flags) followed by per-shard passes over busy links
-// that touch only state owned by that shard. The engine calls EndCycleTx
-// once on the barrier's serial spine, then EndCycleShard for every shard,
-// possibly concurrently — one call per shard, never two calls for the same
-// shard at once. The contract only holds while no tracer is attached
-// (trace.Recorder is not safe for concurrent use); the engine falls back to
-// the plain EndCycle when tracing. EndCycle and the split must compute
-// identical final state, so results are byte-identical either way.
-type Sharded interface {
-	EndCycleTx(now int64, txLinks []router.LinkID)
-	EndCycleShard(shard int, now int64, transmitted []bool)
 }
 
 // Traceable is implemented by detectors that can report their internal flag
@@ -130,6 +116,18 @@ type ProbeTotals struct {
 	InFlight int
 }
 
+// Sub returns the activity between the earlier snapshot prev and t: the
+// difference of every cumulative counter. InFlight is a gauge, not a total,
+// and keeps t's value.
+func (t ProbeTotals) Sub(prev ProbeTotals) ProbeTotals {
+	t.Emitted -= prev.Emitted
+	t.Forwarded -= prev.Forwarded
+	t.Dropped -= prev.Dropped
+	t.Returned -= prev.Returned
+	t.Flits -= prev.Flits
+	return t
+}
+
 // ProbeObserver is implemented by detectors that transport probe control
 // messages through the fabric (the CMH edge-chasing family). The engine
 // samples the totals once per cycle, after EndCycle, to populate the probe
@@ -170,6 +168,24 @@ func (None) VCFreed(router.LinkID) {}
 
 // EndCycle implements Detector.
 func (None) EndCycle(int64, []router.LinkID, []bool) {}
+
+// busyLinks returns, in buf, every physical channel with at least one
+// occupied virtual channel: the fabric's per-shard busy lists concatenated
+// in shard order. The inactivity counting EndCycle does over them is
+// order-independent per link, but the flag events it emits are not, so a
+// traced caller asks for ascending link order to keep the trace stream
+// identical for every occupancy-shard layout; the sort stays off the
+// untraced hot path.
+func busyLinks(f *router.Fabric, buf []router.LinkID, sorted bool) []router.LinkID {
+	buf = buf[:0]
+	for s := 0; s < f.NumShards(); s++ {
+		buf = append(buf, f.BusyLinksShard(s)...)
+	}
+	if sorted {
+		slices.Sort(buf)
+	}
+	return buf
+}
 
 // inputLinksByNode precomputes, for every node, the physical channels that
 // can hold message headers at that node's router: the network links arriving

@@ -2,7 +2,6 @@ package detect
 
 import (
 	"fmt"
-	"slices"
 
 	"wormnet/internal/router"
 	"wormnet/internal/trace"
@@ -59,19 +58,16 @@ type NDM struct {
 	iFlag   []bool
 	dtFlag  []bool
 	gp      []bool // true = G, false = P; input-capable links only
-	// iBusy[s] and dtBusy[s] count set I and DT flags on links owned by
-	// fabric occupancy shard s, so EndCycleShard can maintain its share
-	// without synchronization; DTCount and FlagCounts sum them. gBusy is a
-	// single count: G/P transitions happen only on the engine's serial
-	// spine (route pass, VCFreed replay, promotion).
-	iBusy  []int
-	dtBusy []int
-	gBusy  int // number of input channels currently at G
+	// Live flag occupancy, maintained incrementally so DTCount and
+	// FlagCounts are O(1).
+	iBusy  int // output channels with the I flag set
+	dtBusy int // output channels with the DT flag set
+	gBusy  int // input channels currently at G
 
 	inputs [][]router.LinkID // per node: input channels of its router
 
 	candBuf []router.LinkID // scratch for selective promotion
-	busyBuf []router.LinkID // scratch for EndCycle's sorted busy-link pass
+	busyBuf []router.LinkID // scratch for EndCycle's busy-link pass
 
 	tr *trace.Recorder // flight recorder; nil-safe
 }
@@ -98,8 +94,6 @@ func NewNDMOpt(f *router.Fabric, t1, t2 int64, promotion PromotionPolicy) *NDM {
 		iFlag:     make([]bool, n),
 		dtFlag:    make([]bool, n),
 		gp:        make([]bool, n),
-		iBusy:     make([]int, f.NumShards()),
-		dtBusy:    make([]int, f.NumShards()),
 		inputs:    inputLinksByNode(f),
 		busyBuf:   make([]router.LinkID, 0, n),
 	}
@@ -118,20 +112,12 @@ func (d *NDM) SetTracer(tr *trace.Recorder) { d.tr = tr }
 
 // DTCount implements DTOccupier: the number of output channels whose DT flag
 // is currently set.
-func (d *NDM) DTCount() int { return sum(d.dtBusy) }
+func (d *NDM) DTCount() int { return d.dtBusy }
 
 // FlagCounts implements FlagObserver: the live occupancy of the I, DT and G
 // flags.
 func (d *NDM) FlagCounts() (iFlags, dtFlags, gFlags int) {
-	return sum(d.iBusy), sum(d.dtBusy), d.gBusy
-}
-
-func sum(counts []int) int {
-	n := 0
-	for _, c := range counts {
-		n += c
-	}
-	return n
+	return d.iBusy, d.dtBusy, d.gBusy
 }
 
 // IFlagSet reports the I flag of link l (exported for tests and scenario
@@ -252,33 +238,7 @@ func (d *NDM) setP(in router.LinkID, msg router.MsgID, reason int64) {
 // is what makes the Figure 5 case work: a stale I flag left by a drained
 // message is reset by the first flit of the next message to use the
 // channel, and that reset promotes the messages waiting on it from P to G.
-func (d *NDM) EndCycle(now int64, txLinks []router.LinkID, transmitted []bool) {
-	d.EndCycleTx(now, txLinks)
-	if d.tr == nil {
-		for s := 0; s < d.f.NumShards(); s++ {
-			d.EndCycleShard(s, now, transmitted)
-		}
-		return
-	}
-	// Traced: counting is order-independent per link, but the flag events it
-	// emits are not — visit busy links in ascending link order so the trace
-	// stream is identical for every occupancy-shard layout. The sort is
-	// confined to traced runs to keep the untraced hot path list-ordered.
-	d.busyBuf = d.busyBuf[:0]
-	for s := 0; s < d.f.NumShards(); s++ {
-		d.busyBuf = append(d.busyBuf, d.f.BusyLinksShard(s)...)
-	}
-	slices.Sort(d.busyBuf)
-	for _, id := range d.busyBuf {
-		d.countLink(id, d.f.ShardOfLink(id), transmitted)
-	}
-}
-
-// EndCycleTx implements Sharded: the serial half of EndCycle. Resetting an
-// I flag promotes G/P flags at the transmitting router — state another
-// shard may own — so the transmitted-link pass runs on the barrier's serial
-// spine, over the canonically merged txLinks list.
-func (d *NDM) EndCycleTx(_ int64, txLinks []router.LinkID) {
+func (d *NDM) EndCycle(_ int64, txLinks []router.LinkID, transmitted []bool) {
 	for _, id := range txLinks {
 		l := int(id)
 		if d.iFlag[l] {
@@ -286,47 +246,35 @@ func (d *NDM) EndCycleTx(_ int64, txLinks []router.LinkID) {
 			// waiting messages in this router (Figure 5).
 			d.promote(id)
 			d.iFlag[l] = false
-			d.iBusy[d.f.ShardOfLink(id)]--
+			d.iBusy--
 			d.tr.Emit(trace.KindIClear, router.NilMsg, id, -1, 0, -1)
 		}
 		if d.dtFlag[l] {
 			d.dtFlag[l] = false
-			d.dtBusy[d.f.ShardOfLink(id)]--
+			d.dtBusy--
 			d.tr.Emit(trace.KindDTClear, router.NilMsg, id, -1, 0, -1)
 		}
 		d.counter[l] = 0
 	}
-}
-
-// EndCycleShard implements Sharded: the counting half of EndCycle for one
-// occupancy shard. The counter is "only incremented if at least one virtual
-// channel is occupied", so visiting the shard's busy links covers every
-// counting channel it owns; counters, flags and the per-shard flag counts
-// all belong to shard s, so concurrent calls for distinct shards are safe
-// (the engine guarantees no tracer is attached on the concurrent path).
-func (d *NDM) EndCycleShard(s int, _ int64, transmitted []bool) {
-	for _, id := range d.f.BusyLinksShard(s) {
-		d.countLink(id, s, transmitted)
-	}
-}
-
-// countLink runs the Figure 6 counter/threshold hardware for one busy link
-// owned by occupancy shard s.
-func (d *NDM) countLink(id router.LinkID, s int, transmitted []bool) {
-	l := int(id)
-	if transmitted[l] || !d.f.IsMonitored(id) {
-		return // just reset, or an injection link with no counter
-	}
-	d.counter[l]++
-	if d.counter[l] > d.T1 && !d.iFlag[l] {
-		d.iFlag[l] = true
-		d.iBusy[s]++
-		d.tr.Emit(trace.KindISet, router.NilMsg, id, -1, 0, -1)
-	}
-	if d.counter[l] > d.T2 && !d.dtFlag[l] {
-		d.dtFlag[l] = true
-		d.dtBusy[s]++
-		d.tr.Emit(trace.KindDTSet, router.NilMsg, id, -1, 0, -1)
+	// The counter is "only incremented if at least one virtual channel is
+	// occupied", so the busy links cover every counting channel.
+	d.busyBuf = busyLinks(d.f, d.busyBuf, d.tr != nil)
+	for _, id := range d.busyBuf {
+		l := int(id)
+		if transmitted[l] || !d.f.IsMonitored(id) {
+			continue // just reset, or an injection link with no counter
+		}
+		d.counter[l]++
+		if d.counter[l] > d.T1 && !d.iFlag[l] {
+			d.iFlag[l] = true
+			d.iBusy++
+			d.tr.Emit(trace.KindISet, router.NilMsg, id, -1, 0, -1)
+		}
+		if d.counter[l] > d.T2 && !d.dtFlag[l] {
+			d.dtFlag[l] = true
+			d.dtBusy++
+			d.tr.Emit(trace.KindDTSet, router.NilMsg, id, -1, 0, -1)
+		}
 	}
 }
 

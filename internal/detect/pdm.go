@@ -2,7 +2,6 @@ package detect
 
 import (
 	"fmt"
-	"slices"
 
 	"wormnet/internal/router"
 	"wormnet/internal/trace"
@@ -31,7 +30,7 @@ type PDM struct {
 	counter []int64
 	ifFlag  []bool
 	ifBusy  int             // number of links with the inactivity flag set
-	busyBuf []router.LinkID // scratch for EndCycle's sorted busy-link pass
+	busyBuf []router.LinkID // scratch for EndCycle's busy-link pass
 
 	tr *trace.Recorder // flight recorder; nil-safe
 }
@@ -120,19 +119,7 @@ func (d *PDM) EndCycle(_ int64, txLinks []router.LinkID, transmitted []bool) {
 			d.tr.Emit(trace.KindDTClear, router.NilMsg, id, -1, 0, -1)
 		}
 	}
-	// PDM is not Sharded: its flag checks are cheap enough that the engine
-	// runs it on the serial spine, iterating every occupancy shard in order.
-	// Untraced, the per-shard list order is fine (counting is
-	// order-independent per link); traced, the flag events it emits must come
-	// out in an order independent of the shard layout, so the busy links are
-	// merged and visited ascending.
-	d.busyBuf = d.busyBuf[:0]
-	for s := 0; s < d.f.NumShards(); s++ {
-		d.busyBuf = append(d.busyBuf, d.f.BusyLinksShard(s)...)
-	}
-	if d.tr != nil {
-		slices.Sort(d.busyBuf)
-	}
+	d.busyBuf = busyLinks(d.f, d.busyBuf, d.tr != nil)
 	for _, id := range d.busyBuf {
 		l := int(id)
 		if transmitted[l] || !d.f.IsMonitored(id) {

@@ -119,10 +119,9 @@ func TestMCCounterexampleGolden(t *testing.T) {
 
 // TestGoldenRunByteIdentity is the report determinism gate: the fixed-seed
 // 3x3 deadlock run must produce byte-identical incident reports at every
-// shard count and under both cycle kernels — the same contract the trace
-// rails enforce, which the report inherits by being a pure function of the
-// trace stream. The serial sparse run is additionally held to the
-// committed golden.
+// shard count — the same contract the trace rails enforce, which the report
+// inherits by being a pure function of the trace stream. The serial run is
+// additionally held to the committed golden.
 func TestGoldenRunByteIdentity(t *testing.T) {
 	base := runIncidents(t, goldenConfig())
 	checkGolden(t, "testdata/seed11-3x3.incidents.jsonl", base)
@@ -132,15 +131,13 @@ func TestGoldenRunByteIdentity(t *testing.T) {
 	}{
 		{"shards1", func(c *wormnet.Config) { c.Shards = 1 }},
 		{"shards4", func(c *wormnet.Config) { c.Shards = 4 }},
-		{"dense", func(c *wormnet.Config) { c.DenseKernel = true }},
-		{"dense-shards4", func(c *wormnet.Config) { c.DenseKernel = true; c.Shards = 4 }},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			cfg := goldenConfig()
 			v.mod(&cfg)
 			if got := runIncidents(t, cfg); !bytes.Equal(got, base) {
-				t.Errorf("incident report differs from serial sparse reference (%d vs %d bytes)",
+				t.Errorf("incident report differs from serial reference (%d vs %d bytes)",
 					len(got), len(base))
 			}
 		})

@@ -55,7 +55,8 @@ type Observe struct {
 }
 
 // AddFlags registers the standard observation flags (-trace-dir,
-// -trace-last, -series-dir, -series-window) on fs, populating o.
+// -trace-last, -series-dir, -series-window, -forensics-dir) on fs,
+// populating o.
 func (o *Observe) AddFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.TraceDir, "trace-dir", "",
 		"dump per-run flight-recorder traces for failed/detecting runs into this directory")

@@ -6,7 +6,7 @@ import (
 	"wormnet/internal/router"
 )
 
-// Active-set bookkeeping for the sparse cycle kernel (see shard.go): the
+// Active-set bookkeeping for the cycle kernel (see shard.go): the
 // per-shard nonempty-source-queue bitmaps and the per-shard generator
 // arrival heaps and deferred lists, plus the Debug-mode audit that
 // cross-checks every set against a full rescan.
@@ -40,8 +40,7 @@ func (e *Engine) queueDrained(node int) {
 
 // genLess orders the generator heap by (due, node): the earliest arrival
 // first, ties broken by node so that equal-due pops come out node-ascending
-// — which is what keeps the sparse gens record list in the dense kernel's
-// canonical order.
+// — which is what keeps the gens record list in canonical node order.
 func (e *Engine) genLess(a, b int32) bool {
 	da, db := e.genDue[a], e.genDue[b]
 	return da < db || (da == db && a < b)
@@ -89,10 +88,9 @@ func (e *Engine) heapPop(sh *shardState) int32 {
 	return top
 }
 
-// auditActiveSets cross-checks every sparse-kernel active set against a
-// full rescan of the underlying state. It runs at the end of Step in Debug
-// mode (next to Fabric.CheckInvariants), in both kernel modes — the sets
-// are maintained unconditionally. Allocation is acceptable here; Debug is
+// auditActiveSets cross-checks every active set against a full rescan of
+// the underlying state. It runs at the end of Step in Debug mode (next to
+// Fabric.CheckInvariants). Allocation is acceptable here; Debug is
 // documented slow.
 func (e *Engine) auditActiveSets() error {
 	// Nonempty-queue bitmaps: bit set if and only if the queue has entries.
@@ -107,11 +105,11 @@ func (e *Engine) auditActiveSets() error {
 		}
 	}
 
-	// Generator arrival heaps and deferred lists (sparse skip-ahead mode
+	// Generator arrival heaps and deferred lists (skip-ahead processes
 	// only): entries in range and scheduled, heap-ordered, no duplicates,
 	// deferred nodes due exactly next cycle and absent from the heap, and
 	// heap plus deferrals covering exactly the nodes with a live countdown.
-	if e.genSkip != nil && !e.cfg.DenseKernel {
+	if e.genSkip != nil {
 		seen := make(map[int32]bool)
 		tracked := 0
 		for s := range e.shards {

@@ -119,15 +119,6 @@ type Config struct {
 	// as the harness's SeriesDir option does.
 	Metrics *metrics.Collector
 
-	// DenseKernel selects the reference cycle kernel that scans the full
-	// fabric every cycle (all output links, all delivery VCs, all source
-	// queues, all generator countdowns) instead of the default sparse kernel
-	// that iterates only the active sets. Results are byte-identical either
-	// way — the sparse kernel is a pure iteration-order refactoring and both
-	// modes share the same skip-ahead generation stream — so this exists for
-	// equivalence testing and as a fallback while diagnosing kernel bugs.
-	DenseKernel bool
-
 	// Chooser, when non-nil, resolves the engine's nondeterministic
 	// decision points (VC selection, arbitration winners) externally
 	// instead of with the seeded RNG and round-robin pointers, so a driver
@@ -136,7 +127,7 @@ type Config struct {
 	Chooser Chooser
 
 	// Debug enables per-cycle fabric invariant checking and active-set
-	// auditing (slow): every sparse-kernel list is cross-checked against a
+	// auditing (slow): every active-set list is cross-checked against a
 	// full rescan each cycle.
 	Debug bool
 

@@ -99,12 +99,10 @@ type Engine struct {
 	// Sharded execution (see shard.go). part is the contiguous node
 	// partition; shards holds each shard's node range and per-cycle record
 	// lists; nodeRng gives every node its own generation stream so the draw
-	// sequence is independent of the shard count; detShard is non-nil when
-	// the detector supports per-shard EndCycle splitting.
-	part     topology.Partition
-	shards   []shardState
-	nodeRng  []rng.Source
-	detShard detect.Sharded
+	// sequence is independent of the shard count.
+	part    topology.Partition
+	shards  []shardState
+	nodeRng []rng.Source
 
 	// Persistent shard workers (multi-shard only): workerCh[i] feeds shard
 	// i+1's parked goroutine one phase per barrier step and workerDone fans
@@ -115,19 +113,17 @@ type Engine struct {
 	workerCh   []chan phaseID
 	workerDone chan struct{}
 
-	// Sparse-kernel active sets (see shard.go). genSkip is non-nil when the
-	// injection process supports geometric inter-arrival skip-ahead;
-	// genDue[node] is then the node's next arrival cycle (-1 = never), and
-	// in sparse mode each shard keeps a binary min-heap of its scheduled
-	// nodes keyed by (due, node) plus a deferred list of nodes whose
-	// arrival hit a full queue. neBits[s] is shard s's nonempty-queue
-	// bitmap: bit i means node lo+i has a waiting source queue, and
-	// word-ascending, bit-ascending iteration yields node-ascending
-	// (canonical admit) order without sorting. Each shard's bitmap is a
-	// separate allocation, so concurrent shard workers never share a word.
-	// inFlight counts worms currently in the network (admitted, not yet
-	// delivered or re-queued) for the metrics gauge. delBase is the first
-	// delivery LinkID, cached for the canonical active-link key encoding.
+	// Active sets (see shard.go). genSkip is non-nil when the injection
+	// process supports geometric inter-arrival skip-ahead; genDue[node] is
+	// then the node's next arrival cycle (-1 = never), and each shard keeps
+	// a binary min-heap of its scheduled nodes keyed by (due, node) plus a
+	// deferred list of nodes whose arrival hit a full queue. neBits[s] is
+	// shard s's nonempty-queue bitmap: bit i means node lo+i has a waiting
+	// source queue, and word-ascending, bit-ascending iteration yields
+	// node-ascending (canonical admit) order without sorting. Each shard's
+	// bitmap is a separate allocation, so concurrent shard workers never
+	// share a word. inFlight counts worms currently in the network
+	// (admitted, not yet delivered or re-queued) for the metrics gauge.
 	// linkKey[l] is output link l's canonical arbitration key node*span+k
 	// (network output links before delivery ports, each in port order; -1
 	// for injection links, which are never transfer targets), precomputed
@@ -137,7 +133,6 @@ type Engine struct {
 	neBits   [][]uint64
 	linkKey  []int32
 	inFlight int
-	delBase  int
 
 	// Per-cycle scratch state.
 	transmitted []bool          // flit crossed link l this cycle
@@ -145,7 +140,6 @@ type Engine struct {
 	feeders     [][]router.VCID // per target link: VCs requesting to send
 	inputUsedAt []int64         // cycle stamp: input channel already sent a flit
 	candBuf     []router.LinkID
-	deliveryVCs []router.VCID
 	// Flat candidate arena for the parallel routing phase: pending entry i
 	// owns routeCands[i*candStride : (i+1)*candStride]; routeCandsLen[i] is
 	// its candidate count, or -1 for entries that will not route this cycle.
@@ -163,6 +157,11 @@ type Engine struct {
 	chooser   Chooser
 	freeCands []router.VCID
 	arbElig   []router.VCID
+
+	// refStage is the differential-test seam: nil outside internal/sim's
+	// own tests, which install full-rescan reference stages through it (it
+	// reports whether it ran the shard's phase in place of the kernel's).
+	refStage func(ph phaseID, s int) bool
 }
 
 // New builds an Engine from cfg. The configuration is validated; defaults
@@ -176,8 +175,6 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The partition must be installed before the detector is built: sharded
-	// detectors size their per-shard flag counts from Fabric.NumShards.
 	part := topology.NewPartition(topo.Nodes(), cfg.Shards)
 	fab.SetPartition(part)
 	e := &Engine{
@@ -216,9 +213,6 @@ func New(cfg Config) (*Engine, error) {
 	if o, ok := e.det.(detect.ProbeObserver); ok {
 		e.probeTotals = o.ProbeTotals
 	}
-	if d, ok := e.det.(detect.Sharded); ok {
-		e.detShard = d
-	}
 	e.mc.Attach(e.det.Name(), topo.N())
 	e.rec = recovery.New(fab, cfg.Recovery, recovery.Hooks{
 		VCFreed: func(l router.LinkID) {
@@ -250,10 +244,8 @@ func New(cfg Config) (*Engine, error) {
 	for s := range e.shards {
 		e.shards[s].lo, e.shards[s].hi = part.Range(s)
 	}
-	// Active-set structures. The nonempty-queue bitmaps are maintained in
-	// both kernel modes (the dense kernel only ignores them when iterating),
-	// so gauges and audits see the same state either way.
-	e.delBase = int(fab.DelLink(0, 0))
+	// Active-set structures.
+	delBase := int(fab.DelLink(0, 0))
 	e.neBits = make([][]uint64, part.Shards())
 	deg := topo.Degree()
 	keySpan := deg + cfg.Router.DelPorts
@@ -267,9 +259,9 @@ func New(cfg Config) (*Engine, error) {
 	for l := range e.linkKey {
 		switch {
 		case l < fab.NumNetLinks():
-			e.linkKey[l] = int32(l / deg * keySpan + l % deg)
-		case l >= e.delBase:
-			d := l - e.delBase
+			e.linkKey[l] = int32(l/deg*keySpan + l%deg)
+		case l >= delBase:
+			d := l - delBase
 			e.linkKey[l] = int32(d/cfg.Router.DelPorts*keySpan + deg + d%cfg.Router.DelPorts)
 		default:
 			e.linkKey[l] = -1
@@ -278,8 +270,7 @@ func New(cfg Config) (*Engine, error) {
 	// Skip-ahead generation: when the process supports it, every node's
 	// per-cycle Bernoulli trial collapses into a geometric inter-arrival
 	// countdown. Each node's first gap comes from its own stream, so the
-	// schedule stays a pure function of (seed, node) — and both kernel modes
-	// consume the identical stream, which is what makes them byte-identical.
+	// schedule stays a pure function of (seed, node).
 	if sk, ok := e.gen.(traffic.Skipahead); ok {
 		e.genSkip = sk
 		e.genDue = make([]int64, topo.Nodes())
@@ -291,17 +282,15 @@ func New(cfg Config) (*Engine, error) {
 			}
 			e.genDue[node] = int64(gap)
 		}
-		if !cfg.DenseKernel {
-			for s := range e.shards {
-				sh := &e.shards[s]
-				span := sh.hi - sh.lo
-				sh.genHeap = make([]int32, 0, span)
-				sh.genDefA = make([]int32, 0, span)
-				sh.genDefB = make([]int32, 0, span)
-				for node := sh.lo; node < sh.hi; node++ {
-					if e.genDue[node] >= 0 {
-						e.heapPush(sh, int32(node))
-					}
+		for s := range e.shards {
+			sh := &e.shards[s]
+			span := sh.hi - sh.lo
+			sh.genHeap = make([]int32, 0, span)
+			sh.genDefA = make([]int32, 0, span)
+			sh.genDefB = make([]int32, 0, span)
+			for node := sh.lo; node < sh.hi; node++ {
+				if e.genDue[node] >= 0 {
+					e.heapPush(sh, int32(node))
 				}
 			}
 		}
@@ -324,13 +313,6 @@ func New(cfg Config) (*Engine, error) {
 	maxCands := topo.Degree() + cfg.Router.DelPorts
 	e.candBuf = make([]router.LinkID, 0, maxCands)
 	e.candStride = maxCands * int(maxVC)
-	e.deliveryVCs = make([]router.VCID, 0, topo.Nodes()*cfg.Router.DelPorts)
-	for node := 0; node < topo.Nodes(); node++ {
-		for p := 0; p < cfg.Router.DelPorts; p++ {
-			l := fab.DelLink(node, p)
-			e.deliveryVCs = append(e.deliveryVCs, fab.Links[l].FirstVC)
-		}
-	}
 	e.st.Nodes = topo.Nodes()
 	e.st.NetLinks = fab.NumNetLinks()
 	return e, nil
@@ -475,37 +457,28 @@ func (e *Engine) Step() error {
 	e.runPhase(phaseDrain)
 	e.commitDelivery()
 	e.mergeTxLinks()
-	if e.detShard != nil && len(e.shards) > 1 && e.tr == nil {
-		// Split EndCycle: the transmitted-link pass runs serially (it may
-		// promote G/P state owned by any shard), the per-shard busy-link
-		// counting runs in parallel. Identical final state by contract;
-		// tracing forces the serial path because the recorder is not safe
-		// for concurrent use.
-		e.detShard.EndCycleTx(e.now, e.txLinks)
-		e.runPhase(phaseDetect)
-	} else {
-		e.det.EndCycle(e.now, e.txLinks, e.transmitted)
-	}
+	e.det.EndCycle(e.now, e.txLinks, e.transmitted)
 	if e.measuring && e.dtCount != nil {
 		e.st.DTFlagCycleSum += int64(e.dtCount())
 	}
 	if e.probeTotals != nil {
 		pt := e.probeTotals()
+		d := pt.Sub(e.lastProbe)
+		e.lastProbe = pt
 		if e.measuring {
-			e.st.ProbesEmitted += pt.Emitted - e.lastProbe.Emitted
-			e.st.ProbesForwarded += pt.Forwarded - e.lastProbe.Forwarded
-			e.st.ProbesDropped += pt.Dropped - e.lastProbe.Dropped
-			e.st.ProbesReturned += pt.Returned - e.lastProbe.Returned
-			e.st.ProbeFlits += pt.Flits - e.lastProbe.Flits
+			e.st.ProbesEmitted += d.Emitted
+			e.st.ProbesForwarded += d.Forwarded
+			e.st.ProbesDropped += d.Dropped
+			e.st.ProbesReturned += d.Returned
+			e.st.ProbeFlits += d.Flits
 		}
 		if e.mc != nil {
-			e.mc.Add(metrics.MProbesEmitted, pt.Emitted-e.lastProbe.Emitted)
-			e.mc.Add(metrics.MProbesForwarded, pt.Forwarded-e.lastProbe.Forwarded)
-			e.mc.Add(metrics.MProbesDropped, pt.Dropped-e.lastProbe.Dropped)
-			e.mc.Add(metrics.MProbesReturned, pt.Returned-e.lastProbe.Returned)
-			e.mc.Add(metrics.MProbeFlits, pt.Flits-e.lastProbe.Flits)
+			e.mc.Add(metrics.MProbesEmitted, d.Emitted)
+			e.mc.Add(metrics.MProbesForwarded, d.Forwarded)
+			e.mc.Add(metrics.MProbesDropped, d.Dropped)
+			e.mc.Add(metrics.MProbesReturned, d.Returned)
+			e.mc.Add(metrics.MProbeFlits, d.Flits)
 		}
-		e.lastProbe = pt
 	}
 	e.prepareRouteCands()
 	e.runPhase(phaseRouteCands)

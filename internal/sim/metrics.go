@@ -14,7 +14,7 @@ import (
 // busy links) are amortized over the window and allocation-free — every
 // structure visited is a pre-sized engine or fabric buffer.
 func (e *Engine) ProbeMetrics(s *metrics.Sample) {
-	// Queued walks only the nonempty-queue bitmaps (the sparse kernel's
+	// Queued walks only the nonempty-queue bitmaps (the kernel's
 	// admit active set), which also directly yield the NonemptyQueues gauge.
 	queued, nonempty := 0, 0
 	for sh := range e.neBits {
@@ -32,7 +32,7 @@ func (e *Engine) ProbeMetrics(s *metrics.Sample) {
 	s.NonemptyQueues = int32(nonempty)
 	// Links that carried a flit this cycle, and worms the kernel is moving:
 	// together with BusyVCs these are the active-set sizes that bound the
-	// sparse kernel's per-cycle cost.
+	// kernel's per-cycle cost.
 	s.ActiveLinks = int32(len(e.txLinks))
 	s.WormsInFlight = int32(e.inFlight)
 

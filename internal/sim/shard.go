@@ -50,7 +50,6 @@ const (
 	phaseTransferA
 	phaseTransferB
 	phaseDrain
-	phaseDetect
 	phaseRouteCands
 	phaseFeed
 )
@@ -101,7 +100,7 @@ type shardState struct {
 	injecting []router.MsgID  // persistent: messages this shard is injecting
 	fed       []router.MsgID  // feed:      first flits fed this cycle
 
-	// Sparse-kernel state (see the stage comments below). keyBits is the
+	// Active-set state (see the stage comments below). keyBits is the
 	// shard's active-output-link bitmap: bit (node-lo)*span+k marks output
 	// position k of router node as having acquired feeders this cycle, so a
 	// word-ascending, bit-ascending scan visits the active links in
@@ -179,6 +178,9 @@ func (e *Engine) StopWorkers() {
 }
 
 func (e *Engine) runShardPhase(ph phaseID, s int) {
+	if e.refStage != nil && e.refStage(ph, s) {
+		return
+	}
 	switch ph {
 	case phaseGenerate:
 		e.generateShard(s)
@@ -190,8 +192,6 @@ func (e *Engine) runShardPhase(ph phaseID, s int) {
 		e.transferCommit(s)
 	case phaseDrain:
 		e.drainShard(s)
-	case phaseDetect:
-		e.detShard.EndCycleShard(s, e.now, e.transmitted)
 	case phaseRouteCands:
 		e.routeCandsShard(s)
 	case phaseFeed:
@@ -214,16 +214,16 @@ func (e *Engine) runShardPhase(ph phaseID, s int) {
 // of the node's next arrival, advanced by one Geometric draw per arrival
 // instead of one uniform draw per cycle. A node whose source queue is full
 // when its arrival comes due defers to the next cycle WITHOUT consuming a
-// draw — exactly the dense semantics, where a full queue skips the trial
-// entirely. The sparse kernel keeps the scheduled nodes in a per-shard
-// (due, node) min-heap and visits only the nodes due this cycle; the dense
-// kernel scans every node's countdown. Both consume the identical stream,
-// and the heap's node tie-break makes the sparse pop order node-ascending,
-// so the gens record lists are byte-identical across kernels.
+// draw — exactly the per-cycle semantics, where a full queue skips the trial
+// entirely. The scheduled nodes sit in a per-shard (due, node) min-heap and
+// only the nodes due this cycle are visited; the heap's node tie-break makes
+// the pop order node-ascending, so the gens record list is the one a scan of
+// every node's countdown would produce (the test reference does exactly
+// that scan, over the identical stream).
 //
 // Deferred arrivals stay OUT of the heap: at saturation every node defers
 // every cycle, and re-heaping the whole population each cycle is exactly
-// the O(nodes log nodes) churn the sparse kernel exists to avoid. Instead
+// the O(nodes log nodes) churn the active sets exist to avoid. Instead
 // a deferral lands on the genDefB list and is replayed next cycle from
 // genDefA (the buffers swap at the end of the stage). genDefA is
 // node-ascending by construction — deferrals are appended in processing
@@ -237,8 +237,8 @@ func (e *Engine) generateShard(s int) {
 	sh.gens = sh.gens[:0]
 	max := e.cfg.MaxSourceQueue
 	if e.genSkip == nil {
-		// Stateful process (no skip-ahead capability): dense per-cycle
-		// draws, advancing per-source process state every cycle.
+		// Stateful process (no skip-ahead capability): one draw per node
+		// per cycle, advancing per-source process state every cycle.
 		for node := sh.lo; node < sh.hi; node++ {
 			if e.queues[node].Len() >= max {
 				// Source queue full: generation pauses at this node (offered
@@ -250,16 +250,6 @@ func (e *Engine) generateShard(s int) {
 				continue
 			}
 			sh.gens = append(sh.gens, genRec{node: int32(node), dst: int32(dst), length: int32(length)})
-		}
-		return
-	}
-	if e.cfg.DenseKernel {
-		for node := sh.lo; node < sh.hi; node++ {
-			due := e.genDue[node]
-			if due < 0 || due > e.now {
-				continue
-			}
-			e.generateArrival(sh, node, max)
 		}
 		return
 	}
@@ -296,9 +286,8 @@ func (e *Engine) generateShard(s int) {
 
 // generateArrival handles one due arrival at node: defer on a full queue
 // (due = now+1, no draw consumed, reported to the caller), otherwise record
-// the arrival and draw the next gap. Shared by both kernels so the stream
-// cannot diverge; the dense kernel ignores the deferral signal (its scan
-// finds the node again by its countdown).
+// the arrival and draw the next gap. The test reference's full scan calls it
+// too, so the stream cannot diverge between the two.
 func (e *Engine) generateArrival(sh *shardState, node, max int) (deferred bool) {
 	if e.queues[node].Len() >= max {
 		e.genDue[node] = e.now + 1
@@ -340,10 +329,10 @@ func (e *Engine) commitGenerate() {
 // during the phase, since admission only ever allocates injection VCs.
 // Trace emission and counters replay serially in node order.
 
-// admitShard admits queued messages into injection VCs. The sparse kernel
-// visits only the shard's nonempty source queues, scanning the bitmap
-// word-ascending, bit-ascending — node-ascending, the same order the dense
-// scan produces by skipping empty queues. Each word is copied before its
+// admitShard admits queued messages into injection VCs. It visits only the
+// shard's nonempty source queues, scanning the bitmap word-ascending,
+// bit-ascending — node-ascending, the order a scan of every node produces
+// by skipping empty queues. Each word is copied before its
 // bits are walked: an admission that empties a queue clears that node's
 // live bit mid-stage (queueDrained), and the stage must still finish the
 // nodes that were nonempty when it started. No bit is ever set during the
@@ -352,12 +341,6 @@ func (e *Engine) commitGenerate() {
 func (e *Engine) admitShard(s int) {
 	sh := &e.shards[s]
 	sh.admits = sh.admits[:0]
-	if e.cfg.DenseKernel {
-		for node := sh.lo; node < sh.hi; node++ {
-			e.admitNode(sh, node)
-		}
-		return
-	}
 	ne := e.neBits[s]
 	for w, word := range ne {
 		for word != 0 {
@@ -452,10 +435,8 @@ func (e *Engine) transferDecide(s int) {
 	sh.txLinks = sh.txLinks[:0]
 	sh.moves = sh.moves[:0]
 	deg := e.topo.Degree()
-	dp := e.cfg.Router.DelPorts
-	span := deg + dp
+	span := deg + e.cfg.Router.DelPorts
 	buf := int32(fab.Cfg.BufFlits)
-	dense := e.cfg.DenseKernel
 	// Bucket transfer requests by target physical channel, marking each
 	// target in the shard's active-link bitmap. The set is unconditional —
 	// re-marking an already-active link is idempotent and cheaper than the
@@ -469,31 +450,6 @@ func (e *Engine) transferDecide(s int) {
 	// arbitrations of one router's outputs, so the order links are decided
 	// in is part of the determinism contract.
 	relBase := sh.lo * span
-	if dense {
-		for _, i := range fab.OccupiedShard(s) {
-			if vcs[i].Flits > 0 && vcs[i].Next != router.NilVC {
-				tl := vcs[vcs[i].Next].Link
-				e.feeders[tl] = append(e.feeders[tl], i)
-			}
-		}
-		// Reference kernel: walk every output link of the shard's routers in
-		// canonical order, skipping the (typically many) idle ones.
-		for node := sh.lo; node < sh.hi; node++ {
-			for k := 0; k < span; k++ {
-				var tl router.LinkID
-				if k < deg {
-					tl = router.LinkID(node*deg + k)
-				} else {
-					tl = fab.DelLink(node, k-deg)
-				}
-				if len(e.feeders[tl]) == 0 {
-					continue
-				}
-				e.arbitrate(sh, tl, buf)
-			}
-		}
-		return
-	}
 	for _, i := range fab.OccupiedShard(s) {
 		if vcs[i].Flits > 0 && vcs[i].Next != router.NilVC {
 			tl := vcs[vcs[i].Next].Link
@@ -502,11 +458,11 @@ func (e *Engine) transferDecide(s int) {
 			e.feeders[tl] = append(e.feeders[tl], i)
 		}
 	}
-	// Sparse kernel: arbitrate only the links that acquired feeders. The
-	// word-ascending, bit-ascending scan IS the canonical key order, so no
-	// sort is needed; each word is consumed from a copy and cleared for the
-	// next cycle before its bits are decoded (arbitration never adds
-	// feeders, so no bit can be set mid-scan).
+	// Arbitrate only the links that acquired feeders. The word-ascending,
+	// bit-ascending scan IS the canonical key order, so no sort is needed;
+	// each word is consumed from a copy and cleared for the next cycle before
+	// its bits are decoded (arbitration never adds feeders, so no bit can be
+	// set mid-scan).
 	for w, word := range sh.keyBits {
 		if word == 0 {
 			continue
@@ -636,10 +592,10 @@ func (e *Engine) commitTransfer() {
 // release run in the parallel phase; message finalization (histograms,
 // counters, trace, pool recycling) replays serially in node order — the same
 // order the serial engine used, since the drain order is node-ascending by
-// construction. The sparse kernel iterates the fabric's occupied-delivery-VC
-// bitmap instead of every delivery port: delivery VCs are numbered in link
-// order (node-major, port-minor) and the bitmap mirrors that numbering, so
-// the word-ascending, bit-ascending scan reproduces the dense scan order
+// construction. The stage iterates the fabric's occupied-delivery-VC bitmap
+// instead of every delivery port: delivery VCs are numbered in link order
+// (node-major, port-minor) and the bitmap mirrors that numbering, so the
+// word-ascending, bit-ascending scan reproduces the port-by-port scan order
 // exactly — no sort. Each word is copied before its bits are walked:
 // draining a tail releases the VC, which clears that VC's live bit
 // (ReleaseEmptyVC) mid-iteration, and nothing sets bits during the stage.
@@ -648,17 +604,6 @@ func (e *Engine) drainShard(s int) {
 	sh := &e.shards[s]
 	sh.delivered = sh.delivered[:0]
 	fab := e.fab
-	if e.cfg.DenseKernel {
-		dp := e.cfg.Router.DelPorts
-		for _, id := range e.deliveryVCs[sh.lo*dp : sh.hi*dp] {
-			vc := &fab.VCs[id]
-			if vc.Occupant == router.NilMsg || vc.Flits == 0 {
-				continue
-			}
-			e.drainVC(sh, id)
-		}
-		return
-	}
 	occ := fab.DeliveryOccBitsShard(s)
 	sbase := fab.DeliveryShardBase(s)
 	for w, word := range occ {

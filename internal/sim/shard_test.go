@@ -29,25 +29,12 @@ func shardedConfig() Config {
 	return cfg
 }
 
-// runSharded runs cfg with the given shard count and an attached flight
+// runSharded runs cfg on the given shard count, optionally with a flight
 // recorder streaming to a buffer, returning the result and the raw trace
 // bytes.
 func runSharded(t *testing.T, cfg Config, shards int, traced bool) (*Result, []byte) {
 	t.Helper()
-	cfg.Shards = shards
-	var buf bytes.Buffer
-	if traced {
-		rec := trace.NewRecorder(64)
-		rec.SetSink(&buf)
-		cfg.Trace = rec
-	}
-	res := mustRun(t, cfg)
-	if traced {
-		if err := cfg.Trace.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return res, buf.Bytes()
+	return runKernel(t, cfg, false, shards, traced)
 }
 
 // TestShardedByteIdentity is the core determinism gate of the sharded

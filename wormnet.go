@@ -233,14 +233,6 @@ type Config struct {
 	// count.
 	Shards int
 
-	// DenseKernel selects the reference cycle kernel, which rescans the
-	// whole fabric every cycle, instead of the default sparse kernel that
-	// iterates only active sets (scheduled arrivals, nonempty source
-	// queues, fed links, occupied delivery VCs). Both kernels produce
-	// byte-identical results (see DESIGN.md §12); the dense one exists for
-	// equivalence testing and diagnosis.
-	DenseKernel bool
-
 	// OracleEvery > 0 additionally runs the global deadlock oracle every
 	// so many cycles to measure actual deadlock frequency.
 	OracleEvery int64
@@ -284,7 +276,7 @@ type Config struct {
 	// recorder is attached internally (no trace file is produced).
 	// Incident reports are a pure function of the trace event stream, so
 	// they inherit its determinism contract: byte-identical for a fixed
-	// seed across shard counts and sparse/dense kernels.
+	// seed across shard counts.
 	ForensicsPath string
 }
 
@@ -485,7 +477,6 @@ func (c Config) simConfig() (sim.Config, error) {
 	sc.OracleEvery = c.OracleEvery
 	sc.Seed = c.Seed
 	sc.Shards = c.Shards
-	sc.DenseKernel = c.DenseKernel
 	return sc, nil
 }
 
