@@ -1,8 +1,8 @@
-# Developer entry points; CI (.github/workflows/ci.yml) runs the same steps.
+# Developer entry points; CI (.github/workflows/ci.yml) runs these targets.
 
 GO ?= go
 
-.PHONY: all build test race vet benchmark-check smoke shard-smoke trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex conformance-fuzz-seeds shootout profile clean
+.PHONY: all build test race vet benchmark-check smoke golden-gate shard-smoke trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex conformance-fuzz-seeds shootout profile clean
 
 all: vet test
 
@@ -26,9 +26,12 @@ benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Determinism smoke: a 4-worker checkpointed sweep must be byte-identical
-# to a serial sweep, and so must a resume against the finished journal.
+# to a serial sweep, and so must a resume against the finished journal. Then
+# cmd/tables end to end on a small torus: every observation flag it accepts
+# must reach the harness, which creates each directory up front.
 smoke: build
 	$(GO) build -o /tmp/wormnet-loadsweep ./cmd/loadsweep
+	$(GO) build -o /tmp/wormnet-tables ./cmd/tables
 	/tmp/wormnet-loadsweep -k 4 -n 2 -points 4 -warmup 500 -measure 2000 \
 		-workers 1 -quiet -json > /tmp/wormnet-serial.json
 	/tmp/wormnet-loadsweep -k 4 -n 2 -points 4 -warmup 500 -measure 2000 \
@@ -37,7 +40,29 @@ smoke: build
 	/tmp/wormnet-loadsweep -k 4 -n 2 -points 4 -warmup 500 -measure 2000 \
 		-workers 4 -checkpoint /tmp/wormnet-sweep.jsonl -resume -quiet -json > /tmp/wormnet-resumed.json
 	cmp /tmp/wormnet-serial.json /tmp/wormnet-resumed.json
-	@echo "smoke: parallel and resumed sweeps byte-identical to serial"
+	rm -rf /tmp/wormnet-tables-d.t2 /tmp/wormnet-tables-t.t2
+	/tmp/wormnet-tables -table 2 -k 4 -n 2 -relative -warmup 200 -measure 1500 -quiet \
+		-forensics-dir /tmp/wormnet-tables-d -trace-dir /tmp/wormnet-tables-t > /dev/null
+	test -d /tmp/wormnet-tables-d.t2 -a -d /tmp/wormnet-tables-t.t2
+	@echo "smoke: parallel and resumed sweeps byte-identical to serial; tables dumps reach the harness"
+
+# Sweep determinism gates: a fixed-seed sweep must be byte-identical to the
+# committed golden (results/sweep_golden.json) run plain, stepped by 4 worker
+# shards per simulation, with per-run metrics collectors and series dumps, and
+# with per-run episode correlators and incident dumps. The golden pins
+# simulation semantics — any change to the router, engine, detection or oracle
+# kernels that alters observable behavior fails here and must regenerate it
+# deliberately — and sharding, metrics and forensics must never perturb it.
+golden-gate: build
+	$(GO) build -o /tmp/wormnet-loadsweep ./cmd/loadsweep
+	rm -rf /tmp/wormnet-gate-series /tmp/wormnet-gate-forensics
+	set -e; for variant in "" "-shards 4" "-series-dir /tmp/wormnet-gate-series" \
+		"-forensics-dir /tmp/wormnet-gate-forensics"; do \
+		/tmp/wormnet-loadsweep -k 4 -n 2 -points 4 -warmup 500 -measure 2000 \
+			-workers 4 -replicates 2 -seed 1 $$variant -quiet -json > /tmp/wormnet-gate.json; \
+		cmp results/sweep_golden.json /tmp/wormnet-gate.json; \
+	done
+	@echo "golden-gate: plain, sharded, metered and forensics sweeps byte-identical to the golden"
 
 # Sharded determinism smoke: a sweep stepped by 4 worker shards per
 # simulation must be byte-identical to the serial sweep. This is the
@@ -215,5 +240,6 @@ clean:
 		/tmp/wormnet-incidents.jsonl /tmp/wormnet-incidents-s4.jsonl \
 		/tmp/wormnet-incidents-replay.jsonl /tmp/wormnet-forensics-events.jsonl \
 		/tmp/wormnet-forensics-on.txt /tmp/wormnet-forensics-off.txt \
-		/tmp/wormnet-forensics-summary.txt
-	rm -rf /tmp/wormnet-series
+		/tmp/wormnet-forensics-summary.txt /tmp/wormnet-tables /tmp/wormnet-gate.json
+	rm -rf /tmp/wormnet-series /tmp/wormnet-tables-d.t2 /tmp/wormnet-tables-t.t2 \
+		/tmp/wormnet-gate-series /tmp/wormnet-gate-forensics

@@ -36,11 +36,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"wormnet"
 	"wormnet/internal/exp"
 	"wormnet/internal/harness"
+	"wormnet/internal/sim"
 	"wormnet/internal/stats"
 )
 
@@ -60,32 +62,35 @@ func load(path string) (*exp.Result, error) {
 
 func main() {
 	var (
-		run        = flag.Bool("run", false, "measure both tables now instead of loading JSON files")
-		pdmTable   = flag.Int("pdm-table", 1, "paper table measured for the PDM side (run mode)")
-		ndmTable   = flag.Int("ndm-table", 2, "paper table measured for the NDM side (run mode)")
-		k          = flag.Int("k", 8, "radix (run mode)")
-		n          = flag.Int("n", 3, "dimensions (run mode)")
-		warmup     = flag.Int64("warmup", 5000, "warm-up cycles per cell (run mode)")
-		measure    = flag.Int64("measure", 30000, "measured cycles per cell (run mode)")
-		seed       = flag.Uint64("seed", 1, "base random seed (run mode)")
-		relative   = flag.Bool("relative", false, "rescale the paper's rates to measured saturation (run mode)")
-		workers    = flag.Int("workers", 0, "concurrent simulations, 0 = GOMAXPROCS (run mode)")
-		replicates = flag.Int("replicates", 1, "independently seeded runs per cell (run mode)")
-		checkpoint = flag.String("checkpoint", "", "checkpoint journal path prefix (run mode)")
-		resume     = flag.Bool("resume", false, "resume from the -checkpoint journals (run mode)")
-		quiet      = flag.Bool("quiet", false, "suppress progress output (run mode)")
-		detlat     = flag.Bool("detlat", false, "measure per-mechanism detection-latency histograms at one deadlock-prone operating point")
-		dlMechs    = flag.String("mechs", "pdm,ndm", "comma-separated detection mechanisms to compare (detlat mode): ndm|pdm|cmh|src-age|src-stall|hdr-block")
-		dlLoad     = flag.Float64("load", 2.0, "offered load in flits/cycle/node (detlat mode)")
-		dlVCs      = flag.Int("vcs", 1, "virtual channels per physical channel (detlat mode)")
-		dlTh       = flag.Int64("th", 16, "detection threshold in cycles (detlat mode)")
+		run      = flag.Bool("run", false, "measure both tables now instead of loading JSON files")
+		pdmTable = flag.Int("pdm-table", 1, "paper table measured for the PDM side (run mode)")
+		ndmTable = flag.Int("ndm-table", 2, "paper table measured for the NDM side (run mode)")
+		k        = flag.Int("k", 8, "radix (run mode)")
+		n        = flag.Int("n", 3, "dimensions (run mode)")
+		warmup   = flag.Int64("warmup", 5000, "warm-up cycles per cell (run mode)")
+		measure  = flag.Int64("measure", 30000, "measured cycles per cell (run mode)")
+		seed     = flag.Uint64("seed", 1, "base random seed (run mode)")
+		relative = flag.Bool("relative", false, "rescale the paper's rates to measured saturation (run mode)")
+		detlat   = flag.Bool("detlat", false, "measure per-mechanism detection-latency histograms at one deadlock-prone operating point")
+		dlMechs  = flag.String("mechs", "pdm,ndm", "comma-separated detection mechanisms to compare (detlat mode): "+strings.Join(detLatMechs(), "|"))
+		dlLoad   = flag.Float64("load", 2.0, "offered load in flits/cycle/node (detlat mode)")
+		dlVCs    = flag.Int("vcs", 1, "virtual channels per physical channel (detlat mode)")
+		dlTh     = flag.Int64("th", 16, "detection threshold in cycles (detlat mode)")
 	)
-	var obs harness.Observe
-	obs.AddFlags(flag.CommandLine)
+	var sweep harness.Sweep
+	sweep.AddFlags(flag.CommandLine, "replicates", map[string]string{
+		"workers":    "concurrent simulations, 0 = GOMAXPROCS (run mode)",
+		"replicates": "independently seeded runs per cell (run mode)",
+		"checkpoint": "checkpoint journal path prefix (run mode)",
+		"resume":     "resume from the -checkpoint journals (run mode)",
+		"quiet":      "suppress progress output (run mode)",
+	})
 	flag.Parse()
-	if err := obs.Validate(); err != nil {
+	opt, err := sweep.Options()
+	if err != nil {
 		fail("%v", err)
 	}
+	opt.BaseSeed = *seed
 
 	if *detlat {
 		switch {
@@ -97,56 +102,31 @@ func main() {
 			fail("invalid topology: %d-ary %d-cube (need -k >= 2, -n >= 1)", *k, *n)
 		case *warmup < 0 || *measure <= 0:
 			fail("need -warmup >= 0 and -measure > 0, got %d and %d", *warmup, *measure)
-		case *replicates < 1:
-			fail("-replicates must be >= 1, got %d", *replicates)
 		}
 		mechs, err := parseMechs(*dlMechs)
 		if err != nil {
 			fail("%v", err)
 		}
+		// The detlat sweep is one short batch: it keeps no journal.
+		opt.Journal, opt.Resume = "", false
 		runDetLat(detLatParams{
 			k: *k, n: *n, vcs: *dlVCs, load: *dlLoad, th: *dlTh,
 			mechs:  mechs,
-			warmup: *warmup, measure: *measure, seed: *seed,
-			workers: *workers, replicates: *replicates, quiet: *quiet,
-			obs: obs,
-		})
+			warmup: *warmup, measure: *measure,
+		}, opt)
 		return
 	}
 
 	// Flags that only make sense in another mode must not be silently
-	// ignored: -detlat-only flags are rejected in run mode, and both sets
-	// are rejected in file mode.
-	detlatOnly := map[string]bool{
-		"load": true, "vcs": true, "th": true, "mechs": true,
-	}
+	// ignored: -detlat-only flags are rejected in run mode, and every flag
+	// is rejected in file mode.
 	if *run {
-		var misused []string
-		flag.Visit(func(f *flag.Flag) {
-			if detlatOnly[f.Name] {
-				misused = append(misused, "-"+f.Name)
-			}
-		})
-		if len(misused) > 0 {
-			fail("%v only apply with -detlat", misused)
+		if bad := misused(flag.CommandLine, detlatOnly); len(bad) > 0 {
+			fail("%v only apply with -detlat", bad)
 		}
-	}
-	if !*run {
-		runOnly := map[string]bool{
-			"pdm-table": true, "ndm-table": true, "k": true, "n": true,
-			"warmup": true, "measure": true, "seed": true, "relative": true,
-			"workers": true, "replicates": true, "checkpoint": true,
-			"resume": true, "quiet": true, "trace-dir": true, "trace-last": true,
-			"series-dir": true, "series-window": true,
-		}
-		var misused []string
-		flag.Visit(func(f *flag.Flag) {
-			if runOnly[f.Name] || detlatOnly[f.Name] {
-				misused = append(misused, "-"+f.Name)
-			}
-		})
-		if len(misused) > 0 {
-			fail("%v only apply with -run or -detlat (file mode just loads two JSON tables)", misused)
+	} else {
+		if bad := misused(flag.CommandLine, notInFileMode); len(bad) > 0 {
+			fail("%v only apply with -run or -detlat (file mode just loads two JSON tables)", bad)
 		}
 		if len(flag.Args()) != 2 {
 			fmt.Fprintln(os.Stderr, "usage: compare <pdm.json> <ndm.json>")
@@ -164,19 +144,10 @@ func main() {
 			fail("invalid topology: %d-ary %d-cube (need -k >= 2, -n >= 1)", *k, *n)
 		case *warmup < 0 || *measure <= 0:
 			fail("need -warmup >= 0 and -measure > 0, got %d and %d", *warmup, *measure)
-		case *workers < 0:
-			fail("-workers must be >= 0, got %d", *workers)
-		case *replicates < 1:
-			fail("-replicates must be >= 1, got %d", *replicates)
-		case *resume && *checkpoint == "":
-			fail("-resume requires -checkpoint")
 		}
-		pdm = measureTable(*pdmTable, "pdm", *k, *n, *warmup, *measure, *seed,
-			*relative, *workers, *replicates, *checkpoint, *resume, *quiet, obs)
-		ndm = measureTable(*ndmTable, "ndm", *k, *n, *warmup, *measure, *seed,
-			*relative, *workers, *replicates, *checkpoint, *resume, *quiet, obs)
+		pdm = measureTable(*pdmTable, "pdm", *k, *n, *warmup, *measure, *relative, opt)
+		ndm = measureTable(*ndmTable, "ndm", *k, *n, *warmup, *measure, *relative, opt)
 	} else {
-		var err error
 		if pdm, err = load(flag.Arg(0)); err != nil {
 			fmt.Fprintln(os.Stderr, "compare:", err)
 			os.Exit(1)
@@ -211,10 +182,31 @@ func main() {
 	}
 }
 
-// measureTable runs one paper table on the harness.
-func measureTable(id int, suffix string, k, n int, warmup, measure int64, seed uint64,
-	relative bool, workers, replicates int, checkpoint string, resume, quiet bool,
-	obs harness.Observe) *exp.Result {
+// misused lists the flags set on fs that the selected mode cannot honor.
+func misused(fs *flag.FlagSet, wrong func(name string) bool) []string {
+	var bad []string
+	fs.Visit(func(f *flag.Flag) {
+		if wrong(f.Name) {
+			bad = append(bad, "-"+f.Name)
+		}
+	})
+	return bad
+}
+
+// detlatOnly reports the flags that apply only with -detlat.
+func detlatOnly(name string) bool {
+	return slices.Contains([]string{"load", "vcs", "th", "mechs"}, name)
+}
+
+// notInFileMode reports the flags file mode cannot honor. It only loads two
+// JSON tables, so that is every flag but the two mode switches themselves —
+// whatever the shared helpers register.
+func notInFileMode(name string) bool { return name != "run" && name != "detlat" }
+
+// measureTable runs one paper table on the harness as h describes; the
+// journal and the observation dumps of the two tables are kept apart by
+// suffix.
+func measureTable(id int, suffix string, k, n int, warmup, measure int64, relative bool, h harness.Options) *exp.Result {
 	tbl, err := exp.PaperTable(id)
 	if err != nil {
 		fail("%v", err)
@@ -222,19 +214,19 @@ func measureTable(id int, suffix string, k, n int, warmup, measure int64, seed u
 	opt := exp.DefaultOptions()
 	opt.K, opt.N = k, n
 	opt.Warmup, opt.Measure = warmup, measure
-	opt.Seed = seed
+	opt.Seed = h.BaseSeed
 	opt.RelativeRates = relative
-	opt.Workers = workers
-	opt.Repeats = replicates
-	opt.Resume = resume
-	opt.Observe = obs.WithSuffix("-" + suffix)
-	if checkpoint != "" {
-		opt.Journal = checkpoint + "." + suffix
+	opt.Workers = h.Workers
+	opt.Repeats = h.Replicates
+	opt.Resume = h.Resume
+	opt.Observe = h.Observe.WithSuffix("-" + suffix)
+	if h.Journal != "" {
+		opt.Journal = h.Journal + "." + suffix
 	}
-	if !quiet {
+	if h.Progress != nil {
 		fmt.Fprintf(os.Stderr, "compare: measuring table %d (%s, %s)\n",
 			tbl.ID, tbl.Mechanism, tbl.PatternName)
-		opt.ProgressWriter = os.Stderr
+		opt.ProgressWriter = h.Progress
 	}
 	res, err := exp.Run(tbl, opt)
 	if err != nil {
@@ -244,53 +236,41 @@ func measureTable(id int, suffix string, k, n int, warmup, measure int64, seed u
 	return res
 }
 
-// detLatMechs lists the mechanisms -detlat accepts. NoDetection is excluded:
-// with no detector there is no mark to measure a latency to.
-var detLatMechs = []wormnet.Mechanism{
-	wormnet.NDM, wormnet.PDM, wormnet.CMH,
-	wormnet.SourceAge, wormnet.SourceStall, wormnet.HeaderBlock,
+// detLatMechs lists the mechanisms -detlat accepts: every one but "none",
+// because with no detector there is no mark to measure a latency to.
+func detLatMechs() []string {
+	names := sim.MechanismNames()
+	return names[:len(names)-1]
 }
 
 // parseMechs validates a comma-separated mechanism list: every name must be
 // known, and duplicates are rejected because the mechanism doubles as the
 // harness point key.
 func parseMechs(s string) ([]wormnet.Mechanism, error) {
-	known := make(map[wormnet.Mechanism]bool, len(detLatMechs))
-	names := make([]string, len(detLatMechs))
-	for i, m := range detLatMechs {
-		known[m] = true
-		names[i] = string(m)
-	}
+	known := detLatMechs()
 	var mechs []wormnet.Mechanism
-	seen := map[wormnet.Mechanism]bool{}
 	for _, part := range strings.Split(s, ",") {
 		m := wormnet.Mechanism(strings.TrimSpace(part))
-		if m == "" {
+		switch {
+		case m == "":
 			return nil, fmt.Errorf("empty mechanism in -mechs %q", s)
-		}
-		if !known[m] {
+		case !slices.Contains(known, string(m)):
 			return nil, fmt.Errorf("unknown mechanism %q in -mechs (available: %s)",
-				m, strings.Join(names, ", "))
-		}
-		if seen[m] {
+				m, strings.Join(known, ", "))
+		case slices.Contains(mechs, m):
 			return nil, fmt.Errorf("duplicate mechanism %q in -mechs", m)
 		}
-		seen[m] = true
 		mechs = append(mechs, m)
 	}
 	return mechs, nil
 }
 
 type detLatParams struct {
-	k, n, vcs           int
-	load                float64
-	th                  int64
-	mechs               []wormnet.Mechanism
-	warmup, measure     int64
-	seed                uint64
-	workers, replicates int
-	quiet               bool
-	obs                 harness.Observe
+	k, n, vcs       int
+	load            float64
+	th              int64
+	mechs           []wormnet.Mechanism
+	warmup, measure int64
 }
 
 // runDetLat measures the detection-latency distribution — cycles from the
@@ -300,7 +280,7 @@ type detLatParams struct {
 // mechanism's accuracy (false-positive rate) and control-message overhead
 // (probe flits, and the share of aggregate link bandwidth they consumed —
 // zero for the router-local mechanisms).
-func runDetLat(p detLatParams) {
+func runDetLat(p detLatParams, opt harness.Options) {
 	var pts []harness.Point
 	for _, mech := range p.mechs {
 		cfg := wormnet.DefaultConfig()
@@ -320,15 +300,6 @@ func runDetLat(p detLatParams) {
 		}
 		pts = append(pts, harness.Point{Key: string(mech), Config: sc})
 	}
-	opt := harness.Options{
-		Workers:    p.workers,
-		Replicates: p.replicates,
-		BaseSeed:   p.seed,
-		Observe:    p.obs,
-	}
-	if !p.quiet {
-		opt.Progress = os.Stderr
-	}
 	res, err := harness.Run(pts, opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "compare:", err)
@@ -339,7 +310,7 @@ func runDetLat(p detLatParams) {
 	fmt.Printf("# %d-ary %d-cube, %d VC(s), uniform 16-flit traffic, load %.3g flits/cycle/node, threshold %d, oracle every cycle\n",
 		p.k, p.n, p.vcs, p.load, p.th)
 	fmt.Printf("# %d measured cycles after %d warm-up, %d replicate(s), base seed %d\n",
-		p.measure, p.warmup, p.replicates, p.seed)
+		p.measure, p.warmup, opt.Replicates, opt.BaseSeed)
 	fmt.Println()
 	fmt.Printf("%-9s %9s %9s %7s %7s %7s %7s %9s %9s %7s %12s %9s\n",
 		"mech", "samples", "mean", "p50", "p90", "p99", "max", "true", "false", "fp%", "probe-flits", "probe-bw%")

@@ -88,25 +88,20 @@ func fail(format string, args ...any) {
 
 func main() {
 	var (
-		k          = flag.Int("k", 8, "radix")
-		n          = flag.Int("n", 2, "dimensions")
-		pattern    = flag.String("pattern", "uniform", "traffic pattern")
-		length     = flag.Int("len", 16, "message length in flits")
-		points     = flag.Int("points", 8, "number of load points")
-		maxFrac    = flag.Float64("max", 1.1, "highest load as a fraction of the theoretical bound")
-		warmup     = flag.Int64("warmup", 3000, "warm-up cycles per point")
-		measure    = flag.Int64("measure", 12000, "measured cycles per point")
-		seed       = flag.Uint64("seed", 1, "base random seed; per-run seeds derive from it")
-		workers    = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		replicates = flag.Int("replicates", 1, "independently seeded runs per point, aggregated as mean±ci95")
-		checkpoint = flag.String("checkpoint", "", "JSONL checkpoint journal path")
-		resume     = flag.Bool("resume", false, "resume completed runs from the -checkpoint journal")
-		asJSON     = flag.Bool("json", false, "emit JSON instead of the text table")
-		quiet      = flag.Bool("quiet", false, "suppress progress output")
-		shards     = flag.Int("shards", 0, "worker shards per simulation under the deterministic cycle barrier (0 = serial; output is identical for any count)")
+		k       = flag.Int("k", 8, "radix")
+		n       = flag.Int("n", 2, "dimensions")
+		pattern = flag.String("pattern", "uniform", "traffic pattern")
+		length  = flag.Int("len", 16, "message length in flits")
+		points  = flag.Int("points", 8, "number of load points")
+		maxFrac = flag.Float64("max", 1.1, "highest load as a fraction of the theoretical bound")
+		warmup  = flag.Int64("warmup", 3000, "warm-up cycles per point")
+		measure = flag.Int64("measure", 12000, "measured cycles per point")
+		seed    = flag.Uint64("seed", 1, "base random seed; per-run seeds derive from it")
+		asJSON  = flag.Bool("json", false, "emit JSON instead of the text table")
+		shards  = flag.Int("shards", 0, "worker shards per simulation under the deterministic cycle barrier (0 = serial; output is identical for any count)")
 	)
-	var obs harness.Observe
-	obs.AddFlags(flag.CommandLine)
+	var sweep harness.Sweep
+	sweep.AddFlags(flag.CommandLine, "replicates", nil)
 	flag.Parse()
 
 	// Reject invalid invocations loudly instead of running a default sweep.
@@ -123,18 +118,12 @@ func main() {
 		fail("-max must be > 0, got %g", *maxFrac)
 	case *warmup < 0 || *measure <= 0:
 		fail("need -warmup >= 0 and -measure > 0, got %d and %d", *warmup, *measure)
-	case *workers < 0:
-		fail("-workers must be >= 0, got %d", *workers)
-	case *replicates < 1:
-		fail("-replicates must be >= 1, got %d", *replicates)
-	case *shards < 0 || *shards > intPow(*k, *n):
-		fail("-shards must be between 0 and the node count (%d), got %d", intPow(*k, *n), *shards)
-	case *resume && *checkpoint == "":
-		fail("-resume requires -checkpoint")
 	}
-	if err := obs.Validate(); err != nil {
+	opt, err := sweep.Options()
+	if err != nil {
 		fail("%v", err)
 	}
+	opt.BaseSeed = *seed
 
 	// Theoretical throughput bound for uniform-ish traffic: links per node
 	// over average distance (~ n*k/4).
@@ -171,17 +160,6 @@ func main() {
 		}
 	}
 
-	opt := harness.Options{
-		Workers:    *workers,
-		Replicates: *replicates,
-		BaseSeed:   *seed,
-		Journal:    *checkpoint,
-		Resume:     *resume,
-		Observe:    obs,
-	}
-	if !*quiet {
-		opt.Progress = os.Stderr
-	}
 	res, err := harness.Run(pts, opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "loadsweep:", err)
@@ -190,7 +168,7 @@ func main() {
 
 	out := sweepOut{
 		K: *k, N: *n, Pattern: *pattern, Len: *length,
-		Points: *points, Replicates: *replicates, Seed: *seed,
+		Points: *points, Replicates: sweep.Replicates, Seed: *seed,
 	}
 	failed := 0
 	for p := 0; p < *points; p++ {
@@ -268,13 +246,4 @@ func printTable(out sweepOut) {
 		}
 		fmt.Println()
 	}
-}
-
-// intPow computes k^n in integer arithmetic (the node count).
-func intPow(k, n int) int {
-	p := 1
-	for i := 0; i < n; i++ {
-		p *= k
-	}
-	return p
 }

@@ -28,40 +28,31 @@ import (
 
 func main() {
 	var (
-		table      = flag.Int("table", 0, "table to reproduce (1-8); 0 = all")
-		k          = flag.Int("k", 8, "radix of the k-ary n-cube")
-		n          = flag.Int("n", 3, "dimensions of the k-ary n-cube")
-		warmup     = flag.Int64("warmup", 5000, "warm-up cycles per cell")
-		measure    = flag.Int64("measure", 30000, "measured cycles per cell")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		relative   = flag.Bool("relative", false, "rescale the paper's rates to this network's measured saturation throughput")
-		sel        = flag.Bool("selective", false, "use the selective P->G promotion variant of ndm")
-		workers    = flag.Int("workers", 0, "concurrent cell simulations (0 = GOMAXPROCS); results are identical for any value")
-		repeats    = flag.Int("repeats", 1, "independently seeded runs per cell, reported as mean±ci95")
-		checkpoint = flag.String("checkpoint", "", "JSONL checkpoint journal path prefix (per-table suffix .t<N> is appended)")
-		resume     = flag.Bool("resume", false, "resume completed cells from the -checkpoint journals")
-		quiet      = flag.Bool("quiet", false, "suppress per-cell progress")
-		asJSON     = flag.Bool("json", false, "emit JSON instead of the text table")
+		table    = flag.Int("table", 0, "table to reproduce (1-8); 0 = all")
+		k        = flag.Int("k", 8, "radix of the k-ary n-cube")
+		n        = flag.Int("n", 3, "dimensions of the k-ary n-cube")
+		warmup   = flag.Int64("warmup", 5000, "warm-up cycles per cell")
+		measure  = flag.Int64("measure", 30000, "measured cycles per cell")
+		seed     = flag.Uint64("seed", 1, "random seed")
+		relative = flag.Bool("relative", false, "rescale the paper's rates to this network's measured saturation throughput")
+		sel      = flag.Bool("selective", false, "use the selective P->G promotion variant of ndm")
+		asJSON   = flag.Bool("json", false, "emit JSON instead of the text table")
 	)
-	var obs harness.Observe
-	obs.AddFlags(flag.CommandLine)
+	var sweep harness.Sweep
+	sweep.AddFlags(flag.CommandLine, "repeats", map[string]string{
+		"workers":    "concurrent cell simulations (0 = GOMAXPROCS); results are identical for any value",
+		"repeats":    "independently seeded runs per cell, reported as mean±ci95",
+		"checkpoint": "JSONL checkpoint journal path prefix (per-table suffix .t<N> is appended)",
+		"resume":     "resume completed cells from the -checkpoint journals",
+		"quiet":      "suppress per-cell progress",
+	})
 	flag.Parse()
 
-	switch {
-	case len(flag.Args()) > 0:
+	if len(flag.Args()) > 0 {
 		fmt.Fprintf(os.Stderr, "tables: unexpected arguments %q (tables takes only flags)\n", flag.Args())
 		os.Exit(2)
-	case *workers < 0:
-		fmt.Fprintf(os.Stderr, "tables: -workers must be >= 0, got %d\n", *workers)
-		os.Exit(2)
-	case *repeats < 1:
-		fmt.Fprintf(os.Stderr, "tables: -repeats must be >= 1, got %d\n", *repeats)
-		os.Exit(2)
-	case *resume && *checkpoint == "":
-		fmt.Fprintln(os.Stderr, "tables: -resume requires -checkpoint")
-		os.Exit(2)
 	}
-	if err := obs.Validate(); err != nil {
+	if _, err := sweep.Options(); err != nil {
 		fmt.Fprintln(os.Stderr, "tables:", err)
 		os.Exit(2)
 	}
@@ -78,19 +69,17 @@ func main() {
 			Seed:               *seed,
 			RelativeRates:      *relative,
 			SelectivePromotion: *sel,
-			Workers:            *workers,
-			Repeats:            *repeats,
-			Resume:             *resume,
+			Workers:            sweep.Workers,
+			Repeats:            sweep.Replicates,
+			Resume:             sweep.Resume,
+			// Per-table suffix keeps one table's dumps apart from the next.
+			Observe: sweep.Observe.WithSuffix(fmt.Sprintf(".t%d", id)),
 		}
-		if *checkpoint != "" {
-			opt.Journal = fmt.Sprintf("%s.t%d", *checkpoint, id)
+		if sweep.Checkpoint != "" {
+			opt.Journal = fmt.Sprintf("%s.t%d", sweep.Checkpoint, id)
 		}
-		// Per-table suffix keeps one table's dumps apart from the next.
-		tObs := obs.WithSuffix(fmt.Sprintf(".t%d", id))
-		opt.TraceDir, opt.TraceLast = tObs.TraceDir, tObs.TraceLast
-		opt.SeriesDir, opt.SeriesWindow = tObs.SeriesDir, tObs.SeriesWindow
 		start := time.Now()
-		if !*quiet {
+		if !sweep.Quiet {
 			opt.Progress = func(done, total int) {
 				fmt.Fprintf(os.Stderr, "\rtable %d: %d/%d cells (%.0fs)",
 					id, done, total, time.Since(start).Seconds())
@@ -101,7 +90,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "\ntables:", err)
 			os.Exit(1)
 		}
-		if !*quiet {
+		if !sweep.Quiet {
 			fmt.Fprintln(os.Stderr)
 		}
 		if *asJSON {

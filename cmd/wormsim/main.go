@@ -12,107 +12,74 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"wormnet"
+	"wormnet/internal/sim"
 )
+
+func fail(msg string) {
+	fmt.Fprintln(os.Stderr, "wormsim:", msg)
+	os.Exit(2)
+}
 
 func main() {
 	cfg := wormnet.DefaultConfig()
-	var (
-		k         = flag.Int("k", cfg.K, "radix of the k-ary n-cube")
-		n         = flag.Int("n", cfg.N, "dimensions of the k-ary n-cube")
-		vcs       = flag.Int("vcs", cfg.VirtualChannels, "virtual channels per physical channel")
-		buf       = flag.Int("buf", cfg.BufferFlits, "flit buffer depth per virtual channel")
-		ports     = flag.Int("ports", cfg.Ports, "injection/delivery ports per node")
-		pattern   = flag.String("pattern", string(cfg.Pattern), "traffic pattern: uniform|locality|bit-reversal|perfect-shuffle|butterfly|hot-spot")
-		radius    = flag.Int("locality-radius", cfg.LocalityRadius, "radius of the locality pattern")
-		hotFrac   = flag.Float64("hot-fraction", cfg.HotFraction, "fraction of traffic to the hot node")
-		length    = flag.Int("len", 16, "fixed message length in flits (0 selects the bimodal sl mix)")
-		load      = flag.Float64("load", cfg.Load, "offered load in flits/cycle/node")
-		mech      = flag.String("mech", string(cfg.Mechanism), "detection mechanism: ndm|pdm|cmh|src-age|src-stall|hdr-block|none")
-		th        = flag.Int64("th", cfg.Threshold, "detection threshold in cycles (t2 for ndm, probe initiation delay for cmh)")
-		t1        = flag.Int64("t1", cfg.T1, "ndm short threshold t1")
-		sel       = flag.Bool("selective", false, "use the selective P->G promotion variant of ndm")
-		probeTr   = flag.String("probe-transport", "", "cmh probe transport: steal-idle|ctrl-vc (default steal-idle)")
-		probeVic  = flag.String("probe-victim", "", "cmh victim selection: local|oldest (default local)")
-		probeHop  = flag.Int("probe-hops", 0, "cmh probe hop cap (0 = default 64)")
-		rec       = flag.String("recovery", string(cfg.Recovery), "recovery style: progressive|regressive")
-		injLimit  = flag.Int("inject-limit", cfg.InjectionLimit, "injection limitation threshold (busy output VCs); negative disables")
-		warmup    = flag.Int64("warmup", cfg.Warmup, "warm-up cycles")
-		measure   = flag.Int64("measure", cfg.Measure, "measured cycles")
-		seed      = flag.Uint64("seed", cfg.Seed, "random seed")
-		shards    = flag.Int("shards", 0, "worker shards stepping the fabric under the deterministic cycle barrier (0 = serial; results are identical for any count)")
-		oracle    = flag.Int64("oracle-every", 0, "run the global deadlock oracle every N cycles (0 = only at detections)")
-		observe   = flag.Int64("observe", 0, "print a fabric occupancy summary (and 2-D heatmap) every N cycles")
-		tracePath = flag.String("trace", "", "write flight-recorder events to this JSONL file")
-		traceLast = flag.Int("trace-last", 0, "keep only the last N events in a ring, written only if a detection fires or the run fails (0 streams everything)")
-
-		metricsAddr   = flag.String("metrics-addr", "", "serve live Prometheus /metrics, JSON /status and /debug/pprof on this address while the run is in flight (\":0\" picks a free port, printed to stderr)")
-		metricsWindow = flag.Int64("metrics-window", 0, "cycles per time-series sample window (0 = default)")
-		seriesPath    = flag.String("series", "", "write the sampled time series to this file after the run (.csv for CSV, anything else JSONL)")
-
-		forensicsPath = flag.String("forensics", "", "reconstruct deadlock episodes online and write the incident report (JSONL) to this file after the run")
-	)
+	flag.IntVar(&cfg.K, "k", cfg.K, "radix of the k-ary n-cube")
+	flag.IntVar(&cfg.N, "n", cfg.N, "dimensions of the k-ary n-cube")
+	flag.IntVar(&cfg.VirtualChannels, "vcs", cfg.VirtualChannels, "virtual channels per physical channel")
+	flag.IntVar(&cfg.BufferFlits, "buf", cfg.BufferFlits, "flit buffer depth per virtual channel")
+	flag.IntVar(&cfg.Ports, "ports", cfg.Ports, "injection/delivery ports per node")
+	flag.StringVar((*string)(&cfg.Pattern), "pattern", string(cfg.Pattern), "traffic pattern: uniform|locality|bit-reversal|perfect-shuffle|butterfly|hot-spot|transpose|tornado")
+	flag.IntVar(&cfg.LocalityRadius, "locality-radius", cfg.LocalityRadius, "radius of the locality pattern")
+	flag.Float64Var(&cfg.HotFraction, "hot-fraction", cfg.HotFraction, "fraction of traffic to the hot node")
+	length := flag.Int("len", 16, "fixed message length in flits (0 selects the bimodal sl mix)")
+	flag.Float64Var(&cfg.Load, "load", cfg.Load, "offered load in flits/cycle/node")
+	flag.StringVar((*string)(&cfg.Mechanism), "mech", string(cfg.Mechanism), "detection mechanism: "+strings.Join(sim.MechanismNames(), "|"))
+	flag.Int64Var(&cfg.Threshold, "th", cfg.Threshold, "detection threshold in cycles (t2 for ndm, probe initiation delay for cmh)")
+	flag.Int64Var(&cfg.T1, "t1", cfg.T1, "ndm short threshold t1")
+	flag.BoolVar(&cfg.SelectivePromotion, "selective", false, "use the selective P->G promotion variant of ndm")
+	flag.StringVar((*string)(&cfg.ProbeTransport), "probe-transport", "", "cmh probe transport: steal-idle|ctrl-vc (default steal-idle)")
+	flag.StringVar((*string)(&cfg.ProbeVictim), "probe-victim", "", "cmh victim selection: local|oldest (default local)")
+	flag.IntVar(&cfg.ProbeMaxHops, "probe-hops", 0, "cmh probe hop cap (0 = default 64)")
+	flag.StringVar((*string)(&cfg.Recovery), "recovery", string(cfg.Recovery), "recovery style: progressive|regressive")
+	flag.IntVar(&cfg.InjectionLimit, "inject-limit", cfg.InjectionLimit, "injection limitation threshold (busy output VCs); negative disables")
+	flag.Int64Var(&cfg.Warmup, "warmup", cfg.Warmup, "warm-up cycles")
+	flag.Int64Var(&cfg.Measure, "measure", cfg.Measure, "measured cycles")
+	flag.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
+	flag.IntVar(&cfg.Shards, "shards", 0, "worker shards stepping the fabric under the deterministic cycle barrier (0 = serial; results are identical for any count)")
+	flag.Int64Var(&cfg.OracleEvery, "oracle-every", 0, "run the global deadlock oracle every N cycles (0 = only at detections)")
+	observe := flag.Int64("observe", 0, "print a fabric occupancy summary (and 2-D heatmap) every N cycles")
+	flag.StringVar(&cfg.TracePath, "trace", "", "write flight-recorder events to this JSONL file")
+	flag.IntVar(&cfg.TraceLast, "trace-last", 0, "keep only the last N events in a ring, written only if a detection fires or the run fails (0 streams everything)")
+	flag.StringVar(&cfg.MetricsAddr, "metrics-addr", "", "serve live Prometheus /metrics, JSON /status and /debug/pprof on this address while the run is in flight (\":0\" picks a free port, printed to stderr)")
+	flag.Int64Var(&cfg.MetricsWindow, "metrics-window", 0, "cycles per time-series sample window (0 = default)")
+	flag.StringVar(&cfg.SeriesPath, "series", "", "write the sampled time series to this file after the run (.csv for CSV, anything else JSONL)")
+	flag.StringVar(&cfg.ForensicsPath, "forensics", "", "reconstruct deadlock episodes online and write the incident report (JSONL) to this file after the run")
 	flag.Parse()
 
-	cfg.K, cfg.N = *k, *n
-	cfg.VirtualChannels, cfg.BufferFlits, cfg.Ports = *vcs, *buf, *ports
-	cfg.Pattern = wormnet.Pattern(*pattern)
-	cfg.LocalityRadius = *radius
-	cfg.HotFraction = *hotFrac
 	if *length > 0 {
 		cfg.Lengths = wormnet.Lengths{Fixed: *length}
 	} else {
 		cfg.Lengths = wormnet.LenSL
 	}
-	cfg.Load = *load
-	cfg.Mechanism = wormnet.Mechanism(*mech)
-	cfg.Threshold = *th
-	cfg.T1 = *t1
-	cfg.SelectivePromotion = *sel
-	cfg.ProbeTransport = wormnet.ProbeTransport(*probeTr)
-	cfg.ProbeVictim = wormnet.ProbeVictim(*probeVic)
-	cfg.ProbeMaxHops = *probeHop
-	cfg.Recovery = wormnet.Recovery(*rec)
-	cfg.InjectionLimit = *injLimit
-	cfg.Warmup, cfg.Measure = *warmup, *measure
-	cfg.Seed = *seed
-	cfg.Shards = *shards
-	cfg.OracleEvery = *oracle
-	cfg.TracePath = *tracePath
-	cfg.TraceLast = *traceLast
-	cfg.MetricsAddr = *metricsAddr
-	cfg.MetricsWindow = *metricsWindow
-	cfg.SeriesPath = *seriesPath
-	cfg.ForensicsPath = *forensicsPath
-	if *metricsAddr != "" {
+	metered := cfg.MetricsAddr != "" || cfg.SeriesPath != ""
+	if cfg.MetricsAddr != "" {
 		cfg.MetricsReady = func(addr string) {
 			fmt.Fprintf(os.Stderr, "wormsim: metrics listening on http://%s/metrics\n", addr)
 		}
 	}
-	if nodes := intPow(*k, *n); *shards < 0 || *shards > nodes {
-		fmt.Fprintf(os.Stderr, "wormsim: -shards must be between 0 and the node count (%d), got %d\n", nodes, *shards)
-		os.Exit(2)
-	}
-	if *traceLast > 0 && *tracePath == "" {
-		fmt.Fprintln(os.Stderr, "wormsim: -trace-last requires -trace")
-		os.Exit(2)
-	}
-	if *metricsWindow > 0 && *metricsAddr == "" && *seriesPath == "" {
-		fmt.Fprintln(os.Stderr, "wormsim: -metrics-window requires -metrics-addr or -series")
-		os.Exit(2)
-	}
-	if *tracePath != "" && *observe > 0 {
-		fmt.Fprintln(os.Stderr, "wormsim: -trace cannot be combined with -observe")
-		os.Exit(2)
-	}
-	if (*metricsAddr != "" || *seriesPath != "") && *observe > 0 {
-		fmt.Fprintln(os.Stderr, "wormsim: -metrics-addr/-series cannot be combined with -observe")
-		os.Exit(2)
-	}
-	if *forensicsPath != "" && *observe > 0 {
-		fmt.Fprintln(os.Stderr, "wormsim: -forensics cannot be combined with -observe")
-		os.Exit(2)
+	switch {
+	case cfg.TraceLast > 0 && cfg.TracePath == "":
+		fail("-trace-last requires -trace")
+	case cfg.MetricsWindow > 0 && !metered:
+		fail("-metrics-window requires -metrics-addr or -series")
+	case cfg.TracePath != "" && *observe > 0:
+		fail("-trace cannot be combined with -observe")
+	case metered && *observe > 0:
+		fail("-metrics-addr/-series cannot be combined with -observe")
+	case cfg.ForensicsPath != "" && *observe > 0:
+		fail("-forensics cannot be combined with -observe")
 	}
 
 	var res *wormnet.Result
@@ -178,13 +145,4 @@ func main() {
 		}
 		fmt.Println()
 	}
-}
-
-// intPow computes k^n in integer arithmetic (the node count).
-func intPow(k, n int) int {
-	p := 1
-	for i := 0; i < n; i++ {
-		p *= k
-	}
-	return p
 }

@@ -63,33 +63,43 @@ type Detector interface {
 	// quiescence to short-circuit its deadlock oracle, so EndCycle must not
 	// mutate fabric state).
 	EndCycle(now int64, txLinks []router.LinkID, transmitted []bool)
+
+	// Capabilities reports, once, what the mechanism offers beyond the four
+	// events above. The engine calls it right after construction.
+	Capabilities() Capabilities
 }
 
-// Traceable is implemented by detectors that can report their internal flag
-// transitions to the flight recorder. The engine attaches its recorder (which
-// may be nil — trace.Recorder methods are nil-safe) right after construction.
-type Traceable interface {
-	SetTracer(*trace.Recorder)
-}
-
-// DTOccupier is implemented by detectors that maintain a count of output
-// channels whose detection-threshold flag is currently set (NDM's DT flag,
-// PDM's inactivity flag). The engine samples it once per measured cycle to
-// derive the per-channel DT-occupancy metric.
-type DTOccupier interface {
-	DTCount() int
-}
-
-// FlagObserver is implemented by detectors that can report the live
-// occupancy of their detection flags: how many output channels have the
-// short-term inactivity (I) flag set, how many have the detection-threshold
-// (DT) flag set, and how many input channels currently hold G. Mechanisms
-// without a flag class report zero for it (PDM has only its inactivity
-// flag, which maps onto DT). The metrics sampler probes this once per
-// sampling window; the counts are maintained incrementally so probing is
-// O(1).
-type FlagObserver interface {
-	FlagCounts() (iFlags, dtFlags, gFlags int)
+// Capabilities is the report a detector hands over once, right after
+// construction, naming everything it offers beyond the four events. A nil
+// field means the mechanism has nothing of that kind; the zero value is a
+// detector that only marks. The engine reads the report at one site
+// (sim.New) and every other consumer reads the engine's copy.
+type Capabilities struct {
+	// SetTracer attaches the flight recorder the detector reports its
+	// internal flag transitions and probe events to. The recorder may be nil
+	// (trace.Recorder methods are nil-safe).
+	SetTracer func(*trace.Recorder)
+	// FlagCounts reports the live occupancy of the detection flags: output
+	// channels with the short-term inactivity (I) flag set, output channels
+	// with the detection-threshold (DT) flag set, and input channels holding
+	// G. A mechanism without a flag class reports zero for it (PDM's single
+	// inactivity flag maps onto DT). The counts are maintained
+	// incrementally, so sampling is O(1). The engine takes the DT count once
+	// per cycle, right after EndCycle, for both the measured window and the
+	// metrics collector, so DT flags must change only inside EndCycle.
+	FlagCounts func() (iFlags, dtFlags, gFlags int)
+	// ProbeTotals snapshots the cumulative control-message activity of a
+	// probe-based (edge-chasing) detector; the engine differences successive
+	// snapshots once per cycle, after EndCycle.
+	ProbeTotals func() ProbeTotals
+	// AppendState folds the detector's internal state into the model
+	// checker's canonical state encoding (internal/mc). Two detector states
+	// with equal encodings must behave identically under identical future
+	// event sequences. Unbounded values (inactivity counters, ages derived
+	// from now) must be clamped at the point past their largest behavioral
+	// threshold so the encoding stays finite; absolute cycle numbers must
+	// never be encoded directly.
+	AppendState func(buf []byte, now int64) []byte
 }
 
 // ProbeTotals is a snapshot of the cumulative control-message activity of a
@@ -128,29 +138,20 @@ func (t ProbeTotals) Sub(prev ProbeTotals) ProbeTotals {
 	return t
 }
 
-// ProbeObserver is implemented by detectors that transport probe control
-// messages through the fabric (the CMH edge-chasing family). The engine
-// samples the totals once per cycle, after EndCycle, to populate the probe
-// metric families and the probe-bandwidth counters.
-type ProbeObserver interface {
-	ProbeTotals() ProbeTotals
-}
+// passive supplies the events and the (empty) capability report of
+// mechanisms that keep no channel state: None and the crude timeouts embed
+// it and define only Name and RouteFailed.
+type passive struct{}
 
-// Encodable is implemented by detectors whose internal state can be folded
-// into the model checker's canonical state encoding (internal/mc). The
-// contract: two detector states with equal encodings must behave identically
-// under identical future event sequences. Unbounded values (inactivity
-// counters, ages derived from now) must be clamped at the point past their
-// largest behavioral threshold so the encoding stays finite; absolute cycle
-// numbers must never be encoded directly.
-type Encodable interface {
-	AppendState(buf []byte, now int64) []byte
-}
+func (passive) RouteSucceeded(*router.Message, router.LinkID) {}
+func (passive) VCFreed(router.LinkID)                         {}
+func (passive) EndCycle(int64, []router.LinkID, []bool)       {}
+func (passive) Capabilities() Capabilities                    { return Capabilities{} }
 
 // None is a Detector that never marks anything. It is used to measure raw
 // network behavior (including unrecovered deadlocks) and as a baseline in
 // tests.
-type None struct{}
+type None struct{ passive }
 
 // Name implements Detector.
 func (None) Name() string { return "none" }
@@ -159,15 +160,6 @@ func (None) Name() string { return "none" }
 func (None) RouteFailed(*router.Message, router.LinkID, []router.LinkID, bool, int64) bool {
 	return false
 }
-
-// RouteSucceeded implements Detector.
-func (None) RouteSucceeded(*router.Message, router.LinkID) {}
-
-// VCFreed implements Detector.
-func (None) VCFreed(router.LinkID) {}
-
-// EndCycle implements Detector.
-func (None) EndCycle(int64, []router.LinkID, []bool) {}
 
 // busyLinks returns, in buf, every physical channel with at least one
 // occupied virtual channel: the fabric's per-shard busy lists concatenated

@@ -484,6 +484,55 @@ func TestNoneDetector(t *testing.T) {
 	d.RouteSucceeded(nil, 0)
 	d.VCFreed(0)
 	d.EndCycle(0, nil, nil)
+	assertCaps(t, d, false, false, false, false)
+}
+
+// assertCaps checks which fields of d's capability report are present.
+func assertCaps(t *testing.T, d detect.Detector, tracer, flags, probes, encoding bool) {
+	t.Helper()
+	c := d.Capabilities()
+	for _, f := range []struct {
+		field     string
+		got, want bool
+	}{
+		{"SetTracer", c.SetTracer != nil, tracer},
+		{"FlagCounts", c.FlagCounts != nil, flags},
+		{"ProbeTotals", c.ProbeTotals != nil, probes},
+		{"AppendState", c.AppendState != nil, encoding},
+	} {
+		if f.got != f.want {
+			t.Errorf("%s: capability %s present = %v, want %v", d.Name(), f.field, f.got, f.want)
+		}
+	}
+}
+
+// TestFlagDetectorCapabilities: NDM and PDM hand over a tracer hook, flag
+// counts and a state encoding, and no probe totals. The counts read the
+// detector's live state: NDM reports all three flag classes, PDM only DT.
+func TestFlagDetectorCapabilities(t *testing.T) {
+	f := ringFabric(t)
+	in, out := f.NetLink(0, 0), f.NetLink(1, 0)
+	m := occupy(t, f, in, 3)
+	occupy(t, f, out, 4)
+	ndm, pdm := detect.NewNDMOpt(f, 1, 3, detect.PromoteAll), detect.NewPDM(f, 3)
+	for _, d := range []detect.Detector{ndm, pdm} {
+		assertCaps(t, d, true, true, false, true)
+		// The first failed attempt sees an active output (NDM: G set), then
+		// both occupied channels idle past every threshold.
+		d.RouteFailed(m, in, []router.LinkID{out}, true, 0)
+		for now := int64(0); now < 5; now++ {
+			tick(d, now, f)
+		}
+	}
+	if i, dt, g := ndm.Capabilities().FlagCounts(); i != 2 || dt != 2 || g != 1 {
+		t.Errorf("ndm flag counts (I, DT, G) = (%d, %d, %d), want (2, 2, 1)", i, dt, g)
+	}
+	if i, dt, g := pdm.Capabilities().FlagCounts(); i != 0 || dt != 2 || g != 0 {
+		t.Errorf("pdm flag counts (I, DT, G) = (%d, %d, %d), want (0, 2, 0)", i, dt, g)
+	}
+	if a, b := ndm.Capabilities().AppendState(nil, 5), pdm.Capabilities().AppendState(nil, 5); len(a) == 0 || len(b) == 0 {
+		t.Errorf("empty state encodings: ndm %d bytes, pdm %d bytes", len(a), len(b))
+	}
 }
 
 func TestTimeoutDetectorNoOps(t *testing.T) {
@@ -500,5 +549,6 @@ func TestTimeoutDetectorNoOps(t *testing.T) {
 		if d.Name() == "" {
 			t.Error("empty name")
 		}
+		assertCaps(t, d, false, false, false, false)
 	}
 }

@@ -150,8 +150,8 @@ func FuzzPDMFlags(f *testing.F) {
 					t.Fatalf("link %d: negative counter %d", l, d.counter[l])
 				}
 			}
-			if ifSet != d.DTCount() {
-				t.Fatalf("IF occupancy cache %d != %d set flags", d.DTCount(), ifSet)
+			if _, dt, _ := d.FlagCounts(); ifSet != dt {
+				t.Fatalf("IF occupancy cache %d != %d set flags", dt, ifSet)
 			}
 		}
 	})

@@ -140,8 +140,8 @@ func FuzzNDMFlags(f *testing.F) {
 					t.Fatalf("link %d: I set with counter %d <= t1=%d", l, d.counter[l], d.T1)
 				}
 			}
-			if dtSet != d.DTCount() {
-				t.Fatalf("DT occupancy cache %d != %d set flags", d.DTCount(), dtSet)
+			if _, dt, _ := d.FlagCounts(); dtSet != dt {
+				t.Fatalf("DT occupancy cache %d != %d set flags", dt, dtSet)
 			}
 		}
 	})

@@ -58,8 +58,7 @@ type NDM struct {
 	iFlag   []bool
 	dtFlag  []bool
 	gp      []bool // true = G, false = P; input-capable links only
-	// Live flag occupancy, maintained incrementally so DTCount and
-	// FlagCounts are O(1).
+	// Live flag occupancy, maintained incrementally so FlagCounts is O(1).
 	iBusy  int // output channels with the I flag set
 	dtBusy int // output channels with the DT flag set
 	gBusy  int // input channels currently at G
@@ -107,15 +106,17 @@ func (d *NDM) Name() string {
 	return fmt.Sprintf("ndm(t1=%d,t2=%d,promote=%s)", d.T1, d.T2, d.Promotion)
 }
 
-// SetTracer implements Traceable: flag transitions are reported to tr.
+// Capabilities implements Detector: NDM traces its flag transitions,
+// reports all three flag classes and is encodable.
+func (d *NDM) Capabilities() Capabilities {
+	return Capabilities{SetTracer: d.SetTracer, FlagCounts: d.FlagCounts, AppendState: d.AppendState}
+}
+
+// SetTracer reports flag transitions to tr (see Capabilities.SetTracer).
 func (d *NDM) SetTracer(tr *trace.Recorder) { d.tr = tr }
 
-// DTCount implements DTOccupier: the number of output channels whose DT flag
-// is currently set.
-func (d *NDM) DTCount() int { return d.dtBusy }
-
-// FlagCounts implements FlagObserver: the live occupancy of the I, DT and G
-// flags.
+// FlagCounts is the live occupancy of the I, DT and G flags (see
+// Capabilities.FlagCounts).
 func (d *NDM) FlagCounts() (iFlags, dtFlags, gFlags int) {
 	return d.iBusy, d.dtBusy, d.gBusy
 }
@@ -130,7 +131,7 @@ func (d *NDM) DTFlagSet(l router.LinkID) bool { return d.dtFlag[l] }
 // GPIsGenerate reports whether input channel l currently holds G.
 func (d *NDM) GPIsGenerate(l router.LinkID) bool { return d.gp[l] }
 
-// AppendState implements Encodable: per link, the inactivity counter clamped
+// AppendState is NDM's Capabilities.AppendState: per link, the inactivity counter clamped
 // just past T2 (beyond which increments are inert — both flags are already
 // set and only a transmission resets them) and the I/DT/G-P flag bits. The
 // clamp keeps the encoding finite across arbitrarily long inactive

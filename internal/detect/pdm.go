@@ -52,16 +52,19 @@ func NewPDM(f *router.Fabric, threshold int64) *PDM {
 // Name implements Detector.
 func (d *PDM) Name() string { return fmt.Sprintf("pdm(th=%d)", d.Threshold) }
 
-// SetTracer implements Traceable. PDM's single inactivity flag is its
-// detection threshold, so transitions are reported as DT set/clear events.
+// Capabilities implements Detector: the same report as NDM's, with the I
+// and G flag classes PDM does not have reading zero.
+func (d *PDM) Capabilities() Capabilities {
+	return Capabilities{SetTracer: d.SetTracer, FlagCounts: d.FlagCounts, AppendState: d.AppendState}
+}
+
+// SetTracer attaches the flight recorder. PDM's single inactivity flag is
+// its detection threshold, so transitions are reported as DT set/clear
+// events.
 func (d *PDM) SetTracer(tr *trace.Recorder) { d.tr = tr }
 
-// DTCount implements DTOccupier: the number of output channels whose
-// inactivity flag is currently set.
-func (d *PDM) DTCount() int { return d.ifBusy }
-
-// FlagCounts implements FlagObserver. PDM's single inactivity flag is its
-// detection threshold, so it reports as DT; PDM has no I or G/P hardware.
+// FlagCounts reports PDM's single inactivity flag as DT (it is the detection
+// threshold); PDM has no I or G/P hardware.
 func (d *PDM) FlagCounts() (iFlags, dtFlags, gFlags int) {
 	return 0, d.ifBusy, 0
 }
@@ -69,7 +72,7 @@ func (d *PDM) FlagCounts() (iFlags, dtFlags, gFlags int) {
 // InactivitySet reports the IF flag of link l (exported for tests).
 func (d *PDM) InactivitySet(l router.LinkID) bool { return d.ifFlag[l] }
 
-// AppendState implements Encodable: per link, the inactivity counter clamped
+// AppendState is PDM's Capabilities.AppendState: per link, the inactivity counter clamped
 // just past the threshold (beyond which increments are inert — the flag is
 // already set and only a transmission resets it) and the IF flag bit.
 func (d *PDM) AppendState(buf []byte, _ int64) []byte {

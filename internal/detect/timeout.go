@@ -22,6 +22,7 @@ import (
 // "a packet is considered to be deadlocked when the time since it was
 // injected is longer than a threshold").
 type SourceAgeTimeout struct {
+	passive
 	Threshold int64
 }
 
@@ -38,15 +39,6 @@ func (d *SourceAgeTimeout) RouteFailed(m *router.Message, _ router.LinkID, _ []r
 	return now-m.InjectTime > d.Threshold
 }
 
-// RouteSucceeded implements Detector.
-func (d *SourceAgeTimeout) RouteSucceeded(*router.Message, router.LinkID) {}
-
-// VCFreed implements Detector.
-func (d *SourceAgeTimeout) VCFreed(router.LinkID) {}
-
-// EndCycle implements Detector.
-func (d *SourceAgeTimeout) EndCycle(int64, []router.LinkID, []bool) {}
-
 // SourceStallTimeout marks a blocked message once the time since its source
 // last managed to inject a flit exceeds the threshold (the compressionless
 // routing criterion of Kim, Liu and Chien: "a deadlock is detected if the
@@ -55,6 +47,7 @@ func (d *SourceAgeTimeout) EndCycle(int64, []router.LinkID, []bool) {}
 // injected messages are exempt; this is the documented limitation of
 // source-side detection.
 type SourceStallTimeout struct {
+	passive
 	Threshold int64
 }
 
@@ -74,20 +67,12 @@ func (d *SourceStallTimeout) RouteFailed(m *router.Message, _ router.LinkID, _ [
 	return now-m.LastSourceFlit > d.Threshold
 }
 
-// RouteSucceeded implements Detector.
-func (d *SourceStallTimeout) RouteSucceeded(*router.Message, router.LinkID) {}
-
-// VCFreed implements Detector.
-func (d *SourceStallTimeout) VCFreed(router.LinkID) {}
-
-// EndCycle implements Detector.
-func (d *SourceStallTimeout) EndCycle(int64, []router.LinkID, []bool) {}
-
 // HeaderBlockTimeout marks a message once its header has been continuously
 // blocked at one node past the threshold (the Disha criterion of Anjan and
 // Pinkston: "deadlocks are detected at the node containing the header by
 // measuring the time that the header is blocked").
 type HeaderBlockTimeout struct {
+	passive
 	Threshold int64
 }
 
@@ -106,12 +91,3 @@ func (d *HeaderBlockTimeout) RouteFailed(m *router.Message, _ router.LinkID, _ [
 	}
 	return now-m.BlockedSince > d.Threshold
 }
-
-// RouteSucceeded implements Detector.
-func (d *HeaderBlockTimeout) RouteSucceeded(*router.Message, router.LinkID) {}
-
-// VCFreed implements Detector.
-func (d *HeaderBlockTimeout) VCFreed(router.LinkID) {}
-
-// EndCycle implements Detector.
-func (d *HeaderBlockTimeout) EndCycle(int64, []router.LinkID, []bool) {}

@@ -9,11 +9,10 @@ package exp
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"wormnet/internal/detect"
 	"wormnet/internal/harness"
-	"wormnet/internal/probe"
-	"wormnet/internal/router"
 	"wormnet/internal/sim"
 	"wormnet/internal/topology"
 	"wormnet/internal/traffic"
@@ -338,21 +337,14 @@ func cellConfig(tbl Table, opt Options, th int64, rate float64, size Size) (sim.
 	cfg.Load = rate
 	cfg.InjectionLimit = opt.InjectionLimit
 	cfg.Warmup, cfg.Measure = opt.Warmup, opt.Measure
-	switch tbl.Mechanism {
-	case MechPDM:
-		cfg.Detector = func(f *router.Fabric) detect.Detector { return detect.NewPDM(f, th) }
-	case MechNDM:
-		cfg.Detector = func(f *router.Fabric) detect.Detector {
-			return detect.NewNDMOpt(f, 1, th, opt.Promotion)
-		}
-	case MechCMH:
-		cfg.Detector = func(f *router.Fabric) detect.Detector {
-			return probe.New(f, probe.Config{InitDelay: th})
-		}
-	default:
-		return cfg, fmt.Errorf("exp: unknown mechanism %q", tbl.Mechanism)
-	}
-	return cfg, nil
+	// Table mechanisms are the sim.Mechanism names in the paper's capitals.
+	var err error
+	cfg.Detector, err = sim.Mechanism{
+		Name:      strings.ToLower(string(tbl.Mechanism)),
+		Threshold: th,
+		Promotion: opt.Promotion,
+	}.Factory()
+	return cfg, err
 }
 
 // EstimateSaturation locates the saturation load of the configured network
@@ -378,7 +370,6 @@ func EstimateSaturation(pattern sim.PatternFactory, lengths traffic.LengthDist, 
 			cfg.Measure = 2000
 		}
 		cfg.Seed = opt.Seed
-		cfg.Detector = func(f *router.Fabric) detect.Detector { return detect.NewNDM(f, 32) }
 		eng, err := sim.New(cfg)
 		if err != nil {
 			return 0, 0, err

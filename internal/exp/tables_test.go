@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"wormnet/internal/detect"
+	"wormnet/internal/router"
+	"wormnet/internal/topology"
 )
 
 func TestPaperTablesSpec(t *testing.T) {
@@ -194,6 +198,42 @@ func TestEstimateSaturationSmall(t *testing.T) {
 	// below the bound but far above a trickle.
 	if sat < 0.4 || sat > 2.0 {
 		t.Errorf("saturation %v outside plausible range", sat)
+	}
+}
+
+// TestCellConfigDetectors pins which detector each paper table's cells run:
+// the table's mechanism at the cell's threshold, through sim.Mechanism.
+func TestCellConfigDetectors(t *testing.T) {
+	fab, err := router.NewFabric(topology.New(4, 2), router.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	for id, want := range map[int]string{
+		1: "pdm(th=16)",
+		2: "ndm(t2=16)",
+		8: "cmh(init=16,hops=64,steal-idle,local)",
+	} {
+		tbl, err := PaperTable(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := cellConfig(tbl, opt, 16, 0.2, SizeS)
+		if err != nil {
+			t.Fatalf("table %d: %v", id, err)
+		}
+		if got := cfg.Detector(fab).Name(); got != want {
+			t.Errorf("table %d runs %q, want %q", id, got, want)
+		}
+	}
+	opt.Promotion = detect.PromoteWaiting
+	tbl, _ := PaperTable(2)
+	cfg, err := cellConfig(tbl, opt, 16, 0.2, SizeS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cfg.Detector(fab).Name(), "ndm(t1=1,t2=16,promote=selective)"; got != want {
+		t.Errorf("selective table 2 runs %q, want %q", got, want)
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -37,7 +36,6 @@ import (
 	"wormnet/internal/rng"
 	"wormnet/internal/sim"
 	"wormnet/internal/stats"
-	"wormnet/internal/trace"
 )
 
 // Point is one coordinate of a sweep: a stable identifying key plus a fully
@@ -142,12 +140,6 @@ func (p *PointResult) Metric(f func(*sim.Result) float64) stats.Summary {
 // MergedLatency merges the latency histograms of all successful replicates.
 func (p *PointResult) MergedLatency() *stats.Histogram {
 	return p.merged(func(r *sim.Result) *stats.Histogram { return r.LatencyHist })
-}
-
-// MergedDetectDelay merges the detection-delay histograms of all successful
-// replicates.
-func (p *PointResult) MergedDetectDelay() *stats.Histogram {
-	return p.merged(func(r *sim.Result) *stats.Histogram { return r.DetectDelayHist })
 }
 
 // MergedDetectLatency merges the oracle-to-detection latency histograms of
@@ -303,28 +295,13 @@ func Run(points []Point, opt Options) ([]PointResult, error) {
 					busy.Add(1)
 					cfg := points[j.point].Config
 					cfg.Seed = j.seed
-					rec, mc, fc := opt.Observe.attach(&cfg)
+					rails := opt.Observe.Attach(&cfg, opt.TraceDir != "", opt.SeriesDir != "", opt.ForensicsDir != "")
 					res, err := safeRun(run, points[j.point].Key, cfg)
-					if rec != nil && opt.TraceDir != "" && (err != nil || rec.Contains(trace.KindDetect)) {
-						if terr := dumpTrace(opt.TraceDir, j.point, j.rep, points[j.point].Key, rec); terr != nil {
-							obsErrOnce.Do(func() { obsErr = terr })
-						}
-					}
-					if fc != nil {
-						fc.Finish()
-						if err != nil || len(fc.Episodes()) > 0 {
-							if ferr := dumpForensics(opt.ForensicsDir, j.point, j.rep, points[j.point].Key, fc); ferr != nil {
-								obsErrOnce.Do(func() { obsErr = ferr })
-							}
-						}
-					}
-					if mc != nil && err == nil {
-						if serr := dumpSeries(opt.SeriesDir, j.point, j.rep, points[j.point].Key, mc); serr != nil {
-							obsErrOnce.Do(func() { obsErr = serr })
-						}
+					if oerr := opt.Observe.flush(rails, j.point, j.rep, points[j.point].Key, err != nil); oerr != nil {
+						obsErrOnce.Do(func() { obsErr = oerr })
 					}
 					busy.Add(-1)
-					outCh <- outcome{job: j, res: res, err: err, mc: mc}
+					outCh <- outcome{job: j, res: res, err: err, mc: rails.Metrics}
 				}
 			}()
 		}
@@ -372,26 +349,12 @@ func Run(points []Point, opt Options) ([]PointResult, error) {
 		}
 	}
 	if agg != nil {
-		if err := writeAggregate(opt.SeriesDir, agg); err != nil {
+		if err := WriteFile(filepath.Join(opt.SeriesDir, "aggregate.prom"), agg.WritePrometheus); err != nil {
 			return nil, fmt.Errorf("harness: writing sweep aggregate: %w", err)
 		}
 	}
 	prog.finish()
 	return results, nil
-}
-
-// dumpTrace writes one run's flight-recorder ring to its per-run file.
-func dumpTrace(dir string, point, rep int, key string, rec *trace.Recorder) error {
-	name := fmt.Sprintf("p%03d-r%d-%s.jsonl", point, rep, sanitizeKey(key))
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	err = rec.Dump(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // sanitizeKey maps a point key to a safe file-name fragment.

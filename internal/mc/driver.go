@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wormnet/internal/detect"
-	"wormnet/internal/probe"
 	"wormnet/internal/router"
 	"wormnet/internal/sim"
 	"wormnet/internal/topology"
@@ -59,6 +58,10 @@ type runner struct {
 // attaches the flight recorder (pure observation; used for counterexample
 // emission).
 func (o *Options) newRunner(rec *trace.Recorder) (*runner, error) {
+	det, err := o.mechanism().Factory()
+	if err != nil {
+		return nil, err
+	}
 	ch := &chooser{}
 	rcfg := router.DefaultConfig()
 	rcfg.VCsPerLink = o.VCs
@@ -74,9 +77,8 @@ func (o *Options) newRunner(rec *trace.Recorder) (*runner, error) {
 		},
 		Lengths:        traffic.Fixed(1),
 		Load:           0, // scripted workload only: generation never fires
-		Detector:       o.detectorFactory(),
+		Detector:       det,
 		Recovery:       o.Recovery,
-		Select:         router.SelectFirst, // unused under a Chooser
 		InjectionLimit: -1,
 		MaxSourceQueue: len(o.Script) + 1,
 		Warmup:         0,
@@ -98,33 +100,16 @@ func (o *Options) newRunner(rec *trace.Recorder) (*runner, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Detector != nil && eng.Capabilities().AppendState == nil {
+		// Pruning on a state that omits the detector would conflate
+		// behaviorally distinct states (the timeouts read absolute stamps).
+		return nil, fmt.Errorf("mc: mechanism %q reports no state encoding", o.Mechanism)
+	}
 	r := &runner{o: o, eng: eng, ch: ch, budget: make([]int, len(o.Script))}
 	for i := range r.budget {
 		r.budget[i] = o.InjectWindow
 	}
 	return r, nil
-}
-
-// detectorFactory maps the mechanism name onto the real detector
-// constructors, at the configured threshold.
-func (o *Options) detectorFactory() sim.DetectorFactory {
-	th := o.Threshold
-	switch o.Mechanism {
-	case "ndm":
-		return func(f *router.Fabric) detect.Detector {
-			return detect.NewNDMOpt(f, 1, th, detect.PromoteAll)
-		}
-	case "pdm":
-		return func(f *router.Fabric) detect.Detector {
-			return detect.NewPDM(f, th)
-		}
-	case "cmh":
-		return func(f *router.Fabric) detect.Detector {
-			return probe.New(f, probe.Config{InitDelay: th})
-		}
-	default: // "none"
-		return nil
-	}
 }
 
 // inject runs the driver's injection decision points for this cycle:

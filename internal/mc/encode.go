@@ -1,9 +1,6 @@
 package mc
 
-import (
-	"wormnet/internal/detect"
-	"wormnet/internal/router"
-)
+import "wormnet/internal/router"
 
 // encode appends the runner's canonical state to buf. Two runners with
 // equal encodings behave identically under identical future choice
@@ -11,7 +8,8 @@ import (
 // included and every excluded component is either derived, per-cycle
 // scratch that is rewritten before its next read, telemetry, or an
 // absolute-time stamp whose behavioral content is captured age-clamped by
-// the detector encodings (see detect.Encodable and DESIGN.md §13).
+// the detector encodings (see detect.Capabilities.AppendState and DESIGN.md
+// §13).
 //
 // Sections, in order: driver (script position and remaining deferral
 // budgets), engine scheduling order (sim.Engine.AppendSchedState), fabric
@@ -63,8 +61,8 @@ func (r *runner) encode(buf []byte) []byte {
 			byte(m.InjLink), byte(m.InjLink>>8),
 			byte(att), bits)
 	})
-	if enc, ok := r.eng.Detector().(detect.Encodable); ok {
-		buf = enc.AppendState(buf, r.eng.Now())
+	if enc := r.eng.Capabilities().AppendState; enc != nil {
+		buf = enc(buf, r.eng.Now())
 	}
 	return buf
 }

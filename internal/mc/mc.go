@@ -27,6 +27,7 @@ import (
 	"io"
 
 	"wormnet/internal/recovery"
+	"wormnet/internal/sim"
 )
 
 // Inject is one scripted message: the model checker explores every
@@ -43,9 +44,10 @@ type Options struct {
 	// VCs and BufFlits size the router (1 VC and small buffers keep
 	// 2-message deadlocks reachable and the state space tiny).
 	VCs, BufFlits int
-	// Mechanism selects the detector family: "ndm", "pdm", "cmh", or
-	// "none" (no detection — every deadlock is a liveness violation; used
-	// to generate regression counterexamples).
+	// Mechanism selects the detector family by its sim.Mechanism name;
+	// the checker needs one that reports a state encoding ("ndm", "pdm",
+	// "cmh") or "none" (no detection — every deadlock is a liveness
+	// violation; used to generate regression counterexamples).
 	Mechanism string
 	// Threshold is the mechanism's detection threshold: NDM's t2, PDM's
 	// inactivity threshold, CMH's probe initiation delay. Zero selects 4.
@@ -105,12 +107,13 @@ func (o *Options) applyDefaults() error {
 	if len(o.Script) == 0 {
 		return fmt.Errorf("mc: empty injection script")
 	}
-	switch o.Mechanism {
-	case "ndm", "pdm", "cmh", "none":
-	default:
-		return fmt.Errorf("mc: unknown mechanism %q", o.Mechanism)
-	}
-	return nil
+	_, err := o.mechanism().Factory()
+	return err
+}
+
+// mechanism describes the detector under check.
+func (o *Options) mechanism() sim.Mechanism {
+	return sim.Mechanism{Name: o.Mechanism, Threshold: o.Threshold}
 }
 
 // Violation is one invariant failure, reproducible from its choice path.

@@ -3,6 +3,7 @@ package mc
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
 
 	"wormnet/internal/trace"
@@ -209,6 +210,38 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(encs[0], encs[1]) {
 		t.Fatal("same choice path produced different canonical encodings")
+	}
+}
+
+// TestMechanismResolution pins the detector each accepted mechanism name
+// checks (built through sim.Mechanism at the configured threshold), and that
+// a mechanism without a state encoding is refused rather than pruned on a
+// state that omits it.
+func TestMechanismResolution(t *testing.T) {
+	for mech, want := range map[string]string{
+		"ndm":  "ndm(t2=4)",
+		"pdm":  "pdm(th=4)",
+		"cmh":  "cmh(init=4,hops=64,steal-idle,local)",
+		"none": "none",
+	} {
+		o := Options{K: 2, N: 2, Mechanism: mech, Script: face22}
+		if err := o.applyDefaults(); err != nil {
+			t.Fatalf("%s: %v", mech, err)
+		}
+		r, err := o.newRunner(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", mech, err)
+		}
+		if got := r.eng.Detector().Name(); got != want {
+			t.Errorf("%s checks %q, want %q", mech, got, want)
+		}
+	}
+	if _, err := Check(Options{K: 2, N: 2, Mechanism: "nope", Script: face22}); err == nil {
+		t.Error("unknown mechanism accepted")
+	}
+	_, err := Check(Options{K: 2, N: 2, Mechanism: "hdr-block", Script: face22})
+	if err == nil || !strings.Contains(err.Error(), "state encoding") {
+		t.Errorf("timeout mechanism: err = %v, want a refusal naming the missing state encoding", err)
 	}
 }
 

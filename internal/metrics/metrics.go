@@ -102,11 +102,8 @@ func (h *Histogram) Count() int64 { return h.total.Load() }
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
-// Bounds returns the configured upper bounds (shared; do not mutate).
-func (h *Histogram) Bounds() []int64 { return h.bounds }
-
-// BucketCount returns the count of bucket i (i == len(Bounds()) is the
-// overflow bucket).
+// BucketCount returns the count of bucket i (i == the number of configured
+// bounds is the overflow bucket).
 func (h *Histogram) BucketCount(i int) int64 { return h.counts[i].Load() }
 
 // metricKind discriminates registry entries.

@@ -126,8 +126,7 @@ type initiatorState struct {
 	seen      map[uint64]struct{}
 }
 
-// Detector is the CMH edge-chasing detector. It satisfies detect.Detector,
-// detect.Traceable and detect.ProbeObserver.
+// Detector is the CMH edge-chasing detector. It satisfies detect.Detector.
 type Detector struct {
 	fab *router.Fabric
 	cfg Config
@@ -180,6 +179,12 @@ func New(f *router.Fabric, cfg Config) *Detector {
 func (d *Detector) Name() string {
 	return fmt.Sprintf("cmh(init=%d,hops=%d,%s,%s)",
 		d.cfg.InitDelay, d.cfg.MaxHops, d.cfg.Transport, d.cfg.Victim)
+}
+
+// Capabilities implements detect.Detector: CMH traces its probe events,
+// reports probe totals and is encodable; it has no channel flags.
+func (d *Detector) Capabilities() detect.Capabilities {
+	return detect.Capabilities{SetTracer: d.SetTracer, ProbeTotals: d.ProbeTotals, AppendState: d.AppendState}
 }
 
 // SetTracer attaches the flight recorder (nil-safe).
@@ -541,7 +546,7 @@ func (d *Detector) launch(now int64, transmitted []bool) {
 	}
 }
 
-// AppendState implements detect.Encodable for the model checker. The
+// AppendState is detect.Capabilities.AppendState for the model checker. The
 // encoding covers everything that influences future probe behavior:
 //
 //   - every in-flight probe, in advance order (ordering is behavioral: the

@@ -124,6 +124,30 @@ func TestProbeReturnMarksInitiator(t *testing.T) {
 	}
 }
 
+// TestCapabilities: CMH hands the engine a tracer hook, probe totals and a
+// state encoding — and no flag counts, because it keeps no channel flags.
+// The totals in the report are the detector's live ones.
+func TestCapabilities(t *testing.T) {
+	r := newRing(t)
+	d := New(r.fab, Config{InitDelay: 1})
+	c := d.Capabilities()
+	if c.SetTracer == nil || c.ProbeTotals == nil || c.AppendState == nil {
+		t.Fatalf("missing capability: tracer %v, probe totals %v, encoding %v",
+			c.SetTracer != nil, c.ProbeTotals != nil, c.AppendState != nil)
+	}
+	if c.FlagCounts != nil {
+		t.Error("CMH reports flag counts it does not keep")
+	}
+	registerBlocked(d, r.fab, r.a, 0)
+	now := cycleN(d, r.fab, 1)
+	if pt := c.ProbeTotals(); pt.Emitted != 1 || pt.InFlight != 1 {
+		t.Errorf("probe totals through the report = %+v, want 1 emitted, 1 in flight", pt)
+	}
+	if len(c.AppendState(nil, now)) == 0 {
+		t.Error("empty state encoding")
+	}
+}
+
 // TestThreeInitiators registers all three members of the cycle: each
 // launches its own probe, and all three return.
 func TestThreeInitiators(t *testing.T) {

@@ -371,16 +371,23 @@ func TestCandidatesAtDestination(t *testing.T) {
 	}
 }
 
-func TestPickOutputPolicies(t *testing.T) {
+// vcsOf expands physical channels into their virtual channels in candidate
+// order — the VC-granular candidate set true fully adaptive routing offers.
+func vcsOf(f *Fabric, links ...LinkID) []VCID {
+	var vcs []VCID
+	for _, l := range links {
+		for v := VCID(0); v < VCID(f.Links[l].NumVC); v++ {
+			vcs = append(vcs, f.Links[l].FirstVC+v)
+		}
+	}
+	return vcs
+}
+
+func TestPickVC(t *testing.T) {
 	f := testFabric(t, 4, 2)
 	r := rng.New(1)
 	l1, l2 := f.NetLink(0, 0), f.NetLink(0, 2)
-	cands := []LinkID{l1, l2}
-
-	// All free: SelectFirst picks the first VC of the first link.
-	if got := f.PickOutput(cands, SelectFirst, r); got != f.Links[l1].FirstVC {
-		t.Fatalf("SelectFirst = %d", got)
-	}
+	cands := vcsOf(f, l1, l2)
 
 	// Occupy all of l1 and two VCs of l2: only l2's last VC remains.
 	for v := 0; v < 3; v++ {
@@ -389,49 +396,33 @@ func TestPickOutputPolicies(t *testing.T) {
 	f.Allocate(f.NewMessage(0, 5, 16, 0), NilVC, f.Links[l2].FirstVC)
 	f.Allocate(f.NewMessage(0, 5, 16, 0), NilVC, f.Links[l2].FirstVC+1)
 	only := f.Links[l2].FirstVC + 2
-	for _, pol := range []SelectPolicy{SelectFirst, SelectRandom, SelectLeastBusy} {
-		if got := f.PickOutput(cands, pol, r); got != only {
-			t.Fatalf("policy %d picked %d, want %d", pol, got, only)
-		}
+	if got := f.PickVC(cands, r); got != only {
+		t.Fatalf("picked %d, want the only free VC %d", got, only)
 	}
 
 	// Fully busy: NilVC.
 	f.Allocate(f.NewMessage(0, 5, 16, 0), NilVC, only)
-	for _, pol := range []SelectPolicy{SelectFirst, SelectRandom, SelectLeastBusy} {
-		if got := f.PickOutput(cands, pol, r); got != NilVC {
-			t.Fatalf("policy %d picked %d on full network", pol, got)
-		}
+	if got := f.PickVC(cands, r); got != NilVC {
+		t.Fatalf("picked %d on full network", got)
 	}
 }
 
-func TestPickOutputRandomIsUniform(t *testing.T) {
+func TestPickVCRandomIsUniform(t *testing.T) {
 	f := testFabric(t, 4, 2)
 	r := rng.New(2)
-	cands := []LinkID{f.NetLink(0, 0), f.NetLink(0, 2)}
+	cands := vcsOf(f, f.NetLink(0, 0), f.NetLink(0, 2))
 	counts := map[VCID]int{}
 	const draws = 6000
 	for i := 0; i < draws; i++ {
-		counts[f.PickOutput(cands, SelectRandom, r)]++
+		counts[f.PickVC(cands, r)]++
 	}
 	if len(counts) != 6 {
-		t.Fatalf("random policy hit %d VCs, want 6", len(counts))
+		t.Fatalf("random selection hit %d VCs, want 6", len(counts))
 	}
 	for vc, c := range counts {
 		if c < draws/6-300 || c > draws/6+300 {
 			t.Errorf("VC %d chosen %d times, want about %d", vc, c, draws/6)
 		}
-	}
-}
-
-func TestPickOutputLeastBusy(t *testing.T) {
-	f := testFabric(t, 4, 2)
-	l1, l2 := f.NetLink(0, 0), f.NetLink(0, 2)
-	f.Allocate(f.NewMessage(0, 5, 16, 0), NilVC, f.Links[l1].FirstVC)
-	f.Allocate(f.NewMessage(0, 5, 16, 0), NilVC, f.Links[l1].FirstVC+1)
-	// l1 has 2 busy, l2 has 0: least-busy must pick l2.
-	got := f.PickOutput([]LinkID{l1, l2}, SelectLeastBusy, nil)
-	if f.LinkOfVC(got) != l2 {
-		t.Fatalf("least-busy picked link %d, want %d", f.LinkOfVC(got), l2)
 	}
 }
 

@@ -65,8 +65,7 @@ func TestFabricOperationFuzz(t *testing.T) {
 				continue // engine never routes out of a delivery buffer
 			}
 			node := f.RouterOf(hv.Link)
-			cands := f.Candidates(node, int(w.m.Dst), nil)
-			out := f.PickOutput(cands, SelectRandom, r)
+			out := f.PickVC(vcsOf(f, f.Candidates(node, int(w.m.Dst), nil)...), r)
 			if out == NilVC {
 				continue
 			}

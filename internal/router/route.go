@@ -24,122 +24,25 @@ func (f *Fabric) Candidates(node, dst int, buf []LinkID) []LinkID {
 	return buf
 }
 
-// SelectPolicy chooses among free candidate virtual channels when a header
-// routes. The paper does not prescribe a selection function for its true
-// fully adaptive router; the policy is configurable so its influence can be
-// measured.
-type SelectPolicy uint8
-
-// Selection policies.
-const (
-	// SelectRandom picks uniformly among all free VCs of all feasible
-	// output channels. This is the default; it spreads load across virtual
-	// channels the way the paper's "all VCs used in the same way"
-	// assumption expects.
-	SelectRandom SelectPolicy = iota
-	// SelectFirst picks the first free VC in candidate order
-	// (deterministic; useful in tests and scenario reconstruction).
-	SelectFirst
-	// SelectLeastBusy picks a free VC on the candidate physical channel
-	// with the fewest busy VCs, breaking ties by candidate order.
-	SelectLeastBusy
-)
-
-// PickVC selects a free virtual channel among the explicit VC candidates
-// according to the policy, returning NilVC when all are busy. It is the
-// VC-granular variant of PickOutput used by routing algorithms that
-// restrict which virtual channels a message may take.
-func (f *Fabric) PickVC(cands []VCID, pol SelectPolicy, r *rng.Source) VCID {
-	switch pol {
-	case SelectFirst:
-		for _, vc := range cands {
-			if f.VCs[vc].Occupant == NilMsg {
-				return vc
-			}
+// PickVC selects a free virtual channel uniformly at random among the
+// explicit VC candidates, returning NilVC when all are busy. The paper does
+// not prescribe a selection function for its true fully adaptive router;
+// uniform choice over all free VCs of all feasible output channels spreads
+// load across virtual channels the way its "all VCs used in the same way"
+// assumption expects. Candidates are VC-granular because routing algorithms
+// may restrict which virtual channels a message takes. One reservoir-sampling
+// draw from r is consumed per free candidate.
+func (f *Fabric) PickVC(cands []VCID, r *rng.Source) VCID {
+	chosen := NilVC
+	count := 0
+	for _, vc := range cands {
+		if f.VCs[vc].Occupant != NilMsg {
+			continue
 		}
-		return NilVC
-
-	case SelectLeastBusy:
-		best := NilVC
-		bestBusy := int(^uint(0) >> 1)
-		for _, vc := range cands {
-			if f.VCs[vc].Occupant != NilMsg {
-				continue
-			}
-			if busy := f.BusyVCs(f.VCs[vc].Link); busy < bestBusy {
-				best, bestBusy = vc, busy
-			}
+		count++
+		if r.Intn(count) == 0 {
+			chosen = vc
 		}
-		return best
-
-	default: // SelectRandom
-		chosen := NilVC
-		count := 0
-		for _, vc := range cands {
-			if f.VCs[vc].Occupant != NilMsg {
-				continue
-			}
-			count++
-			if r == nil {
-				if chosen == NilVC {
-					chosen = vc
-				}
-			} else if r.Intn(count) == 0 {
-				chosen = vc
-			}
-		}
-		return chosen
 	}
-}
-
-// PickOutput selects a free virtual channel among the candidate physical
-// channels according to the policy. It returns NilVC if every candidate VC
-// is busy.
-func (f *Fabric) PickOutput(cands []LinkID, pol SelectPolicy, r *rng.Source) VCID {
-	switch pol {
-	case SelectFirst:
-		for _, l := range cands {
-			if vc := f.FreeVC(l); vc != NilVC {
-				return vc
-			}
-		}
-		return NilVC
-
-	case SelectLeastBusy:
-		best := NilVC
-		bestBusy := int(^uint(0) >> 1)
-		for _, l := range cands {
-			vc := f.FreeVC(l)
-			if vc == NilVC {
-				continue
-			}
-			if busy := f.BusyVCs(l); busy < bestBusy {
-				best, bestBusy = vc, busy
-			}
-		}
-		return best
-
-	default: // SelectRandom
-		// Reservoir-sample uniformly over all free VCs.
-		chosen := NilVC
-		count := 0
-		for _, l := range cands {
-			link := &f.Links[l]
-			for v := VCID(0); v < VCID(link.NumVC); v++ {
-				id := link.FirstVC + v
-				if f.VCs[id].Occupant != NilMsg {
-					continue
-				}
-				count++
-				if r == nil {
-					if chosen == NilVC {
-						chosen = id
-					}
-				} else if r.Intn(count) == 0 {
-					chosen = id
-				}
-			}
-		}
-		return chosen
-	}
+	return chosen
 }

@@ -67,9 +67,6 @@ type Config struct {
 	// Recovery selects how marked messages are removed from the network.
 	Recovery recovery.Style
 
-	// Select is the virtual-channel selection policy for adaptive routing.
-	Select router.SelectPolicy
-
 	// InjectionLimit is the injection-limitation threshold of López &
 	// Duato: a new message may enter only while the number of busy virtual
 	// channels among the node's network output channels is at most this
@@ -101,8 +98,8 @@ type Config struct {
 	Shards int
 
 	// Trace, when non-nil, attaches the flight recorder: the engine (and
-	// the detector, if it implements detect.Traceable) emit event records
-	// into it. Tracing is pure observation — it never changes simulation
+	// the detector, if its capability report has a tracer hook) emit event
+	// records into it. Tracing is pure observation — it never changes simulation
 	// behavior — and the nil default costs one branch per emit site and
 	// zero allocations. Recorders are not safe for concurrent use, so
 	// concurrent sweeps must attach a distinct Recorder per run (the
@@ -156,7 +153,6 @@ func DefaultConfig() Config {
 			return detect.NewNDM(f, 32)
 		},
 		Recovery:       recovery.Progressive,
-		Select:         router.SelectRandom,
 		InjectionLimit: 6,
 		MaxSourceQueue: 16,
 		Warmup:         10_000,

@@ -68,18 +68,12 @@ type Engine struct {
 	// lastAbsorbedFlits is the recovery absorption total already forwarded
 	// to the metrics collector.
 	lastAbsorbedFlits int64
-	// dtCount samples the detector's DT-flag occupancy; nil when the
-	// detector does not implement detect.DTOccupier.
-	dtCount func() int
-	// flagCounts samples the detector's live I/DT/G flag occupancy for the
-	// metrics sampler; nil when the detector is not a detect.FlagObserver.
-	flagCounts func() (int, int, int)
-	// probeTotals samples the cumulative probe activity of a probe-based
-	// detector; nil when the detector is not a detect.ProbeObserver.
-	// lastProbe holds the previous cycle's snapshot so Step can charge
-	// per-cycle deltas to the measured window and the metrics collector.
-	probeTotals func() detect.ProbeTotals
-	lastProbe   detect.ProbeTotals
+	// caps is the detector's capability report, read once in New; every
+	// field may be nil. lastProbe holds the previous cycle's ProbeTotals
+	// snapshot so Step can charge per-cycle deltas to the measured window and
+	// the metrics collector.
+	caps      detect.Capabilities
+	lastProbe detect.ProbeTotals
 	// oracleSeen[id] is the cycle the oracle first observed message id in
 	// the deadlocked set (-1 = not currently deadlocked). Cleared when the
 	// message routes, delivers, or is re-queued. Grown on demand; in steady
@@ -201,17 +195,9 @@ func New(cfg Config) (*Engine, error) {
 	} else {
 		e.det = detect.None{}
 	}
-	if t, ok := e.det.(detect.Traceable); ok {
-		t.SetTracer(e.tr)
-	}
-	if o, ok := e.det.(detect.DTOccupier); ok {
-		e.dtCount = o.DTCount
-	}
-	if o, ok := e.det.(detect.FlagObserver); ok {
-		e.flagCounts = o.FlagCounts
-	}
-	if o, ok := e.det.(detect.ProbeObserver); ok {
-		e.probeTotals = o.ProbeTotals
+	e.caps = e.det.Capabilities()
+	if e.caps.SetTracer != nil {
+		e.caps.SetTracer(e.tr)
 	}
 	e.mc.Attach(e.det.Name(), topo.N())
 	e.rec = recovery.New(fab, cfg.Recovery, recovery.Hooks{
@@ -327,6 +313,10 @@ func (e *Engine) Topology() *topology.Torus { return e.topo }
 // Detector exposes the active detection mechanism.
 func (e *Engine) Detector() detect.Detector { return e.det }
 
+// Capabilities returns the capability report the detector handed over at
+// construction (the model checker reads its state encoding through it).
+func (e *Engine) Capabilities() detect.Capabilities { return e.caps }
+
 // Oracle exposes the global deadlock oracle (for benchmarks and tools).
 func (e *Engine) Oracle() *deadlock.Oracle { return e.oracle }
 
@@ -343,13 +333,6 @@ func (e *Engine) LatencyHistogram() *stats.Histogram { return e.latHist }
 // DetectLatencyHistogram returns the oracle-to-detection latency
 // distribution accumulated so far (see Result.DetectLatencyHist).
 func (e *Engine) DetectLatencyHistogram() *stats.Histogram { return e.detLatHist }
-
-// Tracer returns the attached flight recorder, or nil when tracing is off.
-func (e *Engine) Tracer() *trace.Recorder { return e.tr }
-
-// Metrics returns the attached metrics collector, or nil when metrics are
-// off.
-func (e *Engine) Metrics() *metrics.Collector { return e.mc }
 
 // FailLink injects a fault: physical channel l is taken out of service and
 // every worm currently holding one of its virtual channels is killed and
@@ -458,11 +441,17 @@ func (e *Engine) Step() error {
 	e.commitDelivery()
 	e.mergeTxLinks()
 	e.det.EndCycle(e.now, e.txLinks, e.transmitted)
-	if e.measuring && e.dtCount != nil {
-		e.st.DTFlagCycleSum += int64(e.dtCount())
+	// DT flags change only inside EndCycle, so one sample serves both the
+	// measured window and the metrics collector.
+	if e.caps.FlagCounts != nil && (e.measuring || e.mc != nil) {
+		_, dt, _ := e.caps.FlagCounts()
+		if e.measuring {
+			e.st.DTFlagCycleSum += int64(dt)
+		}
+		e.mc.Add(metrics.MDTFlagCycles, int64(dt))
 	}
-	if e.probeTotals != nil {
-		pt := e.probeTotals()
+	if e.caps.ProbeTotals != nil {
+		pt := e.caps.ProbeTotals()
 		d := pt.Sub(e.lastProbe)
 		e.lastProbe = pt
 		if e.measuring {
@@ -504,12 +493,8 @@ func (e *Engine) Step() error {
 		e.st.RecordMarks(e.marksThisCycle)
 	}
 	if e.mc != nil {
-		// One guarded block rather than three nil-safe calls: the DT-flag
-		// probe and absorption delta are side computations the unmetered
-		// path must not pay for.
-		if e.dtCount != nil {
-			e.mc.Add(metrics.MDTFlagCycles, int64(e.dtCount()))
-		}
+		// One guarded block rather than nil-safe calls: the absorption
+		// delta is a side computation the unmetered path must not pay for.
 		af := e.rec.AbsorbedFlits()
 		e.mc.Add(metrics.MAbsorbedFlits, af-e.lastAbsorbedFlits)
 		e.lastAbsorbedFlits = af
@@ -618,7 +603,7 @@ func (e *Engine) routeCommit() {
 		if e.chooser != nil {
 			out = e.chooseVC(cands)
 		} else {
-			out = fab.PickVC(cands, e.cfg.Select, e.rnd)
+			out = fab.PickVC(cands, e.rnd)
 		}
 		if out != router.NilVC {
 			fab.Allocate(m, m.HeadVC, out)

@@ -290,18 +290,6 @@ func TestCrudeTimeoutDetectorsEndToEnd(t *testing.T) {
 	}
 }
 
-func TestSelectPolicies(t *testing.T) {
-	for _, pol := range []router.SelectPolicy{router.SelectRandom, router.SelectFirst, router.SelectLeastBusy} {
-		cfg := smallConfig()
-		cfg.Select = pol
-		cfg.Warmup, cfg.Measure = 500, 2000
-		res := mustRun(t, cfg)
-		if res.Delivered == 0 {
-			t.Errorf("policy %d: nothing delivered", pol)
-		}
-	}
-}
-
 func TestHypercube(t *testing.T) {
 	cfg := smallConfig()
 	cfg.K, cfg.N = 2, 4 // 16-node hypercube exercises the k=2 edge case

@@ -75,8 +75,8 @@ func (e *Engine) ProbeMetrics(s *metrics.Sample) {
 	}
 	e.mc.SetClassVCs(netVCs, injVCs, delVCs)
 
-	if e.flagCounts != nil {
-		i, dt, g := e.flagCounts()
+	if e.caps.FlagCounts != nil {
+		i, dt, g := e.caps.FlagCounts()
 		s.IFlags, s.DTFlags, s.GFlags = int32(i), int32(dt), int32(g)
 	}
 	s.RecoveryDepth = int32(e.rec.Active())

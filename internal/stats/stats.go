@@ -55,8 +55,8 @@ type Counters struct {
 	// DTFlagCycleSum sums, over measured cycles, the number of output
 	// channels whose detection-threshold flag (NDM's DT, PDM's IF) was set
 	// at the end of the cycle. Divided by Cycles it gives the mean DT-flag
-	// occupancy of the network; only populated when the detector implements
-	// detect.DTOccupier.
+	// occupancy of the network; only populated when the detector's
+	// capability report has FlagCounts.
 	DTFlagCycleSum int64
 
 	// Probe-based (CMH edge-chasing) detection activity over the window:
@@ -149,15 +149,6 @@ func (c *Counters) ProbeBandwidthPct() float64 {
 		return 0
 	}
 	return 100 * float64(c.ProbeFlits) / (float64(c.Cycles) * float64(c.NetLinks))
-}
-
-// MarksPerCycle returns Marked / Cycles, the mean number of messages marked
-// per measured cycle.
-func (c *Counters) MarksPerCycle() float64 {
-	if c.Cycles == 0 {
-		return 0
-	}
-	return float64(c.Marked) / float64(c.Cycles)
 }
 
 // SawTrueDeadlock reports whether any true deadlock was confirmed during

@@ -19,13 +19,9 @@ package wormnet
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"strings"
 
 	"wormnet/internal/detect"
 	"wormnet/internal/exp"
-	"wormnet/internal/forensics"
 	"wormnet/internal/harness"
 	"wormnet/internal/metrics"
 	"wormnet/internal/probe"
@@ -35,7 +31,6 @@ import (
 	"wormnet/internal/sim"
 	"wormnet/internal/stats"
 	"wormnet/internal/topology"
-	"wormnet/internal/trace"
 	"wormnet/internal/traffic"
 	"wormnet/internal/viz"
 )
@@ -372,56 +367,44 @@ func (c Config) patternFactory() (sim.PatternFactory, error) {
 	}
 }
 
-func (c Config) detectorFactory() (sim.DetectorFactory, error) {
-	th := c.Threshold
-	switch c.Mechanism {
-	case NDM, "":
-		t1 := c.T1
-		if t1 == 0 {
-			t1 = 1
-		}
-		prom := detect.PromoteAll
-		if c.SelectivePromotion {
-			prom = detect.PromoteWaiting
-		}
-		return func(f *router.Fabric) detect.Detector {
-			return detect.NewNDMOpt(f, t1, th, prom)
-		}, nil
-	case PDM:
-		return func(f *router.Fabric) detect.Detector { return detect.NewPDM(f, th) }, nil
-	case SourceAge:
-		return func(f *router.Fabric) detect.Detector { return detect.NewSourceAgeTimeout(th) }, nil
-	case SourceStall:
-		return func(f *router.Fabric) detect.Detector { return detect.NewSourceStallTimeout(th) }, nil
-	case HeaderBlock:
-		return func(f *router.Fabric) detect.Detector { return detect.NewHeaderBlockTimeout(th) }, nil
-	case CMH:
-		pc := probe.Config{InitDelay: th, MaxHops: int32(c.ProbeMaxHops)}
-		switch c.ProbeTransport {
-		case ProbeStealIdle, "":
-			pc.Transport = probe.TransportStealIdle
-		case ProbeControlVC:
-			pc.Transport = probe.TransportControlVC
-		default:
-			return nil, fmt.Errorf("wormnet: unknown probe transport %q", c.ProbeTransport)
-		}
-		switch c.ProbeVictim {
-		case ProbeVictimLocal, "":
-			pc.Victim = probe.VictimLocal
-		case ProbeVictimOldest:
-			pc.Victim = probe.VictimOldest
-		default:
-			return nil, fmt.Errorf("wormnet: unknown probe victim %q", c.ProbeVictim)
-		}
-		return func(f *router.Fabric) detect.Detector { return probe.New(f, pc) }, nil
-	case NoDetection:
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("wormnet: unknown mechanism %q", c.Mechanism)
+// mechanism describes the configured detector for sim.Mechanism.Factory,
+// the one place mechanism names are resolved.
+func (c Config) mechanism() (sim.Mechanism, error) {
+	m := sim.Mechanism{Name: string(c.Mechanism), Threshold: c.Threshold, T1: c.T1}
+	if m.Name == "" {
+		m.Name = string(NDM)
 	}
+	if c.SelectivePromotion {
+		m.Promotion = detect.PromoteWaiting
+	}
+	if c.Mechanism != CMH {
+		return m, nil
+	}
+	m.Probe.MaxHops = int32(c.ProbeMaxHops)
+	switch c.ProbeTransport {
+	case ProbeStealIdle, "":
+		m.Probe.Transport = probe.TransportStealIdle
+	case ProbeControlVC:
+		m.Probe.Transport = probe.TransportControlVC
+	default:
+		return m, fmt.Errorf("wormnet: unknown probe transport %q", c.ProbeTransport)
+	}
+	switch c.ProbeVictim {
+	case ProbeVictimLocal, "":
+		m.Probe.Victim = probe.VictimLocal
+	case ProbeVictimOldest:
+		m.Probe.Victim = probe.VictimOldest
+	default:
+		return m, fmt.Errorf("wormnet: unknown probe victim %q", c.ProbeVictim)
+	}
+	return m, nil
 }
 
-func (c Config) simConfig() (sim.Config, error) {
+// SimConfig expands the public configuration into the internal simulation
+// config consumed by the sim engine and the sweep harness
+// (internal/harness). Tools inside this module use it to build harness
+// points from the same configuration surface Run accepts.
+func (c Config) SimConfig() (sim.Config, error) {
 	sc := sim.DefaultConfig()
 	sc.K, sc.N = c.K, c.N
 	sc.Router = router.Config{
@@ -459,11 +442,13 @@ func (c Config) simConfig() (sim.Config, error) {
 		}
 		sc.Routing = alg
 	}
-	det, err := c.detectorFactory()
+	mech, err := c.mechanism()
 	if err != nil {
 		return sc, err
 	}
-	sc.Detector = det
+	if sc.Detector, err = mech.Factory(); err != nil {
+		return sc, fmt.Errorf("wormnet: %w", err)
+	}
 	switch c.Recovery {
 	case Progressive, "":
 		sc.Recovery = recovery.Progressive
@@ -478,14 +463,6 @@ func (c Config) simConfig() (sim.Config, error) {
 	sc.Seed = c.Seed
 	sc.Shards = c.Shards
 	return sc, nil
-}
-
-// SimConfig expands the public configuration into the internal simulation
-// config consumed by the sim engine and the sweep harness
-// (internal/harness). Tools inside this module use it to build harness
-// points from the same configuration surface Run accepts.
-func (c Config) SimConfig() (sim.Config, error) {
-	return c.simConfig()
 }
 
 // ResultFromSim converts a raw engine result into the public Result,
@@ -509,143 +486,67 @@ func ResultFromSim(r *sim.Result) *Result {
 	return res
 }
 
-// createFile creates path's missing parent directories, then the file.
-func createFile(path string) (*os.File, error) {
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	return os.Create(path)
-}
-
-// writeSeries dumps a collector's sampled time series to path, as CSV when
-// the path ends in ".csv" and JSONL otherwise.
-func writeSeries(path string, mc *metrics.Collector) error {
-	f, err := createFile(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".csv") {
-		err = mc.WriteSeriesCSV(f)
-	} else {
-		err = mc.WriteSeriesJSONL(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// writeForensics dumps a correlator's incident report to path as JSONL.
-func writeForensics(path string, fc *forensics.Correlator) error {
-	f, err := createFile(path)
-	if err != nil {
-		return err
-	}
-	err = fc.WriteReport(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // Run executes the simulation described by cfg and returns its metrics.
 func Run(cfg Config) (*Result, error) {
-	sc, err := cfg.simConfig()
+	sc, err := cfg.SimConfig()
 	if err != nil {
 		return nil, err
 	}
-	var rec *trace.Recorder
-	var sink *os.File
-	if cfg.TracePath != "" {
-		rec = trace.NewRecorder(cfg.TraceLast)
-		if cfg.TraceLast <= 0 {
-			// Streaming mode: every event goes to the file as it happens.
-			sink, err = createFile(cfg.TracePath)
+	// The rails come from the same attach path the sweep harness uses.
+	obs := harness.Observe{TraceLast: cfg.TraceLast, SeriesWindow: cfg.MetricsWindow}
+	rails := obs.Attach(&sc, cfg.TracePath != "",
+		cfg.MetricsAddr != "" || cfg.SeriesPath != "", cfg.ForensicsPath != "")
+	simulate := func() (*sim.Result, error) {
+		eng, err := sim.New(sc)
+		if err != nil {
+			return nil, err
+		}
+		if cfg.MetricsAddr != "" {
+			srv, err := metrics.Serve(cfg.MetricsAddr, rails.Metrics)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("wormnet: metrics exporter: %w", err)
 			}
-			rec.SetSink(sink)
-		}
-		sc.Trace = rec
-	}
-	var mc *metrics.Collector
-	if cfg.MetricsAddr != "" || cfg.SeriesPath != "" {
-		mc = metrics.NewCollector(metrics.Options{Window: cfg.MetricsWindow})
-		sc.Metrics = mc
-	}
-	var fc *forensics.Correlator
-	if cfg.ForensicsPath != "" {
-		if rec == nil {
-			// Forensics rides the trace event stream; attach a ring-only
-			// recorder (never dumped) when tracing itself is off.
-			rec = trace.NewRecorder(cfg.TraceLast)
-			sc.Trace = rec
-		}
-		fc = forensics.New(forensics.Options{Metrics: mc})
-		rec.SetObserver(fc.Observe)
-	}
-	eng, err := sim.New(sc)
-	if err != nil {
-		if sink != nil {
-			sink.Close()
-		}
-		return nil, err
-	}
-	if cfg.MetricsAddr != "" {
-		srv, serr := metrics.Serve(cfg.MetricsAddr, mc)
-		if serr != nil {
-			if sink != nil {
-				sink.Close()
-			}
-			return nil, fmt.Errorf("wormnet: metrics exporter: %w", serr)
-		}
-		defer srv.Close()
-		if cfg.MetricsReady != nil {
-			cfg.MetricsReady(srv.Addr())
-		}
-	}
-	r, runErr := eng.Run()
-	if fc != nil {
-		fc.Finish()
-		if runErr == nil {
-			if werr := writeForensics(cfg.ForensicsPath, fc); werr != nil {
-				runErr = fmt.Errorf("wormnet: writing incidents %s: %w", cfg.ForensicsPath, werr)
+			defer srv.Close()
+			if cfg.MetricsReady != nil {
+				cfg.MetricsReady(srv.Addr())
 			}
 		}
+		return eng.Run()
 	}
-	if runErr == nil && cfg.SeriesPath != "" {
-		if werr := writeSeries(cfg.SeriesPath, mc); werr != nil {
-			return nil, fmt.Errorf("wormnet: writing series %s: %w", cfg.SeriesPath, werr)
-		}
+	var r *sim.Result
+	var runErr, traceErr error
+	switch {
+	case cfg.TracePath == "":
+		r, runErr = simulate()
+	case cfg.TraceLast <= 0:
+		// Streaming mode: every event goes to the file as it happens.
+		traceErr = harness.WriteFile(cfg.TracePath, func(w io.Writer) error {
+			rails.Trace.SetSink(w)
+			r, runErr = simulate()
+			return rails.Trace.Flush()
+		})
+	default:
+		// Ring mode: dumped only when something went wrong or a detection
+		// fired, so healthy runs stay file-free.
+		r, runErr = simulate()
+		traceErr = rails.DumpTrace(cfg.TracePath, runErr != nil)
 	}
-	if sink != nil {
-		ferr := rec.Flush()
-		if cerr := sink.Close(); ferr == nil {
-			ferr = cerr
-		}
-		if runErr == nil && ferr != nil {
-			return nil, fmt.Errorf("wormnet: writing trace %s: %w", cfg.TracePath, ferr)
-		}
-	} else if rec != nil && cfg.TracePath != "" && (runErr != nil || rec.Contains(trace.KindDetect)) {
-		// Ring mode: dump the flight recorder only when something went
-		// wrong or a detection fired, so healthy runs stay file-free.
-		f, cerr := createFile(cfg.TracePath)
-		if cerr == nil {
-			if derr := rec.Dump(f); cerr == nil {
-				cerr = derr
-			}
-			if clerr := f.Close(); cerr == nil {
-				cerr = clerr
-			}
-		}
-		if runErr == nil && cerr != nil {
-			return nil, fmt.Errorf("wormnet: writing trace %s: %w", cfg.TracePath, cerr)
-		}
-	}
+	rails.Finish()
 	if runErr != nil {
 		return nil, runErr
+	}
+	if traceErr != nil {
+		return nil, fmt.Errorf("wormnet: writing trace %s: %w", cfg.TracePath, traceErr)
+	}
+	if cfg.ForensicsPath != "" {
+		if err := rails.WriteIncidents(cfg.ForensicsPath); err != nil {
+			return nil, fmt.Errorf("wormnet: writing incidents %s: %w", cfg.ForensicsPath, err)
+		}
+	}
+	if cfg.SeriesPath != "" {
+		if err := rails.WriteSeries(cfg.SeriesPath); err != nil {
+			return nil, fmt.Errorf("wormnet: writing series %s: %w", cfg.SeriesPath, err)
+		}
 	}
 	return ResultFromSim(r), nil
 }
@@ -658,7 +559,7 @@ func Observe(cfg Config, every int64, fn func(cycle int64, summary, heatmap stri
 	if every <= 0 {
 		return nil, fmt.Errorf("wormnet: Observe requires every > 0")
 	}
-	sc, err := cfg.simConfig()
+	sc, err := cfg.SimConfig()
 	if err != nil {
 		return nil, err
 	}
@@ -666,8 +567,8 @@ func Observe(cfg Config, every int64, fn func(cycle int64, summary, heatmap stri
 	if err != nil {
 		return nil, err
 	}
-	total := sc.Warmup + sc.Measure
-	for eng.Now() < total {
+	defer eng.StopWorkers()
+	for total := sc.Warmup + sc.Measure; eng.Now() < total; {
 		if err := eng.Step(); err != nil {
 			return nil, err
 		}
@@ -675,14 +576,12 @@ func Observe(cfg Config, every int64, fn func(cycle int64, summary, heatmap stri
 			fn(eng.Now(), viz.Summarize(eng.Fabric()).String(), viz.Heatmap(eng.Fabric()))
 		}
 	}
-	return &Result{
-		Metrics:      *eng.Stats(),
-		DetectorName: eng.Detector().Name(),
-		TotalCycles:  total,
-		LatencyP50:   eng.LatencyHistogram().Quantile(0.50),
-		LatencyP95:   eng.LatencyHistogram().Quantile(0.95),
-		LatencyP99:   eng.LatencyHistogram().Quantile(0.99),
-	}, nil
+	// Every cycle has been stepped, so Run only assembles the result.
+	r, err := eng.Run()
+	if err != nil {
+		return nil, err
+	}
+	return ResultFromSim(r), nil
 }
 
 // TableOptions configure a paper-table reproduction.
@@ -712,17 +611,9 @@ type TableOptions struct {
 	Resume  bool
 	// Progress, if non-nil, receives (done, total) after each cell.
 	Progress func(done, total int)
-	// TraceDir, if non-empty, attaches a flight recorder to every cell run
-	// and dumps the last TraceLast events of runs that failed or detected
-	// a deadlock to per-run JSONL files in that directory.
-	TraceDir  string
-	TraceLast int
-	// SeriesDir, if non-empty, attaches a metrics collector to every cell
-	// run, dumps per-run sampled time series there and merges the per-run
-	// registries into SeriesDir/aggregate.prom. SeriesWindow is the
-	// sampling window in cycles (default 256).
-	SeriesDir    string
-	SeriesWindow int64
+	// Observe configures the per-cell trace, metrics-series and incident
+	// dumps (see harness.Observe).
+	Observe harness.Observe
 }
 
 // TableResult is a measured paper table; render it with Render.
@@ -784,12 +675,7 @@ func RunPaperTable(id int, opt TableOptions) (*TableResult, error) {
 	eo.Journal = opt.Journal
 	eo.Resume = opt.Resume
 	eo.Progress = opt.Progress
-	eo.Observe = harness.Observe{
-		TraceDir:     opt.TraceDir,
-		TraceLast:    opt.TraceLast,
-		SeriesDir:    opt.SeriesDir,
-		SeriesWindow: opt.SeriesWindow,
-	}
+	eo.Observe = opt.Observe
 	res, err := exp.Run(tbl, eo)
 	if err != nil {
 		return nil, err

@@ -2,8 +2,17 @@ package wormnet
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"wormnet/internal/harness"
+	"wormnet/internal/sim"
 )
 
 // small returns a fast configuration on a 16-node torus.
@@ -44,8 +53,21 @@ func TestRunAllPatterns(t *testing.T) {
 	}
 }
 
+// TestRunAllMechanisms runs every name the one mechanism factory accepts
+// (the -mech values wormsim documents) and holds the facade's constants to
+// exactly that set.
 func TestRunAllMechanisms(t *testing.T) {
-	for _, m := range []Mechanism{NDM, PDM, SourceAge, SourceStall, HeaderBlock, NoDetection} {
+	names := sim.MechanismNames()
+	for _, m := range []Mechanism{NDM, PDM, CMH, SourceAge, SourceStall, HeaderBlock, NoDetection} {
+		if !slices.Contains(names, string(m)) {
+			t.Errorf("facade mechanism %q is unknown to sim.Mechanism", m)
+		}
+	}
+	if len(names) != 7 {
+		t.Errorf("sim.MechanismNames() = %v: a mechanism without a facade constant", names)
+	}
+	for _, name := range names {
+		m := Mechanism(name)
 		cfg := small()
 		cfg.Mechanism = m
 		cfg.Threshold = 64
@@ -122,18 +144,27 @@ func TestOracleEvery(t *testing.T) {
 
 func TestRunPaperTableScaledDown(t *testing.T) {
 	var progressCalls int
+	dumps := t.TempDir()
 	res, err := RunPaperTable(2, TableOptions{
 		K: 4, N: 2,
 		Warmup:        300,
 		Measure:       1500,
 		RelativeRates: true,
 		Progress:      func(done, total int) { progressCalls++ },
+		Observe:       harness.Observe{TraceDir: filepath.Join(dumps, "t"), ForensicsDir: filepath.Join(dumps, "f")},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if progressCalls != 10*4*4 {
 		t.Errorf("progress calls = %d, want 160", progressCalls)
+	}
+	// Every observation option reaches the harness: it creates each
+	// configured directory up front, whether or not a cell dumps into it.
+	for _, dir := range []string{"t", "f"} {
+		if st, err := os.Stat(filepath.Join(dumps, dir)); err != nil || !st.IsDir() {
+			t.Errorf("observation directory %q was not created: %v", dir, err)
+		}
 	}
 	var buf bytes.Buffer
 	res.Render(&buf)
@@ -273,6 +304,48 @@ func TestObserve(t *testing.T) {
 	}
 	if _, err := Observe(cfg, 0, func(int64, string, string) {}); err == nil {
 		t.Error("every=0 accepted")
+	}
+}
+
+// TestObserveMatchesRun: watching a run changes nothing about its result —
+// Observe reports exactly what Run does for the same seed, detection-delay
+// and detection-latency percentiles included — and a sharded engine's parked
+// workers are gone when it returns.
+func TestObserveMatchesRun(t *testing.T) {
+	cfg := small()
+	cfg.VirtualChannels = 1
+	cfg.InjectionLimit = -1
+	cfg.Load = 2.0
+	cfg.Threshold = 16
+	cfg.OracleEvery = 1
+	cfg.Shards = 4
+	cfg.Warmup, cfg.Measure = 0, 4000
+	before := runtime.NumGoroutine()
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.DetectDelayP99 == 0 || want.DetectLatencySamples == 0 {
+		t.Fatalf("config detects nothing (delay p99 %d, latency samples %d): the comparison would be vacuous",
+			want.DetectDelayP99, want.DetectLatencySamples)
+	}
+	got, err := Observe(cfg, 1000, func(int64, string, string) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Observe result differs from Run:\n got %v; detect delay p50/p99 %d/%d, detect latency p50/p99 %d/%d over %d\nwant %v; detect delay p50/p99 %d/%d, detect latency p50/p99 %d/%d over %d",
+			got, got.DetectDelayP50, got.DetectDelayP99, got.DetectLatencyP50, got.DetectLatencyP99, got.DetectLatencySamples,
+			want, want.DetectDelayP50, want.DetectDelayP99, want.DetectLatencyP50, want.DetectLatencyP99, want.DetectLatencySamples)
+	}
+	// Closing the worker channels lets the goroutines exit; give the
+	// scheduler a moment to retire them.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Observe, %d before: shard workers left parked", n, before)
 	}
 }
 
