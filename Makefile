@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build test race vet benchmark-check smoke golden-gate shard-smoke trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex conformance-fuzz-seeds shootout profile clean
+.PHONY: all build test race vet fmt-check benchmark-check smoke golden-gate shard-smoke trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex conformance-fuzz-seeds shootout profile clean
 
-all: vet test
+all: vet fmt-check test
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file in the tree (benchmark/ included) is gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # The repo benchmark (BENCHMARK.json, benchmark/) is a Go module of its own
 # that the root `go build ./...` and `go test ./...` never compile, so an API
@@ -224,7 +228,7 @@ shootout: build
 # CPU and heap profiles of the kernel benchmarks; writes pprof artifacts
 # under results/. Inspect with: go tool pprof results/cpu.pprof
 profile:
-	$(GO) test -run NONE -bench 'EngineStepSaturation|OracleSaturation' \
+	$(GO) test -run NONE -bench 'EngineStepSaturation|EngineStepStorm|OracleSaturation' \
 		-benchtime 2s -cpuprofile results/cpu.pprof -memprofile results/mem.pprof \
 		. | tee results/profile_bench.txt
 	@echo "profile: wrote results/cpu.pprof and results/mem.pprof"

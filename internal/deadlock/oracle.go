@@ -30,6 +30,7 @@ import (
 	"fmt"
 
 	"wormnet/internal/router"
+	"wormnet/internal/routing"
 )
 
 // CandidateFunc enumerates the virtual channels a blocked message may
@@ -52,7 +53,6 @@ type Oracle struct {
 	blocked  []router.MsgID
 	checkBuf []router.MsgID // CrossCheck's copy of the cached set
 	vcBuf    []router.VCID
-	linkBuf  []router.LinkID
 
 	// valid marks blocked/stamp as current with respect to the fabric; it
 	// is cleared by Invalidate and set by Deadlocked. seenGen records the
@@ -65,10 +65,13 @@ type Oracle struct {
 }
 
 // New returns an Oracle over fabric f using true fully adaptive candidates
-// (every VC of every minimal physical channel); SetCandidates overrides
-// this for other routing algorithms.
+// (every VC of every healthy minimal physical channel, read through each
+// header's route memo); SetCandidates overrides this for other routing
+// algorithms.
 func New(f *router.Fabric) *Oracle {
-	return &Oracle{f: f}
+	return &Oracle{f: f, cands: func(m *router.Message, node int, buf []router.VCID) []router.VCID {
+		return routing.TrueFullyAdaptive{}.Candidates(f, m, node, buf)
+	}}
 }
 
 // SetCandidates installs the routing algorithm's candidate function.
@@ -156,24 +159,11 @@ func (o *Oracle) inSet(id router.MsgID) bool {
 func (o *Oracle) canEscape(m *router.Message) bool {
 	f := o.f
 	node := f.RouterOf(f.LinkOfVC(m.HeadVC))
-	if o.cands != nil {
-		o.vcBuf = o.cands(m, node, o.vcBuf[:0])
-		for _, vc := range o.vcBuf {
-			occ := f.VCs[vc].Occupant
-			if occ == router.NilMsg || !o.inSet(occ) {
-				return true
-			}
-		}
-		return false
-	}
-	o.linkBuf = f.Candidates(node, int(m.Dst), o.linkBuf[:0])
-	for _, l := range o.linkBuf {
-		link := &f.Links[l]
-		for v := int32(0); v < link.NumVC; v++ {
-			occ := f.VCs[link.FirstVC+router.VCID(v)].Occupant
-			if occ == router.NilMsg || !o.inSet(occ) {
-				return true
-			}
+	o.vcBuf = o.cands(m, node, o.vcBuf[:0])
+	for _, vc := range o.vcBuf {
+		occ := f.VCs[vc].Occupant
+		if occ == router.NilMsg || !o.inSet(occ) {
+			return true
 		}
 	}
 	return false

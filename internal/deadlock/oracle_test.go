@@ -262,7 +262,7 @@ func TestSoundness(t *testing.T) {
 	for _, id := range set {
 		m := f.Msg(id)
 		node := f.RouterOf(f.LinkOfVC(m.HeadVC))
-		for _, l := range f.Candidates(node, int(m.Dst), nil) {
+		for _, l := range f.Candidates(m, node, nil) {
 			link := &f.Links[l]
 			for v := int32(0); v < link.NumVC; v++ {
 				occ := f.VCs[link.FirstVC+router.VCID(v)].Occupant

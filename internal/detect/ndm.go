@@ -307,7 +307,7 @@ func (d *NDM) waitingOn(in, out router.LinkID, node int) bool {
 			continue
 		}
 		m := d.f.Msg(d.f.VCs[vc].Occupant)
-		d.candBuf = d.f.Candidates(node, int(m.Dst), d.candBuf[:0])
+		d.candBuf = d.f.Candidates(m, node, d.candBuf[:0])
 		for _, c := range d.candBuf {
 			if c == out {
 				return true

@@ -80,7 +80,7 @@ func (b *promoteBench) cycle(tx []router.LinkID, fails ...*router.Message) {
 	for _, m := range fails {
 		in := b.f.LinkOfVC(m.HeadVC)
 		node := b.f.RouterOf(in)
-		outs := b.f.Candidates(node, int(m.Dst), nil)
+		outs := b.f.Candidates(m, node, nil)
 		first := b.att[m.ID] == 0
 		b.att[m.ID]++
 		m.Attempts++

@@ -113,9 +113,9 @@ func TestMergeSemantics(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"events_total 15\n",          // counters sum
-		"depth 9\n",                  // gauges keep the high water
-		"lat_bucket{le=\"4\"} 1\n",   // histograms sum per bucket
+		"events_total 15\n",        // counters sum
+		"depth 9\n",                // gauges keep the high water
+		"lat_bucket{le=\"4\"} 1\n", // histograms sum per bucket
 		"lat_bucket{le=\"+Inf\"} 2\n",
 		"lat_sum 102\n",
 		"lat_count 2\n",

@@ -363,7 +363,7 @@ func (d *Detector) arrive(p pr, m *router.Message, now int64, transmitted []bool
 // KindProbeForward and the parent is consumed (relayed, returned, or
 // dropped).
 func (d *Detector) expand(p pr, m *router.Message, node int, now int64, transmitted []bool, next []pr, emit bool) []pr {
-	outs := d.fab.Candidates(node, int(m.Dst), d.candBuf[:0])
+	outs := d.fab.Candidates(m, node, d.candBuf[:0])
 	d.candBuf = outs[:0]
 	st := &d.inits[p.initiator]
 

@@ -75,7 +75,7 @@ func newRing(t *testing.T) *ringFixture {
 // its first failed routing attempt.
 func registerBlocked(d *Detector, f *router.Fabric, m *router.Message, now int64) bool {
 	node := f.RouterOf(f.LinkOfVC(m.HeadVC))
-	outs := f.Candidates(node, int(m.Dst), nil)
+	outs := f.Candidates(m, node, nil)
 	return d.RouteFailed(m, f.LinkOfVC(m.HeadVC), outs, true, now)
 }
 
@@ -115,7 +115,7 @@ func TestProbeReturnMarksInitiator(t *testing.T) {
 		t.Fatalf("probes in flight = %d after return, want 0", pt.InFlight)
 	}
 
-	outs := r.fab.Candidates(1, int(r.a.Dst), nil)
+	outs := r.fab.Candidates(r.a, 1, nil)
 	if !d.RouteFailed(r.a, r.fab.LinkOfVC(r.a.HeadVC), outs, false, now) {
 		t.Fatal("RouteFailed did not deliver the pending mark to the initiator")
 	}
@@ -232,11 +232,11 @@ func TestVictimOldest(t *testing.T) {
 	if pt := d.ProbeTotals(); pt.Returned != 1 {
 		t.Fatalf("returned = %d, want 1", pt.Returned)
 	}
-	outsA := r.fab.Candidates(1, int(r.a.Dst), nil)
+	outsA := r.fab.Candidates(r.a, 1, nil)
 	if d.RouteFailed(r.a, r.fab.LinkOfVC(r.a.HeadVC), outsA, false, now) {
 		t.Fatal("initiator A marked under VictimOldest; the oldest visited message owns the mark")
 	}
-	outsB := r.fab.Candidates(2, int(r.b.Dst), nil)
+	outsB := r.fab.Candidates(r.b, 2, nil)
 	if !d.RouteFailed(r.b, r.fab.LinkOfVC(r.b.HeadVC), outsB, false, now) {
 		t.Fatal("oldest message B was not marked")
 	}
@@ -368,7 +368,7 @@ func TestRouteSucceededClearsState(t *testing.T) {
 	cycleN(d, r.fab, 3) // probe returns, pendingMark[A] set
 
 	d.RouteSucceeded(r.a, r.fab.LinkOfVC(r.a.HeadVC))
-	outs := r.fab.Candidates(1, int(r.a.Dst), nil)
+	outs := r.fab.Candidates(r.a, 1, nil)
 	if d.RouteFailed(r.a, r.fab.LinkOfVC(r.a.HeadVC), outs, false, 10) {
 		t.Fatal("mark survived RouteSucceeded")
 	}
@@ -433,7 +433,7 @@ func TestSelfDeadlockDetected(t *testing.T) {
 	if pt.InFlight != 0 {
 		t.Fatalf("probes in flight = %d, want 0", pt.InFlight)
 	}
-	outs := fab.Candidates(0, int(m.Dst), nil)
+	outs := fab.Candidates(m, 0, nil)
 	if !d.RouteFailed(m, fab.LinkOfVC(m.HeadVC), outs, false, now) {
 		t.Fatal("self-deadlocked worm was not marked")
 	}

@@ -346,7 +346,7 @@ func TestCandidatesMinimal(t *testing.T) {
 	f := testFabric(t, 4, 2)
 	// From node 0 to node 5 = (1,1): both X+ and Y+ are minimal.
 	dst := f.Topo.ID([]int{1, 1})
-	cands := f.Candidates(0, dst, nil)
+	cands := f.Candidates(&Message{Dst: int32(dst)}, 0, nil)
 	if len(cands) != 2 {
 		t.Fatalf("candidates = %v", cands)
 	}
@@ -360,7 +360,7 @@ func TestCandidatesMinimal(t *testing.T) {
 
 func TestCandidatesAtDestination(t *testing.T) {
 	f := testFabric(t, 4, 2)
-	cands := f.Candidates(9, 9, nil)
+	cands := f.Candidates(&Message{Dst: 9}, 9, nil)
 	if len(cands) != f.Cfg.DelPorts {
 		t.Fatalf("candidates at destination = %v", cands)
 	}

@@ -65,7 +65,7 @@ func TestFabricOperationFuzz(t *testing.T) {
 				continue // engine never routes out of a delivery buffer
 			}
 			node := f.RouterOf(hv.Link)
-			out := f.PickVC(vcsOf(f, f.Candidates(node, int(w.m.Dst), nil)...), r)
+			out := f.PickVC(vcsOf(f, f.Candidates(w.m, node, nil)...), r)
 			if out == NilVC {
 				continue
 			}

@@ -94,6 +94,24 @@ type Message struct {
 	// Retries counts how many times the message was re-injected after
 	// recovery (progressive re-injection or regressive abort-and-retry).
 	Retries int32
+
+	// Route caches the header's routing relation at its current router; see
+	// Fabric.RouteMask, the only reader and writer.
+	Route RouteMemo
+}
+
+// RouteMemo is a message's cached minimal-direction mask together with the
+// (router, destination) pair it was computed for. The mask is a pure function
+// of that pair, so the memo is derived state: it is never part of a digest or
+// of the model checker's canonical encoding, and a lookup under any other key
+// simply recomputes. The zero value is empty.
+type RouteMemo struct {
+	// Mask is topology.Torus.MinimalDirMask(At-1, Dst).
+	Mask uint32
+	// At is the router the mask was computed at, plus one; 0 means empty.
+	At int32
+	// Dst is the destination the mask was computed for.
+	Dst int32
 }
 
 // Blocked reports whether the message has a header waiting unsuccessfully

@@ -19,6 +19,8 @@
 package routing
 
 import (
+	"math/bits"
+
 	"wormnet/internal/router"
 	"wormnet/internal/topology"
 )
@@ -74,18 +76,23 @@ func (TrueFullyAdaptive) MinVCs() int { return 1 }
 
 // Candidates implements Algorithm.
 func (TrueFullyAdaptive) Candidates(f *router.Fabric, m *router.Message, node int, buf []router.VCID) []router.VCID {
-	dst := int(m.Dst)
-	if node == dst {
+	if node == int(m.Dst) {
 		return deliveryCandidates(f, node, buf)
 	}
-	var dirs [16]topology.Direction
-	for _, d := range f.Topo.MinimalDirections(node, dst, dirs[:0]) {
-		id := f.NetLink(node, d)
+	return minimalVCs(f, m, node, 0, buf)
+}
+
+// minimalVCs appends virtual channels firstVC..V-1 of every healthy minimal
+// physical channel of m's header at node. The minimal directions come from
+// the header's route memo; failure is tested live.
+func minimalVCs(f *router.Fabric, m *router.Message, node int, firstVC router.VCID, buf []router.VCID) []router.VCID {
+	for mask := f.RouteMask(m, node); mask != 0; mask &= mask - 1 {
+		id := f.NetLink(node, topology.Direction(bits.TrailingZeros32(mask)))
 		if f.LinkFailed(id) {
 			continue
 		}
 		link := &f.Links[id]
-		for v := router.VCID(0); v < router.VCID(link.NumVC); v++ {
+		for v := firstVC; v < router.VCID(link.NumVC); v++ {
 			buf = append(buf, link.FirstVC+v)
 		}
 	}
@@ -101,7 +108,7 @@ func (TrueFullyAdaptive) Candidates(f *router.Fabric, m *router.Message, node in
 // the ring cycle in each dimension.
 func dorHop(t *topology.Torus, node, dst int) (dir topology.Direction, vcClass int, ok bool) {
 	for dim := 0; dim < t.N(); dim++ {
-		cur, want := coordOf(t, node, dim), coordOf(t, dst, dim)
+		cur, want := t.CoordAt(node, dim), t.CoordAt(dst, dim)
 		if cur == want {
 			continue
 		}
@@ -131,16 +138,6 @@ func dorHop(t *topology.Torus, node, dst int) (dir topology.Direction, vcClass i
 		return dir, vcClass, true
 	}
 	return 0, 0, false
-}
-
-// coordOf extracts one coordinate of node without allocating (the hot
-// routing path calls this for every blocked header every cycle).
-func coordOf(t *topology.Torus, node, dim int) int {
-	k := t.K()
-	for d := 0; d < dim; d++ {
-		node /= k
-	}
-	return node % k
 }
 
 // DimensionOrder is deterministic e-cube routing with two Dally-Seitz
@@ -209,17 +206,7 @@ func (DuatoProtocol) Candidates(f *router.Fabric, m *router.Message, node int, b
 		return deliveryCandidates(f, node, buf)
 	}
 	// Adaptive class: VCs 2..V-1 of every minimal physical channel.
-	var dirs [16]topology.Direction
-	for _, d := range f.Topo.MinimalDirections(node, dst, dirs[:0]) {
-		id := f.NetLink(node, d)
-		if f.LinkFailed(id) {
-			continue
-		}
-		link := &f.Links[id]
-		for v := router.VCID(2); v < router.VCID(link.NumVC); v++ {
-			buf = append(buf, link.FirstVC+v)
-		}
-	}
+	buf = minimalVCs(f, m, node, 2, buf)
 	// Escape: the dimension-order hop on its Dally-Seitz class.
 	if dir, class, ok := dorHop(f.Topo, node, dst); ok {
 		if id := f.NetLink(node, dir); !f.LinkFailed(id) {

@@ -511,6 +511,9 @@ func (e *Engine) Step() error {
 		if err := e.auditActiveSets(); err != nil {
 			return fmt.Errorf("cycle %d: %w", e.now, err)
 		}
+		if err := e.auditRouteMemos(); err != nil {
+			return fmt.Errorf("cycle %d: %w", e.now, err)
+		}
 	}
 	if e.measuring {
 		// One measured cycle actually executed; Run reports the total, so
@@ -551,14 +554,19 @@ func (e *Engine) deliver(m *router.Message) {
 // ---------------------------------------------------------------------------
 // Stage 5: routing of waiting headers (detection piggybacks on failures).
 //
-// Candidate computation — the geometry-heavy part — runs in parallel
-// (routeCandsShard); the commit below runs serially because VC allocation,
-// selection randomness, detector transitions and recovery must interleave in
-// pending order. Staleness is re-checked live: a mark earlier in the commit
-// can trigger recovery that releases a later message's worm. The precomputed
-// candidate sets stay valid across commits because candidates depend only on
-// topology, the failure map and the destination, never on occupancy; PickVC
-// re-checks VC occupancy live.
+// Candidate computation runs in parallel (routeCandsShard); the commit below
+// runs serially because VC allocation, selection randomness, detector
+// transitions and recovery must interleave in pending order. Staleness is
+// re-checked live: a mark earlier in the commit can trigger recovery that
+// releases a later message's worm. The precomputed candidate sets stay valid
+// across commits because candidates depend only on topology, the failure map
+// and the destination, never on occupancy; PickVC re-checks VC occupancy live.
+//
+// The geometry — which directions are minimal — is computed once per hop: the
+// first attempt at a router fills the header's route memo
+// (router.Fabric.RouteMask) and every retry, the oracle and the detectors read
+// it back, so a blocked retry costs a mask load, a failure test per minimal
+// link and the occupancy reads of PickVC.
 
 // prepareRouteCands sizes the flat candidate arena for this cycle's pending
 // list. Growth is amortized; in steady state the arena is only re-sliced.
@@ -646,6 +654,27 @@ func (e *Engine) routeCommit() {
 		kept = append(kept, id)
 	}
 	e.pending = kept
+}
+
+// auditRouteMemos is the Debug-mode check of the route memos: the cached
+// mask of every live message — pending headers included — must equal a fresh
+// computation, and no message may be pending twice (routeCandsShard's
+// one-writer-per-memo rule rests on that).
+func (e *Engine) auditRouteMemos() error {
+	seen := make(map[router.MsgID]bool, len(e.pending))
+	for _, id := range e.pending {
+		if seen[id] {
+			return fmt.Errorf("sim: message %d is pending twice", id)
+		}
+		seen[id] = true
+	}
+	var err error
+	e.fab.LiveMessages(func(m *router.Message) {
+		if err == nil {
+			err = e.fab.CheckRouteMemo(m)
+		}
+	})
+	return err
 }
 
 // mark hands a message the detector declared deadlocked to the recovery

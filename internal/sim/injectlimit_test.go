@@ -14,7 +14,7 @@ import (
 func TestInjectionLimitPerAdmission(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Load = 0
-	cfg.Warmup, cfg.Measure = 0, 1 << 40
+	cfg.Warmup, cfg.Measure = 0, 1<<40
 	cfg.RetainMessages = true
 	cfg.Router.InjPorts = 4
 	cfg.InjectionLimit = 0
@@ -41,7 +41,7 @@ func TestInjectionLimitPerAdmission(t *testing.T) {
 func TestInjectionLimitAllowsUpToLimit(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Load = 0
-	cfg.Warmup, cfg.Measure = 0, 1 << 40
+	cfg.Warmup, cfg.Measure = 0, 1<<40
 	cfg.RetainMessages = true
 	cfg.Router.InjPorts = 4
 	cfg.InjectionLimit = 1
@@ -66,7 +66,7 @@ func TestInjectionLimitAllowsUpToLimit(t *testing.T) {
 func TestInjectionLimitDisabled(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Load = 0
-	cfg.Warmup, cfg.Measure = 0, 1 << 40
+	cfg.Warmup, cfg.Measure = 0, 1<<40
 	cfg.RetainMessages = true
 	cfg.Router.InjPorts = 4
 	cfg.InjectionLimit = -1

@@ -670,6 +670,12 @@ func (e *Engine) mergeTxLinks() {
 // against frozen state and stay valid while the serial commit allocates VCs
 // one message at a time. Pending entries are striped across shards by index;
 // each entry owns a fixed stride of the flat candidate arena.
+//
+// This is the one place a route memo (router.Message.Route) is written off
+// the serial spine. The ownership rule: a message is pending at most once, so
+// the stripe gives each message — and hence its memo — to exactly one worker,
+// and nothing else reads or writes a memo during this phase. Every other memo
+// access (the oracle, detector EndCycle) runs between barriers.
 
 func (e *Engine) routeCandsShard(s int) {
 	fab := e.fab

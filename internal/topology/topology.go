@@ -11,6 +11,7 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -28,13 +29,17 @@ func (d Direction) Negative() bool { return int(d)%2 == 1 }
 // Opposite returns the direction that undoes d.
 func (d Direction) Opposite() Direction { return d ^ 1 }
 
+// dimNames are the letters String gives the first four dimensions.
+var dimNames = [...]string{"X", "Y", "Z", "W"}
+
 // String formats the direction as, e.g., "X+", "Y-", "D3+".
 func (d Direction) String() string {
-	names := []string{"X", "Y", "Z", "W"}
 	dim := d.Dim()
-	name := fmt.Sprintf("D%d", dim)
-	if dim < len(names) {
-		name = names[dim]
+	var name string
+	if dim < len(dimNames) {
+		name = dimNames[dim]
+	} else {
+		name = fmt.Sprintf("D%d", dim)
 	}
 	if d.Negative() {
 		return name + "-"
@@ -48,20 +53,39 @@ type Torus struct {
 	n int // number of dimensions
 	// nodes = k^n, precomputed.
 	nodes int
-	// strides[d] = k^d, used to convert between IDs and coordinates.
+	// strides[d] = k^d, used by ID to convert coordinates to IDs.
 	strides []int
 	// neighbor[id*2n + dir] caches neighbor IDs.
 	neighbor []int32
+	// coord[id*n + d] is coordinate d of node id. New splits every ID into
+	// its radix-k digits once, so no query divides.
+	coord []uint16
+	// minDir[o] classifies the forward offset o = (dst - cur) mod k along one
+	// dimension: bit 0 is set when the "+" direction is minimal, bit 1 when
+	// the "-" direction is. Neither is set at o == 0 (aligned) and both are
+	// at o == k/2 for even k (exactly half way around).
+	minDir []uint8
 }
 
-// New constructs a k-ary n-cube. It panics if k < 2, n < 1, or the node
-// count overflows int32 (the simulator stores node IDs as int32).
+// Limits of the table encodings: a coordinate is stored in 16 bits and a
+// minimal-direction mask holds two bits per dimension in a uint32.
+const (
+	maxRadix = 1 << 16
+	maxDims  = 16
+)
+
+// New constructs a k-ary n-cube. It panics if k < 2, n < 1, k or n exceed
+// the table encodings (k <= 65536, n <= 16), or the node count overflows
+// int32 (the simulator stores node IDs as int32).
 func New(k, n int) *Torus {
 	if k < 2 {
 		panic("topology: radix k must be at least 2")
 	}
 	if n < 1 {
 		panic("topology: dimension n must be at least 1")
+	}
+	if k > maxRadix || n > maxDims {
+		panic("topology: network too large")
 	}
 	nodes := 1
 	strides := make([]int, n)
@@ -73,11 +97,25 @@ func New(k, n int) *Torus {
 		}
 	}
 	t := &Torus{k: k, n: n, nodes: nodes, strides: strides}
+	t.minDir = make([]uint8, k)
+	for o := 1; o < k; o++ {
+		switch {
+		case 2*o == k:
+			t.minDir[o] = 3
+		case 2*o < k:
+			t.minDir[o] = 1
+		default:
+			t.minDir[o] = 2
+		}
+	}
+	t.coord = make([]uint16, nodes*n)
 	t.neighbor = make([]int32, nodes*2*n)
+	// IDs are visited in ascending order, so the coordinate vector advances
+	// like an odometer: add one to digit 0 and carry.
 	coord := make([]int, n)
 	for id := 0; id < nodes; id++ {
-		t.coordsInto(id, coord)
 		for d := 0; d < n; d++ {
+			t.coord[id*n+d] = uint16(coord[d])
 			up := coord[d] + 1
 			if up == k {
 				up = 0
@@ -89,6 +127,13 @@ func New(k, n int) *Torus {
 			base := id*2*n + d*2
 			t.neighbor[base] = int32(id + (up-coord[d])*strides[d])
 			t.neighbor[base+1] = int32(id + (down-coord[d])*strides[d])
+		}
+		for d := 0; d < n; d++ {
+			coord[d]++
+			if coord[d] < k {
+				break
+			}
+			coord[d] = 0
 		}
 	}
 	return t
@@ -109,15 +154,14 @@ func (t *Torus) Degree() int { return 2 * t.n }
 // Coord returns the coordinate vector of node id.
 func (t *Torus) Coord(id int) []int {
 	c := make([]int, t.n)
-	t.coordsInto(id, c)
+	for d := range c {
+		c[d] = t.CoordAt(id, d)
+	}
 	return c
 }
 
-func (t *Torus) coordsInto(id int, c []int) {
-	for d := 0; d < t.n; d++ {
-		c[d] = (id / t.strides[d]) % t.k
-	}
-}
+// CoordAt returns coordinate dim of node id.
+func (t *Torus) CoordAt(id, dim int) int { return int(t.coord[id*t.n+dim]) }
 
 // ID returns the node ID of the coordinate vector c. Coordinates are taken
 // modulo k, so out-of-range values wrap around the torus.
@@ -141,59 +185,50 @@ func (t *Torus) Neighbor(id int, dir Direction) int {
 	return int(t.neighbor[id*2*t.n+int(dir)])
 }
 
-// delta returns the signed minimal displacement from a to b along one
-// dimension, in the range (-k/2, k/2]. A positive value means the "+"
-// direction is minimal; when k is even and the displacement is exactly k/2
-// both directions are minimal and delta returns +k/2 (MinimalDirections
-// handles the tie by offering both).
-func (t *Torus) delta(a, b, dim int) int {
-	d := (b - a) % t.k
-	if d < 0 {
-		d += t.k
+// offset returns the forward offset (dst - cur) mod k along dimension dim,
+// in [0, k).
+func (t *Torus) offset(cur, dst, dim int) int {
+	o := int(t.coord[dst*t.n+dim]) - int(t.coord[cur*t.n+dim])
+	if o < 0 {
+		o += t.k
 	}
-	if 2*d > t.k {
-		d -= t.k
-	}
-	return d
+	return o
 }
 
 // Distance returns the minimal hop count between nodes a and b.
 func (t *Torus) Distance(a, b int) int {
 	dist := 0
 	for dim := 0; dim < t.n; dim++ {
-		ca := (a / t.strides[dim]) % t.k
-		cb := (b / t.strides[dim]) % t.k
-		d := t.delta(ca, cb, dim)
-		if d < 0 {
-			d = -d
+		o := t.offset(a, b, dim)
+		if 2*o > t.k {
+			o = t.k - o
 		}
-		dist += d
+		dist += o
 	}
 	return dist
 }
 
-// MinimalDirections appends to buf every direction that moves a packet at
-// cur strictly closer to dst on a minimal path, and returns the extended
-// slice. When the remaining displacement along a dimension is exactly k/2
-// (k even) both directions of that dimension are minimal and both are
-// offered — this is what gives true fully adaptive routing its flexibility
-// on tori. The result is empty iff cur == dst.
-func (t *Torus) MinimalDirections(cur, dst int, buf []Direction) []Direction {
+// MinimalDirMask returns the set of directions that move a packet at cur
+// strictly closer to dst on a minimal path, as a bit mask: bit d is set iff
+// Direction(d) is minimal. When the remaining displacement along a dimension
+// is exactly k/2 (k even) both directions of that dimension are minimal and
+// both are set — this is what gives true fully adaptive routing its
+// flexibility on tori. The mask is zero iff cur == dst. It is a pure
+// function of (cur, dst), which is what lets a blocked header cache it (see
+// router.Fabric.RouteMask).
+func (t *Torus) MinimalDirMask(cur, dst int) uint32 {
+	var mask uint32
 	for dim := 0; dim < t.n; dim++ {
-		cc := (cur / t.strides[dim]) % t.k
-		cd := (dst / t.strides[dim]) % t.k
-		d := t.delta(cc, cd, dim)
-		switch {
-		case d == 0:
-			// Aligned in this dimension.
-		case 2*d == t.k:
-			// Exactly halfway around: both directions are minimal.
-			buf = append(buf, Direction(dim*2), Direction(dim*2+1))
-		case d > 0:
-			buf = append(buf, Direction(dim*2))
-		default:
-			buf = append(buf, Direction(dim*2+1))
-		}
+		mask |= uint32(t.minDir[t.offset(cur, dst, dim)]) << (2 * dim)
+	}
+	return mask
+}
+
+// MinimalDirections appends the directions of MinimalDirMask(cur, dst) to
+// buf in ascending order and returns the extended slice.
+func (t *Torus) MinimalDirections(cur, dst int, buf []Direction) []Direction {
+	for mask := t.MinimalDirMask(cur, dst); mask != 0; mask &= mask - 1 {
+		buf = append(buf, Direction(bits.TrailingZeros32(mask)))
 	}
 	return buf
 }
