@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check benchmark-check smoke golden-gate shard-smoke trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex conformance-fuzz-seeds shootout profile clean
+.PHONY: all build test race vet fmt-check benchmark-check bench-gate smoke golden-gate shard-smoke trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex conformance-fuzz-seeds shootout profile clean
 
 all: vet fmt-check test
 
@@ -28,6 +28,17 @@ fmt-check:
 # it against the working tree.
 benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Performance gate: the repo benchmark's suite at two reps per workload
+# against BENCH_suite.json, the committed snapshot every perf-claiming PR
+# refreshes (EXPERIMENTS.md, "Kernel performance"). `compare` exits non-zero
+# only on a BREACH verdict or on more failed operations: a row whose runs
+# spread wider than its bound, on either side, reads "unresolved" and passes,
+# so a contended runner cannot break the build. About three minutes; the
+# numbers only mean something on the class of host that took the snapshot.
+bench-gate:
+	bash benchmark/run.sh suite -reps 2 -seed 1 -out /tmp/wormnet-bench-suite.json
+	bash benchmark/run.sh compare BENCH_suite.json /tmp/wormnet-bench-suite.json
 
 # Determinism smoke: a 4-worker checkpointed sweep must be byte-identical
 # to a serial sweep, and so must a resume against the finished journal. Then
@@ -244,6 +255,7 @@ clean:
 		/tmp/wormnet-incidents.jsonl /tmp/wormnet-incidents-s4.jsonl \
 		/tmp/wormnet-incidents-replay.jsonl /tmp/wormnet-forensics-events.jsonl \
 		/tmp/wormnet-forensics-on.txt /tmp/wormnet-forensics-off.txt \
-		/tmp/wormnet-forensics-summary.txt /tmp/wormnet-tables /tmp/wormnet-gate.json
+		/tmp/wormnet-forensics-summary.txt /tmp/wormnet-tables /tmp/wormnet-gate.json \
+		/tmp/wormnet-bench-suite.json
 	rm -rf /tmp/wormnet-series /tmp/wormnet-tables-d.t2 /tmp/wormnet-tables-t.t2 \
 		/tmp/wormnet-gate-series /tmp/wormnet-gate-forensics

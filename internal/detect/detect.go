@@ -20,7 +20,7 @@
 package detect
 
 import (
-	"slices"
+	"math/bits"
 
 	"wormnet/internal/router"
 	"wormnet/internal/topology"
@@ -58,8 +58,8 @@ type Detector interface {
 	// and reused every cycle: implementations must not retain them past the
 	// call. txLinks is empty on a quiescent cycle — no flit moved anywhere —
 	// and implementations must keep their inactivity counters running across
-	// arbitrarily long quiescent stretches (the fabric's busy-link lists
-	// give them the channels to count; the engine separately relies on
+	// arbitrarily long quiescent stretches (the fabric's busy-link bitmap
+	// gives them the channels to count; the engine separately relies on
 	// quiescence to short-circuit its deadlock oracle, so EndCycle must not
 	// mutate fabric state).
 	EndCycle(now int64, txLinks []router.LinkID, transmitted []bool)
@@ -100,6 +100,12 @@ type Capabilities struct {
 	// threshold so the encoding stays finite; absolute cycle numbers must
 	// never be encoded directly.
 	AppendState func(buf []byte, now int64) []byte
+	// Audit re-derives the mechanism's redundant state — flags from the
+	// counters that set them, cached flag counts from the flags — and
+	// reports the first disagreement. It is the detector's share of the
+	// per-cycle Config.Debug audits, and the model checker asserts it in
+	// every state it explores.
+	Audit func() error
 }
 
 // ProbeTotals is a snapshot of the cumulative control-message activity of a
@@ -161,22 +167,55 @@ func (None) RouteFailed(*router.Message, router.LinkID, []router.LinkID, bool, i
 	return false
 }
 
-// busyLinks returns, in buf, every physical channel with at least one
-// occupied virtual channel: the fabric's per-shard busy lists concatenated
-// in shard order. The inactivity counting EndCycle does over them is
-// order-independent per link, but the flag events it emits are not, so a
-// traced caller asks for ascending link order to keep the trace stream
-// identical for every occupancy-shard layout; the sort stays off the
-// untraced hot path.
-func busyLinks(f *router.Fabric, buf []router.LinkID, sorted bool) []router.LinkID {
-	buf = buf[:0]
-	for s := 0; s < f.NumShards(); s++ {
-		buf = append(buf, f.BusyLinksShard(s)...)
+// idleScan is the counting half of EndCycle, shared by NDM and PDM: it finds
+// the channels whose inactivity counter advances this cycle — occupied,
+// monitored, and not transmitted across — straight from the fabric's
+// busy-link bitmap, 64 links at a time.
+type idleScan struct {
+	f *router.Fabric
+	// tx is this cycle's transmitted set as a bitmap indexed by LinkID; it is
+	// all zero between calls. monitored has a bit for every link that owns a
+	// counter (all but the injection ports). One allocation holds both.
+	tx, monitored []uint64
+}
+
+func newIdleScan(f *router.Fabric) idleScan {
+	words := (f.NumLinks() + 63) >> 6
+	masks := make([]uint64, 2*words)
+	s := idleScan{f: f, tx: masks[:words], monitored: masks[words:]}
+	for l := 0; l < f.NumLinks(); l++ {
+		if f.IsMonitored(router.LinkID(l)) {
+			s.monitored[l>>6] |= 1 << (l & 63)
+		}
 	}
-	if sorted {
-		slices.Sort(buf)
+	return s
+}
+
+// each calls count for every channel that is idle this cycle, in ascending
+// LinkID order — the bitmap's scan order, so the flag events count emits
+// come out identically for every occupancy-shard layout, traced or not.
+//
+// The tx mask is set and cleared from txLinks, never from the busy words: a
+// delivery channel can receive a tail flit and be drained empty in the same
+// cycle, so a transmitted link need not be busy, and a bit left behind by a
+// clear that only visited busy words would freeze that link's counter on
+// some later cycle.
+func (s *idleScan) each(txLinks []router.LinkID, count func(router.LinkID)) {
+	for _, l := range txLinks {
+		s.tx[l>>6] |= 1 << (l & 63)
 	}
-	return buf
+	for it := s.f.BusyLinkWords(); ; {
+		w, busy, ok := it.Next()
+		if !ok {
+			break
+		}
+		for idle := busy &^ s.tx[w] & s.monitored[w]; idle != 0; idle &= idle - 1 {
+			count(router.LinkID(w<<6 + bits.TrailingZeros64(idle)))
+		}
+	}
+	for _, l := range txLinks {
+		s.tx[l>>6] = 0
+	}
 }
 
 // inputLinksByNode precomputes, for every node, the physical channels that

@@ -484,11 +484,11 @@ func TestNoneDetector(t *testing.T) {
 	d.RouteSucceeded(nil, 0)
 	d.VCFreed(0)
 	d.EndCycle(0, nil, nil)
-	assertCaps(t, d, false, false, false, false)
+	assertCaps(t, d, false, false, false, false, false)
 }
 
 // assertCaps checks which fields of d's capability report are present.
-func assertCaps(t *testing.T, d detect.Detector, tracer, flags, probes, encoding bool) {
+func assertCaps(t *testing.T, d detect.Detector, tracer, flags, probes, encoding, audit bool) {
 	t.Helper()
 	c := d.Capabilities()
 	for _, f := range []struct {
@@ -499,6 +499,7 @@ func assertCaps(t *testing.T, d detect.Detector, tracer, flags, probes, encoding
 		{"FlagCounts", c.FlagCounts != nil, flags},
 		{"ProbeTotals", c.ProbeTotals != nil, probes},
 		{"AppendState", c.AppendState != nil, encoding},
+		{"Audit", c.Audit != nil, audit},
 	} {
 		if f.got != f.want {
 			t.Errorf("%s: capability %s present = %v, want %v", d.Name(), f.field, f.got, f.want)
@@ -507,7 +508,7 @@ func assertCaps(t *testing.T, d detect.Detector, tracer, flags, probes, encoding
 }
 
 // TestFlagDetectorCapabilities: NDM and PDM hand over a tracer hook, flag
-// counts and a state encoding, and no probe totals. The counts read the
+// counts, a state encoding and an audit, and no probe totals. The counts read the
 // detector's live state: NDM reports all three flag classes, PDM only DT.
 func TestFlagDetectorCapabilities(t *testing.T) {
 	f := ringFabric(t)
@@ -516,12 +517,15 @@ func TestFlagDetectorCapabilities(t *testing.T) {
 	occupy(t, f, out, 4)
 	ndm, pdm := detect.NewNDMOpt(f, 1, 3, detect.PromoteAll), detect.NewPDM(f, 3)
 	for _, d := range []detect.Detector{ndm, pdm} {
-		assertCaps(t, d, true, true, false, true)
+		assertCaps(t, d, true, true, false, true, true)
 		// The first failed attempt sees an active output (NDM: G set), then
 		// both occupied channels idle past every threshold.
 		d.RouteFailed(m, in, []router.LinkID{out}, true, 0)
 		for now := int64(0); now < 5; now++ {
 			tick(d, now, f)
+			if err := d.Capabilities().Audit(); err != nil {
+				t.Errorf("%s cycle %d: %v", d.Name(), now, err)
+			}
 		}
 	}
 	if i, dt, g := ndm.Capabilities().FlagCounts(); i != 2 || dt != 2 || g != 1 {
@@ -549,6 +553,6 @@ func TestTimeoutDetectorNoOps(t *testing.T) {
 		if d.Name() == "" {
 			t.Error("empty name")
 		}
-		assertCaps(t, d, false, false, false, false)
+		assertCaps(t, d, false, false, false, false, false)
 	}
 }

@@ -20,7 +20,10 @@ import (
 //   - counters never go negative, and a transmitted channel leaves EndCycle
 //     with a zero counter and a clear flag;
 //   - RouteFailed presumes deadlock exactly when every feasible output has
-//     its flag set.
+//     its flag set;
+//   - a second PDM counting off the list-walking reference (refEndCycle)
+//     instead of the fabric's busy-link bitmap holds equal counters, flags
+//     and flag count after every event, and the detector's own audit passes.
 //
 // The byte stream is an op-code program with the same shape as
 // FuzzNDMFlags; the shared corpus seeds under testdata (sampled from the
@@ -46,6 +49,7 @@ func FuzzPDMFlags(f *testing.F) {
 			t.Fatal(err)
 		}
 		d := NewPDM(fab, threshold)
+		ref := NewPDM(fab, threshold)
 
 		nLinks := fab.NumLinks()
 		nNodes := topo.Nodes()
@@ -125,6 +129,7 @@ func FuzzPDMFlags(f *testing.F) {
 					}
 				}
 				d.EndCycle(now, txLinks, transmitted)
+				ref.refEndCycle(txLinks, transmitted)
 				now++
 				for _, l := range txLinks {
 					if d.counter[l] != 0 || d.ifFlag[l] {
@@ -135,6 +140,7 @@ func FuzzPDMFlags(f *testing.F) {
 			case 5: // flow-control event on an arbitrary channel
 				d.VCFreed(link())
 			}
+			samePDM(t, d, ref)
 
 			// Flag/counter invariants, checked after every event.
 			ifSet := 0

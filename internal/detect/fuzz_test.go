@@ -17,7 +17,11 @@ import (
 //     detection threshold is necessarily past the inactivity threshold);
 //   - the cached DT-occupancy count equals the number of set DT flags;
 //   - inactivity counters never go negative, and a counter at zero never
-//     holds a flag it could not have set.
+//     holds a flag it could not have set;
+//   - a second NDM fed the same events, but counting off the list-walking
+//     reference (refEndCycle) instead of the fabric's busy-link bitmap, holds
+//     equal counters, flags and flag counts after every event, and the
+//     detector's own audit passes.
 //
 // The byte stream is an op-code program: each iteration consumes an op and
 // its operands, reducing indices modulo the fabric's sizes so every input is
@@ -49,6 +53,7 @@ func FuzzNDMFlags(f *testing.F) {
 			t.Fatal(err)
 		}
 		d := NewNDMOpt(fab, 1, t2, pol)
+		ref := NewNDMOpt(fab, 1, t2, pol)
 
 		nLinks := fab.NumLinks()
 		nNodes := topo.Nodes()
@@ -93,6 +98,7 @@ func FuzzNDMFlags(f *testing.F) {
 				m := live[i]
 				for _, vc := range fab.ReleaseWorm(m) {
 					d.VCFreed(fab.LinkOfVC(vc))
+					ref.VCFreed(fab.LinkOfVC(vc))
 				}
 				live[i] = live[len(live)-1]
 				live = live[:len(live)-1]
@@ -103,9 +109,13 @@ func FuzzNDMFlags(f *testing.F) {
 					outsBuf = append(outsBuf, link())
 				}
 				first := next()&1 == 0
-				d.RouteFailed(probe, in, outsBuf, first, now)
+				if got, want := d.RouteFailed(probe, in, outsBuf, first, now), ref.RouteFailed(probe, in, outsBuf, first, now); got != want {
+					t.Fatalf("RouteFailed = %v, reference %v", got, want)
+				}
 			case 3: // successful routing
-				d.RouteSucceeded(probe, link())
+				in := link()
+				d.RouteSucceeded(probe, in)
+				ref.RouteSucceeded(probe, in)
 			case 4: // end of cycle with an arbitrary transmission bitmap
 				txLinks = txLinks[:0]
 				for i := range transmitted {
@@ -119,10 +129,14 @@ func FuzzNDMFlags(f *testing.F) {
 					}
 				}
 				d.EndCycle(now, txLinks, transmitted)
+				ref.refEndCycle(txLinks, transmitted)
 				now++
 			case 5: // flow-control event on an arbitrary channel
-				d.VCFreed(link())
+				l := link()
+				d.VCFreed(l)
+				ref.VCFreed(l)
 			}
+			sameNDM(t, d, ref)
 
 			// Lattice invariants, checked after every event.
 			dtSet := 0

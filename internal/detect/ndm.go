@@ -66,7 +66,7 @@ type NDM struct {
 	inputs [][]router.LinkID // per node: input channels of its router
 
 	candBuf []router.LinkID // scratch for selective promotion
-	busyBuf []router.LinkID // scratch for EndCycle's busy-link pass
+	idle    idleScan        // EndCycle's counting pass
 
 	tr *trace.Recorder // flight recorder; nil-safe
 }
@@ -94,7 +94,7 @@ func NewNDMOpt(f *router.Fabric, t1, t2 int64, promotion PromotionPolicy) *NDM {
 		dtFlag:    make([]bool, n),
 		gp:        make([]bool, n),
 		inputs:    inputLinksByNode(f),
-		busyBuf:   make([]router.LinkID, 0, n),
+		idle:      newIdleScan(f),
 	}
 }
 
@@ -109,7 +109,7 @@ func (d *NDM) Name() string {
 // Capabilities implements Detector: NDM traces its flag transitions,
 // reports all three flag classes and is encodable.
 func (d *NDM) Capabilities() Capabilities {
-	return Capabilities{SetTracer: d.SetTracer, FlagCounts: d.FlagCounts, AppendState: d.AppendState}
+	return Capabilities{SetTracer: d.SetTracer, FlagCounts: d.FlagCounts, AppendState: d.AppendState, Audit: d.Audit}
 }
 
 // SetTracer reports flag transitions to tr (see Capabilities.SetTracer).
@@ -155,6 +155,37 @@ func (d *NDM) AppendState(buf []byte, _ int64) []byte {
 		buf = append(buf, byte(c), byte(c>>8), bits)
 	}
 	return buf
+}
+
+// Audit is NDM's Capabilities.Audit: on every link the flag lattice holds (DT
+// implies I: the detection threshold can only be passed by a counter already
+// past the shorter one, and both reset together), each flag is exactly
+// "counter past its threshold", and the three cached counts equal recounts.
+func (d *NDM) Audit() error {
+	var i, dt, g int
+	for l, c := range d.counter {
+		switch {
+		case d.dtFlag[l] && !d.iFlag[l]:
+			return fmt.Errorf("detect: ndm link %d: DT set with I clear", l)
+		case d.iFlag[l] != (c > d.T1) || d.dtFlag[l] != (c > d.T2):
+			return fmt.Errorf("detect: ndm link %d: counter %d (t1=%d, t2=%d) with I=%v DT=%v",
+				l, c, d.T1, d.T2, d.iFlag[l], d.dtFlag[l])
+		}
+		if d.iFlag[l] {
+			i++
+		}
+		if d.dtFlag[l] {
+			dt++
+		}
+		if d.gp[l] {
+			g++
+		}
+	}
+	if i != d.iBusy || dt != d.dtBusy || g != d.gBusy {
+		return fmt.Errorf("detect: ndm flag counts I/DT/G %d/%d/%d, recount %d/%d/%d",
+			d.iBusy, d.dtBusy, d.gBusy, i, dt, g)
+	}
+	return nil
 }
 
 // RouteFailed implements Detector.
@@ -239,7 +270,16 @@ func (d *NDM) setP(in router.LinkID, msg router.MsgID, reason int64) {
 // is what makes the Figure 5 case work: a stale I flag left by a drained
 // message is reset by the first flit of the next message to use the
 // channel, and that reset promotes the messages waiting on it from P to G.
-func (d *NDM) EndCycle(_ int64, txLinks []router.LinkID, transmitted []bool) {
+func (d *NDM) EndCycle(_ int64, txLinks []router.LinkID, _ []bool) {
+	d.reset(txLinks)
+	// The counter is "only incremented if at least one virtual channel is
+	// occupied", so the busy links cover every counting channel.
+	d.idle.each(txLinks, d.count)
+}
+
+// reset zeroes the counter and clears the flags of every channel a flit
+// crossed this cycle.
+func (d *NDM) reset(txLinks []router.LinkID) {
 	for _, id := range txLinks {
 		l := int(id)
 		if d.iFlag[l] {
@@ -257,25 +297,22 @@ func (d *NDM) EndCycle(_ int64, txLinks []router.LinkID, transmitted []bool) {
 		}
 		d.counter[l] = 0
 	}
-	// The counter is "only incremented if at least one virtual channel is
-	// occupied", so the busy links cover every counting channel.
-	d.busyBuf = busyLinks(d.f, d.busyBuf, d.tr != nil)
-	for _, id := range d.busyBuf {
-		l := int(id)
-		if transmitted[l] || !d.f.IsMonitored(id) {
-			continue // just reset, or an injection link with no counter
-		}
-		d.counter[l]++
-		if d.counter[l] > d.T1 && !d.iFlag[l] {
-			d.iFlag[l] = true
-			d.iBusy++
-			d.tr.Emit(trace.KindISet, router.NilMsg, id, -1, 0, -1)
-		}
-		if d.counter[l] > d.T2 && !d.dtFlag[l] {
-			d.dtFlag[l] = true
-			d.dtBusy++
-			d.tr.Emit(trace.KindDTSet, router.NilMsg, id, -1, 0, -1)
-		}
+}
+
+// count advances idle channel id's inactivity counter by one cycle and
+// raises the flags whose threshold it crosses.
+func (d *NDM) count(id router.LinkID) {
+	l := int(id)
+	d.counter[l]++
+	if d.counter[l] > d.T1 && !d.iFlag[l] {
+		d.iFlag[l] = true
+		d.iBusy++
+		d.tr.Emit(trace.KindISet, router.NilMsg, id, -1, 0, -1)
+	}
+	if d.counter[l] > d.T2 && !d.dtFlag[l] {
+		d.dtFlag[l] = true
+		d.dtBusy++
+		d.tr.Emit(trace.KindDTSet, router.NilMsg, id, -1, 0, -1)
 	}
 }
 

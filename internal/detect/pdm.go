@@ -29,8 +29,8 @@ type PDM struct {
 
 	counter []int64
 	ifFlag  []bool
-	ifBusy  int             // number of links with the inactivity flag set
-	busyBuf []router.LinkID // scratch for EndCycle's busy-link pass
+	ifBusy  int      // number of links with the inactivity flag set
+	idle    idleScan // EndCycle's counting pass
 
 	tr *trace.Recorder // flight recorder; nil-safe
 }
@@ -45,7 +45,7 @@ func NewPDM(f *router.Fabric, threshold int64) *PDM {
 		Threshold: threshold,
 		counter:   make([]int64, f.NumLinks()),
 		ifFlag:    make([]bool, f.NumLinks()),
-		busyBuf:   make([]router.LinkID, 0, f.NumLinks()),
+		idle:      newIdleScan(f),
 	}
 }
 
@@ -55,7 +55,7 @@ func (d *PDM) Name() string { return fmt.Sprintf("pdm(th=%d)", d.Threshold) }
 // Capabilities implements Detector: the same report as NDM's, with the I
 // and G flag classes PDM does not have reading zero.
 func (d *PDM) Capabilities() Capabilities {
-	return Capabilities{SetTracer: d.SetTracer, FlagCounts: d.FlagCounts, AppendState: d.AppendState}
+	return Capabilities{SetTracer: d.SetTracer, FlagCounts: d.FlagCounts, AppendState: d.AppendState, Audit: d.Audit}
 }
 
 // SetTracer attaches the flight recorder. PDM's single inactivity flag is
@@ -90,6 +90,26 @@ func (d *PDM) AppendState(buf []byte, _ int64) []byte {
 	return buf
 }
 
+// Audit is PDM's Capabilities.Audit: on every link the inactivity flag is
+// exactly "counter past the threshold", and the cached count equals a
+// recount.
+func (d *PDM) Audit() error {
+	set := 0
+	for l, c := range d.counter {
+		if d.ifFlag[l] != (c > d.Threshold) {
+			return fmt.Errorf("detect: pdm link %d: counter %d (threshold %d) with IF=%v",
+				l, c, d.Threshold, d.ifFlag[l])
+		}
+		if d.ifFlag[l] {
+			set++
+		}
+	}
+	if set != d.ifBusy {
+		return fmt.Errorf("detect: pdm flag count %d, recount %d", d.ifBusy, set)
+	}
+	return nil
+}
+
 // RouteFailed implements Detector. PDM checks on every unsuccessful
 // attempt, including the first.
 func (d *PDM) RouteFailed(_ *router.Message, _ router.LinkID, outs []router.LinkID, _ bool, _ int64) bool {
@@ -113,7 +133,14 @@ func (d *PDM) VCFreed(router.LinkID) {}
 // consulted while the channel is fully busy, and any occupancy implies a
 // recent transmission that reset it, so the observable behavior is
 // identical.)
-func (d *PDM) EndCycle(_ int64, txLinks []router.LinkID, transmitted []bool) {
+func (d *PDM) EndCycle(_ int64, txLinks []router.LinkID, _ []bool) {
+	d.reset(txLinks)
+	d.idle.each(txLinks, d.count)
+}
+
+// reset zeroes the counter and clears the flag of every channel a flit
+// crossed this cycle.
+func (d *PDM) reset(txLinks []router.LinkID) {
 	for _, id := range txLinks {
 		d.counter[id] = 0
 		if d.ifFlag[id] {
@@ -122,17 +149,16 @@ func (d *PDM) EndCycle(_ int64, txLinks []router.LinkID, transmitted []bool) {
 			d.tr.Emit(trace.KindDTClear, router.NilMsg, id, -1, 0, -1)
 		}
 	}
-	d.busyBuf = busyLinks(d.f, d.busyBuf, d.tr != nil)
-	for _, id := range d.busyBuf {
-		l := int(id)
-		if transmitted[l] || !d.f.IsMonitored(id) {
-			continue
-		}
-		d.counter[l]++
-		if d.counter[l] > d.Threshold && !d.ifFlag[l] {
-			d.ifFlag[l] = true
-			d.ifBusy++
-			d.tr.Emit(trace.KindDTSet, router.NilMsg, id, -1, 0, -1)
-		}
+}
+
+// count advances idle channel id's counter by one cycle and raises its
+// inactivity flag when it crosses the threshold.
+func (d *PDM) count(id router.LinkID) {
+	l := int(id)
+	d.counter[l]++
+	if d.counter[l] > d.Threshold && !d.ifFlag[l] {
+		d.ifFlag[l] = true
+		d.ifBusy++
+		d.tr.Emit(trace.KindDTSet, router.NilMsg, id, -1, 0, -1)
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // verifyPath replays one full choice path and reports the violation it
-// produces (safety/lattice during the replay, liveness/mark-economy from
+// produces (safety during the replay, liveness/mark-economy from
 // the terminal state's probe), or nil if the path is clean. Used by the
 // minimizer to test candidate simplifications.
 func verifyPath(o Options, path [][]uint8) (*Violation, error) {
@@ -23,10 +23,6 @@ func verifyPath(o Options, path [][]uint8) (*Violation, error) {
 	for _, vec := range path {
 		if _, _, err := r.step(vec); err != nil {
 			return &Violation{Kind: "safety", Detail: err.Error(), Path: path, Cycle: r.eng.Now()}, nil
-		}
-		if v := r.checkLattice(); v != nil {
-			v.Path = path
-			return v, nil
 		}
 	}
 	var scratch Result

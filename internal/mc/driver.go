@@ -3,7 +3,6 @@ package mc
 import (
 	"fmt"
 
-	"wormnet/internal/detect"
 	"wormnet/internal/router"
 	"wormnet/internal/sim"
 	"wormnet/internal/topology"
@@ -88,7 +87,7 @@ func (o *Options) newRunner(rec *trace.Recorder) (*runner, error) {
 		Shards:         1,
 		Chooser:        ch,
 		Trace:          rec,
-		Debug:          true, // per-cycle safety checks surface as Step errors
+		Debug:          true, // per-cycle safety checks (detector audit included) surface as Step errors
 	}
 	if rec != nil {
 		// Counterexample emission: run the engine-side oracle sweep every
@@ -173,29 +172,6 @@ func (o *Options) replay(path [][]uint8) (*runner, error) {
 	return r, nil
 }
 
-// checkLattice asserts NDM's flag lattice (DT implies I on every link): the
-// detection-threshold flag can only be set by a counter that already passed
-// the shorter inactivity threshold, and both reset together on
-// transmission. Other mechanisms have no two-level lattice to check.
-func (r *runner) checkLattice() *Violation {
-	d, ok := r.eng.Detector().(*detect.NDM)
-	if !ok {
-		return nil
-	}
-	fab := r.eng.Fabric()
-	for l := 0; l < fab.NumLinks(); l++ {
-		id := router.LinkID(l)
-		if d.DTFlagSet(id) && !d.IFlagSet(id) {
-			return &Violation{
-				Kind:   "flag-lattice",
-				Detail: fmt.Sprintf("link %d: DT set with I clear", l),
-				Cycle:  r.eng.Now(),
-			}
-		}
-	}
-	return nil
-}
-
 // livenessProbe checks the paper's two invariants from the runner's current
 // state. If the global oracle reports a non-empty deadlocked set, the run
 // is continued under the deterministic default schedule (all choices 0,
@@ -220,9 +196,6 @@ func (r *runner) livenessProbe(res *Result) *Violation {
 	for t := 0; t < r.o.Horizon; t++ {
 		if _, _, err := r.step(nil); err != nil {
 			return &Violation{Kind: "safety", Detail: err.Error(), Cycle: r.eng.Now()}
-		}
-		if v := r.checkLattice(); v != nil {
-			return v
 		}
 		cur := r.eng.Stats().TrueMarked
 		d := int(cur - last)

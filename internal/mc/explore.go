@@ -78,11 +78,6 @@ func Check(o Options) (*Result, error) {
 				}
 				return res, nil
 			}
-			if v := r.checkLattice(); v != nil {
-				v.Path = appendPath(n.path, eff)
-				res.Violation = v
-				return res, nil
-			}
 			enc = r.encode(enc[:0])
 			k := hashState(enc)
 			if _, seen := visited[k]; !seen {

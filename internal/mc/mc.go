@@ -4,9 +4,10 @@
 // through its nondeterminism seam (sim.Chooser), and checks the paper's
 // correctness claims at every reachable state:
 //
-//   - safety: the fabric structural invariants, the oracle cross-check and
-//     the sparse-kernel active-set audits (sim.Config.Debug) hold after
-//     every cycle, and NDM's flag lattice stays legal (DT implies I);
+//   - safety: the fabric structural invariants, the oracle cross-check, the
+//     sparse-kernel active-set audits and the detector's own audit
+//     (sim.Config.Debug; detect.Capabilities.Audit — for NDM the flag
+//     lattice, DT implies I, among the rest) hold after every cycle;
 //   - liveness: from every reachable state whose global-oracle deadlocked
 //     set is non-empty, the detector marks and recovery drains the set
 //     within a bounded horizon under the deterministic default schedule;
@@ -118,7 +119,7 @@ func (o *Options) mechanism() sim.Mechanism {
 
 // Violation is one invariant failure, reproducible from its choice path.
 type Violation struct {
-	// Kind is "safety", "flag-lattice", "liveness" or "mark-economy".
+	// Kind is "safety", "liveness" or "mark-economy".
 	Kind string
 	// Detail is a human-readable description of the failure.
 	Detail string

@@ -170,19 +170,27 @@ type Fabric struct {
 
 	// Occupancy acceleration structures, maintained by Allocate and the
 	// release paths, sharded by the owner of each link so that shard
-	// workers mutate disjoint lists. A link (and its VCs) is owned by the
+	// workers mutate disjoint lists and words. A link (and its VCs) is owned by the
 	// shard of Links[l].Dst — the router at whose input its buffers sit.
 	// busy[l] counts occupied VCs of link l; occupied[s] lists every
 	// occupied VC owned by shard s (in no particular order); occIdx[v] is
-	// v's position within its owner's list, or -1. busyLinks[s] lists shard
-	// s's links with busy > 0; busyLinkIdx[l] is l's position within its
-	// owner's list, or -1. An unpartitioned fabric has a single shard
-	// owning everything.
-	busy        []int16
-	occupied    [][]VCID
-	occIdx      []int32
-	busyLinks   [][]LinkID
-	busyLinkIdx []int32
+	// v's position within its owner's list, or -1. An unpartitioned fabric
+	// has a single shard owning everything.
+	busy     []int16
+	occupied [][]VCID
+	occIdx   []int32
+	// busyBits is the busy-link set — links with busy > 0 — as one two-level
+	// bitmap per shard, all in one allocation: shard s's share starts at
+	// s*busyStride and holds busyWords words indexed by LinkID (bit l&63 of
+	// word l>>6) followed by a summary level with one bit per word (set iff
+	// the word is non-zero). A link's bit lives only in its owner's share
+	// and only the owner writes that share, so shard workers never touch the
+	// same word; readers (BusyLinkWords) OR the shares. Word-ascending,
+	// bit-ascending iteration yields LinkID-ascending — canonical — order
+	// for every partition.
+	busyBits   []uint64
+	busyWords  int
+	busyStride int
 	// delOccBits[s] is shard s's occupied-delivery-VC bitmap (a subset of
 	// occupied[s], kept separately so the drain stage touches only delivery
 	// traffic). Delivery VCs are numbered contiguously in link order
@@ -286,14 +294,12 @@ func NewFabric(t *topology.Torus, cfg Config) (*Fabric, error) {
 	for i := range f.occIdx {
 		f.occIdx[i] = -1
 	}
-	f.busyLinkIdx = make([]int32, total)
-	for i := range f.busyLinkIdx {
-		f.busyLinkIdx[i] = -1
-	}
 	f.failed = make([]bool, total)
 	f.shardOf = make([]int32, total)
 	f.occupied = make([][]VCID, 1)
-	f.busyLinks = make([][]LinkID, 1)
+	f.busyWords = (total + 63) >> 6
+	f.busyStride = f.busyWords + (f.busyWords+63)>>6
+	f.busyBits = make([]uint64, f.busyStride)
 	f.firstDelVC = f.Links[f.delBase].FirstVC
 	f.delOccBits = [][]uint64{make([]uint64, (nodes*cfg.DelPorts+63)/64)}
 	f.delLo = []int32{0}
@@ -316,7 +322,9 @@ func (f *Fabric) SetPartition(p topology.Partition) {
 		f.shardOf[l] = int32(p.Of(int(f.Links[l].Dst)))
 	}
 	f.occupied = make([][]VCID, n)
-	f.busyLinks = make([][]LinkID, n)
+	if len(f.busyBits) != n*f.busyStride {
+		f.busyBits = make([]uint64, n*f.busyStride)
+	}
 	f.delOccBits = make([][]uint64, n)
 	f.delLo = make([]int32, n)
 	dp := f.Cfg.DelPorts
@@ -378,8 +386,10 @@ func (f *Fabric) addOccupied(vc VCID) {
 	f.gens[s]++
 	f.busy[l]++
 	if f.busy[l] == 1 {
-		f.busyLinkIdx[l] = int32(len(f.busyLinks[s]))
-		f.busyLinks[s] = append(f.busyLinks[s], l)
+		share := f.busyBits[int(s)*f.busyStride:]
+		w := int(l) >> 6
+		share[w] |= 1 << (l & 63)
+		share[f.busyWords+w>>6] |= 1 << (w & 63)
 	}
 	f.occIdx[vc] = int32(len(f.occupied[s]))
 	f.occupied[s] = append(f.occupied[s], vc)
@@ -396,13 +406,12 @@ func (f *Fabric) removeOccupied(vc VCID) {
 	f.gens[s]++
 	f.busy[l]--
 	if f.busy[l] == 0 {
-		bl := f.busyLinks[s]
-		idx := f.busyLinkIdx[l]
-		last := bl[len(bl)-1]
-		bl[idx] = last
-		f.busyLinkIdx[last] = idx
-		f.busyLinks[s] = bl[:len(bl)-1]
-		f.busyLinkIdx[l] = -1
+		share := f.busyBits[int(s)*f.busyStride:]
+		w := int(l) >> 6
+		share[w] &^= 1 << (l & 63)
+		if share[w] == 0 {
+			share[f.busyWords+w>>6] &^= 1 << (w & 63)
+		}
 	}
 	oc := f.occupied[s]
 	idx := f.occIdx[vc]
@@ -422,10 +431,44 @@ func (f *Fabric) removeOccupied(vc VCID) {
 // mutate it, and any Allocate or release within the shard invalidates it.
 func (f *Fabric) OccupiedShard(s int) []VCID { return f.occupied[s] }
 
-// BusyLinksShard returns shard s's physical channels with at least one
-// occupied VC, in no particular order, under the same ownership rules as
-// OccupiedShard.
-func (f *Fabric) BusyLinksShard(s int) []LinkID { return f.busyLinks[s] }
+// BusyLinkWords iterates the busy-link set — physical channels with at least
+// one occupied VC — one non-empty 64-link word at a time, in ascending order.
+// It reads the fabric's bitmap in place: an Allocate or release between two
+// Next calls may or may not be seen.
+type BusyLinkWords struct {
+	f   *Fabric
+	si  int    // summary words consumed so far
+	sum uint64 // unvisited bits of summary word si-1
+}
+
+// BusyLinkWords starts an iteration over the busy-link set.
+func (f *Fabric) BusyLinkWords() BusyLinkWords { return BusyLinkWords{f: f} }
+
+// Next returns the next non-empty word of the busy-link bitmap: bit b of
+// word is link w<<6 + b. ok is false once the set is exhausted.
+func (it *BusyLinkWords) Next() (w int, word uint64, ok bool) {
+	f := it.f
+	for it.sum == 0 {
+		if f.busyWords+it.si == f.busyStride {
+			return 0, 0, false
+		}
+		it.sum = f.busyOr(f.busyWords + it.si)
+		it.si++
+	}
+	w = (it.si-1)<<6 + bits.TrailingZeros64(it.sum)
+	it.sum &= it.sum - 1
+	return w, f.busyOr(w), true
+}
+
+// busyOr ORs the shards' copies of word i of the busy-link bitmap (a word
+// of either level: i indexes a shard's share).
+func (f *Fabric) busyOr(i int) uint64 {
+	w := f.busyBits[i]
+	for i += f.busyStride; i < len(f.busyBits); i += f.busyStride {
+		w |= f.busyBits[i]
+	}
+	return w
+}
 
 // DeliveryOccBitsShard returns shard s's occupied-delivery-VC bitmap: bit i
 // is delivery VC DeliveryShardBase(s) + i. Word-ascending, bit-ascending
@@ -451,10 +494,13 @@ func (f *Fabric) NumOccupied() int {
 // one occupied VC.
 func (f *Fabric) NumBusyLinks() int {
 	n := 0
-	for s := range f.busyLinks {
-		n += len(f.busyLinks[s])
+	for it := f.BusyLinkWords(); ; {
+		_, word, ok := it.Next()
+		if !ok {
+			return n
+		}
+		n += bits.OnesCount64(word)
 	}
-	return n
 }
 
 // NumLinks returns the total number of physical channels.
@@ -747,6 +793,29 @@ func (f *Fabric) CheckInvariants() error {
 	for l := range busy {
 		if busy[l] != f.busy[l] {
 			return fmt.Errorf("router: link %d busy count %d, recount %d", l, f.busy[l], busy[l])
+		}
+	}
+	// Both levels of every shard's busy-link bitmap, a word at a time: a
+	// link's bit is set exactly in its owner's share and exactly while it has
+	// an occupied VC, and a summary bit mirrors its word.
+	for s := range f.occupied {
+		share := f.busyBits[s*f.busyStride:]
+		for w := 0; w < f.busyWords; w++ {
+			var want uint64
+			for l := w << 6; l < min(w<<6+64, len(f.Links)); l++ {
+				if busy[l] > 0 && int(f.shardOf[l]) == s {
+					want |= 1 << (l & 63)
+				}
+			}
+			if got := share[w]; got != want {
+				l := w<<6 + bits.TrailingZeros64(got^want)
+				return fmt.Errorf("router: link %d (owner shard %d, %d busy VCs) has busy-link bit %d in shard %d's bitmap",
+					l, f.shardOf[l], busy[l], got>>(l&63)&1, s)
+			}
+			if sum := share[f.busyWords+w>>6] >> (w & 63) & 1; (sum != 0) != (want != 0) {
+				return fmt.Errorf("router: shard %d's busy-link summary bit for links %d..%d is %d, their word is %#x",
+					s, w<<6, w<<6+63, sum, want)
+			}
 		}
 	}
 	delOcc := 0

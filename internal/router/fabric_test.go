@@ -1,6 +1,8 @@
 package router
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"wormnet/internal/rng"
@@ -339,6 +341,79 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	f.VCs[0].Flits = 1 // free VC with flits
 	if err := f.CheckInvariants(); err == nil {
 		t.Fatal("corruption not detected")
+	}
+}
+
+// TestBusyLinkWords drives the two-level busy-link bitmap on a fabric large
+// enough for two summary words (7168 links, 112 words), unpartitioned and
+// over four shards: links at both ends of a word, of a summary word and of
+// the fabric come back in ascending order and leave no bit behind.
+func TestBusyLinkWords(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		f := testFabric(t, 8, 3)
+		f.SetPartition(topology.NewPartition(f.Topo.Nodes(), shards))
+		last := LinkID(f.NumLinks() - 1)
+		var held []*Message
+		for _, l := range []LinkID{last, 4096, 0, 64, 4095, 63, 1000} {
+			m := f.NewMessage(0, 1, 4, 0)
+			f.Allocate(m, NilVC, f.FreeVC(l))
+			held = append(held, m)
+			checkBusyLinkWords(t, f)
+		}
+		// A second VC on a busy link and its release leave the bit alone.
+		m := f.NewMessage(0, 1, 4, 0)
+		f.Allocate(m, NilVC, f.FreeVC(64))
+		f.ReleaseWorm(m)
+		checkBusyLinkWords(t, f)
+		if n := f.NumBusyLinks(); n != 7 {
+			t.Fatalf("shards=%d: NumBusyLinks = %d, want 7", shards, n)
+		}
+		for _, m := range held {
+			f.ReleaseWorm(m)
+			checkBusyLinkWords(t, f)
+			if err := f.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := f.NumBusyLinks(); n != 0 {
+			t.Fatalf("shards=%d: %d links busy after releasing everything", shards, n)
+		}
+	}
+}
+
+// TestCheckInvariantsBusyLinkBitmap flips one bit at each level of the
+// busy-link bitmap — set and clear, in the owner's share and in another
+// shard's — and expects CheckInvariants to name the link.
+func TestCheckInvariantsBusyLinkBitmap(t *testing.T) {
+	f := testFabric(t, 4, 2)
+	f.SetPartition(topology.NewPartition(f.Topo.Nodes(), 2))
+	busy, idle := f.NetLink(9, 1), f.NetLink(2, 0) // words 0 and 0; link 37 and link 8
+	f.Allocate(f.NewMessage(0, 5, 4, 0), NilVC, f.FreeVC(busy))
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	owner, other := f.ShardOfLink(busy), 1-f.ShardOfLink(busy)
+	for _, tc := range []struct {
+		name string
+		word int // index into busyBits
+		bit  uint
+		want string
+	}{
+		{"busy link's bit cleared", owner * f.busyStride, uint(busy), fmt.Sprintf("link %d ", busy)},
+		{"busy link's bit set in the other shard", other * f.busyStride, uint(busy), fmt.Sprintf("link %d ", busy)},
+		{"idle link's bit set", f.ShardOfLink(idle) * f.busyStride, uint(idle), fmt.Sprintf("link %d ", idle)},
+		{"summary bit cleared", owner*f.busyStride + f.busyWords, 0, "links 0..63"},
+		{"summary bit set over an empty word", other*f.busyStride + f.busyWords, 1, "links 64..127"},
+	} {
+		f.busyBits[tc.word] ^= 1 << tc.bit
+		err := f.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckInvariants = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+		f.busyBits[tc.word] ^= 1 << tc.bit
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatalf("after restoring every bit: %v", err)
 	}
 }
 

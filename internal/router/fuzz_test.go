@@ -1,6 +1,8 @@
 package router
 
 import (
+	"fmt"
+	"math/bits"
 	"testing"
 
 	"wormnet/internal/rng"
@@ -11,12 +13,21 @@ import (
 // legal operations (allocate worms hop by hop, move flits, feed flits,
 // drain heads, kill worms) and checks the structural invariants after
 // every step. This is the safety net under the engine: any sequence of
-// legal primitive operations must keep the fabric consistent.
+// legal primitive operations must keep the fabric consistent. It runs
+// unpartitioned and over three occupancy shards, where the busy-link bitmap
+// is read as the OR of the shards' shares.
 func TestFabricOperationFuzz(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { fabricOperationFuzz(t, shards) })
+	}
+}
+
+func fabricOperationFuzz(t *testing.T, shards int) {
 	f, err := NewFabric(topology.New(4, 2), Config{VCsPerLink: 2, BufFlits: 4, InjPorts: 2, DelPorts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.SetPartition(topology.NewPartition(f.Topo.Nodes(), shards))
 	r := rng.New(20260704)
 
 	type worm struct {
@@ -167,6 +178,7 @@ func TestFabricOperationFuzz(t *testing.T) {
 			if err := f.CheckInvariants(); err != nil {
 				t.Fatalf("step %d (op %d): %v", step, lastOp, err)
 			}
+			checkBusyLinkWords(t, f)
 		}
 	}
 	// Final teardown: kill everything; fabric must return to pristine.
@@ -182,5 +194,37 @@ func TestFabricOperationFuzz(t *testing.T) {
 	}
 	if got := f.NumBusyLinks(); got != 0 {
 		t.Fatalf("%d links still busy after teardown", got)
+	}
+}
+
+// checkBusyLinkWords holds the busy-link iterator to a link-by-link recount:
+// it must yield exactly the links with an occupied VC, ascending, never an
+// empty word, and NumBusyLinks must agree.
+func checkBusyLinkWords(t *testing.T, f *Fabric) {
+	t.Helper()
+	var got []LinkID
+	for it := f.BusyLinkWords(); ; {
+		w, word, ok := it.Next()
+		if !ok {
+			break
+		}
+		if word == 0 {
+			t.Fatalf("iterator yielded empty word %d", w)
+		}
+		for ; word != 0; word &= word - 1 {
+			got = append(got, LinkID(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	var want []LinkID
+	for l := range f.Links {
+		if f.BusyVCs(LinkID(l)) > 0 {
+			want = append(want, LinkID(l))
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("busy links %v, recount %v", got, want)
+	}
+	if n := f.NumBusyLinks(); n != len(want) {
+		t.Fatalf("NumBusyLinks = %d, recount %d", n, len(want))
 	}
 }

@@ -125,7 +125,8 @@ type Config struct {
 
 	// Debug enables per-cycle fabric invariant checking and active-set
 	// auditing (slow): every active-set list is cross-checked against a
-	// full rescan each cycle.
+	// full rescan each cycle, and the detector's own audit
+	// (detect.Capabilities.Audit) must pass.
 	Debug bool
 
 	// RetainMessages keeps delivered messages allocated instead of

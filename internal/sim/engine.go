@@ -514,6 +514,11 @@ func (e *Engine) Step() error {
 		if err := e.auditRouteMemos(); err != nil {
 			return fmt.Errorf("cycle %d: %w", e.now, err)
 		}
+		if e.caps.Audit != nil {
+			if err := e.caps.Audit(); err != nil {
+				return fmt.Errorf("cycle %d: %w", e.now, err)
+			}
+		}
 	}
 	if e.measuring {
 		// One measured cycle actually executed; Run reports the total, so

@@ -64,8 +64,14 @@ func (e *Engine) ProbeMetrics(s *metrics.Sample) {
 				delVCs++
 			}
 		}
-		for _, l := range fab.BusyLinksShard(sh) {
-			link := &fab.Links[l]
+	}
+	for it := fab.BusyLinkWords(); ; {
+		w, word, ok := it.Next()
+		if !ok {
+			break
+		}
+		for ; word != 0; word &= word - 1 {
+			link := &fab.Links[w<<6+bits.TrailingZeros64(word)]
 			if link.Kind == router.NetworkLink {
 				if d := link.Dir.Dim(); d < len(s.DimLinks) {
 					s.DimLinks[d]++
