@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check benchmark-check bench-gate smoke golden-gate shard-smoke trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex conformance-fuzz-seeds shootout profile clean
+.PHONY: all build test race vet fmt-check benchmark-check bench-gate smoke golden-gate shard-smoke trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex conformance-fuzz-seeds fuzz-restore-seeds fuzz-restore shootout profile clean
 
 all: vet fmt-check test
 
@@ -197,6 +197,22 @@ conformance-fuzz-seeds: build
 	/tmp/wormnet-mcheck -k 3 -mech cmh -script face -window 1 \
 		-emit-fuzz-seeds internal/probe/testdata/fuzz/FuzzProbeDigest -seeds 12
 	@echo "conformance-fuzz-seeds: corpora regenerated"
+
+# Regenerate the FuzzRestore corpus (engine snapshots from the equivalence
+# gate's configurations) after a change to the snapshot format or to the
+# configuration fingerprint; TestRestoreCorpusIsCurrent fails until then.
+fuzz-restore-seeds:
+	$(GO) test ./internal/sim -run TestRestoreCorpusIsCurrent -update-restore-corpus
+	@echo "fuzz-restore-seeds: internal/sim/testdata/fuzz/FuzzRestore regenerated"
+
+# Twenty seconds of FuzzRestore: mutated engine snapshots must be refused with
+# an error or restore to an engine that passes every Debug audit and steps on
+# — never a panic, never an allocation out of proportion to the input. The
+# committed seeds alone run in the normal `go test`. (-fuzzminimizetime keeps a
+# find from spending a minute shrinking a snapshot-sized input.)
+fuzz-restore:
+	$(GO) test ./internal/sim -run NONE -fuzz FuzzRestore -fuzztime 20s -fuzzminimizetime 5s
+	@echo "fuzz-restore: no snapshot mutation panicked"
 
 # Metrics smoke: scrape a live run's /metrics, /status and /debug/pprof,
 # check that an emitted time series parses back through metricsview, and

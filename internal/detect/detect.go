@@ -23,6 +23,7 @@ import (
 	"math/bits"
 
 	"wormnet/internal/router"
+	"wormnet/internal/snap"
 	"wormnet/internal/topology"
 	"wormnet/internal/trace"
 )
@@ -106,6 +107,19 @@ type Capabilities struct {
 	// per-cycle Config.Debug audits, and the model checker asserts it in
 	// every state it explores.
 	Audit func() error
+	// Snapshot appends everything the mechanism would need to carry on from
+	// this cycle boundary exactly as it would have — the exact state, not
+	// AppendState's clamped canonical form — to dst, and Restore replaces the
+	// mechanism's state with such bytes (sim.Engine.Snapshot and Restore).
+	// Redundant state (flags a counter implies, cached counts, dense indexes)
+	// is rebuilt by Restore rather than read, so bytes that decode at all
+	// decode to a state Audit accepts; input that is truncated or names a
+	// link, channel or message outside the fabric is an error, never a panic.
+	// A mechanism sets both fields or neither. Leaving them nil declares it
+	// stateless: every decision is a function of the event's arguments and
+	// the fabric (None, the crude timeouts).
+	Snapshot func(dst []byte) []byte
+	Restore  func(src []byte) error
 }
 
 // ProbeTotals is a snapshot of the cumulative control-message activity of a
@@ -145,8 +159,10 @@ func (t ProbeTotals) Sub(prev ProbeTotals) ProbeTotals {
 }
 
 // passive supplies the events and the (empty) capability report of
-// mechanisms that keep no channel state: None and the crude timeouts embed
-// it and define only Name and RouteFailed.
+// mechanisms that keep no state at all: None and the crude timeouts embed
+// it and define only Name and RouteFailed. They are stateless by contract —
+// a timeout reads the timers the engine keeps on the message — so the empty
+// report's nil Snapshot and Restore are exact.
 type passive struct{}
 
 func (passive) RouteSucceeded(*router.Message, router.LinkID) {}
@@ -215,6 +231,18 @@ func (s *idleScan) each(txLinks []router.LinkID, count func(router.LinkID)) {
 	}
 	for _, l := range txLinks {
 		s.tx[l>>6] = 0
+	}
+}
+
+// restoreCounters is the shared first step of NDM's and PDM's Restore: one
+// non-negative inactivity counter per link.
+func restoreCounters(r *snap.Reader, counter []int64) {
+	r.I64s(counter)
+	for l, c := range counter {
+		if c < 0 {
+			r.Failf("detect: snapshot holds inactivity count %d for link %d", c, l)
+			return
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package detect_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -554,5 +555,70 @@ func TestTimeoutDetectorNoOps(t *testing.T) {
 			t.Error("empty name")
 		}
 		assertCaps(t, d, false, false, false, false, false)
+	}
+}
+
+// TestSnapshotRebuildsFlags: NDM's and PDM's snapshots hold counters (and G/P
+// flags) only; Restore re-derives the inactivity flags and the flag counts,
+// so the restored detector passes its own audit, reports the same state and
+// then counts on like the original. Truncated, overlong and negative-counter
+// input is refused.
+func TestSnapshotRebuildsFlags(t *testing.T) {
+	build := map[string]func(f *router.Fabric) detect.Detector{
+		"ndm": func(f *router.Fabric) detect.Detector { return detect.NewNDM(f, 6) },
+		"pdm": func(f *router.Fabric) detect.Detector { return detect.NewPDM(f, 6) },
+	}
+	for name, mk := range build {
+		f := ringFabric(t)
+		a := mk(f)
+		blocked := occupy(t, f, 2, 6)
+		occupy(t, f, 3, 7)
+		for now := int64(0); now < 9; now++ {
+			if now == 1 {
+				// First failed attempt with link 3 still active: G on link 2 (NDM).
+				a.RouteFailed(blocked, 2, []router.LinkID{3}, true, now)
+			}
+			if now < 5 {
+				tick(a, now, f) // both occupied links idle
+			} else {
+				tick(a, now, f, 2) // link 2 transmits, link 3 passes t2
+			}
+		}
+		caps := a.Capabilities()
+		b := mk(f)
+		snapBytes := caps.Snapshot(nil)
+		if err := b.Capabilities().Restore(snapBytes); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := b.Capabilities().Audit(); err != nil {
+			t.Fatalf("%s: restored detector fails its audit: %v", name, err)
+		}
+		ai, adt, ag := caps.FlagCounts()
+		bi, bdt, bg := b.Capabilities().FlagCounts()
+		if ai != bi || adt != bdt || ag != bg || adt == 0 {
+			t.Errorf("%s: flag counts %d/%d/%d, original %d/%d/%d", name, bi, bdt, bg, ai, adt, ag)
+		}
+		for now := int64(9); now < 20; now++ {
+			tick(a, now, f, 3)
+			tick(b, now, f, 3)
+			if !bytes.Equal(b.Capabilities().Snapshot(nil), caps.Snapshot(nil)) {
+				t.Fatalf("%s: cycle %d: restored detector diverged", name, now)
+			}
+		}
+		for what, in := range map[string][]byte{
+			"truncated":        snapBytes[:len(snapBytes)-1],
+			"trailing byte":    append(bytes.Clone(snapBytes), 0),
+			"negative counter": append([]byte{0, 0, 0, 0, 0, 0, 0, 0x80}, snapBytes[8:]...),
+		} {
+			if err := mk(f).Capabilities().Restore(in); err == nil {
+				t.Errorf("%s: %s snapshot accepted", name, what)
+			}
+		}
+	}
+	// Mechanisms without state declare it by leaving both fields nil.
+	for _, d := range []detect.Detector{detect.None{}, detect.NewSourceAgeTimeout(8), detect.NewSourceStallTimeout(8), detect.NewHeaderBlockTimeout(8)} {
+		if c := d.Capabilities(); c.Snapshot != nil || c.Restore != nil {
+			t.Errorf("%s reports snapshot capabilities", d.Name())
+		}
 	}
 }

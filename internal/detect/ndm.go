@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"wormnet/internal/router"
+	"wormnet/internal/snap"
 	"wormnet/internal/trace"
 )
 
@@ -107,9 +108,10 @@ func (d *NDM) Name() string {
 }
 
 // Capabilities implements Detector: NDM traces its flag transitions,
-// reports all three flag classes and is encodable.
+// reports all three flag classes, is encodable and snapshots its state.
 func (d *NDM) Capabilities() Capabilities {
-	return Capabilities{SetTracer: d.SetTracer, FlagCounts: d.FlagCounts, AppendState: d.AppendState, Audit: d.Audit}
+	return Capabilities{SetTracer: d.SetTracer, FlagCounts: d.FlagCounts, AppendState: d.AppendState,
+		Audit: d.Audit, Snapshot: d.Snapshot, Restore: d.Restore}
 }
 
 // SetTracer reports flag transitions to tr (see Capabilities.SetTracer).
@@ -155,6 +157,48 @@ func (d *NDM) AppendState(buf []byte, _ int64) []byte {
 		buf = append(buf, byte(c), byte(c>>8), bits)
 	}
 	return buf
+}
+
+// Snapshot is NDM's Capabilities.Snapshot: per link, the exact inactivity
+// counter and the G/P flag. The I and DT flags are the counter compared with
+// t1 and t2 (Audit's invariant), so they are not written.
+func (d *NDM) Snapshot(dst []byte) []byte {
+	dst = snap.I64s(dst, d.counter)
+	for _, g := range d.gp {
+		dst = snap.Bool(dst, g)
+	}
+	return dst
+}
+
+// Restore is NDM's Capabilities.Restore: counters and G/P flags are read, the
+// I and DT flags and the three flag counts are re-derived from them.
+func (d *NDM) Restore(src []byte) error {
+	r := snap.NewReader(src)
+	restoreCounters(&r, d.counter)
+	gp := r.Bytes(len(d.gp))
+	if gp == nil {
+		return r.Err()
+	}
+	d.iBusy, d.dtBusy, d.gBusy = 0, 0, 0
+	for l, c := range d.counter {
+		d.iFlag[l], d.dtFlag[l] = c > d.T1, c > d.T2
+		if gp[l] > 1 {
+			r.Failf("detect: snapshot holds G/P flag byte %d for link %d", gp[l], l)
+		}
+		d.gp[l] = gp[l] == 1
+		d.iBusy += count01(d.iFlag[l])
+		d.dtBusy += count01(d.dtFlag[l])
+		d.gBusy += count01(d.gp[l])
+	}
+	return r.Done()
+}
+
+// count01 is 1 for a set flag.
+func count01(set bool) int {
+	if set {
+		return 1
+	}
+	return 0
 }
 
 // Audit is NDM's Capabilities.Audit: on every link the flag lattice holds (DT

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"wormnet/internal/router"
+	"wormnet/internal/snap"
 	"wormnet/internal/trace"
 )
 
@@ -55,7 +56,8 @@ func (d *PDM) Name() string { return fmt.Sprintf("pdm(th=%d)", d.Threshold) }
 // Capabilities implements Detector: the same report as NDM's, with the I
 // and G flag classes PDM does not have reading zero.
 func (d *PDM) Capabilities() Capabilities {
-	return Capabilities{SetTracer: d.SetTracer, FlagCounts: d.FlagCounts, AppendState: d.AppendState, Audit: d.Audit}
+	return Capabilities{SetTracer: d.SetTracer, FlagCounts: d.FlagCounts, AppendState: d.AppendState,
+		Audit: d.Audit, Snapshot: d.Snapshot, Restore: d.Restore}
 }
 
 // SetTracer attaches the flight recorder. PDM's single inactivity flag is
@@ -88,6 +90,26 @@ func (d *PDM) AppendState(buf []byte, _ int64) []byte {
 		buf = append(buf, byte(c), byte(c>>8), bit)
 	}
 	return buf
+}
+
+// Snapshot is PDM's Capabilities.Snapshot: the exact inactivity counter of
+// every link. The inactivity flag is the counter compared with the threshold
+// (Audit's invariant), so it is not written.
+func (d *PDM) Snapshot(dst []byte) []byte {
+	return snap.I64s(dst, d.counter)
+}
+
+// Restore is PDM's Capabilities.Restore: counters are read, the flags and
+// their count re-derived.
+func (d *PDM) Restore(src []byte) error {
+	r := snap.NewReader(src)
+	restoreCounters(&r, d.counter)
+	d.ifBusy = 0
+	for l, c := range d.counter {
+		d.ifFlag[l] = c > d.Threshold
+		d.ifBusy += count01(d.ifFlag[l])
+	}
+	return r.Done()
 }
 
 // Audit is PDM's Capabilities.Audit: on every link the inactivity flag is

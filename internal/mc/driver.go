@@ -21,8 +21,14 @@ type chooser struct {
 	arity []uint8
 }
 
-// Choose implements sim.Chooser.
-func (c *chooser) Choose(_ sim.ChoicePoint, n int) int {
+// Choose implements sim.Chooser. Arities and choices are recorded in one byte
+// each; a decision point wider than that would alias with a narrower one, so
+// it is refused. applyDefaults bounds the fabric so that the engine never
+// offers one: reaching the panic means that bound is wrong.
+func (c *chooser) Choose(p sim.ChoicePoint, n int) int {
+	if n > maxByte {
+		panic(fmt.Sprintf("mc: %s decision with %d options; choice vectors hold at most %d", p, n, maxByte))
+	}
 	c.arity = append(c.arity, uint8(n))
 	var v int
 	if c.pos < len(c.path) {
@@ -35,10 +41,10 @@ func (c *chooser) Choose(_ sim.ChoicePoint, n int) int {
 	return v
 }
 
-// runner owns one engine instance and replays choice sequences against it.
-// Runners are disposable: exploration builds one per leaf and replays the
-// leaf's prefix from the initial state (the engine is not snapshottable, but
-// tiny fabrics make replay cheap).
+// runner owns one engine instance and steps choice vectors against it. Check
+// builds one for its whole exploration and moves it between states with
+// snapshot and restore; the counterexample tools (cex.go) and the replay
+// reference build one per path and step it from the initial state.
 type runner struct {
 	o   *Options
 	eng *sim.Engine
@@ -155,21 +161,54 @@ func (r *runner) step(trial []uint8) (eff, arity []uint8, err error) {
 	return eff, arity, nil
 }
 
+// stepPath steps the given per-cycle choice vectors in order. Prefixes
+// explored before must step cleanly; an error here means the engine lost
+// determinism and the whole check is invalid.
+func (r *runner) stepPath(path [][]uint8) error {
+	for i, vec := range path {
+		if _, _, err := r.step(vec); err != nil {
+			return fmt.Errorf("mc: prefix replay diverged at cycle %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // replay builds a fresh runner and replays the given per-cycle choice
-// vectors from the initial state. Prefixes explored before must replay
-// cleanly; an error here means the engine lost determinism and the whole
-// check is invalid.
+// vectors from the initial state: the definition of "the state a path
+// reaches". Check gets there by snapshot and restore instead, and the
+// differential test holds it to this (mc_test.go).
 func (o *Options) replay(path [][]uint8) (*runner, error) {
 	r, err := o.newRunner(nil)
 	if err != nil {
 		return nil, err
 	}
-	for i, vec := range path {
-		if _, _, err := r.step(vec); err != nil {
-			return nil, fmt.Errorf("mc: prefix replay diverged at cycle %d: %w", i, err)
-		}
+	return r, r.stepPath(path)
+}
+
+// snapshot appends the runner's exact state to dst: the engine's snapshot,
+// then the script position and every remaining deferral budget, one byte each
+// (applyDefaults keeps both within a byte).
+func (r *runner) snapshot(dst []byte) []byte {
+	dst = r.eng.Snapshot(dst)
+	dst = append(dst, byte(r.scriptIdx))
+	for _, b := range r.budget {
+		dst = append(dst, byte(b))
 	}
-	return r, nil
+	return dst
+}
+
+// restore returns the runner to a state its snapshot method wrote.
+func (r *runner) restore(src []byte) error {
+	own := 1 + len(r.budget)
+	if len(src) < own {
+		return fmt.Errorf("mc: runner snapshot of %d bytes", len(src))
+	}
+	tail := src[len(src)-own:]
+	r.scriptIdx = int(tail[0])
+	for i := range r.budget {
+		r.budget[i] = int(tail[1+i])
+	}
+	return r.eng.Restore(src[:len(src)-own])
 }
 
 // livenessProbe checks the paper's two invariants from the runner's current

@@ -3,11 +3,13 @@ package mc
 import (
 	"fmt"
 	"slices"
+	"time"
 )
 
 // node is one frontier entry: the per-cycle choice vectors that reach its
-// state from the initial state. Depth is len(path); the state itself is
-// reconstructed by replay (the engine is deterministic under a recorded
+// state from the initial state. Depth is len(path). The frontier keeps paths,
+// not snapshots — a path is a few bytes a cycle — and Check rebuilds a node's
+// state when it is dequeued (the engine is deterministic under a recorded
 // choice sequence).
 type node struct {
 	path [][]uint8
@@ -16,25 +18,40 @@ type node struct {
 // Check exhaustively explores the reachable state space of the configured
 // fabric and workload, breadth-first over cycle boundaries, and reports the
 // first (cycle-minimal) invariant violation, if any.
+//
+// One runner — one engine — serves the whole exploration. A dequeued node's
+// state is rebuilt once, by restoring the root snapshot and stepping the
+// node's path, and snapshotted; every decision vector of the next cycle is
+// then one restore of that snapshot plus one step, however deep the node is.
 func Check(o Options) (*Result, error) {
+	res, _, err := explore(o)
+	return res, err
+}
+
+// explore is Check, also returning the visited set (the differential test
+// compares it with the replay reference's).
+func explore(o Options) (*Result, map[key]struct{}, error) {
 	if err := o.applyDefaults(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res := &Result{Mechanism: o.Mechanism}
 	visited := make(map[key]struct{})
 	var queue []node
 
 	// Root state: cycle 0, nothing injected yet.
-	root, err := o.replay(nil)
+	r, err := o.newRunner(nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	visited[hashState(root.encode(nil))] = struct{}{}
+	visited[hashState(r.encode(nil))] = struct{}{}
 	res.States = 1
 	queue = append(queue, node{})
 
-	var enc []byte
+	// rootSnap is taken at the first expansion, not here: a check that stops
+	// at its root state (MaxStates 1, MaxDepth reached at once) never needs it.
+	var rootSnap, parentSnap, enc []byte
 	capped := false
+	progress := newProgress(&o, res)
 	// Sample every 31st new state so fuzz seeds spread across depths
 	// instead of clustering at the shallow frontier (the second state —
 	// the first real step — is always included).
@@ -57,15 +74,26 @@ func Check(o Options) (*Result, error) {
 			capped = true
 			break
 		}
+		if rootSnap == nil {
+			rootSnap = r.snapshot(nil) // the runner has not moved yet
+		}
+		if err := r.restore(rootSnap); err != nil {
+			return nil, nil, err
+		}
+		if err := r.stepPath(n.path); err != nil {
+			return nil, nil, err
+		}
+		parentSnap = r.snapshot(parentSnap[:0])
 		// Enumerate every decision vector of the next cycle: run with a
 		// trial prefix (defaults beyond it), observe the branching
 		// structure actually traversed, then advance the trial like an
 		// odometer with per-position arities.
 		var trial []uint8
 		for {
-			r, err := o.replay(n.path)
-			if err != nil {
-				return nil, err
+			// Each trial starts from the parent: the previous one stepped the
+			// runner, and its liveness probe may have run it on for a horizon.
+			if err := r.restore(parentSnap); err != nil {
+				return nil, nil, err
 			}
 			eff, arity, err := r.step(trial)
 			res.Leaves++
@@ -76,7 +104,7 @@ func Check(o Options) (*Result, error) {
 					Path:   appendPath(n.path, slices.Clone(trial)),
 					Cycle:  r.eng.Now(),
 				}
-				return res, nil
+				return res, visited, nil
 			}
 			enc = r.encode(enc[:0])
 			k := hashState(enc)
@@ -92,12 +120,11 @@ func Check(o Options) (*Result, error) {
 				if v := r.livenessProbe(res); v != nil {
 					v.Path = childPath
 					res.Violation = v
-					return res, nil
+					return res, visited, nil
 				}
 				queue = append(queue, node{path: childPath})
-				if o.Log != nil && res.States%50000 == 0 {
-					fmt.Fprintf(o.Log, "mc: %s: %d states, %d leaves, depth %d, %d deadlocked\n",
-						o.Mechanism, res.States, res.Leaves, res.Depth, res.DeadlockStates)
+				if res.States%50000 == 0 {
+					progress.line(len(queue) - head - 1)
 				}
 			}
 			if trial = nextTrial(eff, arity); trial == nil {
@@ -106,7 +133,39 @@ func Check(o Options) (*Result, error) {
 		}
 	}
 	res.Complete = !capped
-	return res, nil
+	return res, visited, nil
+}
+
+// progress writes Options.Log's one-line reports: the totals, and the rates
+// since the previous line — states per second, and the dedup hit rate, the
+// share of explored interleavings that led to a state already visited
+// (1 - new states / leaves).
+type progress struct {
+	o              *Options
+	res            *Result
+	at             time.Time
+	states, leaves int
+}
+
+func newProgress(o *Options, res *Result) *progress {
+	if o.Log == nil {
+		return nil
+	}
+	return &progress{o: o, res: res, at: time.Now(), states: res.States}
+}
+
+// line reports the exploration's progress with the given frontier length. A
+// nil progress (no Options.Log) reports nothing.
+func (p *progress) line(frontier int) {
+	if p == nil {
+		return
+	}
+	now := time.Now()
+	states, leaves := p.res.States-p.states, p.res.Leaves-p.leaves
+	fmt.Fprintf(p.o.Log, "mc: %s: %d states, %d leaves, depth %d, %d deadlocked, %.0f states/s, dedup %.1f%%, frontier %d\n",
+		p.o.Mechanism, p.res.States, p.res.Leaves, p.res.Depth, p.res.DeadlockStates,
+		float64(states)/now.Sub(p.at).Seconds(), 100*(1-float64(states)/float64(leaves)), frontier)
+	p.at, p.states, p.leaves = now, p.res.States, p.res.Leaves
 }
 
 // appendPath clones the prefix and appends one cycle vector (paths are

@@ -108,8 +108,59 @@ func (o *Options) applyDefaults() error {
 	if len(o.Script) == 0 {
 		return fmt.Errorf("mc: empty injection script")
 	}
+	if err := o.checkEncodable(); err != nil {
+		return err
+	}
 	_, err := o.mechanism().Factory()
 	return err
+}
+
+// Widths of the canonical state encoding (encode.go, sim.AppendSchedState,
+// the detectors' AppendState) and of the choice vectors: counts, node numbers,
+// flit counts, budgets and arities take one byte, identifiers and clamped
+// ages two, with 0xffff standing for -1.
+const (
+	maxByte = 1<<8 - 1
+	maxID   = 1<<16 - 2
+)
+
+// checkEncodable rejects a fabric or script the fixed-width encodings cannot
+// hold. Past these bounds two different states would share one encoding and
+// the visited set would silently prune the second, so the checker refuses
+// to start instead.
+func (o *Options) checkEncodable() error {
+	nodes := 1
+	for i := 0; i < o.N && nodes <= maxByte; i++ {
+		nodes *= o.K
+	}
+	// One injection and one delivery port per node (newRunner).
+	links := nodes * (2*o.N + 2)
+	vcs := nodes * (2*o.N*o.VCs + 2)
+	switch {
+	case nodes > maxByte:
+		return fmt.Errorf("mc: the %d-ary %d-cube has more than %d nodes, the most the state encoding can number", o.K, o.N, maxByte)
+	case len(o.Script) > maxByte:
+		return fmt.Errorf("mc: script of %d messages; the state encoding counts at most %d", len(o.Script), maxByte)
+	case o.BufFlits < 0 || o.BufFlits > maxByte:
+		return fmt.Errorf("mc: BufFlits %d outside [1, %d], the flit counts the state encoding holds", o.BufFlits, maxByte)
+	case o.InjectWindow < 0 || o.InjectWindow > maxByte:
+		return fmt.Errorf("mc: InjectWindow %d outside [0, %d], the deferral budgets the state encoding holds", o.InjectWindow, maxByte)
+	case o.VCs < 0 || vcs > maxID || links > maxID:
+		return fmt.Errorf("mc: fabric of %d links and %d virtual channels; the state encoding numbers at most %d of each", links, vcs, maxID)
+	case 2*o.N*o.VCs+1 > maxByte:
+		return fmt.Errorf("mc: a router with %d input virtual channels can offer a decision more than %d wide", 2*o.N*o.VCs+1, maxByte)
+	case o.Threshold < 0 || 4*o.Threshold > maxID:
+		return fmt.Errorf("mc: Threshold %d outside [1, %d], the clamped ages the state encoding holds", o.Threshold, maxID/4)
+	}
+	for i, in := range o.Script {
+		if in.Src < 0 || in.Src >= nodes || in.Dst < 0 || in.Dst >= nodes {
+			return fmt.Errorf("mc: script message %d goes %d -> %d on a %d-node fabric", i, in.Src, in.Dst, nodes)
+		}
+		if in.Length < 1 || in.Length > maxByte {
+			return fmt.Errorf("mc: script message %d is %d flits long; the state encoding holds 1 to %d", i, in.Length, maxByte)
+		}
+	}
+	return nil
 }
 
 // mechanism describes the detector under check.

@@ -2,10 +2,15 @@ package mc
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"wormnet/internal/sim"
 	"wormnet/internal/trace"
 )
 
@@ -262,5 +267,279 @@ func TestSeedCollection(t *testing.T) {
 		if len(s) == 0 {
 			t.Fatalf("seed %d is empty", i)
 		}
+	}
+}
+
+// checkByReplay is the differential reference: the expansion mc.Check used
+// before the engine could be snapshotted. Every leaf builds a fresh engine and
+// replays its parent's whole choice path from cycle 0 (Options.replay) — no
+// snapshot, no restore, no engine reused — which makes it the definition of
+// the explored space. It returns the visited set with the result.
+func checkByReplay(t *testing.T, o Options) (*Result, map[key]struct{}) {
+	t.Helper()
+	if err := o.applyDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	res := &Result{Mechanism: o.Mechanism}
+	visited := make(map[key]struct{})
+	root, err := o.replay(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	visited[hashState(root.encode(nil))] = struct{}{}
+	res.States = 1
+	queue := []node{{}}
+	capped := false
+	for head := 0; head < len(queue); head++ {
+		n := queue[head]
+		depth := len(n.path)
+		res.Depth = max(res.Depth, depth)
+		if o.MaxDepth > 0 && depth >= o.MaxDepth {
+			res.DepthCapped = true
+			continue
+		}
+		if len(visited) >= o.MaxStates {
+			capped = true
+			break
+		}
+		var trial []uint8
+		for {
+			r, err := o.replay(n.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eff, arity, err := r.step(trial)
+			res.Leaves++
+			if err != nil {
+				res.Violation = &Violation{Kind: "safety", Detail: err.Error(),
+					Path: appendPath(n.path, slices.Clone(trial)), Cycle: r.eng.Now()}
+				return res, visited
+			}
+			k := hashState(r.encode(nil))
+			if _, seen := visited[k]; !seen {
+				visited[k] = struct{}{}
+				res.States++
+				childPath := appendPath(n.path, eff)
+				if v := r.livenessProbe(res); v != nil {
+					v.Path = childPath
+					res.Violation = v
+					return res, visited
+				}
+				queue = append(queue, node{path: childPath})
+			}
+			if trial = nextTrial(eff, arity); trial == nil {
+				break
+			}
+		}
+	}
+	res.Complete = !capped
+	return res, visited
+}
+
+// TestCheckMatchesReplayReference holds the restore-based expansion to the
+// replay reference: equal counters, equal violation, and the same set of
+// visited state keys — on the 2x2 (face cycle with a deferral window, and the
+// first 20,000 states of the double-face script) and on the 3x3 face cycle
+// with windows 0 and 1, for every mechanism.
+func TestCheckMatchesReplayReference(t *testing.T) {
+	var dblface22 []Inject
+	for _, m := range face22 {
+		dblface22 = append(dblface22, m, m)
+	}
+	spaces := []struct {
+		name string
+		o    Options
+	}{
+		{"2x2-face-w1", Options{K: 2, N: 2, Script: face22, InjectWindow: 1}},
+		{"2x2-dblface-20k", Options{K: 2, N: 2, Script: dblface22, MaxStates: 20000}},
+		{"3x3-face-w0", Options{K: 3, N: 2, Script: face33}},
+		{"3x3-face-w1", Options{K: 3, N: 2, Script: face33, InjectWindow: 1}},
+	}
+	for _, sp := range spaces {
+		for _, mech := range []string{"ndm", "pdm", "cmh"} {
+			if testing.Short() && (mech != "ndm" || sp.o.MaxStates != 0) {
+				continue
+			}
+			t.Run(sp.name+"/"+mech, func(t *testing.T) {
+				o := sp.o
+				o.Mechanism = mech
+				want, wantVisited := checkByReplay(t, o)
+				got, gotVisited, err := explore(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("results differ\n got %+v\nwant %+v", got, want)
+				}
+				if !maps.Equal(gotVisited, wantVisited) {
+					t.Errorf("visited sets differ: %d keys, reference %d", len(gotVisited), len(wantVisited))
+				}
+				if want.States < 100 {
+					t.Errorf("reference explored only %d states", want.States)
+				}
+			})
+		}
+	}
+}
+
+// TestSeededViolationMatchesReference turns detection off, so that the first
+// deadlock is a liveness violation: both expansions must stop at the same
+// choice path, and the minimized path's trace must be the committed
+// counterexample, byte for byte.
+func TestSeededViolationMatchesReference(t *testing.T) {
+	o := Options{K: 3, N: 2, VCs: 1, Mechanism: "none", Script: face33}
+	want, _ := checkByReplay(t, o)
+	got, err := Check(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Violation == nil || got.Violation == nil {
+		t.Fatalf("violations: restore-based %v, reference %v", got.Violation, want.Violation)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("results differ\n got %+v (%v)\nwant %+v (%v)", got, got.Violation, want, want.Violation)
+	}
+	minv, err := Minimize(o, got.Violation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(o, minv.Path, &buf); err != nil {
+		t.Fatal(err)
+	}
+	committed, err := os.ReadFile("testdata/liveness-cex-3x3-none.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), committed) {
+		t.Errorf("counterexample trace (%d bytes) differs from the committed one (%d bytes)", buf.Len(), len(committed))
+	}
+}
+
+// TestRootOnlyCheckTakesNoSnapshot pins that the root snapshot is taken at
+// the first expansion: a Check that stops at its root state (the benchmark's
+// setup_s probe, any depth-0 run) must not pay for one. Counted in
+// allocations, relative to building a runner with and without a snapshot.
+func TestRootOnlyCheckTakesNoSnapshot(t *testing.T) {
+	o := Options{K: 2, N: 2, Mechanism: "ndm", Script: face22, MaxStates: 1}
+	check := testing.AllocsPerRun(20, func() {
+		if res, err := Check(o); err != nil || res.States != 1 {
+			t.Fatalf("root-only check: %v, %+v", err, res)
+		}
+	})
+	if err := o.applyDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	build := func(snapshot bool) float64 {
+		return testing.AllocsPerRun(20, func() {
+			r, err := o.newRunner(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.encode(nil)
+			if snapshot {
+				r.snapshot(nil)
+			}
+		})
+	}
+	without, with := build(false), build(true)
+	if with-without < 4 {
+		t.Fatalf("a snapshot costs %v allocations: the comparison below proves nothing", with-without)
+	}
+	if check > without+(with-without)/2 {
+		t.Errorf("a root-only Check allocates %v times; a runner and its encoding take %v, with a snapshot %v", check, without, with)
+	}
+}
+
+// TestUnencodableFabricsRefused: fabrics and scripts whose counts, node
+// numbers, flit counts or identifiers do not fit the fixed-width state
+// encoding are refused up front, each naming what does not fit; the largest
+// values that do fit are accepted.
+func TestUnencodableFabricsRefused(t *testing.T) {
+	long := make([]Inject, 256)
+	for i := range long {
+		long[i] = Inject{0, 3, 2}
+	}
+	cases := []struct {
+		name string
+		o    Options
+		want string // "" = accepted
+	}{
+		{"15x15 torus", Options{K: 15, N: 2, Script: face22}, ""},
+		{"16x16 torus", Options{K: 16, N: 2, Script: face22}, "nodes"},
+		{"2-ary 9-cube", Options{K: 2, N: 9, Script: face22}, "nodes"},
+		{"255-message script", Options{K: 2, N: 2, Script: long[:255]}, ""},
+		{"256-message script", Options{K: 2, N: 2, Script: long}, "script of 256 messages"},
+		{"255-flit message", Options{K: 2, N: 2, Script: []Inject{{0, 3, 255}}}, ""},
+		{"256-flit message", Options{K: 2, N: 2, Script: []Inject{{0, 3, 256}}}, "256 flits long"},
+		{"empty message", Options{K: 2, N: 2, Script: []Inject{{0, 3, 0}}}, "0 flits long"},
+		{"message to nowhere", Options{K: 2, N: 2, Script: []Inject{{0, 4, 2}}}, "0 -> 4"},
+		{"255-flit buffers", Options{K: 2, N: 2, BufFlits: 255, Script: face22}, ""},
+		{"256-flit buffers", Options{K: 2, N: 2, BufFlits: 256, Script: face22}, "BufFlits 256"},
+		{"window 255", Options{K: 2, N: 2, InjectWindow: 255, Script: face22}, ""},
+		{"window 256", Options{K: 2, N: 2, InjectWindow: 256, Script: face22}, "InjectWindow 256"},
+		{"63 VCs", Options{K: 3, N: 2, VCs: 63, Script: face33}, ""},
+		{"64 VCs: arbitration 257 wide", Options{K: 3, N: 2, VCs: 64, Script: face33}, "257 input virtual channels"},
+		{"65,534 VCs or more", Options{K: 15, N: 2, VCs: 73, Script: face22}, "virtual channels"},
+		{"threshold 16383", Options{K: 2, N: 2, Threshold: 16383, Script: face22}, ""},
+		{"threshold 16384", Options{K: 2, N: 2, Threshold: 16384, Script: face22}, "Threshold 16384"},
+	}
+	for _, tc := range cases {
+		o := tc.o
+		o.Mechanism = "ndm"
+		err := o.applyDefaults()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestChooserRefusesWideArity: a choice and its arity are recorded in one
+// byte each, so a decision point wider than 255 is refused rather than
+// recorded modulo 256.
+func TestChooserRefusesWideArity(t *testing.T) {
+	for _, tc := range []struct {
+		n       int
+		refused bool
+	}{{2, false}, {255, false}, {256, true}, {257, true}, {1 << 16, true}} {
+		c := &chooser{path: []uint8{1}}
+		var got int
+		refused := func() (refused bool) {
+			defer func() { refused = recover() != nil }()
+			got = c.Choose(sim.ChooseArb, tc.n)
+			return false
+		}()
+		if refused != tc.refused {
+			t.Errorf("Choose with %d options: refused %v, want %v", tc.n, refused, tc.refused)
+		}
+		if !refused && (got != 1 || len(c.arity) != 1 || int(c.arity[0]) != tc.n) {
+			t.Errorf("Choose with %d options: chose %d, recorded arities %v", tc.n, got, c.arity)
+		}
+	}
+}
+
+// TestProgressLine checks what Options.Log receives: the totals, then the
+// rates since the previous line and the frontier length.
+func TestProgressLine(t *testing.T) {
+	var log bytes.Buffer
+	res, err := Check(Options{K: 2, N: 2, Mechanism: "ndm", Script: face22, InjectWindow: 2, MaxStates: 100001, Log: &log})
+	if err != nil || res.Violation != nil {
+		t.Fatal(err, res.Violation)
+	}
+	lines := strings.Split(strings.TrimSpace(log.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("%d progress lines for %d states, want one per 50,000:\n%s", len(lines), res.States, log.String())
+	}
+	var states, leaves, depth, deadlocked, frontier int
+	var rate, dedup float64
+	if _, err := fmt.Sscanf(lines[1], "mc: ndm: %d states, %d leaves, depth %d, %d deadlocked, %f states/s, dedup %f%%, frontier %d",
+		&states, &leaves, &depth, &deadlocked, &rate, &dedup, &frontier); err != nil {
+		t.Fatalf("progress line %q: %v", lines[1], err)
+	}
+	if states != 100000 || leaves < states || rate <= 0 || dedup <= 0 || dedup >= 100 || frontier <= 0 {
+		t.Errorf("progress line %q: implausible values", lines[1])
 	}
 }

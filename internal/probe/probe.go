@@ -30,6 +30,7 @@ import (
 
 	"wormnet/internal/detect"
 	"wormnet/internal/router"
+	"wormnet/internal/snap"
 	"wormnet/internal/trace"
 )
 
@@ -152,6 +153,7 @@ type Detector struct {
 	linkUsedAt []int64
 
 	candBuf []router.LinkID
+	keyBuf  []uint64 // scratch for writing a dedupe window's keys in sorted order
 
 	emitted   int64
 	forwarded int64
@@ -182,9 +184,11 @@ func (d *Detector) Name() string {
 }
 
 // Capabilities implements detect.Detector: CMH traces its probe events,
-// reports probe totals and is encodable; it has no channel flags.
+// reports probe totals, is encodable and snapshots its state; it has no
+// channel flags.
 func (d *Detector) Capabilities() detect.Capabilities {
-	return detect.Capabilities{SetTracer: d.SetTracer, ProbeTotals: d.ProbeTotals, AppendState: d.AppendState}
+	return detect.Capabilities{SetTracer: d.SetTracer, ProbeTotals: d.ProbeTotals, AppendState: d.AppendState,
+		Snapshot: d.Snapshot, Restore: d.Restore}
 }
 
 // SetTracer attaches the flight recorder (nil-safe).
@@ -596,7 +600,6 @@ func (d *Detector) AppendState(buf []byte, now int64) []byte {
 		}
 	}
 	buf = append(buf, 0xfe) // section separator (never a length byte above)
-	var keys []uint64
 	for id := range d.inits {
 		st := &d.inits[id]
 		if st.waveStart < 0 && len(st.seen) == 0 {
@@ -617,16 +620,161 @@ func (d *Detector) AppendState(buf []byte, now int64) []byte {
 		}
 		buf = appendID(buf, waveAge)
 		buf = append(buf, predates, byte(len(st.seen)))
-		keys = keys[:0]
-		for k := range st.seen {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		for _, k := range keys {
+		for _, k := range d.sortedKeys(st.seen) {
 			buf = binary.LittleEndian.AppendUint64(buf, k)
 		}
 	}
 	return buf
+}
+
+// sortedKeys returns a dedupe window's keys in ascending order, in a scratch
+// buffer the next call reuses. Both encodings write them this way: map
+// iteration order would make equal states encode differently.
+func (d *Detector) sortedKeys(seen map[uint64]struct{}) []uint64 {
+	keys := d.keyBuf[:0]
+	for k := range seen {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	d.keyBuf = keys
+	return keys
+}
+
+// prSnapBytes is one in-flight probe in a snapshot: five 32-bit fields and
+// two 64-bit ones.
+const prSnapBytes = 5*4 + 2*8
+
+// Snapshot is detect.Capabilities.Snapshot: the exact state EndCycle and
+// RouteFailed carry from one cycle to the next. In order: the in-flight
+// probes (advance order), the blocked initiators (launch order), the messages
+// with a pending mark, every dedupe window that is not in its initial state
+// (wave start and the sorted edge keys), and the seven cumulative counters
+// ProbeTotals and the conservation checks read. linkUsedAt is not written: a
+// stamp only ever means "this cycle", and a snapshot sits between cycles.
+func (d *Detector) Snapshot(dst []byte) []byte {
+	dst = snap.U32(dst, uint32(len(d.probes)))
+	for i := range d.probes {
+		p := &d.probes[i]
+		dst = snap.I32(dst, int32(p.initiator))
+		dst = snap.I32(dst, int32(p.target))
+		dst = snap.I32(dst, int32(p.at))
+		dst = snap.I32(dst, p.hops)
+		dst = snap.I32(dst, int32(p.victim))
+		dst = snap.U64(dst, p.digest)
+		dst = snap.I64(dst, p.victimGen)
+	}
+	dst = snap.IDs(dst, d.blocked)
+
+	at, n := len(dst), 0
+	dst = snap.U32(dst, 0)
+	for id, pending := range d.pendingMark {
+		if pending {
+			dst = snap.I32(dst, int32(id))
+			n++
+		}
+	}
+	snap.PutU32(dst, at, uint32(n))
+
+	at, n = len(dst), 0
+	dst = snap.U32(dst, 0)
+	for id := range d.inits {
+		st := &d.inits[id]
+		if st.waveStart < 0 && len(st.seen) == 0 {
+			continue
+		}
+		n++
+		dst = snap.I32(dst, int32(id))
+		dst = snap.I64(dst, st.waveStart)
+		dst = snap.U32(dst, uint32(len(st.seen)))
+		for _, k := range d.sortedKeys(st.seen) {
+			dst = snap.U64(dst, k)
+		}
+	}
+	snap.PutU32(dst, at, uint32(n))
+
+	for _, c := range d.counters() {
+		dst = snap.I64(dst, *c)
+	}
+	return dst
+}
+
+// counters lists the cumulative counters in snapshot order.
+func (d *Detector) counters() [7]*int64 {
+	return [...]*int64{&d.emitted, &d.forwarded, &d.dropped, &d.returned, &d.relayed, &d.seedRet, &d.flits}
+}
+
+// Restore is detect.Capabilities.Restore. It runs after the fabric has been
+// restored, so message and channel identifiers are checked against the pool
+// and the fabric as they are now. The per-message tables are reset first and
+// the blocked list's index rebuilt from the list; linkUsedAt is reset to
+// "never", which an engine restored to an earlier cycle needs: its own stamps
+// from the abandoned future would otherwise read as "used this cycle" when
+// that cycle number comes round again.
+func (d *Detector) Restore(src []byte) error {
+	r := snap.NewReader(src)
+	nMsgs, nVCs := d.fab.NumMessages(), len(d.fab.VCs)
+	for i := range d.linkUsedAt {
+		d.linkUsedAt[i] = -1
+	}
+	for i := range d.inits {
+		d.inits[i].waveStart = -1
+		clear(d.inits[i].seen)
+	}
+	for i := range d.blockedIdx {
+		d.blockedIdx[i] = -1
+	}
+	clear(d.pendingMark)
+	if nMsgs > 0 {
+		d.growMsg(router.MsgID(nMsgs - 1))
+	}
+
+	d.probes = d.probes[:0]
+	for n := r.Len(prSnapBytes); n > 0 && r.Err() == nil; n-- {
+		d.probes = append(d.probes, pr{
+			initiator: router.MsgID(r.ID(0, nMsgs)),
+			target:    router.MsgID(r.ID(0, nMsgs)),
+			at:        router.VCID(r.ID(0, nVCs)),
+			hops:      r.I32(),
+			victim:    router.MsgID(r.ID(0, nMsgs)),
+			digest:    r.U64(),
+			victimGen: r.I64(),
+		})
+	}
+	// An identifier read after an error is not range-checked, so nothing
+	// below indexes with one.
+	d.blocked = snap.ReadIDs(&r, d.blocked, 0, nMsgs)
+	for i, id := range d.blocked {
+		if r.Err() != nil {
+			break
+		}
+		if d.blockedIdx[id] >= 0 {
+			r.Failf("probe: snapshot lists blocked message %d twice", id)
+		}
+		d.blockedIdx[id] = int32(i)
+	}
+	for n := r.Len(4); n > 0; n-- {
+		if id := r.ID(0, nMsgs); r.Err() == nil {
+			d.pendingMark[id] = true
+		}
+	}
+	for n := r.Len(4 + 8 + 4); n > 0; n-- {
+		id, waveStart, keys := r.ID(0, nMsgs), r.I64(), r.Len(8)
+		if r.Err() != nil {
+			break
+		}
+		st := &d.inits[id]
+		st.waveStart = waveStart
+		if keys > 0 && st.seen == nil {
+			st.seen = make(map[uint64]struct{})
+		}
+		for ; keys > 0; keys-- {
+			st.seen[r.U64()] = struct{}{}
+		}
+	}
+	for _, c := range d.counters() {
+		*c = r.I64()
+	}
+	return r.Done()
 }
 
 // appendGenRank encodes a probe's victim generation stamp relative to the

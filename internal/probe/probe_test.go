@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"bytes"
 	"testing"
 
 	"wormnet/internal/router"
@@ -436,5 +437,110 @@ func TestSelfDeadlockDetected(t *testing.T) {
 	outs := fab.Candidates(m, 0, nil)
 	if !d.RouteFailed(m, fab.LinkOfVC(m.HeadVC), outs, false, now) {
 		t.Fatal("self-deadlocked worm was not marked")
+	}
+}
+
+// probingRing is the ring fixture with a detector that has launched its first
+// wave: probes in flight, dedupe windows open, link stamps written at cycle
+// now.
+func probingRing(t *testing.T) (*ringFixture, *Detector, int64) {
+	t.Helper()
+	r := newRing(t)
+	d := New(r.fab, Config{InitDelay: 2, Transport: TransportControlVC})
+	for _, m := range []*router.Message{r.a, r.b, r.c} {
+		registerBlocked(d, r.fab, m, 0)
+	}
+	now := int64(0)
+	for ; len(d.probes) == 0 && now < 16; now++ {
+		d.EndCycle(now, nil, nil)
+	}
+	if len(d.probes) == 0 {
+		t.Fatal("the blocked ring launched no probe")
+	}
+	return r, d, now - 1
+}
+
+// TestSnapshotRoundTrip: Restore(Snapshot()) into a fresh detector over the
+// same fabric reproduces the state, and the detectors then behave alike.
+func TestSnapshotRoundTrip(t *testing.T) {
+	r, d, now := probingRing(t)
+	snapBytes := d.Snapshot(nil)
+	fresh := New(r.fab, Config{InitDelay: 2, Transport: TransportControlVC})
+	if err := fresh.Restore(snapBytes); err != nil {
+		t.Fatal(err)
+	}
+	if again := fresh.Snapshot(nil); !bytes.Equal(again, snapBytes) {
+		t.Fatalf("snapshot of the restored detector differs from the bytes it was restored from")
+	}
+	for c := now + 1; c < now+12; c++ {
+		d.EndCycle(c, nil, nil)
+		fresh.EndCycle(c, nil, nil)
+		if got, want := fresh.AppendState(nil, c+1), d.AppendState(nil, c+1); !bytes.Equal(got, want) {
+			t.Fatalf("cycle %d: restored detector diverged from the original", c)
+		}
+		if fresh.ProbeTotals() != d.ProbeTotals() {
+			t.Fatalf("cycle %d: probe totals %+v, original %+v", c, fresh.ProbeTotals(), d.ProbeTotals())
+		}
+	}
+}
+
+// TestSnapshotBytesDeterministic pins that a dedupe window's keys are written
+// in sorted order: written in map order, two snapshots of one unchanged
+// detector would differ.
+func TestSnapshotBytesDeterministic(t *testing.T) {
+	_, d, _ := probingRing(t)
+	st := &d.inits[0]
+	if st.seen == nil {
+		st.seen = make(map[uint64]struct{})
+	}
+	for k := uint64(1); k <= 64; k++ {
+		st.seen[k*0x9e3779b97f4a7c15] = struct{}{}
+	}
+	want := d.Snapshot(nil)
+	for i := 0; i < 20; i++ {
+		if got := d.Snapshot(nil); !bytes.Equal(got, want) {
+			t.Fatalf("snapshot %d of an unchanged detector differs from the first", i)
+		}
+	}
+}
+
+// TestRestoreResetsLinkStamps pins the stamp trap: linkUsedAt[l] == now means
+// "a probe flit crossed l this cycle", so a detector taken back to an earlier
+// cycle must not meet the stamps of the future it abandoned.
+func TestRestoreResetsLinkStamps(t *testing.T) {
+	r, d, now := probingRing(t)
+	early := d.Snapshot(nil)
+	future := now + 5
+	d.useChannel(r.l12, future)
+	if err := d.Restore(early); err != nil {
+		t.Fatal(err)
+	}
+	if !d.channelFree(r.l12, future, nil) {
+		t.Fatalf("after Restore, link %d still reads as used at cycle %d of the abandoned run", r.l12, future)
+	}
+}
+
+// TestRestoreRejectsForeignIdentifiers: identifiers outside the fabric and a
+// truncated or overlong input are errors, not panics.
+func TestRestoreRejectsForeignIdentifiers(t *testing.T) {
+	_, d, _ := probingRing(t)
+	good := d.Snapshot(nil)
+	for n := 0; n < len(good); n++ {
+		if err := d.Restore(good[:n]); err == nil {
+			t.Fatalf("Restore accepted the first %d of %d bytes", n, len(good))
+		}
+	}
+	if err := d.Restore(append(bytes.Clone(good), 0)); err == nil {
+		t.Fatal("Restore accepted a trailing byte")
+	}
+	// Byte 4 starts the first probe's initiator; 0x7f makes it message 127
+	// (three are pooled).
+	bad := bytes.Clone(good)
+	bad[4] = 0x7f
+	if err := d.Restore(bad); err == nil {
+		t.Fatal("Restore accepted a probe of a message outside the pool")
+	}
+	if err := d.Restore(good); err != nil {
+		t.Fatalf("the untouched snapshot no longer restores: %v", err)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"wormnet/internal/router"
+	"wormnet/internal/snap"
 )
 
 // Style selects the recovery discipline.
@@ -66,6 +67,9 @@ type Engine struct {
 	// absorbedFlits counts flits consumed through absorption ports over the
 	// whole run (telemetry; never feeds back into recovery decisions).
 	absorbedFlits int64
+	// listed is RestoreSnapshot's scratch: listed[id] marks a message already
+	// seen on the restored absorption list.
+	listed []bool
 }
 
 // New builds a recovery engine over fabric f.
@@ -99,6 +103,47 @@ func (e *Engine) AppendActive(buf []byte) []byte {
 // AbsorbedFlits returns the cumulative number of flits consumed through
 // absorption ports (progressive recovery only).
 func (e *Engine) AbsorbedFlits() int64 { return e.absorbedFlits }
+
+// AppendSnapshot appends the engine's state to dst for sim.Engine.Snapshot:
+// the absorption list in order (the order fixes the hook call order) and the
+// absorbed-flit total.
+func (e *Engine) AppendSnapshot(dst []byte) []byte {
+	dst = snap.IDs(dst, e.active)
+	return snap.I64(dst, e.absorbedFlits)
+}
+
+// RestoreSnapshot replaces the state with what AppendSnapshot wrote. It runs
+// after the fabric has been restored and checks what Step relies on: every
+// listed message is in the pool, is recovering, still has a front buffer, and
+// is listed once. Errors stay in r.
+func (e *Engine) RestoreSnapshot(r *snap.Reader) {
+	e.active = snap.ReadIDs(r, e.active, 0, e.f.NumMessages())
+	e.absorbedFlits = r.I64()
+	if r.Err() != nil {
+		return
+	}
+	recovering := 0
+	e.f.LiveMessages(func(m *router.Message) {
+		if m.Phase == router.PhaseRecovering {
+			recovering++
+		}
+	})
+	// Every listed message recovering, none listed twice, and as many listed
+	// as are recovering: the list is exactly the recovering set.
+	if recovering != len(e.active) {
+		r.Failf("recovery: snapshot absorbs %d messages, %d are recovering", len(e.active), recovering)
+		return
+	}
+	e.listed = append(e.listed[:0], make([]bool, e.f.NumMessages())...)
+	for _, id := range e.active {
+		if m := e.f.Msg(id); m.Phase != router.PhaseRecovering || m.HeadVC == router.NilVC || e.listed[id] {
+			r.Failf("recovery: snapshot absorbs message %d (%s, head VC %d, listed before: %v)",
+				id, m.Phase, m.HeadVC, e.listed[id])
+			return
+		}
+		e.listed[id] = true
+	}
+}
 
 // Mark begins recovery of message m, which a detection mechanism has just
 // declared deadlocked.

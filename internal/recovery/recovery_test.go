@@ -1,9 +1,11 @@
 package recovery
 
 import (
+	"bytes"
 	"testing"
 
 	"wormnet/internal/router"
+	"wormnet/internal/snap"
 	"wormnet/internal/topology"
 )
 
@@ -185,5 +187,52 @@ func TestVCFreedDefaultHook(t *testing.T) {
 	e.Mark(m, 0) // must not panic despite nil VCFreed
 	if !called {
 		t.Fatal("Recovered hook not called")
+	}
+}
+
+// TestSnapshotRoundTrip: a progressive engine in the middle of absorbing a
+// worm snapshots its absorption list and flit total; a second engine over the
+// same fabric restored from those bytes finishes the absorption. A list that
+// names a message that is not recovering, names one twice, or leaves a
+// recovering message out is refused.
+func TestSnapshotRoundTrip(t *testing.T) {
+	f := ringFabric(t)
+	rec := &recording{}
+	e := New(f, Progressive, rec.hooks())
+	m := buildWorm(t, f, []router.LinkID{f.NetLink(0, 0)}, 2)
+	e.Mark(m, 10)
+	e.Step()
+	b := e.AppendSnapshot(nil)
+
+	other := &recording{}
+	e2 := New(f, Progressive, other.hooks())
+	r := snap.NewReader(b)
+	e2.RestoreSnapshot(&r)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if e2.Active() != 1 || e2.AbsorbedFlits() != 1 || !bytes.Equal(e2.AppendSnapshot(nil), b) {
+		t.Fatalf("restored engine absorbs %d messages, %d flits so far", e2.Active(), e2.AbsorbedFlits())
+	}
+
+	idle := f.NewMessage(3, 5, 2, 0)
+	for name, ids := range map[string][]router.MsgID{
+		"message not recovering":      {idle.ID},
+		"message listed twice":        {m.ID, m.ID},
+		"recovering message left out": {},
+		"message outside the pool":    {99},
+	} {
+		r := snap.NewReader(snap.I64(snap.IDs(nil, ids), 1))
+		New(f, Progressive, other.hooks()).RestoreSnapshot(&r)
+		if r.Done() == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+
+	for i := 0; i < 8 && e2.Active() > 0; i++ {
+		e2.Step()
+	}
+	if e2.Active() != 0 || len(other.recovered) != 1 || other.last != m {
+		t.Errorf("restored engine did not finish the absorption: %d active, recovered %v", e2.Active(), other.recovered)
 	}
 }

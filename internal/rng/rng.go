@@ -8,7 +8,11 @@
 // cryptographic use.
 package rng
 
-import "math"
+import (
+	"math"
+
+	"wormnet/internal/snap"
+)
 
 // Source is a deterministic pseudo-random generator. The zero value is not
 // valid; construct one with New.
@@ -41,6 +45,26 @@ func New(seed uint64) *Source {
 		s.s0 = 0x9e3779b97f4a7c15
 	}
 	return &s
+}
+
+// AppendSnapshot appends the generator's 256-bit state to dst (for
+// sim.Engine.Snapshot).
+func (s *Source) AppendSnapshot(dst []byte) []byte {
+	dst = snap.U64(dst, s.s0)
+	dst = snap.U64(dst, s.s1)
+	dst = snap.U64(dst, s.s2)
+	return snap.U64(dst, s.s3)
+}
+
+// RestoreSnapshot resumes the stream AppendSnapshot captured; decoding errors
+// stay in r. The all-zero state, which xoshiro never leaves, is rejected.
+func (s *Source) RestoreSnapshot(r *snap.Reader) {
+	var st [4]int64
+	r.I64s(st[:])
+	s.s0, s.s1, s.s2, s.s3 = uint64(st[0]), uint64(st[1]), uint64(st[2]), uint64(st[3])
+	if r.Err() == nil && s.s0|s.s1|s.s2|s.s3 == 0 {
+		r.Failf("rng: snapshot holds the all-zero generator state")
+	}
 }
 
 // Split derives a new independent Source from s. It consumes one value from

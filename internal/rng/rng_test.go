@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"wormnet/internal/snap"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -318,5 +320,33 @@ func BenchmarkIntn(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = s.Intn(17)
+	}
+}
+
+// TestSnapshotResumesStream: a Source restored from a snapshot continues the
+// stream exactly where the snapshotted one was; the all-zero state and short
+// input are refused.
+func TestSnapshotResumesStream(t *testing.T) {
+	a := New(42)
+	for i := 0; i < 100; i++ {
+		a.Uint64()
+	}
+	b := New(7)
+	r := snap.NewReader(a.AppendSnapshot(nil))
+	b.RestoreSnapshot(&r)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("draw %d after restore: %#x, original %#x", i, y, x)
+		}
+	}
+	for name, in := range map[string][]byte{"all-zero state": make([]byte, 32), "short": make([]byte, 31)} {
+		r := snap.NewReader(in)
+		New(1).RestoreSnapshot(&r)
+		if r.Done() == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

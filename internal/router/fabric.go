@@ -214,6 +214,8 @@ type Fabric struct {
 
 	// wormBuf is ReleaseWorm's reusable result buffer.
 	wormBuf []VCID
+	// freeSeen is RestoreSnapshot's scratch for the free-list duplicate check.
+	freeSeen []bool
 }
 
 // Gen returns the structural generation counter: the total number of

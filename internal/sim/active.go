@@ -166,6 +166,27 @@ func (e *Engine) auditActiveSets() error {
 		}
 	}
 
+	// The transmitted bitmap holds exactly the links on the shards'
+	// transmitted lists: transferDecide clears the bits it finds listed and
+	// nothing else, so a bit set off the lists would stay set for good.
+	listed := 0
+	for s := range e.shards {
+		for _, l := range e.shards[s].txLinks {
+			if !e.transmitted[l] {
+				return fmt.Errorf("sim: link %d on shard %d's transmitted list with its transmitted bit clear", l, s)
+			}
+			listed++
+		}
+	}
+	for _, tx := range e.transmitted {
+		if tx {
+			listed--
+		}
+	}
+	if listed != 0 {
+		return fmt.Errorf("sim: transmitted bitmap and the shards' transmitted lists differ by %d links", -listed)
+	}
+
 	// Feeder buckets must be fully drained by the transfer stage — a
 	// leftover entry means the active-link key collection missed a target.
 	for l := range e.feeders {

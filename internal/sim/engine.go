@@ -10,6 +10,7 @@ import (
 	"wormnet/internal/rng"
 	"wormnet/internal/router"
 	"wormnet/internal/routing"
+	"wormnet/internal/snap"
 	"wormnet/internal/stats"
 	"wormnet/internal/topology"
 	"wormnet/internal/trace"
@@ -156,6 +157,13 @@ type Engine struct {
 	// own tests, which install full-rescan reference stages through it (it
 	// reports whether it ran the shard's phase in place of the kernel's).
 	refStage func(ph phaseID, s int) bool
+
+	// Snapshot/Restore (snapshot.go): snapID caches the configuration
+	// fingerprint, built on first use; rd is the reader of the Restore in
+	// progress and listed its scratch for the listed-at-most-once checks.
+	snapID []byte
+	rd     snap.Reader
+	listed []uint8
 }
 
 // New builds an Engine from cfg. The configuration is validated; defaults

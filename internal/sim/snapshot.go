@@ -1,0 +1,356 @@
+package sim
+
+import (
+	"bytes"
+	"fmt"
+
+	"wormnet/internal/detect"
+	"wormnet/internal/router"
+	"wormnet/internal/snap"
+	"wormnet/internal/traffic"
+)
+
+// Snapshot and Restore: an exact byte encoding of an engine between two
+// cycles.
+//
+// What a snapshot holds is everything that influences the engine's future
+// behaviour or the results it will report: the cycle counter, the counters and
+// the three histograms, the fabric (router.Fabric.AppendSnapshot: message
+// pool and free-list order, occupied VCs, round-robin pointers, failed links),
+// the source queues, the pending and pendingNew header lists, each shard's
+// injecting and transmitted-link lists, the generator schedule (every node's
+// next arrival cycle, every node's random stream, the shared stream, the
+// process's own state if it is traffic.Stateful), the oracle's first-sighting
+// stamps with oracleCycle and oracleSize, the probe and absorption totals
+// already charged (lastProbe, lastAbsorbedFlits), the detector
+// (detect.Capabilities.Snapshot; nil means stateless) and the recovery engine.
+//
+// What it does not hold is whatever can be recomputed, and Restore recomputes
+// it through the code that maintains it while the engine runs, so a restored
+// engine cannot disagree with itself: the fabric's occupancy structures
+// (router.Fabric.RestoreSnapshot), the nonempty-queue bitmaps (queuePush), the
+// arrival heaps and deferred lists (every scheduled node is pushed back on its
+// shard's heap — the two containers are interchangeable, generateShard merges
+// them in node order), the transmitted bitmap (set from the lists), inFlight
+// (recounted from message phases), the detector's flags and flag counts, the
+// route memos (left empty; a lookup refills one) and the oracle's cached set
+// (invalidated). The crossbar stamps inputUsedAt are reset to "never": a
+// stamp means "this cycle" and a snapshot sits between cycles.
+//
+// Outside the snapshot altogether are the observation rails — the flight
+// recorder, the metrics collector and whatever observes them (forensics).
+// They belong to whoever attached them: an engine restored into keeps its own,
+// and a caller who wants one continuous trace across a Snapshot/Restore pair
+// hands the same recorder to both engines.
+//
+// The header carries a magic number, a format version and the engine's
+// configuration fingerprint (fingerprint, below); Restore refuses bytes whose
+// header differs from what the restoring engine would write.
+
+const (
+	snapMagic   = "WSNP"
+	snapVersion = 1
+)
+
+// fingerprint describes every part of the configuration that shapes the
+// state or decides what the engine does next, as text, so that a refused
+// Restore can say what differs. It is built on first use: an engine that is
+// never snapshotted does not pay for it.
+func (e *Engine) fingerprint() []byte {
+	if e.snapID == nil {
+		c := &e.cfg
+		e.snapID = fmt.Appendf(nil,
+			"k=%d n=%d vcs=%d buf=%d inj=%d del=%d shards=%d routing=%s detector=%s process=%s load=%g recovery=%s "+
+				"inject-limit=%d max-queue=%d warmup=%d measure=%d oracle-every=%d seed=%d chooser=%t retain=%t",
+			c.K, c.N, c.Router.VCsPerLink, c.Router.BufFlits, c.Router.InjPorts, c.Router.DelPorts, c.Shards,
+			e.alg.Name(), e.det.Name(), e.gen.Name(), c.Load, c.Recovery,
+			c.InjectionLimit, c.MaxSourceQueue, c.Warmup, c.Measure, c.OracleEvery, c.Seed,
+			c.Chooser != nil, c.RetainMessages)
+	}
+	return e.snapID
+}
+
+// Snapshot appends the engine's state to dst and returns the extended slice.
+// It must be called between Steps. The encoding is deterministic — equal
+// states give equal bytes — and Snapshot does not allocate once dst has the
+// capacity.
+func (e *Engine) Snapshot(dst []byte) []byte {
+	id := e.fingerprint()
+	dst = append(dst, snapMagic...)
+	dst = snap.U32(dst, snapVersion)
+	dst = snap.U32(dst, uint32(len(id)))
+	dst = append(dst, id...)
+
+	dst = snap.I64(dst, e.now)
+	dst = e.st.AppendSnapshot(dst)
+	dst = e.latHist.AppendSnapshot(dst)
+	dst = e.delayHist.AppendSnapshot(dst)
+	dst = e.detLatHist.AppendSnapshot(dst)
+	dst = e.fab.AppendSnapshot(dst)
+
+	for n := range e.queues {
+		q := &e.queues[n]
+		dst = snap.U32(dst, uint32(q.Len()))
+		for i := 0; i < q.Len(); i++ {
+			dst = snap.I32(dst, int32(q.At(i)))
+		}
+	}
+	dst = snap.IDs(dst, e.pending)
+	dst = snap.IDs(dst, e.pendingNew)
+	for s := range e.shards {
+		dst = snap.IDs(dst, e.shards[s].injecting)
+		dst = snap.IDs(dst, e.shards[s].txLinks)
+	}
+
+	if e.genSkip != nil {
+		dst = snap.I64s(dst, e.genDue)
+	}
+	for i := range e.nodeRng {
+		dst = e.nodeRng[i].AppendSnapshot(dst)
+	}
+	dst = e.rnd.AppendSnapshot(dst)
+	if p, ok := e.gen.(traffic.Stateful); ok {
+		dst = p.AppendSnapshot(dst)
+	}
+
+	at, n := len(dst), 0
+	dst = snap.U32(dst, 0)
+	for id, seen := range e.oracleSeen {
+		if seen >= 0 {
+			dst = snap.I32(dst, int32(id))
+			dst = snap.I64(dst, seen)
+			n++
+		}
+	}
+	snap.PutU32(dst, at, uint32(n))
+	dst = snap.I64(dst, e.oracleCycle)
+	dst = snap.I64(dst, int64(e.oracleSize))
+
+	lp := &e.lastProbe
+	dst = snap.I64s(dst, []int64{lp.Emitted, lp.Forwarded, lp.Dropped, lp.Returned, lp.Flits, int64(lp.InFlight), e.lastAbsorbedFlits})
+
+	at = len(dst)
+	dst = snap.U32(dst, 0)
+	if e.caps.Snapshot != nil {
+		dst = e.caps.Snapshot(dst)
+	}
+	snap.PutU32(dst, at, uint32(len(dst)-at-4))
+	return e.rec.AppendSnapshot(dst)
+}
+
+// Restore replaces the engine's state with a snapshot taken from an engine of
+// the same configuration — this one at another cycle (earlier or later), or
+// another one built from an equal Config. The engine then continues exactly
+// as the snapshotted one would have. Attached rails are left alone.
+//
+// Bytes that are truncated, carry another format version or another
+// configuration's fingerprint, index outside the fabric, or describe worms,
+// queues and lists that contradict one another are refused with an error,
+// never a panic, and nothing is allocated beyond a small multiple of
+// len(src). After an error the engine is in an unspecified state: Restore a
+// good snapshot or discard it.
+func (e *Engine) Restore(src []byte) error {
+	// The reader lives in the engine: it is handed to the process and the
+	// detector behind interfaces, which would move a local one to the heap on
+	// every call.
+	e.rd = snap.NewReader(src)
+	err := e.restore(&e.rd)
+	e.rd = snap.Reader{}
+	return err
+}
+
+func (e *Engine) restore(r *snap.Reader) error {
+	if magic := r.Bytes(len(snapMagic)); string(magic) != snapMagic {
+		return fmt.Errorf("sim: not an engine snapshot (magic %q)", magic)
+	}
+	if v := r.U32(); v != snapVersion {
+		return fmt.Errorf("sim: snapshot format version %d, this engine reads version %d", v, snapVersion)
+	}
+	if id := r.Bytes(r.Len(1)); !bytes.Equal(id, e.fingerprint()) {
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("sim: snapshot header: %w", err)
+		}
+		return fmt.Errorf("sim: snapshot is of another configuration\n snapshot: %s\n engine:   %s", id, e.fingerprint())
+	}
+	e.restoreBody(r)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("sim: restoring snapshot: %w", err)
+	}
+	return nil
+}
+
+// restoreBody decodes everything after the header; errors stay in r.
+func (e *Engine) restoreBody(r *snap.Reader) {
+	nLinks := e.fab.NumLinks()
+
+	e.now = r.I64()
+	if e.now < 0 {
+		r.Failf("sim: snapshot taken at cycle %d", e.now)
+	}
+	e.st.RestoreSnapshot(r)
+	e.latHist.RestoreSnapshot(r)
+	e.delayHist.RestoreSnapshot(r)
+	e.detLatHist.RestoreSnapshot(r)
+	e.fab.RestoreSnapshot(r)
+	if r.Err() != nil {
+		return
+	}
+	nMsgs := e.fab.NumMessages()
+
+	// Source queues, through queuePush so the nonempty-queue bitmaps follow.
+	// listed marks the messages seen so far on a queue (bit 0) and on a header
+	// list (bit 1): a message is queued at most once, pending at most once.
+	e.listed = append(e.listed[:0], make([]uint8, nMsgs)...)
+	for s := range e.neBits {
+		clear(e.neBits[s])
+	}
+	queued := 0
+	for node := range e.queues {
+		q := &e.queues[node]
+		q.head, q.n = 0, 0
+		for n := r.Len(4); n > 0; n-- {
+			id := router.MsgID(r.ID(0, nMsgs))
+			if r.Err() != nil {
+				return
+			}
+			if m := e.fab.Msg(id); m.Phase != router.PhaseQueued || m.Length == 0 || e.listed[id]&1 != 0 {
+				r.Failf("sim: snapshot queues message %d at node %d, which is %s (%d flits) or already queued", id, node, m.Phase, m.Length)
+				return
+			}
+			e.listed[id] |= 1
+			e.queuePush(node, id)
+			queued++
+		}
+	}
+	e.pending = e.restoreHeaders(r, e.pending)
+	e.pendingNew = e.restoreHeaders(r, e.pendingNew)
+
+	// The transmitted bits cross the cycle boundary: transferDecide clears
+	// exactly the links it finds on the shards' lists. So the bits of the run
+	// being abandoned go, and the snapshot's lists bring their own.
+	clear(e.transmitted)
+	for s := range e.shards {
+		sh := &e.shards[s]
+		sh.injecting = snap.ReadIDs(r, sh.injecting, 0, nMsgs)
+		sh.txLinks = snap.ReadIDs(r, sh.txLinks, 0, nLinks)
+		for _, id := range sh.injecting {
+			// feedShard indexes the fabric with the injection port of every
+			// listed message that is still being fed.
+			if m := e.fab.Msg(id); (m.Phase == router.PhaseNetwork || m.Phase == router.PhaseRecovering) && m.Injected < m.Length &&
+				(m.InjLink == router.NilLink || e.fab.Links[m.InjLink].Kind != router.InjectionLink) {
+				r.Failf("sim: snapshot lists message %d as injecting through link %d, not an injection port", id, m.InjLink)
+				return
+			}
+		}
+		for _, l := range sh.txLinks {
+			if e.transmitted[l] {
+				r.Failf("sim: snapshot lists link %d as transmitted twice", l)
+				return
+			}
+			e.transmitted[l] = true
+		}
+	}
+	e.mergeTxLinks()
+	for i := range e.inputUsedAt {
+		e.inputUsedAt[i] = -1
+	}
+
+	inFlight := 0
+	pooledQueued := 0
+	e.fab.LiveMessages(func(m *router.Message) {
+		switch m.Phase {
+		case router.PhaseNetwork, router.PhaseRecovering:
+			inFlight++
+		case router.PhaseQueued:
+			pooledQueued++
+		}
+	})
+	e.inFlight = inFlight
+	if pooledQueued != queued {
+		r.Failf("sim: snapshot queues %d messages, %d are waiting at a source", queued, pooledQueued)
+		return
+	}
+
+	// Generator schedule: the arrival heaps are rebuilt from the due cycles.
+	if e.genSkip != nil {
+		for s := range e.shards {
+			sh := &e.shards[s]
+			sh.genHeap, sh.genDefA, sh.genDefB = sh.genHeap[:0], sh.genDefA[:0], sh.genDefB[:0]
+		}
+		for node := range e.genDue {
+			due := r.I64()
+			if due != -1 && due < e.now {
+				r.Failf("sim: snapshot schedules node %d's next arrival at cycle %d, before cycle %d", node, due, e.now)
+				return
+			}
+			e.genDue[node] = due
+			if due >= 0 {
+				e.heapPush(&e.shards[e.part.Of(node)], int32(node))
+			}
+		}
+	}
+	for i := range e.nodeRng {
+		e.nodeRng[i].RestoreSnapshot(r)
+	}
+	e.rnd.RestoreSnapshot(r)
+	if p, ok := e.gen.(traffic.Stateful); ok {
+		p.RestoreSnapshot(r)
+	}
+
+	for i := range e.oracleSeen {
+		e.oracleSeen[i] = -1
+	}
+	for n := r.Len(4 + 8); n > 0; n-- {
+		id, seen := r.ID(0, nMsgs), r.I64()
+		if r.Err() != nil {
+			return
+		}
+		for int(id) >= len(e.oracleSeen) {
+			e.oracleSeen = append(e.oracleSeen, -1)
+		}
+		e.oracleSeen[id] = seen
+	}
+	e.oracleCycle = r.I64()
+	e.oracleSize = int(r.I64())
+	if e.oracleCycle >= e.now || e.oracleSize < 0 {
+		r.Failf("sim: snapshot of cycle %d says the oracle last ran at cycle %d and found %d messages", e.now, e.oracleCycle, e.oracleSize)
+	}
+	// The cached deadlocked set belongs to the state being replaced, and the
+	// fabric generation it is keyed on says nothing across a Restore.
+	e.oracle.Invalidate()
+
+	var charged [7]int64
+	r.I64s(charged[:])
+	e.lastProbe = detect.ProbeTotals{Emitted: charged[0], Forwarded: charged[1], Dropped: charged[2], Returned: charged[3], Flits: charged[4], InFlight: int(charged[5])}
+	e.lastAbsorbedFlits = charged[6]
+
+	det := r.Section()
+	switch {
+	case r.Err() != nil:
+	case e.caps.Restore != nil:
+		if err := e.caps.Restore(det); err != nil {
+			r.Failf("%w", err)
+		}
+	case len(det) != 0:
+		r.Failf("sim: snapshot carries %d bytes of detector state, %s keeps none", len(det), e.det.Name())
+	}
+	e.rec.RestoreSnapshot(r)
+}
+
+// restoreHeaders reads one of the two header lists: pool members, each
+// listed at most once across both (auditRouteMemos and the one-writer rule
+// of routeCandsShard rest on that).
+func (e *Engine) restoreHeaders(r *snap.Reader, dst []router.MsgID) []router.MsgID {
+	dst = snap.ReadIDs(r, dst, 0, e.fab.NumMessages())
+	if r.Err() != nil {
+		return dst
+	}
+	for _, id := range dst {
+		if e.listed[id]&2 != 0 {
+			r.Failf("sim: snapshot lists message %d's header as pending twice", id)
+			break
+		}
+		e.listed[id] |= 2
+	}
+	return dst
+}

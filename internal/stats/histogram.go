@@ -6,6 +6,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"wormnet/internal/snap"
 )
 
 // Histogram accumulates int64 samples (latencies, queue depths, blocked
@@ -178,17 +180,22 @@ type histogramJSON struct {
 	Max    int64   `json:"max"`
 }
 
-// MarshalJSON encodes the histogram, including exact sum and extremes.
-func (h *Histogram) MarshalJSON() ([]byte, error) {
-	// Trim trailing empty buckets so equivalent histograms serialize
-	// identically regardless of transient bucket-slice growth.
+// trimmedCounts returns the bucket counts without trailing empty buckets, so
+// that equivalent histograms serialize identically regardless of transient
+// bucket-slice growth.
+func (h *Histogram) trimmedCounts() []int64 {
 	counts := h.counts
 	for len(counts) > 0 && counts[len(counts)-1] == 0 {
 		counts = counts[:len(counts)-1]
 	}
+	return counts
+}
+
+// MarshalJSON encodes the histogram, including exact sum and extremes.
+func (h *Histogram) MarshalJSON() ([]byte, error) {
 	return json.Marshal(histogramJSON{
 		Growth: h.growth,
-		Counts: counts,
+		Counts: h.trimmedCounts(),
 		Total:  h.total,
 		Sum:    h.sum,
 		Min:    h.min,
@@ -226,6 +233,49 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 		samples: j.Total > 0,
 	}
 	return nil
+}
+
+// AppendSnapshot appends the histogram's samples to dst for
+// sim.Engine.Snapshot: the trimmed bucket counts, the exact sum and the
+// extremes. The growth factor
+// belongs to whoever built the histogram and is not written.
+func (h *Histogram) AppendSnapshot(dst []byte) []byte {
+	counts := h.trimmedCounts()
+	dst = snap.U32(dst, uint32(len(counts)))
+	dst = snap.I64s(dst, counts)
+	return snap.I64s(dst, []int64{h.sum, h.min, h.max})
+}
+
+// RestoreSnapshot replaces the samples with what AppendSnapshot wrote, keeping
+// the growth factor and reusing the bucket slice. Decoding errors stay in r:
+// more buckets than an int64 sample can reach, a negative count or negative
+// extremes are rejected.
+func (h *Histogram) RestoreSnapshot(r *snap.Reader) {
+	n := r.Len(8)
+	// (The logarithm is only worth taking for a count this histogram has not
+	// held before.)
+	if n > cap(h.counts) && n > h.bucket(math.MaxInt64)+1 {
+		r.Failf("stats: histogram snapshot has %d buckets", n)
+		return
+	}
+	h.counts = h.counts[:0]
+	h.total = 0
+	for i := 0; i < n; i++ {
+		c := r.I64()
+		if c < 0 {
+			r.Failf("stats: histogram snapshot has negative bucket count %d", c)
+			return
+		}
+		h.counts = append(h.counts, c)
+		h.total += c
+	}
+	var tail [3]int64
+	r.I64s(tail[:])
+	h.sum, h.min, h.max = tail[0], tail[1], tail[2]
+	h.samples = h.total > 0
+	if h.min < 0 || h.max < h.min || (!h.samples && (h.sum != 0 || h.max != 0)) {
+		r.Failf("stats: histogram snapshot has %d samples with sum %d, min %d, max %d", h.total, h.sum, h.min, h.max)
+	}
 }
 
 // String renders a compact summary with common percentiles.

@@ -5,7 +5,11 @@
 // (latency, throughput) used to locate the saturation point.
 package stats
 
-import "fmt"
+import (
+	"fmt"
+
+	"wormnet/internal/snap"
+)
 
 // Counters is the set of measurements accumulated over the measurement
 // window of one simulation run.
@@ -163,4 +167,44 @@ func (c *Counters) String() string {
 		"cycles=%d gen=%d inj=%d del=%d thr=%.4f lat=%.1f marked=%d (%.3f%%) true=%d false=%d",
 		c.Cycles, c.Generated, c.Injected, c.Delivered, c.Throughput(), c.AvgLatency(),
 		c.Marked, c.PctMarked(), c.TrueMarked, c.FalseMarked)
+}
+
+// AppendSnapshot appends every accumulated measurement to dst for
+// sim.Engine.Snapshot. Nodes and NetLinks are properties of the fabric, set
+// when the engine is built, and are not part of it.
+func (c *Counters) AppendSnapshot(dst []byte) []byte {
+	for _, v := range c.fields() {
+		dst = snap.I64(dst, *v)
+	}
+	dst = snap.I64(dst, int64(c.MaxDeadlockSet))
+	return snap.I64s(dst, c.MarksPerCycleHist[:])
+}
+
+// RestoreSnapshot reads what AppendSnapshot wrote; decoding errors stay in r.
+func (c *Counters) RestoreSnapshot(r *snap.Reader) {
+	fields := c.fields()
+	var vals [len(fields) + 1]int64
+	r.I64s(vals[:])
+	for i, v := range fields {
+		*v = vals[i]
+	}
+	c.MaxDeadlockSet = int(vals[len(fields)])
+	r.I64s(c.MarksPerCycleHist[:])
+}
+
+// fields lists the int64 counters in snapshot order. A counter missing here
+// silently resets on Restore; TestCountersSnapshotCoversEveryField fails when
+// the struct gains a field this list (or AppendSnapshot) does not cover.
+func (c *Counters) fields() [26]*int64 {
+	return [...]*int64{
+		&c.Cycles,
+		&c.Generated, &c.Injected, &c.Delivered, &c.DeliveredFlits,
+		&c.Marked, &c.TrueMarked, &c.FalseMarked,
+		&c.Absorbed, &c.Aborted, &c.Reinjected, &c.RecoveredDelivered,
+		&c.LatencySum, &c.NetLatencySum, &c.MaxLatency,
+		&c.LinkFailures, &c.KilledByFault,
+		&c.OracleRuns, &c.DeadlockCycles, &c.DeadlockedMsgSum,
+		&c.DTFlagCycleSum,
+		&c.ProbesEmitted, &c.ProbesForwarded, &c.ProbesDropped, &c.ProbesReturned, &c.ProbeFlits,
+	}
 }

@@ -1,10 +1,14 @@
 package stats
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"wormnet/internal/snap"
 )
 
 func TestCountersPercentages(t *testing.T) {
@@ -239,5 +243,82 @@ func TestSeries(t *testing.T) {
 	}
 	if even.Median() != 2.5 {
 		t.Errorf("even median %v", even.Median())
+	}
+}
+
+// TestCountersSnapshotCoversEveryField sets every field of Counters to a
+// distinct value by reflection and round-trips it: a counter added to the
+// struct but not to AppendSnapshot would silently reset on sim.Engine.Restore.
+// Nodes and NetLinks belong to the fabric and are deliberately not written.
+func TestCountersSnapshotCoversEveryField(t *testing.T) {
+	var c Counters
+	v := reflect.ValueOf(&c).Elem()
+	next := int64(100)
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int64, reflect.Int:
+			next++
+			f.SetInt(next)
+		case reflect.Array:
+			for j := 0; j < f.Len(); j++ {
+				next++
+				f.Index(j).SetInt(next)
+			}
+		default:
+			t.Fatalf("Counters.%s has kind %s: teach AppendSnapshot and this test about it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	got := Counters{Nodes: c.Nodes, NetLinks: c.NetLinks}
+	r := snap.NewReader(c.AppendSnapshot(nil))
+	got.RestoreSnapshot(&r)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if got != c {
+		t.Errorf("round trip lost a field\n got %+v\nwant %+v", got, c)
+	}
+}
+
+// TestHistogramSnapshot round-trips samples into a histogram that held other
+// samples, and checks the inputs RestoreSnapshot refuses.
+func TestHistogramSnapshot(t *testing.T) {
+	h := NewHistogram(1.25)
+	for _, v := range []int64{0, 1, 1, 7, 300, 300, 12345} {
+		h.Add(v)
+	}
+	b := h.AppendSnapshot(nil)
+	for _, into := range []*Histogram{NewHistogram(1.25), func() *Histogram {
+		used := NewHistogram(1.25)
+		used.Add(1 << 40)
+		return used
+	}()} {
+		r := snap.NewReader(b)
+		into.RestoreSnapshot(&r)
+		if err := r.Done(); err != nil {
+			t.Fatal(err)
+		}
+		if into.String() != h.String() || into.Mean() != h.Mean() || !bytes.Equal(into.AppendSnapshot(nil), b) {
+			t.Errorf("restored %v, want %v", into, h)
+		}
+	}
+	empty := NewHistogram(1.25).AppendSnapshot(nil)
+	r := snap.NewReader(empty)
+	h.RestoreSnapshot(&r)
+	if err := r.Done(); err != nil || h.Count() != 0 || h.String() != "histogram(empty)" {
+		t.Errorf("restoring the empty histogram: %v, %v", err, h)
+	}
+
+	negative := snap.I64(snap.U32(nil, 1), -1)
+	negative = snap.I64(snap.I64(snap.I64(negative, 0), 0), 0)
+	tooMany := snap.U32(nil, 4000)
+	tooMany = append(tooMany, make([]byte, 8*4000+24)...)
+	minAboveMax := snap.I64(snap.U32(nil, 1), 2)
+	minAboveMax = snap.I64(snap.I64(snap.I64(minAboveMax, 10), 9), 1)
+	for name, in := range map[string][]byte{"negative count": negative, "4000 buckets": tooMany, "min above max": minAboveMax, "truncated": b[:len(b)-1]} {
+		r := snap.NewReader(in)
+		NewHistogram(1.25).RestoreSnapshot(&r)
+		if r.Done() == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"wormnet/internal/rng"
+	"wormnet/internal/snap"
 	"wormnet/internal/topology"
 )
 
@@ -91,7 +92,8 @@ func (p *Tornado) Name() string { return "tornado" }
 // (on/off) Markov modulation: in the ON state the node generates at the
 // burst rate; in the OFF state it generates nothing. Mean dwell times are
 // geometrically distributed. The long-run average load equals the
-// configured load, but arrivals cluster.
+// configured load, but arrivals cluster. The per-node ON/OFF state makes it
+// Stateful.
 type Bursty struct {
 	pattern Pattern
 	lengths LengthDist
@@ -147,6 +149,31 @@ func (b *Bursty) Next(src int, r *rng.Source) (dst, length int, ok bool) {
 		return 0, 0, false
 	}
 	return b.pattern.Destination(src, r), b.lengths.Length(r), true
+}
+
+// AppendSnapshot implements Stateful: every node's ON/OFF state, eight nodes
+// to a byte.
+func (b *Bursty) AppendSnapshot(dst []byte) []byte {
+	for i := 0; i < len(b.on); i += 8 {
+		var v byte
+		for j, on := range b.on[i:min(i+8, len(b.on))] {
+			if on {
+				v |= 1 << j
+			}
+		}
+		dst = append(dst, v)
+	}
+	return dst
+}
+
+// RestoreSnapshot implements Stateful.
+func (b *Bursty) RestoreSnapshot(r *snap.Reader) {
+	for i := 0; i < len(b.on); i += 8 {
+		v := r.U8()
+		for j := range b.on[i:min(i+8, len(b.on))] {
+			b.on[i+j] = v>>j&1 != 0
+		}
+	}
 }
 
 // Name identifies the process in reports.

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"wormnet/internal/rng"
+	"wormnet/internal/snap"
 	"wormnet/internal/topology"
 )
 
@@ -282,12 +283,30 @@ func (b Bimodal) Name() string {
 // Process is an injection process: each cycle, each node asks whether it
 // generates a new message. Generator implements the paper's Bernoulli
 // process; Bursty adds two-state burst modulation.
+//
+// All randomness comes from the stream the engine passes in. A process that
+// also keeps state of its own between calls must implement Stateful, or an
+// engine restored from a snapshot (sim.Engine.Restore) resumes it from the
+// wrong state; one that does not implement Stateful is stateless by contract.
 type Process interface {
 	// Next reports whether a message is generated this cycle at node src
 	// and, if so, its destination and length in flits.
 	Next(src int, r *rng.Source) (dst, length int, ok bool)
 	// Name identifies the process in reports.
 	Name() string
+}
+
+// Stateful is the capability interface of a process with state of its own —
+// anything a call reads that an earlier call wrote, other than the engine's
+// random stream. sim.Engine.Snapshot stores it and Restore puts it back.
+type Stateful interface {
+	Process
+	// AppendSnapshot appends the process state to dst.
+	AppendSnapshot(dst []byte) []byte
+	// RestoreSnapshot replaces the process state with what AppendSnapshot
+	// wrote. Input that is truncated or does not fit this process is
+	// reported through r (snap.Reader.Failf), never by a panic.
+	RestoreSnapshot(r *snap.Reader)
 }
 
 // Skipahead is the capability interface for processes whose per-cycle trials
@@ -326,6 +345,11 @@ type Skipahead interface {
 // Generated messages wait in an unbounded source queue until the injection
 // stage accepts them, matching the paper's methodology (load is an offered
 // load; the injection-limitation mechanism may hold messages back).
+//
+// A Generator is immutable after construction (as are the patterns and length
+// distributions of this package), so it is not Stateful: a snapshot of its
+// engine holds the random streams and the arrival schedule, nothing of the
+// Generator itself.
 type Generator struct {
 	pattern Pattern
 	lengths LengthDist

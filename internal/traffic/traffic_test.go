@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"wormnet/internal/rng"
+	"wormnet/internal/snap"
 	"wormnet/internal/topology"
 )
 
@@ -352,5 +353,52 @@ func TestPatternNames(t *testing.T) {
 		if tc.p.Name() != tc.want {
 			t.Errorf("Name() = %q, want %q", tc.p.Name(), tc.want)
 		}
+	}
+}
+
+// TestBurstySnapshot: the burst process is the package's one Stateful
+// process; its ON/OFF states round-trip (node counts that are not a multiple
+// of eight included) and a restored copy then generates the same traffic.
+func TestBurstySnapshot(t *testing.T) {
+	tp := topology.New(3, 2) // nine nodes: one full byte and one bit
+	build := func() *Bursty { return NewBursty(tp, NewUniform(tp), Fixed(8), 0.4, 4, 10) }
+	a, ra := build(), rng.New(5)
+	for c := 0; c < 200; c++ {
+		for n := 0; n < tp.Nodes(); n++ {
+			a.Next(n, ra)
+		}
+	}
+	var p Process = a
+	st, ok := p.(Stateful)
+	if !ok {
+		t.Fatal("Bursty is not Stateful")
+	}
+	bytesA := st.AppendSnapshot(nil)
+	if len(bytesA) != 2 {
+		t.Fatalf("nine nodes snapshot into %d bytes", len(bytesA))
+	}
+	b, rb := build(), rng.New(5)
+	*rb = *ra
+	r := snap.NewReader(bytesA)
+	b.RestoreSnapshot(&r)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 200; c++ {
+		for n := 0; n < tp.Nodes(); n++ {
+			d1, l1, ok1 := a.Next(n, ra)
+			d2, l2, ok2 := b.Next(n, rb)
+			if d1 != d2 || l1 != l2 || ok1 != ok2 {
+				t.Fatalf("cycle %d node %d: restored process diverged", c, n)
+			}
+		}
+	}
+	short := snap.NewReader(bytesA[:1])
+	build().RestoreSnapshot(&short)
+	if short.Done() == nil {
+		t.Error("accepted a truncated snapshot")
+	}
+	if _, ok := Process(NewGenerator(NewUniform(tp), Fixed(8), 0.4)).(Stateful); ok {
+		t.Error("Generator claims state; it is immutable")
 	}
 }
