@@ -255,7 +255,7 @@ shootout: build
 # CPU and heap profiles of the kernel benchmarks; writes pprof artifacts
 # under results/. Inspect with: go tool pprof results/cpu.pprof
 profile:
-	$(GO) test -run NONE -bench 'EngineStepSaturation|EngineStepStorm|OracleSaturation' \
+	$(GO) test -run NONE -bench 'EngineStepSat512|EngineStepSaturation|EngineStepStorm|OracleSaturation' \
 		-benchtime 2s -cpuprofile results/cpu.pprof -memprofile results/mem.pprof \
 		. | tee results/profile_bench.txt
 	@echo "profile: wrote results/cpu.pprof and results/mem.pprof"

@@ -14,7 +14,6 @@ package router
 
 import (
 	"fmt"
-	"math/bits"
 
 	"wormnet/internal/topology"
 )
@@ -130,6 +129,10 @@ type Config struct {
 	DelPorts int
 }
 
+// MaxVCsPerLink bounds Config.VCsPerLink: the transfer stage counts a link's
+// feeders — at most one per VC — in one byte.
+const MaxVCsPerLink = 255
+
 // DefaultConfig returns the paper's router parameters.
 func DefaultConfig() Config {
 	return Config{VCsPerLink: 3, BufFlits: 4, InjPorts: 4, DelPorts: 4}
@@ -137,8 +140,8 @@ func DefaultConfig() Config {
 
 func (c Config) validate() error {
 	switch {
-	case c.VCsPerLink < 1:
-		return fmt.Errorf("router: VCsPerLink must be >= 1, got %d", c.VCsPerLink)
+	case c.VCsPerLink < 1 || c.VCsPerLink > MaxVCsPerLink:
+		return fmt.Errorf("router: VCsPerLink must be in [1, %d], got %d", MaxVCsPerLink, c.VCsPerLink)
 	case c.BufFlits < 1:
 		return fmt.Errorf("router: BufFlits must be >= 1, got %d", c.BufFlits)
 	case c.InjPorts < 1:
@@ -170,39 +173,15 @@ type Fabric struct {
 
 	// Occupancy acceleration structures, maintained by Allocate and the
 	// release paths, sharded by the owner of each link so that shard
-	// workers mutate disjoint lists and words. A link (and its VCs) is owned by the
-	// shard of Links[l].Dst — the router at whose input its buffers sit.
-	// busy[l] counts occupied VCs of link l; occupied[s] lists every
-	// occupied VC owned by shard s (in no particular order); occIdx[v] is
-	// v's position within its owner's list, or -1. An unpartitioned fabric
-	// has a single shard owning everything.
+	// workers mutate disjoint words. A link (and its VCs) is owned by the
+	// shard of Links[l].Dst — the router at whose input its buffers sit; an
+	// unpartitioned fabric has a single shard owning everything. busy[l]
+	// counts occupied VCs of link l; occBits is the occupied-VC set, indexed
+	// by VCID, and busyBits the busy-link set — links with busy > 0 —
+	// indexed by LinkID (see shardBits for the layout both share).
 	busy     []int16
-	occupied [][]VCID
-	occIdx   []int32
-	// busyBits is the busy-link set — links with busy > 0 — as one two-level
-	// bitmap per shard, all in one allocation: shard s's share starts at
-	// s*busyStride and holds busyWords words indexed by LinkID (bit l&63 of
-	// word l>>6) followed by a summary level with one bit per word (set iff
-	// the word is non-zero). A link's bit lives only in its owner's share
-	// and only the owner writes that share, so shard workers never touch the
-	// same word; readers (BusyLinkWords) OR the shares. Word-ascending,
-	// bit-ascending iteration yields LinkID-ascending — canonical — order
-	// for every partition.
-	busyBits   []uint64
-	busyWords  int
-	busyStride int
-	// delOccBits[s] is shard s's occupied-delivery-VC bitmap (a subset of
-	// occupied[s], kept separately so the drain stage touches only delivery
-	// traffic). Delivery VCs are numbered contiguously in link order
-	// (node-major, port-minor) starting at firstDelVC, and a contiguous
-	// node partition owns a contiguous delivery range, so bit i of shard
-	// s's bitmap is delivery VC firstDelVC + delLo[s] + i. Word-ascending,
-	// bit-ascending iteration therefore yields VCID-ascending — canonical —
-	// order without sorting. Each shard's bitmap is a separate allocation,
-	// so concurrent shard workers never share a word.
-	delOccBits [][]uint64
-	delLo      []int32
-	firstDelVC VCID
+	occBits  shardBits
+	busyBits shardBits
 	// shardOf[l] is the shard owning link l; gens[s] is shard s's share of
 	// the structural generation counter.
 	shardOf []int32
@@ -292,55 +271,36 @@ func NewFabric(t *topology.Torus, cfg Config) (*Fabric, error) {
 		}
 	}
 	f.busy = make([]int16, total)
-	f.occIdx = make([]int32, vcCount)
-	for i := range f.occIdx {
-		f.occIdx[i] = -1
-	}
 	f.failed = make([]bool, total)
 	f.shardOf = make([]int32, total)
-	f.occupied = make([][]VCID, 1)
-	f.busyWords = (total + 63) >> 6
-	f.busyStride = f.busyWords + (f.busyWords+63)>>6
-	f.busyBits = make([]uint64, f.busyStride)
-	f.firstDelVC = f.Links[f.delBase].FirstVC
-	f.delOccBits = [][]uint64{make([]uint64, (nodes*cfg.DelPorts+63)/64)}
-	f.delLo = []int32{0}
+	f.occBits = newShardBits(int(vcCount), 1)
+	f.busyBits = newShardBits(total, 1)
 	f.gens = make([]uint64, 1)
 	return f, nil
 }
 
 // SetPartition shards the occupancy structures by the given contiguous node
 // partition: each link is owned by the shard of its Dst router, so shard
-// workers stepping disjoint node ranges mutate disjoint occupancy lists.
+// workers stepping disjoint node ranges mutate disjoint occupancy words.
 // It must be called on an empty fabric, before any allocation.
 func (f *Fabric) SetPartition(p topology.Partition) {
-	for s := range f.occupied {
-		if len(f.occupied[s]) > 0 {
-			panic("router: SetPartition on a fabric with occupied VCs")
-		}
+	if f.NumOccupied() > 0 {
+		panic("router: SetPartition on a fabric with occupied VCs")
 	}
 	n := p.Shards()
 	for l := range f.Links {
 		f.shardOf[l] = int32(p.Of(int(f.Links[l].Dst)))
 	}
-	f.occupied = make([][]VCID, n)
-	if len(f.busyBits) != n*f.busyStride {
-		f.busyBits = make([]uint64, n*f.busyStride)
-	}
-	f.delOccBits = make([][]uint64, n)
-	f.delLo = make([]int32, n)
-	dp := f.Cfg.DelPorts
-	for s := 0; s < n; s++ {
-		lo, hi := p.Range(s)
-		f.delLo[s] = int32(lo * dp)
-		f.delOccBits[s] = make([]uint64, ((hi-lo)*dp+63)/64)
+	if n != f.NumShards() {
+		f.occBits = newShardBits(len(f.VCs), n)
+		f.busyBits = newShardBits(len(f.Links), n)
 	}
 	f.gens = make([]uint64, n)
 }
 
 // NumShards returns the number of occupancy shards (1 unless SetPartition
 // was called).
-func (f *Fabric) NumShards() int { return len(f.occupied) }
+func (f *Fabric) NumShards() int { return len(f.gens) }
 
 // ShardOfLink returns the shard owning link l: the shard of the router at
 // whose input l's buffers sit.
@@ -388,122 +348,49 @@ func (f *Fabric) addOccupied(vc VCID) {
 	f.gens[s]++
 	f.busy[l]++
 	if f.busy[l] == 1 {
-		share := f.busyBits[int(s)*f.busyStride:]
-		w := int(l) >> 6
-		share[w] |= 1 << (l & 63)
-		share[f.busyWords+w>>6] |= 1 << (w & 63)
+		f.busyBits.set(s, int(l))
 	}
-	f.occIdx[vc] = int32(len(f.occupied[s]))
-	f.occupied[s] = append(f.occupied[s], vc)
-	if f.Links[l].Kind == DeliveryLink {
-		rel := int(vc-f.firstDelVC) - int(f.delLo[s])
-		f.delOccBits[s][rel>>6] |= 1 << (rel & 63)
-	}
+	f.occBits.set(s, int(vc))
 }
 
-// removeOccupied unregisters vc (swap-remove within its owner shard).
+// removeOccupied unregisters vc.
 func (f *Fabric) removeOccupied(vc VCID) {
 	l := f.VCs[vc].Link
 	s := f.shardOf[l]
 	f.gens[s]++
 	f.busy[l]--
 	if f.busy[l] == 0 {
-		share := f.busyBits[int(s)*f.busyStride:]
-		w := int(l) >> 6
-		share[w] &^= 1 << (l & 63)
-		if share[w] == 0 {
-			share[f.busyWords+w>>6] &^= 1 << (w & 63)
-		}
+		f.busyBits.clear(s, int(l))
 	}
-	oc := f.occupied[s]
-	idx := f.occIdx[vc]
-	last := oc[len(oc)-1]
-	oc[idx] = last
-	f.occIdx[last] = idx
-	f.occupied[s] = oc[:len(oc)-1]
-	f.occIdx[vc] = -1
-	if f.Links[l].Kind == DeliveryLink {
-		rel := int(vc-f.firstDelVC) - int(f.delLo[s])
-		f.delOccBits[s][rel>>6] &^= 1 << (rel & 63)
-	}
+	f.occBits.clear(s, int(vc))
 }
 
-// OccupiedShard returns shard s's occupied virtual channels, in no
-// particular order. The slice is owned by the fabric: callers must not
-// mutate it, and any Allocate or release within the shard invalidates it.
-func (f *Fabric) OccupiedShard(s int) []VCID { return f.occupied[s] }
+// OccupiedBitsShard returns both levels of shard s's occupied-VC bitmap: bit
+// v&63 of words[v>>6] is VC v, and bit w&63 of summary[w>>6] is set iff
+// words[w] is non-zero. Summary-ascending, word-ascending, bit-ascending
+// iteration yields the shard's occupied VCs in ascending VCID order. The
+// slices are owned by the fabric: callers must not mutate them, and an
+// Allocate or release within the shard changes them in place.
+func (f *Fabric) OccupiedBitsShard(s int) (words, summary []uint64) { return f.occBits.share(s) }
 
-// BusyLinkWords iterates the busy-link set — physical channels with at least
-// one occupied VC — one non-empty 64-link word at a time, in ascending order.
-// It reads the fabric's bitmap in place: an Allocate or release between two
-// Next calls may or may not be seen.
-type BusyLinkWords struct {
-	f   *Fabric
-	si  int    // summary words consumed so far
-	sum uint64 // unvisited bits of summary word si-1
-}
+// OccupiedWords starts an iteration over the occupied VCs of every shard.
+func (f *Fabric) OccupiedWords() WordIter { return WordIter{b: &f.occBits} }
 
-// BusyLinkWords starts an iteration over the busy-link set.
-func (f *Fabric) BusyLinkWords() BusyLinkWords { return BusyLinkWords{f: f} }
+// BusyLinkWords starts an iteration over the busy-link set — physical
+// channels with at least one occupied VC.
+func (f *Fabric) BusyLinkWords() WordIter { return WordIter{b: &f.busyBits} }
 
-// Next returns the next non-empty word of the busy-link bitmap: bit b of
-// word is link w<<6 + b. ok is false once the set is exhausted.
-func (it *BusyLinkWords) Next() (w int, word uint64, ok bool) {
-	f := it.f
-	for it.sum == 0 {
-		if f.busyWords+it.si == f.busyStride {
-			return 0, 0, false
-		}
-		it.sum = f.busyOr(f.busyWords + it.si)
-		it.si++
-	}
-	w = (it.si-1)<<6 + bits.TrailingZeros64(it.sum)
-	it.sum &= it.sum - 1
-	return w, f.busyOr(w), true
-}
-
-// busyOr ORs the shards' copies of word i of the busy-link bitmap (a word
-// of either level: i indexes a shard's share).
-func (f *Fabric) busyOr(i int) uint64 {
-	w := f.busyBits[i]
-	for i += f.busyStride; i < len(f.busyBits); i += f.busyStride {
-		w |= f.busyBits[i]
-	}
-	return w
-}
-
-// DeliveryOccBitsShard returns shard s's occupied-delivery-VC bitmap: bit i
-// is delivery VC DeliveryShardBase(s) + i. Word-ascending, bit-ascending
-// iteration yields VCID-ascending (canonical drain) order. The slice is
-// owned by the fabric under the same rules as OccupiedShard; releasing a
-// delivery VC of the shard clears its bit in place.
-func (f *Fabric) DeliveryOccBitsShard(s int) []uint64 { return f.delOccBits[s] }
-
-// DeliveryShardBase returns the VCID corresponding to bit 0 of shard s's
-// delivery-occupancy bitmap.
-func (f *Fabric) DeliveryShardBase(s int) VCID { return f.firstDelVC + VCID(f.delLo[s]) }
+// FirstDeliveryVC returns the lowest delivery VC. VCs are numbered in link
+// order and the delivery links come last, so the delivery VCs are exactly the
+// VCIDs from here up, node-major, port-minor — the canonical drain order.
+func (f *Fabric) FirstDeliveryVC() VCID { return f.Links[f.delBase].FirstVC }
 
 // NumOccupied returns the total number of occupied virtual channels.
-func (f *Fabric) NumOccupied() int {
-	n := 0
-	for s := range f.occupied {
-		n += len(f.occupied[s])
-	}
-	return n
-}
+func (f *Fabric) NumOccupied() int { return f.occBits.count() }
 
 // NumBusyLinks returns the total number of physical channels with at least
 // one occupied VC.
-func (f *Fabric) NumBusyLinks() int {
-	n := 0
-	for it := f.BusyLinkWords(); ; {
-		_, word, ok := it.Next()
-		if !ok {
-			return n
-		}
-		n += bits.OnesCount64(word)
-	}
-}
+func (f *Fabric) NumBusyLinks() int { return f.busyBits.count() }
 
 // NumLinks returns the total number of physical channels.
 func (f *Fabric) NumLinks() int { return len(f.Links) }
@@ -762,29 +649,20 @@ func (f *Fabric) LiveMessages(fn func(*Message)) {
 // It is called from tests and (optionally) from the engine in debug mode.
 func (f *Fabric) CheckInvariants() error {
 	busy := make([]int16, len(f.Links))
+	// want is the word level a bitmap's shares should hold, recounted here for
+	// the occupied VCs first and then for the busy links: a member's bit
+	// belongs in its owner's share, and only while it is held.
+	want := make([]uint64, f.NumShards()*f.occBits.words)
 	for i := range f.VCs {
 		vc := &f.VCs[i]
 		if vc.Occupant == NilMsg {
 			if vc.Flits != 0 || vc.HasHeader || vc.HasTail || vc.Next != NilVC {
 				return fmt.Errorf("router: free VC %d has residual state %+v", i, *vc)
 			}
-			if f.occIdx[i] != -1 {
-				return fmt.Errorf("router: free VC %d still in occupied list", i)
-			}
-			if f.Links[f.VCs[i].Link].Kind == DeliveryLink && f.delOccBit(VCID(i)) {
-				return fmt.Errorf("router: free VC %d still set in delivery-occupancy bitmap", i)
-			}
 			continue
 		}
 		busy[vc.Link]++
-		s := f.shardOf[vc.Link]
-		idx := f.occIdx[i]
-		if idx < 0 || int(idx) >= len(f.occupied[s]) || f.occupied[s][idx] != VCID(i) {
-			return fmt.Errorf("router: occupied VC %d not tracked in shard %d (idx %d)", i, s, idx)
-		}
-		if f.Links[vc.Link].Kind == DeliveryLink && !f.delOccBit(VCID(i)) {
-			return fmt.Errorf("router: occupied delivery VC %d not set in shard %d's bitmap", i, s)
-		}
+		want[int(f.shardOf[vc.Link])*f.occBits.words+i>>6] |= 1 << (i & 63)
 		if vc.Flits < 0 || vc.Flits > int32(f.Cfg.BufFlits) {
 			return fmt.Errorf("router: VC %d flit count %d out of range", i, vc.Flits)
 		}
@@ -792,53 +670,17 @@ func (f *Fabric) CheckInvariants() error {
 			return fmt.Errorf("router: VC %d next %d held by different message", i, vc.Next)
 		}
 	}
+	if err := f.occBits.audit("VC", want); err != nil {
+		return err
+	}
+	clear(want)
 	for l := range busy {
 		if busy[l] != f.busy[l] {
 			return fmt.Errorf("router: link %d busy count %d, recount %d", l, f.busy[l], busy[l])
 		}
-	}
-	// Both levels of every shard's busy-link bitmap, a word at a time: a
-	// link's bit is set exactly in its owner's share and exactly while it has
-	// an occupied VC, and a summary bit mirrors its word.
-	for s := range f.occupied {
-		share := f.busyBits[s*f.busyStride:]
-		for w := 0; w < f.busyWords; w++ {
-			var want uint64
-			for l := w << 6; l < min(w<<6+64, len(f.Links)); l++ {
-				if busy[l] > 0 && int(f.shardOf[l]) == s {
-					want |= 1 << (l & 63)
-				}
-			}
-			if got := share[w]; got != want {
-				l := w<<6 + bits.TrailingZeros64(got^want)
-				return fmt.Errorf("router: link %d (owner shard %d, %d busy VCs) has busy-link bit %d in shard %d's bitmap",
-					l, f.shardOf[l], busy[l], got>>(l&63)&1, s)
-			}
-			if sum := share[f.busyWords+w>>6] >> (w & 63) & 1; (sum != 0) != (want != 0) {
-				return fmt.Errorf("router: shard %d's busy-link summary bit for links %d..%d is %d, their word is %#x",
-					s, w<<6, w<<6+63, sum, want)
-			}
+		if busy[l] > 0 {
+			want[int(f.shardOf[l])*f.busyBits.words+l>>6] |= 1 << (l & 63)
 		}
 	}
-	delOcc := 0
-	for s := range f.delOccBits {
-		for _, w := range f.delOccBits[s] {
-			delOcc += bits.OnesCount64(w)
-		}
-	}
-	delBusy := 0
-	for l := f.delBase; l < f.delBase+f.Topo.Nodes()*f.Cfg.DelPorts; l++ {
-		delBusy += int(busy[l])
-	}
-	if delOcc != delBusy {
-		return fmt.Errorf("router: delivery-occupancy bitmaps track %d VCs, recount %d", delOcc, delBusy)
-	}
-	return nil
-}
-
-// delOccBit reports delivery VC vc's bit in its owner shard's bitmap.
-func (f *Fabric) delOccBit(vc VCID) bool {
-	s := f.shardOf[f.VCs[vc].Link]
-	rel := int(vc-f.firstDelVC) - int(f.delLo[s])
-	return f.delOccBits[s][rel>>6]&(1<<(rel&63)) != 0
+	return f.busyBits.audit("link", want)
 }

@@ -22,6 +22,7 @@ func TestConfigValidation(t *testing.T) {
 	tp := topology.New(4, 2)
 	bad := []Config{
 		{VCsPerLink: 0, BufFlits: 4, InjPorts: 4, DelPorts: 4},
+		{VCsPerLink: MaxVCsPerLink + 1, BufFlits: 4, InjPorts: 4, DelPorts: 4},
 		{VCsPerLink: 3, BufFlits: 0, InjPorts: 4, DelPorts: 4},
 		{VCsPerLink: 3, BufFlits: 4, InjPorts: 0, DelPorts: 4},
 		{VCsPerLink: 3, BufFlits: 4, InjPorts: 4, DelPorts: 0},
@@ -30,6 +31,14 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := NewFabric(tp, cfg); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
+	}
+	// The widest fabric the feeder counts can hold is accepted, and a refusal
+	// names the field.
+	if _, err := NewFabric(tp, Config{VCsPerLink: MaxVCsPerLink, BufFlits: 4, InjPorts: 4, DelPorts: 4}); err != nil {
+		t.Errorf("VCsPerLink %d refused: %v", MaxVCsPerLink, err)
+	}
+	if _, err := NewFabric(tp, bad[1]); err == nil || !strings.Contains(err.Error(), "VCsPerLink") {
+		t.Errorf("VCsPerLink %d: error %v, want one naming VCsPerLink", bad[1].VCsPerLink, err)
 	}
 }
 
@@ -393,24 +402,67 @@ func TestCheckInvariantsBusyLinkBitmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	owner, other := f.ShardOfLink(busy), 1-f.ShardOfLink(busy)
+	bb := &f.busyBits
 	for _, tc := range []struct {
 		name string
-		word int // index into busyBits
+		word int // index into busyBits.bits
 		bit  uint
 		want string
 	}{
-		{"busy link's bit cleared", owner * f.busyStride, uint(busy), fmt.Sprintf("link %d ", busy)},
-		{"busy link's bit set in the other shard", other * f.busyStride, uint(busy), fmt.Sprintf("link %d ", busy)},
-		{"idle link's bit set", f.ShardOfLink(idle) * f.busyStride, uint(idle), fmt.Sprintf("link %d ", idle)},
-		{"summary bit cleared", owner*f.busyStride + f.busyWords, 0, "links 0..63"},
-		{"summary bit set over an empty word", other*f.busyStride + f.busyWords, 1, "links 64..127"},
+		{"busy link's bit cleared", owner * bb.stride, uint(busy), fmt.Sprintf("link %d ", busy)},
+		{"busy link's bit set in the other shard", other * bb.stride, uint(busy), fmt.Sprintf("link %d ", busy)},
+		{"idle link's bit set", f.ShardOfLink(idle) * bb.stride, uint(idle), fmt.Sprintf("link %d ", idle)},
+		{"summary bit cleared", owner*bb.stride + bb.words, 0, "links 0..63"},
+		{"summary bit set over an empty word", other*bb.stride + bb.words, 1, "links 64..127"},
 	} {
-		f.busyBits[tc.word] ^= 1 << tc.bit
+		bb.bits[tc.word] ^= 1 << tc.bit
 		err := f.CheckInvariants()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: CheckInvariants = %v, want an error naming %q", tc.name, err, tc.want)
 		}
-		f.busyBits[tc.word] ^= 1 << tc.bit
+		bb.bits[tc.word] ^= 1 << tc.bit
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatalf("after restoring every bit: %v", err)
+	}
+}
+
+// TestCheckInvariantsOccupiedBitmap does the same to the occupied-VC bitmap:
+// a word bit, a summary bit and a bit in the wrong shard's share, each flipped
+// alone, and CheckInvariants must name the VC (or the VCs of the word).
+func TestCheckInvariantsOccupiedBitmap(t *testing.T) {
+	f := testFabric(t, 4, 2)
+	f.SetPartition(topology.NewPartition(f.Topo.Nodes(), 2))
+	held := f.FreeVC(f.NetLink(9, 1)) // VC 111, word 1
+	free := f.FreeVC(f.NetLink(2, 0)) // VC 24, word 0
+	f.Allocate(f.NewMessage(0, 5, 4, 0), NilVC, held)
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if held>>6 != 1 || free>>6 != 0 {
+		t.Fatalf("held VC %d and free VC %d are not in words 1 and 0", held, free)
+	}
+	owner := f.ShardOfLink(f.LinkOfVC(held))
+	other := 1 - owner
+	ob := &f.occBits
+	for _, tc := range []struct {
+		name string
+		word int // index into occBits.bits
+		bit  uint
+		want string
+	}{
+		{"held VC's bit cleared", owner*ob.stride + 1, uint(held) & 63, fmt.Sprintf("VC %d ", held)},
+		{"held VC's bit set in the other shard", other*ob.stride + 1, uint(held) & 63, fmt.Sprintf("VC %d ", held)},
+		{"free VC's bit set", f.ShardOfLink(f.LinkOfVC(free)) * ob.stride, uint(free), fmt.Sprintf("VC %d ", free)},
+		{"summary bit cleared", owner*ob.stride + ob.words, 1, "VCs 64..127"},
+		{"summary bit set over an empty word", other*ob.stride + ob.words, 0, "VCs 0..63"},
+	} {
+		ob.bits[tc.word] ^= 1 << tc.bit
+		err := f.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckInvariants = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+		ob.bits[tc.word] ^= 1 << tc.bit
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatalf("after restoring every bit: %v", err)

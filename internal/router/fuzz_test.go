@@ -15,7 +15,9 @@ import (
 // every step. This is the safety net under the engine: any sequence of
 // legal primitive operations must keep the fabric consistent. It runs
 // unpartitioned and over three occupancy shards, where the busy-link bitmap
-// is read as the OR of the shards' shares.
+// is read as the OR of the shards' shares. After every operation both levels
+// of the occupied-VC bitmap are recounted against a model set: the VCs on the
+// chains of the worms the test itself keeps alive.
 func TestFabricOperationFuzz(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { fabricOperationFuzz(t, shards) })
@@ -172,6 +174,13 @@ func fabricOperationFuzz(t *testing.T, shards int) {
 			worms = worms[:len(worms)-1]
 		}
 
+		model := map[VCID]bool{}
+		for _, w := range worms {
+			for vc := w.m.TailVC; vc != NilVC; vc = f.VCs[vc].Next {
+				model[vc] = true
+			}
+		}
+		checkOccupiedBits(t, f, model, fmt.Sprintf("step %d (op %d)", step, lastOp))
 		checkEvery++
 		if checkEvery == 25 {
 			checkEvery = 0
@@ -194,6 +203,52 @@ func fabricOperationFuzz(t *testing.T, shards int) {
 	}
 	if got := f.NumBusyLinks(); got != 0 {
 		t.Fatalf("%d links still busy after teardown", got)
+	}
+}
+
+// checkOccupiedBits recounts both levels of every shard's occupied-VC bitmap
+// against model: a word holds exactly the model's VCs the shard owns, a
+// summary bit is set exactly over a non-zero word, and NumOccupied and the
+// whole-fabric iterator agree with the model's size and order.
+func checkOccupiedBits(t *testing.T, f *Fabric, model map[VCID]bool, when string) {
+	t.Helper()
+	for s := 0; s < f.NumShards(); s++ {
+		words, summary := f.OccupiedBitsShard(s)
+		for w, got := range words {
+			var want uint64
+			for vc := w << 6; vc < min(w<<6+64, len(f.VCs)); vc++ {
+				if model[VCID(vc)] && f.ShardOfLink(f.LinkOfVC(VCID(vc))) == s {
+					want |= 1 << (vc & 63)
+				}
+			}
+			if got != want {
+				t.Fatalf("%s: shard %d occupied word %d = %#x, model %#x", when, s, w, got, want)
+			}
+			if sum := summary[w>>6]>>(w&63)&1 != 0; sum != (want != 0) {
+				t.Fatalf("%s: shard %d summary bit %d = %v over word %#x", when, s, w, sum, want)
+			}
+		}
+	}
+	if n := f.NumOccupied(); n != len(model) {
+		t.Fatalf("%s: NumOccupied = %d, model holds %d", when, n, len(model))
+	}
+	prev, n := -1, 0
+	for it := f.OccupiedWords(); ; {
+		w, word, ok := it.Next()
+		if !ok {
+			break
+		}
+		for ; word != 0; word &= word - 1 {
+			vc := w<<6 + bits.TrailingZeros64(word)
+			if vc <= prev || !model[VCID(vc)] {
+				t.Fatalf("%s: iterator yielded VC %d after %d (in model: %v)", when, vc, prev, model[VCID(vc)])
+			}
+			prev = vc
+			n++
+		}
+	}
+	if n != len(model) {
+		t.Fatalf("%s: iterator yielded %d VCs, model holds %d", when, n, len(model))
 	}
 }
 

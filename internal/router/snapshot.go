@@ -2,6 +2,7 @@ package router
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"wormnet/internal/snap"
 )
@@ -14,14 +15,11 @@ import (
 // VCID order, every link's round-robin pointer, and the failed links.
 //
 // Derived, and therefore rebuilt rather than read: the busy counts, both
-// levels of the busy-link bitmaps, the occupancy lists and their index, and
-// the delivery-occupancy bitmaps all come back through removeOccupied and
-// addOccupied, the code that maintains them while the engine runs. The lists
-// end up in ascending VCID order whatever order the snapshotted engine had
-// them in; they are only ever used as unordered sets. Route memos come back
-// empty (a lookup refills one). The structural generation counter is not
-// restored but keeps counting up, so a generation observed before a Restore
-// is never seen again after it.
+// levels of the occupied-VC and busy-link bitmaps are cleared and come back
+// through addOccupied, the code that maintains them while the engine runs.
+// Route memos come back empty (a lookup refills one). The structural
+// generation counter is not restored but keeps counting up, so a generation
+// observed before a Restore is never seen again after it.
 //
 // restoreMessage assigns every field of Message by name; a field added to the
 // struct needs a line there and in appendSnapshot
@@ -120,17 +118,19 @@ func (f *Fabric) RestoreSnapshot(r *snap.Reader) {
 	// Empty the fabric: every occupied VC back to its free state, every
 	// derived structure back to what NewFabric built. The snapshot's VCs then
 	// come in through addOccupied like any allocation.
-	for s := range f.occupied {
-		for _, id := range f.occupied[s] {
-			vc := &f.VCs[id]
+	for it := f.OccupiedWords(); ; {
+		w, word, ok := it.Next()
+		if !ok {
+			break
+		}
+		for ; word != 0; word &= word - 1 {
+			vc := &f.VCs[w<<6+bits.TrailingZeros64(word)]
 			f.busy[vc.Link] = 0
-			f.occIdx[id] = -1
 			*vc = VC{Link: vc.Link, Occupant: NilMsg, Next: NilVC}
 		}
-		f.occupied[s] = f.occupied[s][:0]
-		clear(f.delOccBits[s])
 	}
-	clear(f.busyBits)
+	clear(f.occBits.bits)
+	clear(f.busyBits.bits)
 
 	nMsgs := r.Len(msgSnapBytes)
 	if nMsgs < len(f.msgs) {

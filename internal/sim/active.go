@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wormnet/internal/router"
 )
@@ -187,12 +188,38 @@ func (e *Engine) auditActiveSets() error {
 		return fmt.Errorf("sim: transmitted bitmap and the shards' transmitted lists differ by %d links", -listed)
 	}
 
-	// Feeder buckets must be fully drained by the transfer stage — a
-	// leftover entry means the active-link key collection missed a target.
-	for l := range e.feeders {
-		if len(e.feeders[l]) != 0 {
-			return fmt.Errorf("sim: feeder bucket for link %d not drained after transfer", l)
+	// Feeder rows: whatever auditFeedRows found at arbitration, and every
+	// count back at zero — a leftover one means the active-link key
+	// collection missed a target.
+	for s := range e.shards {
+		if err := e.shards[s].feedErr; err != nil {
+			return err
+		}
+	}
+	for l, n := range e.feedN {
+		if n != 0 {
+			return fmt.Errorf("sim: feeder row for link %d holds %d entries after transfer", l, n)
 		}
 	}
 	return nil
+}
+
+// auditFeedRows is the half of the audit that has to run inside the transfer
+// stage (Debug only), between bucketing and arbitration, while the rows are
+// filled: every active link's row must be strictly ascending — arbitration
+// takes that order as given. The first failure is kept in sh.feedErr for
+// auditActiveSets to report at the end of the cycle.
+func (e *Engine) auditFeedRows(sh *shardState) {
+	relBase := sh.lo * (e.topo.Degree() + e.cfg.Router.DelPorts)
+	for w, word := range sh.keyBits {
+		for ; word != 0; word &= word - 1 {
+			tl := e.keyLink[relBase+w<<6+bits.TrailingZeros64(word)]
+			row := e.feed[int(tl)*e.feedStride:][:e.feedN[tl]]
+			for i := 1; i < len(row) && sh.feedErr == nil; i++ {
+				if row[i-1] >= row[i] {
+					sh.feedErr = fmt.Errorf("sim: feeder row for link %d is not ascending: %v", tl, row)
+				}
+			}
+		}
+	}
 }

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"slices"
-
-	"wormnet/internal/router"
-)
+import "wormnet/internal/router"
 
 // ChoicePoint identifies one class of nondeterministic decision the engine
 // (or a scripted driver) resolves while stepping a cycle. The model checker
@@ -87,13 +83,10 @@ func (e *Engine) chooseVC(cands []router.VCID) router.VCID {
 
 // arbitrateChoose is arbitrate's chooser-mode body: the eligible feeders
 // (credit at the target buffer, input channel not yet used this cycle) are
-// collected in ascending source-VC order and the chooser picks the winner.
-// The round-robin pointer is intentionally not advanced — see Chooser.
-func (e *Engine) arbitrateChoose(sh *shardState, tl router.LinkID, buf int32) {
-	fab := e.fab
-	vcs := fab.VCs
-	req := e.feeders[tl]
-	slices.Sort(req)
+// collected in req's — ascending source-VC — order and the chooser picks the
+// winner. The round-robin pointer is intentionally not advanced — see Chooser.
+func (e *Engine) arbitrateChoose(sh *shardState, tl router.LinkID, req []router.VCID, buf int32) {
+	vcs := e.fab.VCs
 	e.arbElig = e.arbElig[:0]
 	for _, u := range req {
 		uv := &vcs[u]
@@ -113,5 +106,4 @@ func (e *Engine) arbitrateChoose(sh *shardState, tl router.LinkID, buf int32) {
 		e.transmitted[tl] = true
 		sh.txLinks = append(sh.txLinks, tl)
 	}
-	e.feeders[tl] = req[:0]
 }

@@ -121,20 +121,28 @@ type Engine struct {
 	// (admitted, not yet delivered or re-queued) for the metrics gauge.
 	// linkKey[l] is output link l's canonical arbitration key node*span+k
 	// (network output links before delivery ports, each in port order; -1
-	// for injection links, which are never transfer targets), precomputed
-	// so the transfer bucketing loop marks active links without a divide.
+	// for injection links, which are never transfer targets) and keyLink its
+	// inverse, both precomputed so the transfer stage marks and decodes
+	// active links without a divide.
 	genSkip  traffic.Skipahead
 	genDue   []int64
 	neBits   [][]uint64
 	linkKey  []int32
+	keyLink  []router.LinkID
 	inFlight int
 
 	// Per-cycle scratch state.
 	transmitted []bool          // flit crossed link l this cycle
 	txLinks     []router.LinkID // links with transmitted set this cycle (merged)
-	feeders     [][]router.VCID // per target link: VCs requesting to send
 	inputUsedAt []int64         // cycle stamp: input channel already sent a flit
-	candBuf     []router.LinkID
+	// The feeder table: target link l's row is feed[l*feedStride:][:feedN[l]],
+	// the VCs requesting to send into l, ascending, a slot per VC of the widest
+	// link. The shard of Links[l].Src fills and drains the row within one
+	// transfer stage; every count is zero between stages.
+	feed       []router.VCID
+	feedN      []uint8
+	feedStride int
+	candBuf    []router.LinkID
 	// Flat candidate arena for the parallel routing phase: pending entry i
 	// owns routeCands[i*candStride : (i+1)*candStride]; routeCandsLen[i] is
 	// its candidate count, or -1 for entries that will not route this cycle.
@@ -250,6 +258,7 @@ func New(cfg Config) (*Engine, error) {
 		sh.keyBits = make([]uint64, (span*keySpan+63)/64)
 	}
 	e.linkKey = make([]int32, fab.NumLinks())
+	e.keyLink = make([]router.LinkID, topo.Nodes()*keySpan)
 	for l := range e.linkKey {
 		switch {
 		case l < fab.NumNetLinks():
@@ -259,7 +268,9 @@ func New(cfg Config) (*Engine, error) {
 			e.linkKey[l] = int32(d/cfg.Router.DelPorts*keySpan + deg + d%cfg.Router.DelPorts)
 		default:
 			e.linkKey[l] = -1
+			continue
 		}
+		e.keyLink[e.linkKey[l]] = router.LinkID(l)
 	}
 	// Skip-ahead generation: when the process supports it, every node's
 	// per-cycle Bernoulli trial collapses into a geometric inter-arrival
@@ -293,20 +304,15 @@ func New(cfg Config) (*Engine, error) {
 	// the steady-state hot path never grows them: each target VC has at
 	// most one upstream feeder (worms occupy distinct VCs), at most every
 	// link can transmit in one cycle, and a routing decision considers at
-	// most every outgoing link (plus delivery ports) of one router.
-	e.feeders = make([][]router.VCID, fab.NumLinks())
-	maxVC := int32(0)
-	for l := range e.feeders {
-		n := fab.Links[l].NumVC
-		e.feeders[l] = make([]router.VCID, 0, n)
-		if n > maxVC {
-			maxVC = n
-		}
-	}
+	// most every outgoing link (plus delivery ports) of one router. The
+	// widest links are the network links (router.MaxVCsPerLink fits feedN).
+	e.feedStride = fab.Cfg.VCsPerLink
+	e.feed = make([]router.VCID, fab.NumLinks()*e.feedStride)
+	e.feedN = make([]uint8, fab.NumLinks())
 	e.txLinks = make([]router.LinkID, 0, fab.NumLinks())
 	maxCands := topo.Degree() + cfg.Router.DelPorts
 	e.candBuf = make([]router.LinkID, 0, maxCands)
-	e.candStride = maxCands * int(maxVC)
+	e.candStride = maxCands * e.feedStride
 	e.st.Nodes = topo.Nodes()
 	e.st.NetLinks = fab.NumNetLinks()
 	return e, nil

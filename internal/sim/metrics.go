@@ -46,12 +46,15 @@ func (e *Engine) ProbeMetrics(s *metrics.Sample) {
 	s.Blocked = int32(blocked)
 
 	fab := e.fab
-	s.BusyVCs = int32(fab.NumOccupied())
 	s.BusyLinks = int32(fab.NumBusyLinks())
 	var netVCs, injVCs, delVCs int32
-	for sh := 0; sh < fab.NumShards(); sh++ {
-		for _, vc := range fab.OccupiedShard(sh) {
-			link := &fab.Links[fab.LinkOfVC(vc)]
+	for it := fab.OccupiedWords(); ; {
+		w, word, ok := it.Next()
+		if !ok {
+			break
+		}
+		for ; word != 0; word &= word - 1 {
+			link := &fab.Links[fab.LinkOfVC(router.VCID(w<<6+bits.TrailingZeros64(word)))]
 			switch link.Kind {
 			case router.NetworkLink:
 				netVCs++
@@ -79,6 +82,7 @@ func (e *Engine) ProbeMetrics(s *metrics.Sample) {
 			}
 		}
 	}
+	s.BusyVCs = netVCs + injVCs + delVCs
 	e.mc.SetClassVCs(netVCs, injVCs, delVCs)
 
 	if e.caps.FlagCounts != nil {

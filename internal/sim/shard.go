@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/bits"
-	"slices"
 
 	"wormnet/internal/metrics"
 	"wormnet/internal/router"
@@ -27,18 +26,21 @@ import (
 //     same way (router.Fabric.SetPartition), so allocation and release are
 //     shard-local.
 //   - Arbitration state of an output link (round-robin pointer, transmitted
-//     bitmap entry, txLinks membership) is owned by the shard of Links[l].Src:
-//     all feeder VCs of an output link are input VCs at router Src, so the
-//     arbitrating shard is the one that owns every feeder.
+//     bitmap entry, txLinks membership, its row and count in the feeder
+//     table) is owned by the shard of Links[l].Src: all feeder VCs of an
+//     output link are input VCs at router Src, so the arbitrating shard is
+//     the one that owns every feeder.
 //   - Cross-shard flit arrivals (a winner whose target VC is owned by another
 //     shard) are deferred as boundary moves and committed serially.
 //
-// Determinism: every phase iterates its shard's nodes in ascending order and
-// canonicalizes any fabric-derived set it consumes (feeder lists are sorted;
-// occupancy lists are only used as unordered sets). The shard-order
-// concatenation of per-shard record lists is therefore the global
-// node-ascending sequence regardless of the shard count, which is what makes
-// results byte-identical for every value of Config.Shards.
+// Determinism: every phase iterates its shard's nodes in ascending order, and
+// every fabric-derived set it consumes is a bitmap scanned word-ascending,
+// bit-ascending, so it arrives in canonical order and nothing is sorted (the
+// occupied-VC bitmap yields a shard's VCs ascending, so each target link's
+// feeders arrive ascending too). The shard-order concatenation of per-shard
+// record lists is therefore the global node-ascending sequence regardless of
+// the shard count, which is what makes results byte-identical for every value
+// of Config.Shards.
 
 // phaseID enumerates the parallel phases of one cycle. An int dispatch (not
 // closures) keeps the single-shard path allocation-free.
@@ -114,6 +116,9 @@ type shardState struct {
 	genHeap []int32
 	genDefA []int32
 	genDefB []int32
+
+	// feedErr is the first failure auditFeedRows found (Debug only).
+	feedErr error
 }
 
 // runPhase executes one phase across all shards: inline when there is a
@@ -434,90 +439,88 @@ func (e *Engine) transferDecide(s int) {
 	}
 	sh.txLinks = sh.txLinks[:0]
 	sh.moves = sh.moves[:0]
-	deg := e.topo.Degree()
-	span := deg + e.cfg.Router.DelPorts
+	span := e.topo.Degree() + e.cfg.Router.DelPorts
 	buf := int32(fab.Cfg.BufFlits)
+	stride := e.feedStride
 	// Bucket transfer requests by target physical channel, marking each
 	// target in the shard's active-link bitmap. The set is unconditional —
 	// re-marking an already-active link is idempotent and cheaper than the
 	// poorly predicted first-feeder branch it would take to avoid. Every
 	// feeder is an input VC at one of this shard's routers, so scanning the
 	// shard's occupied VCs covers exactly the output links this shard
-	// arbitrates. The bit position encodes the canonical arbitration
-	// position (precomputed in linkKey) — routers ascending, network output
-	// links before delivery ports, each in port order — NOT raw LinkID
-	// order: the crossbar-input constraint (inputUsedAt) couples the
-	// arbitrations of one router's outputs, so the order links are decided
-	// in is part of the determinism contract.
+	// arbitrates; the summary → word → bit walk is VCID-ascending, so every
+	// feeder row fills in the order arbitration is defined over. The key bit
+	// position encodes the canonical arbitration position (precomputed in
+	// linkKey) — routers ascending, network output links before delivery
+	// ports, each in port order — NOT raw LinkID order: the crossbar-input
+	// constraint (inputUsedAt) couples the arbitrations of one router's
+	// outputs, so the order links are decided in is part of the determinism
+	// contract.
 	relBase := sh.lo * span
-	for _, i := range fab.OccupiedShard(s) {
-		if vcs[i].Flits > 0 && vcs[i].Next != router.NilVC {
-			tl := vcs[vcs[i].Next].Link
-			rel := int(e.linkKey[tl]) - relBase
-			sh.keyBits[rel>>6] |= 1 << (rel & 63)
-			e.feeders[tl] = append(e.feeders[tl], i)
+	words, summary := fab.OccupiedBitsShard(s)
+	for sw, sum := range summary {
+		for ; sum != 0; sum &= sum - 1 {
+			w := sw<<6 + bits.TrailingZeros64(sum)
+			for word := words[w]; word != 0; word &= word - 1 {
+				i := router.VCID(w<<6 + bits.TrailingZeros64(word))
+				if vcs[i].Flits > 0 && vcs[i].Next != router.NilVC {
+					tl := vcs[vcs[i].Next].Link
+					rel := int(e.linkKey[tl]) - relBase
+					sh.keyBits[rel>>6] |= 1 << (rel & 63)
+					n := e.feedN[tl]
+					e.feed[int(tl)*stride+int(n)] = i
+					e.feedN[tl] = n + 1
+				}
+			}
 		}
+	}
+	if e.cfg.Debug {
+		e.auditFeedRows(sh)
 	}
 	// Arbitrate only the links that acquired feeders. The word-ascending,
 	// bit-ascending scan IS the canonical key order, so no sort is needed;
 	// each word is consumed from a copy and cleared for the next cycle before
 	// its bits are decoded (arbitration never adds feeders, so no bit can be
-	// set mid-scan).
+	// set mid-scan), and each row's count is zeroed as the row is handed over.
 	for w, word := range sh.keyBits {
 		if word == 0 {
 			continue
 		}
 		sh.keyBits[w] = 0
 		base := relBase + w<<6
-		for word != 0 {
-			rel := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			node, k := rel/span, rel%span
-			var tl router.LinkID
-			if k < deg {
-				tl = router.LinkID(node*deg + k)
-			} else {
-				tl = fab.DelLink(node, k-deg)
-			}
-			e.arbitrate(sh, tl, buf)
+		for ; word != 0; word &= word - 1 {
+			tl := e.keyLink[base+bits.TrailingZeros64(word)]
+			n := int(e.feedN[tl])
+			e.feedN[tl] = 0
+			e.arbitrate(sh, tl, e.feed[int(tl)*stride:][:n], buf)
 		}
 	}
 }
 
-// arbitrate picks at most one winner among target link tl's feeders:
-// round-robin over the sorted feeder list, skipping feeders without credit
-// at the target buffer or whose input channel already sent this cycle. The
-// single-feeder case — the overwhelmingly common one at low load — skips the
-// sort and the modulo walk outright; it is decision-identical because a sort
-// of one element is a no-op, RR()%1 is always 0, and the round-robin pointer
-// advances only on a grant in both paths.
-func (e *Engine) arbitrate(sh *shardState, tl router.LinkID, buf int32) {
+// arbitrate picks at most one winner among req, target link tl's feeders in
+// ascending order: round-robin from the link's pointer, skipping feeders
+// without credit at the target buffer or whose input channel already sent
+// this cycle. A single feeder — the overwhelmingly common case at low load —
+// costs one probe and no modulo (RR()%1 is always 0). The pointer advances
+// only on a grant.
+func (e *Engine) arbitrate(sh *shardState, tl router.LinkID, req []router.VCID, buf int32) {
 	if e.chooser != nil {
-		e.arbitrateChoose(sh, tl, buf)
+		e.arbitrateChoose(sh, tl, req, buf)
 		return
 	}
 	fab := e.fab
 	vcs := fab.VCs
-	req := e.feeders[tl]
 	link := &fab.Links[tl]
-	if len(req) == 1 {
-		u := req[0]
-		uv := &vcs[u]
-		if vcs[uv.Next].Flits < buf && e.inputUsedAt[uv.Link] != e.now {
-			sh.moves = append(sh.moves, u)
-			e.inputUsedAt[uv.Link] = e.now
-			e.transmitted[tl] = true
-			sh.txLinks = append(sh.txLinks, tl)
-			link.AdvanceRR()
-		}
-		e.feeders[tl] = req[:0]
-		return
-	}
-	slices.Sort(req)
 	n := len(req)
-	start := int(link.RR()) % n
-	for j := 0; j < n; j++ {
-		u := req[(start+j)%n]
+	j := 0
+	if n > 1 {
+		j = int(link.RR()) % n
+	}
+	for range n {
+		u := req[j]
+		if j++; j == n {
+			j = 0
+		}
 		uv := &vcs[u]
 		if vcs[uv.Next].Flits >= buf {
 			continue // no credit at the target buffer
@@ -531,9 +534,8 @@ func (e *Engine) arbitrate(sh *shardState, tl router.LinkID, buf int32) {
 		e.transmitted[tl] = true
 		sh.txLinks = append(sh.txLinks, tl)
 		link.AdvanceRR()
-		break
+		return
 	}
-	e.feeders[tl] = req[:0]
 }
 
 func (e *Engine) transferCommit(s int) {
@@ -544,9 +546,9 @@ func (e *Engine) transferCommit(s int) {
 	sh.arrivals = sh.arrivals[:0]
 	for _, u := range sh.moves {
 		occ := fab.VCs[u].Occupant
-		m := fab.Msg(occ)
 		v, header, tail := fab.MoveFlitSrc(u)
 		if header {
+			m := fab.Msg(occ)
 			m.HeadVC = v
 			if fab.Links[fab.LinkOfVC(v)].Kind != router.DeliveryLink &&
 				m.Phase == router.PhaseNetwork {
@@ -557,7 +559,7 @@ func (e *Engine) transferCommit(s int) {
 			}
 		}
 		if tail {
-			m.TailVC = v
+			fab.Msg(occ).TailVC = v
 			sh.frees = append(sh.frees, freeRec{msg: occ, link: fab.LinkOfVC(u), vc: u})
 		}
 		if fab.ShardOfLink(fab.LinkOfVC(v)) == s {
@@ -592,10 +594,10 @@ func (e *Engine) commitTransfer() {
 // release run in the parallel phase; message finalization (histograms,
 // counters, trace, pool recycling) replays serially in node order — the same
 // order the serial engine used, since the drain order is node-ascending by
-// construction. The stage iterates the fabric's occupied-delivery-VC bitmap
-// instead of every delivery port: delivery VCs are numbered in link order
-// (node-major, port-minor) and the bitmap mirrors that numbering, so the
-// word-ascending, bit-ascending scan reproduces the port-by-port scan order
+// construction. The stage iterates the tail of the shard's occupied-VC bitmap
+// instead of every delivery port: delivery VCs are the highest VCIDs, numbered
+// in link order (node-major, port-minor), so the word-ascending, bit-ascending
+// scan from the first delivery VC up reproduces the port-by-port scan order
 // exactly — no sort. Each word is copied before its bits are walked:
 // draining a tail releases the VC, which clears that VC's live bit
 // (ReleaseEmptyVC) mid-iteration, and nothing sets bits during the stage.
@@ -604,13 +606,15 @@ func (e *Engine) drainShard(s int) {
 	sh := &e.shards[s]
 	sh.delivered = sh.delivered[:0]
 	fab := e.fab
-	occ := fab.DeliveryOccBitsShard(s)
-	sbase := fab.DeliveryShardBase(s)
-	for w, word := range occ {
-		base := sbase + router.VCID(w<<6)
-		for word != 0 {
-			id := base + router.VCID(bits.TrailingZeros64(word))
-			word &= word - 1
+	words, _ := fab.OccupiedBitsShard(s)
+	first := int(fab.FirstDeliveryVC())
+	for w := first >> 6; w < len(words); w++ {
+		word := words[w]
+		if w == first>>6 {
+			word &= ^uint64(0) << (first & 63) // injection VCs sharing the word
+		}
+		for ; word != 0; word &= word - 1 {
+			id := router.VCID(w<<6 + bits.TrailingZeros64(word))
 			if fab.VCs[id].Flits == 0 {
 				continue // allocated but no flit buffered yet
 			}

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,9 +24,22 @@ import (
 // only in WHICH items they visit and in what order — exactly what the
 // active sets are responsible for. It is installed through Engine.refStage.
 
-// referenceStage runs shard s's phase ph as a full rescan, for the four
-// stages the kernel drives from active sets.
-func (e *Engine) referenceStage(ph phaseID, s int) bool {
+// refKernel is the reference's own state: buckets[l] collects target link l's
+// feeders. A row is written by the shard of Links[l].Src only, like the
+// kernel's feeder table — which the reference never reads.
+type refKernel struct {
+	*Engine
+	buckets [][]router.VCID
+}
+
+// installReference replaces e's active-set stages with the full rescans.
+func installReference(e *Engine) {
+	e.refStage = (&refKernel{e, make([][]router.VCID, e.fab.NumLinks())}).stage
+}
+
+// stage runs shard s's phase ph as a full rescan, for the four stages the
+// kernel drives from active sets.
+func (e *refKernel) stage(ph phaseID, s int) bool {
 	sh := &e.shards[s]
 	switch {
 	case ph == phaseGenerate && e.genSkip != nil:
@@ -73,11 +87,14 @@ func (e *Engine) refGenerate(sh *shardState) {
 	}
 }
 
-// refTransferDecide buckets the shard's transfer requests and then walks
-// every output link of the shard's routers in canonical arbitration order
-// (routers ascending, network outputs before delivery ports), skipping the
-// idle ones.
-func (e *Engine) refTransferDecide(s int) {
+// refTransferDecide buckets the shard's transfer requests by scanning every
+// VC of the fabric, highest first, and then walks every output link of the
+// shard's routers in canonical arbitration order (routers ascending, network
+// outputs before delivery ports), skipping the idle ones. Arbitration is
+// defined over a link's feeders in ascending order; the reference sorts each
+// bucket itself, so that the kernel's rows arrive sorted is checked by the
+// byte-identity tests, not assumed.
+func (e *refKernel) refTransferDecide(s int) {
 	sh := &e.shards[s]
 	fab := e.fab
 	vcs := fab.VCs
@@ -86,10 +103,11 @@ func (e *Engine) refTransferDecide(s int) {
 	}
 	sh.txLinks = sh.txLinks[:0]
 	sh.moves = sh.moves[:0]
-	for _, i := range fab.OccupiedShard(s) {
-		if vcs[i].Flits > 0 && vcs[i].Next != router.NilVC {
+	for i := len(vcs) - 1; i >= 0; i-- {
+		if vcs[i].Occupant != router.NilMsg && fab.ShardOfLink(vcs[i].Link) == s &&
+			vcs[i].Flits > 0 && vcs[i].Next != router.NilVC {
 			tl := vcs[vcs[i].Next].Link
-			e.feeders[tl] = append(e.feeders[tl], i)
+			e.buckets[tl] = append(e.buckets[tl], router.VCID(i))
 		}
 	}
 	deg := e.topo.Degree()
@@ -99,8 +117,10 @@ func (e *Engine) refTransferDecide(s int) {
 			if k >= deg {
 				tl = fab.DelLink(node, k-deg)
 			}
-			if len(e.feeders[tl]) > 0 {
-				e.arbitrate(sh, tl, int32(fab.Cfg.BufFlits))
+			if req := e.buckets[tl]; len(req) > 0 {
+				slices.Sort(req)
+				e.arbitrate(sh, tl, req, int32(fab.Cfg.BufFlits))
+				e.buckets[tl] = req[:0]
 			}
 		}
 	}
@@ -122,7 +142,7 @@ func runKernel(t *testing.T, cfg Config, reference bool, shards int, traced bool
 		t.Fatal(err)
 	}
 	if reference {
-		e.refStage = e.referenceStage
+		installReference(e)
 	}
 	res, err := e.Run()
 	if err != nil {
@@ -336,8 +356,19 @@ func TestActiveSetAuditCatchesCorruption(t *testing.T) {
 			sh.genHeap = sh.genHeap[:len(sh.genHeap)-1] // a leaf: heap order survives
 		}, "heaps and deferred lists track"},
 		{"feeder bucket left undrained", func(t *testing.T, e *Engine) {
-			e.feeders[2] = append(e.feeders[2], 0)
-		}, "feeder bucket for link 2 not drained"},
+			e.feedN[2] = 1
+		}, "feeder row for link 2 holds 1 entries"},
+		{"feeder row out of order at arbitration", func(t *testing.T, e *Engine) {
+			// What transferDecide leaves for arbitration when two VCs feed
+			// link 2, bucketed in the wrong order.
+			sh := &e.shards[0]
+			row := e.feed[2*e.feedStride:]
+			row[0], row[1] = 9, 4
+			e.feedN[2] = 2
+			key := e.linkKey[2]
+			sh.keyBits[key>>6] |= 1 << (key & 63)
+			e.auditFeedRows(sh)
+		}, "feeder row for link 2 is not ascending: [9 4]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
