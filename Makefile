@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check benchmark-check bench-gate smoke golden-gate shard-smoke trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex conformance-fuzz-seeds fuzz-restore-seeds fuzz-restore shootout profile clean
+.PHONY: all build test race vet fmt-check benchmark-check bench-gate smoke golden-gate shard-smoke trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex conformance-fuzz-seeds fuzz-restore-seeds fuzz-restore fuzz-flags shootout profile clean
 
 all: vet fmt-check test
 
@@ -139,7 +139,7 @@ forensics-smoke: build
 # Exhaustive conformance gate (CI-required, well under 2 minutes): the
 # bounded model checker (internal/mc, cmd/mcheck) explores EVERY reachable
 # blocking/advancing/injection interleaving of the scripted workloads and
-# checks the paper's invariants — safety (structural + NDM flag lattice),
+# checks the paper's invariants — safety (structural + detector audits),
 # liveness (every true deadlock marked and drained within a horizon) and
 # mark economy (>= 1 true mark per drained episode) — for all three
 # mechanisms.
@@ -213,6 +213,16 @@ fuzz-restore-seeds:
 fuzz-restore:
 	$(GO) test ./internal/sim -run NONE -fuzz FuzzRestore -fuzztime 20s -fuzzminimizetime 5s
 	@echo "fuzz-restore: no snapshot mutation panicked"
+
+# Twenty seconds each of FuzzNDMFlags and FuzzPDMFlags: mutated event programs
+# must keep the flag detectors' word loops (idle count, PromoteAll's G/P word)
+# equal to the eager per-link reference in internal/detect/idle_test.go, with
+# events compared when traced. The committed corpora alone run in the normal
+# `go test`; `go test -fuzz` takes one target per run.
+fuzz-flags:
+	$(GO) test ./internal/detect -run NONE -fuzz '^FuzzNDMFlags$$' -fuzztime 20s -fuzzminimizetime 5s
+	$(GO) test ./internal/detect -run NONE -fuzz '^FuzzPDMFlags$$' -fuzztime 20s -fuzzminimizetime 5s
+	@echo "fuzz-flags: no event program split the flag detectors from their reference"
 
 # Metrics smoke: scrape a live run's /metrics, /status and /debug/pprof,
 # check that an emitted time series parses back through metricsview, and

@@ -101,20 +101,19 @@ type Capabilities struct {
 	// threshold so the encoding stays finite; absolute cycle numbers must
 	// never be encoded directly.
 	AppendState func(buf []byte, now int64) []byte
-	// Audit re-derives the mechanism's redundant state — flags from the
-	// counters that set them, cached flag counts from the flags — and
-	// reports the first disagreement. It is the detector's share of the
-	// per-cycle Config.Debug audits, and the model checker asserts it in
-	// every state it explores.
+	// Audit re-derives the mechanism's redundant state — cached flag counts
+	// from the counters and flags they count — and reports the first
+	// disagreement. It is the detector's share of the per-cycle Config.Debug
+	// audits, and the model checker asserts it in every state it explores.
 	Audit func() error
 	// Snapshot appends everything the mechanism would need to carry on from
 	// this cycle boundary exactly as it would have — the exact state, not
 	// AppendState's clamped canonical form — to dst, and Restore replaces the
 	// mechanism's state with such bytes (sim.Engine.Snapshot and Restore).
-	// Redundant state (flags a counter implies, cached counts, dense indexes)
-	// is rebuilt by Restore rather than read, so bytes that decode at all
-	// decode to a state Audit accepts; input that is truncated or names a
-	// link, channel or message outside the fabric is an error, never a panic.
+	// Redundant state (cached counts, dense indexes) is rebuilt by Restore
+	// rather than read, so bytes that decode at all decode to a state Audit
+	// accepts; input that is truncated or names a link, channel or message
+	// outside the fabric is an error, never a panic.
 	// A mechanism sets both fields or neither. Leaving them nil declares it
 	// stateless: every decision is a function of the event's arguments and
 	// the fabric (None, the crude timeouts).
@@ -183,10 +182,10 @@ func (None) RouteFailed(*router.Message, router.LinkID, []router.LinkID, bool, i
 	return false
 }
 
-// idleScan is the counting half of EndCycle, shared by NDM and PDM: it finds
-// the channels whose inactivity counter advances this cycle — occupied,
-// monitored, and not transmitted across — straight from the fabric's
-// busy-link bitmap, 64 links at a time.
+// idleScan is the counting half of EndCycle, shared by NDM and PDM: it
+// advances the inactivity counter of every channel that is occupied,
+// monitored and not transmitted across this cycle, straight from the
+// fabric's busy-link bitmap, 64 links at a time.
 type idleScan struct {
 	f *router.Fabric
 	// tx is this cycle's transmitted set as a bitmap indexed by LinkID; it is
@@ -207,16 +206,17 @@ func newIdleScan(f *router.Fabric) idleScan {
 	return s
 }
 
-// each calls count for every channel that is idle this cycle, in ascending
-// LinkID order — the bitmap's scan order, so the flag events count emits
-// come out identically for every occupancy-shard layout, traced or not.
+// advance adds one to counter[l] for every idle channel l and calls raise
+// where the new count is lo or hi, the cycle a flag for threshold lo-1 or hi-1
+// rises. Links come in ascending order, the bitmap's, so flag events are the
+// same for every occupancy-shard layout, traced or not.
 //
 // The tx mask is set and cleared from txLinks, never from the busy words: a
 // delivery channel can receive a tail flit and be drained empty in the same
 // cycle, so a transmitted link need not be busy, and a bit left behind by a
 // clear that only visited busy words would freeze that link's counter on
 // some later cycle.
-func (s *idleScan) each(txLinks []router.LinkID, count func(router.LinkID)) {
+func (s *idleScan) advance(txLinks []router.LinkID, counter []int64, lo, hi int64, raise func(l router.LinkID, c int64)) {
 	for _, l := range txLinks {
 		s.tx[l>>6] |= 1 << (l & 63)
 	}
@@ -226,12 +226,26 @@ func (s *idleScan) each(txLinks []router.LinkID, count func(router.LinkID)) {
 			break
 		}
 		for idle := busy &^ s.tx[w] & s.monitored[w]; idle != 0; idle &= idle - 1 {
-			count(router.LinkID(w<<6 + bits.TrailingZeros64(idle)))
+			l := w<<6 + bits.TrailingZeros64(idle)
+			counter[l]++
+			if c := counter[l]; c == lo || c == hi {
+				raise(router.LinkID(l), c)
+			}
 		}
 	}
 	for _, l := range txLinks {
 		s.tx[l>>6] = 0
 	}
+}
+
+// countPast is the number of counters past threshold t: the flags it sets.
+func countPast(counter []int64, t int64) (n int) {
+	for _, c := range counter {
+		if c > t {
+			n++
+		}
+	}
+	return n
 }
 
 // restoreCounters is the shared first step of NDM's and PDM's Restore: one
@@ -248,11 +262,19 @@ func restoreCounters(r *snap.Reader, counter []int64) {
 
 // inputLinksByNode precomputes, for every node, the physical channels that
 // can hold message headers at that node's router: the network links arriving
-// from each direction plus the node's injection ports.
-func inputLinksByNode(f *router.Fabric) [][]router.LinkID {
+// from each direction plus the node's injection ports. pos[l] is node<<6 | i
+// for inputs[node][i] and -1 for a delivery channel, which is no input.
+func inputLinksByNode(f *router.Fabric) (inputs [][]router.LinkID, pos []int32) {
 	t := f.Topo
 	deg := t.Degree()
-	inputs := make([][]router.LinkID, t.Nodes())
+	if deg+f.Cfg.InjPorts > 64 {
+		panic("detect: NDM's G/P word holds at most 64 input channels per router")
+	}
+	inputs = make([][]router.LinkID, t.Nodes())
+	pos = make([]int32, f.NumLinks())
+	for l := range pos {
+		pos[l] = -1
+	}
 	for x := 0; x < t.Nodes(); x++ {
 		list := make([]router.LinkID, 0, deg+f.Cfg.InjPorts)
 		for d := 0; d < deg; d++ {
@@ -264,7 +286,10 @@ func inputLinksByNode(f *router.Fabric) [][]router.LinkID {
 		for p := 0; p < f.Cfg.InjPorts; p++ {
 			list = append(list, f.InjLink(x, p))
 		}
+		for i, l := range list {
+			pos[l] = int32(x<<6 | i)
+		}
 		inputs[x] = list
 	}
-	return inputs
+	return inputs, pos
 }

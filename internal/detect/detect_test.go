@@ -593,6 +593,13 @@ func TestSnapshotRebuildsFlags(t *testing.T) {
 		if err := b.Capabilities().Audit(); err != nil {
 			t.Fatalf("%s: restored detector fails its audit: %v", name, err)
 		}
+		// Restoring over live state replaces it rather than adding to it.
+		if err := caps.Restore(snapBytes); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := caps.Audit(); err != nil {
+			t.Fatalf("%s: detector restored over itself fails its audit: %v", name, err)
+		}
 		ai, adt, ag := caps.FlagCounts()
 		bi, bdt, bg := b.Capabilities().FlagCounts()
 		if ai != bi || adt != bdt || ag != bg || adt == 0 {
@@ -614,6 +621,31 @@ func TestSnapshotRebuildsFlags(t *testing.T) {
 				t.Errorf("%s: %s snapshot accepted", name, what)
 			}
 		}
+	}
+	// NDM's G/P bytes follow the counters, one per link. Only a router's input
+	// channels have a G/P flag, and a flag is a bool.
+	f := ringFabric(t)
+	good := detect.NewNDM(f, 6).Snapshot(nil)
+	gp := len(good) - f.NumLinks()
+	for _, tc := range []struct {
+		name string
+		link router.LinkID
+		b    byte
+		want string
+	}{
+		{"G on a delivery channel", f.DelLink(3, 0), 1, "no router's input channel"},
+		{"G/P byte 2", f.NetLink(3, 0), 2, "G/P flag byte 2"},
+	} {
+		bad := bytes.Clone(good)
+		bad[gp+int(tc.link)] = tc.b
+		if err := detect.NewNDM(f, 6).Restore(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Restore error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	bad := bytes.Clone(good)
+	bad[gp+int(f.InjLink(3, 0))] = 1
+	if err := detect.NewNDM(f, 6).Restore(bad); err != nil {
+		t.Errorf("G on an injection channel refused: %v", err)
 	}
 	// Mechanisms without state declare it by leaving both fields nil.
 	for _, d := range []detect.Detector{detect.None{}, detect.NewSourceAgeTimeout(8), detect.NewSourceStallTimeout(8), detect.NewHeaderBlockTimeout(8)} {

@@ -14,16 +14,14 @@ import (
 // stays legal:
 //
 //   - the cached IF-occupancy count equals the number of set flags;
-//   - a set flag implies a counter strictly past the threshold (flag and
-//     counter reset together on transmission, and the flag is only set by a
-//     counter crossing it);
 //   - counters never go negative, and a transmitted channel leaves EndCycle
 //     with a zero counter and a clear flag;
 //   - RouteFailed presumes deadlock exactly when every feasible output has
 //     its flag set;
-//   - a second PDM counting off the list-walking reference (refEndCycle)
-//     instead of the fabric's busy-link bitmap holds equal counters, flags
-//     and flag count after every event, and the detector's own audit passes.
+//   - a second PDM ending each cycle through the eager per-link reference
+//     (refEndCycle: the list-walking idle set and its own crossing test)
+//     instead of the kernel's word loop holds equal counters and flag count
+//     after every event, and the detector's own audit passes.
 //
 // The byte stream is an op-code program with the same shape as
 // FuzzNDMFlags; the shared corpus seeds under testdata (sampled from the
@@ -132,9 +130,9 @@ func FuzzPDMFlags(f *testing.F) {
 				ref.refEndCycle(txLinks, transmitted)
 				now++
 				for _, l := range txLinks {
-					if d.counter[l] != 0 || d.ifFlag[l] {
+					if d.counter[l] != 0 || d.InactivitySet(l) {
 						t.Fatalf("link %d transmitted yet counter=%d flag=%v after EndCycle",
-							l, d.counter[l], d.ifFlag[l])
+							l, d.counter[l], d.InactivitySet(l))
 					}
 				}
 			case 5: // flow-control event on an arbitrary channel
@@ -144,13 +142,9 @@ func FuzzPDMFlags(f *testing.F) {
 
 			// Flag/counter invariants, checked after every event.
 			ifSet := 0
-			for l := 0; l < nLinks; l++ {
-				if d.ifFlag[l] {
+			for l := router.LinkID(0); int(l) < nLinks; l++ {
+				if d.InactivitySet(l) {
 					ifSet++
-					if d.counter[l] <= d.Threshold {
-						t.Fatalf("link %d: IF set with counter %d <= threshold %d",
-							l, d.counter[l], d.Threshold)
-					}
 				}
 				if d.counter[l] < 0 {
 					t.Fatalf("link %d: negative counter %d", l, d.counter[l])

@@ -1,10 +1,12 @@
 package detect
 
 import (
+	"slices"
 	"testing"
 
 	"wormnet/internal/router"
 	"wormnet/internal/topology"
+	"wormnet/internal/trace"
 )
 
 // FuzzNDMFlags drives NDM's per-channel flag state machine with an arbitrary
@@ -16,17 +18,18 @@ import (
 //   - DT set on a channel implies I set (t1 <= t2: a counter past the
 //     detection threshold is necessarily past the inactivity threshold);
 //   - the cached DT-occupancy count equals the number of set DT flags;
-//   - inactivity counters never go negative, and a counter at zero never
-//     holds a flag it could not have set;
-//   - a second NDM fed the same events, but counting off the list-walking
-//     reference (refEndCycle) instead of the fabric's busy-link bitmap, holds
-//     equal counters, flags and flag counts after every event, and the
-//     detector's own audit passes.
+//   - inactivity counters never go negative;
+//   - a second NDM fed the same events, but ending each cycle through the
+//     eager per-link reference (refEndCycle: the list-walking idle set, its
+//     own crossing test, the per-input promotion walk) instead of the
+//     kernel's word loops, holds equal counters, G/P words and flag counts
+//     after every event and, when traced, has emitted the same events; and
+//     the detector's own audit passes.
 //
 // The byte stream is an op-code program: each iteration consumes an op and
 // its operands, reducing indices modulo the fabric's sizes so every input is
-// valid by construction. Both promotion policies and a spread of thresholds
-// are reachable through the header bytes.
+// valid by construction. Both promotion policies, tracing on or off and a
+// spread of thresholds are reachable through the header bytes.
 func FuzzNDMFlags(f *testing.F) {
 	// Seed corpus (alongside the committed files under testdata): one
 	// program per op plus one long mixed program.
@@ -34,6 +37,7 @@ func FuzzNDMFlags(f *testing.F) {
 	f.Add([]byte{1, 4, 0, 1, 0, 2, 4, 0, 4, 3, 4, 7, 4, 1})    // selective promotion, cycles
 	f.Add([]byte{0, 8, 0, 0, 1, 0, 2, 1, 3, 2, 4, 3, 5, 0, 1}) // every op once
 	f.Add([]byte{0, 1, 0, 9, 0, 17, 1, 9, 127, 3, 4, 0, 4, 0, 4, 0, 4, 0, 4, 0, 2, 9, 5, 0})
+	f.Add([]byte{2, 1, 0, 9, 0, 17, 1, 9, 127, 3, 4, 0, 4, 0, 4, 0, 4, 0, 4, 0, 4, 1, 9, 2, 9, 5, 0}) // traced
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -43,7 +47,6 @@ func FuzzNDMFlags(f *testing.F) {
 			pol = PromoteWaiting
 		}
 		t2 := int64(data[1]%8) + 1
-		data = data[2:]
 
 		topo := topology.New(3, 2)
 		rcfg := router.DefaultConfig()
@@ -54,6 +57,12 @@ func FuzzNDMFlags(f *testing.F) {
 		}
 		d := NewNDMOpt(fab, 1, t2, pol)
 		ref := NewNDMOpt(fab, 1, t2, pol)
+		var got, want []trace.Event
+		if data[0]&2 != 0 {
+			d.SetTracer(recordInto(&got))
+			ref.SetTracer(recordInto(&want))
+		}
+		data = data[2:]
 
 		nLinks := fab.NumLinks()
 		nNodes := topo.Nodes()
@@ -137,21 +146,22 @@ func FuzzNDMFlags(f *testing.F) {
 				ref.VCFreed(l)
 			}
 			sameNDM(t, d, ref)
+			if !slices.Equal(got, want) {
+				t.Fatalf("events %v, reference %v", got, want)
+			}
+			got, want = got[:0], want[:0]
 
 			// Lattice invariants, checked after every event.
 			dtSet := 0
-			for l := 0; l < nLinks; l++ {
-				if d.dtFlag[l] {
+			for l := router.LinkID(0); int(l) < nLinks; l++ {
+				if d.DTFlagSet(l) {
 					dtSet++
-					if !d.iFlag[l] {
+					if !d.IFlagSet(l) {
 						t.Fatalf("link %d: DT set with I clear (t1 <= t2 violated)", l)
 					}
 				}
 				if d.counter[l] < 0 {
 					t.Fatalf("link %d: negative inactivity counter %d", l, d.counter[l])
-				}
-				if d.iFlag[l] && d.counter[l] <= d.T1 {
-					t.Fatalf("link %d: I set with counter %d <= t1=%d", l, d.counter[l], d.T1)
 				}
 			}
 			if _, dt, _ := d.FlagCounts(); dtSet != dt {

@@ -1,11 +1,14 @@
 package detect
 
 import (
+	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 
 	"wormnet/internal/router"
 	"wormnet/internal/topology"
+	"wormnet/internal/trace"
 )
 
 // refIdleLinks is the differential reference for idleScan.each: the
@@ -23,31 +26,82 @@ func refIdleLinks(f *router.Fabric, transmitted []bool) []router.LinkID {
 	return out
 }
 
-// refEndCycle is EndCycle with the counting half driven by refIdleLinks.
+// refEndCycle is EndCycle as an eager per-link loop that shares no loop with
+// the kernel: its own reset with the per-input promotion walk (refPromote),
+// then one increment per idle link off refIdleLinks, a flag rising where it
+// reads set after the increment and clear before.
 func (d *NDM) refEndCycle(txLinks []router.LinkID, transmitted []bool) {
-	d.reset(txLinks)
+	for _, id := range txLinks {
+		if d.IFlagSet(id) {
+			d.refPromote(id)
+			d.iBusy--
+			d.tr.Emit(trace.KindIClear, router.NilMsg, id, -1, 0, -1)
+		}
+		if d.DTFlagSet(id) {
+			d.dtBusy--
+			d.tr.Emit(trace.KindDTClear, router.NilMsg, id, -1, 0, -1)
+		}
+		d.counter[id] = 0
+	}
 	for _, id := range refIdleLinks(d.f, transmitted) {
-		d.count(id)
+		wasI, wasDT := d.IFlagSet(id), d.DTFlagSet(id)
+		d.counter[id]++
+		if d.IFlagSet(id) && !wasI {
+			d.iBusy++
+			d.tr.Emit(trace.KindISet, router.NilMsg, id, -1, 0, -1)
+		}
+		if d.DTFlagSet(id) && !wasDT {
+			d.dtBusy++
+			d.tr.Emit(trace.KindDTSet, router.NilMsg, id, -1, 0, -1)
+		}
+	}
+}
+
+// refPromote is promote as the paper words it: walk the router's input
+// channels in order and turn each P flag that qualifies to G, one at a time.
+func (d *NDM) refPromote(out router.LinkID) {
+	node := int(d.f.Links[out].Src)
+	if node < 0 {
+		return
+	}
+	for _, in := range d.inputs[node] {
+		if d.GPIsGenerate(in) || d.Promotion == PromoteWaiting && !d.waitingOn(in, out, node) {
+			continue
+		}
+		d.setG(in, router.NilMsg, trace.GRulePromotion, out)
 	}
 }
 
 func (d *PDM) refEndCycle(txLinks []router.LinkID, transmitted []bool) {
-	d.reset(txLinks)
+	for _, id := range txLinks {
+		if d.InactivitySet(id) {
+			d.ifBusy--
+			d.tr.Emit(trace.KindDTClear, router.NilMsg, id, -1, 0, -1)
+		}
+		d.counter[id] = 0
+	}
 	for _, id := range refIdleLinks(d.f, transmitted) {
-		d.count(id)
+		was := d.InactivitySet(id)
+		d.counter[id]++
+		if d.InactivitySet(id) && !was {
+			d.ifBusy++
+			d.tr.Emit(trace.KindDTSet, router.NilMsg, id, -1, 0, -1)
+		}
 	}
 }
 
-// sameNDM fails the test unless d and ref hold equal counters, flags and
+// sameNDM fails the test unless d and ref hold equal counters, G/P words and
 // flag counts, and d passes its own audit.
 func sameNDM(t *testing.T, d, ref *NDM) {
 	t.Helper()
 	for l := range d.counter {
-		if d.counter[l] != ref.counter[l] || d.iFlag[l] != ref.iFlag[l] ||
-			d.dtFlag[l] != ref.dtFlag[l] || d.gp[l] != ref.gp[l] {
-			t.Fatalf("link %d: counter/I/DT/G %d/%v/%v/%v, reference %d/%v/%v/%v", l,
-				d.counter[l], d.iFlag[l], d.dtFlag[l], d.gp[l],
-				ref.counter[l], ref.iFlag[l], ref.dtFlag[l], ref.gp[l])
+		if d.counter[l] != ref.counter[l] {
+			t.Fatalf("link %d: counter %d, reference %d", l, d.counter[l], ref.counter[l])
+		}
+	}
+	for node := range d.gpm {
+		if d.gpm[node] != ref.gpm[node] {
+			t.Fatalf("router %d: G/P word %#x, reference %#x", node, d.gpm[node], ref.gpm[node])
 		}
 	}
 	i, dt, g := d.FlagCounts()
@@ -62,9 +116,8 @@ func sameNDM(t *testing.T, d, ref *NDM) {
 func samePDM(t *testing.T, d, ref *PDM) {
 	t.Helper()
 	for l := range d.counter {
-		if d.counter[l] != ref.counter[l] || d.ifFlag[l] != ref.ifFlag[l] {
-			t.Fatalf("link %d: counter/IF %d/%v, reference %d/%v", l,
-				d.counter[l], d.ifFlag[l], ref.counter[l], ref.ifFlag[l])
+		if d.counter[l] != ref.counter[l] {
+			t.Fatalf("link %d: counter %d, reference %d", l, d.counter[l], ref.counter[l])
 		}
 	}
 	_, dt, _ := d.FlagCounts()
@@ -74,6 +127,13 @@ func samePDM(t *testing.T, d, ref *PDM) {
 	if err := d.Audit(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// recordInto returns a recorder that appends every event to *evs.
+func recordInto(evs *[]trace.Event) *trace.Recorder {
+	rec := trace.NewRecorder(1)
+	rec.SetObserver(func(ev trace.Event) { *evs = append(*evs, ev) })
+	return rec
 }
 
 // TestTransmittedAndReleasedSameCycle pins the case that makes the tx mask a
@@ -125,8 +185,94 @@ func TestTransmittedAndReleasedSameCycle(t *testing.T) {
 	}
 }
 
+// TestPromoteAllWordMatchesPerInput: on a router with two injection ports,
+// from every split of its inputs into G and P, PromoteAll's word operation
+// raises the same bits, counts the same gBusy and, with a recorder attached,
+// emits the same KindGSet sequence as the per-input reference walk; without a
+// recorder it raises the same bits silently.
+func TestPromoteAllWordMatchesPerInput(t *testing.T) {
+	f, err := router.NewFabric(topology.New(4, 2),
+		router.Config{VCsPerLink: 2, BufFlits: 4, InjPorts: 2, DelPorts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const node = 5
+	for _, out := range []router.LinkID{f.NetLink(node, 1), f.DelLink(node, 0)} {
+		d := NewNDM(f, 4)
+		inputs := d.inputs[node]
+		if len(inputs) != 6 || f.Links[inputs[5]].Kind != router.InjectionLink {
+			t.Fatalf("router %d inputs %v, want 4 network and 2 injection channels", node, inputs)
+		}
+		for mask := uint64(0); mask < 1<<len(inputs); mask++ {
+			word, ref, silent := NewNDM(f, 4), NewNDM(f, 4), NewNDM(f, 4)
+			for _, n := range []*NDM{word, ref, silent} {
+				for i, in := range inputs {
+					if mask>>i&1 != 0 {
+						n.setG(in, 1, trace.GRuleFirstAttempt, out)
+					}
+				}
+			}
+			var got, want []trace.Event
+			word.SetTracer(recordInto(&got))
+			ref.SetTracer(recordInto(&want))
+			word.promote(out)
+			ref.refPromote(out)
+			silent.promote(out)
+			if !slices.Equal(got, want) {
+				t.Fatalf("out %d, G mask %#x: events %v, reference %v", out, mask, got, want)
+			}
+			if len(got) != len(inputs)-bits.OnesCount64(mask) {
+				t.Fatalf("out %d, G mask %#x: %d GSet events", out, mask, len(got))
+			}
+			sameNDM(t, word, ref)
+			sameNDM(t, silent, ref)
+		}
+	}
+}
+
+// TestISetBeforeDTSetWhenT1EqualsT2: with t1 == t2 both flags rise on the
+// same cycle, I first; a transmission then promotes the router's inputs,
+// clears I, then DT — the same sequence as the eager reference.
+func TestISetBeforeDTSetWhenT1EqualsT2(t *testing.T) {
+	f, err := router.NewFabric(topology.New(4, 2), router.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ref := NewNDMOpt(f, 2, 2, PromoteAll), NewNDMOpt(f, 2, 2, PromoteAll)
+	var got, want []trace.Event
+	d.SetTracer(recordInto(&got))
+	ref.SetTracer(recordInto(&want))
+	l := f.NetLink(0, 0)
+	f.Allocate(f.NewMessage(0, 5, 1, 0), router.NilVC, f.FreeVC(l))
+	transmitted := make([]bool, f.NumLinks())
+	for now := int64(0); now < 4; now++ {
+		d.EndCycle(now, nil, transmitted)
+		ref.refEndCycle(nil, transmitted)
+	}
+	transmitted[l] = true
+	d.EndCycle(4, []router.LinkID{l}, transmitted)
+	ref.refEndCycle([]router.LinkID{l}, transmitted)
+	if !slices.Equal(got, want) {
+		t.Fatalf("events %v, reference %v", got, want)
+	}
+	var kinds []trace.Kind
+	for _, ev := range got {
+		if ev.Kind != trace.KindGSet {
+			kinds = append(kinds, ev.Kind)
+		}
+	}
+	if !slices.Equal(kinds, []trace.Kind{trace.KindISet, trace.KindDTSet, trace.KindIClear, trace.KindDTClear}) {
+		t.Fatalf("flag events %v, want ISet, DTSet, IClear, DTClear", kinds)
+	}
+	if g := len(got) - len(kinds); g != len(d.inputs[0]) || got[2].Kind != trace.KindGSet {
+		t.Fatalf("%d GSet events, want %d ahead of IClear", g, len(d.inputs[0]))
+	}
+}
+
 // TestAuditNamesCorruptedState: each class of redundant state the audits
-// cover, corrupted one at a time, is reported.
+// cover, corrupted one at a time, is reported. The flags are the counters
+// compared with their thresholds, so a corrupted counter shows up as a count
+// that no longer matches.
 func TestAuditNamesCorruptedState(t *testing.T) {
 	f, err := router.NewFabric(topology.New(4, 2), router.DefaultConfig())
 	if err != nil {
@@ -137,12 +283,13 @@ func TestAuditNamesCorruptedState(t *testing.T) {
 		corrupt func(*NDM, *PDM)
 		want    string
 	}{
-		{"ndm lattice", func(n *NDM, _ *PDM) { n.dtFlag[7] = true }, "link 7: DT set with I clear"},
-		{"ndm flag vs counter", func(n *NDM, _ *PDM) { n.counter[7] = 2 }, "link 7: counter 2"},
+		{"ndm negative counter", func(n *NDM, _ *PDM) { n.counter[7] = -1 }, "link 7: negative inactivity counter -1"},
+		{"ndm counter past t1", func(n *NDM, _ *PDM) { n.counter[7] = 2 }, "I/DT/G 0/0/0, recount 1/0/0"},
 		{"ndm I count", func(n *NDM, _ *PDM) { n.iBusy++ }, "recount"},
 		{"ndm DT count", func(n *NDM, _ *PDM) { n.dtBusy-- }, "recount"},
-		{"ndm G count", func(n *NDM, _ *PDM) { n.gp[3] = true }, "recount"},
-		{"pdm flag vs counter", func(_ *NDM, p *PDM) { p.ifFlag[9] = true }, "link 9: counter 0"},
+		{"ndm G count", func(n *NDM, _ *PDM) { n.gpm[3] = 1 }, "recount 0/0/1"},
+		{"pdm negative counter", func(_ *NDM, p *PDM) { p.counter[9] = -3 }, "link 9: negative inactivity counter -3"},
+		{"pdm counter past threshold", func(_ *NDM, p *PDM) { p.counter[9] = 5 }, "pdm flag count 0, recount 1"},
 		{"pdm count", func(_ *NDM, p *PDM) { p.ifBusy++ }, "recount"},
 	} {
 		ndm, pdm := NewNDM(f, 4), NewPDM(f, 4)

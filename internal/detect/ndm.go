@@ -2,6 +2,7 @@ package detect
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wormnet/internal/router"
 	"wormnet/internal/snap"
@@ -39,7 +40,8 @@ func (p PromotionPolicy) String() string {
 // Hardware per physical output channel (Figure 6): an inactivity counter
 // (incremented each cycle the channel is idle while at least one of its
 // virtual channels is occupied, reset when a flit is transmitted) compared
-// against two thresholds, t1 << t2, setting the I and DT flags.
+// against two thresholds, t1 << t2: the I and DT flags are those comparators'
+// outputs, counter > t1 and counter > t2, read off the counter, not stored.
 //
 // Hardware per physical input channel: a one-bit G/P flag. G means the
 // blocked message that last arrived on this channel observed activity on
@@ -56,9 +58,10 @@ type NDM struct {
 	Promotion PromotionPolicy
 
 	counter []int64 // per link; only monitored links are maintained
-	iFlag   []bool
-	dtFlag  []bool
-	gp      []bool // true = G, false = P; input-capable links only
+	// Bit i of gpm[node] is G on input channel inputs[node][i]; inPos[l] is
+	// that bit's node<<6 | i, -1 for a link with no G/P flag.
+	gpm   []uint64
+	inPos []int32
 	// Live flag occupancy, maintained incrementally so FlagCounts is O(1).
 	iBusy  int // output channels with the I flag set
 	dtBusy int // output channels with the DT flag set
@@ -84,17 +87,16 @@ func NewNDMOpt(f *router.Fabric, t1, t2 int64, promotion PromotionPolicy) *NDM {
 	if t1 < 1 || t2 < t1 {
 		panic("detect: NDM requires 1 <= t1 <= t2")
 	}
-	n := f.NumLinks()
+	inputs, inPos := inputLinksByNode(f)
 	return &NDM{
 		f:         f,
 		T1:        t1,
 		T2:        t2,
 		Promotion: promotion,
-		counter:   make([]int64, n),
-		iFlag:     make([]bool, n),
-		dtFlag:    make([]bool, n),
-		gp:        make([]bool, n),
-		inputs:    inputLinksByNode(f),
+		counter:   make([]int64, f.NumLinks()),
+		gpm:       make([]uint64, len(inputs)),
+		inPos:     inPos,
+		inputs:    inputs,
 		idle:      newIdleScan(f),
 	}
 }
@@ -125,13 +127,16 @@ func (d *NDM) FlagCounts() (iFlags, dtFlags, gFlags int) {
 
 // IFlagSet reports the I flag of link l (exported for tests and scenario
 // reconstruction).
-func (d *NDM) IFlagSet(l router.LinkID) bool { return d.iFlag[l] }
+func (d *NDM) IFlagSet(l router.LinkID) bool { return d.counter[l] > d.T1 }
 
 // DTFlagSet reports the DT flag of link l.
-func (d *NDM) DTFlagSet(l router.LinkID) bool { return d.dtFlag[l] }
+func (d *NDM) DTFlagSet(l router.LinkID) bool { return d.counter[l] > d.T2 }
 
 // GPIsGenerate reports whether input channel l currently holds G.
-func (d *NDM) GPIsGenerate(l router.LinkID) bool { return d.gp[l] }
+func (d *NDM) GPIsGenerate(l router.LinkID) bool {
+	p := d.inPos[l]
+	return p >= 0 && d.gpm[p>>6]>>(p&63)&1 != 0
+}
 
 // AppendState is NDM's Capabilities.AppendState: per link, the inactivity counter clamped
 // just past T2 (beyond which increments are inert — both flags are already
@@ -139,93 +144,76 @@ func (d *NDM) GPIsGenerate(l router.LinkID) bool { return d.gp[l] }
 // clamp keeps the encoding finite across arbitrarily long inactive
 // stretches without conflating any two behaviorally distinct states.
 func (d *NDM) AppendState(buf []byte, _ int64) []byte {
-	for l := range d.counter {
-		c := d.counter[l]
+	for l, c := range d.counter {
+		var flags byte
+		if c > d.T1 {
+			flags |= 1
+		}
 		if c > d.T2 {
 			c = d.T2 + 1
+			flags |= 2
 		}
-		var bits byte
-		if d.iFlag[l] {
-			bits |= 1
+		if d.GPIsGenerate(router.LinkID(l)) {
+			flags |= 4
 		}
-		if d.dtFlag[l] {
-			bits |= 2
-		}
-		if d.gp[l] {
-			bits |= 4
-		}
-		buf = append(buf, byte(c), byte(c>>8), bits)
+		buf = append(buf, byte(c), byte(c>>8), flags)
 	}
 	return buf
 }
 
 // Snapshot is NDM's Capabilities.Snapshot: per link, the exact inactivity
-// counter and the G/P flag. The I and DT flags are the counter compared with
-// t1 and t2 (Audit's invariant), so they are not written.
+// counter and the G/P flag (false on a link that is no input channel).
 func (d *NDM) Snapshot(dst []byte) []byte {
 	dst = snap.I64s(dst, d.counter)
-	for _, g := range d.gp {
-		dst = snap.Bool(dst, g)
+	for l := range d.counter {
+		dst = snap.Bool(dst, d.GPIsGenerate(router.LinkID(l)))
 	}
 	return dst
 }
 
 // Restore is NDM's Capabilities.Restore: counters and G/P flags are read, the
-// I and DT flags and the three flag counts are re-derived from them.
+// three flag counts re-derived from them. G on a link that is no router's
+// input channel is refused: it has no G/P flag to hold it.
 func (d *NDM) Restore(src []byte) error {
 	r := snap.NewReader(src)
 	restoreCounters(&r, d.counter)
-	gp := r.Bytes(len(d.gp))
+	gp := r.Bytes(len(d.counter))
 	if gp == nil {
 		return r.Err()
 	}
-	d.iBusy, d.dtBusy, d.gBusy = 0, 0, 0
-	for l, c := range d.counter {
-		d.iFlag[l], d.dtFlag[l] = c > d.T1, c > d.T2
-		if gp[l] > 1 {
-			r.Failf("detect: snapshot holds G/P flag byte %d for link %d", gp[l], l)
+	clear(d.gpm)
+	for l, g := range gp {
+		switch p := d.inPos[l]; {
+		case g > 1:
+			r.Failf("detect: snapshot holds G/P flag byte %d for link %d", g, l)
+		case g == 1 && p < 0:
+			r.Failf("detect: snapshot holds G on link %d, which is no router's input channel", l)
+		case g == 1:
+			d.gpm[p>>6] |= 1 << (p & 63)
 		}
-		d.gp[l] = gp[l] == 1
-		d.iBusy += count01(d.iFlag[l])
-		d.dtBusy += count01(d.dtFlag[l])
-		d.gBusy += count01(d.gp[l])
 	}
+	d.iBusy, d.dtBusy, d.gBusy = d.recount()
 	return r.Done()
 }
 
-// count01 is 1 for a set flag.
-func count01(set bool) int {
-	if set {
-		return 1
+// recount counts the I, DT and G flags anew, off the counters and G words.
+func (d *NDM) recount() (i, dt, g int) {
+	for _, w := range d.gpm {
+		g += bits.OnesCount64(w)
 	}
-	return 0
+	return countPast(d.counter, d.T1), countPast(d.counter, d.T2), g
 }
 
-// Audit is NDM's Capabilities.Audit: on every link the flag lattice holds (DT
-// implies I: the detection threshold can only be passed by a counter already
-// past the shorter one, and both reset together), each flag is exactly
-// "counter past its threshold", and the three cached counts equal recounts.
+// Audit is NDM's Capabilities.Audit: no counter is negative, and the three
+// cached flag counts equal recounts of the counters past t1 and t2 and of the
+// G bits.
 func (d *NDM) Audit() error {
-	var i, dt, g int
 	for l, c := range d.counter {
-		switch {
-		case d.dtFlag[l] && !d.iFlag[l]:
-			return fmt.Errorf("detect: ndm link %d: DT set with I clear", l)
-		case d.iFlag[l] != (c > d.T1) || d.dtFlag[l] != (c > d.T2):
-			return fmt.Errorf("detect: ndm link %d: counter %d (t1=%d, t2=%d) with I=%v DT=%v",
-				l, c, d.T1, d.T2, d.iFlag[l], d.dtFlag[l])
-		}
-		if d.iFlag[l] {
-			i++
-		}
-		if d.dtFlag[l] {
-			dt++
-		}
-		if d.gp[l] {
-			g++
+		if c < 0 {
+			return fmt.Errorf("detect: ndm link %d: negative inactivity counter %d", l, c)
 		}
 	}
-	if i != d.iBusy || dt != d.dtBusy || g != d.gBusy {
+	if i, dt, g := d.recount(); i != d.iBusy || dt != d.dtBusy || g != d.gBusy {
 		return fmt.Errorf("detect: ndm flag counts I/DT/G %d/%d/%d, recount %d/%d/%d",
 			d.iBusy, d.dtBusy, d.gBusy, i, dt, g)
 	}
@@ -244,10 +232,10 @@ func (d *NDM) RouteFailed(m *router.Message, in router.LinkID, outs []router.Lin
 			return false
 		}
 		for _, o := range outs {
-			if !d.iFlag[o] {
-				// Some requested channel is still active: the advancing
-				// message could be the root of the tree. If it later
-				// blocks, this message must detect.
+			if d.counter[o] <= d.T1 {
+				// Some requested channel is still active (I clear): the
+				// advancing message could be the root of the tree. If it
+				// later blocks, this message must detect.
 				d.setG(in, m.ID, trace.GRuleFirstAttempt, o)
 				return false
 			}
@@ -259,12 +247,13 @@ func (d *NDM) RouteFailed(m *router.Message, in router.LinkID, outs []router.Lin
 	}
 
 	// Successive attempts: detect only if the long-term threshold has been
-	// exceeded on every feasible output and this message is a branch head.
-	if !d.gp[in] {
+	// exceeded (DT set) on every feasible output and this message is a
+	// branch head.
+	if !d.GPIsGenerate(in) {
 		return false
 	}
 	for _, o := range outs {
-		if !d.dtFlag[o] {
+		if d.counter[o] <= d.T2 {
 			return false
 		}
 	}
@@ -286,24 +275,27 @@ func (d *NDM) VCFreed(l router.LinkID) {
 }
 
 // setG raises input channel in to G, tracing the transition with the rule
-// that fired and the witness output channel.
+// that fired and the witness output channel. A link that is no input channel
+// has no G/P flag and is left alone.
 func (d *NDM) setG(in router.LinkID, msg router.MsgID, rule int64, out router.LinkID) {
-	if d.gp[in] {
+	p := d.inPos[in]
+	if p < 0 || d.gpm[p>>6]>>(p&63)&1 != 0 {
 		return
 	}
-	d.gp[in] = true
+	d.gpm[p>>6] |= 1 << (p & 63)
 	d.gBusy++
-	d.tr.Emit(trace.KindGSet, msg, in, int32(d.f.RouterOf(in)), rule, int32(out))
+	d.tr.Emit(trace.KindGSet, msg, in, p>>6, rule, int32(out))
 }
 
 // setP lowers input channel in to P, tracing the transition with its reason.
 func (d *NDM) setP(in router.LinkID, msg router.MsgID, reason int64) {
-	if !d.gp[in] {
+	p := d.inPos[in]
+	if p < 0 || d.gpm[p>>6]>>(p&63)&1 == 0 {
 		return
 	}
-	d.gp[in] = false
+	d.gpm[p>>6] &^= 1 << (p & 63)
 	d.gBusy--
-	d.tr.Emit(trace.KindPSet, msg, in, int32(d.f.RouterOf(in)), reason, -1)
+	d.tr.Emit(trace.KindPSet, msg, in, p>>6, reason, -1)
 }
 
 // EndCycle implements Detector: the counter/flag hardware of Figure 6.
@@ -318,63 +310,65 @@ func (d *NDM) EndCycle(_ int64, txLinks []router.LinkID, _ []bool) {
 	d.reset(txLinks)
 	// The counter is "only incremented if at least one virtual channel is
 	// occupied", so the busy links cover every counting channel.
-	d.idle.each(txLinks, d.count)
+	d.idle.advance(txLinks, d.counter, d.T1+1, d.T2+1, d.raise)
 }
 
-// reset zeroes the counter and clears the flags of every channel a flit
+// reset zeroes the counter, and so clears the flags, of every channel a flit
 // crossed this cycle.
 func (d *NDM) reset(txLinks []router.LinkID) {
 	for _, id := range txLinks {
-		l := int(id)
-		if d.iFlag[l] {
+		if c := d.counter[id]; c > d.T1 {
 			// An I flag is being reset because a message advanced: re-arm
 			// waiting messages in this router (Figure 5).
 			d.promote(id)
-			d.iFlag[l] = false
 			d.iBusy--
 			d.tr.Emit(trace.KindIClear, router.NilMsg, id, -1, 0, -1)
+			if c > d.T2 {
+				d.dtBusy--
+				d.tr.Emit(trace.KindDTClear, router.NilMsg, id, -1, 0, -1)
+			}
 		}
-		if d.dtFlag[l] {
-			d.dtFlag[l] = false
-			d.dtBusy--
-			d.tr.Emit(trace.KindDTClear, router.NilMsg, id, -1, 0, -1)
-		}
-		d.counter[l] = 0
+		d.counter[id] = 0
 	}
 }
 
-// count advances idle channel id's inactivity counter by one cycle and
-// raises the flags whose threshold it crosses.
-func (d *NDM) count(id router.LinkID) {
-	l := int(id)
-	d.counter[l]++
-	if d.counter[l] > d.T1 && !d.iFlag[l] {
-		d.iFlag[l] = true
+// raise sets the flags idle channel l's counter has just reached: I at t1+1,
+// DT at t2+1, I first when the two are equal.
+func (d *NDM) raise(l router.LinkID, c int64) {
+	if c == d.T1+1 {
 		d.iBusy++
-		d.tr.Emit(trace.KindISet, router.NilMsg, id, -1, 0, -1)
+		d.tr.Emit(trace.KindISet, router.NilMsg, l, -1, 0, -1)
 	}
-	if d.counter[l] > d.T2 && !d.dtFlag[l] {
-		d.dtFlag[l] = true
+	if c == d.T2+1 {
 		d.dtBusy++
-		d.tr.Emit(trace.KindDTSet, router.NilMsg, id, -1, 0, -1)
+		d.tr.Emit(trace.KindDTSet, router.NilMsg, l, -1, 0, -1)
 	}
 }
 
 // promote re-arms G/P flags in the router owning output channel out after
-// its I flag was reset.
+// its I flag was reset. Under PromoteAll every P flag of the router turns G
+// at once, one word operation; the KindGSet events then go out in input
+// order, only when a recorder is attached.
 func (d *NDM) promote(out router.LinkID) {
-	node := int(d.f.Links[out].Src)
+	node := d.f.Links[out].Src
 	if node < 0 {
 		return
 	}
-	for _, in := range d.inputs[node] {
-		if d.gp[in] {
-			continue // already G
+	inputs := d.inputs[node]
+	if d.Promotion == PromoteWaiting {
+		for _, in := range inputs {
+			if !d.GPIsGenerate(in) && d.waitingOn(in, out, int(node)) {
+				d.setG(in, router.NilMsg, trace.GRulePromotion, out)
+			}
 		}
-		if d.Promotion == PromoteWaiting && !d.waitingOn(in, out, node) {
-			continue
-		}
-		d.setG(in, router.NilMsg, trace.GRulePromotion, out)
+		return
+	}
+	raised := (uint64(1)<<len(inputs) - 1) &^ d.gpm[node]
+	d.gpm[node] |= raised
+	d.gBusy += bits.OnesCount64(raised)
+	for ; d.tr != nil && raised != 0; raised &= raised - 1 {
+		d.tr.Emit(trace.KindGSet, router.NilMsg, inputs[bits.TrailingZeros64(raised)], node,
+			trace.GRulePromotion, int32(out))
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 // every clock cycle and reset whenever a flit is transmitted across the
 // channel, so it holds the number of cycles since the last transmission. A
 // one-bit inactivity flag (IF) is set when the counter exceeds the
-// threshold and reset on transmission.
+// threshold and reset on transmission: it is the comparator's output,
+// counter > threshold, so it is read off the counter rather than stored.
 //
 // Every time a blocked message is routed unsuccessfully, the IFs of all its
 // feasible output channels are checked; if all are set, the message is
@@ -29,7 +30,6 @@ type PDM struct {
 	Threshold int64
 
 	counter []int64
-	ifFlag  []bool
 	ifBusy  int      // number of links with the inactivity flag set
 	idle    idleScan // EndCycle's counting pass
 
@@ -45,7 +45,6 @@ func NewPDM(f *router.Fabric, threshold int64) *PDM {
 		f:         f,
 		Threshold: threshold,
 		counter:   make([]int64, f.NumLinks()),
-		ifFlag:    make([]bool, f.NumLinks()),
 		idle:      newIdleScan(f),
 	}
 }
@@ -72,20 +71,16 @@ func (d *PDM) FlagCounts() (iFlags, dtFlags, gFlags int) {
 }
 
 // InactivitySet reports the IF flag of link l (exported for tests).
-func (d *PDM) InactivitySet(l router.LinkID) bool { return d.ifFlag[l] }
+func (d *PDM) InactivitySet(l router.LinkID) bool { return d.counter[l] > d.Threshold }
 
 // AppendState is PDM's Capabilities.AppendState: per link, the inactivity counter clamped
 // just past the threshold (beyond which increments are inert — the flag is
 // already set and only a transmission resets it) and the IF flag bit.
 func (d *PDM) AppendState(buf []byte, _ int64) []byte {
-	for l := range d.counter {
-		c := d.counter[l]
-		if c > d.Threshold {
-			c = d.Threshold + 1
-		}
+	for _, c := range d.counter {
 		var bit byte
-		if d.ifFlag[l] {
-			bit = 1
+		if c > d.Threshold {
+			c, bit = d.Threshold+1, 1
 		}
 		buf = append(buf, byte(c), byte(c>>8), bit)
 	}
@@ -93,40 +88,29 @@ func (d *PDM) AppendState(buf []byte, _ int64) []byte {
 }
 
 // Snapshot is PDM's Capabilities.Snapshot: the exact inactivity counter of
-// every link. The inactivity flag is the counter compared with the threshold
-// (Audit's invariant), so it is not written.
+// every link (the inactivity flag is the counter compared with the threshold).
 func (d *PDM) Snapshot(dst []byte) []byte {
 	return snap.I64s(dst, d.counter)
 }
 
-// Restore is PDM's Capabilities.Restore: counters are read, the flags and
-// their count re-derived.
+// Restore is PDM's Capabilities.Restore: counters are read, the flag count
+// re-derived.
 func (d *PDM) Restore(src []byte) error {
 	r := snap.NewReader(src)
 	restoreCounters(&r, d.counter)
-	d.ifBusy = 0
-	for l, c := range d.counter {
-		d.ifFlag[l] = c > d.Threshold
-		d.ifBusy += count01(d.ifFlag[l])
-	}
+	d.ifBusy = countPast(d.counter, d.Threshold)
 	return r.Done()
 }
 
-// Audit is PDM's Capabilities.Audit: on every link the inactivity flag is
-// exactly "counter past the threshold", and the cached count equals a
-// recount.
+// Audit is PDM's Capabilities.Audit: no counter is negative, and the cached
+// flag count equals a recount of the counters past the threshold.
 func (d *PDM) Audit() error {
-	set := 0
 	for l, c := range d.counter {
-		if d.ifFlag[l] != (c > d.Threshold) {
-			return fmt.Errorf("detect: pdm link %d: counter %d (threshold %d) with IF=%v",
-				l, c, d.Threshold, d.ifFlag[l])
-		}
-		if d.ifFlag[l] {
-			set++
+		if c < 0 {
+			return fmt.Errorf("detect: pdm link %d: negative inactivity counter %d", l, c)
 		}
 	}
-	if set != d.ifBusy {
+	if set := countPast(d.counter, d.Threshold); set != d.ifBusy {
 		return fmt.Errorf("detect: pdm flag count %d, recount %d", d.ifBusy, set)
 	}
 	return nil
@@ -136,7 +120,7 @@ func (d *PDM) Audit() error {
 // attempt, including the first.
 func (d *PDM) RouteFailed(_ *router.Message, _ router.LinkID, outs []router.LinkID, _ bool, _ int64) bool {
 	for _, o := range outs {
-		if !d.ifFlag[o] {
+		if d.counter[o] <= d.Threshold {
 			return false
 		}
 	}
@@ -157,30 +141,23 @@ func (d *PDM) VCFreed(router.LinkID) {}
 // identical.)
 func (d *PDM) EndCycle(_ int64, txLinks []router.LinkID, _ []bool) {
 	d.reset(txLinks)
-	d.idle.each(txLinks, d.count)
+	d.idle.advance(txLinks, d.counter, d.Threshold+1, d.Threshold+1, d.raise)
 }
 
-// reset zeroes the counter and clears the flag of every channel a flit
+// reset zeroes the counter, and so clears the flag, of every channel a flit
 // crossed this cycle.
 func (d *PDM) reset(txLinks []router.LinkID) {
 	for _, id := range txLinks {
-		d.counter[id] = 0
-		if d.ifFlag[id] {
-			d.ifFlag[id] = false
+		if d.counter[id] > d.Threshold {
 			d.ifBusy--
 			d.tr.Emit(trace.KindDTClear, router.NilMsg, id, -1, 0, -1)
 		}
+		d.counter[id] = 0
 	}
 }
 
-// count advances idle channel id's counter by one cycle and raises its
-// inactivity flag when it crosses the threshold.
-func (d *PDM) count(id router.LinkID) {
-	l := int(id)
-	d.counter[l]++
-	if d.counter[l] > d.Threshold && !d.ifFlag[l] {
-		d.ifFlag[l] = true
-		d.ifBusy++
-		d.tr.Emit(trace.KindDTSet, router.NilMsg, id, -1, 0, -1)
-	}
+// raise sets the inactivity flag idle channel l's counter has just reached.
+func (d *PDM) raise(l router.LinkID, _ int64) {
+	d.ifBusy++
+	d.tr.Emit(trace.KindDTSet, router.NilMsg, l, -1, 0, -1)
 }

@@ -570,7 +570,7 @@ func (d *Detector) launch(now int64, transmitted []bool) {
 // digest is carried but never compared (dedupe is edge-keyed), so it is
 // excluded. linkUsedAt and the cumulative counters are scratch/telemetry.
 func (d *Detector) AppendState(buf []byte, now int64) []byte {
-	buf = append(buf, byte(len(d.probes)))
+	buf = appendID(buf, int32(len(d.probes)))
 	for i := range d.probes {
 		p := &d.probes[i]
 		buf = appendID(buf, int32(p.initiator))
@@ -580,7 +580,7 @@ func (d *Detector) AppendState(buf []byte, now int64) []byte {
 		buf = appendID(buf, int32(p.victim))
 		buf = d.appendGenRank(buf, p.victim, p.victimGen)
 	}
-	buf = append(buf, byte(len(d.blocked)))
+	buf = appendID(buf, int32(len(d.blocked)))
 	for _, id := range d.blocked {
 		buf = appendID(buf, int32(id))
 		m := d.fab.Msg(id)
@@ -599,7 +599,7 @@ func (d *Detector) AppendState(buf []byte, now int64) []byte {
 			buf = appendID(buf, int32(id))
 		}
 	}
-	buf = append(buf, 0xfe) // section separator (never a length byte above)
+	buf = append(buf, 0xfe) // section separator
 	for id := range d.inits {
 		st := &d.inits[id]
 		if st.waveStart < 0 && len(st.seen) == 0 {

@@ -2,6 +2,7 @@ package probe
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"wormnet/internal/router"
@@ -146,6 +147,47 @@ func TestCapabilities(t *testing.T) {
 	}
 	if len(c.AppendState(nil, now)) == 0 {
 		t.Error("empty state encoding")
+	}
+}
+
+// TestAppendStateCountsTwoBytes: the in-flight probe and blocked-initiator
+// counts are written in two bytes. In one byte 257 wrapped to the 1 of a
+// single entry, so the model checker could merge two different states.
+func TestAppendStateCountsTwoBytes(t *testing.T) {
+	r := newRing(t)
+	d := New(r.fab, Config{InitDelay: 1})
+	registerBlocked(d, r.fab, r.a, 0)
+	now := cycleN(d, r.fab, 1)
+	if len(d.probes) != 1 || len(d.blocked) != 1 {
+		t.Fatalf("%d probes, %d blocked initiators, want 1 and 1", len(d.probes), len(d.blocked))
+	}
+	const probeBytes = 5*2 + 3 // five IDs and the generation rank
+	one := d.AppendState(nil, now)
+	for len(d.probes) < 257 {
+		d.probes = append(d.probes, d.probes[0])
+	}
+	manyProbes := d.AppendState(nil, now)
+	d.probes = d.probes[:1]
+	for len(d.blocked) < 257 {
+		d.blocked = append(d.blocked, d.blocked[0])
+	}
+	manyBlocked := d.AppendState(nil, now)
+	for _, tc := range []struct {
+		name     string
+		enc      []byte
+		at, want int
+	}{
+		{"probes, one", one, 0, 1},
+		{"probes, 257", manyProbes, 0, 257},
+		{"blocked, one", one, 2 + probeBytes, 1},
+		{"blocked, 257", manyBlocked, 2 + probeBytes, 257},
+	} {
+		if got := int(binary.LittleEndian.Uint16(tc.enc[tc.at:])); got != tc.want {
+			t.Errorf("%s: count field reads %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	if bytes.Equal(one[:2], manyProbes[:2]) || bytes.Equal(one[:2+probeBytes+2], manyBlocked[:2+probeBytes+2]) {
+		t.Error("1 and 257 entries encode the same count")
 	}
 }
 
