@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check benchmark-check bench-gate smoke golden-gate shard-smoke trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex conformance-fuzz-seeds fuzz-restore-seeds fuzz-restore fuzz-flags shootout profile clean
+.PHONY: all build test race vet fmt-check benchmark-check bench-gate smoke golden-gate trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex conformance-fuzz-seeds fuzz-restore-seeds fuzz-restore fuzz-flags shootout profile clean
 
 all: vet fmt-check test
 
@@ -62,34 +62,22 @@ smoke: build
 	@echo "smoke: parallel and resumed sweeps byte-identical to serial; tables dumps reach the harness"
 
 # Sweep determinism gates: a fixed-seed sweep must be byte-identical to the
-# committed golden (results/sweep_golden.json) run plain, stepped by 4 worker
-# shards per simulation, with per-run metrics collectors and series dumps, and
-# with per-run episode correlators and incident dumps. The golden pins
-# simulation semantics — any change to the router, engine, detection or oracle
-# kernels that alters observable behavior fails here and must regenerate it
-# deliberately — and sharding, metrics and forensics must never perturb it.
+# committed golden (results/sweep_golden.json) run plain, with per-run metrics
+# collectors and series dumps, and with per-run episode correlators and
+# incident dumps. The golden pins simulation semantics — any change to the
+# router, engine, detection or oracle kernels that alters observable behavior
+# fails here and must regenerate it deliberately — and metrics and forensics
+# must never perturb it.
 golden-gate: build
 	$(GO) build -o /tmp/wormnet-loadsweep ./cmd/loadsweep
 	rm -rf /tmp/wormnet-gate-series /tmp/wormnet-gate-forensics
-	set -e; for variant in "" "-shards 4" "-series-dir /tmp/wormnet-gate-series" \
+	set -e; for variant in "" "-series-dir /tmp/wormnet-gate-series" \
 		"-forensics-dir /tmp/wormnet-gate-forensics"; do \
 		/tmp/wormnet-loadsweep -k 4 -n 2 -points 4 -warmup 500 -measure 2000 \
 			-workers 4 -replicates 2 -seed 1 $$variant -quiet -json > /tmp/wormnet-gate.json; \
 		cmp results/sweep_golden.json /tmp/wormnet-gate.json; \
 	done
-	@echo "golden-gate: plain, sharded, metered and forensics sweeps byte-identical to the golden"
-
-# Sharded determinism smoke: a sweep stepped by 4 worker shards per
-# simulation must be byte-identical to the serial sweep. This is the
-# two-phase cycle barrier's core guarantee (DESIGN.md §11).
-shard-smoke: build
-	$(GO) build -o /tmp/wormnet-loadsweep ./cmd/loadsweep
-	/tmp/wormnet-loadsweep -k 4 -n 2 -points 4 -warmup 500 -measure 2000 \
-		-workers 1 -quiet -json > /tmp/wormnet-serial.json
-	/tmp/wormnet-loadsweep -k 4 -n 2 -points 4 -warmup 500 -measure 2000 \
-		-workers 1 -shards 4 -quiet -json > /tmp/wormnet-sharded.json
-	cmp /tmp/wormnet-serial.json /tmp/wormnet-sharded.json
-	@echo "shard-smoke: 4-shard sweep byte-identical to serial"
+	@echo "golden-gate: plain, metered and forensics sweeps byte-identical to the golden"
 
 # Flight-recorder smoke: a saturated single-VC run must capture a decodable
 # event stream containing detection verdicts, and the bounded ring mode must
@@ -112,9 +100,9 @@ trace-smoke: build
 
 # Forensics pipeline gate: a fixed-seed saturated run dumps a deadlock
 # incident report; cmd/forensics parses it; the report is byte-identical
-# across shard counts and between the online observer and an offline replay
-# of the streamed trace; and enabling forensics leaves the run's stdout
-# byte-identical (pure observation).
+# between the online observer and an offline replay of the streamed trace;
+# and enabling forensics leaves the run's stdout byte-identical (pure
+# observation).
 FORENSICS_ARGS = -k 4 -n 2 -vcs 1 -load 2.0 -inject-limit -1 -th 64 \
 	-warmup 0 -measure 3000 -oracle-every 1 -seed 7
 forensics-smoke: build
@@ -126,15 +114,12 @@ forensics-smoke: build
 		> /tmp/wormnet-forensics-on.txt
 	/tmp/wormnet-wormsim $(FORENSICS_ARGS) > /tmp/wormnet-forensics-off.txt
 	cmp /tmp/wormnet-forensics-on.txt /tmp/wormnet-forensics-off.txt
-	/tmp/wormnet-wormsim $(FORENSICS_ARGS) -shards 4 \
-		-forensics /tmp/wormnet-incidents-s4.jsonl > /dev/null
-	cmp /tmp/wormnet-incidents.jsonl /tmp/wormnet-incidents-s4.jsonl
 	/tmp/wormnet-forensics -write /tmp/wormnet-incidents-replay.jsonl \
 		/tmp/wormnet-forensics-events.jsonl \
 		| tee /tmp/wormnet-forensics-summary.txt
 	cmp /tmp/wormnet-incidents.jsonl /tmp/wormnet-incidents-replay.jsonl
 	grep -q 'true-deadlock' /tmp/wormnet-forensics-summary.txt
-	@echo "forensics-smoke: incidents parse; byte-identical across shards, online/offline, stdout unchanged"
+	@echo "forensics-smoke: incidents parse; byte-identical online/offline, stdout unchanged"
 
 # Exhaustive conformance gate (CI-required, well under 2 minutes): the
 # bounded model checker (internal/mc, cmd/mcheck) explores EVERY reachable
@@ -277,8 +262,7 @@ clean:
 		/tmp/wormnet-ring.jsonl /tmp/wormnet-trace-summary.txt \
 		/tmp/wormnet-metricsview /tmp/wormnet-metrics.pid \
 		/tmp/wormnet-run.series.jsonl /tmp/wormnet-plain.json /tmp/wormnet-metered.json \
-		/tmp/wormnet-sharded.json /tmp/wormnet-forensics /tmp/wormnet-mcheck \
-		/tmp/wormnet-incidents.jsonl /tmp/wormnet-incidents-s4.jsonl \
+		/tmp/wormnet-forensics /tmp/wormnet-mcheck /tmp/wormnet-incidents.jsonl \
 		/tmp/wormnet-incidents-replay.jsonl /tmp/wormnet-forensics-events.jsonl \
 		/tmp/wormnet-forensics-on.txt /tmp/wormnet-forensics-off.txt \
 		/tmp/wormnet-forensics-summary.txt /tmp/wormnet-tables /tmp/wormnet-gate.json \

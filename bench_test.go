@@ -9,7 +9,6 @@ package wormnet
 // (512-node 8-ary 3-cube, every threshold) are regenerated by cmd/tables.
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"runtime"
@@ -306,46 +305,6 @@ func BenchmarkEngineStepSat512(b *testing.B) {
 	}
 	if allocs := benchSteps(b, sc, 4000); b.N >= 100 && allocs != 0 {
 		b.Errorf("saturated 512-node cycle allocates %d times per step, want 0", allocs)
-	}
-}
-
-// BenchmarkEngineStepShards measures the saturated engine cycle on the
-// paper-scale 8-ary 3-cube (512 nodes) as the two-phase cycle barrier fans
-// the per-cycle work out over 1, 2, 4 and 8 shards. Output is byte-identical
-// across the row; only wall-clock may change. Speedup is bounded by the
-// cores actually available; the tracked measurement is the repo benchmark's
-// torus512_sat / torus512_sat_shards2 pair (BENCHMARK.json).
-func BenchmarkEngineStepShards(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.K, cfg.N = 8, 3
-			cfg.Load = 1.2
-			cfg.Warmup = 0
-			cfg.Measure = int64(b.N) + 1000
-			cfg.Shards = shards
-			sc, err := cfg.SimConfig()
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng, err := sim.New(sc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.StopWorkers()
-			for i := 0; i < 1000; i++ {
-				if err := eng.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := eng.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

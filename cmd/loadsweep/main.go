@@ -98,7 +98,6 @@ func main() {
 		measure = flag.Int64("measure", 12000, "measured cycles per point")
 		seed    = flag.Uint64("seed", 1, "base random seed; per-run seeds derive from it")
 		asJSON  = flag.Bool("json", false, "emit JSON instead of the text table")
-		shards  = flag.Int("shards", 0, "worker shards per simulation under the deterministic cycle barrier (0 = serial; output is identical for any count)")
 	)
 	var sweep harness.Sweep
 	sweep.AddFlags(flag.CommandLine, "replicates", nil)
@@ -148,7 +147,6 @@ func main() {
 			cfg.Threshold = 32
 			cfg.Warmup = *warmup
 			cfg.Measure = *measure
-			cfg.Shards = *shards
 			sc, err := cfg.SimConfig()
 			if err != nil {
 				fail("%v", err)

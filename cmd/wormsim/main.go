@@ -47,7 +47,6 @@ func main() {
 	flag.Int64Var(&cfg.Warmup, "warmup", cfg.Warmup, "warm-up cycles")
 	flag.Int64Var(&cfg.Measure, "measure", cfg.Measure, "measured cycles")
 	flag.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
-	flag.IntVar(&cfg.Shards, "shards", 0, "worker shards stepping the fabric under the deterministic cycle barrier (0 = serial; results are identical for any count)")
 	flag.Int64Var(&cfg.OracleEvery, "oracle-every", 0, "run the global deadlock oracle every N cycles (0 = only at detections)")
 	observe := flag.Int64("observe", 0, "print a fabric occupancy summary (and 2-D heatmap) every N cycles")
 	flag.StringVar(&cfg.TracePath, "trace", "", "write flight-recorder events to this JSONL file")

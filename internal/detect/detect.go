@@ -208,8 +208,8 @@ func newIdleScan(f *router.Fabric) idleScan {
 
 // advance adds one to counter[l] for every idle channel l and calls raise
 // where the new count is lo or hi, the cycle a flag for threshold lo-1 or hi-1
-// rises. Links come in ascending order, the bitmap's, so flag events are the
-// same for every occupancy-shard layout, traced or not.
+// rises. Links come in ascending order, the bitmap's, so flag events come out
+// in link order, traced or not.
 //
 // The tx mask is set and cleared from txLinks, never from the busy words: a
 // delivery channel can receive a tail flit and be drained empty in the same

@@ -8,10 +8,9 @@
 // The correlator consumes events one at a time, so it runs identically
 // offline (Correlate over a JSONL trace via trace.Scan) and online (Observe
 // registered as the recorder's observer while the engine runs). Because the
-// trace byte stream is already contractually independent of shard count and
-// cycle-kernel choice, the incident report — a pure function of that stream
-// — is byte-identical across those axes too; tests and the forensics-smoke
-// CI gate hold it there.
+// trace byte stream is already contractually deterministic for a fixed seed,
+// the incident report — a pure function of that stream — is too; tests and
+// the forensics-smoke CI gate hold it there.
 //
 // Episode model. An episode opens at the first oracle-deadlock sighting
 // (or, with no sighting, at a mark the oracle refuted) while no episode is
@@ -66,7 +65,7 @@ type msgState struct {
 }
 
 // Correlator is the episode state machine. It is not safe for concurrent
-// use; all trace emit sites run on the engine's serial commit spine, so a
+// use; all trace emit sites run on the goroutine stepping the engine, so a
 // recorder observer needs no locking. A nil *Correlator ignores every call.
 type Correlator struct {
 	opt Options

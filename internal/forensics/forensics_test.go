@@ -118,10 +118,10 @@ func TestMCCounterexampleGolden(t *testing.T) {
 }
 
 // TestGoldenRunByteIdentity is the report determinism gate: the fixed-seed
-// 3x3 deadlock run must produce byte-identical incident reports at every
-// shard count — the same contract the trace rails enforce, which the report
-// inherits by being a pure function of the trace stream. The serial run is
-// additionally held to the committed golden.
+// 3x3 deadlock run must produce byte-identical incident reports whatever the
+// deprecated, ignored Config.Shards says — the same contract the trace rails
+// enforce, which the report inherits by being a pure function of the trace
+// stream. The base run is additionally held to the committed golden.
 func TestGoldenRunByteIdentity(t *testing.T) {
 	base := runIncidents(t, goldenConfig())
 	checkGolden(t, "testdata/seed11-3x3.incidents.jsonl", base)
@@ -137,7 +137,7 @@ func TestGoldenRunByteIdentity(t *testing.T) {
 			cfg := goldenConfig()
 			v.mod(&cfg)
 			if got := runIncidents(t, cfg); !bytes.Equal(got, base) {
-				t.Errorf("incident report differs from serial reference (%d vs %d bytes)",
+				t.Errorf("incident report differs from the base run (%d vs %d bytes)",
 					len(got), len(base))
 			}
 		})
@@ -249,19 +249,6 @@ func TestEveryOracleSightingHasEpisode(t *testing.T) {
 	if members != sightings {
 		t.Errorf("%d oracle sightings but %d episode members; each sighting must land in exactly one episode",
 			sightings, members)
-	}
-}
-
-// TestShardedObserverUnderRace exists for the CI -race job: the online
-// observer runs on the engine's serial commit spine, so a sharded traced
-// run with a correlator attached must be data-race free.
-func TestShardedObserverUnderRace(t *testing.T) {
-	cfg := goldenConfig()
-	cfg.K = 4 // 16 nodes so 4 shards get distinct slices
-	cfg.Shards = 4
-	cfg.Measure = 600
-	if got := runIncidents(t, cfg); len(got) == 0 {
-		t.Error("sharded forensics run produced an empty report file")
 	}
 }
 

@@ -90,7 +90,6 @@ func (o *Options) newRunner(rec *trace.Recorder) (*runner, error) {
 		Measure:        1 << 40, // mark counters accumulate from cycle 0
 		OracleEvery:    0,       // the checker consults the oracle itself
 		Seed:           1,
-		Shards:         1,
 		Chooser:        ch,
 		Trace:          rec,
 		Debug:          true, // per-cycle safety checks (detector audit included) surface as Step errors
@@ -171,18 +170,6 @@ func (r *runner) stepPath(path [][]uint8) error {
 		}
 	}
 	return nil
-}
-
-// replay builds a fresh runner and replays the given per-cycle choice
-// vectors from the initial state: the definition of "the state a path
-// reaches". Check gets there by snapshot and restore instead, and the
-// differential test holds it to this (mc_test.go).
-func (o *Options) replay(path [][]uint8) (*runner, error) {
-	r, err := o.newRunner(nil)
-	if err != nil {
-		return nil, err
-	}
-	return r, r.stepPath(path)
 }
 
 // snapshot appends the runner's exact state to dst: the engine's snapshot,

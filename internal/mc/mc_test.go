@@ -14,6 +14,18 @@ import (
 	"wormnet/internal/trace"
 )
 
+// replay builds a fresh runner and replays the given per-cycle choice
+// vectors from the initial state: the definition of "the state a path
+// reaches". Check gets there by snapshot and restore instead, and the
+// differential test below holds it to this.
+func (o *Options) replay(path [][]uint8) (*runner, error) {
+	r, err := o.newRunner(nil)
+	if err != nil {
+		return nil, err
+	}
+	return r, r.stepPath(path)
+}
+
 // face22 is the 4-message corner-turning cycle around the unit face of the
 // 2x2 torus; face33 the same face on the 3x3. On the 2x2 both directions of
 // each dimension are minimal (k=2), so every corner has a parallel escape

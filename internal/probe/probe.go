@@ -557,10 +557,11 @@ func (d *Detector) launch(now int64, transmitted []bool) {
 //     per-link one-flit budget is consumed first come, first served);
 //   - every blocked initiator, in launch order, with its blocked age clamped
 //     at InitDelay (beyond which eligibility no longer changes);
-//   - the pending-mark bits;
+//   - the pending-mark bits, as a count and the marked IDs;
 //   - every non-default per-initiator wave window: wave age clamped at
 //     ReprobeEvery (beyond which the next launch reopens it), the
-//     wave-predates-blocking bit, and the sorted dedupe keys.
+//     wave-predates-blocking bit, and the count and sorted list of dedupe
+//     keys.
 //
 // Absolute cycle stamps never appear: ages are clamped at the point past
 // their largest behavioral threshold, and a probe's victim generation stamp
@@ -594,12 +595,18 @@ func (d *Detector) AppendState(buf []byte, now int64) []byte {
 		}
 		buf = appendID(buf, int32(age))
 	}
-	for id := range d.pendingMark {
-		if d.pendingMark[id] {
+	pending := 0
+	for _, p := range d.pendingMark {
+		if p {
+			pending++
+		}
+	}
+	buf = appendID(buf, int32(pending))
+	for id, p := range d.pendingMark {
+		if p {
 			buf = appendID(buf, int32(id))
 		}
 	}
-	buf = append(buf, 0xfe) // section separator
 	for id := range d.inits {
 		st := &d.inits[id]
 		if st.waveStart < 0 && len(st.seen) == 0 {
@@ -619,7 +626,8 @@ func (d *Detector) AppendState(buf []byte, now int64) []byte {
 			}
 		}
 		buf = appendID(buf, waveAge)
-		buf = append(buf, predates, byte(len(st.seen)))
+		buf = append(buf, predates)
+		buf = appendID(buf, int32(len(st.seen)))
 		for _, k := range d.sortedKeys(st.seen) {
 			buf = binary.LittleEndian.AppendUint64(buf, k)
 		}

@@ -150,9 +150,12 @@ func TestCapabilities(t *testing.T) {
 	}
 }
 
-// TestAppendStateCountsTwoBytes: the in-flight probe and blocked-initiator
-// counts are written in two bytes. In one byte 257 wrapped to the 1 of a
-// single entry, so the model checker could merge two different states.
+// TestAppendStateCountsTwoBytes: every count in the encoding — in-flight
+// probes, blocked initiators, pending marks, a dedupe window's keys — is
+// written in two bytes. In one byte 257 wrapped to the 1 of a single entry
+// (and 256 to an empty window), and a pending-mark list ended by a 0xfe
+// separator could not tell that byte from the low byte of an ID like 0x01fe,
+// so the model checker could merge two different states.
 func TestAppendStateCountsTwoBytes(t *testing.T) {
 	r := newRing(t)
 	d := New(r.fab, Config{InitDelay: 1})
@@ -161,17 +164,43 @@ func TestAppendStateCountsTwoBytes(t *testing.T) {
 	if len(d.probes) != 1 || len(d.blocked) != 1 {
 		t.Fatalf("%d probes, %d blocked initiators, want 1 and 1", len(d.probes), len(d.blocked))
 	}
-	const probeBytes = 5*2 + 3 // five IDs and the generation rank
+	const (
+		probeBytes   = 5*2 + 3             // five IDs and the generation rank
+		blockedAt    = 2 + probeBytes      // after the probe section
+		pendingAt    = blockedAt + 2 + 2*2 // after one blocked initiator
+		initAt       = pendingAt + 2       // after an empty pending-mark list
+		windowKeysAt = initAt + 2 + 2 + 1  // the window's ID, wave age, predates bit
+		pendingID    = 0x01fe              // low byte is the old separator
+		pendingOne   = pendingAt + 2 + 2   // initAt with one pending mark
+		windowOneAt  = windowKeysAt + pendingOne - initAt
+	)
 	one := d.AppendState(nil, now)
 	for len(d.probes) < 257 {
 		d.probes = append(d.probes, d.probes[0])
 	}
 	manyProbes := d.AppendState(nil, now)
 	d.probes = d.probes[:1]
+	blocked := d.blocked[0]
 	for len(d.blocked) < 257 {
-		d.blocked = append(d.blocked, d.blocked[0])
+		d.blocked = append(d.blocked, blocked)
 	}
 	manyBlocked := d.AppendState(nil, now)
+	d.blocked = d.blocked[:1]
+
+	seen := d.inits[r.a.ID].seen
+	for k := uint64(1 << 40); len(seen) < 256; k++ {
+		seen[k] = struct{}{}
+	}
+	keys256 := d.AppendState(nil, now)
+	seen[1<<50] = struct{}{}
+	keys257 := d.AppendState(nil, now)
+
+	for len(d.pendingMark) <= pendingID {
+		d.pendingMark = append(d.pendingMark, false)
+	}
+	d.pendingMark[pendingID] = true
+	marked := d.AppendState(nil, now)
+
 	for _, tc := range []struct {
 		name     string
 		enc      []byte
@@ -179,14 +208,20 @@ func TestAppendStateCountsTwoBytes(t *testing.T) {
 	}{
 		{"probes, one", one, 0, 1},
 		{"probes, 257", manyProbes, 0, 257},
-		{"blocked, one", one, 2 + probeBytes, 1},
-		{"blocked, 257", manyBlocked, 2 + probeBytes, 257},
+		{"blocked, one", one, blockedAt, 1},
+		{"blocked, 257", manyBlocked, blockedAt, 257},
+		{"pending marks, none", one, pendingAt, 0},
+		{"pending marks, one", marked, pendingAt, 1},
+		{"pending mark ID", marked, pendingAt + 2, pendingID},
+		{"window keys, 256", keys256, windowKeysAt, 256},
+		{"window keys, 257", keys257, windowKeysAt, 257},
+		{"window keys after a pending mark", marked, windowOneAt, 257},
 	} {
 		if got := int(binary.LittleEndian.Uint16(tc.enc[tc.at:])); got != tc.want {
-			t.Errorf("%s: count field reads %d, want %d", tc.name, got, tc.want)
+			t.Errorf("%s: field at byte %d reads %d, want %d", tc.name, tc.at, got, tc.want)
 		}
 	}
-	if bytes.Equal(one[:2], manyProbes[:2]) || bytes.Equal(one[:2+probeBytes+2], manyBlocked[:2+probeBytes+2]) {
+	if bytes.Equal(one[:2], manyProbes[:2]) || bytes.Equal(one[:blockedAt+2], manyBlocked[:blockedAt+2]) {
 		t.Error("1 and 257 entries encode the same count")
 	}
 }

@@ -172,20 +172,14 @@ type Fabric struct {
 	free []MsgID
 
 	// Occupancy acceleration structures, maintained by Allocate and the
-	// release paths, sharded by the owner of each link so that shard
-	// workers mutate disjoint words. A link (and its VCs) is owned by the
-	// shard of Links[l].Dst — the router at whose input its buffers sit; an
-	// unpartitioned fabric has a single shard owning everything. busy[l]
-	// counts occupied VCs of link l; occBits is the occupied-VC set, indexed
-	// by VCID, and busyBits the busy-link set — links with busy > 0 —
-	// indexed by LinkID (see shardBits for the layout both share).
+	// release paths. busy[l] counts occupied VCs of link l; occBits is the
+	// occupied-VC set, indexed by VCID, and busyBits the busy-link set —
+	// links with busy > 0 — indexed by LinkID (see bitset for the layout both
+	// share). gen is the structural generation counter (Gen).
 	busy     []int16
-	occBits  shardBits
-	busyBits shardBits
-	// shardOf[l] is the shard owning link l; gens[s] is shard s's share of
-	// the structural generation counter.
-	shardOf []int32
-	gens    []uint64
+	occBits  bitset
+	busyBits bitset
+	gen      uint64
 
 	// failed marks physical channels taken out of service by fault
 	// injection; routing algorithms skip them.
@@ -201,16 +195,9 @@ type Fabric struct {
 // changes that can affect routing and deadlock analysis. Every VC
 // allocation or release and every link failure or repair bumps it.
 // Observers (the deadlock oracle) compare generations to detect that cached
-// analyses are still current; each shard owns a monotone share, so the sum
-// is monotone too. Message-level state (Phase, Attempts) is not covered;
-// owners report those separately.
-func (f *Fabric) Gen() uint64 {
-	g := f.gens[0]
-	for _, s := range f.gens[1:] {
-		g += s
-	}
-	return g
-}
+// analyses are still current. Message-level state (Phase, Attempts) is not
+// covered; owners report those separately.
+func (f *Fabric) Gen() uint64 { return f.gen }
 
 // NewFabric builds the fabric for the given topology and configuration.
 func NewFabric(t *topology.Torus, cfg Config) (*Fabric, error) {
@@ -272,47 +259,18 @@ func NewFabric(t *topology.Torus, cfg Config) (*Fabric, error) {
 	}
 	f.busy = make([]int16, total)
 	f.failed = make([]bool, total)
-	f.shardOf = make([]int32, total)
-	f.occBits = newShardBits(int(vcCount), 1)
-	f.busyBits = newShardBits(total, 1)
-	f.gens = make([]uint64, 1)
+	f.occBits = newBitset(int(vcCount))
+	f.busyBits = newBitset(total)
 	return f, nil
 }
-
-// SetPartition shards the occupancy structures by the given contiguous node
-// partition: each link is owned by the shard of its Dst router, so shard
-// workers stepping disjoint node ranges mutate disjoint occupancy words.
-// It must be called on an empty fabric, before any allocation.
-func (f *Fabric) SetPartition(p topology.Partition) {
-	if f.NumOccupied() > 0 {
-		panic("router: SetPartition on a fabric with occupied VCs")
-	}
-	n := p.Shards()
-	for l := range f.Links {
-		f.shardOf[l] = int32(p.Of(int(f.Links[l].Dst)))
-	}
-	if n != f.NumShards() {
-		f.occBits = newShardBits(len(f.VCs), n)
-		f.busyBits = newShardBits(len(f.Links), n)
-	}
-	f.gens = make([]uint64, n)
-}
-
-// NumShards returns the number of occupancy shards (1 unless SetPartition
-// was called).
-func (f *Fabric) NumShards() int { return len(f.gens) }
-
-// ShardOfLink returns the shard owning link l: the shard of the router at
-// whose input l's buffers sit.
-func (f *Fabric) ShardOfLink(l LinkID) int { return int(f.shardOf[l]) }
 
 // FailLink takes a physical channel out of service. Routing algorithms
 // will no longer propose it. The caller (the engine) is responsible for
 // evicting any worms currently holding its virtual channels.
-func (f *Fabric) FailLink(l LinkID) { f.failed[l] = true; f.gens[f.shardOf[l]]++ }
+func (f *Fabric) FailLink(l LinkID) { f.failed[l] = true; f.gen++ }
 
 // RepairLink returns a failed channel to service.
-func (f *Fabric) RepairLink(l LinkID) { f.failed[l] = false; f.gens[f.shardOf[l]]++ }
+func (f *Fabric) RepairLink(l LinkID) { f.failed[l] = false; f.gen++ }
 
 // LinkFailed reports whether channel l is out of service.
 func (f *Fabric) LinkFailed(l LinkID) bool { return f.failed[l] }
@@ -341,39 +299,37 @@ func (f *Fabric) OccupantsOf(l LinkID) []MsgID {
 	return out
 }
 
-// addOccupied registers vc in its owner shard's occupancy structures.
+// addOccupied registers vc in the occupancy structures.
 func (f *Fabric) addOccupied(vc VCID) {
 	l := f.VCs[vc].Link
-	s := f.shardOf[l]
-	f.gens[s]++
+	f.gen++
 	f.busy[l]++
 	if f.busy[l] == 1 {
-		f.busyBits.set(s, int(l))
+		f.busyBits.set(int(l))
 	}
-	f.occBits.set(s, int(vc))
+	f.occBits.set(int(vc))
 }
 
 // removeOccupied unregisters vc.
 func (f *Fabric) removeOccupied(vc VCID) {
 	l := f.VCs[vc].Link
-	s := f.shardOf[l]
-	f.gens[s]++
+	f.gen++
 	f.busy[l]--
 	if f.busy[l] == 0 {
-		f.busyBits.clear(s, int(l))
+		f.busyBits.clear(int(l))
 	}
-	f.occBits.clear(s, int(vc))
+	f.occBits.clear(int(vc))
 }
 
-// OccupiedBitsShard returns both levels of shard s's occupied-VC bitmap: bit
-// v&63 of words[v>>6] is VC v, and bit w&63 of summary[w>>6] is set iff
-// words[w] is non-zero. Summary-ascending, word-ascending, bit-ascending
-// iteration yields the shard's occupied VCs in ascending VCID order. The
-// slices are owned by the fabric: callers must not mutate them, and an
-// Allocate or release within the shard changes them in place.
-func (f *Fabric) OccupiedBitsShard(s int) (words, summary []uint64) { return f.occBits.share(s) }
+// OccupiedBits returns both levels of the occupied-VC bitmap: bit v&63 of
+// words[v>>6] is VC v, and bit w&63 of summary[w>>6] is set iff words[w] is
+// non-zero. Summary-ascending, word-ascending, bit-ascending iteration yields
+// the occupied VCs in ascending VCID order. The slices are owned by the
+// fabric: callers must not mutate them, and an Allocate or release changes
+// them in place.
+func (f *Fabric) OccupiedBits() (words, summary []uint64) { return f.occBits.levels() }
 
-// OccupiedWords starts an iteration over the occupied VCs of every shard.
+// OccupiedWords starts an iteration over the occupied VCs.
 func (f *Fabric) OccupiedWords() WordIter { return WordIter{b: &f.occBits} }
 
 // BusyLinkWords starts an iteration over the busy-link set — physical
@@ -495,52 +451,31 @@ func (f *Fabric) Allocate(m *Message, from VCID, vc VCID) {
 // MoveFlit transfers one flit from VC u into VC v = u.Next, updating worm
 // bookkeeping. The caller has already verified buffer space, bandwidth and
 // arbitration. It returns flags describing the flit that moved so callers
-// can update message state and detection hardware.
+// can update message state and detection hardware: header if it was the
+// worm's header flit, tail if it was the tail (u is then released).
 func (f *Fabric) MoveFlit(u VCID) (header, tail bool) {
-	v, header, tail := f.MoveFlitSrc(u)
-	f.MoveFlitDst(v, header, tail)
-	return header, tail
-}
-
-// MoveFlitSrc performs the source half of a decided flit transfer: the flit
-// leaves VC u (releasing u if it was the tail) and the destination VC,
-// header and tail classification are returned for MoveFlitDst. The split
-// exists for the sharded engine's two-phase commit: the shard owning u
-// applies the source half, and the shard owning the destination (or the
-// barrier's serial merge, for boundary moves) applies the other.
-func (f *Fabric) MoveFlitSrc(u VCID) (v VCID, header, tail bool) {
 	src := &f.VCs[u]
 	if src.Flits <= 0 || src.Next == NilVC {
-		panic("router: MoveFlitSrc on VC with no forwardable flit")
+		panic("router: MoveFlit on VC with no forwardable flit")
 	}
-	v = src.Next
+	dst := &f.VCs[src.Next]
+	if dst.Flits >= int32(f.Cfg.BufFlits) {
+		panic("router: MoveFlit into full buffer")
+	}
 	header = src.HasHeader
 	tail = src.HasTail && src.Flits == 1
 	src.Flits--
-	if header {
-		src.HasHeader = false
-	}
-	if tail {
-		src.HasTail = false
-		f.releaseVC(u)
-	}
-	return v, header, tail
-}
-
-// MoveFlitDst performs the destination half of a decided flit transfer: the
-// flit enters VC v carrying the classification MoveFlitSrc returned.
-func (f *Fabric) MoveFlitDst(v VCID, header, tail bool) {
-	dst := &f.VCs[v]
-	if dst.Flits >= int32(f.Cfg.BufFlits) {
-		panic("router: MoveFlitDst into full buffer")
-	}
 	dst.Flits++
 	if header {
+		src.HasHeader = false
 		dst.HasHeader = true
 	}
 	if tail {
+		src.HasTail = false
 		dst.HasTail = true
+		f.releaseVC(u)
 	}
+	return header, tail
 }
 
 // releaseVC frees VC u after the occupant's tail has left it.
@@ -649,10 +584,10 @@ func (f *Fabric) LiveMessages(fn func(*Message)) {
 // It is called from tests and (optionally) from the engine in debug mode.
 func (f *Fabric) CheckInvariants() error {
 	busy := make([]int16, len(f.Links))
-	// want is the word level a bitmap's shares should hold, recounted here for
-	// the occupied VCs first and then for the busy links: a member's bit
-	// belongs in its owner's share, and only while it is held.
-	want := make([]uint64, f.NumShards()*f.occBits.words)
+	// want is the word level a bitmap should hold, recounted here for the
+	// occupied VCs first and then for the busy links: a member's bit is set
+	// only while it is held.
+	want := make([]uint64, f.occBits.words)
 	for i := range f.VCs {
 		vc := &f.VCs[i]
 		if vc.Occupant == NilMsg {
@@ -662,7 +597,7 @@ func (f *Fabric) CheckInvariants() error {
 			continue
 		}
 		busy[vc.Link]++
-		want[int(f.shardOf[vc.Link])*f.occBits.words+i>>6] |= 1 << (i & 63)
+		want[i>>6] |= 1 << (i & 63)
 		if vc.Flits < 0 || vc.Flits > int32(f.Cfg.BufFlits) {
 			return fmt.Errorf("router: VC %d flit count %d out of range", i, vc.Flits)
 		}
@@ -679,7 +614,7 @@ func (f *Fabric) CheckInvariants() error {
 			return fmt.Errorf("router: link %d busy count %d, recount %d", l, f.busy[l], busy[l])
 		}
 		if busy[l] > 0 {
-			want[int(f.shardOf[l])*f.busyBits.words+l>>6] |= 1 << (l & 63)
+			want[l>>6] |= 1 << (l & 63)
 		}
 	}
 	return f.busyBits.audit("link", want)

@@ -354,54 +354,49 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 }
 
 // TestBusyLinkWords drives the two-level busy-link bitmap on a fabric large
-// enough for two summary words (7168 links, 112 words), unpartitioned and
-// over four shards: links at both ends of a word, of a summary word and of
-// the fabric come back in ascending order and leave no bit behind.
+// enough for two summary words (7168 links, 112 words): links at both ends of
+// a word, of a summary word and of the fabric come back in ascending order
+// and leave no bit behind.
 func TestBusyLinkWords(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		f := testFabric(t, 8, 3)
-		f.SetPartition(topology.NewPartition(f.Topo.Nodes(), shards))
-		last := LinkID(f.NumLinks() - 1)
-		var held []*Message
-		for _, l := range []LinkID{last, 4096, 0, 64, 4095, 63, 1000} {
-			m := f.NewMessage(0, 1, 4, 0)
-			f.Allocate(m, NilVC, f.FreeVC(l))
-			held = append(held, m)
-			checkBusyLinkWords(t, f)
-		}
-		// A second VC on a busy link and its release leave the bit alone.
+	f := testFabric(t, 8, 3)
+	last := LinkID(f.NumLinks() - 1)
+	var held []*Message
+	for _, l := range []LinkID{last, 4096, 0, 64, 4095, 63, 1000} {
 		m := f.NewMessage(0, 1, 4, 0)
-		f.Allocate(m, NilVC, f.FreeVC(64))
+		f.Allocate(m, NilVC, f.FreeVC(l))
+		held = append(held, m)
+		checkBusyLinkWords(t, f)
+	}
+	// A second VC on a busy link and its release leave the bit alone.
+	m := f.NewMessage(0, 1, 4, 0)
+	f.Allocate(m, NilVC, f.FreeVC(64))
+	f.ReleaseWorm(m)
+	checkBusyLinkWords(t, f)
+	if n := f.NumBusyLinks(); n != 7 {
+		t.Fatalf("NumBusyLinks = %d, want 7", n)
+	}
+	for _, m := range held {
 		f.ReleaseWorm(m)
 		checkBusyLinkWords(t, f)
-		if n := f.NumBusyLinks(); n != 7 {
-			t.Fatalf("shards=%d: NumBusyLinks = %d, want 7", shards, n)
+		if err := f.CheckInvariants(); err != nil {
+			t.Fatal(err)
 		}
-		for _, m := range held {
-			f.ReleaseWorm(m)
-			checkBusyLinkWords(t, f)
-			if err := f.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if n := f.NumBusyLinks(); n != 0 {
-			t.Fatalf("shards=%d: %d links busy after releasing everything", shards, n)
-		}
+	}
+	if n := f.NumBusyLinks(); n != 0 {
+		t.Fatalf("%d links busy after releasing everything", n)
 	}
 }
 
 // TestCheckInvariantsBusyLinkBitmap flips one bit at each level of the
-// busy-link bitmap — set and clear, in the owner's share and in another
-// shard's — and expects CheckInvariants to name the link.
+// busy-link bitmap, set and clear, and expects CheckInvariants to name the
+// link.
 func TestCheckInvariantsBusyLinkBitmap(t *testing.T) {
 	f := testFabric(t, 4, 2)
-	f.SetPartition(topology.NewPartition(f.Topo.Nodes(), 2))
 	busy, idle := f.NetLink(9, 1), f.NetLink(2, 0) // words 0 and 0; link 37 and link 8
 	f.Allocate(f.NewMessage(0, 5, 4, 0), NilVC, f.FreeVC(busy))
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	owner, other := f.ShardOfLink(busy), 1-f.ShardOfLink(busy)
 	bb := &f.busyBits
 	for _, tc := range []struct {
 		name string
@@ -409,11 +404,10 @@ func TestCheckInvariantsBusyLinkBitmap(t *testing.T) {
 		bit  uint
 		want string
 	}{
-		{"busy link's bit cleared", owner * bb.stride, uint(busy), fmt.Sprintf("link %d ", busy)},
-		{"busy link's bit set in the other shard", other * bb.stride, uint(busy), fmt.Sprintf("link %d ", busy)},
-		{"idle link's bit set", f.ShardOfLink(idle) * bb.stride, uint(idle), fmt.Sprintf("link %d ", idle)},
-		{"summary bit cleared", owner*bb.stride + bb.words, 0, "links 0..63"},
-		{"summary bit set over an empty word", other*bb.stride + bb.words, 1, "links 64..127"},
+		{"busy link's bit cleared", 0, uint(busy), fmt.Sprintf("link %d ", busy)},
+		{"idle link's bit set", 0, uint(idle), fmt.Sprintf("link %d ", idle)},
+		{"summary bit cleared", bb.words, 0, "links 0..63"},
+		{"summary bit set over an empty word", bb.words, 1, "links 64..127"},
 	} {
 		bb.bits[tc.word] ^= 1 << tc.bit
 		err := f.CheckInvariants()
@@ -428,11 +422,10 @@ func TestCheckInvariantsBusyLinkBitmap(t *testing.T) {
 }
 
 // TestCheckInvariantsOccupiedBitmap does the same to the occupied-VC bitmap:
-// a word bit, a summary bit and a bit in the wrong shard's share, each flipped
-// alone, and CheckInvariants must name the VC (or the VCs of the word).
+// a word bit and a summary bit, each flipped alone, and CheckInvariants must
+// name the VC (or the VCs of the word).
 func TestCheckInvariantsOccupiedBitmap(t *testing.T) {
 	f := testFabric(t, 4, 2)
-	f.SetPartition(topology.NewPartition(f.Topo.Nodes(), 2))
 	held := f.FreeVC(f.NetLink(9, 1)) // VC 111, word 1
 	free := f.FreeVC(f.NetLink(2, 0)) // VC 24, word 0
 	f.Allocate(f.NewMessage(0, 5, 4, 0), NilVC, held)
@@ -442,8 +435,6 @@ func TestCheckInvariantsOccupiedBitmap(t *testing.T) {
 	if held>>6 != 1 || free>>6 != 0 {
 		t.Fatalf("held VC %d and free VC %d are not in words 1 and 0", held, free)
 	}
-	owner := f.ShardOfLink(f.LinkOfVC(held))
-	other := 1 - owner
 	ob := &f.occBits
 	for _, tc := range []struct {
 		name string
@@ -451,11 +442,10 @@ func TestCheckInvariantsOccupiedBitmap(t *testing.T) {
 		bit  uint
 		want string
 	}{
-		{"held VC's bit cleared", owner*ob.stride + 1, uint(held) & 63, fmt.Sprintf("VC %d ", held)},
-		{"held VC's bit set in the other shard", other*ob.stride + 1, uint(held) & 63, fmt.Sprintf("VC %d ", held)},
-		{"free VC's bit set", f.ShardOfLink(f.LinkOfVC(free)) * ob.stride, uint(free), fmt.Sprintf("VC %d ", free)},
-		{"summary bit cleared", owner*ob.stride + ob.words, 1, "VCs 64..127"},
-		{"summary bit set over an empty word", other*ob.stride + ob.words, 0, "VCs 0..63"},
+		{"held VC's bit cleared", 1, uint(held) & 63, fmt.Sprintf("VC %d ", held)},
+		{"free VC's bit set", 0, uint(free), fmt.Sprintf("VC %d ", free)},
+		{"summary bit cleared", ob.words, 1, "VCs 64..127"},
+		{"summary bit set over an empty word", ob.words, 0, "VCs 0..63"},
 	} {
 		ob.bits[tc.word] ^= 1 << tc.bit
 		err := f.CheckInvariants()

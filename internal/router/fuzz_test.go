@@ -13,23 +13,20 @@ import (
 // legal operations (allocate worms hop by hop, move flits, feed flits,
 // drain heads, kill worms) and checks the structural invariants after
 // every step. This is the safety net under the engine: any sequence of
-// legal primitive operations must keep the fabric consistent. It runs
-// unpartitioned and over three occupancy shards, where the busy-link bitmap
-// is read as the OR of the shards' shares. After every operation both levels
-// of the occupied-VC bitmap are recounted against a model set: the VCs on the
-// chains of the worms the test itself keeps alive.
+// legal primitive operations must keep the fabric consistent. After every
+// operation both levels of the occupied-VC bitmap are recounted against a
+// model set: the VCs on the chains of the worms the test itself keeps alive.
+// The subtest keeps its historical name: one shard is the whole fabric, the
+// only layout the fabric has.
 func TestFabricOperationFuzz(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { fabricOperationFuzz(t, shards) })
-	}
+	t.Run("shards=1", fabricOperationFuzz)
 }
 
-func fabricOperationFuzz(t *testing.T, shards int) {
+func fabricOperationFuzz(t *testing.T) {
 	f, err := NewFabric(topology.New(4, 2), Config{VCsPerLink: 2, BufFlits: 4, InjPorts: 2, DelPorts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.SetPartition(topology.NewPartition(f.Topo.Nodes(), shards))
 	r := rng.New(20260704)
 
 	type worm struct {
@@ -206,27 +203,25 @@ func fabricOperationFuzz(t *testing.T, shards int) {
 	}
 }
 
-// checkOccupiedBits recounts both levels of every shard's occupied-VC bitmap
-// against model: a word holds exactly the model's VCs the shard owns, a
-// summary bit is set exactly over a non-zero word, and NumOccupied and the
-// whole-fabric iterator agree with the model's size and order.
+// checkOccupiedBits recounts both levels of the occupied-VC bitmap against
+// model: a word holds exactly the model's VCs, a summary bit is set exactly
+// over a non-zero word, and NumOccupied and the iterator agree with the
+// model's size and order.
 func checkOccupiedBits(t *testing.T, f *Fabric, model map[VCID]bool, when string) {
 	t.Helper()
-	for s := 0; s < f.NumShards(); s++ {
-		words, summary := f.OccupiedBitsShard(s)
-		for w, got := range words {
-			var want uint64
-			for vc := w << 6; vc < min(w<<6+64, len(f.VCs)); vc++ {
-				if model[VCID(vc)] && f.ShardOfLink(f.LinkOfVC(VCID(vc))) == s {
-					want |= 1 << (vc & 63)
-				}
+	words, summary := f.OccupiedBits()
+	for w, got := range words {
+		var want uint64
+		for vc := w << 6; vc < min(w<<6+64, len(f.VCs)); vc++ {
+			if model[VCID(vc)] {
+				want |= 1 << (vc & 63)
 			}
-			if got != want {
-				t.Fatalf("%s: shard %d occupied word %d = %#x, model %#x", when, s, w, got, want)
-			}
-			if sum := summary[w>>6]>>(w&63)&1 != 0; sum != (want != 0) {
-				t.Fatalf("%s: shard %d summary bit %d = %v over word %#x", when, s, w, sum, want)
-			}
+		}
+		if got != want {
+			t.Fatalf("%s: occupied word %d = %#x, model %#x", when, w, got, want)
+		}
+		if sum := summary[w>>6]>>(w&63)&1 != 0; sum != (want != 0) {
+			t.Fatalf("%s: summary bit %d = %v over word %#x", when, w, sum, want)
 		}
 	}
 	if n := f.NumOccupied(); n != len(model) {

@@ -191,7 +191,7 @@ func (f *Fabric) RestoreSnapshot(r *snap.Reader) {
 	for n := r.Len(4); n > 0 && r.Err() == nil; n-- {
 		f.failed[r.ID(0, len(f.Links))] = true
 	}
-	f.gens[0]++ // the failure map may have changed without a VC changing hands
+	f.gen++ // the failure map may have changed without a VC changing hands
 	if r.Err() == nil {
 		f.checkWorms(r, nOcc)
 	}

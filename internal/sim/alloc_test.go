@@ -14,17 +14,12 @@ import (
 // so histogram growth (a legitimate, amortized cost of the measurement
 // window) does not mask a hot-path regression.
 func measureStepAllocs(t *testing.T, tr *trace.Recorder, mc *metrics.Collector) float64 {
-	return measureShardedStepAllocs(t, tr, mc, 1)
-}
-
-func measureShardedStepAllocs(t *testing.T, tr *trace.Recorder, mc *metrics.Collector, shards int) float64 {
 	t.Helper()
 	cfg := smallConfig()
 	cfg.Debug = false
 	cfg.Load = 1.5
 	cfg.InjectionLimit = -1
 	cfg.Warmup = 1 << 40
-	cfg.Shards = shards
 	cfg.Detector = func(f *router.Fabric) detect.Detector { return detect.NewNDM(f, 16) }
 	cfg.Trace = tr
 	cfg.Metrics = mc
@@ -32,7 +27,6 @@ func measureShardedStepAllocs(t *testing.T, tr *trace.Recorder, mc *metrics.Coll
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.StopWorkers()
 	for i := 0; i < 3000; i++ {
 		if err := e.Step(); err != nil {
 			t.Fatal(err)
@@ -85,32 +79,5 @@ func TestStepMeteredAllocationFree(t *testing.T) {
 	}
 	if mc.Value(metrics.MDelivered) == 0 {
 		t.Fatal("collector counted no deliveries; instrumentation sites are not firing")
-	}
-}
-
-// TestStepShardedAllocationFree: the multi-shard barrier must be as
-// allocation-free as the serial path. The persistent worker pool parks one
-// goroutine per extra shard on a phase channel, so each barrier step is two
-// channel operations per worker — the previous per-phase fork-join cost a
-// goroutine spawn plus a WaitGroup allocation per phase per cycle
-// (24-120 allocs/step at shards 2-8). AllocsPerRun counts mallocs from all
-// goroutines, so the workers' own phase work is under the meter too.
-func TestStepShardedAllocationFree(t *testing.T) {
-	for _, shards := range []int{2, 4} {
-		if avg := measureShardedStepAllocs(t, nil, nil, shards); avg != 0 {
-			t.Fatalf("shards=%d steady-state Step allocates %.3f times per cycle, want 0", shards, avg)
-		}
-	}
-}
-
-// TestStepShardedMeteredAllocationFree extends the metered zero-alloc gate
-// to the multi-shard path (sampling windows included, as above).
-func TestStepShardedMeteredAllocationFree(t *testing.T) {
-	mc := metrics.NewCollector(metrics.Options{Window: 64})
-	if avg := measureShardedStepAllocs(t, nil, mc, 2); avg != 0 {
-		t.Fatalf("shards=2 metered steady-state Step allocates %.3f times per cycle, want 0", avg)
-	}
-	if mc.SampleCount() == 0 {
-		t.Fatal("collector took no samples; the zero-allocation result proves nothing")
 	}
 }

@@ -47,8 +47,7 @@ func (p ChoicePoint) String() string {
 // simulation state and the choices already made, which is what makes
 // record/replay exploration sound.
 //
-// A Chooser requires Shards == 1 (decisions must occur in one global order)
-// and replaces only the decision points listed above; generation randomness
+// A Chooser replaces only the decision points listed above; generation randomness
 // is untouched, so exhaustive drivers script their workload via
 // InjectMessage with Load = 0.
 //
@@ -61,7 +60,7 @@ type Chooser interface {
 	Choose(p ChoicePoint, n int) int
 }
 
-// chooseVC is routeCommit's chooser-mode replacement for Fabric.PickVC: the
+// chooseVC is route's chooser-mode replacement for Fabric.PickVC: the
 // free candidates are gathered in candidate order and the chooser picks one.
 // Returns NilVC when none are free.
 func (e *Engine) chooseVC(cands []router.VCID) router.VCID {
@@ -85,7 +84,7 @@ func (e *Engine) chooseVC(cands []router.VCID) router.VCID {
 // (credit at the target buffer, input channel not yet used this cycle) are
 // collected in req's — ascending source-VC — order and the chooser picks the
 // winner. The round-robin pointer is intentionally not advanced — see Chooser.
-func (e *Engine) arbitrateChoose(sh *shardState, tl router.LinkID, req []router.VCID, buf int32) {
+func (e *Engine) arbitrateChoose(tl router.LinkID, req []router.VCID, buf int32) {
 	vcs := e.fab.VCs
 	e.arbElig = e.arbElig[:0]
 	for _, u := range req {
@@ -100,10 +99,6 @@ func (e *Engine) arbitrateChoose(sh *shardState, tl router.LinkID, req []router.
 		if len(e.arbElig) > 1 {
 			u = e.arbElig[e.chooser.Choose(ChooseArb, len(e.arbElig))]
 		}
-		uv := &vcs[u]
-		sh.moves = append(sh.moves, u)
-		e.inputUsedAt[uv.Link] = e.now
-		e.transmitted[tl] = true
-		sh.txLinks = append(sh.txLinks, tl)
+		e.grant(tl, u)
 	}
 }

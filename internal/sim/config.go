@@ -90,13 +90,6 @@ type Config struct {
 	// Seed makes the run reproducible.
 	Seed uint64
 
-	// Shards is the number of workers the per-cycle work is partitioned
-	// over: the torus is split into Shards contiguous node blocks, each
-	// stepped by its own goroutine under a deterministic two-phase cycle
-	// barrier. Results are byte-identical for every shard count. Zero
-	// selects 1 (fully serial); the count must not exceed the node count.
-	Shards int
-
 	// Trace, when non-nil, attaches the flight recorder: the engine (and
 	// the detector, if its capability report has a tracer hook) emit event
 	// records into it. Tracing is pure observation — it never changes simulation
@@ -119,8 +112,7 @@ type Config struct {
 	// Chooser, when non-nil, resolves the engine's nondeterministic
 	// decision points (VC selection, arbitration winners) externally
 	// instead of with the seeded RNG and round-robin pointers, so a driver
-	// can enumerate every interleaving (see internal/mc). Requires
-	// Shards == 1: decisions must occur in one global order.
+	// can enumerate every interleaving (see internal/mc).
 	Chooser Chooser
 
 	// Debug enables per-cycle fabric invariant checking and active-set
@@ -178,15 +170,6 @@ func (c *Config) validate() error {
 	if c.MaxSourceQueue == 0 {
 		c.MaxSourceQueue = 16
 	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
-	if nodes := pow(c.K, c.N); c.Shards < 0 || c.Shards > nodes {
-		return fmt.Errorf("sim: Shards must be between 1 and the node count (%d), got %d", nodes, c.Shards)
-	}
-	if c.Chooser != nil && c.Shards != 1 {
-		return fmt.Errorf("sim: a Chooser requires Shards == 1, got %d", c.Shards)
-	}
 	if c.Routing == nil {
 		c.Routing = routing.TrueFullyAdaptive{}
 	}
@@ -199,13 +182,4 @@ func (c *Config) validate() error {
 			c.Routing.Name())
 	}
 	return nil
-}
-
-// pow computes k^n in integer arithmetic (node count of a k-ary n-cube).
-func pow(k, n int) int {
-	p := 1
-	for i := 0; i < n; i++ {
-		p *= k
-	}
-	return p
 }

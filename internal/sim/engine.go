@@ -87,68 +87,63 @@ type Engine struct {
 	// Messages whose header is waiting to be routed. Headers that arrived
 	// (or were injected) during cycle T enter pendingNew and become
 	// routable in cycle T+1, charging the paper's 1-cycle routing delay.
-	// (Messages still being fed flits live on the per-shard injecting lists.)
+	// (Messages still being fed flits live on the injecting list.)
 	pending    []router.MsgID
 	pendingNew []router.MsgID
+	// injecting lists the admitted messages whose source is still feeding
+	// flits, in admission order.
+	injecting []router.MsgID
 
-	// Sharded execution (see shard.go). part is the contiguous node
-	// partition; shards holds each shard's node range and per-cycle record
-	// lists; nodeRng gives every node its own generation stream so the draw
-	// sequence is independent of the shard count.
-	part    topology.Partition
-	shards  []shardState
+	// nodeRng gives every node its own generation stream, so the draws a
+	// node sees are a pure function of (seed, node).
 	nodeRng []rng.Source
 
-	// Persistent shard workers (multi-shard only): workerCh[i] feeds shard
-	// i+1's parked goroutine one phase per barrier step and workerDone fans
-	// completions back in, so the steady-state barrier costs two channel
-	// operations per worker instead of a goroutine spawn plus a WaitGroup.
-	// Started lazily by the first multi-shard runPhase; StopWorkers parks
-	// them for good (Run does this on exit).
-	workerCh   []chan phaseID
-	workerDone chan struct{}
-
-	// Active sets (see shard.go). genSkip is non-nil when the injection
+	// Active sets (see stages.go). genSkip is non-nil when the injection
 	// process supports geometric inter-arrival skip-ahead; genDue[node] is
-	// then the node's next arrival cycle (-1 = never), and each shard keeps
-	// a binary min-heap of its scheduled nodes keyed by (due, node) plus a
-	// deferred list of nodes whose arrival hit a full queue. neBits[s] is
-	// shard s's nonempty-queue bitmap: bit i means node lo+i has a waiting
-	// source queue, and word-ascending, bit-ascending iteration yields
-	// node-ascending (canonical admit) order without sorting. Each shard's
-	// bitmap is a separate allocation, so concurrent shard workers never
-	// share a word. inFlight counts worms currently in the network
-	// (admitted, not yet delivered or re-queued) for the metrics gauge.
-	// linkKey[l] is output link l's canonical arbitration key node*span+k
-	// (network output links before delivery ports, each in port order; -1
-	// for injection links, which are never transfer targets) and keyLink its
-	// inverse, both precomputed so the transfer stage marks and decodes
-	// active links without a divide.
+	// then the node's next arrival cycle (-1 = never), genHeap a binary
+	// min-heap of the scheduled nodes keyed by (due, node), genDefA the nodes
+	// whose arrival was deferred by a full queue last cycle (due this cycle,
+	// node-ascending by construction) and genDefB this cycle's deferrals;
+	// generate swaps the two at the end of the stage. neBits is the
+	// nonempty-queue bitmap: bit i means node i has a waiting source queue,
+	// and word-ascending, bit-ascending iteration yields node-ascending
+	// (canonical admit) order without sorting. inFlight counts worms
+	// currently in the network (admitted, not yet delivered or re-queued)
+	// for the metrics gauge. linkKey[l] is output link l's canonical
+	// arbitration key node*span+k (network output links before delivery
+	// ports, each in port order; -1 for injection links, which are never
+	// transfer targets) and keyLink its inverse, both precomputed so the
+	// transfer stage marks and decodes active links without a divide;
+	// keyBits is the active-output-link bitmap over those keys.
 	genSkip  traffic.Skipahead
 	genDue   []int64
-	neBits   [][]uint64
+	genHeap  []int32
+	genDefA  []int32
+	genDefB  []int32
+	neBits   []uint64
 	linkKey  []int32
 	keyLink  []router.LinkID
+	keyBits  []uint64
 	inFlight int
 
 	// Per-cycle scratch state.
 	transmitted []bool          // flit crossed link l this cycle
-	txLinks     []router.LinkID // links with transmitted set this cycle (merged)
+	txLinks     []router.LinkID // links with transmitted set this cycle
+	moves       []router.VCID   // transfer winners, decision order
 	inputUsedAt []int64         // cycle stamp: input channel already sent a flit
 	// The feeder table: target link l's row is feed[l*feedStride:][:feedN[l]],
 	// the VCs requesting to send into l, ascending, a slot per VC of the widest
-	// link. The shard of Links[l].Src fills and drains the row within one
-	// transfer stage; every count is zero between stages.
+	// link. transferDecide fills and drains every row; every count is zero
+	// between stages. feedErr is the first failure auditFeedRows found (Debug
+	// only).
 	feed       []router.VCID
 	feedN      []uint8
 	feedStride int
-	candBuf    []router.LinkID
-	// Flat candidate arena for the parallel routing phase: pending entry i
-	// owns routeCands[i*candStride : (i+1)*candStride]; routeCandsLen[i] is
-	// its candidate count, or -1 for entries that will not route this cycle.
-	routeCands    []router.VCID
-	routeCandsLen []int32
-	candStride    int
+	feedErr    error
+	// Routing scratch: the candidate VCs of the header being routed, and
+	// their physical channels for the detector.
+	cands   []router.VCID
+	candBuf []router.LinkID
 
 	marksThisCycle int
 	oracleCycle    int64 // last cycle the oracle ran (-1 = never)
@@ -163,8 +158,8 @@ type Engine struct {
 
 	// refStage is the differential-test seam: nil outside internal/sim's
 	// own tests, which install full-rescan reference stages through it (it
-	// reports whether it ran the shard's phase in place of the kernel's).
-	refStage func(ph phaseID, s int) bool
+	// reports whether it ran phase ph in place of the kernel's).
+	refStage func(ph phaseID) bool
 
 	// Snapshot/Restore (snapshot.go): snapID caches the configuration
 	// fingerprint, built on first use; rd is the reader of the Restore in
@@ -185,10 +180,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	part := topology.NewPartition(topo.Nodes(), cfg.Shards)
-	fab.SetPartition(part)
 	e := &Engine{
-		part:        part,
 		cfg:         cfg,
 		topo:        topo,
 		fab:         fab,
@@ -236,27 +228,18 @@ func New(cfg Config) (*Engine, error) {
 	}
 	// Every node draws generation randomness from its own stream derived
 	// from the run seed, so the sequence each node sees is a pure function
-	// of (seed, node) — independent of shard count and scheduling. The
-	// shared stream e.rnd remains for the serial routing commit (PickVC).
+	// of (seed, node). The shared stream e.rnd serves VC selection in the
+	// routing stage (PickVC).
 	e.nodeRng = make([]rng.Source, topo.Nodes())
 	for i := range e.nodeRng {
 		e.nodeRng[i] = *rng.New(rng.Derive(cfg.Seed, uint64(i)))
 	}
-	e.shards = make([]shardState, part.Shards())
-	for s := range e.shards {
-		e.shards[s].lo, e.shards[s].hi = part.Range(s)
-	}
 	// Active-set structures.
 	delBase := int(fab.DelLink(0, 0))
-	e.neBits = make([][]uint64, part.Shards())
+	e.neBits = make([]uint64, (topo.Nodes()+63)/64)
 	deg := topo.Degree()
 	keySpan := deg + cfg.Router.DelPorts
-	for s := range e.shards {
-		sh := &e.shards[s]
-		span := sh.hi - sh.lo
-		e.neBits[s] = make([]uint64, (span+63)/64)
-		sh.keyBits = make([]uint64, (span*keySpan+63)/64)
-	}
+	e.keyBits = make([]uint64, (topo.Nodes()*keySpan+63)/64)
 	e.linkKey = make([]int32, fab.NumLinks())
 	e.keyLink = make([]router.LinkID, topo.Nodes()*keySpan)
 	for l := range e.linkKey {
@@ -287,16 +270,12 @@ func New(cfg Config) (*Engine, error) {
 			}
 			e.genDue[node] = int64(gap)
 		}
-		for s := range e.shards {
-			sh := &e.shards[s]
-			span := sh.hi - sh.lo
-			sh.genHeap = make([]int32, 0, span)
-			sh.genDefA = make([]int32, 0, span)
-			sh.genDefB = make([]int32, 0, span)
-			for node := sh.lo; node < sh.hi; node++ {
-				if e.genDue[node] >= 0 {
-					e.heapPush(sh, int32(node))
-				}
+		e.genHeap = make([]int32, 0, topo.Nodes())
+		e.genDefA = make([]int32, 0, topo.Nodes())
+		e.genDefB = make([]int32, 0, topo.Nodes())
+		for node := range e.genDue {
+			if e.genDue[node] >= 0 {
+				e.heapPush(int32(node))
 			}
 		}
 	}
@@ -310,9 +289,10 @@ func New(cfg Config) (*Engine, error) {
 	e.feed = make([]router.VCID, fab.NumLinks()*e.feedStride)
 	e.feedN = make([]uint8, fab.NumLinks())
 	e.txLinks = make([]router.LinkID, 0, fab.NumLinks())
+	e.moves = make([]router.VCID, 0, fab.NumLinks())
 	maxCands := topo.Degree() + cfg.Router.DelPorts
+	e.cands = make([]router.VCID, 0, maxCands*e.feedStride)
 	e.candBuf = make([]router.LinkID, 0, maxCands)
-	e.candStride = maxCands * e.feedStride
 	e.st.Nodes = topo.Nodes()
 	e.st.NetLinks = fab.NumNetLinks()
 	return e, nil
@@ -394,20 +374,12 @@ func (e *Engine) InjectMessage(src, dst, length int) *router.Message {
 	if e.queues[src].Len() >= e.cfg.MaxSourceQueue {
 		return nil
 	}
-	m := e.fab.NewMessage(src, dst, length, e.now)
-	m.Phase = router.PhaseQueued
-	e.queuePush(src, m.ID)
-	e.mc.Inc(metrics.MGenerated)
-	if e.measuring {
-		e.st.Generated++
-	}
-	return m
+	return e.enqueueNew(src, dst, length)
 }
 
 // Run executes the configured warm-up and measurement phases and returns
 // the result.
 func (e *Engine) Run() (*Result, error) {
-	defer e.StopWorkers()
 	total := e.cfg.Warmup + e.cfg.Measure
 	for e.now < total {
 		if err := e.Step(); err != nil {
@@ -427,13 +399,15 @@ func (e *Engine) Run() (*Result, error) {
 	}, nil
 }
 
-// Step advances the simulation by one cycle.
+// StopWorkers does nothing.
 //
-// Each stage is a two-phase barrier step over the node partition (see
-// shard.go): the parallel phase computes and applies shard-local work, the
-// serial spine between phases replays per-shard records whose side effects
-// must interleave in one global order. With Config.Shards == 1 every phase
-// runs inline on the calling goroutine and the cycle is fully serial.
+// Deprecated: the engine is serial and starts no goroutines. StopWorkers
+// remains only because the frozen benchmark module (benchmark/) still calls
+// it; it goes when that module is next revised.
+func (e *Engine) StopWorkers() {}
+
+// Step advances the simulation by one cycle, running the stages of
+// stages.go in order on the calling goroutine.
 func (e *Engine) Step() error {
 	e.measuring = e.now >= e.cfg.Warmup && e.now < e.cfg.Warmup+e.cfg.Measure
 	e.marksThisCycle = 0
@@ -445,15 +419,10 @@ func (e *Engine) Step() error {
 	e.pendingNew = e.pendingNew[:0]
 
 	e.runPhase(phaseGenerate)
-	e.commitGenerate()
 	e.runPhase(phaseAdmit)
-	e.commitAdmit()
-	e.runPhase(phaseTransferA)
-	e.runPhase(phaseTransferB)
-	e.commitTransfer()
+	e.runPhase(phaseTransferDecide)
+	e.transferCommit()
 	e.runPhase(phaseDrain)
-	e.commitDelivery()
-	e.mergeTxLinks()
 	e.det.EndCycle(e.now, e.txLinks, e.transmitted)
 	// DT flags change only inside EndCycle, so one sample serves both the
 	// measured window and the metrics collector.
@@ -483,11 +452,8 @@ func (e *Engine) Step() error {
 			e.mc.Add(metrics.MProbeFlits, d.Flits)
 		}
 	}
-	e.prepareRouteCands()
-	e.runPhase(phaseRouteCands)
-	e.routeCommit()
-	e.runPhase(phaseFeed)
-	e.commitFeed()
+	e.route()
+	e.feedSources()
 	e.rec.Step()
 
 	if e.cfg.OracleEvery > 0 && e.now%e.cfg.OracleEvery == 0 {
@@ -573,13 +539,10 @@ func (e *Engine) deliver(m *router.Message) {
 // ---------------------------------------------------------------------------
 // Stage 5: routing of waiting headers (detection piggybacks on failures).
 //
-// Candidate computation runs in parallel (routeCandsShard); the commit below
-// runs serially because VC allocation, selection randomness, detector
-// transitions and recovery must interleave in pending order. Staleness is
-// re-checked live: a mark earlier in the commit can trigger recovery that
-// releases a later message's worm. The precomputed candidate sets stay valid
-// across commits because candidates depend only on topology, the failure map
-// and the destination, never on occupancy; PickVC re-checks VC occupancy live.
+// Headers route in pending order: VC allocation, selection randomness,
+// detector transitions and recovery interleave in that order. Staleness is
+// checked live: a mark earlier in the list can trigger recovery that releases
+// a later message's worm.
 //
 // The geometry — which directions are minimal — is computed once per hop: the
 // first attempt at a router fills the header's route memo
@@ -587,25 +550,10 @@ func (e *Engine) deliver(m *router.Message) {
 // it back, so a blocked retry costs a mask load, a failure test per minimal
 // link and the occupancy reads of PickVC.
 
-// prepareRouteCands sizes the flat candidate arena for this cycle's pending
-// list. Growth is amortized; in steady state the arena is only re-sliced.
-func (e *Engine) prepareRouteCands() {
-	need := len(e.pending) * e.candStride
-	if cap(e.routeCands) < need {
-		e.routeCands = make([]router.VCID, need)
-	}
-	e.routeCands = e.routeCands[:need]
-	if cap(e.routeCandsLen) < len(e.pending) {
-		e.routeCandsLen = make([]int32, len(e.pending))
-	}
-	e.routeCandsLen = e.routeCandsLen[:len(e.pending)]
-}
-
-func (e *Engine) routeCommit() {
+func (e *Engine) route() {
 	fab := e.fab
-	stride := e.candStride
 	kept := e.pending[:0]
-	for i, id := range e.pending {
+	for _, id := range e.pending {
 		m := fab.Msg(id)
 		if m.Phase != router.PhaseNetwork || m.HeadVC == router.NilVC {
 			continue // delivered, recovering or aborted meanwhile
@@ -622,10 +570,7 @@ func (e *Engine) routeCommit() {
 		}
 		in := fab.LinkOfVC(m.HeadVC)
 		node := fab.RouterOf(in)
-		// Staleness only ever increases during the commit, so an entry that
-		// is live here was live in the parallel phase and owns a computed
-		// candidate set.
-		cands := e.routeCands[i*stride : i*stride+int(e.routeCandsLen[i])]
+		cands := e.alg.Candidates(fab, m, node, e.cands[:0])
 		var out router.VCID
 		if e.chooser != nil {
 			out = e.chooseVC(cands)
@@ -677,8 +622,7 @@ func (e *Engine) routeCommit() {
 
 // auditRouteMemos is the Debug-mode check of the route memos: the cached
 // mask of every live message — pending headers included — must equal a fresh
-// computation, and no message may be pending twice (routeCandsShard's
-// one-writer-per-memo rule rests on that).
+// computation, and no message may be pending twice.
 func (e *Engine) auditRouteMemos() error {
 	seen := make(map[router.MsgID]bool, len(e.pending))
 	for _, id := range e.pending {

@@ -43,7 +43,7 @@ var fuzzConfigs = []func() Config{
 }
 
 func fuzzStorm(det DetectorFactory) Config {
-	cfg := stormConfig(1) // Debug on, oracle every cycle, window open from cycle 0
+	cfg := stormConfig() // Debug on, oracle every cycle, window open from cycle 0
 	cfg.K, cfg.N = 3, 2
 	cfg.Router.InjPorts, cfg.Router.DelPorts = 2, 2
 	cfg.Lengths = traffic.Fixed(8)

@@ -11,10 +11,9 @@ import "wormnet/internal/router"
 // choices.
 //
 // Included, in order: the routable-header list (pending), the headers that
-// become routable next cycle (pendingNew), each node's source queue, each
-// shard's in-progress injection list, and the recovery engine's active list.
-// List order is behavioral: pending order fixes the serial route-commit
-// order, queue order fixes admission order, injection-list order fixes
+// become routable next cycle (pendingNew), each node's source queue, the
+// in-progress injection list, and the recovery engine's active list.
+// List order is behavioral: pending order fixes the routing order, queue order fixes admission order, injection-list order fixes
 // source-feed order.
 //
 // Deliberately excluded (stale or unobservable at a cycle boundary):
@@ -33,9 +32,7 @@ func (e *Engine) AppendSchedState(buf []byte) []byte {
 			buf = append(buf, byte(q.At(i)), byte(q.At(i)>>8))
 		}
 	}
-	for s := range e.shards {
-		buf = appendIDList16(buf, e.shards[s].injecting)
-	}
+	buf = appendIDList16(buf, e.injecting)
 	buf = append(buf, byte(e.rec.Active()))
 	buf = e.rec.AppendActive(buf)
 	return buf

@@ -14,18 +14,15 @@ import (
 // busy links) are amortized over the window and allocation-free — every
 // structure visited is a pre-sized engine or fabric buffer.
 func (e *Engine) ProbeMetrics(s *metrics.Sample) {
-	// Queued walks only the nonempty-queue bitmaps (the kernel's
-	// admit active set), which also directly yield the NonemptyQueues gauge.
+	// Queued walks only the nonempty-queue bitmap (the kernel's admit
+	// active set), which also directly yields the NonemptyQueues gauge.
 	queued, nonempty := 0, 0
-	for sh := range e.neBits {
-		lo := e.shards[sh].lo
-		for w, word := range e.neBits[sh] {
-			nonempty += bits.OnesCount64(word)
-			for word != 0 {
-				node := lo + w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				queued += e.queues[node].Len()
-			}
+	for w, word := range e.neBits {
+		nonempty += bits.OnesCount64(word)
+		for word != 0 {
+			node := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			queued += e.queues[node].Len()
 		}
 	}
 	s.Queued = int32(queued)

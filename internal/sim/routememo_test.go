@@ -99,18 +99,17 @@ func TestRouteMemoOncePerHop(t *testing.T) {
 	}
 }
 
-// stormConfig is shardedConfig with the window open from cycle 0 and pooled
+// stormConfig is satConfig with the window open from cycle 0 and pooled
 // messages, so re-queues and MsgID reuse are counted and exercised.
-func stormConfig(shards int) Config {
-	cfg := shardedConfig()
+func stormConfig() Config {
+	cfg := satConfig()
 	cfg.Warmup, cfg.Measure = 0, 1<<40
 	cfg.OracleEvery = 1
-	cfg.Shards = shards
 	return cfg
 }
 
 // TestRouteMemoLifecycleUnderRecovery drives a deadlock storm under both
-// recovery styles and the CMH prober, serial and sharded, with the Debug
+// recovery styles and the CMH prober, with the Debug
 // audit on, and checks every waiting header every cycle. The storm makes
 // messages re-queue at the router that absorbed them (progressive) or at
 // their source (regressive) and recycles pooled MsgIDs, so a memo keyed on
@@ -130,30 +129,27 @@ func TestRouteMemoLifecycleUnderRecovery(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		for _, shards := range []int{1, 4} {
-			cfg := stormConfig(shards)
-			tc.mod(&cfg)
-			e, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			born := map[router.MsgID]int64{} // GenTime of each MsgID's current holder
-			checked, reused := 0, 0
-			for i := 0; i < 1500; i++ {
-				stepN(t, e, 1)
-				checked += checkWaitingHeaders(t, e)
-				e.Fabric().LiveMessages(func(m *router.Message) {
-					if gen, ok := born[m.ID]; ok && gen != m.GenTime {
-						reused++
-					}
-					born[m.ID] = m.GenTime
-				})
-			}
-			e.StopWorkers()
-			if st := e.Stats(); checked == 0 || st.Reinjected == 0 || reused == 0 {
-				t.Errorf("%s shards=%d: checked %d headers, %d re-queues, %d MsgID reuses: the run did not exercise the memo's lifecycle",
-					tc.name, shards, checked, st.Reinjected, reused)
-			}
+		cfg := stormConfig()
+		tc.mod(&cfg)
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		born := map[router.MsgID]int64{} // GenTime of each MsgID's current holder
+		checked, reused := 0, 0
+		for i := 0; i < 1500; i++ {
+			stepN(t, e, 1)
+			checked += checkWaitingHeaders(t, e)
+			e.Fabric().LiveMessages(func(m *router.Message) {
+				if gen, ok := born[m.ID]; ok && gen != m.GenTime {
+					reused++
+				}
+				born[m.ID] = m.GenTime
+			})
+		}
+		if st := e.Stats(); checked == 0 || st.Reinjected == 0 || reused == 0 {
+			t.Errorf("%s: checked %d headers, %d re-queues, %d MsgID reuses: the run did not exercise the memo's lifecycle",
+				tc.name, checked, st.Reinjected, reused)
 		}
 	}
 }
@@ -240,7 +236,7 @@ func TestRouteMemoAcrossFailAndRepair(t *testing.T) {
 // corrupted, the Debug audit — called directly and through Step — fails and
 // names the message.
 func TestRouteMemoAuditCatchesCorruption(t *testing.T) {
-	e, err := New(stormConfig(1))
+	e, err := New(stormConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +269,7 @@ func TestRouteMemoAuditCatchesCorruption(t *testing.T) {
 	}
 
 	// The one-writer rule's precondition is audited too.
-	e2, err := New(stormConfig(1))
+	e2, err := New(stormConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ import (
 // behaviour or the results it will report: the cycle counter, the counters and
 // the three histograms, the fabric (router.Fabric.AppendSnapshot: message
 // pool and free-list order, occupied VCs, round-robin pointers, failed links),
-// the source queues, the pending and pendingNew header lists, each shard's
-// injecting and transmitted-link lists, the generator schedule (every node's
+// the source queues, the pending and pendingNew header lists, the injecting
+// and transmitted-link lists, the generator schedule (every node's
 // next arrival cycle, every node's random stream, the shared stream, the
 // process's own state if it is traffic.Stateful), the oracle's first-sighting
 // stamps with oracleCycle and oracleSize, the probe and absorption totals
@@ -28,10 +28,10 @@ import (
 // What it does not hold is whatever can be recomputed, and Restore recomputes
 // it through the code that maintains it while the engine runs, so a restored
 // engine cannot disagree with itself: the fabric's occupancy structures
-// (router.Fabric.RestoreSnapshot), the nonempty-queue bitmaps (queuePush), the
-// arrival heaps and deferred lists (every scheduled node is pushed back on its
-// shard's heap — the two containers are interchangeable, generateShard merges
-// them in node order), the transmitted bitmap (set from the lists), inFlight
+// (router.Fabric.RestoreSnapshot), the nonempty-queue bitmap (queuePush), the
+// arrival heap and deferred lists (every scheduled node is pushed back on the
+// heap — the two containers are interchangeable, generate merges them in node
+// order), the transmitted bitmap (set from the lists), inFlight
 // (recounted from message phases), the detector's flags and flag counts, the
 // route memos (left empty; a lookup refills one) and the oracle's cached set
 // (invalidated). The crossbar stamps inputUsedAt are reset to "never": a
@@ -45,11 +45,12 @@ import (
 //
 // The header carries a magic number, a format version and the engine's
 // configuration fingerprint (fingerprint, below); Restore refuses bytes whose
-// header differs from what the restoring engine would write.
+// header differs from what the restoring engine would write (DESIGN.md §15
+// has the version history).
 
 const (
 	snapMagic   = "WSNP"
-	snapVersion = 1
+	snapVersion = 2
 )
 
 // fingerprint describes every part of the configuration that shapes the
@@ -60,9 +61,9 @@ func (e *Engine) fingerprint() []byte {
 	if e.snapID == nil {
 		c := &e.cfg
 		e.snapID = fmt.Appendf(nil,
-			"k=%d n=%d vcs=%d buf=%d inj=%d del=%d shards=%d routing=%s detector=%s process=%s load=%g recovery=%s "+
+			"k=%d n=%d vcs=%d buf=%d inj=%d del=%d routing=%s detector=%s process=%s load=%g recovery=%s "+
 				"inject-limit=%d max-queue=%d warmup=%d measure=%d oracle-every=%d seed=%d chooser=%t retain=%t",
-			c.K, c.N, c.Router.VCsPerLink, c.Router.BufFlits, c.Router.InjPorts, c.Router.DelPorts, c.Shards,
+			c.K, c.N, c.Router.VCsPerLink, c.Router.BufFlits, c.Router.InjPorts, c.Router.DelPorts,
 			e.alg.Name(), e.det.Name(), e.gen.Name(), c.Load, c.Recovery,
 			c.InjectionLimit, c.MaxSourceQueue, c.Warmup, c.Measure, c.OracleEvery, c.Seed,
 			c.Chooser != nil, c.RetainMessages)
@@ -97,10 +98,8 @@ func (e *Engine) Snapshot(dst []byte) []byte {
 	}
 	dst = snap.IDs(dst, e.pending)
 	dst = snap.IDs(dst, e.pendingNew)
-	for s := range e.shards {
-		dst = snap.IDs(dst, e.shards[s].injecting)
-		dst = snap.IDs(dst, e.shards[s].txLinks)
-	}
+	dst = snap.IDs(dst, e.injecting)
+	dst = snap.IDs(dst, e.txLinks)
 
 	if e.genSkip != nil {
 		dst = snap.I64s(dst, e.genDue)
@@ -197,13 +196,11 @@ func (e *Engine) restoreBody(r *snap.Reader) {
 	}
 	nMsgs := e.fab.NumMessages()
 
-	// Source queues, through queuePush so the nonempty-queue bitmaps follow.
+	// Source queues, through queuePush so the nonempty-queue bitmap follows.
 	// listed marks the messages seen so far on a queue (bit 0) and on a header
 	// list (bit 1): a message is queued at most once, pending at most once.
 	e.listed = append(e.listed[:0], make([]uint8, nMsgs)...)
-	for s := range e.neBits {
-		clear(e.neBits[s])
-	}
+	clear(e.neBits)
 	queued := 0
 	for node := range e.queues {
 		q := &e.queues[node]
@@ -226,31 +223,27 @@ func (e *Engine) restoreBody(r *snap.Reader) {
 	e.pendingNew = e.restoreHeaders(r, e.pendingNew)
 
 	// The transmitted bits cross the cycle boundary: transferDecide clears
-	// exactly the links it finds on the shards' lists. So the bits of the run
-	// being abandoned go, and the snapshot's lists bring their own.
+	// exactly the links it finds on the list. So the bits of the run being
+	// abandoned go, and the snapshot's list brings its own.
 	clear(e.transmitted)
-	for s := range e.shards {
-		sh := &e.shards[s]
-		sh.injecting = snap.ReadIDs(r, sh.injecting, 0, nMsgs)
-		sh.txLinks = snap.ReadIDs(r, sh.txLinks, 0, nLinks)
-		for _, id := range sh.injecting {
-			// feedShard indexes the fabric with the injection port of every
-			// listed message that is still being fed.
-			if m := e.fab.Msg(id); (m.Phase == router.PhaseNetwork || m.Phase == router.PhaseRecovering) && m.Injected < m.Length &&
-				(m.InjLink == router.NilLink || e.fab.Links[m.InjLink].Kind != router.InjectionLink) {
-				r.Failf("sim: snapshot lists message %d as injecting through link %d, not an injection port", id, m.InjLink)
-				return
-			}
-		}
-		for _, l := range sh.txLinks {
-			if e.transmitted[l] {
-				r.Failf("sim: snapshot lists link %d as transmitted twice", l)
-				return
-			}
-			e.transmitted[l] = true
+	e.injecting = snap.ReadIDs(r, e.injecting, 0, nMsgs)
+	e.txLinks = snap.ReadIDs(r, e.txLinks, 0, nLinks)
+	for _, id := range e.injecting {
+		// feed indexes the fabric with the injection port of every listed
+		// message that is still being fed.
+		if m := e.fab.Msg(id); (m.Phase == router.PhaseNetwork || m.Phase == router.PhaseRecovering) && m.Injected < m.Length &&
+			(m.InjLink == router.NilLink || e.fab.Links[m.InjLink].Kind != router.InjectionLink) {
+			r.Failf("sim: snapshot lists message %d as injecting through link %d, not an injection port", id, m.InjLink)
+			return
 		}
 	}
-	e.mergeTxLinks()
+	for _, l := range e.txLinks {
+		if e.transmitted[l] {
+			r.Failf("sim: snapshot lists link %d as transmitted twice", l)
+			return
+		}
+		e.transmitted[l] = true
+	}
 	for i := range e.inputUsedAt {
 		e.inputUsedAt[i] = -1
 	}
@@ -271,12 +264,9 @@ func (e *Engine) restoreBody(r *snap.Reader) {
 		return
 	}
 
-	// Generator schedule: the arrival heaps are rebuilt from the due cycles.
+	// Generator schedule: the arrival heap is rebuilt from the due cycles.
 	if e.genSkip != nil {
-		for s := range e.shards {
-			sh := &e.shards[s]
-			sh.genHeap, sh.genDefA, sh.genDefB = sh.genHeap[:0], sh.genDefA[:0], sh.genDefB[:0]
-		}
+		e.genHeap, e.genDefA, e.genDefB = e.genHeap[:0], e.genDefA[:0], e.genDefB[:0]
 		for node := range e.genDue {
 			due := r.I64()
 			if due != -1 && due < e.now {
@@ -285,7 +275,7 @@ func (e *Engine) restoreBody(r *snap.Reader) {
 			}
 			e.genDue[node] = due
 			if due >= 0 {
-				e.heapPush(&e.shards[e.part.Of(node)], int32(node))
+				e.heapPush(int32(node))
 			}
 		}
 	}
@@ -338,8 +328,7 @@ func (e *Engine) restoreBody(r *snap.Reader) {
 }
 
 // restoreHeaders reads one of the two header lists: pool members, each
-// listed at most once across both (auditRouteMemos and the one-writer rule
-// of routeCandsShard rest on that).
+// listed at most once across both (auditRouteMemos checks that).
 func (e *Engine) restoreHeaders(r *snap.Reader, dst []router.MsgID) []router.MsgID {
 	dst = snap.ReadIDs(r, dst, 0, e.fab.NumMessages())
 	if r.Err() != nil {

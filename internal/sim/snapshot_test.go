@@ -14,6 +14,7 @@ import (
 	"wormnet/internal/recovery"
 	"wormnet/internal/router"
 	"wormnet/internal/routing"
+	"wormnet/internal/snap"
 	"wormnet/internal/topology"
 	"wormnet/internal/trace"
 	"wormnet/internal/traffic"
@@ -26,12 +27,19 @@ const gateCycles = 480
 type gateCase struct {
 	name string
 	cfg  Config
+	// pieces is the number of pieces the second half of the run is cut
+	// into, each run on an engine freshly restored from the previous piece's
+	// snapshot. The case name carries it as "shards<pieces>", a label kept
+	// from when this axis was the engine's worker count so that the test IDs
+	// stay stable.
+	pieces int
 }
 
 // gateCases is the equivalence gate's matrix: every detector family and one
 // timeout × a 3-VC fabric near saturation and a deadlocking 1-VC storm with
-// the oracle every cycle × both recovery styles × one shard and four × the
-// Bernoulli generator and the stateful bursty process, Debug audits on.
+// the oracle every cycle × both recovery styles × the second half in one
+// piece and in four × the Bernoulli generator and the stateful bursty
+// process, Debug audits on.
 func gateCases() []gateCase {
 	mechs := []struct {
 		name string
@@ -58,13 +66,12 @@ func gateCases() []gateCase {
 	for _, mech := range mechs {
 		for _, load := range loads {
 			for _, rec := range []recovery.Style{recovery.Progressive, recovery.Regressive} {
-				for _, shards := range []int{1, 4} {
+				for _, pieces := range []int{1, 4} {
 					for _, bursty := range []bool{false, true} {
 						cfg := smallConfig() // 4x4, Debug on
 						cfg.Warmup, cfg.Measure = gateCycles/4, gateCycles-gateCycles/4
 						cfg.Detector = mech.det
 						cfg.Recovery = rec
-						cfg.Shards = shards
 						load.mod(&cfg)
 						proc := "bernoulli"
 						if bursty {
@@ -75,8 +82,9 @@ func gateCases() []gateCase {
 							}
 						}
 						cases = append(cases, gateCase{
-							name: fmt.Sprintf("%s/%s/%s/shards%d/%s", mech.name, load.name, rec, shards, proc),
-							cfg:  cfg,
+							name:   fmt.Sprintf("%s/%s/%s/shards%d/%s", mech.name, load.name, rec, pieces, proc),
+							cfg:    cfg,
+							pieces: pieces,
 						})
 					}
 				}
@@ -122,7 +130,6 @@ func mustNew(t *testing.T, cfg Config) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(e.StopWorkers)
 	return e
 }
 
@@ -150,11 +157,12 @@ func sameResult(t *testing.T, what string, got, want *Result) {
 
 // TestSnapshotEquivalence is the equivalence gate: running N cycles must be
 // indistinguishable from running N/2, taking a Snapshot, restoring it into a
-// freshly built engine and running the other N/2 there — same counters, same
-// histograms, same trace bytes and same online incident report (the rails
-// carry over by handing both engines the same recorder). On the way it checks
-// that a snapshot of the freshly restored engine equals the bytes it was
-// restored from, and that the first engine, stepped on into a future that is
+// freshly built engine and running the other N/2 there — in one piece, or in
+// several, each on a fresh engine restored from the last one's snapshot —
+// same counters, same histograms, same trace bytes and same online incident
+// report (the rails carry over by handing every engine the same recorder). On
+// the way it checks that a snapshot of a freshly restored engine equals the
+// bytes it was restored from, and that the first engine, stepped on into a future that is
 // then abandoned, is brought back by the same bytes (the model checker's
 // pattern) to finish with the same result and the same second-half trace.
 func TestSnapshotEquivalence(t *testing.T) {
@@ -189,12 +197,19 @@ func TestSnapshotEquivalence(t *testing.T) {
 			}
 			snapBytes := first.Snapshot(nil)
 
-			second := mustNew(t, cfg)
-			if err := second.Restore(snapBytes); err != nil {
-				t.Fatal(err)
-			}
-			if again := second.Snapshot(nil); !bytes.Equal(again, snapBytes) {
-				t.Errorf("snapshot of the restored engine differs from the bytes it was restored from (%d vs %d bytes)", len(again), len(snapBytes))
+			var second *Engine
+			for piece, b := 0, snapBytes; piece < tc.pieces; piece++ {
+				if piece > 0 {
+					stepN(t, second, gateCycles/2/tc.pieces)
+					b = second.Snapshot(nil)
+				}
+				second = mustNew(t, cfg)
+				if err := second.Restore(b); err != nil {
+					t.Fatal(err)
+				}
+				if again := second.Snapshot(nil); !bytes.Equal(again, b) {
+					t.Errorf("piece %d: snapshot of the restored engine differs from the bytes it was restored from (%d vs %d bytes)", piece, len(again), len(b))
+				}
 			}
 			got, err := second.Run()
 			if err != nil {
@@ -243,7 +258,7 @@ func TestSnapshotEquivalence(t *testing.T) {
 func TestRestoreTraps(t *testing.T) {
 	const early, late = 120, 300
 	abandon := func(t *testing.T) (e *Engine, snapBytes []byte) {
-		e = mustNew(t, stormConfig(1))
+		e = mustNew(t, stormConfig())
 		stepN(t, e, early)
 		snapBytes = e.Snapshot(nil)
 		stepN(t, e, late-early)
@@ -256,11 +271,11 @@ func TestRestoreTraps(t *testing.T) {
 	// "transmitted" for ever (CMH's steal-idle transport never uses them).
 	t.Run("transmitted bits follow the lists", func(t *testing.T) {
 		e, snapBytes := abandon(t)
-		before := slices.Clone(e.shards[0].txLinks)
+		before := slices.Clone(e.txLinks)
 		if err := e.Restore(snapBytes); err != nil {
 			t.Fatal(err)
 		}
-		if slices.Equal(before, e.shards[0].txLinks) {
+		if slices.Equal(before, e.txLinks) {
 			t.Fatal("the two cycles transmitted on the same links: nothing to get wrong")
 		}
 		if err := e.auditActiveSets(); err != nil {
@@ -291,7 +306,7 @@ func TestRestoreTraps(t *testing.T) {
 	// run's last cycle comes round again.
 	t.Run("oracle cache and oracleCycle", func(t *testing.T) {
 		// Snapshot inside a deadlock, run on until the set has changed.
-		e := mustNew(t, stormConfig(1))
+		e := mustNew(t, stormConfig())
 		for e.oracleSize == 0 {
 			if stepN(t, e, 1); e.now > 5000 {
 				t.Fatal("the storm never deadlocked")
@@ -309,7 +324,7 @@ func TestRestoreTraps(t *testing.T) {
 		if e.oracleCycle >= e.now {
 			t.Fatalf("oracleCycle %d at cycle %d: the oracle would not run again until then", e.oracleCycle, e.now)
 		}
-		fresh := mustNew(t, stormConfig(1))
+		fresh := mustNew(t, stormConfig())
 		if err := fresh.Restore(snapBytes); err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +345,7 @@ func TestRestoreTraps(t *testing.T) {
 	// back in its order and the surviving entries at their addresses, or the
 	// next MsgIDs handed out differ from the snapshotted run's.
 	t.Run("message pool", func(t *testing.T) {
-		e := mustNew(t, stormConfig(1))
+		e := mustNew(t, stormConfig())
 		stepN(t, e, 12)
 		snapBytes := e.Snapshot(nil)
 		pool := e.fab.NumMessages()
@@ -356,7 +371,7 @@ func TestRestoreTraps(t *testing.T) {
 		if again := e.Snapshot(nil); !bytes.Equal(again, snapBytes) {
 			t.Fatal("snapshot after Restore differs from the bytes restored")
 		}
-		fresh := mustNew(t, stormConfig(1))
+		fresh := mustNew(t, stormConfig())
 		if err := fresh.Restore(snapBytes); err != nil {
 			t.Fatal(err)
 		}
@@ -390,8 +405,7 @@ func TestRestoreRefusesInconsistentState(t *testing.T) {
 		want    string
 	}{
 		{"link transmitted twice", func(e *Engine) {
-			sh := &e.shards[0]
-			sh.txLinks = append(sh.txLinks, sh.txLinks[0])
+			e.txLinks = append(e.txLinks, e.txLinks[0])
 		}, "as transmitted twice"},
 		{"message in the network also queued", func(e *Engine) { e.queuePush(3, inNetwork(e)) }, "queues message"},
 		{"queued message on no queue", func(e *Engine) {
@@ -404,7 +418,7 @@ func TestRestoreRefusesInconsistentState(t *testing.T) {
 		}, "are waiting at a source"},
 		{"header pending twice", func(e *Engine) { e.pendingNew = append(e.pendingNew, e.pending[0]) }, "pending twice"},
 		{"injecting through no port", func(e *Engine) {
-			for _, id := range e.shards[0].injecting {
+			for _, id := range e.injecting {
 				if m := e.fab.Msg(id); m.Injected < m.Length {
 					m.InjLink = router.NilLink
 					return
@@ -420,7 +434,7 @@ func TestRestoreRefusesInconsistentState(t *testing.T) {
 		}, "are recovering"},
 	}
 	for _, tc := range cases {
-		cfg := stormConfig(1)
+		cfg := stormConfig()
 		cfg.Debug = false // the corrupted engine is snapshotted, never stepped
 		src := mustNew(t, cfg)
 		stepN(t, src, 300)
@@ -441,7 +455,7 @@ func TestSnapshotWarmBufferAllocationFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := stormConfig(1)
+		cfg := stormConfig()
 		cfg.Debug = false
 		cfg.Detector = det
 		e := mustNew(t, cfg)
@@ -463,7 +477,7 @@ func (firstChooser) Choose(ChoicePoint, int) int { return 0 }
 // one fingerprinted setting.
 func TestRestoreRefusesForeignBytes(t *testing.T) {
 	base := func() Config {
-		cfg := stormConfig(1)
+		cfg := stormConfig()
 		cfg.Measure = 100_000
 		return cfg
 	}
@@ -490,6 +504,14 @@ func TestRestoreRefusesForeignBytes(t *testing.T) {
 	if err := target.Restore(bad); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("wrong version: %v", err)
 	}
+	// A version 1 header — the sharded engine's format, whose fingerprint
+	// named a worker count — is refused on its version.
+	v1id := strings.Replace(string(e.fingerprint()), " routing=", " shards=1 routing=", 1)
+	v1 := snap.U32(append([]byte(snapMagic), 1, 0, 0, 0), uint32(len(v1id)))
+	v1 = append(append(v1, v1id...), good[12+len(e.fingerprint()):]...)
+	if err := target.Restore(v1); err == nil || !strings.Contains(err.Error(), "snapshot format version 1,") {
+		t.Errorf("version 1 header: %v", err)
+	}
 	if err := target.Restore(good); err != nil {
 		t.Fatalf("the untouched snapshot no longer restores: %v", err)
 	}
@@ -501,7 +523,6 @@ func TestRestoreRefusesForeignBytes(t *testing.T) {
 		"buf":          func(c *Config) { c.Router.BufFlits = 2 },
 		"inj":          func(c *Config) { c.Router.InjPorts = 2 },
 		"del":          func(c *Config) { c.Router.DelPorts = 2 },
-		"shards":       func(c *Config) { c.Shards = 2 },
 		"routing":      func(c *Config) { c.Routing, c.Detector = routing.DimensionOrder{}, nil; c.Router.VCsPerLink = 2 },
 		"detector":     func(c *Config) { c.Detector = func(f *router.Fabric) detect.Detector { return detect.NewNDM(f, 17) } },
 		"process":      func(c *Config) { c.Lengths = traffic.Fixed(8) },

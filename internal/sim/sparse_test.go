@@ -17,7 +17,7 @@ import (
 
 // The full-rescan reference kernel: the differential oracle the active-set
 // kernel is checked against. Each stage below decides what to visit by
-// scanning the whole shard (every generator countdown, every source queue,
+// scanning the whole fabric (every generator countdown, every source queue,
 // every output link, every delivery port) and never consults the kernel's
 // active sets; the per-item work goes through the kernel's own helpers
 // (generateArrival, admitNode, arbitrate, drainVC), so the two can differ
@@ -25,8 +25,8 @@ import (
 // active sets are responsible for. It is installed through Engine.refStage.
 
 // refKernel is the reference's own state: buckets[l] collects target link l's
-// feeders. A row is written by the shard of Links[l].Src only, like the
-// kernel's feeder table — which the reference never reads.
+// feeders, kept apart from the kernel's feeder table, which the reference
+// never reads.
 type refKernel struct {
 	*Engine
 	buckets [][]router.VCID
@@ -37,27 +37,38 @@ func installReference(e *Engine) {
 	e.refStage = (&refKernel{e, make([][]router.VCID, e.fab.NumLinks())}).stage
 }
 
-// stage runs shard s's phase ph as a full rescan, for the four stages the
-// kernel drives from active sets.
-func (e *refKernel) stage(ph phaseID, s int) bool {
-	sh := &e.shards[s]
+// satConfig is smallConfig driven into saturation on one VC, with NDM and the
+// oracle on: enough contention for arbitration, detection and recovery to
+// all run.
+func satConfig() Config {
+	cfg := smallConfig()
+	cfg.Router.VCsPerLink = 1
+	cfg.Load = 2.0
+	cfg.InjectionLimit = -1
+	cfg.OracleEvery = 32
+	cfg.Warmup, cfg.Measure = 500, 2500
+	cfg.Detector = func(f *router.Fabric) detect.Detector { return detect.NewNDM(f, 16) }
+	return cfg
+}
+
+// stage runs phase ph as a full rescan, for the four stages the kernel
+// drives from active sets.
+func (e *refKernel) stage(ph phaseID) bool {
 	switch {
 	case ph == phaseGenerate && e.genSkip != nil:
-		e.refGenerate(sh)
+		e.refGenerate()
 	case ph == phaseAdmit:
-		sh.admits = sh.admits[:0]
-		for node := sh.lo; node < sh.hi; node++ {
-			e.admitNode(sh, node)
+		for node := range e.queues {
+			e.admitNode(node)
 		}
-	case ph == phaseTransferA:
-		e.refTransferDecide(s)
+	case ph == phaseTransferDecide:
+		e.refTransferDecide()
 	case ph == phaseDrain:
-		sh.delivered = sh.delivered[:0]
-		for node := sh.lo; node < sh.hi; node++ {
+		for node := range e.queues {
 			for p := 0; p < e.cfg.Router.DelPorts; p++ {
 				id := e.fab.Links[e.fab.DelLink(node, p)].FirstVC
 				if vc := &e.fab.VCs[id]; vc.Occupant != router.NilMsg && vc.Flits > 0 {
-					e.drainVC(sh, id)
+					e.drainVC(id)
 				}
 			}
 		}
@@ -68,50 +79,47 @@ func (e *refKernel) stage(ph phaseID, s int) bool {
 }
 
 // refGenerate finds the due arrivals by scanning every node's countdown. It
-// then rebuilds the shard's arrival heap and deferred list from that scan —
-// it never reads them — so the Debug audit of those structures keeps
-// holding on reference runs.
-func (e *Engine) refGenerate(sh *shardState) {
-	sh.gens = sh.gens[:0]
-	sh.genHeap, sh.genDefA = sh.genHeap[:0], sh.genDefA[:0]
-	for node := sh.lo; node < sh.hi; node++ {
+// then rebuilds the arrival heap and deferred list from that scan — it never
+// reads them — so the Debug audit of those structures keeps holding on
+// reference runs.
+func (e *Engine) refGenerate() {
+	e.genHeap, e.genDefA = e.genHeap[:0], e.genDefA[:0]
+	for node := range e.genDue {
 		deferred := false
 		if due := e.genDue[node]; due >= 0 && due <= e.now {
-			deferred = e.generateArrival(sh, node, e.cfg.MaxSourceQueue)
+			deferred = e.generateArrival(node, e.cfg.MaxSourceQueue)
 		}
 		if deferred {
-			sh.genDefA = append(sh.genDefA, int32(node))
+			e.genDefA = append(e.genDefA, int32(node))
 		} else if e.genDue[node] >= 0 {
-			e.heapPush(sh, int32(node))
+			e.heapPush(int32(node))
 		}
 	}
 }
 
-// refTransferDecide buckets the shard's transfer requests by scanning every
-// VC of the fabric, highest first, and then walks every output link of the
-// shard's routers in canonical arbitration order (routers ascending, network
-// outputs before delivery ports), skipping the idle ones. Arbitration is
-// defined over a link's feeders in ascending order; the reference sorts each
-// bucket itself, so that the kernel's rows arrive sorted is checked by the
-// byte-identity tests, not assumed.
-func (e *refKernel) refTransferDecide(s int) {
-	sh := &e.shards[s]
+// refTransferDecide buckets the transfer requests by scanning every VC of the
+// fabric, highest first, and then walks every output link in canonical
+// arbitration order (routers ascending, network outputs before delivery
+// ports), skipping the idle ones. Arbitration is defined over a link's
+// feeders in ascending order; the reference sorts each bucket itself, so that
+// the kernel's rows arrive sorted is checked by the byte-identity tests, not
+// assumed.
+func (e *refKernel) refTransferDecide() {
 	fab := e.fab
 	vcs := fab.VCs
-	for _, l := range sh.txLinks {
+	for _, l := range e.txLinks {
 		e.transmitted[l] = false
 	}
-	sh.txLinks = sh.txLinks[:0]
-	sh.moves = sh.moves[:0]
+	e.txLinks = e.txLinks[:0]
+	e.moves = e.moves[:0]
 	for i := len(vcs) - 1; i >= 0; i-- {
-		if vcs[i].Occupant != router.NilMsg && fab.ShardOfLink(vcs[i].Link) == s &&
-			vcs[i].Flits > 0 && vcs[i].Next != router.NilVC {
+		if vcs[i].Occupant != router.NilMsg && vcs[i].Flits > 0 && vcs[i].Next != router.NilVC {
 			tl := vcs[vcs[i].Next].Link
 			e.buckets[tl] = append(e.buckets[tl], router.VCID(i))
 		}
 	}
 	deg := e.topo.Degree()
-	for node := sh.lo; node < sh.hi; node++ {
+	for node := range e.queues {
 		for k := 0; k < deg+e.cfg.Router.DelPorts; k++ {
 			tl := router.LinkID(node*deg + k)
 			if k >= deg {
@@ -119,7 +127,7 @@ func (e *refKernel) refTransferDecide(s int) {
 			}
 			if req := e.buckets[tl]; len(req) > 0 {
 				slices.Sort(req)
-				e.arbitrate(sh, tl, req, int32(fab.Cfg.BufFlits))
+				e.arbitrate(tl, req, int32(fab.Cfg.BufFlits))
 				e.buckets[tl] = req[:0]
 			}
 		}
@@ -127,11 +135,10 @@ func (e *refKernel) refTransferDecide(s int) {
 }
 
 // runKernel runs cfg on the active-set kernel, or (reference) on the
-// full-rescan reference stages, with the given shard count, returning the
-// result plus the raw trace bytes when traced.
-func runKernel(t *testing.T, cfg Config, reference bool, shards int, traced bool) (*Result, []byte) {
+// full-rescan reference stages, returning the result plus the raw trace bytes
+// when traced.
+func runKernel(t *testing.T, cfg Config, reference, traced bool) (*Result, []byte) {
 	t.Helper()
-	cfg.Shards = shards
 	var buf bytes.Buffer
 	if traced {
 		cfg.Trace = trace.NewRecorder(64)
@@ -154,115 +161,84 @@ func runKernel(t *testing.T, cfg Config, reference bool, shards int, traced bool
 	return res, buf.Bytes()
 }
 
+// kernelDetectors are the detector families the differential tests cover.
+var kernelDetectors = []struct {
+	name string
+	mod  func(*Config)
+}{
+	{"ndm", func(c *Config) {}},
+	{"pdm", func(c *Config) {
+		c.Detector = func(f *router.Fabric) detect.Detector { return detect.NewPDM(f, 24) }
+	}},
+	{"cmh", func(c *Config) {
+		c.Detector = func(f *router.Fabric) detect.Detector {
+			return probe.New(f, probe.Config{InitDelay: 8})
+		}
+	}},
+}
+
 // TestSparseKernelByteIdentity is the cycle kernel's conformance gate: for
 // every detector family, at low load and at saturation, the full-rescan
 // reference and the kernel (active-set iteration) must produce
-// byte-identical counters, histograms and trace streams, at one shard and at
-// four. Debug mode stays on (via smallConfig), so every cycle also
-// cross-checks the active lists against full rescans.
+// byte-identical counters, histograms and trace streams. Debug mode stays on
+// (via smallConfig), so every cycle also cross-checks the active sets against
+// full rescans.
 func TestSparseKernelByteIdentity(t *testing.T) {
-	detectors := []struct {
-		name string
-		mod  func(*Config)
-	}{
-		{"ndm", func(c *Config) {}},
-		{"pdm", func(c *Config) {
-			c.Detector = func(f *router.Fabric) detect.Detector { return detect.NewPDM(f, 24) }
-		}},
-		{"cmh", func(c *Config) {
-			c.Detector = func(f *router.Fabric) detect.Detector {
-				return probe.New(f, probe.Config{InitDelay: 8})
-			}
-		}},
-	}
 	loads := []struct {
 		name string
 		cfg  func() Config
 	}{
 		{"low", func() Config {
-			cfg := shardedConfig()
+			cfg := satConfig()
 			cfg.Load = 0.1
 			return cfg
 		}},
-		{"saturated", shardedConfig},
+		{"saturated", satConfig},
 	}
 	for _, ld := range loads {
-		for _, det := range detectors {
+		for _, det := range kernelDetectors {
 			t.Run(ld.name+"/"+det.name, func(t *testing.T) {
 				cfg := ld.cfg()
 				det.mod(&cfg)
-				wantRes, wantTrace := runKernel(t, cfg, true, 1, true)
+				wantRes, wantTrace := runKernel(t, cfg, true, true)
 				if len(wantTrace) == 0 {
 					t.Fatal("reference run produced no trace bytes")
 				}
-				for _, shards := range []int{1, 4} {
-					gotRes, gotTrace := runKernel(t, cfg, false, shards, true)
-					if gotRes.Counters != wantRes.Counters {
-						t.Errorf("sparse shards=%d: counters diverge\n got %+v\nwant %+v",
-							shards, gotRes.Counters, wantRes.Counters)
-					}
-					if !bytes.Equal(gotTrace, wantTrace) {
-						t.Errorf("sparse shards=%d: trace stream diverges (%d vs %d bytes)",
-							shards, len(gotTrace), len(wantTrace))
-					}
-					if !reflect.DeepEqual(gotRes.LatencyHist, wantRes.LatencyHist) ||
-						!reflect.DeepEqual(gotRes.DetectDelayHist, wantRes.DetectDelayHist) ||
-						!reflect.DeepEqual(gotRes.DetectLatencyHist, wantRes.DetectLatencyHist) {
-						t.Errorf("sparse shards=%d: histograms diverge", shards)
-					}
+				gotRes, gotTrace := runKernel(t, cfg, false, true)
+				if !bytes.Equal(gotTrace, wantTrace) {
+					t.Errorf("kernel trace stream diverges (%d vs %d bytes)", len(gotTrace), len(wantTrace))
 				}
-				// The reference sharded must agree with itself too, or a
-				// sharded mismatch above could not be pinned on the kernel.
-				refRes, refTrace := runKernel(t, cfg, true, 4, true)
-				if refRes.Counters != wantRes.Counters {
-					t.Errorf("reference shards=4: counters diverge\n got %+v\nwant %+v",
-						refRes.Counters, wantRes.Counters)
-				}
-				if !bytes.Equal(refTrace, wantTrace) {
-					t.Errorf("reference shards=4: trace stream diverges")
-				}
+				sameKernelResult(t, "kernel", gotRes, wantRes)
 			})
 		}
 	}
 }
 
-// TestSparseKernelUntracedSharded is TestSparseKernelByteIdentity without a
-// recorder attached: detectors skip their ascending busy-link sort when
-// untraced, so this is the run where EndCycle visits links in per-shard list
-// order. The kernel, sharded, for every detector family, must still match
-// the serial reference's counters and histograms.
-func TestSparseKernelUntracedSharded(t *testing.T) {
-	detectors := []struct {
-		name string
-		mod  func(*Config)
-	}{
-		{"ndm", func(c *Config) {}},
-		{"pdm", func(c *Config) {
-			c.Detector = func(f *router.Fabric) detect.Detector { return detect.NewPDM(f, 24) }
-		}},
-		{"cmh", func(c *Config) {
-			c.Detector = func(f *router.Fabric) detect.Detector {
-				return probe.New(f, probe.Config{InitDelay: 8})
-			}
-		}},
+// sameKernelResult compares counters and the three histograms.
+func sameKernelResult(t *testing.T, what string, got, want *Result) {
+	t.Helper()
+	if got.Counters != want.Counters {
+		t.Errorf("%s: counters diverge\n got %+v\nwant %+v", what, got.Counters, want.Counters)
 	}
-	for _, det := range detectors {
+	if !reflect.DeepEqual(got.LatencyHist, want.LatencyHist) ||
+		!reflect.DeepEqual(got.DetectDelayHist, want.DetectDelayHist) ||
+		!reflect.DeepEqual(got.DetectLatencyHist, want.DetectLatencyHist) {
+		t.Errorf("%s: histograms diverge", what)
+	}
+}
+
+// TestSparseKernelUntraced is TestSparseKernelByteIdentity without a
+// recorder attached: detectors skip their tracing work when untraced, so
+// this is the run where nothing but the counters and histograms can tell the
+// kernel from the reference, for every detector family.
+func TestSparseKernelUntraced(t *testing.T) {
+	for _, det := range kernelDetectors {
 		t.Run(det.name, func(t *testing.T) {
-			cfg := shardedConfig()
+			cfg := satConfig()
 			det.mod(&cfg)
-			wantRes, _ := runKernel(t, cfg, true, 1, false)
-			for _, shards := range []int{1, 2, 4} {
-				gotRes, _ := runKernel(t, cfg, false, shards, false)
-				if gotRes.Counters != wantRes.Counters {
-					t.Errorf("untraced sparse shards=%d: counters diverge\n got %+v\nwant %+v",
-						shards, gotRes.Counters, wantRes.Counters)
-				}
-				if !reflect.DeepEqual(gotRes.LatencyHist, wantRes.LatencyHist) ||
-					!reflect.DeepEqual(gotRes.DetectDelayHist, wantRes.DetectDelayHist) ||
-					!reflect.DeepEqual(gotRes.DetectLatencyHist, wantRes.DetectLatencyHist) {
-					t.Errorf("untraced sparse shards=%d: histograms diverge", shards)
-				}
-			}
+			wantRes, _ := runKernel(t, cfg, true, false)
+			gotRes, _ := runKernel(t, cfg, false, false)
+			sameKernelResult(t, "untraced kernel", gotRes, wantRes)
 		})
 	}
 }
@@ -272,12 +248,12 @@ func TestSparseKernelUntracedSharded(t *testing.T) {
 // reference alike and still produce identical results — the kernel only
 // skips ahead where it can prove equivalence.
 func TestSparseKernelBursty(t *testing.T) {
-	cfg := shardedConfig()
+	cfg := satConfig()
 	cfg.Process = func(tp *topology.Torus) traffic.Process {
 		return traffic.NewBursty(tp, traffic.NewUniform(tp), traffic.Fixed(16), 0.4, 4, 50)
 	}
-	wantRes, wantTrace := runKernel(t, cfg, true, 1, true)
-	gotRes, gotTrace := runKernel(t, cfg, false, 1, true)
+	wantRes, wantTrace := runKernel(t, cfg, true, true)
+	gotRes, gotTrace := runKernel(t, cfg, false, true)
 	if gotRes.Counters != wantRes.Counters {
 		t.Errorf("bursty kernel vs reference: counters diverge\n got %+v\nwant %+v",
 			gotRes.Counters, wantRes.Counters)
@@ -306,7 +282,7 @@ func TestBurstyNotSkipahead(t *testing.T) {
 // and fault churn (requeues exercise the queuePush registration path) and
 // relies on the per-cycle audit to catch any active-list drift.
 func TestSparseActiveSetAudit(t *testing.T) {
-	cfg := shardedConfig() // Debug=true via smallConfig
+	cfg := satConfig() // Debug=true via smallConfig
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -346,28 +322,26 @@ func TestActiveSetAuditCatchesCorruption(t *testing.T) {
 			if e.InjectMessage(0, 5, 4) == nil {
 				t.Fatal("InjectMessage rejected at low load")
 			}
-			e.neBits[0][0] &^= 1
+			e.neBits[0] &^= 1
 		}, "node 0 nonempty-queue bit false"},
 		{"node dropped from the arrival heap", func(t *testing.T, e *Engine) {
-			sh := &e.shards[0]
-			if len(sh.genHeap) == 0 {
+			if len(e.genHeap) == 0 {
 				t.Fatal("no scheduled arrivals to drop")
 			}
-			sh.genHeap = sh.genHeap[:len(sh.genHeap)-1] // a leaf: heap order survives
-		}, "heaps and deferred lists track"},
+			e.genHeap = e.genHeap[:len(e.genHeap)-1] // a leaf: heap order survives
+		}, "arrival heap and deferred list track"},
 		{"feeder bucket left undrained", func(t *testing.T, e *Engine) {
 			e.feedN[2] = 1
 		}, "feeder row for link 2 holds 1 entries"},
 		{"feeder row out of order at arbitration", func(t *testing.T, e *Engine) {
 			// What transferDecide leaves for arbitration when two VCs feed
 			// link 2, bucketed in the wrong order.
-			sh := &e.shards[0]
 			row := e.feed[2*e.feedStride:]
 			row[0], row[1] = 9, 4
 			e.feedN[2] = 2
 			key := e.linkKey[2]
-			sh.keyBits[key>>6] |= 1 << (key & 63)
-			e.auditFeedRows(sh)
+			e.keyBits[key>>6] |= 1 << (key & 63)
+			e.auditFeedRows()
 		}, "feeder row for link 2 is not ascending: [9 4]"},
 	}
 	for _, tc := range cases {
@@ -397,9 +371,8 @@ func TestActiveSetAuditCatchesCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := &e.shards[0]
-	sh.genHeap = sh.genHeap[:len(sh.genHeap)-1]
-	if err := e.Step(); err == nil || !strings.Contains(err.Error(), "heaps and deferred lists track") {
+	e.genHeap = e.genHeap[:len(e.genHeap)-1]
+	if err := e.Step(); err == nil || !strings.Contains(err.Error(), "arrival heap and deferred list track") {
 		t.Fatalf("Debug Step error %v, want the arrival-heap audit failure", err)
 	}
 }

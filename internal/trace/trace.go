@@ -312,9 +312,8 @@ func (r *Recorder) record(ev Event) {
 
 // SetObserver attaches fn to be called synchronously with every recorded
 // event, after the ring (and sink, if any) have seen it. Pass nil to detach.
-// Because all emit sites run on the engine's serial commit spine, fn sees
-// events in a single-threaded, deterministic order even under sharded
-// stepping. Nil-safe.
+// Because every emit site runs on the goroutine stepping the engine, fn sees
+// events in a single-threaded, deterministic order. Nil-safe.
 func (r *Recorder) SetObserver(fn func(Event)) {
 	if r == nil {
 		return

@@ -220,12 +220,11 @@ type Config struct {
 	Warmup, Measure int64
 	Seed            uint64
 
-	// Shards is the number of workers each cycle's work is partitioned
-	// over: the torus is split into that many contiguous node blocks,
-	// stepped concurrently under a deterministic two-phase cycle barrier.
-	// Results are byte-identical for every shard count (see DESIGN.md §11).
-	// Zero selects 1 (fully serial); the count must not exceed the node
-	// count.
+	// Shards is ignored: the engine is serial.
+	//
+	// Deprecated: Shards once split each cycle over worker goroutines. It
+	// remains only because the frozen benchmark module (benchmark/) still
+	// sets it; it goes when that module is next revised. Leave it zero.
 	Shards int
 
 	// OracleEvery > 0 additionally runs the global deadlock oracle every
@@ -271,7 +270,7 @@ type Config struct {
 	// recorder is attached internally (no trace file is produced).
 	// Incident reports are a pure function of the trace event stream, so
 	// they inherit its determinism contract: byte-identical for a fixed
-	// seed across shard counts.
+	// seed.
 	ForensicsPath string
 }
 
@@ -461,7 +460,6 @@ func (c Config) SimConfig() (sim.Config, error) {
 	sc.Warmup, sc.Measure = c.Warmup, c.Measure
 	sc.OracleEvery = c.OracleEvery
 	sc.Seed = c.Seed
-	sc.Shards = c.Shards
 	return sc, nil
 }
 
@@ -567,7 +565,6 @@ func Observe(cfg Config, every int64, fn func(cycle int64, summary, heatmap stri
 	if err != nil {
 		return nil, err
 	}
-	defer eng.StopWorkers()
 	for total := sc.Warmup + sc.Measure; eng.Now() < total; {
 		if err := eng.Step(); err != nil {
 			return nil, err
