@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check benchmark-check bench-gate smoke golden-gate trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex conformance-fuzz-seeds fuzz-restore-seeds fuzz-restore fuzz-flags shootout profile clean
+.PHONY: all build test race vet fmt-check benchmark-check bench-gate smoke golden-gate trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex conformance-fuzz-seeds fuzz-restore-seeds fuzz-restore fuzz-flags fuzz-decoders shootout profile clean
 
 all: vet fmt-check test
 
@@ -82,39 +82,39 @@ golden-gate: build
 # Flight-recorder smoke: a saturated single-VC run must capture a decodable
 # event stream containing detection verdicts, and the bounded ring mode must
 # dump on detection too. Both files are checked by parsing them back through
-# traceview.
+# `wormview trace`.
 trace-smoke: build
 	$(GO) build -o /tmp/wormnet-wormsim ./cmd/wormsim
-	$(GO) build -o /tmp/wormnet-traceview ./cmd/traceview
+	$(GO) build -o /tmp/wormnet-wormview ./cmd/wormview
 	/tmp/wormnet-wormsim -k 4 -n 2 -vcs 1 -load 2.0 -inject-limit -1 -th 8 \
 		-warmup 0 -measure 3000 -oracle-every 1 \
 		-trace /tmp/wormnet-events.jsonl > /dev/null
-	/tmp/wormnet-traceview -summary /tmp/wormnet-events.jsonl \
+	/tmp/wormnet-wormview trace -summary /tmp/wormnet-events.jsonl \
 		| tee /tmp/wormnet-trace-summary.txt
 	grep -q 'detect' /tmp/wormnet-trace-summary.txt
 	/tmp/wormnet-wormsim -k 4 -n 2 -vcs 1 -load 2.0 -inject-limit -1 -th 8 \
 		-warmup 0 -measure 3000 -oracle-every 1 \
 		-trace /tmp/wormnet-ring.jsonl -trace-last 256 > /dev/null
-	/tmp/wormnet-traceview -summary /tmp/wormnet-ring.jsonl > /dev/null
+	/tmp/wormnet-wormview trace -summary /tmp/wormnet-ring.jsonl > /dev/null
 	@echo "trace-smoke: stream and ring captures decode, detections present"
 
 # Forensics pipeline gate: a fixed-seed saturated run dumps a deadlock
-# incident report; cmd/forensics parses it; the report is byte-identical
-# between the online observer and an offline replay of the streamed trace;
-# and enabling forensics leaves the run's stdout byte-identical (pure
-# observation).
+# incident report; `wormview incidents` parses it; the report is
+# byte-identical between the online observer and an offline replay of the
+# streamed trace; and enabling forensics leaves the run's stdout
+# byte-identical (pure observation).
 FORENSICS_ARGS = -k 4 -n 2 -vcs 1 -load 2.0 -inject-limit -1 -th 64 \
 	-warmup 0 -measure 3000 -oracle-every 1 -seed 7
 forensics-smoke: build
 	$(GO) build -o /tmp/wormnet-wormsim ./cmd/wormsim
-	$(GO) build -o /tmp/wormnet-forensics ./cmd/forensics
+	$(GO) build -o /tmp/wormnet-wormview ./cmd/wormview
 	/tmp/wormnet-wormsim $(FORENSICS_ARGS) \
 		-forensics /tmp/wormnet-incidents.jsonl \
 		-trace /tmp/wormnet-forensics-events.jsonl \
 		> /tmp/wormnet-forensics-on.txt
 	/tmp/wormnet-wormsim $(FORENSICS_ARGS) > /tmp/wormnet-forensics-off.txt
 	cmp /tmp/wormnet-forensics-on.txt /tmp/wormnet-forensics-off.txt
-	/tmp/wormnet-forensics -write /tmp/wormnet-incidents-replay.jsonl \
+	/tmp/wormnet-wormview incidents -write /tmp/wormnet-incidents-replay.jsonl \
 		/tmp/wormnet-forensics-events.jsonl \
 		| tee /tmp/wormnet-forensics-summary.txt
 	cmp /tmp/wormnet-incidents.jsonl /tmp/wormnet-incidents-replay.jsonl
@@ -138,17 +138,17 @@ forensics-smoke: build
 #   zero deadlocked states is the expected — and verified — outcome there.
 #
 # Any violation exits nonzero with a minimized choice path; re-run with
-# -cex to emit a trace stream for traceview. The committed regression
+# -cex to emit a trace stream for `wormview trace`. The committed regression
 # counterexample (a liveness violation with detection disabled) must keep
 # rendering.
 conformance-exhaustive: build
 	$(GO) build -o /tmp/wormnet-mcheck ./cmd/mcheck
-	$(GO) build -o /tmp/wormnet-traceview ./cmd/traceview
+	$(GO) build -o /tmp/wormnet-wormview ./cmd/wormview
 	/tmp/wormnet-mcheck -k 3 -mech ndm,pdm,cmh -script face -window 0 -min-deadlocks 1
 	/tmp/wormnet-mcheck -k 3 -mech ndm,pdm,cmh -script face -window 1 -min-deadlocks 1
 	/tmp/wormnet-mcheck -k 3 -mech ndm,pdm,cmh -script face -window 2 -depth 14 -min-deadlocks 1
 	/tmp/wormnet-mcheck -k 2 -mech ndm,pdm,cmh -script face -window 1
-	/tmp/wormnet-traceview -summary internal/mc/testdata/liveness-cex-3x3-none.jsonl \
+	/tmp/wormnet-wormview trace -summary internal/mc/testdata/liveness-cex-3x3-none.jsonl \
 		| grep -q 'oracle-deadlock'
 	@echo "conformance-exhaustive: all interleavings verified (safety, liveness, mark economy)"
 
@@ -209,13 +209,24 @@ fuzz-flags:
 	$(GO) test ./internal/detect -run NONE -fuzz '^FuzzPDMFlags$$' -fuzztime 20s -fuzzminimizetime 5s
 	@echo "fuzz-flags: no event program split the flag detectors from their reference"
 
+# Twenty seconds each of the decoder fuzzers: FuzzTraceScan (trace.Scan, then
+# the offline episode correlator), FuzzDecodeSeries and FuzzIncidents. Each
+# input must be refused with an error or decoded, never panic, and never
+# allocate beyond a fixed budget plus a multiple of its size. The committed
+# seeds and corpora alone run in the normal `go test`.
+fuzz-decoders:
+	$(GO) test ./internal/trace -run NONE -fuzz '^FuzzTraceScan$$' -fuzztime 20s -fuzzminimizetime 5s
+	$(GO) test ./internal/metrics -run NONE -fuzz '^FuzzDecodeSeries$$' -fuzztime 20s -fuzzminimizetime 5s
+	$(GO) test ./internal/forensics -run NONE -fuzz '^FuzzIncidents$$' -fuzztime 20s -fuzzminimizetime 5s
+	@echo "fuzz-decoders: no trace, series or incident input panicked or ran away"
+
 # Metrics smoke: scrape a live run's /metrics, /status and /debug/pprof,
-# check that an emitted time series parses back through metricsview, and
-# hold a fixed-seed sweep to byte-identical output with metrics on and off
-# (metrics are pure observation).
+# check that an emitted time series parses back through `wormview metrics`,
+# and hold a fixed-seed sweep to byte-identical output with metrics on and
+# off (metrics are pure observation).
 metrics-smoke: build
 	$(GO) build -o /tmp/wormnet-wormsim ./cmd/wormsim
-	$(GO) build -o /tmp/wormnet-metricsview ./cmd/metricsview
+	$(GO) build -o /tmp/wormnet-wormview ./cmd/wormview
 	$(GO) build -o /tmp/wormnet-loadsweep ./cmd/loadsweep
 	/tmp/wormnet-wormsim -k 4 -n 2 -vcs 1 -load 2.0 -inject-limit -1 -th 16 \
 		-warmup 0 -measure 100000000 -metrics-addr 127.0.0.1:19815 \
@@ -228,14 +239,14 @@ metrics-smoke: build
 	/tmp/wormnet-wormsim -k 4 -n 2 -vcs 1 -load 2.0 -inject-limit -1 -th 16 \
 		-warmup 0 -measure 4000 -metrics-window 200 \
 		-series /tmp/wormnet-run.series.jsonl > /dev/null
-	/tmp/wormnet-metricsview -summary /tmp/wormnet-run.series.jsonl
+	/tmp/wormnet-wormview metrics -summary /tmp/wormnet-run.series.jsonl
 	/tmp/wormnet-loadsweep -k 4 -n 2 -points 2 -warmup 300 -measure 1500 \
 		-workers 4 -quiet -json > /tmp/wormnet-plain.json
 	rm -rf /tmp/wormnet-series
 	/tmp/wormnet-loadsweep -k 4 -n 2 -points 2 -warmup 300 -measure 1500 \
 		-workers 4 -series-dir /tmp/wormnet-series -quiet -json > /tmp/wormnet-metered.json
 	cmp /tmp/wormnet-plain.json /tmp/wormnet-metered.json
-	/tmp/wormnet-metricsview -summary /tmp/wormnet-series/p000-r0-*.series.jsonl
+	/tmp/wormnet-wormview metrics -summary /tmp/wormnet-series/p000-r0-*.series.jsonl
 	grep -q '^wormnet_cycles_total' /tmp/wormnet-series/aggregate.prom
 	@echo "metrics-smoke: live scrape OK, series parse OK, metered sweep byte-identical"
 
@@ -258,11 +269,11 @@ profile:
 clean:
 	rm -f /tmp/wormnet-loadsweep /tmp/wormnet-serial.json \
 		/tmp/wormnet-par.json /tmp/wormnet-resumed.json /tmp/wormnet-sweep.jsonl \
-		/tmp/wormnet-wormsim /tmp/wormnet-traceview /tmp/wormnet-events.jsonl \
+		/tmp/wormnet-wormsim /tmp/wormnet-wormview /tmp/wormnet-events.jsonl \
 		/tmp/wormnet-ring.jsonl /tmp/wormnet-trace-summary.txt \
-		/tmp/wormnet-metricsview /tmp/wormnet-metrics.pid \
+		/tmp/wormnet-metrics.pid \
 		/tmp/wormnet-run.series.jsonl /tmp/wormnet-plain.json /tmp/wormnet-metered.json \
-		/tmp/wormnet-forensics /tmp/wormnet-mcheck /tmp/wormnet-incidents.jsonl \
+		/tmp/wormnet-mcheck /tmp/wormnet-incidents.jsonl \
 		/tmp/wormnet-incidents-replay.jsonl /tmp/wormnet-forensics-events.jsonl \
 		/tmp/wormnet-forensics-on.txt /tmp/wormnet-forensics-off.txt \
 		/tmp/wormnet-forensics-summary.txt /tmp/wormnet-tables /tmp/wormnet-gate.json \

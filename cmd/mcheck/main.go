@@ -21,7 +21,7 @@
 //
 // On a violation, mcheck prints the counterexample's choice path, minimizes
 // it, optionally replays it into a trace stream (-cex file.jsonl) that
-// `traceview` renders, and exits 1. -min-deadlocks guards against vacuous
+// `wormview trace` renders, and exits 1. -min-deadlocks guards against vacuous
 // liveness runs: if fewer deadlocked states were reached the run fails even
 // without a violation. -emit-fuzz-seeds writes sampled frontier-state
 // encodings as Go fuzz corpus files (see internal/detect's fuzz harnesses).
@@ -123,7 +123,7 @@ func main() {
 				if err := f.Close(); err != nil {
 					fail("writing counterexample: %v", err)
 				}
-				fmt.Printf("  counterexample trace: %s (render with: go run ./cmd/traceview %s)\n", *cex, *cex)
+				fmt.Printf("  counterexample trace: %s (render with: go run ./cmd/wormview trace %s)\n", *cex, *cex)
 			}
 			failed = true
 			continue

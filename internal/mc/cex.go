@@ -109,7 +109,7 @@ func clonePath(p [][]uint8) [][]uint8 {
 // the stream shows the failure: formation of the deadlock, the detector's
 // flag transitions, and — for liveness violations — the absence of the mark
 // that should have come. The output is a standard trace stream; render it
-// with cmd/traceview.
+// with `wormview trace`.
 func WriteTrace(o Options, path [][]uint8, w io.Writer) error {
 	if err := o.applyDefaults(); err != nil {
 		return err

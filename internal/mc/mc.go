@@ -20,7 +20,7 @@
 // deterministic given a choice sequence: a state is its canonical encoding
 // (encode.go), the frontier is explored breadth-first so counterexamples
 // are cycle-minimal, and any violation is reproducible from its recorded
-// choice path (replayable into a trace stream traceview renders).
+// choice path (replayable into a trace stream `wormview trace` renders).
 package mc
 
 import (

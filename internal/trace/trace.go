@@ -452,11 +452,47 @@ type jsonEvent struct {
 	Aux   int32  `json:"aux"`
 }
 
+// MaxID is the largest message, link, node or virtual-channel id Scan
+// accepts. Consumers index tables by these ids, so the bound is what keeps a
+// hostile trace from growing them without limit. The largest fabric any
+// workload builds has about 57 k links and a few hundred thousand virtual
+// channels; message ids stay below nodes × (source queue + worms in flight).
+const MaxID = 1 << 20
+
+// msgKinds and linkKinds hold the kinds whose events always carry a msg or
+// a link (see the Kind constants): consumers index by them unchecked.
+const (
+	msgKinds = 1<<KindInject | 1<<KindDeliver | 1<<KindVCAlloc | 1<<KindRouteOK | 1<<KindRouteFail |
+		1<<KindDetect | 1<<KindRecoverStart | 1<<KindRecoverEnd | 1<<KindOracleDeadlock
+	linkKinds = 1<<KindVCAlloc | 1<<KindVCFree | 1<<KindRouteOK | 1<<KindRouteFail | 1<<KindISet |
+		1<<KindIClear | 1<<KindDTSet | 1<<KindDTClear | 1<<KindGSet | 1<<KindPSet
+)
+
+// checkIDs refuses an id outside [-1, MaxID] — a route-ok's Arg is its
+// output link, so it counts — and a Nil msg or link the kind always sets.
+func (je *jsonEvent) checkIDs(k Kind) error {
+	arg := int64(-1)
+	if k == KindRouteOK {
+		arg = je.Arg
+	}
+	for i, v := range [...]int64{int64(je.Msg), int64(je.Link), int64(je.Node), int64(je.Aux), arg} {
+		if v < -1 || v > MaxID {
+			name := [...]string{"msg", "link", "node", "aux", "arg"}[i]
+			return fmt.Errorf("%s %s id %d outside [-1, %d]", k, name, v, MaxID)
+		}
+	}
+	if je.Msg < 0 && msgKinds>>k&1 != 0 || je.Link < 0 && linkKinds>>k&1 != 0 {
+		return fmt.Errorf("%s event without its msg or link", k)
+	}
+	return nil
+}
+
 // Scan streams a JSONL event stream written by Dump or a streaming sink,
 // calling fn once per event in file order. Unlike Decode it never holds more
 // than one line in memory, so arbitrarily long traces can be processed.
 // Malformed lines abort the scan with the 1-based line number and the byte
-// offset at which the line starts; an error returned by fn aborts it as-is.
+// offset at which the line starts, and so does an id out of range or missing
+// (see MaxID and checkIDs). An error returned by fn aborts it as-is.
 func Scan(rd io.Reader, fn func(Event) error) error {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
@@ -477,6 +513,9 @@ func Scan(rd io.Reader, fn func(Event) error) error {
 		kind, ok := KindByName(je.Kind)
 		if !ok {
 			return fmt.Errorf("trace: line %d (byte %d): unknown event kind %q", lineNo, lineStart, je.Kind)
+		}
+		if err := je.checkIDs(kind); err != nil {
+			return fmt.Errorf("trace: line %d (byte %d): %w", lineNo, lineStart, err)
 		}
 		if err := fn(Event{
 			Cycle: je.Cycle,

@@ -136,9 +136,44 @@ func TestScanReportsPosition(t *testing.T) {
 	}
 }
 
+// TestScanRefusesHostileIDs: an id a consumer would index by must be -1 or
+// in [0, MaxID], and present where the kind always carries it; otherwise
+// the scan stops at that line, before fn sees the event. The first two
+// lines once crashed the episode correlator: a negative index, and a link
+// id that grew its tables to 1.5 G entries.
+func TestScanRefusesHostileIDs(t *testing.T) {
+	for _, tc := range []struct{ line, want string }{
+		{`{"cycle":0,"kind":"inject","msg":-5,"link":3,"node":0,"arg":4,"aux":1}`, "inject msg id -5 outside"},
+		{`{"cycle":0,"kind":"vc-alloc","msg":0,"link":1500000000,"aux":0}`, "vc-alloc link id 1500000000 outside"},
+		{`{"cycle":0,"kind":"detect","msg":1048577,"node":0}`, "detect msg id 1048577 outside"},
+		{`{"cycle":0,"kind":"inject","msg":1,"link":0,"node":-2}`, "inject node id -2 outside"},
+		{`{"cycle":0,"kind":"probe-return","msg":1,"link":0,"node":0,"arg":3,"aux":2000000}`, "probe-return aux id 2000000 outside"},
+		{`{"cycle":0,"kind":"route-ok","msg":1,"link":0,"node":0,"arg":4294967296,"aux":0}`, "route-ok arg id 4294967296 outside"},
+		{`{"cycle":0,"kind":"recover-end","node":0}`, "recover-end event without its msg or link"},
+		{`{"cycle":0,"kind":"g-set","node":0,"arg":2,"aux":1}`, "g-set event without its msg or link"},
+	} {
+		good := `{"cycle":0,"kind":"i-set","link":7}` + "\n"
+		seen := 0
+		err := Scan(strings.NewReader(good+tc.line+"\n"), func(Event) error {
+			seen++
+			return nil
+		})
+		prefix := fmt.Sprintf("trace: line 2 (byte %d): ", len(good))
+		if err == nil || !strings.HasPrefix(err.Error(), prefix+tc.want) || seen != 1 {
+			t.Errorf("%s: err = %v after %d events; want %q after 1", tc.line, err, seen, prefix+tc.want)
+		}
+	}
+	// The bounds themselves are legal, and so is an arg that is not an id.
+	ok := fmt.Sprintf(`{"cycle":0,"kind":"route-ok","msg":%d,"link":%d,"node":0,"arg":-1,"aux":%d}`+"\n"+
+		`{"cycle":0,"kind":"deliver","msg":0,"node":0,"arg":9000000000}`+"\n", MaxID, MaxID, MaxID)
+	if err := Scan(strings.NewReader(ok), func(Event) error { return nil }); err != nil {
+		t.Errorf("Scan refused ids at the bounds: %v", err)
+	}
+}
+
 // TestScanStopsOnCallbackError: fn's error aborts the scan unchanged.
 func TestScanStopsOnCallbackError(t *testing.T) {
-	in := strings.Repeat(`{"cycle":1,"kind":"inject"}`+"\n", 5)
+	in := strings.Repeat(`{"cycle":1,"kind":"inject","msg":1}`+"\n", 5)
 	seen := 0
 	sentinel := fmt.Errorf("stop")
 	err := Scan(strings.NewReader(in), func(Event) error {
