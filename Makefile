@@ -152,10 +152,11 @@ conformance-exhaustive: build
 		| grep -q 'oracle-deadlock'
 	@echo "conformance-exhaustive: all interleavings verified (safety, liveness, mark economy)"
 
-# Nightly-depth conformance tier (~1-2 min of pure exploration; not a PR
-# gate). Adds the 8-message double-face script on the 2x2 — ~1M states,
-# exhaustive proof that even with both parallel channels saturated the k=2
-# torus cannot deadlock — and pushes the 3x3 window-2 space to fixpoint.
+# Nightly-depth conformance tier (not a PR gate; ~15 s of exploration on
+# two cores, the frontier expanded on every core). Adds the 8-message
+# double-face script on the 2x2 — ~1M states, exhaustive proof that even
+# with both parallel channels saturated the k=2 torus cannot deadlock — and
+# pushes the 3x3 window-2 space to fixpoint.
 conformance-nightly: build
 	$(GO) build -o /tmp/wormnet-mcheck ./cmd/mcheck
 	/tmp/wormnet-mcheck -k 2 -mech ndm -script dblface -window 0 -max-states 1500000
@@ -258,13 +259,18 @@ shootout: build
 		-measure 20000 > results/cmh_shootout.txt
 	@echo "shootout: wrote results/cmh_shootout.txt"
 
-# CPU and heap profiles of the kernel benchmarks; writes pprof artifacts
-# under results/. Inspect with: go tool pprof results/cpu.pprof
+# CPU and heap profiles of the kernel benchmarks and of the model checker
+# (the mcheck_dblface pass); writes pprof artifacts under results/. A
+# profile covers one package, so the checker gets its own pair. Inspect
+# with: go tool pprof results/cpu.pprof
 profile:
 	$(GO) test -run NONE -bench 'EngineStepSat512|EngineStepSaturation|EngineStepStorm|OracleSaturation' \
 		-benchtime 2s -cpuprofile results/cpu.pprof -memprofile results/mem.pprof \
 		. | tee results/profile_bench.txt
-	@echo "profile: wrote results/cpu.pprof and results/mem.pprof"
+	$(GO) test -run NONE -bench 'CheckDblface' -benchtime 10x \
+		-cpuprofile results/cpu-mc.pprof -memprofile results/mem-mc.pprof \
+		./internal/mc | tee -a results/profile_bench.txt
+	@echo "profile: wrote results/cpu.pprof, results/mem.pprof, results/cpu-mc.pprof and results/mem-mc.pprof"
 
 clean:
 	rm -f /tmp/wormnet-loadsweep /tmp/wormnet-serial.json \

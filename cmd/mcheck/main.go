@@ -103,8 +103,8 @@ func main() {
 		case res.DepthCapped:
 			scope = fmt.Sprintf("complete to depth %d", *depth)
 		}
-		fmt.Printf("mcheck %s on %dx%d (%d msgs, window %d): %d states, %d interleavings, depth %d, %s; %d deadlocked states, %d true marks\n",
-			mech, *k, *k, len(inj), *window, res.States, res.Leaves, res.Depth, scope, res.DeadlockStates, res.TrueMarks)
+		fmt.Printf("mcheck %s on %s (%d msgs, window %d): %d states, %d interleavings, depth %d, %s; %d deadlocked states, %d true marks\n",
+			mech, fabricName(*k, *n), len(inj), *window, res.States, res.Leaves, res.Depth, scope, res.DeadlockStates, res.TrueMarks)
 
 		if res.Violation != nil {
 			v, err := mc.Minimize(o, res.Violation)
@@ -144,6 +144,12 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// fabricName names the k-ary n-cube by its extent in every dimension: the
+// 3x3 torus, or 2x2x2 for the 2-ary 3-cube.
+func fabricName(k, n int) string {
+	return strings.TrimSuffix(strings.Repeat(strconv.Itoa(k)+"x", n), "x")
 }
 
 // parseScript resolves the workload: the face/dblface presets place

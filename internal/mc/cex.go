@@ -25,8 +25,7 @@ func verifyPath(o Options, path [][]uint8) (*Violation, error) {
 			return &Violation{Kind: "safety", Detail: err.Error(), Path: path, Cycle: r.eng.Now()}, nil
 		}
 	}
-	var scratch Result
-	if v := r.livenessProbe(&scratch); v != nil {
+	if v := r.livenessProbe().violation; v != nil {
 		v.Path = path
 		return v, nil
 	}

@@ -41,10 +41,10 @@ func (c *chooser) Choose(p sim.ChoicePoint, n int) int {
 	return v
 }
 
-// runner owns one engine instance and steps choice vectors against it. Check
-// builds one for its whole exploration and moves it between states with
-// snapshot and restore; the counterexample tools (cex.go) and the replay
-// reference build one per path and step it from the initial state.
+// runner owns one engine instance and steps choice vectors against it. Each
+// of Check's workers owns one for the whole exploration and moves it between
+// states with snapshot and restore; the counterexample tools (cex.go) and the
+// replay reference build one per path and step it from the initial state.
 type runner struct {
 	o   *Options
 	eng *sim.Engine
@@ -198,6 +198,16 @@ func (r *runner) restore(src []byte) error {
 	return r.eng.Restore(src[:len(src)-own])
 }
 
+// probeOutcome is what a liveness probe found: whether the state was
+// deadlocked, how many true marks draining its set produced (counted only
+// when the set drained), and the violation, if any. The caller applies it to
+// its Result.
+type probeOutcome struct {
+	deadlocked bool
+	trueMarks  int
+	violation  *Violation
+}
+
 // livenessProbe checks the paper's two invariants from the runner's current
 // state. If the global oracle reports a non-empty deadlocked set, the run
 // is continued under the deterministic default schedule (all choices 0,
@@ -209,19 +219,23 @@ func (r *runner) restore(src []byte) error {
 // fixpoint set waits only on virtual channels held by other members, so no
 // delivery or false mark outside the set can free one; the set shrinks only
 // when a member is marked, and marking a member classifies as true.
-func (r *runner) livenessProbe(res *Result) *Violation {
+func (r *runner) livenessProbe() probeOutcome {
 	set := r.eng.Oracle().Deadlocked()
 	if len(set) == 0 {
-		return nil
+		return probeOutcome{}
 	}
-	res.DeadlockStates++
+	out := probeOutcome{deadlocked: true}
+	fail := func(kind, detail string) probeOutcome {
+		out.violation = &Violation{Kind: kind, Detail: detail, Cycle: r.eng.Now()}
+		return out
+	}
 	size0 := len(set)
 	trueMarks := 0
 	doubles := false
 	last := r.eng.Stats().TrueMarked
 	for t := 0; t < r.o.Horizon; t++ {
 		if _, _, err := r.step(nil); err != nil {
-			return &Violation{Kind: "safety", Detail: err.Error(), Cycle: r.eng.Now()}
+			return fail("safety", err.Error())
 		}
 		cur := r.eng.Stats().TrueMarked
 		d := int(cur - last)
@@ -231,29 +245,17 @@ func (r *runner) livenessProbe(res *Result) *Violation {
 			doubles = true
 		}
 		if len(r.eng.Oracle().Deadlocked()) == 0 {
-			res.TrueMarks += trueMarks
+			out.trueMarks = trueMarks
 			switch {
 			case trueMarks < 1:
-				return &Violation{
-					Kind:   "mark-economy",
-					Detail: fmt.Sprintf("deadlocked set of %d drained with no true mark", size0),
-					Cycle:  r.eng.Now(),
-				}
+				return fail("mark-economy", fmt.Sprintf("deadlocked set of %d drained with no true mark", size0))
 			case r.o.Strict && (trueMarks != 1 || doubles):
-				return &Violation{
-					Kind: "mark-economy",
-					Detail: fmt.Sprintf("strict: deadlocked set of %d drained with %d true marks (same-cycle double: %v)",
-						size0, trueMarks, doubles),
-					Cycle: r.eng.Now(),
-				}
+				return fail("mark-economy", fmt.Sprintf("strict: deadlocked set of %d drained with %d true marks (same-cycle double: %v)",
+					size0, trueMarks, doubles))
 			}
-			return nil
+			return out
 		}
 	}
-	return &Violation{
-		Kind: "liveness",
-		Detail: fmt.Sprintf("oracle set (size %d) still non-empty after %d default cycles (%s)",
-			len(r.eng.Oracle().Deadlocked()), r.o.Horizon, r.eng.Detector().Name()),
-		Cycle: r.eng.Now(),
-	}
+	return fail("liveness", fmt.Sprintf("oracle set (size %d) still non-empty after %d default cycles (%s)",
+		len(r.eng.Oracle().Deadlocked()), r.o.Horizon, r.eng.Detector().Name()))
 }

@@ -6,9 +6,11 @@ import (
 	"maps"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"wormnet/internal/sim"
 	"wormnet/internal/trace"
@@ -35,6 +37,9 @@ func (o *Options) replay(path [][]uint8) (*runner, error) {
 var (
 	face22 = []Inject{{0, 3, 2}, {1, 2, 2}, {3, 0, 2}, {2, 1, 2}}
 	face33 = []Inject{{0, 4, 2}, {1, 3, 2}, {4, 0, 2}, {3, 1, 2}}
+	// dblface22 sends every face22 message twice, filling both parallel
+	// channels of the k=2 fabric (mcheck -script dblface).
+	dblface22 = []Inject{{0, 3, 2}, {0, 3, 2}, {1, 2, 2}, {1, 2, 2}, {3, 0, 2}, {3, 0, 2}, {2, 1, 2}, {2, 1, 2}}
 )
 
 // TestExhaustive2x2NoDeadlock proves the headline 2x2 result: with one
@@ -283,10 +288,12 @@ func TestSeedCollection(t *testing.T) {
 }
 
 // checkByReplay is the differential reference: the expansion mc.Check used
-// before the engine could be snapshotted. Every leaf builds a fresh engine and
-// replays its parent's whole choice path from cycle 0 (Options.replay) — no
-// snapshot, no restore, no engine reused — which makes it the definition of
-// the explored space. It returns the visited set with the result.
+// before the engine could be snapshotted, and before the frontier was expanded
+// on several workers. One loop dequeues each frontier path in turn; every
+// leaf builds a fresh engine and replays its parent's whole choice path from
+// cycle 0 (Options.replay) — no snapshot, no restore, no engine reused —
+// which makes it the definition of the explored space. It returns the
+// visited set with the result.
 func checkByReplay(t *testing.T, o Options) (*Result, map[key]struct{}) {
 	t.Helper()
 	if err := o.applyDefaults(); err != nil {
@@ -300,11 +307,18 @@ func checkByReplay(t *testing.T, o Options) (*Result, map[key]struct{}) {
 	}
 	visited[hashState(root.encode(nil))] = struct{}{}
 	res.States = 1
-	queue := []node{{}}
+	queue := [][][]uint8{nil}
 	capped := false
+	seedStride := 31
+	if o.CollectSeeds > 0 {
+		seedStride = max(2, min(seedStride, o.MaxStates/o.CollectSeeds))
+	}
+	extend := func(path [][]uint8, vec []uint8) [][]uint8 {
+		return append(slices.Clip(path), vec)
+	}
 	for head := 0; head < len(queue); head++ {
-		n := queue[head]
-		depth := len(n.path)
+		path := queue[head]
+		depth := len(path)
 		res.Depth = max(res.Depth, depth)
 		if o.MaxDepth > 0 && depth >= o.MaxDepth {
 			res.DepthCapped = true
@@ -316,7 +330,7 @@ func checkByReplay(t *testing.T, o Options) (*Result, map[key]struct{}) {
 		}
 		var trial []uint8
 		for {
-			r, err := o.replay(n.path)
+			r, err := o.replay(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -324,20 +338,29 @@ func checkByReplay(t *testing.T, o Options) (*Result, map[key]struct{}) {
 			res.Leaves++
 			if err != nil {
 				res.Violation = &Violation{Kind: "safety", Detail: err.Error(),
-					Path: appendPath(n.path, slices.Clone(trial)), Cycle: r.eng.Now()}
+					Path: extend(path, slices.Clone(trial)), Cycle: r.eng.Now()}
 				return res, visited
 			}
-			k := hashState(r.encode(nil))
+			enc := r.encode(nil)
+			k := hashState(enc)
 			if _, seen := visited[k]; !seen {
 				visited[k] = struct{}{}
 				res.States++
-				childPath := appendPath(n.path, eff)
-				if v := r.livenessProbe(res); v != nil {
+				childPath := extend(path, eff)
+				if o.CollectSeeds > 0 && len(res.Seeds) < o.CollectSeeds && (res.States == 2 || res.States%seedStride == 0) {
+					res.Seeds = append(res.Seeds, enc)
+				}
+				p := r.livenessProbe()
+				if p.deadlocked {
+					res.DeadlockStates++
+					res.TrueMarks += p.trueMarks
+				}
+				if v := p.violation; v != nil {
 					v.Path = childPath
 					res.Violation = v
 					return res, visited
 				}
-				queue = append(queue, node{path: childPath})
+				queue = append(queue, childPath)
 			}
 			if trial = nextTrial(eff, arity); trial == nil {
 				break
@@ -348,24 +371,31 @@ func checkByReplay(t *testing.T, o Options) (*Result, map[key]struct{}) {
 	return res, visited
 }
 
-// TestCheckMatchesReplayReference holds the restore-based expansion to the
-// replay reference: equal counters, equal violation, and the same set of
-// visited state keys — on the 2x2 (face cycle with a deferral window, and the
-// first 20,000 states of the double-face script) and on the 3x3 face cycle
-// with windows 0 and 1, for every mechanism.
+// exploreWorkers are the worker counts the differential tests run explore
+// with. They are passed explicitly, so that a race-detector run exercises the
+// concurrent merge even on a one-CPU host.
+var exploreWorkers = []int{1, 2, 3}
+
+// TestCheckMatchesReplayReference holds the parallel restore-based expansion
+// to the replay reference, on one, two and three workers: equal results
+// (every field, seeds included) and the same set of visited state keys. The
+// spaces: the 2x2 face cycle with a deferral window; the double-face script
+// capped at 20,000 states and at 20,001, a cap that lands inside a batch;
+// the 3x3 face cycle with windows 0 and 1 to fixpoint, and with window 2 to
+// depth 6; and a run that samples fuzz seeds. Every mechanism, unless
+// -short.
 func TestCheckMatchesReplayReference(t *testing.T) {
-	var dblface22 []Inject
-	for _, m := range face22 {
-		dblface22 = append(dblface22, m, m)
-	}
 	spaces := []struct {
 		name string
 		o    Options
 	}{
 		{"2x2-face-w1", Options{K: 2, N: 2, Script: face22, InjectWindow: 1}},
 		{"2x2-dblface-20k", Options{K: 2, N: 2, Script: dblface22, MaxStates: 20000}},
+		{"2x2-dblface-20001", Options{K: 2, N: 2, Script: dblface22, MaxStates: 20001}},
 		{"3x3-face-w0", Options{K: 3, N: 2, Script: face33}},
 		{"3x3-face-w1", Options{K: 3, N: 2, Script: face33, InjectWindow: 1}},
+		{"3x3-face-w2-depth6", Options{K: 3, N: 2, Script: face33, InjectWindow: 2, MaxDepth: 6}},
+		{"3x3-face-w1-seeds", Options{K: 3, N: 2, Script: face33, InjectWindow: 1, CollectSeeds: 12}},
 	}
 	for _, sp := range spaces {
 		for _, mech := range []string{"ndm", "pdm", "cmh"} {
@@ -376,18 +406,26 @@ func TestCheckMatchesReplayReference(t *testing.T) {
 				o := sp.o
 				o.Mechanism = mech
 				want, wantVisited := checkByReplay(t, o)
-				got, gotVisited, err := explore(o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("results differ\n got %+v\nwant %+v", got, want)
-				}
-				if !maps.Equal(gotVisited, wantVisited) {
-					t.Errorf("visited sets differ: %d keys, reference %d", len(gotVisited), len(wantVisited))
-				}
 				if want.States < 100 {
 					t.Errorf("reference explored only %d states", want.States)
+				}
+				if o.CollectSeeds > 0 && len(want.Seeds) != o.CollectSeeds {
+					t.Errorf("reference sampled %d seeds, want %d", len(want.Seeds), o.CollectSeeds)
+				}
+				if o.MaxDepth > 0 && !want.DepthCapped {
+					t.Errorf("reference never reached depth %d", o.MaxDepth)
+				}
+				for _, w := range exploreWorkers {
+					got, gotVisited, err := explore(o, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%d workers: results differ\n got %+v\nwant %+v", w, got, want)
+					}
+					if !maps.Equal(gotVisited, wantVisited) {
+						t.Errorf("%d workers: visited sets differ: %d keys, reference %d", w, len(gotVisited), len(wantVisited))
+					}
 				}
 			})
 		}
@@ -395,36 +433,88 @@ func TestCheckMatchesReplayReference(t *testing.T) {
 }
 
 // TestSeededViolationMatchesReference turns detection off, so that the first
-// deadlock is a liveness violation: both expansions must stop at the same
-// choice path, and the minimized path's trace must be the committed
+// deadlock is a liveness violation: on every worker count the expansion must
+// stop at the reference's choice path with the reference's result and
+// visited set, and the minimized path's trace must be the committed
 // counterexample, byte for byte.
 func TestSeededViolationMatchesReference(t *testing.T) {
 	o := Options{K: 3, N: 2, VCs: 1, Mechanism: "none", Script: face33}
-	want, _ := checkByReplay(t, o)
-	got, err := Check(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Violation == nil || got.Violation == nil {
-		t.Fatalf("violations: restore-based %v, reference %v", got.Violation, want.Violation)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("results differ\n got %+v (%v)\nwant %+v (%v)", got, got.Violation, want, want.Violation)
-	}
-	minv, err := Minimize(o, got.Violation)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(o, minv.Path, &buf); err != nil {
-		t.Fatal(err)
+	want, wantVisited := checkByReplay(t, o)
+	if want.Violation == nil {
+		t.Fatal("the reference found no violation with detection off")
 	}
 	committed, err := os.ReadFile("testdata/liveness-cex-3x3-none.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), committed) {
-		t.Errorf("counterexample trace (%d bytes) differs from the committed one (%d bytes)", buf.Len(), len(committed))
+	for _, w := range exploreWorkers {
+		got, gotVisited, err := explore(o, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d workers: results differ\n got %+v (%v)\nwant %+v (%v)", w, got, got.Violation, want, want.Violation)
+		}
+		if !maps.Equal(gotVisited, wantVisited) {
+			t.Errorf("%d workers: visited sets differ: %d keys, reference %d", w, len(gotVisited), len(wantVisited))
+		}
+		if got.Violation == nil {
+			continue
+		}
+		minv, err := Minimize(o, got.Violation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(o, minv.Path, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), committed) {
+			t.Errorf("%d workers: counterexample trace (%d bytes) differs from the committed one (%d bytes)", w, buf.Len(), len(committed))
+		}
+	}
+}
+
+// TestExploreLeavesNoGoroutines: every way a check ends — the frontier
+// exhausted, the MaxStates cap, a violation, a depth cap — stops and waits
+// for its workers, so the goroutine count returns to where it started.
+// Checked on three workers, whatever GOMAXPROCS is.
+func TestExploreLeavesNoGoroutines(t *testing.T) {
+	cases := []struct {
+		name string
+		o    Options
+		ok   func(*Result) bool
+	}{
+		{"complete", Options{K: 2, N: 2, Mechanism: "ndm", Script: face22},
+			func(r *Result) bool { return r.Complete && r.Violation == nil }},
+		{"max-states", Options{K: 2, N: 2, Mechanism: "ndm", Script: dblface22, MaxStates: 5000},
+			func(r *Result) bool { return !r.Complete && r.Violation == nil }},
+		{"violation", Options{K: 3, N: 2, Mechanism: "none", Script: face33},
+			func(r *Result) bool { return r.Violation != nil }},
+		{"depth-cap", Options{K: 3, N: 2, Mechanism: "ndm", Script: face33, InjectWindow: 2, MaxDepth: 6},
+			func(r *Result) bool { return r.Complete && r.DepthCapped && r.Violation == nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			res, _, err := explore(tc.o, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.ok(res) {
+				t.Fatalf("unexpected result %+v (violation %v)", res, res.Violation)
+			}
+			// The workers have signalled their exit; the runtime may take a
+			// moment to retire them. (Workers of an earlier check may still
+			// be retiring when before is read, so fewer is fine.)
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("%d goroutines before the check, %d after", before, after)
+			}
+		})
 	}
 }
 
@@ -554,4 +644,21 @@ func TestProgressLine(t *testing.T) {
 	if states != 100000 || leaves < states || rate <= 0 || dedup <= 0 || dedup >= 100 || frontier <= 0 {
 		t.Errorf("progress line %q: implausible values", lines[1])
 	}
+}
+
+// BenchmarkCheckDblface is the repo benchmark's mcheck_dblface pass: NDM on
+// the 2x2 torus, the double-face script, the first 100,000 states, on
+// GOMAXPROCS workers. It reports states per second; `make profile` profiles
+// it.
+func BenchmarkCheckDblface(b *testing.B) {
+	o := Options{K: 2, N: 2, Mechanism: "ndm", Script: dblface22, MaxStates: 100000}
+	states := 0
+	for i := 0; i < b.N; i++ {
+		res, err := Check(o)
+		if err != nil || res.Violation != nil || res.States < o.MaxStates {
+			b.Fatalf("check: %v, %+v", err, res)
+		}
+		states += res.States
+	}
+	b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
 }
