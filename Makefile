@@ -267,7 +267,7 @@ profile:
 	$(GO) test -run NONE -bench 'EngineStepSat512|EngineStepSaturation|EngineStepStorm|OracleSaturation' \
 		-benchtime 2s -cpuprofile results/cpu.pprof -memprofile results/mem.pprof \
 		. | tee results/profile_bench.txt
-	$(GO) test -run NONE -bench 'CheckDblface' -benchtime 10x \
+	$(GO) test -run NONE -bench 'CheckDblface|RestoreDblfaceParent' -benchtime 10x \
 		-cpuprofile results/cpu-mc.pprof -memprofile results/mem-mc.pprof \
 		./internal/mc | tee -a results/profile_bench.txt
 	@echo "profile: wrote results/cpu.pprof, results/mem.pprof, results/cpu-mc.pprof and results/mem-mc.pprof"

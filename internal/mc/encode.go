@@ -1,6 +1,10 @@
 package mc
 
-import "wormnet/internal/router"
+import (
+	"hash/maphash"
+
+	"wormnet/internal/router"
+)
 
 // encode appends the runner's canonical state to buf. Two runners with
 // equal encodings behave identically under identical future choice
@@ -67,19 +71,20 @@ func (r *runner) encode(buf []byte) []byte {
 	return buf
 }
 
-// key is a 128-bit state fingerprint: two independent FNV-1a streams over
-// the canonical encoding. At the state-set sizes this package bounds
-// (millions), the collision probability is ~2^-85 — far below any chance of
-// silently conflating two distinct states.
+// key is a 128-bit state fingerprint: two hash/maphash sums of the canonical
+// encoding under two independent seeds. A maphash seed is random and made
+// once per process, so a key means nothing outside the process that computed
+// it: keys are compared, never printed or persisted. For a random seed two
+// distinct inputs share a sum with probability about 2^-64, and the two seeds
+// are drawn independently, so among n states some two collide with
+// probability about n^2/2^129 — ~2^-87 at the state-set sizes this package
+// bounds (millions) — far below any chance of silently conflating two
+// distinct states.
 type key [2]uint64
 
+// hashSeeds are key's two seeds, fixed for the life of the process.
+var hashSeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
+
 func hashState(b []byte) key {
-	const prime = 0x100000001b3
-	h1 := uint64(0xcbf29ce484222325)
-	h2 := uint64(0x84222325cbf29ce4)
-	for _, c := range b {
-		h1 = (h1 ^ uint64(c)) * prime
-		h2 = (h2 ^ uint64(c)) * prime
-	}
-	return key{h1, h2}
+	return key{maphash.Bytes(hashSeeds[0], b), maphash.Bytes(hashSeeds[1], b)}
 }

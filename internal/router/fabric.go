@@ -14,6 +14,7 @@ package router
 
 import (
 	"fmt"
+	"slices"
 
 	"wormnet/internal/topology"
 )
@@ -187,8 +188,11 @@ type Fabric struct {
 
 	// wormBuf is ReleaseWorm's reusable result buffer.
 	wormBuf []VCID
-	// freeSeen is RestoreSnapshot's scratch for the free-list duplicate check.
-	freeSeen []bool
+	// freeSeen is RestoreSnapshot's scratch for the free-list duplicate check;
+	// auditBusy and auditWant are CheckInvariants' recount.
+	freeSeen  []bool
+	auditBusy []int16
+	auditWant []uint64
 }
 
 // Gen returns the structural generation counter: the total number of
@@ -581,13 +585,18 @@ func (f *Fabric) LiveMessages(fn func(*Message)) {
 // CheckInvariants validates structural consistency of worm state: every
 // occupied VC chain is connected, flit counts respect capacity, and header
 // and tail bits appear exactly where the occupant's state says they should.
-// It is called from tests and (optionally) from the engine in debug mode.
+// It is called from tests and (optionally) from the engine in debug mode; its
+// recount lives in fabric-owned scratch, so it allocates only on first use.
 func (f *Fabric) CheckInvariants() error {
-	busy := make([]int16, len(f.Links))
+	f.auditBusy = slices.Grow(f.auditBusy[:0], len(f.Links))[:len(f.Links)]
+	busy := f.auditBusy
+	clear(busy)
 	// want is the word level a bitmap should hold, recounted here for the
 	// occupied VCs first and then for the busy links: a member's bit is set
 	// only while it is held.
-	want := make([]uint64, f.occBits.words)
+	f.auditWant = slices.Grow(f.auditWant[:0], f.occBits.words)[:f.occBits.words]
+	want := f.auditWant
+	clear(want)
 	for i := range f.VCs {
 		vc := &f.VCs[i]
 		if vc.Occupant == NilMsg {

@@ -197,6 +197,67 @@ func (f *Fabric) RestoreSnapshot(r *snap.Reader) {
 	}
 }
 
+// FabricCopy is the fabric's share of sim.Engine's restore copy: the fabric's
+// mutable state, by value, as CopyTo found it. The engine takes one right
+// after a successful RestoreSnapshot and puts it back with CopyFrom when the
+// same bytes are restored again, instead of decoding them.
+type FabricCopy struct {
+	msgs     []Message // the pool, entry by entry, route memos empty
+	free     []MsgID
+	vcs      []VC
+	rr       []int32 // every link's round-robin pointer
+	busy     []int16
+	occBits  []uint64
+	busyBits []uint64
+	failed   []bool
+}
+
+// CopyTo records the fabric's mutable state in c, reusing c's buffers.
+func (f *Fabric) CopyTo(c *FabricCopy) {
+	c.msgs = c.msgs[:0]
+	for _, m := range f.msgs {
+		c.msgs = append(c.msgs, *m)
+		c.msgs[len(c.msgs)-1].Route = RouteMemo{}
+	}
+	c.free = append(c.free[:0], f.free...)
+	c.vcs = append(c.vcs[:0], f.VCs...)
+	c.rr = c.rr[:0]
+	for l := range f.Links {
+		c.rr = append(c.rr, f.Links[l].rr)
+	}
+	c.busy = append(c.busy[:0], f.busy...)
+	c.occBits = append(c.occBits[:0], f.occBits.bits...)
+	c.busyBits = append(c.busyBits[:0], f.busyBits.bits...)
+	c.failed = append(c.failed[:0], f.failed...)
+}
+
+// CopyFrom puts back what CopyTo recorded from a fabric of the same topology
+// and configuration, leaving what RestoreSnapshot leaves: pool entries
+// overwritten in place (entries beyond the copy's pool dropped, missing ones
+// allocated), route memos empty, and the generation counter bumped.
+func (f *Fabric) CopyFrom(c *FabricCopy) {
+	if n := len(c.msgs); n < len(f.msgs) {
+		clear(f.msgs[n:]) // let the dropped entries go
+		f.msgs = f.msgs[:n]
+	}
+	for len(f.msgs) < len(c.msgs) {
+		f.msgs = append(f.msgs, &Message{})
+	}
+	for id, m := range f.msgs {
+		*m = c.msgs[id]
+	}
+	f.free = append(f.free[:0], c.free...)
+	copy(f.VCs, c.vcs)
+	for l := range f.Links {
+		f.Links[l].rr = c.rr[l]
+	}
+	copy(f.busy, c.busy)
+	copy(f.occBits.bits, c.occBits)
+	copy(f.busyBits.bits, c.busyBits)
+	copy(f.failed, c.failed)
+	f.gen++
+}
+
 // restoreMessage decodes pool entry id into m, rejecting fields that index
 // outside the fabric.
 func (f *Fabric) restoreMessage(r *snap.Reader, m *Message, id MsgID) {

@@ -188,3 +188,79 @@ func TestFabricRestoreRefuses(t *testing.T) {
 		t.Fatalf("the untouched snapshot no longer restores: %v", err)
 	}
 }
+
+// TestFabricCopyRoundTrip: a copy taken of a fabric and put back into a fresh
+// fabric, and into one holding other worms, a larger pool and a filled route
+// memo, leaves what restoring the fabric's snapshot leaves: the same bytes,
+// the occupancy structures consistent (CheckInvariants), route memos empty,
+// surviving message addresses kept and a new generation.
+func TestFabricCopyRoundTrip(t *testing.T) {
+	src := wormFabric(t)
+	b := src.AppendSnapshot(nil)
+	src.Msg(0).Route = RouteMemo{Mask: 1, At: 1, Dst: 2}
+	var c FabricCopy
+	src.CopyTo(&c)
+
+	busy := newTestFabric(t, 4, 2)
+	for i := 0; i < 6; i++ {
+		m := busy.NewMessage(i, 15-i, 3, int64(i))
+		m.Phase = PhaseNetwork
+		vc := busy.FreeVC(busy.InjLink(i, 0))
+		busy.Allocate(m, NilVC, vc)
+		m.HeadVC = vc
+		m.Route = RouteMemo{Mask: 2, At: 3, Dst: 4}
+	}
+	busy.FailLink(4)
+	kept := busy.Msg(1)
+
+	for name, dst := range map[string]*Fabric{"fresh": newTestFabric(t, 4, 2), "busy": busy} {
+		gen := dst.Gen()
+		dst.CopyFrom(&c)
+		if err := dst.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if again := dst.AppendSnapshot(nil); !bytes.Equal(again, b) {
+			t.Errorf("%s: snapshot of the fabric the copy was put into differs from the original's", name)
+		}
+		for id := 0; id < dst.NumMessages(); id++ {
+			if r := dst.Msg(MsgID(id)).Route; r != (RouteMemo{}) {
+				t.Errorf("%s: message %d comes back with route memo %+v", name, id, r)
+			}
+		}
+		if dst.Gen() <= gen {
+			t.Errorf("%s: generation %d after the copy, %d before", name, dst.Gen(), gen)
+		}
+	}
+	if busy.Msg(1) != kept {
+		t.Error("the copy moved a surviving pool entry")
+	}
+}
+
+// TestFabricCopyClassesEveryField classes every field of Fabric by what
+// sim.Engine's restore copy does with it: FabricCopy carries it (copied),
+// CopyFrom recomputes it as RestoreSnapshot does (rebuilt), NewFabric fixes
+// it for good (configuration), or it means nothing between two operations
+// (scratch). A field added without a class fails here, so whoever adds one
+// decides which.
+func TestFabricCopyClassesEveryField(t *testing.T) {
+	classes := map[string]string{
+		"Topo": "configuration", "Cfg": "configuration",
+		"netLinks": "configuration", "injBase": "configuration", "delBase": "configuration",
+		"Links": "copied", // the round-robin pointers; the rest is configuration
+		"VCs":   "copied", "msgs": "copied", "free": "copied",
+		"busy": "copied", "occBits": "copied", "busyBits": "copied", "failed": "copied",
+		"gen":     "rebuilt", // bumped, as by RestoreSnapshot
+		"wormBuf": "scratch", "freeSeen": "scratch", "auditBusy": "scratch", "auditWant": "scratch",
+	}
+	tp := reflect.TypeOf(Fabric{})
+	for i := 0; i < tp.NumField(); i++ {
+		name := tp.Field(i).Name
+		if _, ok := classes[name]; !ok {
+			t.Errorf("Fabric.%s has no restore-copy class: copy it in CopyTo/CopyFrom, rebuild it in CopyFrom, or class it configuration or scratch here", name)
+		}
+		delete(classes, name)
+	}
+	for name := range classes {
+		t.Errorf("class given for Fabric.%s, which does not exist", name)
+	}
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"wormnet/internal/router"
 )
@@ -77,10 +78,18 @@ func (e *Engine) heapPop() int32 {
 	return top
 }
 
+// clearListed returns e.listed resized to n zero entries, growing it only
+// when it is too short.
+func (e *Engine) clearListed(n int) []uint8 {
+	e.listed = slices.Grow(e.listed[:0], n)[:n]
+	clear(e.listed)
+	return e.listed
+}
+
 // auditActiveSets cross-checks every active set against a full rescan of
 // the underlying state. It runs at the end of Step in Debug mode (next to
-// Fabric.CheckInvariants). Allocation is acceptable here; Debug is
-// documented slow.
+// Fabric.CheckInvariants). It allocates nothing once warm: every model
+// checker step runs it.
 func (e *Engine) auditActiveSets() error {
 	// Nonempty-queue bitmap: bit set if and only if the queue has entries.
 	for node := range e.queues {
@@ -95,16 +104,16 @@ func (e *Engine) auditActiveSets() error {
 	// exactly next cycle and absent from the heap, and heap plus deferrals
 	// covering exactly the nodes with a live countdown.
 	if e.genSkip != nil {
-		seen := make(map[int32]bool)
+		seen := e.clearListed(len(e.genDue))
 		for i, n32 := range e.genHeap {
 			node := int(n32)
 			if e.genDue[node] < 0 {
 				return fmt.Errorf("sim: node %d heaped with no scheduled arrival", node)
 			}
-			if seen[n32] {
+			if seen[n32] != 0 {
 				return fmt.Errorf("sim: node %d heaped twice", node)
 			}
-			seen[n32] = true
+			seen[n32] = 1
 			if i > 0 {
 				p := (i - 1) / 2
 				if e.genLess(n32, e.genHeap[p]) {
@@ -124,10 +133,10 @@ func (e *Engine) auditActiveSets() error {
 			if e.genDue[node] != e.now+1 && e.genDue[node] != e.now {
 				return fmt.Errorf("sim: node %d deferred but due cycle %d (now %d)", node, e.genDue[node], e.now)
 			}
-			if seen[n32] {
+			if seen[n32] != 0 {
 				return fmt.Errorf("sim: node %d both heaped and deferred", node)
 			}
-			seen[n32] = true
+			seen[n32] = 1
 		}
 		scheduled := 0
 		for node := range e.genDue {

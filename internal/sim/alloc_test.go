@@ -10,13 +10,14 @@ import (
 )
 
 // measureStepAllocs warms an engine into steady state and measures the
-// allocations of one simulation cycle. The run is held in the warm-up phase
-// so histogram growth (a legitimate, amortized cost of the measurement
-// window) does not mask a hot-path regression.
-func measureStepAllocs(t *testing.T, tr *trace.Recorder, mc *metrics.Collector) float64 {
+// allocations of one simulation cycle, with the Debug audits on or off. The
+// run is held in the warm-up phase so histogram growth (a legitimate,
+// amortized cost of the measurement window) does not mask a hot-path
+// regression.
+func measureStepAllocs(t *testing.T, tr *trace.Recorder, mc *metrics.Collector, debug bool) float64 {
 	t.Helper()
 	cfg := smallConfig()
-	cfg.Debug = false
+	cfg.Debug = debug
 	cfg.Load = 1.5
 	cfg.InjectionLimit = -1
 	cfg.Warmup = 1 << 40
@@ -46,7 +47,7 @@ func measureStepAllocs(t *testing.T, tr *trace.Recorder, mc *metrics.Collector) 
 // disabled (the default), every emit site must cost exactly the nil-check
 // branch: zero allocations.
 func TestStepSteadyStateAllocationFree(t *testing.T) {
-	if avg := measureStepAllocs(t, nil, nil); avg != 0 {
+	if avg := measureStepAllocs(t, nil, nil, false); avg != 0 {
 		t.Fatalf("steady-state Step allocates %.3f times per cycle, want 0", avg)
 	}
 }
@@ -56,7 +57,7 @@ func TestStepSteadyStateAllocationFree(t *testing.T) {
 // overwriting the oldest.
 func TestStepTracedRingAllocationFree(t *testing.T) {
 	rec := trace.NewRecorder(1024)
-	if avg := measureStepAllocs(t, rec, nil); avg != 0 {
+	if avg := measureStepAllocs(t, rec, nil, false); avg != 0 {
 		t.Fatalf("ring-traced steady-state Step allocates %.3f times per cycle, want 0", avg)
 	}
 	if rec.Total() == 0 {
@@ -71,7 +72,7 @@ func TestStepTracedRingAllocationFree(t *testing.T) {
 // takeSample itself is under the meter.
 func TestStepMeteredAllocationFree(t *testing.T) {
 	mc := metrics.NewCollector(metrics.Options{Window: 64})
-	if avg := measureStepAllocs(t, nil, mc); avg != 0 {
+	if avg := measureStepAllocs(t, nil, mc, false); avg != 0 {
 		t.Fatalf("metered steady-state Step allocates %.3f times per cycle, want 0", avg)
 	}
 	if mc.SampleCount() == 0 {
@@ -79,5 +80,16 @@ func TestStepMeteredAllocationFree(t *testing.T) {
 	}
 	if mc.Value(metrics.MDelivered) == 0 {
 		t.Fatal("collector counted no deliveries; instrumentation sites are not firing")
+	}
+}
+
+// TestStepDebugAllocationFree: the Debug audits — the fabric's invariants,
+// the oracle cross-check, the active-set and route-memo audits and the
+// detector's own — recount into scratch the fabric and the engine keep, so an
+// audited cycle does not allocate either. The model checker audits every
+// step it takes.
+func TestStepDebugAllocationFree(t *testing.T) {
+	if avg := measureStepAllocs(t, nil, nil, true); avg != 0 {
+		t.Fatalf("audited steady-state Step allocates %.3f times per cycle, want 0", avg)
 	}
 }

@@ -163,9 +163,13 @@ type Engine struct {
 
 	// Snapshot/Restore (snapshot.go): snapID caches the configuration
 	// fingerprint, built on first use; rd is the reader of the Restore in
-	// progress and listed its scratch for the listed-at-most-once checks.
+	// progress; saved is the restore copy (restorecopy.go), allocated by the
+	// first Restore, so an engine that never restores carries none. listed
+	// is the scratch of the listed-at-most-once checks: Restore's, and the
+	// Debug audits' of the pending list and the arrival heap.
 	snapID []byte
 	rd     snap.Reader
+	saved  *restoreCopy
 	listed []uint8
 }
 
@@ -624,12 +628,12 @@ func (e *Engine) route() {
 // mask of every live message — pending headers included — must equal a fresh
 // computation, and no message may be pending twice.
 func (e *Engine) auditRouteMemos() error {
-	seen := make(map[router.MsgID]bool, len(e.pending))
+	seen := e.clearListed(e.fab.NumMessages())
 	for _, id := range e.pending {
-		if seen[id] {
+		if seen[id] != 0 {
 			return fmt.Errorf("sim: message %d is pending twice", id)
 		}
-		seen[id] = true
+		seen[id] = 1
 	}
 	var err error
 	e.fab.LiveMessages(func(m *router.Message) {

@@ -104,10 +104,26 @@ func TestRestoreCorpusIsCurrent(t *testing.T) {
 	}
 }
 
+// audit runs every Debug audit Step runs between cycles.
+func (e *Engine) audit() error {
+	for _, audit := range []func() error{e.fab.CheckInvariants, e.oracle.CrossCheck, e.auditActiveSets, e.auditRouteMemos, e.caps.Audit} {
+		if audit == nil {
+			continue // CMH has no audit of its own
+		}
+		if err := audit(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // FuzzRestore feeds Restore mutated snapshots. Whatever the bytes, Restore
 // returns — an error, or nil with an engine every Debug audit accepts and that
 // then steps, audited every cycle, without a panic — and allocates no more
-// than a small multiple of the input's length.
+// than a small multiple of the input's length. Accepted bytes are then
+// restored again, which loads the restore copy: the engine must snapshot to
+// what a fresh engine that decoded them snapshots to, and still after 64 more
+// cycles on each.
 func FuzzRestore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x00WSNP"))
@@ -115,7 +131,8 @@ func FuzzRestore(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		e, err := New(fuzzConfigs[int(data[0])%len(fuzzConfigs)]())
+		cfg := fuzzConfigs[int(data[0])%len(fuzzConfigs)]
+		e, err := New(cfg())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,17 +148,39 @@ func FuzzRestore(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, audit := range []func() error{e.fab.CheckInvariants, e.oracle.CrossCheck, e.auditActiveSets, e.auditRouteMemos, e.caps.Audit} {
-			if audit == nil {
-				continue // CMH has no audit of its own
-			}
-			if err := audit(); err != nil {
-				t.Fatalf("Restore accepted a state its audits refuse: %v", err)
-			}
+		if err := e.audit(); err != nil {
+			t.Fatalf("Restore accepted a state its audits refuse: %v", err)
 		}
 		for i := 0; i < 64; i++ {
 			if err := e.Step(); err != nil {
 				t.Fatalf("accepted state failed %d cycles on: %v", i, err)
+			}
+		}
+
+		if err := e.Restore(data[1:]); err != nil {
+			t.Fatalf("accepted bytes refused the second time: %v", err)
+		}
+		if err := e.audit(); err != nil {
+			t.Fatalf("the restore copy left a state its audits refuse: %v", err)
+		}
+		fresh, err := New(cfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.Restore(data[1:]); err != nil {
+			t.Fatalf("accepted bytes refused by a fresh engine: %v", err)
+		}
+		for round := 0; ; round++ {
+			if got, want := e.Snapshot(nil), fresh.Snapshot(nil); !bytes.Equal(got, want) {
+				t.Fatalf("after %d cycles: the restore copy snapshots to %d bytes, a decode to %d, and they differ", 64*round, len(got), len(want))
+			}
+			if round == 1 {
+				break
+			}
+			for i := 0; i < 64; i++ {
+				if err, ferr := e.Step(), fresh.Step(); err != nil || ferr != nil {
+					t.Fatalf("cycle %d after restoring: from the copy %v, from a decode %v", i, err, ferr)
+				}
 			}
 		}
 	})

@@ -146,15 +146,29 @@ func (e *Engine) Snapshot(dst []byte) []byte {
 // configuration's fingerprint, index outside the fabric, or describe worms,
 // queues and lists that contradict one another are refused with an error,
 // never a panic, and nothing is allocated beyond a small multiple of
-// len(src). After an error the engine is in an unspecified state: Restore a
-// good snapshot or discard it.
+// len(src) and, once, the engine's restore copy. After an error the engine is
+// in an unspecified state: Restore a good snapshot or discard it.
+//
+// A successful decode leaves a copy of what it produced, and a later Restore
+// of byte-identical input loads that copy instead of decoding again
+// (restorecopy.go); a failed decode drops it.
 func (e *Engine) Restore(src []byte) error {
+	if e.saved == nil {
+		e.saved = new(restoreCopy)
+	}
+	if len(e.saved.src) > 0 && bytes.Equal(src, e.saved.src) {
+		return e.loadCopy(src)
+	}
+	e.saved.src = e.saved.src[:0]
 	// The reader lives in the engine: it is handed to the process and the
 	// detector behind interfaces, which would move a local one to the heap on
 	// every call.
 	e.rd = snap.NewReader(src)
 	err := e.restore(&e.rd)
 	e.rd = snap.Reader{}
+	if err == nil {
+		e.saveCopy(src)
+	}
 	return err
 }
 
@@ -199,7 +213,7 @@ func (e *Engine) restoreBody(r *snap.Reader) {
 	// Source queues, through queuePush so the nonempty-queue bitmap follows.
 	// listed marks the messages seen so far on a queue (bit 0) and on a header
 	// list (bit 1): a message is queued at most once, pending at most once.
-	e.listed = append(e.listed[:0], make([]uint8, nMsgs)...)
+	e.clearListed(nMsgs)
 	clear(e.neBits)
 	queued := 0
 	for node := range e.queues {
@@ -283,9 +297,11 @@ func (e *Engine) restoreBody(r *snap.Reader) {
 		e.nodeRng[i].RestoreSnapshot(r)
 	}
 	e.rnd.RestoreSnapshot(r)
+	e.saved.procAt = r.Offset()
 	if p, ok := e.gen.(traffic.Stateful); ok {
 		p.RestoreSnapshot(r)
 	}
+	e.saved.procEnd = r.Offset()
 
 	for i := range e.oracleSeen {
 		e.oracleSeen[i] = -1
@@ -315,6 +331,7 @@ func (e *Engine) restoreBody(r *snap.Reader) {
 	e.lastAbsorbedFlits = charged[6]
 
 	det := r.Section()
+	e.saved.detAt, e.saved.detEnd = r.Offset()-len(det), r.Offset()
 	switch {
 	case r.Err() != nil:
 	case e.caps.Restore != nil:
@@ -324,6 +341,7 @@ func (e *Engine) restoreBody(r *snap.Reader) {
 	case len(det) != 0:
 		r.Failf("sim: snapshot carries %d bytes of detector state, %s keeps none", len(det), e.det.Name())
 	}
+	e.saved.recAt = r.Offset()
 	e.rec.RestoreSnapshot(r)
 }
 

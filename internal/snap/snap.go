@@ -90,6 +90,9 @@ func (r *Reader) Failf(format string, args ...any) {
 	}
 }
 
+// Offset returns the number of bytes read so far.
+func (r *Reader) Offset() int { return r.off }
+
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
 

@@ -278,6 +278,14 @@ func (h *Histogram) RestoreSnapshot(r *snap.Reader) {
 	}
 }
 
+// CopyFrom makes h an exact copy of src, samples and growth factor, reusing
+// h's bucket slice (sim.Engine's restore copy keeps its histograms this way).
+func (h *Histogram) CopyFrom(src *Histogram) {
+	counts := append(h.counts[:0], src.counts...)
+	*h = *src
+	h.counts = counts
+}
+
 // String renders a compact summary with common percentiles.
 func (h *Histogram) String() string {
 	if h.total == 0 {
