@@ -203,12 +203,16 @@ fuzz-restore:
 # Twenty seconds each of FuzzNDMFlags and FuzzPDMFlags: mutated event programs
 # must keep the flag detectors' word loops (idle count, PromoteAll's G/P word)
 # equal to the eager per-link reference in internal/detect/idle_test.go, with
-# events compared when traced. The committed corpora alone run in the normal
-# `go test`; `go test -fuzz` takes one target per run.
+# events compared when traced. Then twenty seconds of FuzzOracle: worm op
+# programs must keep the oracle's flat wait-for graph equal, set and order, to
+# the round-based reference kernel in internal/deadlock/oracle_test.go. The
+# committed corpora alone run in the normal `go test`; `go test -fuzz` takes
+# one target per run.
 fuzz-flags:
 	$(GO) test ./internal/detect -run NONE -fuzz '^FuzzNDMFlags$$' -fuzztime 20s -fuzzminimizetime 5s
 	$(GO) test ./internal/detect -run NONE -fuzz '^FuzzPDMFlags$$' -fuzztime 20s -fuzzminimizetime 5s
-	@echo "fuzz-flags: no event program split the flag detectors from their reference"
+	$(GO) test ./internal/deadlock -run NONE -fuzz '^FuzzOracle$$' -fuzztime 20s -fuzzminimizetime 5s
+	@echo "fuzz-flags: no event program split the flag detectors or the oracle from their reference"
 
 # Twenty seconds each of the decoder fuzzers: FuzzTraceScan (trace.Scan, then
 # the offline episode correlator), FuzzDecodeSeries and FuzzIncidents. Each
@@ -264,7 +268,7 @@ shootout: build
 # profile covers one package, so the checker gets its own pair. Inspect
 # with: go tool pprof results/cpu.pprof
 profile:
-	$(GO) test -run NONE -bench 'EngineStepSat512|EngineStepSaturation|EngineStepStorm|OracleSaturation' \
+	$(GO) test -run NONE -bench 'EngineStepSat512|EngineStepSaturation|EngineStepStorm|OracleSaturation|OracleStorm' \
 		-benchtime 2s -cpuprofile results/cpu.pprof -memprofile results/mem.pprof \
 		. | tee results/profile_bench.txt
 	$(GO) test -run NONE -bench 'CheckDblface|RestoreDblfaceParent' -benchtime 10x \

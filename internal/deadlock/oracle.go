@@ -16,11 +16,17 @@
 // advancing, draining (recovering/delivering) or already discarded.
 //
 // The oracle runs on the hot path of every marked message, so the kernel is
-// allocation-free: set membership is tracked in an epoch-stamped flat array
-// indexed by MsgID (bumping the epoch clears the set in O(1)), and the
-// result is cached until the owner reports a fabric change through
-// Invalidate. On a quiescent fabric — no flit transmitted, no virtual
-// channel freed or allocated, no message newly blocked, marked or killed —
+// allocation-free and builds the wait-for graph once per evaluation: the
+// seeds come from the fabric's occupied-VC bitmap (a blocked header sits in
+// its message's head VC), are put in MsgID order through a bitmap over the
+// message pool, and each seed's candidate VCs are read once into flat
+// reverse-edge arrays; the fixpoint then peels escapes off a worklist over
+// those arrays without consulting the routing function again. Set membership
+// is tracked in an epoch-stamped flat array indexed by MsgID (bumping the
+// epoch clears the set in O(1)), and the result is cached until the owner
+// reports a fabric change through Invalidate. On a quiescent fabric — no
+// flit transmitted, no virtual channel freed or allocated, no message newly
+// blocked, marked or killed —
 // the blocked set and the occupancy relation are both unchanged, so the
 // greatest fixpoint provably cannot shrink or grow; CrossCheck asserts this
 // invariant against a full recomputation in debug mode.
@@ -28,6 +34,7 @@ package deadlock
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wormnet/internal/router"
 	"wormnet/internal/routing"
@@ -49,6 +56,18 @@ type Oracle struct {
 	// without touching the array.
 	epoch uint64
 	stamp []uint64
+
+	// The wait-for graph of one evaluation, indexed by MsgID and valid for
+	// seeds only. seedBits orders the seeds by ID (it is all zero between
+	// evaluations). waitHead[id] is the first edge into seed id, -1 for none;
+	// edge e says waiter[e] requests a VC held by that seed, and waitNext[e]
+	// is the next edge into the same seed. escaped is the worklist of seeds
+	// already removed whose waiters are still to be visited.
+	seedBits []uint64
+	waitHead []int32
+	waiter   []router.MsgID
+	waitNext []int32
+	escaped  []router.MsgID
 
 	blocked  []router.MsgID
 	checkBuf []router.MsgID // CrossCheck's copy of the cached set
@@ -87,7 +106,7 @@ func (o *Oracle) SetCandidates(fn CandidateFunc) { o.cands = fn }
 func (o *Oracle) Invalidate() { o.valid = false }
 
 // Deadlocked returns the IDs of all messages involved in a true deadlock,
-// in ascending order of discovery. While the fabric is unchanged since the
+// in ascending MsgID order. While the fabric is unchanged since the
 // last evaluation — same structural generation and no Invalidate call — the
 // cached set is returned without recomputation. The result slice is reused
 // across calls; callers that retain it must copy.
@@ -99,79 +118,113 @@ func (o *Oracle) Deadlocked() []router.MsgID {
 	return o.blocked
 }
 
-// recompute runs the greatest-fixpoint kernel from scratch.
+// recompute runs the greatest-fixpoint kernel from scratch: seed, build the
+// wait-for graph once, peel.
 func (o *Oracle) recompute() {
 	f := o.f
 	o.epoch++
 	o.seenGen = f.Gen()
-	// Seed: every blocked message (header waiting, at least one failed
-	// routing attempt, not being drained by recovery).
+	o.grow(f.NumMessages())
 	o.blocked = o.blocked[:0]
-	f.LiveMessages(func(m *router.Message) {
-		if m.Phase == router.PhaseNetwork && m.Attempts > 0 &&
-			m.HeadVC != router.NilVC && f.HeaderBlocked(m.HeadVC) {
-			o.blocked = append(o.blocked, m.ID)
-			o.add(m.ID)
+
+	// Seed: every blocked message (header waiting, at least one failed
+	// routing attempt, not being drained by recovery). A message's HeadVC is
+	// an occupied VC held by that message (router.Fabric.CheckInvariants
+	// audits it), so the blocked headers are found among the occupied VCs
+	// rather than by walking the whole message pool.
+	for it := f.OccupiedWords(); ; {
+		w, word, ok := it.Next()
+		if !ok {
+			break
 		}
-	})
+		for ; word != 0; word &= word - 1 {
+			vc := router.VCID(w<<6 + bits.TrailingZeros64(word))
+			if !f.HeaderBlocked(vc) {
+				continue
+			}
+			m := f.Msg(f.VCs[vc].Occupant)
+			if m.HeadVC == vc && m.Phase == router.PhaseNetwork && m.Attempts > 0 {
+				o.seedBits[m.ID>>6] |= 1 << (m.ID & 63)
+			}
+		}
+	}
+	// Ascending MsgID order, the order the result is reported in; the
+	// bitmap is cleared on the way.
+	for w, word := range o.seedBits[:(f.NumMessages()+63)>>6] {
+		if word == 0 {
+			continue
+		}
+		o.seedBits[w] = 0
+		for ; word != 0; word &= word - 1 {
+			id := router.MsgID(w<<6 + bits.TrailingZeros64(word))
+			o.blocked = append(o.blocked, id)
+			o.stamp[id] = o.epoch
+			o.waitHead[id] = -1
+		}
+	}
 	if len(o.blocked) == 0 {
 		return
 	}
 
-	// Greatest fixpoint: repeatedly remove messages with an escape.
-	for changed := true; changed; {
-		changed = false
-		kept := o.blocked[:0]
-		for _, id := range o.blocked {
-			if o.canEscape(f.Msg(id)) {
-				o.remove(id)
-				changed = true
-				continue
+	// One pass over the routing function: a seed with a candidate VC that
+	// is free or held outside the seed set escapes at once; otherwise each
+	// candidate's occupant gains a reverse edge to it.
+	o.waiter, o.waitNext, o.escaped = o.waiter[:0], o.waitNext[:0], o.escaped[:0]
+	for _, id := range o.blocked {
+		m := f.Msg(id)
+		o.vcBuf = o.cands(m, f.RouterOf(f.LinkOfVC(m.HeadVC)), o.vcBuf[:0])
+		for _, vc := range o.vcBuf {
+			occ := f.VCs[vc].Occupant
+			if occ == router.NilMsg || o.stamp[occ] != o.epoch {
+				o.stamp[id] = 0
+				o.escaped = append(o.escaped, id)
+				break
 			}
+			o.waitNext = append(o.waitNext, o.waitHead[occ])
+			o.waitHead[occ] = int32(len(o.waiter))
+			o.waiter = append(o.waiter, id)
+		}
+	}
+
+	// Greatest fixpoint: a seed that waits on a removed seed escapes through
+	// it. Every seed enters the worklist at most once, so this visits every
+	// edge at most once.
+	for n := len(o.escaped); n > 0; n = len(o.escaped) {
+		id := o.escaped[n-1]
+		o.escaped = o.escaped[:n-1]
+		for e := o.waitHead[id]; e >= 0; e = o.waitNext[e] {
+			if w := o.waiter[e]; o.stamp[w] == o.epoch {
+				o.stamp[w] = 0
+				o.escaped = append(o.escaped, w)
+			}
+		}
+	}
+	kept := o.blocked[:0]
+	for _, id := range o.blocked {
+		if o.stamp[id] == o.epoch {
 			kept = append(kept, id)
 		}
-		o.blocked = kept
 	}
+	o.blocked = kept
 }
 
-// add stamps id as a member of the current set, growing the stamp array to
-// cover the message pool when needed.
-func (o *Oracle) add(id router.MsgID) {
-	if int(id) >= len(o.stamp) {
-		grown := make([]uint64, 2*int(id)+8)
-		copy(grown, o.stamp)
-		o.stamp = grown
+// grow sizes the per-message tables to cover a pool of n messages. Epochs
+// start at 1, so a zero stamp never matches and removal writes zero.
+func (o *Oracle) grow(n int) {
+	if n <= len(o.stamp) {
+		return
 	}
-	o.stamp[id] = o.epoch
-}
-
-// remove unstamps id. Epochs start at 1, so zero never matches.
-func (o *Oracle) remove(id router.MsgID) { o.stamp[id] = 0 }
-
-// inSet reports membership in the current set.
-func (o *Oracle) inSet(id router.MsgID) bool {
-	return int(id) < len(o.stamp) && o.stamp[id] == o.epoch
-}
-
-// canEscape reports whether message m has at least one feasible output
-// virtual channel that is free or held by a message outside the current
-// candidate set.
-func (o *Oracle) canEscape(m *router.Message) bool {
-	f := o.f
-	node := f.RouterOf(f.LinkOfVC(m.HeadVC))
-	o.vcBuf = o.cands(m, node, o.vcBuf[:0])
-	for _, vc := range o.vcBuf {
-		occ := f.VCs[vc].Occupant
-		if occ == router.NilMsg || !o.inSet(occ) {
-			return true
-		}
-	}
-	return false
+	n = 2*n + 8
+	o.stamp = append(o.stamp, make([]uint64, n-len(o.stamp))...)
+	o.waitHead = append(o.waitHead, make([]int32, n-len(o.waitHead))...)
+	o.seedBits = append(o.seedBits, make([]uint64, (n+63)>>6-len(o.seedBits))...)
 }
 
 // Contains reports whether id was in the set produced by the most recent
 // Deadlocked call.
-func (o *Oracle) Contains(id router.MsgID) bool { return o.inSet(id) }
+func (o *Oracle) Contains(id router.MsgID) bool {
+	return int(id) < len(o.stamp) && o.stamp[id] == o.epoch
+}
 
 // CrossCheck verifies the cached deadlocked set against a full
 // recomputation. It is the debug-mode assertion of the dirty-tracking

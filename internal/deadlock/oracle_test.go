@@ -1,6 +1,7 @@
 package deadlock
 
 import (
+	"slices"
 	"testing"
 
 	"wormnet/internal/router"
@@ -270,6 +271,254 @@ func TestSoundness(t *testing.T) {
 					t.Fatalf("member %d has an escape through link %d", id, l)
 				}
 			}
+		}
+	}
+}
+
+// refKernel is the oracle's fixpoint kernel as it stood before the flat
+// wait-for graph, kept verbatim as FuzzOracle's reference: it seeds from
+// every live message in the pool and re-derives every survivor's candidate
+// VCs through the routing function in every round, until a round removes
+// nothing. It calls the same candidate function as the kernel under test, and
+// so reads the same Fabric.RouteMask: it pins the seed rule, the graph build,
+// the peel and the output order, not the routing relation. It is therefore
+// not the independent brute-force reference of ROADMAP item 9.
+type refKernel struct {
+	f       *router.Fabric
+	cands   CandidateFunc
+	epoch   uint64
+	stamp   []uint64
+	blocked []router.MsgID
+	vcBuf   []router.VCID
+}
+
+// refDeadlocked runs the reference kernel once, from scratch.
+func refDeadlocked(f *router.Fabric, cands CandidateFunc) []router.MsgID {
+	o := &refKernel{f: f, cands: cands}
+	o.recompute()
+	return o.blocked
+}
+
+func (o *refKernel) recompute() {
+	f := o.f
+	o.epoch++
+	// Seed: every blocked message (header waiting, at least one failed
+	// routing attempt, not being drained by recovery).
+	o.blocked = o.blocked[:0]
+	f.LiveMessages(func(m *router.Message) {
+		if m.Phase == router.PhaseNetwork && m.Attempts > 0 &&
+			m.HeadVC != router.NilVC && f.HeaderBlocked(m.HeadVC) {
+			o.blocked = append(o.blocked, m.ID)
+			o.add(m.ID)
+		}
+	})
+	if len(o.blocked) == 0 {
+		return
+	}
+
+	// Greatest fixpoint: repeatedly remove messages with an escape.
+	for changed := true; changed; {
+		changed = false
+		kept := o.blocked[:0]
+		for _, id := range o.blocked {
+			if o.canEscape(f.Msg(id)) {
+				o.remove(id)
+				changed = true
+				continue
+			}
+			kept = append(kept, id)
+		}
+		o.blocked = kept
+	}
+}
+
+func (o *refKernel) add(id router.MsgID) {
+	if int(id) >= len(o.stamp) {
+		grown := make([]uint64, 2*int(id)+8)
+		copy(grown, o.stamp)
+		o.stamp = grown
+	}
+	o.stamp[id] = o.epoch
+}
+
+func (o *refKernel) remove(id router.MsgID) { o.stamp[id] = 0 }
+
+func (o *refKernel) inSet(id router.MsgID) bool {
+	return int(id) < len(o.stamp) && o.stamp[id] == o.epoch
+}
+
+func (o *refKernel) canEscape(m *router.Message) bool {
+	f := o.f
+	node := f.RouterOf(f.LinkOfVC(m.HeadVC))
+	o.vcBuf = o.cands(m, node, o.vcBuf[:0])
+	for _, vc := range o.vcBuf {
+		occ := f.VCs[vc].Occupant
+		if occ == router.NilMsg || !o.inSet(occ) {
+			return true
+		}
+	}
+	return false
+}
+
+// ringDeadlockProgram is a FuzzOracle program that fills both VCs of every
+// X+ channel of row 0 — the 4-node ring, or with torus set the 3x3 torus —
+// with a blocked worm one hop from its destination, so that X+ is its only
+// minimal direction: all 2k worms are deadlocked.
+func ringDeadlockProgram(torus bool) []byte {
+	prog, k, degree := []byte{0}, 4, 2
+	if torus {
+		prog, k, degree = []byte{1}, 3, 4
+	}
+	for i := 0; i < k; i++ {
+		for v := 0; v < 2; v++ {
+			prog = append(prog, 0, byte(i*degree), byte((i+2)%k), 1)
+		}
+	}
+	return prog
+}
+
+// FuzzOracle runs an op program — create, extend, block, advance and
+// release worms, drain a header, consume a header, fail and repair links —
+// on a small two-VC fabric (the 4-node ring or the 3x3 torus, by the first
+// byte), and after every op asserts that the oracle returns exactly the set
+// the reference kernel returns, in the same order, that Contains agrees with
+// it for every pooled message, and that the fixture kept the fabric's
+// invariants (the head-VC rule the oracle seeds on among them). Released
+// messages go back to the pool, so IDs are reused out of creation order.
+func FuzzOracle(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 2, 1, 0, 2, 3, 1, 2, 0, 2, 1})
+	f.Add([]byte{1, 0, 0, 4, 1, 0, 1, 8, 0, 1, 0, 9, 2, 1, 2, 6, 3, 1, 4, 0, 0, 5, 5, 1})
+	for _, torus := range []bool{false, true} {
+		f.Add(ringDeadlockProgram(torus))
+		// Then: a release, a consumed header, a link failure and repair, a
+		// drained worm, a routed header, a worm extended out of the cycle.
+		f.Add(append(ringDeadlockProgram(torus), 4, 3, 0, 7, 2, 1, 6, 2, 6, 2, 5, 0, 3, 1, 1, 4, 5))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { runOracleProgram(t, data) })
+}
+
+// runOracleProgram is FuzzOracle's body; it returns the last set the oracle
+// reported.
+func runOracleProgram(t *testing.T, data []byte) []router.MsgID {
+	if len(data) == 0 {
+		return nil
+	}
+	topo := topology.New(4, 1)
+	if data[0]&1 == 1 {
+		topo = topology.New(3, 2)
+	}
+	fab, err := router.NewFabric(topo, router.Config{VCsPerLink: 2, BufFlits: 4, InjPorts: 1, DelPorts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := New(fab)
+	var live []*router.Message
+	var got []router.MsgID
+	pos := 1
+	next := func() int {
+		if pos >= len(data) {
+			return 0
+		}
+		pos++
+		return int(data[pos-1])
+	}
+	link := func() router.LinkID { return router.LinkID(next() % fab.NumLinks()) }
+	pick := func() *router.Message {
+		if len(live) == 0 {
+			return nil
+		}
+		return live[next()%len(live)]
+	}
+	for pos < len(data) {
+		switch next() % 8 {
+		case 0: // a worm enters: header on a free VC, advancing or blocked
+			l, dst, blocked := link(), next()%topo.Nodes(), next()&1
+			vc := fab.FreeVC(l)
+			if vc == router.NilVC {
+				break
+			}
+			m := fab.NewMessage(0, dst, 8, 0)
+			fab.Allocate(m, router.NilVC, vc)
+			m.Phase, m.HeadVC, m.Attempts = router.PhaseNetwork, vc, int32(blocked)
+			fab.VCs[vc].Flits, fab.VCs[vc].HasHeader = 1, true
+			live = append(live, m)
+		case 1: // the header moves on into a free VC
+			m, l := pick(), link()
+			if m == nil || m.HeadVC == router.NilVC || m.Phase != router.PhaseNetwork {
+				break
+			}
+			vc := fab.FreeVC(l)
+			if vc == router.NilVC {
+				break
+			}
+			fab.Allocate(m, m.HeadVC, vc)
+			fab.VCs[m.HeadVC].HasHeader = false
+			m.HeadVC, m.Attempts = vc, 0
+			fab.VCs[vc].Flits, fab.VCs[vc].HasHeader = 1, true
+		case 2: // a failed routing attempt
+			if m := pick(); m != nil {
+				m.Attempts++
+			}
+		case 3: // the header routes: not blocked any more
+			if m := pick(); m != nil {
+				m.Attempts = 0
+			}
+		case 4: // the worm leaves and its ID returns to the pool
+			if len(live) == 0 {
+				break
+			}
+			i := next() % len(live)
+			fab.ReleaseWorm(live[i])
+			fab.FreeMessage(live[i])
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		case 5: // recovery takes the worm over, or hands it back
+			if m := pick(); m != nil {
+				if m.Phase == router.PhaseNetwork {
+					m.Phase = router.PhaseRecovering
+				} else {
+					m.Phase = router.PhaseNetwork
+				}
+			}
+		case 6: // a link fails or is repaired
+			if l := link(); fab.LinkFailed(l) {
+				fab.RepairLink(l)
+			} else {
+				fab.FailLink(l)
+			}
+		case 7: // the header is consumed where it stands
+			if m := pick(); m != nil && m.HeadVC != router.NilVC {
+				fab.VCs[m.HeadVC].HasHeader = false
+				m.HeadVC = router.NilVC
+			}
+		}
+		if err := fab.CheckInvariants(); err != nil {
+			t.Fatalf("fixture broke the fabric: %v", err)
+		}
+		o.Invalidate()
+		got = o.Deadlocked()
+		want := refDeadlocked(fab, o.cands)
+		if !slices.Equal(got, want) {
+			t.Fatalf("op ending at byte %d: oracle %v, reference %v", pos, got, want)
+		}
+		for id := router.MsgID(0); int(id) < fab.NumMessages(); id++ {
+			if in := slices.Contains(want, id); o.Contains(id) != in {
+				t.Fatalf("op ending at byte %d: Contains(%d) = %v, reference says %v", pos, id, !in, in)
+			}
+		}
+	}
+	return got
+}
+
+// TestRingDeadlockProgram pins that FuzzOracle's seed program reaches the
+// deadlock it is named for, so the corpus exercises a non-empty fixpoint.
+func TestRingDeadlockProgram(t *testing.T) {
+	for _, tc := range []struct {
+		torus bool
+		want  int
+	}{{false, 8}, {true, 6}} {
+		if got := runOracleProgram(t, ringDeadlockProgram(tc.torus)); len(got) != tc.want {
+			t.Errorf("torus=%v: the program deadlocks %v, want all %d worms", tc.torus, got, tc.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"bytes"
 	"testing"
 
 	"wormnet/internal/router"
@@ -19,7 +20,9 @@ import (
 //   - flits only come from link traversals, so the flit count is at least
 //     the number of spawns (each spawn crosses one link);
 //   - no in-flight probe exceeds the hop cap, and each sits on a VC still
-//     owned by the worm it chases.
+//     owned by the worm it chases;
+//   - at every end of cycle, a fresh detector restored from Snapshot
+//     snapshots to the same bytes and gives the same AppendState.
 //
 // The byte stream is an op-code program; indices are reduced modulo the
 // fabric's sizes so every input is valid by construction. The header bytes
@@ -139,6 +142,20 @@ func FuzzProbeDigest(f *testing.F) {
 				}
 				d.EndCycle(now, txLinks, transmitted)
 				now++
+				// Between cycles the state must survive a snapshot: a
+				// fresh detector restored from it writes the same bytes
+				// and the same model-checker encoding.
+				state := d.Snapshot(nil)
+				fresh := New(fab, cfg)
+				if err := fresh.Restore(state); err != nil {
+					t.Fatalf("cycle %d: Restore refused the detector's own snapshot: %v", now-1, err)
+				}
+				if again := fresh.Snapshot(nil); !bytes.Equal(again, state) {
+					t.Fatalf("cycle %d: the restored detector snapshots to different bytes", now-1)
+				}
+				if got, want := fresh.AppendState(nil, now), d.AppendState(nil, now); !bytes.Equal(got, want) {
+					t.Fatalf("cycle %d: the restored detector encodes its state differently", now-1)
+				}
 			case 5: // extend a live worm by one VC (grow its body)
 				if len(live) == 0 {
 					break

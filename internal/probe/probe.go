@@ -26,7 +26,6 @@ package probe
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"wormnet/internal/detect"
 	"wormnet/internal/router"
@@ -124,7 +123,7 @@ type pr struct {
 // the wait edges already chased (or self-returned) in the current wave.
 type initiatorState struct {
 	waveStart int64
-	seen      map[uint64]struct{}
+	seen      edgeSet
 }
 
 // Detector is the CMH edge-chasing detector. It satisfies detect.Detector.
@@ -252,7 +251,7 @@ func (d *Detector) RouteFailed(m *router.Message, in router.LinkID, outs []route
 		d.pendingMark[m.ID] = false
 		st := &d.inits[m.ID]
 		st.waveStart = -1
-		clear(st.seen)
+		st.seen.reset()
 		d.addBlocked(m.ID)
 	}
 	if d.pendingMark[m.ID] {
@@ -412,14 +411,9 @@ func (d *Detector) expand(p pr, m *router.Message, node int, now int64, transmit
 					// Dedupe the self-edge per wave like any spawned
 					// edge, or an unmarked initiator would count a
 					// fresh return every single cycle.
-					key := edgeKey(out, occ)
-					if st.seen == nil {
-						st.seen = make(map[uint64]struct{})
-					}
-					if _, dup := st.seen[key]; dup {
+					if !st.seen.add(edgeKey(out, occ)) {
 						continue
 					}
-					st.seen[key] = struct{}{}
 					d.seedRet++
 				}
 				d.ret(p, out, node, now)
@@ -441,10 +435,7 @@ func (d *Detector) expand(p pr, m *router.Message, node int, now int64, transmit
 			// launches — the deadlock would sit undetected behind its
 			// own probe storm.
 			key := edgeKey(out, occ)
-			if st.seen == nil {
-				st.seen = make(map[uint64]struct{})
-			}
-			if _, dup := st.seen[key]; dup {
+			if st.seen.has(key) {
 				continue
 			}
 			if !d.channelFree(out, now, transmitted) {
@@ -452,7 +443,7 @@ func (d *Detector) expand(p pr, m *router.Message, node int, now int64, transmit
 				continue
 			}
 			d.useChannel(out, now)
-			st.seen[key] = struct{}{}
+			st.seen.add(key)
 			dig := roll(p.digest, out, occ)
 			child := pr{
 				initiator: p.initiator,
@@ -534,7 +525,7 @@ func (d *Detector) launch(now int64, transmitted []bool) {
 		st := &d.inits[id]
 		if st.waveStart < m.BlockedSince || now-st.waveStart >= d.cfg.ReprobeEvery {
 			st.waveStart = now
-			clear(st.seen)
+			st.seen.reset()
 		}
 		node := d.fab.RouterOf(d.fab.LinkOfVC(m.HeadVC))
 		seed := pr{
@@ -609,7 +600,7 @@ func (d *Detector) AppendState(buf []byte, now int64) []byte {
 	}
 	for id := range d.inits {
 		st := &d.inits[id]
-		if st.waveStart < 0 && len(st.seen) == 0 {
+		if st.waveStart < 0 && st.seen.len() == 0 {
 			continue
 		}
 		buf = appendID(buf, int32(id))
@@ -627,8 +618,8 @@ func (d *Detector) AppendState(buf []byte, now int64) []byte {
 		}
 		buf = appendID(buf, waveAge)
 		buf = append(buf, predates)
-		buf = appendID(buf, int32(len(st.seen)))
-		for _, k := range d.sortedKeys(st.seen) {
+		buf = appendID(buf, int32(st.seen.len()))
+		for _, k := range d.sortedKeys(&st.seen) {
 			buf = binary.LittleEndian.AppendUint64(buf, k)
 		}
 	}
@@ -636,16 +627,10 @@ func (d *Detector) AppendState(buf []byte, now int64) []byte {
 }
 
 // sortedKeys returns a dedupe window's keys in ascending order, in a scratch
-// buffer the next call reuses. Both encodings write them this way: map
-// iteration order would make equal states encode differently.
-func (d *Detector) sortedKeys(seen map[uint64]struct{}) []uint64 {
-	keys := d.keyBuf[:0]
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	d.keyBuf = keys
-	return keys
+// buffer the next call reuses.
+func (d *Detector) sortedKeys(seen *edgeSet) []uint64 {
+	d.keyBuf = seen.appendSorted(d.keyBuf[:0])
+	return d.keyBuf
 }
 
 // prSnapBytes is one in-flight probe in a snapshot: five 32-bit fields and
@@ -687,14 +672,14 @@ func (d *Detector) Snapshot(dst []byte) []byte {
 	dst = snap.U32(dst, 0)
 	for id := range d.inits {
 		st := &d.inits[id]
-		if st.waveStart < 0 && len(st.seen) == 0 {
+		if st.waveStart < 0 && st.seen.len() == 0 {
 			continue
 		}
 		n++
 		dst = snap.I32(dst, int32(id))
 		dst = snap.I64(dst, st.waveStart)
-		dst = snap.U32(dst, uint32(len(st.seen)))
-		for _, k := range d.sortedKeys(st.seen) {
+		dst = snap.U32(dst, uint32(st.seen.len()))
+		for _, k := range d.sortedKeys(&st.seen) {
 			dst = snap.U64(dst, k)
 		}
 	}
@@ -713,11 +698,13 @@ func (d *Detector) counters() [7]*int64 {
 
 // Restore is detect.Capabilities.Restore. It runs after the fabric has been
 // restored, so message and channel identifiers are checked against the pool
-// and the fabric as they are now. The per-message tables are reset first and
-// the blocked list's index rebuilt from the list; linkUsedAt is reset to
-// "never", which an engine restored to an earlier cycle needs: its own stamps
-// from the abandoned future would otherwise read as "used this cycle" when
-// that cycle number comes round again.
+// and the fabric as they are now, and lists Snapshot writes in order must be
+// in that order, so that accepted bytes snapshot back to themselves. The
+// per-message tables are reset first and the blocked list's index rebuilt
+// from the list; linkUsedAt is reset to "never", which an engine restored to
+// an earlier cycle needs: its own stamps from the abandoned future would
+// otherwise read as "used this cycle" when that cycle number comes round
+// again.
 func (d *Detector) Restore(src []byte) error {
 	r := snap.NewReader(src)
 	nMsgs, nVCs := d.fab.NumMessages(), len(d.fab.VCs)
@@ -726,7 +713,7 @@ func (d *Detector) Restore(src []byte) error {
 	}
 	for i := range d.inits {
 		d.inits[i].waveStart = -1
-		clear(d.inits[i].seen)
+		d.inits[i].seen.reset()
 	}
 	for i := range d.blockedIdx {
 		d.blockedIdx[i] = -1
@@ -760,23 +747,46 @@ func (d *Detector) Restore(src []byte) error {
 		}
 		d.blockedIdx[id] = int32(i)
 	}
+	// Snapshot writes the pending marks and the windows in ascending message
+	// order and each window's keys ascending, so anything else — a repeat
+	// included — is an encoding it never produces and would not reproduce.
+	last := int32(-1)
 	for n := r.Len(4); n > 0; n-- {
-		if id := r.ID(0, nMsgs); r.Err() == nil {
-			d.pendingMark[id] = true
+		id := r.ID(0, nMsgs)
+		if r.Err() != nil {
+			break
 		}
+		if id <= last {
+			r.Failf("probe: snapshot lists pending mark %d after %d", id, last)
+			break
+		}
+		d.pendingMark[id], last = true, id
 	}
-	for n := r.Len(4 + 8 + 4); n > 0; n-- {
+	last = -1
+	for n := r.Len(4 + 8 + 4); n > 0 && r.Err() == nil; n-- {
 		id, waveStart, keys := r.ID(0, nMsgs), r.I64(), r.Len(8)
 		if r.Err() != nil {
 			break
 		}
+		if id <= last {
+			r.Failf("probe: snapshot lists the dedupe window of message %d after that of %d", id, last)
+			break
+		}
+		if waveStart < 0 && keys == 0 {
+			r.Failf("probe: snapshot lists the dedupe window of message %d in its initial state", id)
+			break
+		}
+		last = id
 		st := &d.inits[id]
 		st.waveStart = waveStart
-		if keys > 0 && st.seen == nil {
-			st.seen = make(map[uint64]struct{})
-		}
-		for ; keys > 0; keys-- {
-			st.seen[r.U64()] = struct{}{}
+		var prev uint64
+		for i := 0; i < keys && r.Err() == nil; i++ {
+			k := r.U64()
+			if i > 0 && k <= prev {
+				r.Failf("probe: snapshot's dedupe window of message %d lists key %#x after %#x", id, k, prev)
+			}
+			st.seen.add(k)
+			prev = k
 		}
 	}
 	for _, c := range d.counters() {

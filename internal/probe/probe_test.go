@@ -3,9 +3,11 @@ package probe
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"wormnet/internal/router"
+	"wormnet/internal/snap"
 	"wormnet/internal/topology"
 )
 
@@ -187,12 +189,12 @@ func TestAppendStateCountsTwoBytes(t *testing.T) {
 	manyBlocked := d.AppendState(nil, now)
 	d.blocked = d.blocked[:1]
 
-	seen := d.inits[r.a.ID].seen
-	for k := uint64(1 << 40); len(seen) < 256; k++ {
-		seen[k] = struct{}{}
+	seen := &d.inits[r.a.ID].seen
+	for k := uint64(1 << 40); seen.len() < 256; k++ {
+		seen.add(k)
 	}
 	keys256 := d.AppendState(nil, now)
-	seen[1<<50] = struct{}{}
+	seen.add(1 << 50)
 	keys257 := d.AppendState(nil, now)
 
 	for len(d.pendingMark) <= pendingID {
@@ -562,18 +564,27 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotBytesDeterministic pins that a dedupe window's keys are written
-// in sorted order: written in map order, two snapshots of one unchanged
-// detector would differ.
+// in sorted order: two detectors whose windows hold the same keys, inserted in
+// opposite orders so that their tables are laid out differently, snapshot and
+// encode to the same bytes, and repeated snapshots of one unchanged detector
+// agree. Written in table order, the two would differ.
 func TestSnapshotBytesDeterministic(t *testing.T) {
-	_, d, _ := probingRing(t)
-	st := &d.inits[0]
-	if st.seen == nil {
-		st.seen = make(map[uint64]struct{})
+	_, d, now := probingRing(t)
+	_, e, _ := probingRing(t)
+	for k := 0; k < 64; k++ {
+		d.inits[0].seen.add(edgeKey(router.LinkID(k%13), router.MsgID(k)))
+		e.inits[0].seen.add(edgeKey(router.LinkID((63-k)%13), router.MsgID(63-k)))
 	}
-	for k := uint64(1); k <= 64; k++ {
-		st.seen[k*0x9e3779b97f4a7c15] = struct{}{}
+	if slices.Equal(d.inits[0].seen.slots, e.inits[0].seen.slots) {
+		t.Fatal("insertion order did not change the table layout; the test compares nothing")
 	}
 	want := d.Snapshot(nil)
+	if got := e.Snapshot(nil); !bytes.Equal(got, want) {
+		t.Fatal("equal windows filled in different orders snapshot differently")
+	}
+	if got, want := e.AppendState(nil, now), d.AppendState(nil, now); !bytes.Equal(got, want) {
+		t.Fatal("equal windows filled in different orders encode differently")
+	}
 	for i := 0; i < 20; i++ {
 		if got := d.Snapshot(nil); !bytes.Equal(got, want) {
 			t.Fatalf("snapshot %d of an unchanged detector differs from the first", i)
@@ -619,5 +630,125 @@ func TestRestoreRejectsForeignIdentifiers(t *testing.T) {
 	}
 	if err := d.Restore(good); err != nil {
 		t.Fatalf("the untouched snapshot no longer restores: %v", err)
+	}
+}
+
+// snapParts is a detector snapshot split into the sections Restore checks the
+// order of: everything before the pending marks, the pending marks, the dedupe
+// windows, and the counters after them.
+type snapParts struct {
+	head    []byte
+	pending []int32
+	windows []snapWindow
+	tail    []byte
+}
+
+type snapWindow struct {
+	id        int32
+	waveStart int64
+	keys      []uint64
+}
+
+func splitSnapshot(t *testing.T, b []byte) snapParts {
+	t.Helper()
+	r := snap.NewReader(b)
+	r.Bytes(int(r.U32()) * prSnapBytes)
+	r.Bytes(int(r.U32()) * 4)
+	p := snapParts{head: b[:r.Offset()]}
+	for n := r.U32(); n > 0; n-- {
+		p.pending = append(p.pending, r.I32())
+	}
+	for n := r.U32(); n > 0; n-- {
+		w := snapWindow{id: r.I32(), waveStart: r.I64()}
+		for k := r.U32(); k > 0; k-- {
+			w.keys = append(w.keys, r.U64())
+		}
+		p.windows = append(p.windows, w)
+	}
+	p.tail = b[r.Offset():]
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	return p
+}
+
+func (p snapParts) encode() []byte {
+	b := bytes.Clone(p.head)
+	b = snap.IDs(b, p.pending)
+	b = snap.U32(b, uint32(len(p.windows)))
+	for _, w := range p.windows {
+		b = snap.I32(b, w.id)
+		b = snap.I64(b, w.waveStart)
+		b = snap.U32(b, uint32(len(w.keys)))
+		for _, k := range w.keys {
+			b = snap.U64(b, k)
+		}
+	}
+	return append(b, p.tail...)
+}
+
+// TestRestoreRejectsNonCanonical: Snapshot writes the pending marks and the
+// dedupe windows in ascending message order, each window's keys ascending,
+// and no window in its initial state. Bytes that break any of these rules
+// would restore to a state that snapshots to different bytes, so Restore
+// refuses each shape; the untouched snapshot still restores exactly.
+func TestRestoreRejectsNonCanonical(t *testing.T) {
+	r, d, _ := probingRing(t)
+	for k := 0; k < 4; k++ {
+		d.inits[r.a.ID].seen.add(edgeKey(router.LinkID(k), r.b.ID))
+	}
+	d.pendingMark[r.a.ID], d.pendingMark[r.c.ID] = true, true
+	good := d.Snapshot(nil)
+	parts := splitSnapshot(t, good)
+	if !bytes.Equal(parts.encode(), good) {
+		t.Fatal("splitSnapshot does not round-trip")
+	}
+	if len(parts.pending) != 2 || len(parts.windows) < 2 || len(parts.windows[0].keys) < 2 {
+		t.Fatalf("fixture has %d pending marks, %d windows, %d keys in the first: want 2, >= 2, >= 2",
+			len(parts.pending), len(parts.windows), len(parts.windows[0].keys))
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(p *snapParts)
+	}{
+		{"DuplicateKey", func(p *snapParts) {
+			w := &p.windows[0]
+			w.keys = slices.Insert(w.keys, 1, w.keys[0])
+		}},
+		{"UnsortedKeys", func(p *snapParts) {
+			w := &p.windows[0]
+			w.keys[0], w.keys[1] = w.keys[1], w.keys[0]
+		}},
+		{"WindowListedTwice", func(p *snapParts) {
+			p.windows = slices.Insert(p.windows, 1, p.windows[0])
+		}},
+		{"WindowsOutOfOrder", func(p *snapParts) {
+			p.windows[0], p.windows[1] = p.windows[1], p.windows[0]
+		}},
+		{"InitialWindow", func(p *snapParts) {
+			p.windows[0].waveStart, p.windows[0].keys = -1, nil
+		}},
+		{"PendingMarkTwice", func(p *snapParts) {
+			p.pending = slices.Insert(p.pending, 1, p.pending[0])
+		}},
+		{"PendingMarksOutOfOrder", func(p *snapParts) {
+			p.pending[0], p.pending[1] = p.pending[1], p.pending[0]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := splitSnapshot(t, good)
+			tc.mutate(&p)
+			bad := p.encode()
+			if err := New(r.fab, Config{}).Restore(bad); err == nil {
+				t.Fatal("Restore accepted an encoding Snapshot never writes")
+			}
+		})
+	}
+	fresh := New(r.fab, Config{InitDelay: 2, Transport: TransportControlVC})
+	if err := fresh.Restore(good); err != nil {
+		t.Fatalf("the untouched snapshot no longer restores: %v", err)
+	}
+	if again := fresh.Snapshot(nil); !bytes.Equal(again, good) {
+		t.Fatal("the untouched snapshot re-encodes differently")
 	}
 }

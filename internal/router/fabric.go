@@ -617,6 +617,14 @@ func (f *Fabric) CheckInvariants() error {
 	if err := f.occBits.audit("VC", want); err != nil {
 		return err
 	}
+	// The deadlock oracle finds blocked headers through the occupied VCs, so
+	// a message's head VC must be one of them, held by that message.
+	for _, m := range f.msgs {
+		if m.Length > 0 && m.HeadVC != NilVC &&
+			(m.HeadVC < 0 || int(m.HeadVC) >= len(f.VCs) || f.VCs[m.HeadVC].Occupant != m.ID) {
+			return fmt.Errorf("router: message %d's head VC %d is not held by it", m.ID, m.HeadVC)
+		}
+	}
 	clear(want)
 	for l := range busy {
 		if busy[l] != f.busy[l] {

@@ -191,6 +191,7 @@ func TestMoveFlitHeaderAndTail(t *testing.T) {
 	if f.VCs[src].HasHeader || !f.VCs[dst].HasHeader {
 		t.Fatal("header bit did not move")
 	}
+	m.HeadVC = dst // the engine's bookkeeping for a header move
 	h, tl = f.MoveFlit(src)
 	if h || tl {
 		t.Fatalf("second move: header=%v tail=%v", h, tl)
@@ -350,6 +351,32 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	f.VCs[0].Flits = 1 // free VC with flits
 	if err := f.CheckInvariants(); err == nil {
 		t.Fatal("corruption not detected")
+	}
+}
+
+// TestCheckInvariantsHeadVCHeld: the deadlock oracle seeds from the occupied
+// VCs, so a head VC that is free or held by another message must fail the
+// audit, and one held by its message must pass.
+func TestCheckInvariantsHeadVCHeld(t *testing.T) {
+	f := testFabric(t, 4, 2)
+	a := f.NewMessage(0, 1, 4, 0)
+	b := f.NewMessage(0, 1, 4, 0)
+	va, vb := f.FreeVC(f.NetLink(0, 0)), f.FreeVC(f.NetLink(1, 0))
+	f.Allocate(a, NilVC, va)
+	f.Allocate(b, NilVC, vb)
+	a.HeadVC, b.HeadVC = va, vb
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []VCID{vb, f.FreeVC(f.NetLink(2, 0)), VCID(len(f.VCs))} {
+		a.HeadVC = bad
+		if err := f.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "head VC") {
+			t.Errorf("head VC %d not held by message %d: CheckInvariants = %v", bad, a.ID, err)
+		}
+	}
+	a.HeadVC = va
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

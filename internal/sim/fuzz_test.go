@@ -7,12 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"wormnet/internal/detect"
 	"wormnet/internal/probe"
 	"wormnet/internal/recovery"
 	"wormnet/internal/router"
+	"wormnet/internal/snap"
 	"wormnet/internal/topology"
 	"wormnet/internal/traffic"
 )
@@ -73,6 +75,70 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 	return seeds
 }
 
+// cmhGate is the fuzzConfigs entry that runs the CMH prober.
+const cmhGate = 2
+
+// repeatedWindowKeySeed is a FuzzRestore input: the CMH configuration's
+// snapshot at cycle 400, behind its selector byte, with the first key of the
+// detector's first non-empty dedupe window written twice. That is an encoding
+// probe.Detector.Snapshot never writes, so Restore must refuse it
+// (TestRestoreRefusesRepeatedWindowKey), and the fuzzer mutates from it
+// toward the other non-canonical shapes. The detector section is located by
+// its length prefix and walked in the probe snapshot layout: probes, blocked
+// initiators, pending marks, then the windows.
+func repeatedWindowKeySeed(t testing.TB) []byte {
+	e, err := New(fuzzConfigs[cmhGate]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e.now < 400 {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := e.Snapshot([]byte{cmhGate})
+	det := e.caps.Snapshot(nil)
+	at := bytes.Index(full, append(snap.U32(nil, uint32(len(det))), det...))
+	if at < 0 {
+		t.Fatal("the CMH detector section is not in the engine snapshot")
+	}
+	const probeBytes = 5*4 + 2*8
+	r := snap.NewReader(det)
+	r.Bytes(int(r.U32()) * probeBytes)
+	r.Bytes(int(r.U32()) * 4)
+	r.Bytes(int(r.U32()) * 4)
+	for n := r.U32(); n > 0 && r.Err() == nil; n-- {
+		r.Bytes(4 + 8)
+		countAt := r.Offset()
+		keys := r.U32()
+		if keys == 0 {
+			continue
+		}
+		key := r.Bytes(8)
+		bad := append(bytes.Clone(det[:countAt]), snap.U32(nil, keys+1)...)
+		bad = append(append(bad, det[countAt+4:r.Offset()]...), key...)
+		bad = append(bad, det[r.Offset():]...)
+		out := append(bytes.Clone(full[:at]), snap.U32(nil, uint32(len(bad)))...)
+		out = append(out, bad...)
+		return append(out, full[at+4+len(det):]...)
+	}
+	t.Fatalf("the CMH detector has no dedupe window with a key (%v)", r.Err())
+	return nil
+}
+
+// TestRestoreRefusesRepeatedWindowKey: the FuzzRestore seed with a repeated
+// dedupe-window key is refused, naming the window.
+func TestRestoreRefusesRepeatedWindowKey(t *testing.T) {
+	seed := repeatedWindowKeySeed(t)
+	e, err := New(fuzzConfigs[cmhGate]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Restore(seed[1:]); err == nil || !strings.Contains(err.Error(), "dedupe window") {
+		t.Fatalf("Restore of a repeated window key: %v, want a refusal naming the dedupe window", err)
+	}
+}
+
 const restoreCorpus = "testdata/fuzz/FuzzRestore"
 
 var updateRestoreCorpus = flag.Bool("update-restore-corpus", false, "rewrite "+restoreCorpus+" from the current encoding")
@@ -127,6 +193,7 @@ func (e *Engine) audit() error {
 func FuzzRestore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x00WSNP"))
+	f.Add(repeatedWindowKeySeed(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
