@@ -43,7 +43,8 @@ bench-gate:
 # Determinism smoke: a 4-worker checkpointed sweep must be byte-identical
 # to a serial sweep, and so must a resume against the finished journal. Then
 # cmd/tables end to end on a small torus: every observation flag it accepts
-# must reach the harness, which creates each directory up front.
+# must reach the harness, which creates each directory up front, and Tables
+# 1 and 2 with the PDM-vs-NDM report must print the same on 1 and 4 workers.
 smoke: build
 	$(GO) build -o /tmp/wormnet-loadsweep ./cmd/loadsweep
 	$(GO) build -o /tmp/wormnet-tables ./cmd/tables
@@ -59,7 +60,12 @@ smoke: build
 	/tmp/wormnet-tables -table 2 -k 4 -n 2 -relative -warmup 200 -measure 1500 -quiet \
 		-forensics-dir /tmp/wormnet-tables-d -trace-dir /tmp/wormnet-tables-t > /dev/null
 	test -d /tmp/wormnet-tables-d.t2 -a -d /tmp/wormnet-tables-t.t2
-	@echo "smoke: parallel and resumed sweeps byte-identical to serial; tables dumps reach the harness"
+	/tmp/wormnet-tables -table 1,2 -k 4 -n 2 -relative -warmup 200 -measure 1500 \
+		-workers 1 -quiet > /tmp/wormnet-tables-serial.txt
+	/tmp/wormnet-tables -table 1,2 -k 4 -n 2 -relative -warmup 200 -measure 1500 \
+		-workers 4 -quiet > /tmp/wormnet-tables-par.txt
+	cmp /tmp/wormnet-tables-serial.txt /tmp/wormnet-tables-par.txt
+	@echo "smoke: parallel and resumed sweeps byte-identical to serial; tables dumps reach the harness; tables report identical on 1 and 4 workers"
 
 # Sweep determinism gates: a fixed-seed sweep must be byte-identical to the
 # committed golden (results/sweep_golden.json) run plain, with per-run metrics
@@ -215,15 +221,17 @@ fuzz-flags:
 	@echo "fuzz-flags: no event program split the flag detectors or the oracle from their reference"
 
 # Twenty seconds each of the decoder fuzzers: FuzzTraceScan (trace.Scan, then
-# the offline episode correlator), FuzzDecodeSeries and FuzzIncidents. Each
-# input must be refused with an error or decoded, never panic, and never
-# allocate beyond a fixed budget plus a multiple of its size. The committed
-# seeds and corpora alone run in the normal `go test`.
+# the offline episode correlator), FuzzDecodeSeries, FuzzIncidents and
+# FuzzTableJSON (saved tables through exp.DecodeJSON, Format and the
+# PDM-vs-NDM report). Each input must be refused with an error or decoded,
+# never panic, and never allocate beyond a fixed budget plus a multiple of
+# its size. The committed seeds and corpora alone run in the normal `go test`.
 fuzz-decoders:
 	$(GO) test ./internal/trace -run NONE -fuzz '^FuzzTraceScan$$' -fuzztime 20s -fuzzminimizetime 5s
 	$(GO) test ./internal/metrics -run NONE -fuzz '^FuzzDecodeSeries$$' -fuzztime 20s -fuzzminimizetime 5s
 	$(GO) test ./internal/forensics -run NONE -fuzz '^FuzzIncidents$$' -fuzztime 20s -fuzzminimizetime 5s
-	@echo "fuzz-decoders: no trace, series or incident input panicked or ran away"
+	$(GO) test ./internal/exp -run NONE -fuzz '^FuzzTableJSON$$' -fuzztime 20s -fuzzminimizetime 5s
+	@echo "fuzz-decoders: no trace, series, incident or saved-table input panicked or ran away"
 
 # Metrics smoke: scrape a live run's /metrics, /status and /debug/pprof,
 # check that an emitted time series parses back through `wormview metrics`,
@@ -259,7 +267,7 @@ metrics-smoke: build
 # point; regenerates results/cmh_shootout.txt (detection-latency
 # histograms, true/false mark split, probe bandwidth). See EXPERIMENTS.md.
 shootout: build
-	$(GO) run ./cmd/compare -detlat -mechs pdm,ndm,cmh -k 4 -n 2 -th 16 \
+	$(GO) run ./cmd/tables -detlat -mechs pdm,ndm,cmh -k 4 -n 2 -th 16 \
 		-measure 20000 > results/cmh_shootout.txt
 	@echo "shootout: wrote results/cmh_shootout.txt"
 
@@ -287,6 +295,6 @@ clean:
 		/tmp/wormnet-incidents-replay.jsonl /tmp/wormnet-forensics-events.jsonl \
 		/tmp/wormnet-forensics-on.txt /tmp/wormnet-forensics-off.txt \
 		/tmp/wormnet-forensics-summary.txt /tmp/wormnet-tables /tmp/wormnet-gate.json \
-		/tmp/wormnet-bench-suite.json
+		/tmp/wormnet-bench-suite.json /tmp/wormnet-tables-serial.txt /tmp/wormnet-tables-par.txt
 	rm -rf /tmp/wormnet-series /tmp/wormnet-tables-d.t2 /tmp/wormnet-tables-t.t2 \
 		/tmp/wormnet-gate-series /tmp/wormnet-gate-forensics

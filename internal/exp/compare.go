@@ -3,40 +3,33 @@ package exp
 import (
 	"fmt"
 	"io"
+	"slices"
 )
 
 // CompareReport writes a paper-style summary comparing a measured PDM table
 // and a measured NDM table over the same workload grid (Tables 1 and 2):
 // per-threshold detection percentages in the saturated column, their
-// ratios, and the claim-level aggregates the paper quotes.
+// ratios, and the claim-level aggregates the paper quotes. Columns pair by
+// index, so the two tables must have the same rate count and size keys.
 func CompareReport(w io.Writer, pdm, ndm *Result) error {
-	if len(pdm.Rates) != len(ndm.Rates) || len(pdm.Table.Sizes) != len(ndm.Table.Sizes) {
-		return fmt.Errorf("exp: mismatched table shapes")
+	if len(pdm.Rates) == 0 || len(pdm.Rates) != len(ndm.Rates) {
+		return fmt.Errorf("exp: PDM table has %d rates, NDM table %d", len(pdm.Rates), len(ndm.Rates))
+	}
+	if !slices.EqualFunc(pdm.Table.Sizes, ndm.Table.Sizes, func(a, b Size) bool { return a.Key == b.Key }) {
+		return fmt.Errorf("exp: PDM and NDM tables have different size columns")
 	}
 	last := len(pdm.Rates) - 1
 	fmt.Fprintf(w, "PDM vs NDM at the saturated load (%.4g flits/cycle/node), by threshold:\n\n", pdm.Rates[last])
 	fmt.Fprintf(w, "%-10s %12s %12s %10s\n", "threshold", "PDM worst%", "NDM worst%", "ratio")
 	for ti, th := range pdm.Table.Thresholds {
-		ndmTi := -1
-		for tj, th2 := range ndm.Table.Thresholds {
-			if th2 == th {
-				ndmTi = tj
-				break
-			}
-		}
+		ndmTi := slices.Index(ndm.Table.Thresholds, th)
 		if ndmTi < 0 {
 			continue
 		}
 		var pWorst, nWorst float64
 		for si := range pdm.Table.Sizes {
-			if p := pdm.Cells[ti][last][si].Pct; p > pWorst {
-				pWorst = p
-			}
-		}
-		for si := range ndm.Table.Sizes {
-			if p := ndm.Cells[ndmTi][last][si].Pct; p > nWorst {
-				nWorst = p
-			}
+			pWorst = max(pWorst, pdm.Cells[ti][last][si].Pct)
+			nWorst = max(nWorst, ndm.Cells[ndmTi][last][si].Pct)
 		}
 		ratio := "-"
 		if nWorst > 0 {

@@ -53,7 +53,9 @@ func (r *Result) EncodeJSON(w io.Writer) error {
 
 // DecodeJSON reads a result previously written by EncodeJSON. The restored
 // Result supports formatting and cell lookup (its Table spec is rebuilt
-// from the paper's specification for the table ID).
+// from the paper's specification for the table ID). It refuses a result
+// whose rate count differs from the paper table's or whose cell grid is not
+// thresholds x rates x sizes.
 func DecodeJSON(r io.Reader) (*Result, error) {
 	var jr jsonResult
 	if err := json.NewDecoder(r).Decode(&jr); err != nil {
@@ -81,6 +83,22 @@ func DecodeJSON(r io.Reader) (*Result, error) {
 		}
 	}
 	tbl.Sizes = sizes
+	// Format, CompareReport and LengthSensitivity index the grid by the
+	// spec's shape and read the last rate as the saturated one.
+	if len(jr.Rates) != len(tbl.Rates) {
+		return nil, fmt.Errorf("exp: table %d has %d rates, want the paper's %d", jr.Table, len(jr.Rates), len(tbl.Rates))
+	}
+	grid := len(jr.Cells) == len(jr.Thresholds)
+	for _, row := range jr.Cells {
+		grid = grid && len(row) == len(jr.Rates)
+		for _, col := range row {
+			grid = grid && len(col) == len(sizes)
+		}
+	}
+	if !grid {
+		return nil, fmt.Errorf("exp: cell grid is not %d thresholds x %d rates x %d sizes",
+			len(jr.Thresholds), len(jr.Rates), len(sizes))
+	}
 	opt := Options{
 		K: jr.K, N: jr.N,
 		Warmup: jr.Warmup, Measure: jr.Measure,

@@ -1,5 +1,7 @@
 package exp
 
+import "slices"
+
 // Reference data transcribed from the paper, used by the comparison report
 // and by EXPERIMENTS.md generation. Values are percentages of messages
 // detected as possibly deadlocked on the 512-node bidirectional 8-ary
@@ -63,16 +65,20 @@ const PaperNDMOverPDMImprovement = 10.0
 
 // SaturatedImprovementRatio compares two measured uniform-traffic results
 // (a Table-1-style PDM run and a Table-2-style NDM run) the way the paper
-// summarizes them: the mean, over matched saturated-load cells with nonzero
-// PDM detection, of PDM% / NDM% (cells where NDM measured zero contribute
-// the cap value 100).
+// summarizes them: the mean, over saturated-load cells with nonzero PDM
+// detection, of PDM% / NDM% (cells where NDM measured zero contribute the
+// cap value 100). Rows pair by threshold value, columns by index.
 func SaturatedImprovementRatio(pdm, ndm *Result) float64 {
 	sum, n := 0.0, 0
 	last := len(pdm.Rates) - 1
-	for thIdx := range pdm.Table.Thresholds {
+	for ti, th := range pdm.Table.Thresholds {
+		tj := slices.Index(ndm.Table.Thresholds, th)
+		if tj < 0 {
+			continue
+		}
 		for si := range pdm.Table.Sizes {
-			p := pdm.Cells[thIdx][last][si].Pct
-			q := ndm.Cells[thIdx][last][si].Pct
+			p := pdm.Cells[ti][last][si].Pct
+			q := ndm.Cells[tj][last][si].Pct
 			if p == 0 {
 				continue
 			}

@@ -8,7 +8,6 @@ package exp
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"wormnet/internal/detect"
@@ -174,9 +173,6 @@ type Options struct {
 	// with Resume, cells already journaled are loaded instead of re-run.
 	Journal string
 	Resume  bool
-	// ProgressWriter, when non-nil, receives the harness's live progress
-	// line (runs done, ETA, worker utilization).
-	ProgressWriter io.Writer
 	// Observe configures per-cell flight-recorder and metrics-series dumps
 	// (see harness.Observe).
 	Observe harness.Observe
@@ -290,7 +286,6 @@ func Run(tbl Table, opt Options) (*Result, error) {
 		},
 		Journal:     opt.Journal,
 		Resume:      opt.Resume,
-		Progress:    opt.ProgressWriter,
 		OnPointDone: opt.Progress,
 		Observe:     opt.Observe,
 	})

@@ -3,10 +3,10 @@
 // checkpoint journal for interrupt/resume, per-worker panic isolation and
 // replicate aggregation.
 //
-// The experiment CLIs (cmd/loadsweep, cmd/compare, cmd/tables via
-// internal/exp) all expand their sweep specification into a flat list of
-// Points — one fully described sim.Config per grid coordinate — and hand it
-// to Run. The harness guarantees:
+// The experiment CLIs (cmd/loadsweep, and cmd/tables directly for -detlat
+// and via internal/exp for the paper tables) all expand their sweep
+// specification into a flat list of Points — one fully described
+// sim.Config per grid coordinate — and hand it to Run. The harness guarantees:
 //
 //   - Determinism. Run (point p, replicate r) simulates with seed
 //     SeedFunc(p, r) — by default rng.Derive(BaseSeed, p, r) — which is a

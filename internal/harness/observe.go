@@ -16,11 +16,11 @@ import (
 )
 
 // Observe bundles the per-run observation options shared by every sweep
-// CLI (cmd/loadsweep, cmd/compare, cmd/tables): flight-recorder trace
-// dumps, metrics time-series dumps and deadlock incident reports. It
-// travels as one value — through Sweep, Options, exp.Options and
-// wormnet.TableOptions — and is the only code that attaches rails to a run
-// (Attach) and writes their files (Rails).
+// CLI (cmd/loadsweep, cmd/tables): flight-recorder trace dumps, metrics
+// time-series dumps and deadlock incident reports. It travels as one
+// value — through Sweep, Options, exp.Options and wormnet.TableOptions —
+// and is the only code that attaches rails to a run (Attach) and writes
+// their files (Rails).
 //
 // All observers are pure: attaching them never changes simulation output
 // (CI holds a fixed-seed sweep to byte-identity with them on and off).
@@ -87,8 +87,8 @@ func (o *Observe) Validate() error {
 }
 
 // WithSuffix returns a copy with suffix appended to each configured output
-// directory, so commands that run several sweeps (compare's -pdm/-ndm
-// tables, tables' per-table runs) keep their dumps apart.
+// directory, so a command that runs several sweeps (cmd/tables, one per
+// table) keeps their dumps apart.
 func (o Observe) WithSuffix(suffix string) Observe {
 	if o.TraceDir != "" {
 		o.TraceDir += suffix

@@ -12,8 +12,10 @@
 // of messages detected as possibly deadlocked — with every detection
 // classified as true or false by an omniscient deadlock oracle.
 //
-// The complete experiment harness for the paper's Tables 1-7 lives in
-// RunPaperTable; the cmd/tables tool wraps it.
+// RunPaperTable reproduces one of the paper's Tables 1-7, or the CMH
+// extension Table 8. The cmd/tables tool runs the same experiments from the
+// command line: its -table 0 runs the paper's seven tables, and Table 8
+// runs only when named.
 package wormnet
 
 import (
@@ -641,7 +643,8 @@ func (t *TableResult) Pct(th int64, rateIdx int, size string) (float64, bool) {
 	return c.Pct, ok
 }
 
-// RunPaperTable reproduces the paper's table id (1..7).
+// RunPaperTable reproduces table id: one of the paper's Tables 1-7, or 8,
+// the CMH extension.
 func RunPaperTable(id int, opt TableOptions) (*TableResult, error) {
 	tbl, err := exp.PaperTable(id)
 	if err != nil {
