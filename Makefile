@@ -211,14 +211,17 @@ fuzz-restore:
 # equal to the eager per-link reference in internal/detect/idle_test.go, with
 # events compared when traced. Then twenty seconds of FuzzOracle: worm op
 # programs must keep the oracle's flat wait-for graph equal, set and order, to
-# the round-based reference kernel in internal/deadlock/oracle_test.go. The
-# committed corpora alone run in the normal `go test`; `go test -fuzz` takes
-# one target per run.
+# the round-based reference kernel in internal/deadlock/oracle_test.go. Then
+# twenty seconds of FuzzProbeDigest: event programs must keep the CMH
+# detector's probe accounting conserved and its snapshot round trip exact.
+# The committed corpora alone run in the normal `go test`; `go test -fuzz`
+# takes one target per run.
 fuzz-flags:
 	$(GO) test ./internal/detect -run NONE -fuzz '^FuzzNDMFlags$$' -fuzztime 20s -fuzzminimizetime 5s
 	$(GO) test ./internal/detect -run NONE -fuzz '^FuzzPDMFlags$$' -fuzztime 20s -fuzzminimizetime 5s
 	$(GO) test ./internal/deadlock -run NONE -fuzz '^FuzzOracle$$' -fuzztime 20s -fuzzminimizetime 5s
-	@echo "fuzz-flags: no event program split the flag detectors or the oracle from their reference"
+	$(GO) test ./internal/probe -run NONE -fuzz '^FuzzProbeDigest$$' -fuzztime 20s -fuzzminimizetime 5s
+	@echo "fuzz-flags: no event program split the flag detectors or the oracle from their reference, or broke CMH probe accounting"
 
 # Twenty seconds each of the decoder fuzzers: FuzzTraceScan (trace.Scan, then
 # the offline episode correlator), FuzzDecodeSeries, FuzzIncidents and

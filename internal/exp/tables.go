@@ -8,6 +8,8 @@ package exp
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 
 	"wormnet/internal/detect"
@@ -165,9 +167,11 @@ type Options struct {
 	Promotion detect.PromotionPolicy
 	// Progress, when non-nil, is called after each finished cell.
 	Progress func(done, total int)
-	// Workers bounds the number of cells simulated concurrently; values
+	// Workers bounds the number of cells simulated concurrently, and the
+	// number of saturation probes EstimateSaturation runs at once; values
 	// < 1 select GOMAXPROCS. Results are independent of Workers: every
-	// run's seed is a pure function of (Seed, cell index, repeat index).
+	// run's seed is a pure function of (Seed, cell index, repeat index),
+	// and the saturation estimate is the same float64 on any count.
 	Workers int
 	// Journal is the path of a harness checkpoint journal ("" disables);
 	// with Resume, cells already journaled are loaded instead of re-run.
@@ -350,52 +354,116 @@ func cellConfig(tbl Table, opt Options, th int64, rate float64, size Size) (sim.
 // saturated and latency has diverged.
 //
 // The estimate first measures the throughput ceiling under unbounded
-// offered load, then bisects the tracking boundary below it.
+// offered load, then bisects the tracking boundary below it in 7 halvings.
+// The bisection is speculative: each round runs up to Options.Workers
+// probes at once on the sweep harness — the next midpoint, then the
+// midpoints after it along guessed outcomes. Every probe runs with
+// Options.Seed, so its result is a pure function of its load, and a
+// result is used only while its load is, bit for bit, the midpoint the
+// one-probe-at-a-time loop computes next. The estimate is therefore the
+// same float64 on every worker count; a wrong guess costs only the cores
+// that ran the discarded probes. With one worker the probes are the
+// serial loop's 8 loads, in its order.
 func EstimateSaturation(pattern sim.PatternFactory, lengths traffic.LengthDist, opt Options) (float64, error) {
-	probe := func(load float64) (offered, accepted float64, err error) {
-		cfg := sim.DefaultConfig()
-		cfg.K, cfg.N = opt.K, opt.N
-		cfg.Pattern = pattern
-		cfg.Lengths = lengths
-		cfg.Load = load
-		cfg.InjectionLimit = opt.InjectionLimit
-		cfg.Warmup = opt.Warmup * 2
-		cfg.Measure = opt.Measure / 2
-		if cfg.Measure < 2000 {
-			cfg.Measure = 2000
+	sat, _, err := estimateSaturation(pattern, lengths, opt, nil)
+	return sat, err
+}
+
+// estimateSaturation is EstimateSaturation with the harness run function
+// exposed (nil selects sim.Run) and the number of probe rounds returned.
+func estimateSaturation(pattern sim.PatternFactory, lengths traffic.LengthDist, opt Options,
+	run func(string, sim.Config) (*sim.Result, error)) (sat float64, rounds int, err error) {
+	cfg := sim.DefaultConfig()
+	cfg.K, cfg.N = opt.K, opt.N
+	cfg.Pattern = pattern
+	cfg.Lengths = lengths
+	cfg.InjectionLimit = opt.InjectionLimit
+	cfg.Warmup = opt.Warmup * 2
+	cfg.Measure = max(opt.Measure/2, 2000)
+	workers := opt.Workers
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	// probe runs one round: one harness point per load, all on Seed.
+	probe := func(loads ...float64) ([]harness.PointResult, error) {
+		rounds++
+		points := make([]harness.Point, len(loads))
+		for i, load := range loads {
+			points[i] = harness.Point{Key: fmt.Sprintf("saturation/load=%g", load), Config: cfg}
+			points[i].Config.Load = load
 		}
-		cfg.Seed = opt.Seed
-		eng, err := sim.New(cfg)
-		if err != nil {
-			return 0, 0, err
+		return harness.Run(points, harness.Options{
+			Workers:  len(loads),
+			SeedFunc: func(int, int) uint64 { return opt.Seed },
+			Run:      run,
+		})
+	}
+	// accepted is a probe's accepted throughput, or why it failed.
+	accepted := func(pr *harness.PointResult, load float64) (float64, error) {
+		if !pr.OK() {
+			return 0, fmt.Errorf("exp: saturation probe at load %g: %s", load, pr.Err())
 		}
-		r, err := eng.Run()
-		if err != nil {
-			return 0, 0, err
-		}
-		return load, r.Throughput(), nil
+		return pr.Runs[0].Throughput(), nil
 	}
 
 	// Throughput ceiling under unbounded load bounds the search.
-	_, ceiling, err := probe(100)
+	sweep, err := probe(100)
 	if err != nil {
-		return 0, err
+		return 0, rounds, err
+	}
+	ceiling, err := accepted(&sweep[0], 100)
+	if err != nil {
+		return 0, rounds, err
 	}
 	if ceiling <= 0 {
-		return 0, fmt.Errorf("exp: network delivered nothing under saturating load")
+		return 0, rounds, fmt.Errorf("exp: network delivered nothing under saturating load")
 	}
+	const steps = 7
 	lo, hi := 0.0, ceiling*1.25
-	for i := 0; i < 7; i++ {
-		mid := (lo + hi) / 2
-		offered, accepted, err := probe(mid)
-		if err != nil {
-			return 0, err
+	// The accepted/offered ratios measured at lo and hi (0: not probed yet).
+	var rLo, rHi float64
+	for step := 0; step < steps; {
+		// The round: the next midpoint, then the midpoints after it along
+		// the guessed outcomes, computed exactly as the bisection computes
+		// them. The guess: a load tracks iff it is at most where the ratio,
+		// interpolated linearly between lo and hi, crosses 0.95 — or, until
+		// both have been probed, at most the ceiling. It steers only which
+		// probes run, never the estimate.
+		guess := ceiling
+		if rLo > 0 && rHi > 0 {
+			guess = lo + (hi-lo)*(rLo-0.95)/(rLo-rHi)
 		}
-		if accepted >= 0.95*offered {
-			lo = mid
-		} else {
-			hi = mid
+		var loads []float64
+		glo, ghi := lo, hi
+		for len(loads) < workers && step+len(loads) < steps {
+			mid := (glo + ghi) / 2
+			loads = append(loads, mid)
+			if mid <= guess {
+				glo = mid
+			} else {
+				ghi = mid
+			}
+		}
+		sweep, err := probe(loads...)
+		if err != nil {
+			return 0, rounds, err
+		}
+		for i, load := range loads {
+			mid := (lo + hi) / 2
+			if math.Float64bits(load) != math.Float64bits(mid) {
+				break // the guess before this probe was wrong
+			}
+			a, err := accepted(&sweep[i], load)
+			if err != nil {
+				return 0, rounds, err
+			}
+			if a >= 0.95*load {
+				lo, rLo = mid, a/load
+			} else {
+				hi, rHi = mid, a/load
+			}
+			step++
 		}
 	}
-	return lo, nil
+	return lo, rounds, nil
 }

@@ -597,8 +597,9 @@ type TableOptions struct {
 	RelativeRates bool
 	// SelectivePromotion runs NDM with the selective P->G variant.
 	SelectivePromotion bool
-	// Workers bounds concurrent cell simulations; 0 means GOMAXPROCS.
-	// Results are identical for every worker count.
+	// Workers bounds concurrent cell simulations and, with RelativeRates,
+	// concurrent saturation probes; 0 means GOMAXPROCS. Results, the
+	// saturation estimate included, are identical for every worker count.
 	Workers int
 	// Repeats runs each cell this many times with independently derived
 	// seeds and reports mean±ci95; 0 or 1 means a single run.
