@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check benchmark-check bench-gate smoke golden-gate trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex conformance-fuzz-seeds fuzz-restore-seeds fuzz-restore fuzz-flags fuzz-decoders shootout profile clean
+.PHONY: all build test race vet fmt-check benchmark-check bench-gate smoke golden-gate trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex conformance-fuzz-seeds fuzz-restore-seeds fuzz shootout profile clean
 
 all: vet fmt-check test
 
@@ -197,44 +197,33 @@ fuzz-restore-seeds:
 	$(GO) test ./internal/sim -run TestRestoreCorpusIsCurrent -update-restore-corpus
 	@echo "fuzz-restore-seeds: internal/sim/testdata/fuzz/FuzzRestore regenerated"
 
-# Twenty seconds of FuzzRestore: mutated engine snapshots must be refused with
-# an error or restore to an engine that passes every Debug audit and steps on
-# — never a panic, never an allocation out of proportion to the input. The
-# committed seeds alone run in the normal `go test`. (-fuzzminimizetime keeps a
-# find from spending a minute shrinking a snapshot-sized input.)
-fuzz-restore:
-	$(GO) test ./internal/sim -run NONE -fuzz FuzzRestore -fuzztime 20s -fuzzminimizetime 5s
-	@echo "fuzz-restore: no snapshot mutation panicked"
-
-# Twenty seconds each of FuzzNDMFlags and FuzzPDMFlags: mutated event programs
-# must keep the flag detectors' word loops (idle count, PromoteAll's G/P word)
-# equal to the eager per-link reference in internal/detect/idle_test.go, with
-# events compared when traced. Then twenty seconds of FuzzOracle: worm op
-# programs must keep the oracle's flat wait-for graph equal, set and order, to
-# the round-based reference kernel in internal/deadlock/oracle_test.go. Then
-# twenty seconds of FuzzProbeDigest: event programs must keep the CMH
-# detector's probe accounting conserved and its snapshot round trip exact.
-# The committed corpora alone run in the normal `go test`; `go test -fuzz`
-# takes one target per run.
-fuzz-flags:
-	$(GO) test ./internal/detect -run NONE -fuzz '^FuzzNDMFlags$$' -fuzztime 20s -fuzzminimizetime 5s
-	$(GO) test ./internal/detect -run NONE -fuzz '^FuzzPDMFlags$$' -fuzztime 20s -fuzzminimizetime 5s
-	$(GO) test ./internal/deadlock -run NONE -fuzz '^FuzzOracle$$' -fuzztime 20s -fuzzminimizetime 5s
-	$(GO) test ./internal/probe -run NONE -fuzz '^FuzzProbeDigest$$' -fuzztime 20s -fuzzminimizetime 5s
-	@echo "fuzz-flags: no event program split the flag detectors or the oracle from their reference, or broke CMH probe accounting"
-
-# Twenty seconds each of the decoder fuzzers: FuzzTraceScan (trace.Scan, then
-# the offline episode correlator), FuzzDecodeSeries, FuzzIncidents and
-# FuzzTableJSON (saved tables through exp.DecodeJSON, Format and the
-# PDM-vs-NDM report). Each input must be refused with an error or decoded,
-# never panic, and never allocate beyond a fixed budget plus a multiple of
-# its size. The committed seeds and corpora alone run in the normal `go test`.
-fuzz-decoders:
-	$(GO) test ./internal/trace -run NONE -fuzz '^FuzzTraceScan$$' -fuzztime 20s -fuzzminimizetime 5s
-	$(GO) test ./internal/metrics -run NONE -fuzz '^FuzzDecodeSeries$$' -fuzztime 20s -fuzzminimizetime 5s
-	$(GO) test ./internal/forensics -run NONE -fuzz '^FuzzIncidents$$' -fuzztime 20s -fuzzminimizetime 5s
-	$(GO) test ./internal/exp -run NONE -fuzz '^FuzzTableJSON$$' -fuzztime 20s -fuzzminimizetime 5s
-	@echo "fuzz-decoders: no trace, series, incident or saved-table input panicked or ran away"
+# Twenty seconds of every fuzz target `go test -list '^Fuzz' ./...` reports,
+# one after another (`go test -fuzz` takes one target per run); the list is
+# printed first, and finding none is a failure. -fuzzminimizetime keeps a find
+# from spending a minute shrinking a snapshot-sized input. Each harness is
+# documented beside it; in short:
+#   - FuzzRestore: mutated engine snapshots are refused with an error or
+#     restore to an engine that passes every Debug audit and steps on.
+#   - FuzzNDMFlags, FuzzPDMFlags: mutated event programs keep the flag
+#     detectors' word loops equal to the eager per-link reference.
+#   - FuzzOracle: worm op programs keep the oracle's flat wait-for graph equal,
+#     set and order, to the round-based reference kernel.
+#   - FuzzProbeDigest: event programs keep CMH's probe accounting conserved and
+#     its snapshot round trip exact.
+#   - FuzzTraceScan, FuzzDecodeSeries, FuzzIncidents, FuzzTableJSON: hostile
+#     traces, series, incident reports and saved tables are refused with an
+#     error or decoded, never a panic or a runaway allocation.
+# The committed seeds and corpora alone run in the normal `go test`.
+fuzz:
+	@out=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$out"; exit 1; }; \
+	targets=$$(echo "$$out" | awk '/^Fuzz/ { f[n++] = $$1; next } /^ok/ { for (i = 0; i < n; i++) print $$2 ":" f[i]; n = 0 }'); \
+	test -n "$$targets" || { echo "fuzz: go test -list found no fuzz targets" >&2; exit 1; }; \
+	echo "fuzz: running" $$targets; \
+	for t in $$targets; do \
+		echo "fuzz: $$t"; \
+		$(GO) test $${t%%:*} -run NONE -fuzz "^$${t#*:}\$$" -fuzztime 20s -fuzzminimizetime 5s || exit 1; \
+	done; \
+	echo "fuzz: no fuzz target found a failing input:" $$targets
 
 # Metrics smoke: scrape a live run's /metrics, /status and /debug/pprof,
 # check that an emitted time series parses back through `wormview metrics`,

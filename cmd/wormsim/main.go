@@ -57,10 +57,13 @@ func main() {
 	flag.StringVar(&cfg.ForensicsPath, "forensics", "", "reconstruct deadlock episodes online and write the incident report (JSONL) to this file after the run")
 	flag.Parse()
 
-	if *length > 0 {
+	switch {
+	case *length > 0:
 		cfg.Lengths = wormnet.Lengths{Fixed: *length}
-	} else {
+	case *length == 0:
 		cfg.Lengths = wormnet.LenSL
+	default:
+		fail("-len must be at least 0 (0 selects the bimodal sl mix)")
 	}
 	metered := cfg.MetricsAddr != "" || cfg.SeriesPath != ""
 	if cfg.MetricsAddr != "" {

@@ -260,6 +260,10 @@ func restoreCounters(r *snap.Reader, counter []int64) {
 	}
 }
 
+// NDMMaxInputs is the most input channels (network links plus injection
+// ports) one router may have under NDM: its G/P flags are one 64-bit word.
+const NDMMaxInputs = 64
+
 // inputLinksByNode precomputes, for every node, the physical channels that
 // can hold message headers at that node's router: the network links arriving
 // from each direction plus the node's injection ports. pos[l] is node<<6 | i
@@ -267,7 +271,7 @@ func restoreCounters(r *snap.Reader, counter []int64) {
 func inputLinksByNode(f *router.Fabric) (inputs [][]router.LinkID, pos []int32) {
 	t := f.Topo
 	deg := t.Degree()
-	if deg+f.Cfg.InjPorts > 64 {
+	if deg+f.Cfg.InjPorts > NDMMaxInputs {
 		panic("detect: NDM's G/P word holds at most 64 input channels per router")
 	}
 	inputs = make([][]router.LinkID, t.Nodes())

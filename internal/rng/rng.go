@@ -93,18 +93,6 @@ func Derive(seed uint64, indices ...uint64) uint64 {
 	return out
 }
 
-// Fork returns a new Source derived from s's current state and index,
-// without consuming any values from s. Forks taken at the same parent state
-// with distinct indices produce independent streams; forking is therefore
-// safe to do once per worker or per sub-component regardless of the order
-// in which the forks are later used.
-func (s *Source) Fork(index uint64) *Source {
-	// Fold the full 256-bit state into the derivation so forks of distinct
-	// parents are unrelated even when their indices collide.
-	h := s.s0 ^ rotl(s.s1, 13) ^ rotl(s.s2, 29) ^ rotl(s.s3, 43)
-	return New(Derive(h, index))
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits.
@@ -163,27 +151,6 @@ func (s *Source) Bool(p float64) bool {
 		return true
 	}
 	return s.Float64() < p
-}
-
-// Perm returns a uniformly random permutation of [0, n) using Fisher-Yates.
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using the provided swap function.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Exp returns an exponentially distributed value with the given mean.

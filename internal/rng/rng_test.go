@@ -126,44 +126,6 @@ func TestDeriveStableAcrossRestarts(t *testing.T) {
 	}
 }
 
-func TestForkDoesNotAdvanceParent(t *testing.T) {
-	a := New(99)
-	b := New(99)
-	_ = a.Fork(5)
-	_ = a.Fork(6)
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("Fork advanced the parent (diverged at step %d)", i)
-		}
-	}
-}
-
-func TestForkIndependence(t *testing.T) {
-	parent := New(99)
-	f5 := parent.Fork(5)
-	f6 := parent.Fork(6)
-	f5again := parent.Fork(5)
-	same56 := 0
-	for i := 0; i < 1000; i++ {
-		v5, v6 := f5.Uint64(), f6.Uint64()
-		if v5 == v6 {
-			same56++
-		}
-		if v5 != f5again.Uint64() {
-			t.Fatal("Fork(5) is not reproducible at the same parent state")
-		}
-	}
-	if same56 > 0 {
-		t.Fatalf("Fork(5) and Fork(6) matched %d times in 1000 draws", same56)
-	}
-	// Forks taken at different parent states differ even with equal indices.
-	parent.Uint64()
-	later := parent.Fork(5)
-	if later.Uint64() == New(99).Fork(5).Uint64() {
-		t.Error("forks at different parent states coincided")
-	}
-}
-
 func TestIntnRange(t *testing.T) {
 	s := New(3)
 	err := quick.Check(func(nRaw uint16) bool {
@@ -239,41 +201,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 	if !s.Bool(2) {
 		t.Error("Bool(2) returned false")
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(13)
-	for n := 0; n <= 20; n++ {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	s := New(17)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	orig := append([]int(nil), xs...)
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	wantSum := 0
-	for _, v := range orig {
-		wantSum += v
-	}
-	if sum != wantSum {
-		t.Fatalf("shuffle altered elements: %v", xs)
 	}
 }
 

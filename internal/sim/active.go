@@ -99,54 +99,52 @@ func (e *Engine) auditActiveSets() error {
 		}
 	}
 
-	// Generator arrival heap and deferred lists (skip-ahead processes only):
-	// entries scheduled, heap-ordered, no duplicates, deferred nodes due
-	// exactly next cycle and absent from the heap, and heap plus deferrals
-	// covering exactly the nodes with a live countdown.
-	if e.genSkip != nil {
-		seen := e.clearListed(len(e.genDue))
-		for i, n32 := range e.genHeap {
-			node := int(n32)
-			if e.genDue[node] < 0 {
-				return fmt.Errorf("sim: node %d heaped with no scheduled arrival", node)
-			}
-			if seen[n32] != 0 {
-				return fmt.Errorf("sim: node %d heaped twice", node)
-			}
-			seen[n32] = 1
-			if i > 0 {
-				p := (i - 1) / 2
-				if e.genLess(n32, e.genHeap[p]) {
-					return fmt.Errorf("sim: arrival heap violates heap order at index %d", i)
-				}
+	// Generator arrival heap and deferred lists: entries scheduled,
+	// heap-ordered, no duplicates, deferred nodes due exactly next cycle and
+	// absent from the heap, and heap plus deferrals covering exactly the
+	// nodes with a live countdown.
+	seen := e.clearListed(len(e.genDue))
+	for i, n32 := range e.genHeap {
+		node := int(n32)
+		if e.genDue[node] < 0 {
+			return fmt.Errorf("sim: node %d heaped with no scheduled arrival", node)
+		}
+		if seen[n32] != 0 {
+			return fmt.Errorf("sim: node %d heaped twice", node)
+		}
+		seen[n32] = 1
+		if i > 0 {
+			p := (i - 1) / 2
+			if e.genLess(n32, e.genHeap[p]) {
+				return fmt.Errorf("sim: arrival heap violates heap order at index %d", i)
 			}
 		}
-		if len(e.genDefB) != 0 {
-			return fmt.Errorf("sim: deferred-arrival fill buffer not swapped after generate")
+	}
+	if len(e.genDefB) != 0 {
+		return fmt.Errorf("sim: deferred-arrival fill buffer not swapped after generate")
+	}
+	for _, n32 := range e.genDefA {
+		node := int(n32)
+		// A deferred node is due at the next generate stage: now+1 when
+		// the audit runs inside Step (after this cycle's generate, before
+		// the cycle counter advances), now when a test invokes it between
+		// Steps.
+		if e.genDue[node] != e.now+1 && e.genDue[node] != e.now {
+			return fmt.Errorf("sim: node %d deferred but due cycle %d (now %d)", node, e.genDue[node], e.now)
 		}
-		for _, n32 := range e.genDefA {
-			node := int(n32)
-			// A deferred node is due at the next generate stage: now+1
-			// when the audit runs inside Step (after this cycle's
-			// generate, before the cycle counter advances), now when a
-			// test invokes it between Steps.
-			if e.genDue[node] != e.now+1 && e.genDue[node] != e.now {
-				return fmt.Errorf("sim: node %d deferred but due cycle %d (now %d)", node, e.genDue[node], e.now)
-			}
-			if seen[n32] != 0 {
-				return fmt.Errorf("sim: node %d both heaped and deferred", node)
-			}
-			seen[n32] = 1
+		if seen[n32] != 0 {
+			return fmt.Errorf("sim: node %d both heaped and deferred", node)
 		}
-		scheduled := 0
-		for node := range e.genDue {
-			if e.genDue[node] >= 0 {
-				scheduled++
-			}
+		seen[n32] = 1
+	}
+	scheduled := 0
+	for node := range e.genDue {
+		if e.genDue[node] >= 0 {
+			scheduled++
 		}
-		if tracked := len(e.genHeap) + len(e.genDefA); tracked != scheduled {
-			return fmt.Errorf("sim: arrival heap and deferred list track %d nodes, %d have scheduled arrivals", tracked, scheduled)
-		}
+	}
+	if tracked := len(e.genHeap) + len(e.genDefA); tracked != scheduled {
+		return fmt.Errorf("sim: arrival heap and deferred list track %d nodes, %d have scheduled arrivals", tracked, scheduled)
 	}
 
 	// The transmitted bitmap holds exactly the links on the transmitted

@@ -29,10 +29,6 @@ type PatternFactory func(*topology.Torus) traffic.Pattern
 // DetectorFactory builds the detection mechanism once the fabric exists.
 type DetectorFactory func(*router.Fabric) detect.Detector
 
-// ProcessFactory builds a custom injection process once the topology
-// exists, overriding the default Bernoulli process.
-type ProcessFactory func(*topology.Torus) traffic.Process
-
 // Config fully describes one simulation run.
 type Config struct {
 	// K and N select the k-ary n-cube (the paper uses K=8, N=3).
@@ -43,15 +39,11 @@ type Config struct {
 	Router router.Config
 
 	// Pattern and Lengths define the workload; Load is the offered traffic
-	// in flits/cycle/node.
+	// in flits/cycle/node, generated by the paper's Bernoulli process
+	// (traffic.Generator).
 	Pattern PatternFactory
 	Lengths traffic.LengthDist
 	Load    float64
-
-	// Process, when non-nil, replaces the default Bernoulli injection
-	// process built from Pattern, Lengths and Load (e.g. a bursty source
-	// model). Pattern, Lengths and Load are then ignored for generation.
-	Process ProcessFactory
 
 	// Routing selects the routing algorithm; nil means the paper's true
 	// fully adaptive routing. Deadlock detection requires an algorithm
@@ -158,9 +150,9 @@ func (c *Config) validate() error {
 	switch {
 	case c.K < 2 || c.N < 1:
 		return fmt.Errorf("sim: invalid topology %d-ary %d-cube", c.K, c.N)
-	case c.Process == nil && c.Pattern == nil:
+	case c.Pattern == nil:
 		return fmt.Errorf("sim: Pattern is required")
-	case c.Process == nil && c.Lengths == nil:
+	case c.Lengths == nil:
 		return fmt.Errorf("sim: Lengths is required")
 	case c.Load < 0:
 		return fmt.Errorf("sim: negative Load")

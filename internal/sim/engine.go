@@ -49,7 +49,7 @@ type Engine struct {
 	oracle *deadlock.Oracle
 	rec    *recovery.Engine
 	rnd    *rng.Source
-	gen    traffic.Process
+	gen    *traffic.Generator
 	alg    routing.Algorithm
 
 	now        int64
@@ -98,12 +98,11 @@ type Engine struct {
 	// node sees are a pure function of (seed, node).
 	nodeRng []rng.Source
 
-	// Active sets (see stages.go). genSkip is non-nil when the injection
-	// process supports geometric inter-arrival skip-ahead; genDue[node] is
-	// then the node's next arrival cycle (-1 = never), genHeap a binary
-	// min-heap of the scheduled nodes keyed by (due, node), genDefA the nodes
-	// whose arrival was deferred by a full queue last cycle (due this cycle,
-	// node-ascending by construction) and genDefB this cycle's deferrals;
+	// Active sets (see stages.go). genDue[node] is the node's next arrival
+	// cycle (-1 = never), genHeap a binary min-heap of the scheduled nodes
+	// keyed by (due, node), genDefA the nodes whose arrival was deferred by a
+	// full queue last cycle (due this cycle, node-ascending by construction)
+	// and genDefB this cycle's deferrals;
 	// generate swaps the two at the end of the stage. neBits is the
 	// nonempty-queue bitmap: bit i means node i has a waiting source queue,
 	// and word-ascending, bit-ascending iteration yields node-ascending
@@ -115,7 +114,6 @@ type Engine struct {
 	// transfer targets) and keyLink its inverse, both precomputed so the
 	// transfer stage marks and decodes active links without a divide;
 	// keyBits is the active-output-link bitmap over those keys.
-	genSkip  traffic.Skipahead
 	genDue   []int64
 	genHeap  []int32
 	genDefA  []int32
@@ -219,11 +217,7 @@ func New(cfg Config) (*Engine, error) {
 		},
 		Recovered: e.onRecovered,
 	})
-	if cfg.Process != nil {
-		e.gen = cfg.Process(topo)
-	} else {
-		e.gen = traffic.NewGenerator(cfg.Pattern(topo), cfg.Lengths, cfg.Load)
-	}
+	e.gen = traffic.NewGenerator(cfg.Pattern(topo), cfg.Lengths, cfg.Load)
 	e.queues = make([]msgQueue, topo.Nodes())
 	e.transmitted = make([]bool, fab.NumLinks())
 	e.inputUsedAt = make([]int64, fab.NumLinks())
@@ -259,29 +253,22 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.keyLink[e.linkKey[l]] = router.LinkID(l)
 	}
-	// Skip-ahead generation: when the process supports it, every node's
-	// per-cycle Bernoulli trial collapses into a geometric inter-arrival
-	// countdown. Each node's first gap comes from its own stream, so the
-	// schedule stays a pure function of (seed, node).
-	if sk, ok := e.gen.(traffic.Skipahead); ok {
-		e.genSkip = sk
-		e.genDue = make([]int64, topo.Nodes())
-		for node := range e.genDue {
-			gap, ok := sk.NextGap(node, &e.nodeRng[node])
-			if !ok {
-				e.genDue[node] = -1
-				continue
-			}
-			e.genDue[node] = int64(gap)
+	// Skip-ahead generation: every node's per-cycle Bernoulli trial
+	// collapses into a geometric inter-arrival countdown. Each node's first
+	// gap comes from its own stream, so the schedule stays a pure function
+	// of (seed, node).
+	e.genDue = make([]int64, topo.Nodes())
+	e.genHeap = make([]int32, 0, topo.Nodes())
+	e.genDefA = make([]int32, 0, topo.Nodes())
+	e.genDefB = make([]int32, 0, topo.Nodes())
+	for node := range e.genDue {
+		gap, ok := e.gen.NextGap(node, &e.nodeRng[node])
+		if !ok {
+			e.genDue[node] = -1
+			continue
 		}
-		e.genHeap = make([]int32, 0, topo.Nodes())
-		e.genDefA = make([]int32, 0, topo.Nodes())
-		e.genDefB = make([]int32, 0, topo.Nodes())
-		for node := range e.genDue {
-			if e.genDue[node] >= 0 {
-				e.heapPush(int32(node))
-			}
-		}
+		e.genDue[node] = int64(gap)
+		e.heapPush(int32(node))
 	}
 	// Pre-size the per-cycle scratch buffers to their geometric maxima so
 	// the steady-state hot path never grows them: each target VC has at

@@ -15,13 +15,12 @@ import (
 	"wormnet/internal/recovery"
 	"wormnet/internal/router"
 	"wormnet/internal/snap"
-	"wormnet/internal/topology"
 	"wormnet/internal/traffic"
 )
 
 // fuzzConfigs are the engines FuzzRestore restores into, selected by the
 // input's first byte: a deadlocking 3x3 single-VC storm under each detector
-// family, and a 3-VC bursty run under regressive recovery. Small fabrics and
+// family, and a 3-VC storm under regressive recovery. Small fabrics and
 // short queues keep a snapshot — and so a corpus file — to a few kilobytes.
 var fuzzConfigs = []func() Config{
 	func() Config {
@@ -37,9 +36,6 @@ var fuzzConfigs = []func() Config{
 		cfg := fuzzStorm(func(f *router.Fabric) detect.Detector { return detect.NewNDM(f, 16) })
 		cfg.Router.VCsPerLink = 3
 		cfg.Recovery = recovery.Regressive
-		cfg.Process = func(tp *topology.Torus) traffic.Process {
-			return traffic.NewBursty(tp, traffic.NewUniform(tp), traffic.Fixed(8), 1.2, 4, 20)
-		}
 		return cfg
 	},
 }

@@ -72,12 +72,20 @@ func MechanismNames() []string {
 }
 
 // Factory resolves the description into the Config.Detector value: nil for
-// "none", an error for an unknown name.
+// "none", an error for an unknown name or for thresholds the mechanism cannot
+// run with.
 func (m Mechanism) Factory() (DetectorFactory, error) {
 	for _, k := range mechanisms {
-		if k.name == m.Name {
-			return k.build(m), nil
+		if k.name != m.Name {
+			continue
 		}
+		switch t1 := max(m.T1, 1); {
+		case m.Name == "ndm" && m.Threshold < t1:
+			return nil, fmt.Errorf("sim: ndm needs 1 <= t1 <= t2, got t1=%d t2=%d", t1, m.Threshold)
+		case m.Name == "pdm" && m.Threshold < 1:
+			return nil, fmt.Errorf("sim: pdm needs a threshold of at least 1, got %d", m.Threshold)
+		}
+		return k.build(m), nil
 	}
 	return nil, fmt.Errorf("sim: unknown mechanism %q (available: %s)",
 		m.Name, strings.Join(MechanismNames(), ", "))

@@ -8,7 +8,6 @@ import (
 	"wormnet/internal/router"
 	"wormnet/internal/snap"
 	"wormnet/internal/stats"
-	"wormnet/internal/traffic"
 )
 
 // The restore copy: Restore's fast path for bytes it has just decoded.
@@ -24,13 +23,12 @@ import (
 // What the copy does not hold it rebuilds exactly as the decoder does: the
 // transmitted bitmap from the transmitted list, the crossbar stamps reset, the
 // deferred-arrival lists emptied, the route memos empty, the fabric's
-// generation bumped and the oracle's cached set invalidated. The three
-// sections owned by components behind interfaces — the traffic process (if
-// traffic.Stateful), the detector and the recovery engine — are decoded again,
-// from the same bytes, by their own restore methods: the copy records only
-// where each section starts and ends. So the byte decoder stays the only
-// reader of snapshot bytes, and the copy holds nothing the decode did not
-// produce from those very bytes.
+// generation bumped and the oracle's cached set invalidated. The two sections
+// owned by components behind interfaces — the detector and the recovery
+// engine — are decoded again, from the same bytes, by their own restore
+// methods: the copy records only where each section starts and ends. So the
+// byte decoder stays the only reader of snapshot bytes, and the copy holds
+// nothing the decode did not produce from those very bytes.
 
 // restoreCopy is the state the last successful decode produced. src is empty
 // when there is none.
@@ -58,10 +56,9 @@ type restoreCopy struct {
 	lastProbe           detect.ProbeTotals
 	lastAbsorbedFlits   int64
 
-	// Offsets into src, recorded by restoreBody: the process's section is
-	// src[procAt:procEnd], the detector's src[detAt:detEnd] and the recovery
-	// engine's src[recAt:].
-	procAt, procEnd, detAt, detEnd, recAt int
+	// Offsets into src, recorded by restoreBody: the detector's section is
+	// src[detAt:detEnd] and the recovery engine's src[recAt:].
+	detAt, detEnd, recAt int
 }
 
 // saveCopy records the state a successful decode of src just produced.
@@ -130,11 +127,9 @@ func (e *Engine) loadCopy(src []byte) error {
 		e.inputUsedAt[i] = -1
 	}
 	e.inFlight = c.inFlight
-	if e.genSkip != nil {
-		copy(e.genDue, c.genDue)
-		e.genHeap = append(e.genHeap[:0], c.genHeap...)
-		e.genDefA, e.genDefB = e.genDefA[:0], e.genDefB[:0]
-	}
+	copy(e.genDue, c.genDue)
+	e.genHeap = append(e.genHeap[:0], c.genHeap...)
+	e.genDefA, e.genDefB = e.genDefA[:0], e.genDefB[:0]
 	copy(e.nodeRng, c.nodeRng)
 	*e.rnd = c.rnd
 	for len(e.oracleSeen) < len(c.oracleSeen) {
@@ -150,10 +145,7 @@ func (e *Engine) loadCopy(src []byte) error {
 	// The components' own sections, in the decoder's order, each after the
 	// fabric it checks itself against.
 	var err error
-	if p, ok := e.gen.(traffic.Stateful); ok {
-		err = e.decodeSection(src[c.procAt:c.procEnd], p.RestoreSnapshot)
-	}
-	if err == nil && e.caps.Restore != nil {
+	if e.caps.Restore != nil {
 		err = e.caps.Restore(src[c.detAt:c.detEnd])
 	}
 	if err == nil {

@@ -173,7 +173,7 @@ func TestEngineRestoreCopyClassesEveryField(t *testing.T) {
 		"cfg": "configuration", "topo": "configuration", "alg": "configuration",
 		"tr": "configuration", "mc": "configuration", "caps": "configuration",
 		"chooser": "configuration", "refStage": "configuration", "snapID": "configuration",
-		"genSkip": "configuration", "linkKey": "configuration", "keyLink": "configuration",
+		"gen": "configuration", "linkKey": "configuration", "keyLink": "configuration",
 		"feedStride": "configuration",
 
 		"fab":     "copied", // router.FabricCopy
@@ -188,7 +188,6 @@ func TestEngineRestoreCopyClassesEveryField(t *testing.T) {
 		"nodeRng": "copied", "genDue": "copied", "genHeap": "copied", "inFlight": "copied",
 
 		"det":         "rebuilt", // its section decoded again
-		"gen":         "rebuilt", // its section decoded again, if traffic.Stateful
 		"rec":         "rebuilt", // its section decoded again
 		"oracle":      "rebuilt", // invalidated
 		"genDefA":     "rebuilt", // emptied

@@ -7,7 +7,6 @@ import (
 	"wormnet/internal/detect"
 	"wormnet/internal/router"
 	"wormnet/internal/snap"
-	"wormnet/internal/traffic"
 )
 
 // Snapshot and Restore: an exact byte encoding of an engine between two
@@ -19,11 +18,11 @@ import (
 // pool and free-list order, occupied VCs, round-robin pointers, failed links),
 // the source queues, the pending and pendingNew header lists, the injecting
 // and transmitted-link lists, the generator schedule (every node's
-// next arrival cycle, every node's random stream, the shared stream, the
-// process's own state if it is traffic.Stateful), the oracle's first-sighting
-// stamps with oracleCycle and oracleSize, the probe and absorption totals
-// already charged (lastProbe, lastAbsorbedFlits), the detector
-// (detect.Capabilities.Snapshot; nil means stateless) and the recovery engine.
+// next arrival cycle, every node's random stream, the shared stream), the
+// oracle's first-sighting stamps with oracleCycle and oracleSize, the probe
+// and absorption totals already charged (lastProbe, lastAbsorbedFlits), the
+// detector (detect.Capabilities.Snapshot; nil means stateless) and the
+// recovery engine.
 //
 // What it does not hold is whatever can be recomputed, and Restore recomputes
 // it through the code that maintains it while the engine runs, so a restored
@@ -101,16 +100,11 @@ func (e *Engine) Snapshot(dst []byte) []byte {
 	dst = snap.IDs(dst, e.injecting)
 	dst = snap.IDs(dst, e.txLinks)
 
-	if e.genSkip != nil {
-		dst = snap.I64s(dst, e.genDue)
-	}
+	dst = snap.I64s(dst, e.genDue)
 	for i := range e.nodeRng {
 		dst = e.nodeRng[i].AppendSnapshot(dst)
 	}
 	dst = e.rnd.AppendSnapshot(dst)
-	if p, ok := e.gen.(traffic.Stateful); ok {
-		dst = p.AppendSnapshot(dst)
-	}
 
 	at, n := len(dst), 0
 	dst = snap.U32(dst, 0)
@@ -279,29 +273,22 @@ func (e *Engine) restoreBody(r *snap.Reader) {
 	}
 
 	// Generator schedule: the arrival heap is rebuilt from the due cycles.
-	if e.genSkip != nil {
-		e.genHeap, e.genDefA, e.genDefB = e.genHeap[:0], e.genDefA[:0], e.genDefB[:0]
-		for node := range e.genDue {
-			due := r.I64()
-			if due != -1 && due < e.now {
-				r.Failf("sim: snapshot schedules node %d's next arrival at cycle %d, before cycle %d", node, due, e.now)
-				return
-			}
-			e.genDue[node] = due
-			if due >= 0 {
-				e.heapPush(int32(node))
-			}
+	e.genHeap, e.genDefA, e.genDefB = e.genHeap[:0], e.genDefA[:0], e.genDefB[:0]
+	for node := range e.genDue {
+		due := r.I64()
+		if due != -1 && due < e.now {
+			r.Failf("sim: snapshot schedules node %d's next arrival at cycle %d, before cycle %d", node, due, e.now)
+			return
+		}
+		e.genDue[node] = due
+		if due >= 0 {
+			e.heapPush(int32(node))
 		}
 	}
 	for i := range e.nodeRng {
 		e.nodeRng[i].RestoreSnapshot(r)
 	}
 	e.rnd.RestoreSnapshot(r)
-	e.saved.procAt = r.Offset()
-	if p, ok := e.gen.(traffic.Stateful); ok {
-		p.RestoreSnapshot(r)
-	}
-	e.saved.procEnd = r.Offset()
 
 	for i := range e.oracleSeen {
 		e.oracleSeen[i] = -1

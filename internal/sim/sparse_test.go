@@ -10,9 +10,7 @@ import (
 	"wormnet/internal/detect"
 	"wormnet/internal/probe"
 	"wormnet/internal/router"
-	"wormnet/internal/topology"
 	"wormnet/internal/trace"
-	"wormnet/internal/traffic"
 )
 
 // The full-rescan reference kernel: the differential oracle the active-set
@@ -55,7 +53,7 @@ func satConfig() Config {
 // drives from active sets.
 func (e *refKernel) stage(ph phaseID) bool {
 	switch {
-	case ph == phaseGenerate && e.genSkip != nil:
+	case ph == phaseGenerate:
 		e.refGenerate()
 	case ph == phaseAdmit:
 		for node := range e.queues {
@@ -240,41 +238,6 @@ func TestSparseKernelUntraced(t *testing.T) {
 			gotRes, _ := runKernel(t, cfg, false, false)
 			sameKernelResult(t, "untraced kernel", gotRes, wantRes)
 		})
-	}
-}
-
-// TestSparseKernelBursty pins the capability gate: a stateful process (no
-// Skipahead) must draw once per node per cycle under the kernel and the
-// reference alike and still produce identical results — the kernel only
-// skips ahead where it can prove equivalence.
-func TestSparseKernelBursty(t *testing.T) {
-	cfg := satConfig()
-	cfg.Process = func(tp *topology.Torus) traffic.Process {
-		return traffic.NewBursty(tp, traffic.NewUniform(tp), traffic.Fixed(16), 0.4, 4, 50)
-	}
-	wantRes, wantTrace := runKernel(t, cfg, true, true)
-	gotRes, gotTrace := runKernel(t, cfg, false, true)
-	if gotRes.Counters != wantRes.Counters {
-		t.Errorf("bursty kernel vs reference: counters diverge\n got %+v\nwant %+v",
-			gotRes.Counters, wantRes.Counters)
-	}
-	if !bytes.Equal(gotTrace, wantTrace) {
-		t.Errorf("bursty kernel vs reference: trace stream diverges")
-	}
-}
-
-// TestBurstyNotSkipahead pins that the stateful burst process does NOT
-// satisfy the skip-ahead capability (its per-cycle Markov state must advance
-// every cycle), while the Bernoulli generator does.
-func TestBurstyNotSkipahead(t *testing.T) {
-	tp := topology.New(4, 2)
-	var p traffic.Process = traffic.NewBursty(tp, traffic.NewUniform(tp), traffic.Fixed(16), 0.4, 4, 50)
-	if _, ok := p.(traffic.Skipahead); ok {
-		t.Fatal("Bursty satisfies Skipahead; its Markov state would be frozen between arrivals")
-	}
-	p = traffic.NewGenerator(traffic.NewUniform(tp), traffic.Fixed(16), 0.4)
-	if _, ok := p.(traffic.Skipahead); !ok {
-		t.Fatal("Generator does not satisfy Skipahead")
 	}
 }
 

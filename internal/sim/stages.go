@@ -61,12 +61,12 @@ func (e *Engine) runPhase(ph phaseID) {
 // onto the node's source queue at once. Nodes are visited in ascending order,
 // so messages leave the pool in node order.
 //
-// Processes that implement traffic.Skipahead replace the per-cycle Bernoulli
-// trial with a geometric inter-arrival countdown: genDue[node] is the cycle
-// of the node's next arrival, advanced by one Geometric draw per arrival
-// instead of one uniform draw per cycle. A node whose source queue is full
-// when its arrival comes due defers to the next cycle WITHOUT consuming a
-// draw — exactly the per-cycle semantics, where a full queue skips the trial
+// The per-cycle Bernoulli trial is replaced by a geometric inter-arrival
+// countdown (traffic.Generator.NextGap): genDue[node] is the cycle of the
+// node's next arrival, advanced by one Geometric draw per arrival instead of
+// one uniform draw per cycle. A node whose source queue is full when its
+// arrival comes due defers to the next cycle WITHOUT consuming a draw —
+// exactly the per-cycle semantics, where a full queue skips the trial
 // entirely. The scheduled nodes sit in a (due, node) min-heap and only the
 // nodes due this cycle are visited; the heap's node tie-break makes the pop
 // order node-ascending, so arrivals happen in the order a scan of every
@@ -86,23 +86,6 @@ func (e *Engine) runPhase(ph phaseID) {
 
 func (e *Engine) generate() {
 	max := e.cfg.MaxSourceQueue
-	if e.genSkip == nil {
-		// Stateful process (no skip-ahead capability): one draw per node
-		// per cycle, advancing per-source process state every cycle.
-		for node := range e.queues {
-			if e.queues[node].Len() >= max {
-				// Source queue full: generation pauses at this node (offered
-				// load is capped, which is inevitable beyond saturation).
-				continue
-			}
-			dst, length, ok := e.gen.Next(node, &e.nodeRng[node])
-			if !ok {
-				continue
-			}
-			e.enqueueNew(node, dst, length)
-		}
-		return
-	}
 	// Merge last cycle's deferrals (all due now, node-ascending) with the
 	// heap's due-now pops (node-ascending by the heap tie-break) into one
 	// node-ascending pass. A node processed here re-enters either the heap
@@ -144,9 +127,9 @@ func (e *Engine) generateArrival(node, max int) (deferred bool) {
 		return true
 	}
 	r := &e.nodeRng[node]
-	dst, length := e.genSkip.Arrive(node, r)
+	dst, length := e.gen.Arrive(node, r)
 	e.enqueueNew(node, dst, length)
-	gap, ok := e.genSkip.NextGap(node, r)
+	gap, ok := e.gen.NextGap(node, r)
 	if !ok {
 		e.genDue[node] = -1
 		return false

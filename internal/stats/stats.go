@@ -155,12 +155,6 @@ func (c *Counters) ProbeBandwidthPct() float64 {
 	return 100 * float64(c.ProbeFlits) / (float64(c.Cycles) * float64(c.NetLinks))
 }
 
-// SawTrueDeadlock reports whether any true deadlock was confirmed during
-// the window, the condition the paper marks with "(*)".
-func (c *Counters) SawTrueDeadlock() bool {
-	return c.TrueMarked > 0 || c.DeadlockCycles > 0
-}
-
 // String renders a one-line summary.
 func (c *Counters) String() string {
 	return fmt.Sprintf(

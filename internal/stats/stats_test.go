@@ -62,21 +62,6 @@ func TestRecordMarks(t *testing.T) {
 	}
 }
 
-func TestSawTrueDeadlock(t *testing.T) {
-	empty := Counters{}
-	if empty.SawTrueDeadlock() {
-		t.Error("empty counters saw deadlock")
-	}
-	marked := Counters{TrueMarked: 1}
-	if !marked.SawTrueDeadlock() {
-		t.Error("true mark not seen")
-	}
-	oracled := Counters{DeadlockCycles: 2}
-	if !oracled.SawTrueDeadlock() {
-		t.Error("oracle deadlock not seen")
-	}
-}
-
 func TestCountersString(t *testing.T) {
 	c := Counters{Delivered: 10, Marked: 1, Cycles: 100, Nodes: 4}
 	if s := c.String(); !strings.Contains(s, "del=10") {

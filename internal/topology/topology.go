@@ -239,31 +239,3 @@ func (t *Torus) String() string {
 	fmt.Fprintf(&b, "%d-ary %d-cube (%d nodes)", t.k, t.n, t.nodes)
 	return b.String()
 }
-
-// AverageDistance returns the mean minimal hop count over all ordered pairs
-// of distinct nodes. It is used to size workloads and sanity-check
-// saturation estimates in the experiment harness.
-func (t *Torus) AverageDistance() float64 {
-	// Distance is translation invariant on a torus: average distance from
-	// node 0 to all others equals the global average.
-	total := 0
-	for b := 1; b < t.nodes; b++ {
-		total += t.Distance(0, b)
-	}
-	return float64(total) / float64(t.nodes-1)
-}
-
-// BisectionLinks returns the number of unidirectional links crossing the
-// bisection of the highest dimension. For k even this is 2 * k^(n-1) * 2
-// (two wrap surfaces, both directions); it is a coarse capacity metric used
-// only for reporting.
-func (t *Torus) BisectionLinks() int {
-	if t.k%2 != 0 {
-		return 0
-	}
-	links := 1
-	for d := 0; d < t.n-1; d++ {
-		links *= t.k
-	}
-	return 4 * links
-}

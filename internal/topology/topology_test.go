@@ -209,31 +209,9 @@ func TestDirectionAlgebra(t *testing.T) {
 	}
 }
 
-func TestAverageDistance(t *testing.T) {
-	// 4-ary 1-cube: distances from 0 are 1,2,1 -> average 4/3.
-	tp := New(4, 1)
-	if got, want := tp.AverageDistance(), 4.0/3.0; got != want {
-		t.Errorf("AverageDistance = %v, want %v", got, want)
-	}
-	// k-ary n-cube average distance is about n*k/4 for even k.
-	tp = New(8, 3)
-	if got := tp.AverageDistance(); got < 5.5 || got > 6.5 {
-		t.Errorf("8-ary 3-cube AverageDistance = %v, want about 6", got)
-	}
-}
-
 func TestString(t *testing.T) {
 	if got := New(8, 3).String(); got != "8-ary 3-cube (512 nodes)" {
 		t.Errorf("String() = %q", got)
-	}
-}
-
-func TestBisectionLinks(t *testing.T) {
-	if got := New(8, 3).BisectionLinks(); got != 256 {
-		t.Errorf("8-ary 3-cube BisectionLinks = %d, want 256", got)
-	}
-	if got := New(3, 2).BisectionLinks(); got != 0 {
-		t.Errorf("odd radix BisectionLinks = %d, want 0", got)
 	}
 }
 

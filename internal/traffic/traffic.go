@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"wormnet/internal/rng"
-	"wormnet/internal/snap"
 	"wormnet/internal/topology"
 )
 
@@ -280,65 +279,6 @@ func (b Bimodal) Name() string {
 // ---------------------------------------------------------------------------
 // Injection process
 
-// Process is an injection process: each cycle, each node asks whether it
-// generates a new message. Generator implements the paper's Bernoulli
-// process; Bursty adds two-state burst modulation.
-//
-// All randomness comes from the stream the engine passes in. A process that
-// also keeps state of its own between calls must implement Stateful, or an
-// engine restored from a snapshot (sim.Engine.Restore) resumes it from the
-// wrong state; one that does not implement Stateful is stateless by contract.
-type Process interface {
-	// Next reports whether a message is generated this cycle at node src
-	// and, if so, its destination and length in flits.
-	Next(src int, r *rng.Source) (dst, length int, ok bool)
-	// Name identifies the process in reports.
-	Name() string
-}
-
-// Stateful is the capability interface of a process with state of its own —
-// anything a call reads that an earlier call wrote, other than the engine's
-// random stream. sim.Engine.Snapshot stores it and Restore puts it back.
-type Stateful interface {
-	Process
-	// AppendSnapshot appends the process state to dst.
-	AppendSnapshot(dst []byte) []byte
-	// RestoreSnapshot replaces the process state with what AppendSnapshot
-	// wrote. Input that is truncated or does not fit this process is
-	// reported through r (snap.Reader.Failf), never by a panic.
-	RestoreSnapshot(r *snap.Reader)
-}
-
-// Skipahead is the capability interface for processes whose per-cycle trials
-// are independent and identically distributed, so the gap to the next
-// arrival can be drawn in closed form instead of running one Bernoulli trial
-// per cycle per node. The engine uses it to visit a node only on its arrival
-// cycles — O(arrivals) generator work per cycle instead of O(nodes) — which
-// is what keeps quiet fabrics cheap.
-//
-// The contract mirrors a trial-by-trial process exactly: NextGap returns the
-// number of failed trials before the next success, and Arrive draws the
-// arriving message's destination and length. Cycles on which the engine
-// withholds the trial (a full source queue) do not consume the gap; the
-// engine re-offers the arrival on the next cycle, exactly as a skipped
-// Bernoulli trial would be retried.
-//
-// Stateful processes (e.g. Bursty, whose per-cycle rate depends on a Markov
-// state that must advance every cycle) must NOT implement Skipahead; the
-// engine falls back to the dense per-cycle Next path for them.
-type Skipahead interface {
-	Process
-	// NextGap draws the number of failed trials strictly before the next
-	// arrival at node src (0 = the very next trial succeeds). ok=false
-	// means the node never generates (zero rate) and must not be asked
-	// again; no variate is consumed in that case.
-	NextGap(src int, r *rng.Source) (gap int, ok bool)
-	// Arrive draws the destination and length of the message arriving at
-	// node src. It consumes the same variates, in the same order, that
-	// Next consumes after a successful trial.
-	Arrive(src int, r *rng.Source) (dst, length int)
-}
-
 // Generator turns a target load into a stream of messages at one node.
 // Each cycle, a new message is generated with probability
 // load / meanLength, which yields the requested rate in flits/cycle/node.
@@ -347,9 +287,19 @@ type Skipahead interface {
 // load; the injection-limitation mechanism may hold messages back).
 //
 // A Generator is immutable after construction (as are the patterns and length
-// distributions of this package), so it is not Stateful: a snapshot of its
-// engine holds the random streams and the arrival schedule, nothing of the
-// Generator itself.
+// distributions of this package): a snapshot of its engine holds the random
+// streams and the arrival schedule, nothing of the Generator itself.
+//
+// Its trials are independent and identically distributed, so the engine
+// draws the gap to a node's next arrival in closed form (NextGap) instead of
+// running one Bernoulli trial per cycle per node, and visits a node only on
+// its arrival cycles — O(arrivals) generator work per cycle instead of
+// O(nodes), which is what keeps quiet fabrics cheap. Arrive then draws the
+// arriving message. Cycles on which the engine withholds the trial (a full
+// source queue) do not consume the gap; the engine re-offers the arrival on
+// the next cycle, exactly as a skipped Bernoulli trial would be retried.
+// Next is the per-cycle form of the same process, the reference the
+// skip-ahead pair is checked against.
 type Generator struct {
 	pattern Pattern
 	lengths LengthDist
@@ -373,15 +323,13 @@ func NewGenerator(pattern Pattern, lengths LengthDist, load float64) *Generator 
 	return &Generator{pattern: pattern, lengths: lengths, pMsg: p}
 }
 
-// MessageProb returns the per-cycle probability of generating a message.
-func (g *Generator) MessageProb() float64 { return g.pMsg }
-
-// Name implements Process.
+// Name identifies the process in reports.
 func (g *Generator) Name() string {
 	return fmt.Sprintf("bernoulli(%s,%s)", g.pattern.Name(), g.lengths.Name())
 }
 
-// Next implements Process.
+// Next reports whether a message is generated this cycle at node src and,
+// if so, its destination and length in flits.
 func (g *Generator) Next(src int, r *rng.Source) (dst, length int, ok bool) {
 	if !r.Bool(g.pMsg) {
 		return 0, 0, false
@@ -389,11 +337,13 @@ func (g *Generator) Next(src int, r *rng.Source) (dst, length int, ok bool) {
 	return g.pattern.Destination(src, r), g.lengths.Length(r), true
 }
 
-// NextGap implements Skipahead: the number of failed Bernoulli(pMsg) trials
-// before the next success is geometric, so one Geometric draw replaces the
-// whole run of per-cycle Bool draws. The variate stream differs from Next's
-// (one uniform per gap instead of one per trial), which is why switching
-// kernels is a documented stream change, not a silent one.
+// NextGap draws the number of failed trials strictly before the next arrival
+// at node src (0 = the very next trial succeeds). The number of failed
+// Bernoulli(pMsg) trials before the next success is geometric, so one
+// Geometric draw replaces the whole run of per-cycle Bool draws; the variate
+// stream differs from Next's (one uniform per gap instead of one per trial).
+// ok=false means the node never generates (zero rate) and must not be asked
+// again; no variate is consumed in that case.
 func (g *Generator) NextGap(src int, r *rng.Source) (gap int, ok bool) {
 	if g.pMsg <= 0 {
 		return 0, false
@@ -401,8 +351,9 @@ func (g *Generator) NextGap(src int, r *rng.Source) (gap int, ok bool) {
 	return r.Geometric(g.pMsg), true
 }
 
-// Arrive implements Skipahead, consuming the destination and length variates
-// in the same order as Next's success branch.
+// Arrive draws the destination and length of the message arriving at node
+// src, consuming the same variates, in the same order, as Next's success
+// branch.
 func (g *Generator) Arrive(src int, r *rng.Source) (dst, length int) {
 	return g.pattern.Destination(src, r), g.lengths.Length(r)
 }

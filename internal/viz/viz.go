@@ -1,49 +1,15 @@
 // Package viz renders human-readable snapshots of the simulator state:
-// per-channel occupancy summaries, worm dumps (which virtual channels a
-// message holds, from tail to head) and, for 2-D networks, an ASCII
+// per-channel occupancy summaries and, for 2-D networks, an ASCII
 // utilization heatmap. It is a debugging and teaching aid; nothing in the
 // measurement path depends on it.
 package viz
 
 import (
 	"fmt"
-	"io"
-	"sort"
 	"strings"
 
 	"wormnet/internal/router"
-	"wormnet/internal/topology"
 )
-
-// DumpWorm writes the chain of virtual channels message m currently holds,
-// from tail to head, one line per VC.
-func DumpWorm(w io.Writer, f *router.Fabric, m *router.Message) {
-	fmt.Fprintf(w, "message %d: %d -> %d, %d flits, phase %s\n",
-		m.ID, m.Src, m.Dst, m.Length, m.Phase)
-	if m.TailVC == router.NilVC {
-		fmt.Fprintln(w, "  (holds no fabric resources)")
-		return
-	}
-	hop := 0
-	for vc := m.TailVC; vc != router.NilVC; vc = f.VCs[vc].Next {
-		v := &f.VCs[vc]
-		link := &f.Links[v.Link]
-		marks := ""
-		if v.HasHeader {
-			marks += " header"
-		}
-		if v.HasTail {
-			marks += " tail"
-		}
-		fmt.Fprintf(w, "  [%2d] vc %-5d link %-5d %s %3d->%-3d %d/%d flits%s\n",
-			hop, vc, v.Link, link.Kind, link.Src, link.Dst, v.Flits, f.Cfg.BufFlits, marks)
-		hop++
-		if hop > len(f.VCs) {
-			fmt.Fprintln(w, "  ... (chain corrupt: loop)")
-			return
-		}
-	}
-}
 
 // ChannelSummary is an aggregate view of the fabric's occupancy.
 type ChannelSummary struct {
@@ -116,53 +82,4 @@ func Heatmap(f *router.Fabric) string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// BlockedMessages writes, most-stuck first, up to max blocked messages with
-// their wait positions — the raw material of the paper's trees of blocked
-// messages.
-func BlockedMessages(w io.Writer, f *router.Fabric, now int64, max int) {
-	type entry struct {
-		m     *router.Message
-		stuck int64
-	}
-	var list []entry
-	f.LiveMessages(func(m *router.Message) {
-		if m.Phase == router.PhaseNetwork && m.Attempts > 0 {
-			list = append(list, entry{m, now - m.BlockedSince})
-		}
-	})
-	sort.Slice(list, func(i, j int) bool { return list[i].stuck > list[j].stuck })
-	if len(list) > max {
-		list = list[:max]
-	}
-	for _, e := range list {
-		node := -1
-		if e.m.HeadVC != router.NilVC {
-			node = f.RouterOf(f.LinkOfVC(e.m.HeadVC))
-		}
-		fmt.Fprintf(w, "msg %-6d %3d->%-3d blocked %5d cycles at node %d (attempts %d)\n",
-			e.m.ID, e.m.Src, e.m.Dst, e.stuck, node, e.m.Attempts)
-	}
-	if len(list) == 0 {
-		fmt.Fprintln(w, "(no blocked messages)")
-	}
-}
-
-// DirectionUtilization returns, per direction, the fraction of that
-// direction's network links having at least one busy VC — a quick check of
-// load balance across dimensions (e.g. tornado loads only dimension 0).
-func DirectionUtilization(f *router.Fabric) map[topology.Direction]float64 {
-	t := f.Topo
-	out := make(map[topology.Direction]float64, t.Degree())
-	for d := 0; d < t.Degree(); d++ {
-		busy := 0
-		for node := 0; node < t.Nodes(); node++ {
-			if f.BusyVCs(f.NetLink(node, topology.Direction(d))) > 0 {
-				busy++
-			}
-		}
-		out[topology.Direction(d)] = float64(busy) / float64(t.Nodes())
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package viz
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -36,27 +35,6 @@ func worm(t *testing.T, f *router.Fabric, links ...router.LinkID) *router.Messag
 	f.VCs[f.Links[links[0]].FirstVC].HasTail = true
 	m.Injected = 8
 	return m
-}
-
-func TestDumpWorm(t *testing.T) {
-	f := fabric(t, 4, 2)
-	m := worm(t, f, f.NetLink(0, 0), f.NetLink(1, 0))
-	var buf bytes.Buffer
-	DumpWorm(&buf, f, m)
-	out := buf.String()
-	if !strings.Contains(out, "header") || !strings.Contains(out, "tail") {
-		t.Errorf("worm dump missing markers:\n%s", out)
-	}
-	if strings.Count(out, "vc ") != 2 {
-		t.Errorf("worm dump should list 2 VCs:\n%s", out)
-	}
-	// A message without resources.
-	free := f.NewMessage(0, 3, 8, 0)
-	buf.Reset()
-	DumpWorm(&buf, f, free)
-	if !strings.Contains(buf.String(), "no fabric resources") {
-		t.Errorf("empty dump: %s", buf.String())
-	}
 }
 
 func TestSummarize(t *testing.T) {
@@ -101,34 +79,5 @@ func TestHeatmap(t *testing.T) {
 	f3 := fabric(t, 3, 3)
 	if !strings.Contains(Heatmap(f3), "2-D") {
 		t.Error("3-D fallback message missing")
-	}
-}
-
-func TestBlockedMessages(t *testing.T) {
-	f := fabric(t, 4, 2)
-	var buf bytes.Buffer
-	BlockedMessages(&buf, f, 100, 10)
-	if !strings.Contains(buf.String(), "no blocked messages") {
-		t.Errorf("empty case: %s", buf.String())
-	}
-	m := worm(t, f, f.NetLink(0, 0))
-	m.Attempts = 3
-	m.BlockedSince = 40
-	buf.Reset()
-	BlockedMessages(&buf, f, 100, 10)
-	if !strings.Contains(buf.String(), "blocked    60 cycles") {
-		t.Errorf("blocked dump: %s", buf.String())
-	}
-}
-
-func TestDirectionUtilization(t *testing.T) {
-	f := fabric(t, 4, 2)
-	worm(t, f, f.NetLink(0, 0)) // one X+ link busy
-	util := DirectionUtilization(f)
-	if util[topology.Direction(0)] != 1.0/16 {
-		t.Errorf("X+ utilization %v", util[topology.Direction(0)])
-	}
-	if util[topology.Direction(2)] != 0 {
-		t.Errorf("Y+ utilization %v", util[topology.Direction(2)])
 	}
 }

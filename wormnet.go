@@ -6,8 +6,10 @@
 //	Wormhole Networks", HPCA 1998.
 //
 // The package exposes a small, stable configuration surface: pick a
-// topology, a traffic workload, a deadlock detection mechanism (the paper's
-// NDM, the earlier PDM, or crude timeouts) and a recovery style, then Run.
+// topology, a traffic workload (one of the paper's six destination patterns
+// or the transpose and tornado extensions, injected by the paper's Bernoulli
+// process), a deadlock detection mechanism (the paper's NDM, the earlier
+// PDM, or crude timeouts) and a recovery style, then Run.
 // The returned metrics include the paper's figure of merit — the percentage
 // of messages detected as possibly deadlocked — with every detection
 // classified as true or false by an omniscient deadlock oracle.
@@ -175,19 +177,13 @@ type Config struct {
 	Pattern Pattern
 	// LocalityRadius applies to the Locality pattern (default 2).
 	LocalityRadius int
-	// HotFraction and HotNode apply to the HotSpot pattern (default 5%
-	// destined for node 0).
+	// HotFraction applies to the HotSpot pattern: the share of traffic
+	// destined for node 0 (default 5%).
 	HotFraction float64
-	HotNode     int
 	Lengths     Lengths
-	// Load is the offered traffic in flits/cycle/node.
+	// Load is the offered traffic in flits/cycle/node, generated by the
+	// paper's Bernoulli process.
 	Load float64
-	// Burstiness > 1 switches the sources to a two-state burst model whose
-	// ON-state rate is Burstiness times the average Load; BurstLength is
-	// the mean ON duration in cycles (default 64). Burstiness <= 1 keeps
-	// the paper's Bernoulli process.
-	Burstiness  float64
-	BurstLength int
 
 	// Routing selects the routing algorithm (default: the paper's true
 	// fully adaptive routing). The deadlock-free algorithms (DOR, Duato)
@@ -345,27 +341,45 @@ func (c Config) patternFactory() (sim.PatternFactory, error) {
 		if r == 0 {
 			r = 2
 		}
+		if r < 1 {
+			return nil, fmt.Errorf("wormnet: locality radius %d, want at least 1", r)
+		}
 		return func(t *topology.Torus) traffic.Pattern { return traffic.NewLocality(t, r) }, nil
 	case BitReversal:
-		return func(t *topology.Torus) traffic.Pattern { return traffic.NewBitReversal(t) }, nil
+		return c.bitPermutation(traffic.NewBitReversal)
 	case PerfectShuffle:
-		return func(t *topology.Torus) traffic.Pattern { return traffic.NewPerfectShuffle(t) }, nil
+		return c.bitPermutation(traffic.NewPerfectShuffle)
 	case Butterfly:
-		return func(t *topology.Torus) traffic.Pattern { return traffic.NewButterfly(t) }, nil
+		return c.bitPermutation(traffic.NewButterfly)
 	case HotSpot:
 		frac := c.HotFraction
 		if frac == 0 {
 			frac = 0.05
 		}
-		node := c.HotNode
-		return func(t *topology.Torus) traffic.Pattern { return traffic.NewHotSpot(t, node, frac) }, nil
+		if frac < 0 || frac > 1 {
+			return nil, fmt.Errorf("wormnet: hot-spot fraction %g, want one in [0, 1]", frac)
+		}
+		return func(t *topology.Torus) traffic.Pattern { return traffic.NewHotSpot(t, 0, frac) }, nil
 	case Transpose:
 		return func(t *topology.Torus) traffic.Pattern { return traffic.NewTranspose(t) }, nil
 	case Tornado:
+		if c.K < 3 {
+			return nil, fmt.Errorf("wormnet: tornado needs a radix of at least 3, got k=%d", c.K)
+		}
 		return func(t *topology.Torus) traffic.Pattern { return traffic.NewTornado(t) }, nil
 	default:
 		return nil, fmt.Errorf("wormnet: unknown pattern %q", c.Pattern)
 	}
+}
+
+// bitPermutation returns build if the network has the power-of-two node
+// count the bit permutations need, which k^n is exactly when k is a power of
+// two.
+func (c Config) bitPermutation(build sim.PatternFactory) (sim.PatternFactory, error) {
+	if c.K&(c.K-1) != 0 {
+		return nil, fmt.Errorf("wormnet: %s needs a power-of-two radix, got k=%d", c.Pattern, c.K)
+	}
+	return build, nil
 }
 
 // mechanism describes the configured detector for sim.Mechanism.Factory,
@@ -425,17 +439,6 @@ func (c Config) SimConfig() (sim.Config, error) {
 	}
 	sc.Lengths = dist
 	sc.Load = c.Load
-	if c.Burstiness > 1 {
-		burstLen := c.BurstLength
-		if burstLen == 0 {
-			burstLen = 64
-		}
-		burstiness := c.Burstiness
-		load := c.Load
-		sc.Process = func(t *topology.Torus) traffic.Process {
-			return traffic.NewBursty(t, pat(t), dist, load, burstiness, burstLen)
-		}
-	}
 	if c.Routing != "" {
 		alg, ok := routing.ByName(string(c.Routing))
 		if !ok {
@@ -446,6 +449,10 @@ func (c Config) SimConfig() (sim.Config, error) {
 	mech, err := c.mechanism()
 	if err != nil {
 		return sc, err
+	}
+	if inputs := 2*c.N + c.Ports; mech.Name == string(NDM) && inputs > detect.NDMMaxInputs {
+		return sc, fmt.Errorf("wormnet: ndm monitors at most %d input channels per router, %d-cube routers with %d ports have %d",
+			detect.NDMMaxInputs, c.N, c.Ports, inputs)
 	}
 	if sc.Detector, err = mech.Factory(); err != nil {
 		return sc, fmt.Errorf("wormnet: %w", err)

@@ -115,6 +115,37 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestInvalidParametersAreErrors: workload and detector parameters the
+// pattern and detector constructors cannot take are refused by SimConfig
+// with an error, before anything is built.
+func TestInvalidParametersAreErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"hot-fraction-above-1", func(c *Config) { c.Pattern, c.HotFraction = HotSpot, 1.5 }},
+		{"hot-fraction-negative", func(c *Config) { c.Pattern, c.HotFraction = HotSpot, -0.2 }},
+		{"locality-radius-negative", func(c *Config) { c.Pattern, c.LocalityRadius = Locality, -1 }},
+		{"tornado-k2", func(c *Config) { c.K, c.Pattern = 2, Tornado }},
+		{"bit-reversal-k3", func(c *Config) { c.K, c.Pattern = 3, BitReversal }},
+		{"ndm-th0", func(c *Config) { c.Threshold = 0 }},
+		{"ndm-t1-above-t2", func(c *Config) { c.T1, c.Threshold = 40, 32 }},
+		{"pdm-th0", func(c *Config) { c.Mechanism, c.Threshold = PDM, 0 }},
+		{"ndm-70-ports", func(c *Config) { c.N, c.Ports = 3, 70 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := small()
+			tc.mutate(&cfg)
+			if _, err := cfg.SimConfig(); err == nil {
+				t.Fatal("SimConfig accepted the configuration")
+			}
+			if _, err := Run(cfg); err == nil {
+				t.Fatal("Run accepted the configuration")
+			}
+		})
+	}
+}
+
 func TestSelectivePromotionRuns(t *testing.T) {
 	cfg := small()
 	cfg.SelectivePromotion = true
@@ -221,24 +252,6 @@ func TestRunExtendedPatterns(t *testing.T) {
 		if res.Delivered == 0 {
 			t.Errorf("%s: nothing delivered", p)
 		}
-	}
-}
-
-func TestRunBurstySources(t *testing.T) {
-	cfg := small()
-	cfg.Burstiness = 4
-	cfg.BurstLength = 32
-	cfg.Load = 0.5
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Delivered == 0 {
-		t.Fatal("nothing delivered under bursty sources")
-	}
-	// The long-run accepted load should still track the configured average.
-	if thr := res.Throughput(); thr < 0.3 || thr > 0.7 {
-		t.Errorf("bursty throughput %.4f far from configured 0.5", thr)
 	}
 }
 
