@@ -81,6 +81,14 @@ type Correlator struct {
 	liveMembers int
 	recovering  int
 
+	// The open episode's marks and victims (store.go), and the edges of
+	// every blocking chain walked so far: closed episodes' marks keep
+	// sub-slices of the edge chunks, so those are never reused.
+	marks   chunks[markRec]
+	victims chunks[Victim]
+	edges   chunks[WaitEdge]
+	chain   [maxChain]WaitEdge // blockingChain's walk
+
 	seenISet, seenDTSet, seenProbe bool
 	lastCycle                      int64
 	finished                       bool
@@ -88,7 +96,12 @@ type Correlator struct {
 
 // New builds a correlator.
 func New(opt Options) *Correlator {
-	return &Correlator{opt: opt}
+	return &Correlator{
+		opt:     opt,
+		marks:   chunks[markRec]{size: markChunk},
+		victims: chunks[Victim]{size: victimChunk},
+		edges:   chunks[WaitEdge]{size: edgeChunk},
+	}
 }
 
 func (c *Correlator) msg(id router.MsgID) *msgState {
@@ -250,7 +263,7 @@ func (c *Correlator) Observe(ev trace.Event) {
 	case trace.KindRecoverStart:
 		if c.open != nil {
 			c.recovering++
-			c.open.Victims = append(c.open.Victims, Victim{
+			c.victims.push(Victim{
 				Msg: int32(ev.Msg), Start: ev.Cycle, End: -1, Node: -1,
 				DrainCycles: -1, Style: ev.Arg, LengthFlits: c.msg(ev.Msg).length,
 			})
@@ -259,8 +272,8 @@ func (c *Correlator) Observe(ev trace.Event) {
 
 	case trace.KindRecoverEnd:
 		if c.open != nil {
-			for i := len(c.open.Victims) - 1; i >= 0; i-- {
-				v := &c.open.Victims[i]
+			for i := c.victims.len() - 1; i >= 0; i-- {
+				v := c.victims.at(i)
 				if v.Msg == int32(ev.Msg) && v.End < 0 {
 					v.End = ev.Cycle
 					v.Node = ev.Node
@@ -362,8 +375,23 @@ const (
 	VerdictFalsePositive = "false-positive"
 )
 
-// finalize stamps the episode's verdict, mechanism, MTTD and formation.
+// finalize materialises the episode's marks and victims, at exact size, and
+// stamps its verdict, mechanism, MTTD and formation.
 func (c *Correlator) finalize(ep *Episode) {
+	if n := c.marks.len(); n > 0 {
+		ep.Marks = make([]Mark, n)
+		for i := range ep.Marks {
+			ep.Marks[i] = c.marks.at(i).mark(&c.edges)
+		}
+		c.marks.reset()
+	}
+	if n := c.victims.len(); n > 0 {
+		ep.Victims = make([]Victim, n)
+		for i := range ep.Victims {
+			ep.Victims[i] = *c.victims.at(i)
+		}
+		c.victims.reset()
+	}
 	if len(ep.Members) > 0 {
 		ep.Verdict = VerdictTrueDeadlock
 		if first := ep.FirstMarkCycle(); first >= 0 {
@@ -396,7 +424,7 @@ func (c *Correlator) mechanism() string {
 }
 
 func (c *Correlator) marksSeen() bool {
-	if c.open != nil && len(c.open.Marks) > 0 {
+	if c.marks.len() > 0 {
 		return true
 	}
 	for _, ep := range c.episodes {
@@ -420,27 +448,33 @@ func (c *Correlator) mark(ev trace.Event) {
 		c.opt.Metrics.SetEpisodesOpen(1)
 	}
 	ms := c.msg(ev.Msg)
-	mk := Mark{
-		Cycle: ev.Cycle, Msg: int32(ev.Msg), Node: ev.Node, True: ev.Arg == 1,
-		SinceBlocked: -1, OracleLatency: -1,
+	mk := markRec{
+		cycle: ev.Cycle, msg: int32(ev.Msg), node: ev.Node, isTrue: ev.Arg == 1,
+		sinceBlocked: -1, oracleLatency: -1,
 	}
 	if ms.blockedSince >= 0 {
-		mk.SinceBlocked = ev.Cycle - ms.blockedSince
+		mk.sinceBlocked = ev.Cycle - ms.blockedSince
 	}
 	if ms.sighted >= 0 {
-		mk.OracleLatency = ev.Cycle - ms.sighted
+		mk.oracleLatency = ev.Cycle - ms.sighted
 	}
-	mk.Rule, mk.Hops = c.attribute(ms)
-	if !mk.True {
-		mk.Chain, mk.ChainEnd = c.blockingChain(ev.Msg)
+	mk.rule, mk.hops = c.attribute(ms)
+	if !mk.isTrue {
+		var chain []WaitEdge
+		chain, mk.chainEnd = c.blockingChain(ev.Msg)
+		if len(chain) > 0 {
+			chunk, off, run := c.edges.run(len(chain))
+			copy(run, chain)
+			mk.chainChunk, mk.chainOff, mk.chainLen = int32(chunk), uint16(off), uint8(len(chain))
+		}
 	}
-	c.open.Marks = append(c.open.Marks, mk)
+	c.marks.push(mk)
 }
 
 // attribute names the rule that produced a mark of a message in state ms.
-func (c *Correlator) attribute(ms *msgState) (string, int64) {
+func (c *Correlator) attribute(ms *msgState) (uint8, int64) {
 	if c.seenProbe && ms.hasProbe {
-		return "probe-return", ms.lastHops
+		return ruleProbeReturn, ms.lastHops
 	}
 	if c.seenISet { // NDM: the G rule armed on the blocked input
 		rule := int8(0)
@@ -449,17 +483,17 @@ func (c *Correlator) attribute(ms *msgState) (string, int64) {
 		}
 		switch rule {
 		case trace.GRuleFirstAttempt:
-			return "g1-first-attempt", 0
+			return ruleG1, 0
 		case trace.GRulePromotion:
-			return "g2-promotion", 0
+			return ruleG2, 0
 		default:
-			return "g-unknown", 0
+			return ruleGUnknown, 0
 		}
 	}
 	if c.seenDTSet {
-		return "dt-threshold", 0
+		return ruleDTThreshold, 0
 	}
-	return "timeout", 0
+	return ruleTimeout, 0
 }
 
 // blockingChain walks the channel-occupancy graph from a falsely marked
@@ -467,34 +501,36 @@ func (c *Correlator) attribute(ms *msgState) (string, int64) {
 // where the current worm is blocked, it prefers a blocked holder (smallest
 // message id, then smallest link) and follows it; reaching a holder that is
 // still advancing ends the chain — that moving worm is what kept the
-// dependency tree alive and the marked message inactive.
-func (c *Correlator) blockingChain(start router.MsgID) ([]WaitEdge, string) {
-	var chain []WaitEdge
-	visited := map[router.MsgID]bool{start: true}
+// dependency tree alive and the marked message inactive. The chain is built
+// in c.chain and stays valid until the next walk.
+func (c *Correlator) blockingChain(start router.MsgID) ([]WaitEdge, uint8) {
+	chain := c.chain[:0]
 	cur := start
 	for len(chain) < maxChain {
 		ms := c.msg(cur)
 		node := ms.blockedNode
 		if node < 0 {
-			return chain, "advancing"
+			return chain, endAdvancing
 		}
 		nextMsg, nextLink, nextBlocked, found := c.holderAt(node, cur)
 		if !found {
-			return chain, "no-holder"
+			return chain, endNoHolder
 		}
 		chain = append(chain, WaitEdge{
 			Msg: int32(cur), Node: node, Link: int32(nextLink), Next: int32(nextMsg),
 		})
 		if !nextBlocked {
-			return chain, "advancing"
+			return chain, endAdvancing
 		}
-		if visited[nextMsg] {
-			return chain, "cycle"
+		// The messages visited so far are the chain's waiters.
+		for _, e := range chain {
+			if e.Msg == int32(nextMsg) {
+				return chain, endCycle
+			}
 		}
-		visited[nextMsg] = true
 		cur = nextMsg
 	}
-	return chain, "truncated"
+	return chain, endTruncated
 }
 
 // holderAt finds the preferred holder of a channel leaving node, excluding

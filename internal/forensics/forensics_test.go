@@ -2,9 +2,11 @@ package forensics_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	wormnet "wormnet"
@@ -303,5 +305,107 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("encode -> decode -> encode is not a fixpoint")
+	}
+}
+
+// TestWriteJSONLStreams holds the report writer to streaming: an episode of
+// 100,000 marks, each with a blocking chain, is written without holding its
+// line, so the write allocates well under a MiB where json.Marshal would
+// allocate several times the line's tens of megabytes.
+func TestWriteJSONLStreams(t *testing.T) {
+	chain := []forensics.WaitEdge{{Msg: 1, Node: 2, Link: 3, Next: 4}, {Msg: 4, Node: 5, Link: 6, Next: 7}}
+	ep := &forensics.Episode{ID: 1, Verdict: forensics.VerdictFalsePositive, Mechanism: "ndm", Marks: make([]forensics.Mark, 100_000)}
+	for i := range ep.Marks {
+		ep.Marks[i] = forensics.Mark{Cycle: int64(i), Msg: int32(i), Rule: "g2-promotion",
+			SinceBlocked: 40, OracleLatency: -1, Chain: chain, ChainEnd: "advancing"}
+	}
+	var n countingWriter
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := forensics.WriteJSONL(&n, []*forensics.Episode{ep}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("WriteJSONL allocated %d bytes for a %d-byte report, want under 1 MiB", alloc, n)
+	}
+	if n < 100_000*100 {
+		t.Errorf("report is %d bytes, too short for 100,000 marks", n)
+	}
+}
+
+// countingWriter counts the bytes written to it and keeps none.
+type countingWriter int64
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	*c += countingWriter(len(p))
+	return len(p), nil
+}
+
+// TestWriteJSONLEscapesLikeMarshal: strings reach the report escaped exactly
+// as encoding/json escapes them, including the invalid UTF-8 that a decoded
+// report can never carry.
+func TestWriteJSONLEscapesLikeMarshal(t *testing.T) {
+	for _, s := range []string{
+		"", "ndm", "a<b>&c", `q"b\s`, "\x00\x01\b\f\n\r\t\x1f\x7f", "é\u2028\u2029😀",
+		"\xff", "a\xc3", "\xed\xa0\x80z", "\u00e9\xe9",
+	} {
+		ep := &forensics.Episode{Verdict: s, Mechanism: s, Marks: []forensics.Mark{{Rule: s, ChainEnd: s}}}
+		var got bytes.Buffer
+		if err := forensics.WriteJSONL(&got, []*forensics.Episode{ep}); err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%q:\n got %s\nwant %s", s, got.Bytes(), want)
+		}
+	}
+}
+
+// TestMarkChainsAreCapped: materialised chains share the correlator's edge
+// chunks, so each must be capped at its length: appending to one copies
+// instead of overwriting the next mark's chain.
+func TestMarkChainsAreCapped(t *testing.T) {
+	dir := t.TempDir()
+	cfg := goldenConfig()
+	cfg.TracePath = filepath.Join(dir, "events.jsonl")
+	if _, err := wormnet.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := os.Open(cfg.TracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	eps, err := forensics.Correlate(tr, forensics.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chains := 0
+	for _, ep := range eps {
+		for i, m := range ep.Marks {
+			if cap(m.Chain) != len(m.Chain) {
+				t.Fatalf("episode %d mark %d: chain len %d cap %d", ep.ID, i, len(m.Chain), cap(m.Chain))
+			}
+			if len(m.Chain) > 0 {
+				chains++
+				_ = append(m.Chain, forensics.WaitEdge{Msg: -7})
+			}
+		}
+	}
+	if chains == 0 {
+		t.Fatal("golden run has no blocking chains")
+	}
+	for _, ep := range eps {
+		for _, m := range ep.Marks {
+			for _, e := range m.Chain {
+				if e.Msg == -7 {
+					t.Fatal("an append to one chain overwrote another")
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package forensics_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"runtime"
 	"testing"
@@ -11,7 +12,8 @@ import (
 
 // FuzzIncidents feeds arbitrary bytes to DecodeEpisodes. It may refuse them,
 // but never panic or allocate more than a fixed multiple of the input; what
-// it accepts must survive a write and a second decode unchanged.
+// it accepts must be written exactly as json.Marshal writes each episode and
+// survive a second decode unchanged.
 func FuzzIncidents(f *testing.F) {
 	// The committed reports' episodes under 1 KB each: big enough to hold
 	// every field, small enough to mutate and minimize quickly.
@@ -41,9 +43,20 @@ func FuzzIncidents(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var once, twice bytes.Buffer
+		var once, twice, marshaled bytes.Buffer
 		if err := forensics.WriteJSONL(&once, episodes); err != nil {
 			t.Fatal(err)
+		}
+		for _, ep := range episodes {
+			line, err := json.Marshal(ep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			marshaled.Write(line)
+			marshaled.WriteByte('\n')
+		}
+		if !bytes.Equal(once.Bytes(), marshaled.Bytes()) {
+			t.Fatalf("WriteJSONL differs from json.Marshal:\n%s\nvs\n%s", once.Bytes(), marshaled.Bytes())
 		}
 		again, err := forensics.DecodeEpisodes(bytes.NewReader(once.Bytes()))
 		if err != nil {

@@ -1,5 +1,5 @@
-// Incident-record types and their JSONL encoding. One Episode per line,
-// encoded with encoding/json over fixed struct layouts, so a report is a
+// Incident-record types and their JSONL encoding. One Episode per line, in
+// exactly encoding/json's form of the fixed struct layouts, so a report is a
 // deterministic function of the episode values — which are themselves a
 // deterministic function of the trace byte stream (see forensics.go).
 package forensics
@@ -10,6 +10,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"unicode/utf8"
 )
 
 // Episode is one reconstructed deadlock incident: the temporal span from the
@@ -143,19 +145,216 @@ func (e *Episode) FirstMarkCycle() int64 {
 	return e.Marks[0].Cycle
 }
 
-// WriteJSONL writes episodes one JSON object per line.
+// WriteJSONL writes episodes one JSON object per line, byte for byte what
+// json.Marshal of each episode followed by a newline would write. It streams:
+// each record of a line (the episode's scalars, one member, edge, mark or
+// victim) is appended straight to the buffered writer's free space and
+// committed, so a line of any length is never held whole.
 func WriteJSONL(w io.Writer, episodes []*Episode) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
+	e := reportWriter{bw: bufio.NewWriterSize(w, 1<<16)}
 	for _, ep := range episodes {
-		b, err := json.Marshal(ep)
-		if err != nil {
-			return err
-		}
-		bw.Write(b)
-		bw.WriteByte('\n')
+		e.episode(ep)
 	}
-	return bw.Flush()
+	if e.err != nil {
+		return e.err
+	}
+	return e.bw.Flush()
 }
+
+// recordRoom is the free space reportWriter.buf keeps available: more than
+// a mark with a full blocking chain takes, so a record normally lands in
+// the writer's buffer without being copied.
+const recordRoom = 2048
+
+// reportWriter appends an episode's JSON to a bufio.Writer a record at a
+// time. A write error is kept and ends the output.
+type reportWriter struct {
+	bw  *bufio.Writer
+	err error
+}
+
+// buf returns the writer's free space, flushed first if short of recordRoom.
+func (e *reportWriter) buf() []byte {
+	if e.bw.Available() < recordRoom && e.err == nil {
+		e.err = e.bw.Flush()
+	}
+	return e.bw.AvailableBuffer()
+}
+
+// commit writes a record appended to buf().
+func (e *reportWriter) commit(b []byte) {
+	if e.err == nil {
+		_, e.err = e.bw.Write(b)
+	}
+}
+
+func (e *reportWriter) episode(ep *Episode) {
+	b := appendInt(e.buf(), `{"id":`, int64(ep.ID))
+	b = appendString(append(b, `,"verdict":`...), ep.Verdict)
+	if ep.Unresolved {
+		b = append(b, `,"unresolved":true`...)
+	}
+	b = appendInt(b, `,"openCycle":`, ep.OpenCycle)
+	b = appendInt(b, `,"closeCycle":`, ep.CloseCycle)
+	b = appendString(append(b, `,"mechanism":`...), ep.Mechanism)
+	b = appendInt(b, `,"peakOracleSet":`, int64(ep.PeakOracleSet))
+	b = appendInt(b, `,"mttdCycles":`, ep.MTTDCycles)
+	b = appendInt(b, `,"mttrCycles":`, ep.MTTRCycles)
+	e.commit(b)
+	writeList(e, `,"members":[`, ep.Members, appendMember)
+	writeList(e, `,"formation":[`, ep.Formation, appendEdge)
+	writeList(e, `,"marks":[`, ep.Marks, appendMark)
+	writeList(e, `,"victims":[`, ep.Victims, appendVictim)
+	b = appendInt(e.buf(), `,"absorbedFlitsEst":`, ep.AbsorbedFlitsEst)
+	e.commit(append(b, "}\n"...))
+}
+
+// writeList writes an omitempty array field one element per record.
+func writeList[T any](e *reportWriter, key string, list []T, appendOne func([]byte, *T) []byte) {
+	for i := range list {
+		b := e.buf()
+		if i == 0 {
+			b = append(b, key...)
+		} else {
+			b = append(b, ',')
+		}
+		e.commit(appendOne(b, &list[i]))
+	}
+	if len(list) > 0 {
+		e.commit(append(e.buf(), ']'))
+	}
+}
+
+func appendMember(b []byte, m *Member) []byte {
+	b = appendInt(b, `{"msg":`, int64(m.Msg))
+	b = appendInt(b, `,"sighted":`, m.Sighted)
+	b = appendInt(b, `,"node":`, int64(m.Node))
+	b = appendInt(b, `,"inLink":`, int64(m.InLink))
+	b = appendInt(b, `,"blockedSince":`, m.BlockedSince)
+	for i, l := range m.Holds {
+		if i == 0 {
+			b = append(b, `,"holds":[`...)
+		} else {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(l), 10)
+	}
+	if len(m.Holds) > 0 {
+		b = append(b, ']')
+	}
+	return append(b, '}')
+}
+
+func appendEdge(b []byte, w *WaitEdge) []byte {
+	b = appendInt(b, `{"msg":`, int64(w.Msg))
+	b = appendInt(b, `,"node":`, int64(w.Node))
+	b = appendInt(b, `,"link":`, int64(w.Link))
+	b = appendInt(b, `,"next":`, int64(w.Next))
+	return append(b, '}')
+}
+
+func appendMark(b []byte, m *Mark) []byte {
+	b = appendInt(b, `{"cycle":`, m.Cycle)
+	b = appendInt(b, `,"msg":`, int64(m.Msg))
+	b = appendInt(b, `,"node":`, int64(m.Node))
+	b = strconv.AppendBool(append(b, `,"true":`...), m.True)
+	b = appendString(append(b, `,"rule":`...), m.Rule)
+	if m.Hops != 0 {
+		b = appendInt(b, `,"hops":`, m.Hops)
+	}
+	b = appendInt(b, `,"sinceBlocked":`, m.SinceBlocked)
+	b = appendInt(b, `,"oracleLatency":`, m.OracleLatency)
+	for i := range m.Chain {
+		if i == 0 {
+			b = append(b, `,"chain":[`...)
+		} else {
+			b = append(b, ',')
+		}
+		b = appendEdge(b, &m.Chain[i])
+	}
+	if len(m.Chain) > 0 {
+		b = append(b, ']')
+	}
+	if m.ChainEnd != "" {
+		b = appendString(append(b, `,"chainEnd":`...), m.ChainEnd)
+	}
+	return append(b, '}')
+}
+
+func appendVictim(b []byte, v *Victim) []byte {
+	b = appendInt(b, `{"msg":`, int64(v.Msg))
+	b = appendInt(b, `,"start":`, v.Start)
+	b = appendInt(b, `,"end":`, v.End)
+	b = appendInt(b, `,"node":`, int64(v.Node))
+	b = appendInt(b, `,"drainCycles":`, v.DrainCycles)
+	b = strconv.AppendBool(append(b, `,"delivered":`...), v.Delivered)
+	b = appendInt(b, `,"style":`, v.Style)
+	b = appendInt(b, `,"lengthFlits":`, int64(v.LengthFlits))
+	return append(b, '}')
+}
+
+// appendInt appends a key (with its punctuation) and an integer value.
+func appendInt(b []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+// appendString appends s as a JSON string escaped exactly as encoding/json
+// escapes it: HTML-sensitive <, > and &, control bytes, invalid UTF-8 (as
+// U+FFFD) and U+2028/U+2029. The fixed verdict, mechanism and rule names
+// need none of it and are copied in one append.
+func appendString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if jsonSafe(c) {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(append(b, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(b, s[start:]...), '"')
+}
+
+// jsonSafe reports an ASCII byte encoding/json copies into a string as is.
+func jsonSafe(c byte) bool {
+	return c >= 0x20 && c < utf8.RuneSelf && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+}
+
+const hexDigits = "0123456789abcdef"
 
 // DecodeEpisodes reads an incident report written by WriteJSONL. Errors
 // report the 1-based line number of the malformed line. Lines are read
