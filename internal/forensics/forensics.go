@@ -119,7 +119,8 @@ func (c *Correlator) ensureLink(l router.LinkID) {
 	}
 }
 
-// learnSrc records that link l is an output of router node.
+// learnSrc records that link l is an output of router node. Out-links are
+// learned from route-ok alone.
 func (c *Correlator) learnSrc(l router.LinkID, node int32) {
 	if l < 0 || node < 0 {
 		return
@@ -203,7 +204,8 @@ func (c *Correlator) Observe(ev trace.Event) {
 		ms.blockedNode, ms.blockedSince = -1, -1
 		ms.length = int32(ev.Arg)
 		ms.hasProbe = false
-		c.learnSrc(ev.Link, ev.Node)
+		// ev.Link is an injection link: an input of ev.Node, never one of
+		// its outputs, so nothing is learned from it.
 
 	case trace.KindVCAlloc:
 		c.addHold(ev.Msg, ev.Link, ev.Aux)

@@ -409,3 +409,42 @@ func TestMarkChainsAreCapped(t *testing.T) {
 		}
 	}
 }
+
+// TestInjectionLinksAreNotOutputs: a router's out-links are learned from
+// route-ok alone. Two headers blocked at node 0, each still feeding its own
+// injection buffer there, do not wait on each other: the refuted mark's
+// chain follows the worm routed out of node 0, and the formation finds no
+// cycle. Learning injection links as outputs chained 1 -> 2 -> 1 over links
+// 101 and 100 instead.
+func TestInjectionLinksAreNotOutputs(t *testing.T) {
+	c := forensics.New(forensics.Options{})
+	for _, ev := range []trace.Event{
+		{Kind: trace.KindInject, Msg: 1, Link: 100, Node: 0, Arg: 16, Aux: -1},
+		{Kind: trace.KindVCAlloc, Msg: 1, Link: 100, Node: -1},
+		{Kind: trace.KindInject, Msg: 2, Link: 101, Node: 0, Arg: 16, Aux: -1},
+		{Kind: trace.KindVCAlloc, Msg: 2, Link: 101, Node: -1},
+		{Kind: trace.KindInject, Msg: 3, Link: 105, Node: 5, Arg: 16, Aux: -1},
+		{Kind: trace.KindVCAlloc, Msg: 3, Link: 105, Node: -1},
+		{Cycle: 1, Kind: trace.KindRouteOK, Msg: 3, Link: 9, Node: 0, Arg: 7},
+		{Cycle: 1, Kind: trace.KindRouteFail, Msg: 1, Link: 100, Node: 0, Arg: 1, Aux: -1},
+		{Cycle: 1, Kind: trace.KindRouteFail, Msg: 2, Link: 101, Node: 0, Arg: 1, Aux: -1},
+		{Cycle: 40, Kind: trace.KindDetect, Msg: 1, Node: 0, Aux: -1},
+		{Cycle: 41, Kind: trace.KindOracleDeadlock, Msg: 1, Node: -1, Arg: 2, Aux: -1},
+		{Cycle: 41, Kind: trace.KindOracleDeadlock, Msg: 2, Node: -1, Arg: 2, Aux: -1},
+	} {
+		c.Observe(ev)
+	}
+	c.Finish()
+	eps := c.Episodes()
+	if len(eps) != 1 || len(eps[0].Marks) != 1 {
+		t.Fatalf("want one episode with one mark, got %+v", eps)
+	}
+	mk := eps[0].Marks[0]
+	want := []forensics.WaitEdge{{Msg: 1, Node: 0, Link: 7, Next: 3}}
+	if len(mk.Chain) != 1 || mk.Chain[0] != want[0] || mk.ChainEnd != "advancing" {
+		t.Errorf("chain %+v ending %q, want %+v ending advancing", mk.Chain, mk.ChainEnd, want)
+	}
+	if f := eps[0].Formation; len(f) != 0 {
+		t.Errorf("formation %+v runs through injection links", f)
+	}
+}
