@@ -109,8 +109,17 @@ trace-smoke: build
 # byte-identical between the online observer and an offline replay of the
 # streamed trace; and enabling forensics leaves the run's stdout
 # byte-identical (pure observation).
+#
+# The storm-scale leg runs the 8-ary 2-cube storm (1 VC, load 2.0, th 32,
+# oracle every cycle, seed 1) for 2,000 cycles. Its one episode stays open
+# throughout and gathers 5,413 marks, 36,482 chain edges and 5,413 victims:
+# 6 mark chunks of 1,024, 9 edge chunks of 4,096 and 6 victim chunks of
+# 1,024 (internal/forensics/store.go), so its online report must match the
+# replay across many chunk boundaries.
 FORENSICS_ARGS = -k 4 -n 2 -vcs 1 -load 2.0 -inject-limit -1 -th 64 \
 	-warmup 0 -measure 3000 -oracle-every 1 -seed 7
+FORENSICS_STORM_ARGS = -k 8 -n 2 -vcs 1 -load 2.0 -inject-limit -1 -th 32 \
+	-warmup 0 -measure 2000 -oracle-every 1 -seed 1
 forensics-smoke: build
 	$(GO) build -o /tmp/wormnet-wormsim ./cmd/wormsim
 	$(GO) build -o /tmp/wormnet-wormview ./cmd/wormview
@@ -125,6 +134,12 @@ forensics-smoke: build
 		| tee /tmp/wormnet-forensics-summary.txt
 	cmp /tmp/wormnet-incidents.jsonl /tmp/wormnet-incidents-replay.jsonl
 	grep -q 'true-deadlock' /tmp/wormnet-forensics-summary.txt
+	/tmp/wormnet-wormsim $(FORENSICS_STORM_ARGS) \
+		-forensics /tmp/wormnet-storm-incidents.jsonl \
+		-trace /tmp/wormnet-storm-events.jsonl > /dev/null
+	/tmp/wormnet-wormview incidents -write /tmp/wormnet-storm-replay.jsonl \
+		/tmp/wormnet-storm-events.jsonl > /dev/null
+	cmp /tmp/wormnet-storm-incidents.jsonl /tmp/wormnet-storm-replay.jsonl
 	@echo "forensics-smoke: incidents parse; byte-identical online/offline, stdout unchanged"
 
 # Exhaustive conformance gate (CI-required, well under 2 minutes): the
@@ -286,7 +301,9 @@ clean:
 		/tmp/wormnet-mcheck /tmp/wormnet-incidents.jsonl \
 		/tmp/wormnet-incidents-replay.jsonl /tmp/wormnet-forensics-events.jsonl \
 		/tmp/wormnet-forensics-on.txt /tmp/wormnet-forensics-off.txt \
-		/tmp/wormnet-forensics-summary.txt /tmp/wormnet-tables /tmp/wormnet-gate.json \
+		/tmp/wormnet-forensics-summary.txt /tmp/wormnet-storm-incidents.jsonl \
+		/tmp/wormnet-storm-events.jsonl /tmp/wormnet-storm-replay.jsonl \
+		/tmp/wormnet-tables /tmp/wormnet-gate.json \
 		/tmp/wormnet-bench-suite.json /tmp/wormnet-tables-serial.txt /tmp/wormnet-tables-par.txt
 	rm -rf /tmp/wormnet-series /tmp/wormnet-tables-d.t2 /tmp/wormnet-tables-t.t2 \
 		/tmp/wormnet-gate-series /tmp/wormnet-gate-forensics

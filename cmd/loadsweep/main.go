@@ -39,6 +39,7 @@ import (
 	"wormnet/internal/harness"
 	"wormnet/internal/sim"
 	"wormnet/internal/stats"
+	"wormnet/internal/topology"
 )
 
 type regime struct {
@@ -104,11 +105,12 @@ func main() {
 	flag.Parse()
 
 	// Reject invalid invocations loudly instead of running a default sweep.
+	topoErr := topology.Validate(*k, *n)
 	switch {
 	case len(flag.Args()) > 0:
 		fail("unexpected arguments %q (loadsweep takes only flags)", flag.Args())
-	case *k < 2 || *n < 1:
-		fail("invalid topology: %d-ary %d-cube (need -k >= 2, -n >= 1)", *k, *n)
+	case topoErr != nil:
+		fail("%v", topoErr)
 	case *length < 1:
 		fail("-len must be >= 1, got %d", *length)
 	case *points < 1:

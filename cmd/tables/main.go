@@ -47,6 +47,7 @@ import (
 	"wormnet/internal/harness"
 	"wormnet/internal/sim"
 	"wormnet/internal/stats"
+	"wormnet/internal/topology"
 )
 
 // config holds the parsed command line.
@@ -132,13 +133,14 @@ func main() {
 		fail("%v %s", bad, why)
 	}
 	opt, err := c.sweep.Options()
+	topoErr := topology.Validate(c.k, c.n)
 	switch {
 	case err != nil:
 		fail("%v", err)
 	case c.detlat && flag.NArg() > 0:
 		fail("unexpected arguments %q in -detlat mode", flag.Args())
-	case c.k < 2 || c.n < 1:
-		fail("invalid topology: %d-ary %d-cube (need -k >= 2, -n >= 1)", c.k, c.n)
+	case topoErr != nil:
+		fail("%v", topoErr)
 	case c.warmup < 0 || c.measure <= 0:
 		fail("need -warmup >= 0 and -measure > 0, got %d and %d", c.warmup, c.measure)
 	}

@@ -29,6 +29,7 @@ import (
 
 	"wormnet/internal/recovery"
 	"wormnet/internal/sim"
+	"wormnet/internal/topology"
 )
 
 // Inject is one scripted message: the model checker explores every
@@ -87,8 +88,8 @@ type Options struct {
 }
 
 func (o *Options) applyDefaults() error {
-	if o.K < 2 || o.N < 1 {
-		return fmt.Errorf("mc: invalid fabric %d-ary %d-cube", o.K, o.N)
+	if err := topology.Validate(o.K, o.N); err != nil {
+		return fmt.Errorf("mc: %w", err)
 	}
 	if o.VCs == 0 {
 		o.VCs = 1

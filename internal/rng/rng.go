@@ -153,17 +153,6 @@ func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
-// Exp returns an exponentially distributed value with the given mean.
-// It is used by inter-arrival processes that want Poisson injection.
-func (s *Source) Exp(mean float64) float64 {
-	u := s.Float64()
-	// Guard against log(0).
-	if u <= 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return -mean * math.Log(1-u)
-}
-
 // Geometric returns the number of Bernoulli(p) failures before the first
 // success, i.e. a geometric variate with support {0, 1, 2, ...}. For p >= 1
 // it returns 0; for p <= 0 it panics since the variate is undefined.

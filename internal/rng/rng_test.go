@@ -204,22 +204,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	s := New(19)
-	const draws = 200_000
-	sum := 0.0
-	for i := 0; i < draws; i++ {
-		v := s.Exp(10)
-		if v < 0 {
-			t.Fatalf("Exp returned negative %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / draws; math.Abs(mean-10) > 0.2 {
-		t.Errorf("Exp(10) mean %.3f", mean)
-	}
-}
-
 func TestGeometricMean(t *testing.T) {
 	s := New(23)
 	const p, draws = 0.25, 200_000

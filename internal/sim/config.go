@@ -147,9 +147,10 @@ func DefaultConfig() Config {
 }
 
 func (c *Config) validate() error {
+	if err := topology.Validate(c.K, c.N); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
 	switch {
-	case c.K < 2 || c.N < 1:
-		return fmt.Errorf("sim: invalid topology %d-ary %d-cube", c.K, c.N)
 	case c.Pattern == nil:
 		return fmt.Errorf("sim: Pattern is required")
 	case c.Lengths == nil:

@@ -103,7 +103,7 @@ func TestKernelMatchesArithmetic(t *testing.T) {
 // TestTableLimits: New refuses a torus its table encodings cannot hold, and
 // accepts the largest dimension count a uint32 mask covers.
 func TestTableLimits(t *testing.T) {
-	for _, tc := range []struct{ k, n int }{{maxRadix + 1, 1}, {2, maxDims + 1}} {
+	for _, tc := range []struct{ k, n int }{{maxRadix + 1, 1}, {2, maxDims + 1}, {1025, 3}} {
 		func() {
 			defer func() {
 				if recover() == nil {

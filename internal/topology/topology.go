@@ -74,27 +74,40 @@ const (
 	maxDims  = 16
 )
 
-// New constructs a k-ary n-cube. It panics if k < 2, n < 1, k or n exceed
-// the table encodings (k <= 65536, n <= 16), or the node count overflows
-// int32 (the simulator stores node IDs as int32).
+// maxNodes bounds the node count: the simulator stores node IDs as int32
+// and sizes per-node tables from it.
+const maxNodes = 1 << 30
+
+// Validate reports whether New can build a k-ary n-cube: k >= 2, n >= 1,
+// both within the table encodings (k <= 65536, n <= 16) and at most 2^30
+// nodes. It allocates nothing, so callers check a size before building.
+func Validate(k, n int) error {
+	switch {
+	case k < 2 || n < 1:
+		return fmt.Errorf("topology: invalid %d-ary %d-cube: need k >= 2 and n >= 1", k, n)
+	case k > maxRadix || n > maxDims:
+		return fmt.Errorf("topology: %d-ary %d-cube is too large: need k <= %d and n <= %d", k, n, maxRadix, maxDims)
+	}
+	nodes := 1
+	for d := 0; d < n; d++ {
+		if nodes *= k; nodes > maxNodes {
+			return fmt.Errorf("topology: %d-ary %d-cube is too large: more than %d nodes", k, n, maxNodes)
+		}
+	}
+	return nil
+}
+
+// New constructs a k-ary n-cube. It panics with Validate's error on a
+// size Validate refuses.
 func New(k, n int) *Torus {
-	if k < 2 {
-		panic("topology: radix k must be at least 2")
-	}
-	if n < 1 {
-		panic("topology: dimension n must be at least 1")
-	}
-	if k > maxRadix || n > maxDims {
-		panic("topology: network too large")
+	if err := Validate(k, n); err != nil {
+		panic(err)
 	}
 	nodes := 1
 	strides := make([]int, n)
 	for d := 0; d < n; d++ {
 		strides[d] = nodes
 		nodes *= k
-		if nodes > 1<<30 {
-			panic("topology: network too large")
-		}
 	}
 	t := &Torus{k: k, n: n, nodes: nodes, strides: strides}
 	t.minDir = make([]uint8, k)

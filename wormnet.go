@@ -421,6 +421,9 @@ func (c Config) mechanism() (sim.Mechanism, error) {
 // points from the same configuration surface Run accepts.
 func (c Config) SimConfig() (sim.Config, error) {
 	sc := sim.DefaultConfig()
+	if err := topology.Validate(c.K, c.N); err != nil {
+		return sc, fmt.Errorf("wormnet: %w", err)
+	}
 	sc.K, sc.N = c.K, c.N
 	sc.Router = router.Config{
 		VCsPerLink: c.VirtualChannels,

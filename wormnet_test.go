@@ -116,8 +116,9 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestInvalidParametersAreErrors: workload and detector parameters the
-// pattern and detector constructors cannot take are refused by SimConfig
-// with an error, before anything is built.
+// pattern and detector constructors cannot take, and tori too large for the
+// topology tables, are refused by SimConfig with an error, before anything
+// is built.
 func TestInvalidParametersAreErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -132,6 +133,9 @@ func TestInvalidParametersAreErrors(t *testing.T) {
 		{"ndm-t1-above-t2", func(c *Config) { c.T1, c.Threshold = 40, 32 }},
 		{"pdm-th0", func(c *Config) { c.Mechanism, c.Threshold = PDM, 0 }},
 		{"ndm-70-ports", func(c *Config) { c.N, c.Ports = 3, 70 }},
+		{"k2-n17", func(c *Config) { c.K, c.N = 2, 17 }},
+		{"k65537-n1", func(c *Config) { c.K, c.N = 65537, 1 }},
+		{"k1025-n3", func(c *Config) { c.K, c.N = 1025, 3 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := small()
