@@ -435,10 +435,9 @@ func (c *Correlator) mechanism() string {
 	}
 }
 
+// marksSeen reports whether an episode closed before the one being
+// finalized carried marks; finalize calls mechanism with no episode open.
 func (c *Correlator) marksSeen() bool {
-	if c.marks.len() > 0 {
-		return true
-	}
 	for _, ep := range c.episodes {
 		if len(ep.Marks) > 0 {
 			return true

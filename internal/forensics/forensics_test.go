@@ -332,7 +332,15 @@ func TestWriteJSONLStreams(t *testing.T) {
 	if n < 100_000*100 {
 		t.Errorf("report is %d bytes, too short for 100,000 marks", n)
 	}
+	if err := forensics.WriteJSONL(failingWriter{}, []*forensics.Episode{ep}); err == nil {
+		t.Error("WriteJSONL dropped its writer's error")
+	}
 }
+
+// failingWriter refuses every write.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, os.ErrClosed }
 
 // countingWriter counts the bytes written to it and keeps none.
 type countingWriter int64

@@ -153,10 +153,9 @@ func (e *Episode) FirstMarkCycle() int64 {
 func WriteJSONL(w io.Writer, episodes []*Episode) error {
 	e := reportWriter{bw: bufio.NewWriterSize(w, 1<<16)}
 	for _, ep := range episodes {
-		e.episode(ep)
-	}
-	if e.err != nil {
-		return e.err
+		if e.episode(ep); e.err != nil {
+			return e.err
+		}
 	}
 	return e.bw.Flush()
 }
