@@ -208,9 +208,10 @@ func (e *reportWriter) episode(ep *Episode) {
 	e.commit(append(b, "}\n"...))
 }
 
-// writeList writes an omitempty array field one element per record.
+// writeList writes an omitempty array field one element per record,
+// stopping at a write error.
 func writeList[T any](e *reportWriter, key string, list []T, appendOne func([]byte, *T) []byte) {
-	for i := range list {
+	for i := 0; i < len(list) && e.err == nil; i++ {
 		b := e.buf()
 		if i == 0 {
 			b = append(b, key...)
