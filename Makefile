@@ -110,6 +110,10 @@ trace-smoke: build
 # streamed trace; and enabling forensics leaves the run's stdout
 # byte-identical (pure observation).
 #
+# The hdr-block leg runs the same configuration under a timeout detector,
+# which emits no flag or probe events: its online report must match the
+# replay, and every episode must name the mechanism "timeout", not "none".
+#
 # The storm-scale leg runs the 8-ary 2-cube storm (1 VC, load 2.0, th 32,
 # oracle every cycle, seed 1) for 2,000 cycles. Its one episode stays open
 # throughout and gathers 5,413 marks, 36,482 chain edges and 5,413 victims:
@@ -134,13 +138,21 @@ forensics-smoke: build
 		| tee /tmp/wormnet-forensics-summary.txt
 	cmp /tmp/wormnet-incidents.jsonl /tmp/wormnet-incidents-replay.jsonl
 	grep -q 'true-deadlock' /tmp/wormnet-forensics-summary.txt
+	/tmp/wormnet-wormsim $(FORENSICS_ARGS) -mech hdr-block \
+		-forensics /tmp/wormnet-hdr-incidents.jsonl \
+		-trace /tmp/wormnet-hdr-events.jsonl > /dev/null
+	/tmp/wormnet-wormview incidents -write /tmp/wormnet-hdr-replay.jsonl \
+		/tmp/wormnet-hdr-events.jsonl > /dev/null
+	cmp /tmp/wormnet-hdr-incidents.jsonl /tmp/wormnet-hdr-replay.jsonl
+	grep -q '"mechanism":"timeout"' /tmp/wormnet-hdr-incidents.jsonl
+	! grep -q '"mechanism":"none"' /tmp/wormnet-hdr-incidents.jsonl
 	/tmp/wormnet-wormsim $(FORENSICS_STORM_ARGS) \
 		-forensics /tmp/wormnet-storm-incidents.jsonl \
 		-trace /tmp/wormnet-storm-events.jsonl > /dev/null
 	/tmp/wormnet-wormview incidents -write /tmp/wormnet-storm-replay.jsonl \
 		/tmp/wormnet-storm-events.jsonl > /dev/null
 	cmp /tmp/wormnet-storm-incidents.jsonl /tmp/wormnet-storm-replay.jsonl
-	@echo "forensics-smoke: incidents parse; byte-identical online/offline, stdout unchanged"
+	@echo "forensics-smoke: incidents parse; byte-identical online/offline, stdout unchanged, no timeout episode named none"
 
 # Exhaustive conformance gate (CI-required, well under 2 minutes): the
 # bounded model checker (internal/mc, cmd/mcheck) explores EVERY reachable
@@ -303,6 +315,8 @@ clean:
 		/tmp/wormnet-forensics-on.txt /tmp/wormnet-forensics-off.txt \
 		/tmp/wormnet-forensics-summary.txt /tmp/wormnet-storm-incidents.jsonl \
 		/tmp/wormnet-storm-events.jsonl /tmp/wormnet-storm-replay.jsonl \
+		/tmp/wormnet-hdr-incidents.jsonl /tmp/wormnet-hdr-events.jsonl \
+		/tmp/wormnet-hdr-replay.jsonl \
 		/tmp/wormnet-tables /tmp/wormnet-gate.json \
 		/tmp/wormnet-bench-suite.json /tmp/wormnet-tables-serial.txt /tmp/wormnet-tables-par.txt
 	rm -rf /tmp/wormnet-series /tmp/wormnet-tables-d.t2 /tmp/wormnet-tables-t.t2 \

@@ -76,15 +76,15 @@ type Oracle struct {
 	// valid marks blocked/stamp as current with respect to the fabric; it
 	// is cleared by Invalidate and set by Deadlocked. seenGen records the
 	// fabric's structural generation at the last recomputation, so any VC
-	// allocation/release or link failure/repair invalidates the cache
-	// automatically; Invalidate covers the remaining inputs the generation
-	// counter cannot see (message phase and attempt-count changes).
+	// allocation or release invalidates the cache automatically; Invalidate
+	// covers the remaining inputs the generation counter cannot see (message
+	// phase and attempt-count changes).
 	valid   bool
 	seenGen uint64
 }
 
 // New returns an Oracle over fabric f using true fully adaptive candidates
-// (every VC of every healthy minimal physical channel, read through each
+// (every VC of every minimal physical channel, read through each
 // header's route memo); SetCandidates overrides this for other routing
 // algorithms.
 func New(f *router.Fabric) *Oracle {
@@ -97,12 +97,11 @@ func New(f *router.Fabric) *Oracle {
 func (o *Oracle) SetCandidates(fn CandidateFunc) { o.cands = fn }
 
 // Invalidate marks the cached deadlocked set stale. Virtual-channel
-// allocations/releases and link failures/repairs are tracked automatically
-// through the fabric's structural generation counter; the owner must call
-// Invalidate only for input changes invisible to that counter — a message
-// failing its first routing attempt (Attempts 0 -> 1) or changing phase
-// without releasing a VC (a progressive-recovery mark, a header consumed at
-// a delivery port).
+// allocations and releases are tracked automatically through the fabric's
+// structural generation counter; the owner must call Invalidate only for
+// input changes invisible to that counter — a message failing its first
+// routing attempt (Attempts 0 -> 1) or changing phase without releasing a VC
+// (a progressive-recovery mark, a header consumed at a delivery port).
 func (o *Oracle) Invalidate() { o.valid = false }
 
 // Deadlocked returns the IDs of all messages involved in a true deadlock,

@@ -378,21 +378,21 @@ func ringDeadlockProgram(torus bool) []byte {
 }
 
 // FuzzOracle runs an op program — create, extend, block, advance and
-// release worms, drain a header, consume a header, fail and repair links —
-// on a small two-VC fabric (the 4-node ring or the 3x3 torus, by the first
-// byte), and after every op asserts that the oracle returns exactly the set
-// the reference kernel returns, in the same order, that Contains agrees with
-// it for every pooled message, and that the fixture kept the fabric's
-// invariants (the head-VC rule the oracle seeds on among them). Released
-// messages go back to the pool, so IDs are reused out of creation order.
+// release worms, drain a header, consume a header — on a small two-VC fabric
+// (the 4-node ring or the 3x3 torus, by the first byte), and after every op
+// asserts that the oracle returns exactly the set the reference kernel
+// returns, in the same order, that Contains agrees with it for every pooled
+// message, and that the fixture kept the fabric's invariants (the head-VC
+// rule the oracle seeds on among them). Released messages go back to the
+// pool, so IDs are reused out of creation order.
 func FuzzOracle(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 1, 0, 2, 3, 1, 2, 0, 2, 1})
 	f.Add([]byte{1, 0, 0, 4, 1, 0, 1, 8, 0, 1, 0, 9, 2, 1, 2, 6, 3, 1, 4, 0, 0, 5, 5, 1})
 	for _, torus := range []bool{false, true} {
 		f.Add(ringDeadlockProgram(torus))
-		// Then: a release, a consumed header, a link failure and repair, a
-		// drained worm, a routed header, a worm extended out of the cycle.
-		f.Add(append(ringDeadlockProgram(torus), 4, 3, 0, 7, 2, 1, 6, 2, 6, 2, 5, 0, 3, 1, 1, 4, 5))
+		// Then: a release, a new blocked worm, a drained worm, a routed
+		// header, a worm extended out of the cycle, a consumed header.
+		f.Add(append(ringDeadlockProgram(torus), 4, 3, 0, 7, 2, 1, 5, 0, 3, 1, 1, 4, 5, 7, 2))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { runOracleProgram(t, data) })
 }
@@ -430,6 +430,8 @@ func runOracleProgram(t *testing.T, data []byte) []router.MsgID {
 		return live[next()%len(live)]
 	}
 	for pos < len(data) {
+		// Op 6 does nothing, so programs in the committed corpus keep the
+		// meaning of every other op byte.
 		switch next() % 8 {
 		case 0: // a worm enters: header on a free VC, advancing or blocked
 			l, dst, blocked := link(), next()%topo.Nodes(), next()&1
@@ -479,12 +481,6 @@ func runOracleProgram(t *testing.T, data []byte) []router.MsgID {
 				} else {
 					m.Phase = router.PhaseNetwork
 				}
-			}
-		case 6: // a link fails or is repaired
-			if l := link(); fab.LinkFailed(l) {
-				fab.RepairLink(l)
-			} else {
-				fab.FailLink(l)
 			}
 		case 7: // the header is consumed where it stands
 			if m := pick(); m != nil && m.HeadVC != router.NilVC {

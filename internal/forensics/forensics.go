@@ -99,9 +99,9 @@ type Correlator struct {
 	edges   chunks[WaitEdge]
 	chain   [maxChain]WaitEdge // blockingChain's walk
 
-	seenISet, seenDTSet, seenProbe bool
-	lastCycle                      int64
-	finished                       bool
+	seenISet, seenDTSet, seenProbe, seenMark bool
+	lastCycle                                int64
+	finished                                 bool
 }
 
 // New builds a correlator.
@@ -428,28 +428,18 @@ func (c *Correlator) mechanism() string {
 		return "ndm"
 	case c.seenDTSet:
 		return "pdm"
-	case c.marksSeen():
+	case c.seenMark:
 		return "timeout"
 	default:
 		return "none"
 	}
 }
 
-// marksSeen reports whether an episode closed before the one being
-// finalized carried marks; finalize calls mechanism with no episode open.
-func (c *Correlator) marksSeen() bool {
-	for _, ep := range c.episodes {
-		if len(ep.Marks) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // mark handles a detect event: attach it (opening a false-positive episode
 // if none is open) with rule attribution and, for refuted marks, the
 // blocking chain that explains the spurious threshold crossing.
 func (c *Correlator) mark(ev trace.Event) {
+	c.seenMark = true
 	if c.open == nil {
 		c.open = &Episode{
 			ID:         len(c.episodes) + 1,

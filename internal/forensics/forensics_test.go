@@ -456,3 +456,26 @@ func TestInjectionLinksAreNotOutputs(t *testing.T) {
 		t.Errorf("formation %+v runs through injection links", f)
 	}
 }
+
+// TestFirstMarkedEpisodeUnderTimeoutDetector: a detector that emits no flag
+// or probe events (hdr-block's timeout) is named "timeout" from the first
+// episode that carries a mark, not only from episodes after one.
+func TestFirstMarkedEpisodeUnderTimeoutDetector(t *testing.T) {
+	c := forensics.New(forensics.Options{})
+	for _, ev := range []trace.Event{
+		{Kind: trace.KindInject, Msg: 1, Link: 100, Node: 0, Arg: 16, Aux: -1},
+		{Kind: trace.KindVCAlloc, Msg: 1, Link: 100, Node: -1},
+		{Cycle: 1, Kind: trace.KindRouteFail, Msg: 1, Link: 100, Node: 0, Arg: 1, Aux: -1},
+		{Cycle: 64, Kind: trace.KindDetect, Msg: 1, Node: 0, Aux: -1},
+	} {
+		c.Observe(ev)
+	}
+	c.Finish()
+	eps := c.Episodes()
+	if len(eps) != 1 || len(eps[0].Marks) != 1 {
+		t.Fatalf("want one episode with one mark, got %+v", eps)
+	}
+	if m := eps[0].Mechanism; m != "timeout" {
+		t.Errorf("mechanism %q, want timeout", m)
+	}
+}

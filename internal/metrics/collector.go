@@ -35,8 +35,6 @@ const (
 	// MAbsorbedFlits counts flits drained through progressive-recovery
 	// absorption ports.
 	MAbsorbedFlits
-	// MLinkFailures counts injected channel faults.
-	MLinkFailures
 	// MCycles counts simulated cycles.
 	MCycles
 	// MDTFlagCycles sums, over cycles, the number of output channels whose
@@ -74,7 +72,6 @@ var metricSpecs = [numMetrics]struct {
 	MRecovered:       {"wormnet_recoveries_total", "Messages fully removed from the fabric by recovery.", "", ""},
 	MReinjected:      {"wormnet_messages_reinjected_total", "Recovered messages re-entering a source queue.", "", ""},
 	MAbsorbedFlits:   {"wormnet_recovery_absorbed_flits_total", "Flits drained through progressive-recovery absorption.", "", ""},
-	MLinkFailures:    {"wormnet_link_failures_total", "Injected channel faults.", "", ""},
 	MCycles:          {"wormnet_cycles_total", "Simulated cycles.", "", ""},
 	MDTFlagCycles:    {"wormnet_dt_flag_cycle_sum_total", "Sum over cycles of output channels with the DT flag set.", "", ""},
 	MProbesEmitted:   {"wormnet_probes_total", "CMH probe lifecycle events, by outcome.", "event", "emit"},

@@ -319,10 +319,6 @@ func (d *Detector) advance(now int64, transmitted []bool) {
 			continue
 		}
 		nl := d.fab.LinkOfVC(nxt)
-		if d.fab.LinkFailed(nl) {
-			d.drop(p, trace.ProbeDropStale)
-			continue
-		}
 		if !d.channelFree(nl, now, transmitted) {
 			next = append(next, p) // wait for the link
 			continue
@@ -370,13 +366,9 @@ func (d *Detector) expand(p pr, m *router.Message, node int, now int64, transmit
 	d.candBuf = outs[:0]
 	st := &d.inits[p.initiator]
 
-	// A header with a free VC on a feasible, healthy output is not
-	// wait-blocked — it will route; chasing past it would manufacture
-	// false cycles.
+	// A header with a free VC on a feasible output is not wait-blocked — it
+	// will route; chasing past it would manufacture false cycles.
 	for _, out := range outs {
-		if d.fab.LinkFailed(out) {
-			continue
-		}
 		if d.fab.FreeVC(out) != router.NilVC {
 			if !emit {
 				d.drop(p, trace.ProbeDropRoutable)
@@ -392,9 +384,6 @@ func (d *Detector) expand(p pr, m *router.Message, node int, now int64, transmit
 	spawned := false
 	blockedCh := false
 	for _, out := range outs {
-		if d.fab.LinkFailed(out) {
-			continue
-		}
 		lk := &d.fab.Links[out]
 		for v := lk.FirstVC; v < lk.FirstVC+router.VCID(lk.NumVC); v++ {
 			occ := d.fab.VCs[v].Occupant

@@ -182,10 +182,6 @@ type Fabric struct {
 	busyBits bitset
 	gen      uint64
 
-	// failed marks physical channels taken out of service by fault
-	// injection; routing algorithms skip them.
-	failed []bool
-
 	// wormBuf is ReleaseWorm's reusable result buffer.
 	wormBuf []VCID
 	// freeSeen is RestoreSnapshot's scratch for the free-list duplicate check;
@@ -197,7 +193,7 @@ type Fabric struct {
 
 // Gen returns the structural generation counter: the total number of
 // changes that can affect routing and deadlock analysis. Every VC
-// allocation or release and every link failure or repair bumps it.
+// allocation or release bumps it.
 // Observers (the deadlock oracle) compare generations to detect that cached
 // analyses are still current. Message-level state (Phase, Attempts) is not
 // covered; owners report those separately.
@@ -262,45 +258,9 @@ func NewFabric(t *topology.Torus, cfg Config) (*Fabric, error) {
 		}
 	}
 	f.busy = make([]int16, total)
-	f.failed = make([]bool, total)
 	f.occBits = newBitset(int(vcCount))
 	f.busyBits = newBitset(total)
 	return f, nil
-}
-
-// FailLink takes a physical channel out of service. Routing algorithms
-// will no longer propose it. The caller (the engine) is responsible for
-// evicting any worms currently holding its virtual channels.
-func (f *Fabric) FailLink(l LinkID) { f.failed[l] = true; f.gen++ }
-
-// RepairLink returns a failed channel to service.
-func (f *Fabric) RepairLink(l LinkID) { f.failed[l] = false; f.gen++ }
-
-// LinkFailed reports whether channel l is out of service.
-func (f *Fabric) LinkFailed(l LinkID) bool { return f.failed[l] }
-
-// OccupantsOf returns the distinct messages currently holding virtual
-// channels of link l.
-func (f *Fabric) OccupantsOf(l LinkID) []MsgID {
-	var out []MsgID
-	link := &f.Links[l]
-	for v := VCID(0); v < VCID(link.NumVC); v++ {
-		occ := f.VCs[link.FirstVC+v].Occupant
-		if occ == NilMsg {
-			continue
-		}
-		dup := false
-		for _, o := range out {
-			if o == occ {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, occ)
-		}
-	}
-	return out
 }
 
 // addOccupied registers vc in the occupancy structures.

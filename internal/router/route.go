@@ -13,8 +13,7 @@ import (
 // routing attempt at a router and answered from m.Route until the header hops:
 // the routing relation R(node, dst) is static, so every retry of a blocked
 // header, the oracle's fixpoint rounds and the CMH prober all read the same
-// word. Link failure is not part of the mask — callers test LinkFailed when
-// they expand it — so FailLink and RepairLink invalidate nothing.
+// word.
 //
 // A lookup may write m.Route, so concurrent callers must pass distinct
 // messages.
@@ -47,8 +46,8 @@ func (f *Fabric) CheckRouteMemo(m *Message) error {
 // Candidates appends to buf the feasible output physical channels of m's
 // header at router node, and returns the extended slice. Under true fully
 // adaptive minimal routing these are the network links in every minimal
-// direction (failed ones included; callers skip them with LinkFailed), or
-// the delivery ports once the message has reached its destination.
+// direction, or the delivery ports once the message has reached its
+// destination.
 func (f *Fabric) Candidates(m *Message, node int, buf []LinkID) []LinkID {
 	if node == int(m.Dst) {
 		for p := 0; p < f.Cfg.DelPorts; p++ {

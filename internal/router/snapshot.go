@@ -12,7 +12,7 @@ import (
 // Written: the whole message pool (every field of every entry but the route
 // memo, then the free list in order — NewMessage pops it from the back, so its
 // order decides the next MsgIDs), the occupied virtual channels in ascending
-// VCID order, every link's round-robin pointer, and the failed links.
+// VCID order, and every link's round-robin pointer.
 //
 // Derived, and therefore rebuilt rather than read: the busy counts, both
 // levels of the occupied-VC and busy-link bitmaps are cleared and come back
@@ -91,18 +91,6 @@ func (f *Fabric) AppendSnapshot(dst []byte) []byte {
 
 	for l := range f.Links {
 		dst = snap.I32(dst, f.Links[l].rr)
-	}
-	nFailed := 0
-	for _, failed := range f.failed {
-		if failed {
-			nFailed++
-		}
-	}
-	dst = snap.U32(dst, uint32(nFailed))
-	for l, failed := range f.failed {
-		if failed {
-			dst = snap.I32(dst, int32(l))
-		}
 	}
 	return dst
 }
@@ -187,11 +175,7 @@ func (f *Fabric) RestoreSnapshot(r *snap.Reader) {
 			}
 		}
 	}
-	clear(f.failed)
-	for n := r.Len(4); n > 0 && r.Err() == nil; n-- {
-		f.failed[r.ID(0, len(f.Links))] = true
-	}
-	f.gen++ // the failure map may have changed without a VC changing hands
+	f.gen++ // emptying the fabric above released VCs without a bump
 	if r.Err() == nil {
 		f.checkWorms(r, nOcc)
 	}
@@ -209,7 +193,6 @@ type FabricCopy struct {
 	busy     []int16
 	occBits  []uint64
 	busyBits []uint64
-	failed   []bool
 }
 
 // CopyTo records the fabric's mutable state in c, reusing c's buffers.
@@ -228,7 +211,6 @@ func (f *Fabric) CopyTo(c *FabricCopy) {
 	c.busy = append(c.busy[:0], f.busy...)
 	c.occBits = append(c.occBits[:0], f.occBits.bits...)
 	c.busyBits = append(c.busyBits[:0], f.busyBits.bits...)
-	c.failed = append(c.failed[:0], f.failed...)
 }
 
 // CopyFrom puts back what CopyTo recorded from a fabric of the same topology
@@ -254,7 +236,6 @@ func (f *Fabric) CopyFrom(c *FabricCopy) {
 	copy(f.busy, c.busy)
 	copy(f.occBits.bits, c.occBits)
 	copy(f.busyBits.bits, c.busyBits)
-	copy(f.failed, c.failed)
 	f.gen++
 }
 

@@ -59,8 +59,8 @@ func newTestFabric(t *testing.T, k, n int) *Fabric {
 }
 
 // wormFabric builds a 4x4 fabric holding one three-VC worm (injection port,
-// two network hops, header blocked at the front), one queued message, one
-// freed pool entry and one failed link.
+// two network hops, header blocked at the front), one queued message and one
+// freed pool entry.
 func wormFabric(t *testing.T) *Fabric {
 	t.Helper()
 	f := newTestFabric(t, 4, 2)
@@ -82,7 +82,6 @@ func wormFabric(t *testing.T) *Fabric {
 	queued.Retries = 2
 	freed := f.NewMessage(7, 1, 4, 18)
 	f.FreeMessage(freed)
-	f.FailLink(f.NetLink(3, 2))
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,6 @@ func TestFabricSnapshotRoundTrip(t *testing.T) {
 		busy.Allocate(m, NilVC, vc)
 		m.HeadVC = vc
 	}
-	busy.FailLink(4)
 	kept := busy.Msg(1)
 
 	for name, dst := range map[string]*Fabric{"fresh": newTestFabric(t, 4, 2), "busy": busy} {
@@ -125,7 +123,7 @@ func TestFabricSnapshotRoundTrip(t *testing.T) {
 			t.Errorf("%s: snapshot of the restored fabric differs from the bytes restored", name)
 		}
 		if dst.NumMessages() != 3 || dst.NumOccupied() != 3 || dst.NumBusyLinks() != 3 ||
-			!dst.LinkFailed(dst.NetLink(3, 2)) || dst.LinkFailed(4) || dst.Links[dst.NetLink(0, 0)].RR() != 1 {
+			dst.Links[dst.NetLink(0, 0)].RR() != 1 {
 			t.Errorf("%s: restored fabric has %d messages, %d occupied VCs, %d busy links", name,
 				dst.NumMessages(), dst.NumOccupied(), dst.NumBusyLinks())
 		}
@@ -210,7 +208,6 @@ func TestFabricCopyRoundTrip(t *testing.T) {
 		m.HeadVC = vc
 		m.Route = RouteMemo{Mask: 2, At: 3, Dst: 4}
 	}
-	busy.FailLink(4)
 	kept := busy.Msg(1)
 
 	for name, dst := range map[string]*Fabric{"fresh": newTestFabric(t, 4, 2), "busy": busy} {
@@ -248,7 +245,7 @@ func TestFabricCopyClassesEveryField(t *testing.T) {
 		"netLinks": "configuration", "injBase": "configuration", "delBase": "configuration",
 		"Links": "copied", // the round-robin pointers; the rest is configuration
 		"VCs":   "copied", "msgs": "copied", "free": "copied",
-		"busy": "copied", "occBits": "copied", "busyBits": "copied", "failed": "copied",
+		"busy": "copied", "occBits": "copied", "busyBits": "copied",
 		"gen":     "rebuilt", // bumped, as by RestoreSnapshot
 		"wormBuf": "scratch", "freeSeen": "scratch", "auditBusy": "scratch", "auditWant": "scratch",
 	}

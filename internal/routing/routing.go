@@ -82,16 +82,12 @@ func (TrueFullyAdaptive) Candidates(f *router.Fabric, m *router.Message, node in
 	return minimalVCs(f, m, node, 0, buf)
 }
 
-// minimalVCs appends virtual channels firstVC..V-1 of every healthy minimal
-// physical channel of m's header at node. The minimal directions come from
-// the header's route memo; failure is tested live.
+// minimalVCs appends virtual channels firstVC..V-1 of every minimal physical
+// channel of m's header at node. The minimal directions come from the
+// header's route memo.
 func minimalVCs(f *router.Fabric, m *router.Message, node int, firstVC router.VCID, buf []router.VCID) []router.VCID {
 	for mask := f.RouteMask(m, node); mask != 0; mask &= mask - 1 {
-		id := f.NetLink(node, topology.Direction(bits.TrailingZeros32(mask)))
-		if f.LinkFailed(id) {
-			continue
-		}
-		link := &f.Links[id]
+		link := &f.Links[f.NetLink(node, topology.Direction(bits.TrailingZeros32(mask)))]
 		for v := firstVC; v < router.VCID(link.NumVC); v++ {
 			buf = append(buf, link.FirstVC+v)
 		}
@@ -167,14 +163,7 @@ func (DimensionOrder) Candidates(f *router.Fabric, m *router.Message, node int, 
 	if !ok {
 		return buf
 	}
-	id := f.NetLink(node, dir)
-	if f.LinkFailed(id) {
-		// Dimension-order routing is not fault tolerant: with its single
-		// path cut, the message cannot advance.
-		return buf
-	}
-	link := &f.Links[id]
-	return append(buf, link.FirstVC+router.VCID(class))
+	return append(buf, f.Links[f.NetLink(node, dir)].FirstVC+router.VCID(class))
 }
 
 // ---------------------------------------------------------------------------
@@ -209,10 +198,7 @@ func (DuatoProtocol) Candidates(f *router.Fabric, m *router.Message, node int, b
 	buf = minimalVCs(f, m, node, 2, buf)
 	// Escape: the dimension-order hop on its Dally-Seitz class.
 	if dir, class, ok := dorHop(f.Topo, node, dst); ok {
-		if id := f.NetLink(node, dir); !f.LinkFailed(id) {
-			link := &f.Links[id]
-			buf = append(buf, link.FirstVC+router.VCID(class))
-		}
+		buf = append(buf, f.Links[f.NetLink(node, dir)].FirstVC+router.VCID(class))
 	}
 	return buf
 }

@@ -260,55 +260,3 @@ func TestAllCandidatesAreMinimal(t *testing.T) {
 		}
 	}
 }
-
-// TestCandidatesFollowLinkFailureLive: the route memo caches geometry only.
-// A channel failed or repaired between two attempts of one blocked header
-// leaves the memo untouched and still changes what the next attempt is
-// offered, because failure is tested when the mask is expanded.
-func TestCandidatesFollowLinkFailureLive(t *testing.T) {
-	f := fabric(t, 4, 2, 3)
-	dst := f.Topo.ID([]int{1, 1})
-	xPlus, yPlus := f.NetLink(0, 0), f.NetLink(0, 2)
-	vcsOn := func(cands []router.VCID, l router.LinkID) int {
-		n := 0
-		for _, vc := range cands {
-			if f.LinkOfVC(vc) == l {
-				n++
-			}
-		}
-		return n
-	}
-	for _, tc := range []struct {
-		alg         Algorithm
-		perLink     int // VCs offered on a healthy minimal channel, escape aside
-		escapeOnX   int // the dimension-order escape VC rides X+
-		totalBefore int
-	}{
-		{TrueFullyAdaptive{}, 3, 0, 6},
-		{DuatoProtocol{}, 1, 1, 3},
-	} {
-		m := msgTo(f, dst)
-		before := tc.alg.Candidates(f, m, 0, nil)
-		if len(before) != tc.totalBefore {
-			t.Fatalf("%s: %d candidates, want %d", tc.alg.Name(), len(before), tc.totalBefore)
-		}
-		memo := m.Route
-		if memo.At != 1 {
-			t.Fatalf("%s: first attempt left memo %+v", tc.alg.Name(), memo)
-		}
-
-		f.FailLink(xPlus)
-		failed := tc.alg.Candidates(f, m, 0, nil)
-		if vcsOn(failed, xPlus) != 0 || vcsOn(failed, yPlus) != tc.perLink {
-			t.Errorf("%s: with X+ failed candidates are %v", tc.alg.Name(), failed)
-		}
-		f.RepairLink(xPlus)
-		repaired := tc.alg.Candidates(f, m, 0, nil)
-		if vcsOn(repaired, xPlus) != tc.perLink+tc.escapeOnX || len(repaired) != len(before) {
-			t.Errorf("%s: after repair candidates are %v, want %v", tc.alg.Name(), repaired, before)
-		}
-		if m.Route != memo {
-			t.Errorf("%s: failure or repair rewrote the memo: %+v -> %+v", tc.alg.Name(), memo, m.Route)
-		}
-	}
-}

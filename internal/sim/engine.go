@@ -319,39 +319,6 @@ func (e *Engine) LatencyHistogram() *stats.Histogram { return e.latHist }
 // distribution accumulated so far (see Result.DetectLatencyHist).
 func (e *Engine) DetectLatencyHistogram() *stats.Histogram { return e.detLatHist }
 
-// FailLink injects a fault: physical channel l is taken out of service and
-// every worm currently holding one of its virtual channels is killed and
-// re-queued at its source (the standard abort-and-retry response to a
-// failed channel). Routing algorithms stop proposing the channel; with
-// adaptive routing, traffic flows around it as long as alternative minimal
-// paths exist.
-func (e *Engine) FailLink(l router.LinkID) {
-	e.fab.FailLink(l)
-	for _, id := range e.fab.OccupantsOf(l) {
-		m := e.fab.Msg(id)
-		if m.Phase != router.PhaseNetwork && m.Phase != router.PhaseRecovering {
-			continue
-		}
-		for _, vc := range e.fab.ReleaseWorm(m) {
-			fl := e.fab.LinkOfVC(vc)
-			e.tr.Emit(trace.KindVCFree, m.ID, fl, -1, 0, int32(vc))
-			e.det.VCFreed(fl)
-		}
-		m.Phase = router.PhaseAborted
-		if e.measuring {
-			e.st.KilledByFault++
-		}
-		e.requeue(m, int(m.Src))
-	}
-	e.mc.Inc(metrics.MLinkFailures)
-	if e.measuring {
-		e.st.LinkFailures++
-	}
-}
-
-// RepairLink returns a failed channel to service.
-func (e *Engine) RepairLink(l router.LinkID) { e.fab.RepairLink(l) }
-
 // InjectMessage enqueues a message at node src's source queue, bypassing
 // the random generator. Combined with Load = 0 it gives deterministic,
 // hand-scripted workloads (used by tests and teaching examples).

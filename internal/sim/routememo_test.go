@@ -13,7 +13,7 @@ import (
 )
 
 // freshCandidates is what true fully adaptive routing offers m's header at
-// node, computed from the topology and the failure map alone — no memo.
+// node, computed from the topology alone — no memo.
 func freshCandidates(f *router.Fabric, m *router.Message, node int) []router.VCID {
 	var links []router.LinkID
 	if node == int(m.Dst) {
@@ -22,9 +22,7 @@ func freshCandidates(f *router.Fabric, m *router.Message, node int) []router.VCI
 		}
 	}
 	for _, d := range f.Topo.MinimalDirections(node, int(m.Dst), nil) {
-		if l := f.NetLink(node, d); !f.LinkFailed(l) {
-			links = append(links, l)
-		}
+		links = append(links, f.NetLink(node, d))
 	}
 	var vcs []router.VCID
 	for _, l := range links {
@@ -151,84 +149,6 @@ func TestRouteMemoLifecycleUnderRecovery(t *testing.T) {
 			t.Errorf("%s: checked %d headers, %d re-queues, %d MsgID reuses: the run did not exercise the memo's lifecycle",
 				tc.name, checked, st.Reinjected, reused)
 		}
-	}
-}
-
-// TestRouteMemoAcrossFailAndRepair: a header blocked on both of its minimal
-// channels keeps its memo while one of them fails and is repaired between
-// its routing attempts, and every attempt is offered exactly the healthy
-// minimal channels.
-func TestRouteMemoAcrossFailAndRepair(t *testing.T) {
-	cfg := smallConfig()
-	cfg.K, cfg.N = 8, 1
-	cfg.Router.VCsPerLink = 1
-	cfg.Load = 0
-	cfg.Warmup, cfg.Measure = 0, 1<<40
-	cfg.RetainMessages = true
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := e.Fabric()
-	plus, minus := f.NetLink(0, 0), f.NetLink(0, 1)
-	// Two long worms leave node 0 in opposite directions and hold both of
-	// its output channels; a third message bound half way round the ring
-	// may take either and finds both busy.
-	e.InjectMessage(0, 2, 400)
-	e.InjectMessage(0, 6, 400)
-	stepN(t, e, 8)
-	if !f.AllVCsBusy(plus) || !f.AllVCsBusy(minus) {
-		t.Fatalf("blockers hold X+ %v, X- %v", f.AllVCsBusy(plus), f.AllVCsBusy(minus))
-	}
-	m := e.InjectMessage(0, 4, 4)
-	for i := 0; i < 20 && m.Attempts < 2; i++ {
-		stepN(t, e, 1)
-	}
-	if m.Attempts < 2 {
-		t.Fatalf("message never blocked: %v", m)
-	}
-	memo := m.Route
-	if memo.At != 1 || memo.Mask != 3 {
-		t.Fatalf("blocked header's memo = %+v, want both directions at router 0", memo)
-	}
-	offered := func() []router.VCID { return e.alg.Candidates(f, m, 0, nil) }
-	if got := offered(); len(got) != 2 {
-		t.Fatalf("candidates %v, want one VC on each ring direction", got)
-	}
-
-	e.FailLink(minus) // kills and re-queues the X- blocker; the channel stays dead
-	if got, want := offered(), freshCandidates(f, m, 0); len(got) != 1 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("with X- failed: candidates %v, fresh computation %v", got, want)
-	}
-	attempts := m.Attempts
-	stepN(t, e, 3)
-	if m.Attempts != attempts+3 || f.BusyVCs(minus) != 0 {
-		t.Fatalf("header should retry against the busy X+ only: attempts %d -> %d, X- busy %d",
-			attempts, m.Attempts, f.BusyVCs(minus))
-	}
-	if m.Route != memo {
-		t.Fatalf("failure rewrote the memo: %+v -> %+v", memo, m.Route)
-	}
-
-	e.RepairLink(minus)
-	if got, want := offered(), freshCandidates(f, m, 0); len(got) != 2 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("after repair: candidates %v, fresh computation %v", got, want)
-	}
-	if m.Route != memo {
-		t.Fatalf("repair rewrote the memo: %+v -> %+v", memo, m.Route)
-	}
-	// The repaired channel is free, so some header at node 0 takes it at
-	// once: the waiting message or the re-queued blocker.
-	stepN(t, e, 2)
-	if f.BusyVCs(minus) == 0 {
-		t.Fatal("nothing routed onto the repaired channel")
-	}
-	for i := 0; i < 2000 && m.Phase != router.PhaseDelivered; i++ {
-		stepN(t, e, 1)
-		checkWaitingHeaders(t, e)
-	}
-	if m.Phase != router.PhaseDelivered {
-		t.Fatalf("message not delivered after repair: %v", m)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // What a snapshot holds is everything that influences the engine's future
 // behaviour or the results it will report: the cycle counter, the counters and
 // the three histograms, the fabric (router.Fabric.AppendSnapshot: message
-// pool and free-list order, occupied VCs, round-robin pointers, failed links),
+// pool and free-list order, occupied VCs, round-robin pointers),
 // the source queues, the pending and pendingNew header lists, the injecting
 // and transmitted-link lists, the generator schedule (every node's
 // next arrival cycle, every node's random stream, the shared stream), the
@@ -49,7 +49,7 @@ import (
 
 const (
 	snapMagic   = "WSNP"
-	snapVersion = 2
+	snapVersion = 3
 )
 
 // fingerprint describes every part of the configuration that shapes the

@@ -502,6 +502,13 @@ func TestRestoreRefusesForeignBytes(t *testing.T) {
 	if err := target.Restore(v1); err == nil || !strings.Contains(err.Error(), "snapshot format version 1,") {
 		t.Errorf("version 1 header: %v", err)
 	}
+	// So is a version 2 header, the format whose fabric section ended in the
+	// set of failed links.
+	v2 := bytes.Clone(good)
+	snap.PutU32(v2, 4, 2)
+	if err := target.Restore(v2); err == nil || !strings.Contains(err.Error(), "snapshot format version 2,") {
+		t.Errorf("version 2 header: %v", err)
+	}
 	if err := target.Restore(good); err != nil {
 		t.Fatalf("the untouched snapshot no longer restores: %v", err)
 	}

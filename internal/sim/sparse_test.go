@@ -242,8 +242,8 @@ func TestSparseKernelUntraced(t *testing.T) {
 }
 
 // TestSparseActiveSetAudit drives a Debug run at saturation with recovery
-// and fault churn (requeues exercise the queuePush registration path) and
-// relies on the per-cycle audit to catch any active-list drift.
+// (requeues exercise the queuePush registration path) and relies on the
+// per-cycle audit to catch any active-list drift.
 func TestSparseActiveSetAudit(t *testing.T) {
 	cfg := satConfig() // Debug=true via smallConfig
 	e, err := New(cfg)
@@ -254,12 +254,9 @@ func TestSparseActiveSetAudit(t *testing.T) {
 		if err := e.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if i == 200 {
-			e.FailLink(router.LinkID(3)) // kills worms -> requeue path
-		}
-		if i == 250 {
-			e.RepairLink(router.LinkID(3))
-		}
+	}
+	if e.Stats().Reinjected == 0 {
+		t.Fatal("no recovered message was re-queued: the requeue path never ran")
 	}
 	// InjectMessage must register the node in the nonempty list too.
 	if m := e.InjectMessage(0, 5, 4); m == nil {

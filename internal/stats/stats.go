@@ -45,10 +45,6 @@ type Counters struct {
 	NetLatencySum int64
 	MaxLatency    int64
 
-	// Fault injection.
-	LinkFailures  int64 // channels failed during the window
-	KilledByFault int64 // worms killed because their channel failed
-
 	// Oracle observations (only populated when the oracle runs
 	// periodically).
 	OracleRuns       int64
@@ -189,14 +185,13 @@ func (c *Counters) RestoreSnapshot(r *snap.Reader) {
 // fields lists the int64 counters in snapshot order. A counter missing here
 // silently resets on Restore; TestCountersSnapshotCoversEveryField fails when
 // the struct gains a field this list (or AppendSnapshot) does not cover.
-func (c *Counters) fields() [26]*int64 {
+func (c *Counters) fields() [24]*int64 {
 	return [...]*int64{
 		&c.Cycles,
 		&c.Generated, &c.Injected, &c.Delivered, &c.DeliveredFlits,
 		&c.Marked, &c.TrueMarked, &c.FalseMarked,
 		&c.Absorbed, &c.Aborted, &c.Reinjected, &c.RecoveredDelivered,
 		&c.LatencySum, &c.NetLatencySum, &c.MaxLatency,
-		&c.LinkFailures, &c.KilledByFault,
 		&c.OracleRuns, &c.DeadlockCycles, &c.DeadlockedMsgSum,
 		&c.DTFlagCycleSum,
 		&c.ProbesEmitted, &c.ProbesForwarded, &c.ProbesDropped, &c.ProbesReturned, &c.ProbeFlits,

@@ -45,9 +45,9 @@ const (
 	// KindVCAlloc: virtual channel allocated to a message. Msg, Link, Aux =
 	// VC id.
 	KindVCAlloc
-	// KindVCFree: a virtual channel of Link was released (tail passed,
-	// recovery released the worm, or a fault killed it) — exactly the
-	// flow-control event the detection hardware observes.
+	// KindVCFree: a virtual channel of Link was released (tail passed, or
+	// recovery released the worm) — exactly the flow-control event the
+	// detection hardware observes.
 	KindVCFree
 	// KindRouteOK: a blocked or newly arrived header was routed. Msg, Link
 	// (input channel), Node, Arg = output link id, Aux = output VC id.
