@@ -35,23 +35,22 @@ import (
 	"fmt"
 	"os"
 
-	"wormnet"
 	"wormnet/internal/harness"
 	"wormnet/internal/sim"
+	"wormnet/internal/spec"
 	"wormnet/internal/stats"
-	"wormnet/internal/topology"
 )
 
 type regime struct {
 	name    string
-	routing wormnet.Routing
-	mech    wormnet.Mechanism
+	routing spec.Routing
+	mech    spec.Mechanism
 }
 
 var regimes = []regime{
-	{"dor", wormnet.DOR, wormnet.NoDetection},
-	{"duato", wormnet.Duato, wormnet.NoDetection},
-	{"adaptive+ndm", wormnet.Adaptive, wormnet.NDM},
+	{"dor", spec.DOR, spec.NoDetection},
+	{"duato", spec.Duato, spec.NoDetection},
+	{"adaptive+ndm", spec.Adaptive, spec.NDM},
 }
 
 // seriesOut is the aggregated outcome of one (load, regime) point.
@@ -88,16 +87,15 @@ func fail(format string, args ...any) {
 }
 
 func main() {
+	// Each point overwrites the load, routing and mechanism; NDM runs at
+	// t2=32.
+	run := spec.Default()
+	run.N, run.Warmup, run.Measure = 2, 3000, 12000
+	run.AddFlags(flag.CommandLine, []string{"k", "n", "pattern", "len", "seed", "warmup", "measure"},
+		map[string]string{"len": "message length in `flits`"})
 	var (
-		k       = flag.Int("k", 8, "radix")
-		n       = flag.Int("n", 2, "dimensions")
-		pattern = flag.String("pattern", "uniform", "traffic pattern")
-		length  = flag.Int("len", 16, "message length in flits")
 		points  = flag.Int("points", 8, "number of load points")
 		maxFrac = flag.Float64("max", 1.1, "highest load as a fraction of the theoretical bound")
-		warmup  = flag.Int64("warmup", 3000, "warm-up cycles per point")
-		measure = flag.Int64("measure", 12000, "measured cycles per point")
-		seed    = flag.Uint64("seed", 1, "base random seed; per-run seeds derive from it")
 		asJSON  = flag.Bool("json", false, "emit JSON instead of the text table")
 	)
 	var sweep harness.Sweep
@@ -105,50 +103,38 @@ func main() {
 	flag.Parse()
 
 	// Reject invalid invocations loudly instead of running a default sweep.
-	topoErr := topology.Validate(*k, *n)
+	runErr := run.Validate()
 	switch {
 	case len(flag.Args()) > 0:
 		fail("unexpected arguments %q (loadsweep takes only flags)", flag.Args())
-	case topoErr != nil:
-		fail("%v", topoErr)
-	case *length < 1:
-		fail("-len must be >= 1, got %d", *length)
+	case runErr != nil:
+		fail("%v", runErr)
+	case run.Lengths.Fixed < 1:
+		fail("-len must be >= 1, got %d", run.Lengths.Fixed)
 	case *points < 1:
 		fail("-points must be >= 1, got %d", *points)
 	case *maxFrac <= 0:
 		fail("-max must be > 0, got %g", *maxFrac)
-	case *warmup < 0 || *measure <= 0:
-		fail("need -warmup >= 0 and -measure > 0, got %d and %d", *warmup, *measure)
 	}
 	opt, err := sweep.Options()
 	if err != nil {
 		fail("%v", err)
 	}
-	opt.BaseSeed = *seed
+	opt.BaseSeed = run.Seed
 
 	// Theoretical throughput bound for uniform-ish traffic: links per node
 	// over average distance (~ n*k/4).
-	bound := float64(2**n) / (float64(*n**k) / 4)
+	bound := float64(2*run.N) / (float64(run.N*run.K) / 4)
 
-	// Expand the (load x regime) grid into harness points. Invalid
-	// workload flags (unknown pattern, bad length) surface here, before
-	// anything runs.
+	// Expand the (load x regime) grid into harness points.
 	var pts []harness.Point
 	loads := make([]float64, *points)
 	for p := 1; p <= *points; p++ {
 		load := bound * *maxFrac * float64(p) / float64(*points)
 		loads[p-1] = load
 		for _, r := range regimes {
-			cfg := wormnet.DefaultConfig()
-			cfg.K, cfg.N = *k, *n
-			cfg.Pattern = wormnet.Pattern(*pattern)
-			cfg.Lengths = wormnet.Lengths{Fixed: *length}
-			cfg.Load = load
-			cfg.Routing = r.routing
-			cfg.Mechanism = r.mech
-			cfg.Threshold = 32
-			cfg.Warmup = *warmup
-			cfg.Measure = *measure
+			cfg := run
+			cfg.Load, cfg.Routing, cfg.Mechanism = load, r.routing, r.mech
 			sc, err := cfg.SimConfig()
 			if err != nil {
 				fail("%v", err)
@@ -167,8 +153,8 @@ func main() {
 	}
 
 	out := sweepOut{
-		K: *k, N: *n, Pattern: *pattern, Len: *length,
-		Points: *points, Replicates: sweep.Replicates, Seed: *seed,
+		K: run.K, N: run.N, Pattern: string(run.Pattern), Len: run.Lengths.Fixed,
+		Points: *points, Replicates: sweep.Replicates, Seed: run.Seed,
 	}
 	failed := 0
 	for p := 0; p < *points; p++ {

@@ -36,6 +36,7 @@ import (
 	"strings"
 
 	"wormnet/internal/mc"
+	"wormnet/internal/spec"
 )
 
 func fail(format string, args ...any) {
@@ -44,11 +45,10 @@ func fail(format string, args ...any) {
 }
 
 func main() {
+	// The fabric flags; mc.Options holds the rest of the checked run.
+	fab := spec.Run{K: 3, N: 2, VirtualChannels: 1, BufferFlits: 2}
+	fab.AddFlags(flag.CommandLine, []string{"k", "n", "vcs", "buf"}, nil)
 	var (
-		k          = flag.Int("k", 3, "torus arity (nodes per dimension)")
-		n          = flag.Int("n", 2, "torus dimensions")
-		vcs        = flag.Int("vcs", 1, "virtual channels per physical link")
-		buf        = flag.Int("buf", 2, "flit buffer depth per virtual channel")
 		mechs      = flag.String("mech", "ndm,pdm,cmh", "comma-separated mechanisms to check: ndm, pdm, cmh, none")
 		threshold  = flag.Int64("threshold", 4, "detection threshold (NDM t2 / PDM threshold / CMH init delay)")
 		script     = flag.String("script", "face", "workload: 'face', 'dblface', or src>dst[xlen] entries (comma-separated)")
@@ -66,7 +66,7 @@ func main() {
 	)
 	flag.Parse()
 
-	inj, err := parseScript(*script, *k)
+	inj, err := parseScript(*script, fab.K)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -78,7 +78,7 @@ func main() {
 			continue
 		}
 		o := mc.Options{
-			K: *k, N: *n, VCs: *vcs, BufFlits: *buf,
+			K: fab.K, N: fab.N, VCs: fab.VirtualChannels, BufFlits: fab.BufferFlits,
 			Mechanism: mech, Threshold: *threshold,
 			Script: inj, InjectWindow: *window,
 			MaxDepth: *depth, Horizon: *horizon, Strict: *strict,
@@ -104,7 +104,7 @@ func main() {
 			scope = fmt.Sprintf("complete to depth %d", *depth)
 		}
 		fmt.Printf("mcheck %s on %s (%d msgs, window %d): %d states, %d interleavings, depth %d, %s; %d deadlocked states, %d true marks\n",
-			mech, fabricName(*k, *n), len(inj), *window, res.States, res.Leaves, res.Depth, scope, res.DeadlockStates, res.TrueMarks)
+			mech, fabricName(fab.K, fab.N), len(inj), *window, res.States, res.Leaves, res.Depth, scope, res.DeadlockStates, res.TrueMarks)
 
 		if res.Violation != nil {
 			v, err := mc.Minimize(o, res.Violation)

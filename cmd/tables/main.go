@@ -41,43 +41,41 @@ import (
 	"strings"
 	"time"
 
-	"wormnet"
-	"wormnet/internal/detect"
 	"wormnet/internal/exp"
 	"wormnet/internal/harness"
 	"wormnet/internal/sim"
+	"wormnet/internal/spec"
 	"wormnet/internal/stats"
-	"wormnet/internal/topology"
 )
 
 // config holds the parsed command line.
 type config struct {
-	tables, mechs                 string
-	k, n, vcs                     int
-	warmup, measure, th           int64
-	seed                          uint64
-	load                          float64
-	relative, sel, asJSON, detlat bool
-	sweep                         harness.Sweep
+	tables, mechs            string
+	relative, asJSON, detlat bool
+	// point is the -detlat operating point; the tables take its network,
+	// phases, seed and promotion policy.
+	point spec.Run
+	sweep harness.Sweep
 }
 
 // addFlags registers every flag of the command on fs.
 func addFlags(fs *flag.FlagSet) *config {
-	c := new(config)
+	c := &config{point: spec.Default()}
+	// -detlat saturates a single-VC network with no injection limit, so
+	// deadlocks actually form, and stamps them with the oracle every cycle;
+	// -mechs names the detectors it runs in turn.
+	c.point.VirtualChannels, c.point.Load, c.point.Threshold = 1, 2.0, 16
+	c.point.InjectionLimit, c.point.OracleEvery, c.point.Mechanism = -1, 1, spec.NoDetection
 	fs.StringVar(&c.tables, "table", "0", "comma-separated tables to reproduce (1-8); 0 = the paper's seven (1-7), 8 runs only when named")
-	fs.IntVar(&c.k, "k", 8, "radix of the k-ary n-cube")
-	fs.IntVar(&c.n, "n", 3, "dimensions of the k-ary n-cube")
-	fs.Int64Var(&c.warmup, "warmup", 5000, "warm-up cycles per cell")
-	fs.Int64Var(&c.measure, "measure", 30000, "measured cycles per cell")
-	fs.Uint64Var(&c.seed, "seed", 1, "random seed")
+	c.point.AddFlags(fs, []string{"k", "n", "warmup", "measure", "seed", "selective", "load", "vcs", "th"}, map[string]string{
+		"load": "offered load in flits/cycle/node (detlat mode)",
+		"vcs":  "virtual channels per physical channel (detlat mode)",
+		"th":   "detection threshold in cycles (detlat mode)",
+	})
 	fs.BoolVar(&c.relative, "relative", false, "rescale the paper's rates to this network's measured saturation throughput")
-	fs.BoolVar(&c.sel, "selective", false, "use the selective P->G promotion variant of ndm")
 	fs.BoolVar(&c.asJSON, "json", false, "emit JSON instead of the text table")
 	fs.BoolVar(&c.detlat, "detlat", false, "measure per-mechanism detection-latency histograms at one deadlock-prone operating point")
 	fs.StringVar(&c.mechs, "mechs", "pdm,ndm", "comma-separated detection mechanisms to compare (detlat mode): "+strings.Join(detLatMechs(), "|"))
-	fs.Float64Var(&c.load, "load", 2.0, "offered load in flits/cycle/node (detlat mode)")
-	fs.IntVar(&c.vcs, "vcs", 1, "virtual channels per physical channel (detlat mode)")
-	fs.Int64Var(&c.th, "th", 16, "detection threshold in cycles (detlat mode)")
 	c.sweep.AddFlags(fs, "repeats", map[string]string{
 		"workers":    "concurrent cell simulations (0 = GOMAXPROCS); results are identical for any value",
 		"repeats":    "independently seeded runs per cell, reported as mean±ci95",
@@ -133,16 +131,14 @@ func main() {
 		fail("%v %s", bad, why)
 	}
 	opt, err := c.sweep.Options()
-	topoErr := topology.Validate(c.k, c.n)
+	if err == nil {
+		err = c.point.Validate()
+	}
 	switch {
 	case err != nil:
 		fail("%v", err)
 	case c.detlat && flag.NArg() > 0:
 		fail("unexpected arguments %q in -detlat mode", flag.Args())
-	case topoErr != nil:
-		fail("%v", topoErr)
-	case c.warmup < 0 || c.measure <= 0:
-		fail("need -warmup >= 0 and -measure > 0, got %d and %d", c.warmup, c.measure)
 	}
 
 	var done []*exp.Result
@@ -163,7 +159,7 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		opt.BaseSeed = c.seed
+		opt.BaseSeed = c.point.Seed
 		runDetLat(c, mechs, opt)
 		return
 	case flag.NArg() > 0:
@@ -218,13 +214,10 @@ func parseTables(s string) ([]exp.Table, error) {
 // observation dumps apart from the next table's.
 func (c *config) measureTable(tbl exp.Table) *exp.Result {
 	opt := exp.DefaultOptions()
-	opt.K, opt.N = c.k, c.n
-	opt.Warmup, opt.Measure = c.warmup, c.measure
-	opt.Seed = c.seed
+	p := &c.point
+	opt.K, opt.N, opt.Warmup, opt.Measure = p.K, p.N, p.Warmup, p.Measure
+	opt.Seed, opt.SelectivePromotion = p.Seed, p.SelectivePromotion
 	opt.RelativeRates = c.relative
-	if c.sel {
-		opt.Promotion = detect.PromoteWaiting
-	}
 	opt.Workers = c.sweep.Workers
 	opt.Repeats = c.sweep.Replicates
 	opt.Resume = c.sweep.Resume
@@ -318,11 +311,11 @@ func detLatMechs() []string {
 // parseMechs validates a comma-separated mechanism list: every name must be
 // known, and duplicates are rejected because the mechanism doubles as the
 // harness point key.
-func parseMechs(s string) ([]wormnet.Mechanism, error) {
+func parseMechs(s string) ([]spec.Mechanism, error) {
 	known := detLatMechs()
-	var mechs []wormnet.Mechanism
+	var mechs []spec.Mechanism
 	for _, part := range strings.Split(s, ",") {
-		m := wormnet.Mechanism(strings.TrimSpace(part))
+		m := spec.Mechanism(strings.TrimSpace(part))
 		switch {
 		case m == "":
 			return nil, fmt.Errorf("empty mechanism in -mechs %q", s)
@@ -345,21 +338,12 @@ func parseMechs(s string) ([]wormnet.Mechanism, error) {
 // (probe flits, and the share of aggregate link bandwidth they consumed —
 // zero for the router-local mechanisms). The sweep is one short batch: it
 // keeps no journal.
-func runDetLat(c *config, mechs []wormnet.Mechanism, opt harness.Options) {
+func runDetLat(c *config, mechs []spec.Mechanism, opt harness.Options) {
 	var pts []harness.Point
 	for _, mech := range mechs {
-		cfg := wormnet.DefaultConfig()
-		cfg.K, cfg.N = c.k, c.n
-		cfg.VirtualChannels = c.vcs
-		cfg.Pattern = wormnet.Uniform
-		cfg.Lengths = wormnet.Len16
-		cfg.Load = c.load
-		cfg.Mechanism = mech
-		cfg.Threshold = c.th
-		cfg.InjectionLimit = -1 // saturate freely: deadlocks must actually form
-		cfg.Warmup, cfg.Measure = c.warmup, c.measure
-		cfg.OracleEvery = 1 // exact oracle-first-deadlock stamps
-		sc, err := cfg.SimConfig()
+		r := c.point
+		r.Mechanism = mech
+		sc, err := r.SimConfig()
 		if err != nil {
 			fail("%v", err)
 		}
@@ -371,10 +355,11 @@ func runDetLat(c *config, mechs []wormnet.Mechanism, opt harness.Options) {
 	}
 
 	fmt.Printf("# detection latency: cycles from oracle-confirmed deadlock to the mechanism's mark\n")
+	p := &c.point
 	fmt.Printf("# %d-ary %d-cube, %d VC(s), uniform 16-flit traffic, load %.3g flits/cycle/node, threshold %d, oracle every cycle\n",
-		c.k, c.n, c.vcs, c.load, c.th)
+		p.K, p.N, p.VirtualChannels, p.Load, p.Threshold)
 	fmt.Printf("# %d measured cycles after %d warm-up, %d replicate(s), base seed %d\n",
-		c.measure, c.warmup, opt.Replicates, opt.BaseSeed)
+		p.Measure, p.Warmup, opt.Replicates, opt.BaseSeed)
 	fmt.Println()
 	fmt.Printf("%-9s %9s %9s %7s %7s %7s %7s %9s %9s %7s %12s %9s\n",
 		"mech", "samples", "mean", "p50", "p90", "p99", "max", "true", "false", "fp%", "probe-flits", "probe-bw%")

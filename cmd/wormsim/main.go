@@ -25,28 +25,17 @@ func fail(msg string) {
 
 func main() {
 	cfg := wormnet.DefaultConfig()
-	flag.IntVar(&cfg.K, "k", cfg.K, "radix of the k-ary n-cube")
-	flag.IntVar(&cfg.N, "n", cfg.N, "dimensions of the k-ary n-cube")
-	flag.IntVar(&cfg.VirtualChannels, "vcs", cfg.VirtualChannels, "virtual channels per physical channel")
-	flag.IntVar(&cfg.BufferFlits, "buf", cfg.BufferFlits, "flit buffer depth per virtual channel")
+	cfg.AddFlags(flag.CommandLine, []string{"k", "n", "vcs", "buf", "pattern", "len", "load", "th", "selective", "seed", "warmup", "measure"}, nil)
 	flag.IntVar(&cfg.Ports, "ports", cfg.Ports, "injection/delivery ports per node")
-	flag.StringVar((*string)(&cfg.Pattern), "pattern", string(cfg.Pattern), "traffic pattern: uniform|locality|bit-reversal|perfect-shuffle|butterfly|hot-spot|transpose|tornado")
 	flag.IntVar(&cfg.LocalityRadius, "locality-radius", cfg.LocalityRadius, "radius of the locality pattern")
 	flag.Float64Var(&cfg.HotFraction, "hot-fraction", cfg.HotFraction, "fraction of traffic to the hot node")
-	length := flag.Int("len", 16, "fixed message length in flits (0 selects the bimodal sl mix)")
-	flag.Float64Var(&cfg.Load, "load", cfg.Load, "offered load in flits/cycle/node")
 	flag.StringVar((*string)(&cfg.Mechanism), "mech", string(cfg.Mechanism), "detection mechanism: "+strings.Join(sim.MechanismNames(), "|"))
-	flag.Int64Var(&cfg.Threshold, "th", cfg.Threshold, "detection threshold in cycles (t2 for ndm, probe initiation delay for cmh)")
 	flag.Int64Var(&cfg.T1, "t1", cfg.T1, "ndm short threshold t1")
-	flag.BoolVar(&cfg.SelectivePromotion, "selective", false, "use the selective P->G promotion variant of ndm")
 	flag.StringVar((*string)(&cfg.ProbeTransport), "probe-transport", "", "cmh probe transport: steal-idle|ctrl-vc (default steal-idle)")
 	flag.StringVar((*string)(&cfg.ProbeVictim), "probe-victim", "", "cmh victim selection: local|oldest (default local)")
 	flag.IntVar(&cfg.ProbeMaxHops, "probe-hops", 0, "cmh probe hop cap (0 = default 64)")
 	flag.StringVar((*string)(&cfg.Recovery), "recovery", string(cfg.Recovery), "recovery style: progressive|regressive")
 	flag.IntVar(&cfg.InjectionLimit, "inject-limit", cfg.InjectionLimit, "injection limitation threshold (busy output VCs); negative disables")
-	flag.Int64Var(&cfg.Warmup, "warmup", cfg.Warmup, "warm-up cycles")
-	flag.Int64Var(&cfg.Measure, "measure", cfg.Measure, "measured cycles")
-	flag.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
 	flag.Int64Var(&cfg.OracleEvery, "oracle-every", 0, "run the global deadlock oracle every N cycles (0 = only at detections)")
 	observe := flag.Int64("observe", 0, "print a fabric occupancy summary (and 2-D heatmap) every N cycles")
 	flag.StringVar(&cfg.TracePath, "trace", "", "write flight-recorder events to this JSONL file")
@@ -57,14 +46,6 @@ func main() {
 	flag.StringVar(&cfg.ForensicsPath, "forensics", "", "reconstruct deadlock episodes online and write the incident report (JSONL) to this file after the run")
 	flag.Parse()
 
-	switch {
-	case *length > 0:
-		cfg.Lengths = wormnet.Lengths{Fixed: *length}
-	case *length == 0:
-		cfg.Lengths = wormnet.LenSL
-	default:
-		fail("-len must be at least 0 (0 selects the bimodal sl mix)")
-	}
 	metered := cfg.MetricsAddr != "" || cfg.SeriesPath != ""
 	if cfg.MetricsAddr != "" {
 		cfg.MetricsReady = func(addr string) {

@@ -40,8 +40,9 @@ type world struct {
 }
 
 func newWorld() *world {
-	f, err := router.NewFabric(topology.New(8, 1),
-		router.Config{VCsPerLink: 1, BufFlits: 4, InjPorts: 1, DelPorts: 1})
+	rc := router.DefaultConfig() // the paper's 4-flit buffers, on a single-VC ring
+	rc.VCsPerLink, rc.InjPorts, rc.DelPorts = 1, 1, 1
+	f, err := router.NewFabric(topology.New(8, 1), rc)
 	if err != nil {
 		log.Fatal(err)
 	}

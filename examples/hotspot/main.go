@@ -23,17 +23,15 @@ import (
 )
 
 func main() {
-	var (
-		k       = flag.Int("k", 8, "radix")
-		n       = flag.Int("n", 2, "dimensions")
-		measure = flag.Int64("measure", 15000, "measured cycles per point")
-	)
+	run := wormnet.DefaultConfig()
+	run.N, run.Pattern, run.Threshold, run.Warmup, run.Measure = 2, wormnet.HotSpot, 32, 3000, 15000
+	run.AddFlags(flag.CommandLine, []string{"k", "n", "measure"}, nil)
 	flag.Parse()
 
 	// Loads are fractions of the uniform saturation estimate; the hot spot
 	// saturates the network at a small fraction of that.
-	base := float64(2**n) / (float64(*n**k) / 4)
-	fmt.Printf("hot-spot traffic (5%% to node 0) on a %d-ary %d-cube\n\n", *k, *n)
+	base := float64(2*run.N) / (float64(run.N*run.K) / 4)
+	fmt.Printf("hot-spot traffic (5%% to node 0) on a %d-ary %d-cube\n\n", run.K, run.N)
 	fmt.Printf("%-10s %12s %12s %12s %12s %12s\n",
 		"load", "hdr-block%", "PDM%", "NDM%", "NDM true", "throughput")
 
@@ -43,14 +41,8 @@ func main() {
 		var ndmTrue int64
 		var thr float64
 		for _, mech := range []wormnet.Mechanism{wormnet.HeaderBlock, wormnet.PDM, wormnet.NDM} {
-			cfg := wormnet.DefaultConfig()
-			cfg.K, cfg.N = *k, *n
-			cfg.Pattern = wormnet.HotSpot
-			cfg.Load = load
-			cfg.Mechanism = mech
-			cfg.Threshold = 32
-			cfg.Warmup = 3000
-			cfg.Measure = *measure
+			cfg := run
+			cfg.Load, cfg.Mechanism = load, mech
 			res, err := wormnet.Run(cfg)
 			if err != nil {
 				log.Fatal(err)

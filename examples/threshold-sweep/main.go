@@ -26,36 +26,28 @@ import (
 )
 
 func main() {
-	var (
-		k       = flag.Int("k", 8, "radix")
-		n       = flag.Int("n", 2, "dimensions")
-		load    = flag.Float64("load", 0, "offered load in flits/cycle/node (0 = auto near saturation)")
-		measure = flag.Int64("measure", 15000, "measured cycles per point")
-	)
+	base := wormnet.DefaultConfig()
+	base.N, base.Load, base.Warmup, base.Measure = 2, 0, 2000, 15000
+	base.AddFlags(flag.CommandLine, []string{"k", "n", "load", "measure"},
+		map[string]string{"load": "offered load in flits/cycle/node (0 = auto near saturation)"})
 	flag.Parse()
 
-	if *load == 0 {
+	if base.Load == 0 {
 		// Saturation scales roughly with 2n links per node over the average
 		// distance nk/4: use a load safely beyond it so the network runs
 		// saturated, as in the paper's rightmost table columns.
-		*load = 1.2 * float64(2**n) / (float64(*n**k) / 4)
+		base.Load = 1.2 * float64(2*base.N) / (float64(base.N*base.K) / 4)
 	}
 
-	fmt.Printf("saturated uniform traffic on a %d-ary %d-cube, offered load %.3f flits/cycle/node\n\n", *k, *n, *load)
+	fmt.Printf("saturated uniform traffic on a %d-ary %d-cube, offered load %.3f flits/cycle/node\n\n", base.K, base.N, base.Load)
 	fmt.Printf("%-10s %14s %14s %14s %14s\n", "threshold", "PDM s (16f)", "NDM s (16f)", "PDM l (64f)", "NDM l (64f)")
 
 	for th := int64(2); th <= 256; th *= 2 {
 		row := make([]float64, 0, 4)
 		for _, lengths := range []wormnet.Lengths{wormnet.Len16, wormnet.Len64} {
 			for _, mech := range []wormnet.Mechanism{wormnet.PDM, wormnet.NDM} {
-				cfg := wormnet.DefaultConfig()
-				cfg.K, cfg.N = *k, *n
-				cfg.Load = *load
-				cfg.Lengths = lengths
-				cfg.Mechanism = mech
-				cfg.Threshold = th
-				cfg.Warmup = 2000
-				cfg.Measure = *measure
+				cfg := base
+				cfg.Lengths, cfg.Mechanism, cfg.Threshold = lengths, mech, th
 				res, err := wormnet.Run(cfg)
 				if err != nil {
 					log.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"wormnet/internal/spec"
 )
 
 // fakeResult builds a Result with uniform Pct values per threshold row.
@@ -65,7 +67,7 @@ func TestFormatGolden(t *testing.T) {
 	tbl.Sizes = []Size{SizeS, SizeL}
 	r := &Result{
 		Table:   tbl,
-		Options: Options{K: 4, N: 2},
+		Options: Options{Run: spec.Run{K: 4, N: 2}},
 		Rates:   []float64{0.3, 0.6},
 		Cells: [][][]Cell{
 			{{{Pct: 0.055}, {Pct: 1.08}}, {{Pct: 26.0, TrueDeadlock: true}, {Pct: 0}}},

@@ -99,10 +99,7 @@ func DecodeJSON(r io.Reader) (*Result, error) {
 		return nil, fmt.Errorf("exp: cell grid is not %d thresholds x %d rates x %d sizes",
 			len(jr.Thresholds), len(jr.Rates), len(sizes))
 	}
-	opt := Options{
-		K: jr.K, N: jr.N,
-		Warmup: jr.Warmup, Measure: jr.Measure,
-		Seed: jr.Seed, Repeats: jr.Repeats, RelativeRates: jr.Relative,
-	}
+	opt := Options{Repeats: jr.Repeats, RelativeRates: jr.Relative}
+	opt.K, opt.N, opt.Warmup, opt.Measure, opt.Seed = jr.K, jr.N, jr.Warmup, jr.Measure, jr.Seed
 	return &Result{Table: tbl, Options: opt, Rates: jr.Rates, Cells: jr.Cells}, nil
 }

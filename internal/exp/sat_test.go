@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"wormnet/internal/sim"
+	"wormnet/internal/spec"
 	"wormnet/internal/traffic"
 )
 
@@ -20,8 +21,12 @@ func serialSaturation(pattern sim.PatternFactory, lengths traffic.LengthDist, op
 	var loads []float64
 	probe := func(load float64) (offered, accepted float64, err error) {
 		loads = append(loads, load)
-		cfg := sim.DefaultConfig()
-		cfg.K, cfg.N = opt.K, opt.N
+		base := spec.Default() // the paper's router and detector (NDM, t2=32)
+		base.K, base.N = opt.K, opt.N
+		cfg, err := base.SimConfig()
+		if err != nil {
+			return 0, 0, err
+		}
 		cfg.Pattern = pattern
 		cfg.Lengths = lengths
 		cfg.Load = load

@@ -12,9 +12,9 @@ import (
 	"runtime"
 	"strings"
 
-	"wormnet/internal/detect"
 	"wormnet/internal/harness"
 	"wormnet/internal/sim"
+	"wormnet/internal/spec"
 	"wormnet/internal/topology"
 	"wormnet/internal/traffic"
 )
@@ -144,27 +144,21 @@ func PaperTable(id int) (Table, error) {
 
 // Options control how a table is reproduced.
 type Options struct {
-	// K and N select the network; the paper uses 8 and 3. Smaller networks
-	// run much faster; combine with RelativeRates to keep loads meaningful.
-	K, N int
-	// Warmup and Measure are the simulation phases per cell, in cycles.
-	Warmup, Measure int64
-	// Seed makes the sweep reproducible; cell c uses Seed+c.
-	Seed uint64
+	// Run is the base every cell copies before the table's axes (pattern,
+	// lengths, load, mechanism, threshold) overwrite it: it gives the
+	// network, injection limit, promotion policy, phases per cell and the
+	// sweep's base seed. Networks smaller than the paper's 8-ary 3-cube run
+	// much faster; combine them with RelativeRates.
+	spec.Run
 	// Repeats runs each cell this many times with different seeds and
 	// averages the detection percentage (0 or 1 = single run). The paper
 	// reports single runs; repeats quantify run-to-run spread via PctStd.
 	Repeats int
-	// InjectionLimit is the injection-limitation threshold (busy network
-	// output VCs); negative disables. The paper keeps the mechanism on.
-	InjectionLimit int
 	// RelativeRates reinterprets each table's rates as fractions of its
 	// saturated (last) rate, scaled by the measured saturation throughput
 	// of the configured network. Use when K, N differ from the paper's
 	// 8-ary 3-cube, where the absolute rates would be meaningless.
 	RelativeRates bool
-	// Promotion selects the NDM P->G re-arming policy.
-	Promotion detect.PromotionPolicy
 	// Progress, when non-nil, is called after each finished cell.
 	Progress func(done, total int)
 	// Workers bounds the number of cells simulated concurrently, and the
@@ -182,21 +176,10 @@ type Options struct {
 	Observe harness.Observe
 }
 
-// DefaultOptions returns full-scale reproduction settings (the paper's
-// 512-node 8-ary 3-cube).
+// DefaultOptions returns full-scale reproduction settings: spec.Default,
+// the paper's 512-node 8-ary 3-cube.
 func DefaultOptions() Options {
-	return Options{
-		K: 8, N: 3,
-		Warmup:  5_000,
-		Measure: 30_000,
-		Seed:    1,
-		// With 6 network channels x 3 VCs = 18 output VCs per node, admit
-		// a new message only while at most a third are busy. This is the
-		// calibration knob of the López/Duato injection-limitation
-		// mechanism; 6 reproduces the paper's low false-detection regime
-		// (see EXPERIMENTS.md for the sensitivity probe).
-		InjectionLimit: 6,
-	}
+	return Options{Run: spec.Default()}
 }
 
 // Cell is one measured table entry.
@@ -239,8 +222,11 @@ type Result struct {
 // index) — and, with Options.Journal set, an interrupted sweep resumes
 // from the journaled cells.
 func Run(tbl Table, opt Options) (*Result, error) {
-	if opt.K == 0 || opt.N == 0 {
-		return nil, fmt.Errorf("exp: options missing topology")
+	// The table's pattern by name: a network it cannot run on is refused
+	// here, not by a panic in every cell.
+	opt.Pattern = spec.Pattern(tbl.PatternName)
+	if err := opt.Validate(); err != nil {
+		return nil, err
 	}
 	rates := append([]float64(nil), tbl.Rates...)
 	if opt.RelativeRates {
@@ -329,20 +315,12 @@ func Run(tbl Table, opt Options) (*Result, error) {
 // cellConfig builds the simulation for one table cell; the harness fills in
 // the per-repeat seed.
 func cellConfig(tbl Table, opt Options, th int64, rate float64, size Size) (sim.Config, error) {
-	cfg := sim.DefaultConfig()
-	cfg.K, cfg.N = opt.K, opt.N
-	cfg.Pattern = tbl.Pattern
-	cfg.Lengths = size.Dist
-	cfg.Load = rate
-	cfg.InjectionLimit = opt.InjectionLimit
-	cfg.Warmup, cfg.Measure = opt.Warmup, opt.Measure
-	// Table mechanisms are the sim.Mechanism names in the paper's capitals.
-	var err error
-	cfg.Detector, err = sim.Mechanism{
-		Name:      strings.ToLower(string(tbl.Mechanism)),
-		Threshold: th,
-		Promotion: opt.Promotion,
-	}.Factory()
+	r := opt.Run
+	r.Load, r.Threshold = rate, th
+	// Table mechanisms are the spec.Mechanism names in the paper's capitals.
+	r.Mechanism = spec.Mechanism(strings.ToLower(string(tbl.Mechanism)))
+	cfg, err := r.SimConfig()
+	cfg.Pattern, cfg.Lengths = tbl.Pattern, size.Dist
 	return cfg, err
 }
 
@@ -373,13 +351,17 @@ func EstimateSaturation(pattern sim.PatternFactory, lengths traffic.LengthDist, 
 // exposed (nil selects sim.Run) and the number of probe rounds returned.
 func estimateSaturation(pattern sim.PatternFactory, lengths traffic.LengthDist, opt Options,
 	run func(string, sim.Config) (*sim.Result, error)) (sat float64, rounds int, err error) {
-	cfg := sim.DefaultConfig()
-	cfg.K, cfg.N = opt.K, opt.N
-	cfg.Pattern = pattern
-	cfg.Lengths = lengths
-	cfg.InjectionLimit = opt.InjectionLimit
-	cfg.Warmup = opt.Warmup * 2
-	cfg.Measure = max(opt.Measure/2, 2000)
+	// The estimate belongs to the network, so tables that differ only in
+	// NDM's promotion policy share their rates: every probe runs the simple
+	// policy.
+	r := opt.Run
+	r.SelectivePromotion = false
+	r.Warmup, r.Measure = opt.Warmup*2, max(opt.Measure/2, 2000)
+	cfg, err := r.SimConfig()
+	if err != nil {
+		return 0, 0, err
+	}
+	cfg.Pattern, cfg.Lengths = pattern, lengths
 	workers := opt.Workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)

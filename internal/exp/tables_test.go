@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"wormnet/internal/detect"
 	"wormnet/internal/router"
 	"wormnet/internal/topology"
 )
@@ -226,7 +225,7 @@ func TestCellConfigDetectors(t *testing.T) {
 			t.Errorf("table %d runs %q, want %q", id, got, want)
 		}
 	}
-	opt.Promotion = detect.PromoteWaiting
+	opt.SelectivePromotion = true
 	tbl, _ := PaperTable(2)
 	cfg, err := cellConfig(tbl, opt, 16, 0.2, SizeS)
 	if err != nil {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"wormnet/internal/sim"
+	"wormnet/internal/spec"
 )
 
 // benchGrid is a 12-point load sweep on a 16-node torus, sized so one
@@ -12,11 +12,11 @@ import (
 func benchGrid() []Point {
 	pts := make([]Point, 12)
 	for i := range pts {
-		cfg := sim.DefaultConfig()
-		cfg.K, cfg.N = 4, 2
-		cfg.Load = 0.1 + 0.05*float64(i)
-		cfg.Warmup, cfg.Measure = 200, 1000
-		pts[i] = Point{Key: fmt.Sprintf("load=%.2f", cfg.Load), Config: cfg}
+		r := spec.Default()
+		r.K, r.N = 4, 2
+		r.Load = 0.1 + 0.05*float64(i)
+		r.Warmup, r.Measure = 200, 1000
+		pts[i] = Point{Key: fmt.Sprintf("load=%.2f", r.Load), Config: simConfig(r)}
 	}
 	return pts
 }

@@ -11,15 +11,25 @@ import (
 	"testing"
 
 	"wormnet/internal/sim"
+	"wormnet/internal/spec"
 )
+
+// simConfig translates a description the tests build from spec.Default.
+func simConfig(r spec.Run) sim.Config {
+	cfg, err := r.SimConfig()
+	if err != nil {
+		panic(err)
+	}
+	return cfg
+}
 
 // tinyConfig is a fast 9-node simulation used as the unit of sweep work.
 func tinyConfig(load float64) sim.Config {
-	cfg := sim.DefaultConfig()
-	cfg.K, cfg.N = 3, 2
-	cfg.Load = load
-	cfg.Warmup, cfg.Measure = 100, 400
-	return cfg
+	r := spec.Default()
+	r.K, r.N = 3, 2
+	r.Load = load
+	r.Warmup, r.Measure = 100, 400
+	return simConfig(r)
 }
 
 // grid builds n points with distinct loads and keys.

@@ -6,9 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"wormnet/internal/detect"
-	"wormnet/internal/router"
-	"wormnet/internal/sim"
+	"wormnet/internal/spec"
 	"wormnet/internal/trace"
 )
 
@@ -18,15 +16,15 @@ import (
 func tracedSweepPoints() []Point {
 	points := make([]Point, 3)
 	for i := range points {
-		cfg := sim.DefaultConfig()
-		cfg.K, cfg.N = 3, 2
-		cfg.Router.VCsPerLink = 1
-		cfg.Load = 1.5 + 0.5*float64(i)
-		cfg.InjectionLimit = -1
-		cfg.Warmup = 0
-		cfg.Measure = 800
-		cfg.Detector = func(f *router.Fabric) detect.Detector { return detect.NewNDM(f, 8) }
-		points[i] = Point{Key: "traced", Config: cfg}
+		r := spec.Default()
+		r.K, r.N = 3, 2
+		r.VirtualChannels = 1
+		r.Load = 1.5 + 0.5*float64(i)
+		r.InjectionLimit = -1
+		r.Warmup = 0
+		r.Measure = 800
+		r.Threshold = 8
+		points[i] = Point{Key: "traced", Config: simConfig(r)}
 	}
 	return points
 }

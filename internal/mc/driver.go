@@ -3,11 +3,8 @@ package mc
 import (
 	"fmt"
 
-	"wormnet/internal/router"
 	"wormnet/internal/sim"
-	"wormnet/internal/topology"
 	"wormnet/internal/trace"
-	"wormnet/internal/traffic"
 )
 
 // chooser records and replays the engine's decision sequence. Choices up to
@@ -63,41 +60,18 @@ type runner struct {
 // attaches the flight recorder (pure observation; used for counterexample
 // emission).
 func (o *Options) newRunner(rec *trace.Recorder) (*runner, error) {
-	det, err := o.mechanism().Factory()
+	cfg, err := o.run().SimConfig()
 	if err != nil {
 		return nil, err
 	}
 	ch := &chooser{}
-	rcfg := router.DefaultConfig()
-	rcfg.VCsPerLink = o.VCs
-	rcfg.BufFlits = o.BufFlits
-	rcfg.InjPorts = 1
-	rcfg.DelPorts = 1
-	cfg := sim.Config{
-		K:      o.K,
-		N:      o.N,
-		Router: rcfg,
-		Pattern: func(t *topology.Torus) traffic.Pattern {
-			return traffic.NewUniform(t)
-		},
-		Lengths:        traffic.Fixed(1),
-		Load:           0, // scripted workload only: generation never fires
-		Detector:       det,
-		Recovery:       o.Recovery,
-		InjectionLimit: -1,
-		MaxSourceQueue: len(o.Script) + 1,
-		Warmup:         0,
-		Measure:        1 << 40, // mark counters accumulate from cycle 0
-		OracleEvery:    0,       // the checker consults the oracle itself
-		Seed:           1,
-		Chooser:        ch,
-		Trace:          rec,
-		Debug:          true, // per-cycle safety checks (detector audit included) surface as Step errors
-	}
+	cfg.MaxSourceQueue, cfg.Chooser, cfg.Trace = len(o.Script)+1, ch, rec
+	cfg.Debug = true // per-cycle safety checks (detector audit included) surface as Step errors
 	if rec != nil {
 		// Counterexample emission: run the engine-side oracle sweep every
 		// cycle so the stream carries oracle-deadlock events. The sweep is
-		// pure observation — replayed behavior is unchanged.
+		// pure observation — replayed behavior is unchanged. Otherwise the
+		// checker consults the oracle itself.
 		cfg.OracleEvery = 1
 	}
 	eng, err := sim.New(cfg)

@@ -24,12 +24,11 @@
 package mc
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 
-	"wormnet/internal/recovery"
-	"wormnet/internal/sim"
-	"wormnet/internal/topology"
+	"wormnet/internal/spec"
 )
 
 // Inject is one scripted message: the model checker explores every
@@ -54,8 +53,6 @@ type Options struct {
 	// Threshold is the mechanism's detection threshold: NDM's t2, PDM's
 	// inactivity threshold, CMH's probe initiation delay. Zero selects 4.
 	Threshold int64
-	// Recovery selects the recovery discipline (default progressive).
-	Recovery recovery.Style
 	// Script is the workload; messages are injected in order, each
 	// deferrable by at most InjectWindow cycles.
 	Script []Inject
@@ -88,32 +85,20 @@ type Options struct {
 }
 
 func (o *Options) applyDefaults() error {
-	if err := topology.Validate(o.K, o.N); err != nil {
-		return fmt.Errorf("mc: %w", err)
-	}
-	if o.VCs == 0 {
-		o.VCs = 1
-	}
-	if o.BufFlits == 0 {
-		o.BufFlits = 2
-	}
-	if o.Threshold == 0 {
-		o.Threshold = 4
-	}
-	if o.Horizon == 0 {
-		o.Horizon = int(8*o.Threshold) + 16*o.K*o.N + 64
-	}
-	if o.MaxStates == 0 {
-		o.MaxStates = 2_000_000
-	}
-	if len(o.Script) == 0 {
+	o.VCs, o.BufFlits, o.Threshold = cmp.Or(o.VCs, 1), cmp.Or(o.BufFlits, 2), cmp.Or(o.Threshold, 4)
+	switch {
+	case o.Horizon < 0 || o.MaxDepth < 0 || o.MaxStates < 0:
+		return fmt.Errorf("mc: Horizon %d, MaxDepth %d, MaxStates %d: want 0 (the default) or more",
+			o.Horizon, o.MaxDepth, o.MaxStates)
+	case len(o.Script) == 0:
 		return fmt.Errorf("mc: empty injection script")
 	}
-	if err := o.checkEncodable(); err != nil {
+	o.Horizon = cmp.Or(o.Horizon, int(8*o.Threshold)+16*o.K*o.N+64)
+	o.MaxStates = cmp.Or(o.MaxStates, 2_000_000)
+	if err := o.run().Validate(); err != nil {
 		return err
 	}
-	_, err := o.mechanism().Factory()
-	return err
+	return o.checkEncodable()
 }
 
 // Widths of the canonical state encoding (encode.go, sim.AppendSchedState,
@@ -164,9 +149,17 @@ func (o *Options) checkEncodable() error {
 	return nil
 }
 
-// mechanism describes the detector under check.
-func (o *Options) mechanism() sim.Mechanism {
-	return sim.Mechanism{Name: o.Mechanism, Threshold: o.Threshold}
+// run describes the checked engine: the paper's run (progressive recovery
+// included) on the scripted fabric, with one injection and one delivery port
+// per node, no generated traffic, no injection limit, and statistics from
+// cycle 0 on.
+func (o *Options) run() spec.Run {
+	r := spec.Default()
+	r.K, r.N, r.VirtualChannels, r.BufferFlits, r.Ports = o.K, o.N, o.VCs, o.BufFlits, 1
+	r.Mechanism, r.Threshold = spec.Mechanism(o.Mechanism), o.Threshold
+	r.Lengths, r.Load, r.InjectionLimit = spec.Lengths{Fixed: 1}, 0, -1
+	r.Warmup, r.Measure = 0, 1<<40
+	return r
 }
 
 // Violation is one invariant failure, reproducible from its choice path.

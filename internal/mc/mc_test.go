@@ -599,6 +599,27 @@ func TestUnencodableFabricsRefused(t *testing.T) {
 	}
 }
 
+// TestNegativeBoundsRefused: a negative Horizon, MaxDepth or MaxStates is
+// refused, not taken as a bound (a false liveness violation, a truncation
+// after the root state, "complete to depth -2"); zero keeps its default.
+func TestNegativeBoundsRefused(t *testing.T) {
+	for name, set := range map[string]func(*Options){
+		"Horizon -5":   func(o *Options) { o.Horizon = -5 },
+		"MaxDepth -2":  func(o *Options) { o.MaxDepth = -2 },
+		"MaxStates -5": func(o *Options) { o.MaxStates = -5 },
+	} {
+		o := Options{K: 3, N: 2, Mechanism: "ndm", Script: face33}
+		set(&o)
+		if res, err := Check(o); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: Check = %+v, %v; want an error naming %s", name, res, err, name)
+		}
+	}
+	o := Options{K: 3, N: 2, Mechanism: "ndm", Script: face33}
+	if err := o.applyDefaults(); err != nil || o.Horizon <= 0 || o.MaxDepth != 0 || o.MaxStates != 2_000_000 {
+		t.Errorf("zero bounds: %v, Horizon %d, MaxDepth %d, MaxStates %d", err, o.Horizon, o.MaxDepth, o.MaxStates)
+	}
+}
+
 // TestChooserRefusesWideArity: a choice and its arity are recorded in one
 // byte each, so a decision point wider than 255 is refused rather than
 // recorded modulo 256.

@@ -139,7 +139,8 @@ func DefaultConfig() Config {
 	return Config{VCsPerLink: 3, BufFlits: 4, InjPorts: 4, DelPorts: 4}
 }
 
-func (c Config) validate() error {
+// Validate reports the first parameter NewFabric cannot build a fabric with.
+func (c Config) Validate() error {
 	switch {
 	case c.VCsPerLink < 1 || c.VCsPerLink > MaxVCsPerLink:
 		return fmt.Errorf("router: VCsPerLink must be in [1, %d], got %d", MaxVCsPerLink, c.VCsPerLink)
@@ -201,7 +202,7 @@ func (f *Fabric) Gen() uint64 { return f.gen }
 
 // NewFabric builds the fabric for the given topology and configuration.
 func NewFabric(t *topology.Torus, cfg Config) (*Fabric, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	nodes := t.Nodes()

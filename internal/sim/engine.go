@@ -174,7 +174,7 @@ type Engine struct {
 // New builds an Engine from cfg. The configuration is validated; defaults
 // are filled in for zero-valued optional fields.
 func New(cfg Config) (*Engine, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	topo := topology.New(cfg.K, cfg.N)

@@ -14,14 +14,24 @@ func uniformPattern(tp *topology.Torus) traffic.Pattern { return traffic.NewUnif
 
 func bitrevPattern(tp *topology.Torus) traffic.Pattern { return traffic.NewBitReversal(tp) }
 
+// smallConfig is the paper's router, workload and detector (NDM, t2=32) on
+// a 4-ary 2-cube, with the debug audits on.
 func smallConfig() Config {
-	cfg := DefaultConfig()
-	cfg.K, cfg.N = 4, 2
-	cfg.Load = 0.2
-	cfg.Warmup, cfg.Measure = 1000, 4000
-	cfg.Pattern = uniformPattern
-	cfg.Debug = true
-	return cfg
+	return Config{
+		K: 4, N: 2,
+		Router:         router.DefaultConfig(),
+		Pattern:        uniformPattern,
+		Lengths:        traffic.Fixed(16),
+		Load:           0.2,
+		Detector:       func(f *router.Fabric) detect.Detector { return detect.NewNDM(f, 32) },
+		Recovery:       recovery.Progressive,
+		InjectionLimit: 6,
+		MaxSourceQueue: 16,
+		Warmup:         1000,
+		Measure:        4000,
+		Seed:           1,
+		Debug:          true,
+	}
 }
 
 func mustRun(t *testing.T, cfg Config) *Result {

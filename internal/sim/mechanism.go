@@ -18,7 +18,8 @@ type Mechanism struct {
 	Name string
 	// Threshold is the detection threshold in cycles: NDM's t2, PDM's
 	// inactivity threshold, a timeout's limit, CMH's probe initiation delay
-	// (it overrides Probe.InitDelay).
+	// (it overrides Probe.InitDelay); every mechanism but "none" needs at
+	// least 1.
 	Threshold int64
 	// T1 and Promotion apply to NDM only; a zero T1 selects the paper's 1.
 	T1        int64
@@ -72,18 +73,21 @@ func MechanismNames() []string {
 }
 
 // Factory resolves the description into the Config.Detector value: nil for
-// "none", an error for an unknown name or for thresholds the mechanism cannot
-// run with.
+// "none", an error for an unknown name or for parameters the mechanism would
+// otherwise silently replace (a threshold below 1, a negative probe hop cap).
 func (m Mechanism) Factory() (DetectorFactory, error) {
 	for _, k := range mechanisms {
 		if k.name != m.Name {
 			continue
 		}
 		switch t1 := max(m.T1, 1); {
+		case m.Name == "none":
 		case m.Name == "ndm" && m.Threshold < t1:
 			return nil, fmt.Errorf("sim: ndm needs 1 <= t1 <= t2, got t1=%d t2=%d", t1, m.Threshold)
-		case m.Name == "pdm" && m.Threshold < 1:
-			return nil, fmt.Errorf("sim: pdm needs a threshold of at least 1, got %d", m.Threshold)
+		case m.Threshold < 1:
+			return nil, fmt.Errorf("sim: %s needs a threshold of at least 1, got %d", m.Name, m.Threshold)
+		case m.Name == "cmh" && m.Probe.MaxHops < 0:
+			return nil, fmt.Errorf("sim: cmh probe hop cap %d, want 0 (the default) or more", m.Probe.MaxHops)
 		}
 		return k.build(m), nil
 	}

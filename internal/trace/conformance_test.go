@@ -26,6 +26,7 @@ import (
 	"wormnet/internal/detect"
 	"wormnet/internal/router"
 	"wormnet/internal/sim"
+	"wormnet/internal/spec"
 	"wormnet/internal/trace"
 )
 
@@ -33,16 +34,20 @@ import (
 // with single-VC fully adaptive routing, the most deadlock-prone regime the
 // simulator supports.
 func saturatedConfig(k, n int, t2 int64, seed uint64) sim.Config {
-	cfg := sim.DefaultConfig()
-	cfg.K, cfg.N = k, n
-	cfg.Router.VCsPerLink = 1
-	cfg.Load = 2.0
-	cfg.InjectionLimit = -1
-	cfg.Warmup = 0
-	cfg.Measure = 2500
-	cfg.OracleEvery = 1 // exact oracle stamps for the liveness check
-	cfg.Seed = seed
-	cfg.Detector = func(f *router.Fabric) detect.Detector { return detect.NewNDM(f, t2) }
+	r := spec.Default()
+	r.K, r.N = k, n
+	r.VirtualChannels = 1
+	r.Load = 2.0
+	r.InjectionLimit = -1
+	r.Warmup = 0
+	r.Measure = 2500
+	r.OracleEvery = 1 // exact oracle stamps for the liveness check
+	r.Seed = seed
+	r.Threshold = t2
+	cfg, err := r.SimConfig()
+	if err != nil {
+		panic(err)
+	}
 	return cfg
 }
 

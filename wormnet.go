@@ -21,202 +21,71 @@
 package wormnet
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 
-	"wormnet/internal/detect"
 	"wormnet/internal/exp"
 	"wormnet/internal/harness"
 	"wormnet/internal/metrics"
-	"wormnet/internal/probe"
-	"wormnet/internal/recovery"
-	"wormnet/internal/router"
-	"wormnet/internal/routing"
 	"wormnet/internal/sim"
+	"wormnet/internal/spec"
 	"wormnet/internal/stats"
-	"wormnet/internal/topology"
-	"wormnet/internal/traffic"
 	"wormnet/internal/viz"
 )
 
-// Pattern names a message destination distribution (paper Section 4).
-type Pattern string
+// The run vocabulary lives in internal/spec, the one description every
+// command and table shares, which documents each name; these re-export it.
+type (
+	Pattern        = spec.Pattern
+	Mechanism      = spec.Mechanism
+	ProbeTransport = spec.ProbeTransport
+	ProbeVictim    = spec.ProbeVictim
+	Routing        = spec.Routing
+	Recovery       = spec.Recovery
+	Lengths        = spec.Lengths
+)
 
-// Destination distributions.
+// Destination patterns, detection mechanisms, CMH probe transports and
+// victim policies, routing algorithms and recovery styles.
 const (
-	Uniform        Pattern = "uniform"
-	Locality       Pattern = "locality"
-	BitReversal    Pattern = "bit-reversal"
-	PerfectShuffle Pattern = "perfect-shuffle"
-	Butterfly      Pattern = "butterfly"
-	HotSpot        Pattern = "hot-spot"
-	// Transpose and Tornado extend the paper's workloads with two further
-	// classic adversarial patterns.
-	Transpose Pattern = "transpose"
-	Tornado   Pattern = "tornado"
+	Uniform        = spec.Uniform
+	Locality       = spec.Locality
+	BitReversal    = spec.BitReversal
+	PerfectShuffle = spec.PerfectShuffle
+	Butterfly      = spec.Butterfly
+	HotSpot        = spec.HotSpot
+	Transpose      = spec.Transpose
+	Tornado        = spec.Tornado
+
+	NDM         = spec.NDM
+	PDM         = spec.PDM
+	SourceAge   = spec.SourceAge
+	SourceStall = spec.SourceStall
+	HeaderBlock = spec.HeaderBlock
+	CMH         = spec.CMH
+	NoDetection = spec.NoDetection
+
+	ProbeStealIdle    = spec.ProbeStealIdle
+	ProbeControlVC    = spec.ProbeControlVC
+	ProbeVictimLocal  = spec.ProbeVictimLocal
+	ProbeVictimOldest = spec.ProbeVictimOldest
+
+	Adaptive    = spec.Adaptive
+	DOR         = spec.DOR
+	Duato       = spec.Duato
+	Progressive = spec.Progressive
+	Regressive  = spec.Regressive
 )
 
-// Mechanism names a deadlock detection mechanism.
-type Mechanism string
+// Len16 etc. are the paper's standard message lengths.
+var Len16, Len64, Len256, LenSL = spec.Len16, spec.Len64, spec.Len256, spec.LenSL
 
-// Detection mechanisms.
-const (
-	// NDM is the paper's mechanism (Section 3).
-	NDM Mechanism = "ndm"
-	// PDM is the previous mechanism it improves on (Section 2).
-	PDM Mechanism = "pdm"
-	// SourceAge, SourceStall and HeaderBlock are the crude timeout
-	// heuristics referenced in the introduction.
-	SourceAge   Mechanism = "src-age"
-	SourceStall Mechanism = "src-stall"
-	HeaderBlock Mechanism = "hdr-block"
-	// CMH is Chandy–Misra–Haas edge chasing: blocked headers launch probe
-	// control messages along the wait-for graph, and a probe returning to a
-	// channel held by its initiator proves a cycle. Unlike the router-local
-	// mechanisms its control messages consume link bandwidth (see
-	// internal/probe and the Probe* Config knobs).
-	CMH Mechanism = "cmh"
-	// NoDetection disables detection (and therefore recovery).
-	NoDetection Mechanism = "none"
-)
-
-// ProbeTransport names how CMH probe flits share physical links with data.
-type ProbeTransport string
-
-// Probe transports.
-const (
-	// ProbeStealIdle moves probes only across links that carried no data
-	// flit this cycle (the default).
-	ProbeStealIdle ProbeTransport = "steal-idle"
-	// ProbeControlVC models a dedicated control virtual channel: one probe
-	// flit per link per cycle regardless of data traffic.
-	ProbeControlVC ProbeTransport = "ctrl-vc"
-)
-
-// ProbeVictim names CMH's victim-selection policy.
-type ProbeVictim string
-
-// Probe victim policies.
-const (
-	// ProbeVictimLocal marks the probe's initiator (the default).
-	ProbeVictimLocal ProbeVictim = "local"
-	// ProbeVictimOldest marks the oldest message the probe visited.
-	ProbeVictimOldest ProbeVictim = "oldest"
-)
-
-// Routing names a routing algorithm.
-type Routing string
-
-// Routing algorithms.
-const (
-	// Adaptive is the paper's true fully adaptive minimal routing: any
-	// virtual channel of any profitable physical channel. Deadlock-prone;
-	// pair it with detection + recovery.
-	Adaptive Routing = "adaptive"
-	// DOR is deterministic dimension-order routing with Dally-Seitz
-	// virtual channel classes: deadlock-free, no detection needed.
-	DOR Routing = "dor"
-	// Duato is Duato's protocol: fully adaptive over the adaptive virtual
-	// channels with a dimension-order escape path. Deadlock-free.
-	Duato Routing = "duato"
-)
-
-// Recovery names a deadlock recovery style.
-type Recovery string
-
-// Recovery styles.
-const (
-	// Progressive absorbs the deadlocked message at the node holding its
-	// header and re-injects it there (software-based recovery).
-	Progressive Recovery = "progressive"
-	// Regressive kills the deadlocked message and retries from the source
-	// (abort-and-retry).
-	Regressive Recovery = "regressive"
-)
-
-// Lengths describes the message length distribution. Set Fixed for a
-// constant size, or Short/Long/PShort for the paper's bimodal "sl" mix.
-type Lengths struct {
-	Fixed  int
-	Short  int
-	Long   int
-	PShort float64
-}
-
-// Fixed16 etc. are the paper's standard workloads.
-var (
-	Len16  = Lengths{Fixed: 16}
-	Len64  = Lengths{Fixed: 64}
-	Len256 = Lengths{Fixed: 256}
-	LenSL  = Lengths{Short: 16, Long: 64, PShort: 0.6}
-)
-
-func (l Lengths) dist() (traffic.LengthDist, error) {
-	if l.Fixed > 0 {
-		return traffic.Fixed(l.Fixed), nil
-	}
-	if l.Short > 0 && l.Long > 0 {
-		return traffic.Bimodal{Short: l.Short, Long: l.Long, PShort: l.PShort}, nil
-	}
-	return nil, fmt.Errorf("wormnet: empty Lengths")
-}
-
-// Config describes one simulation. The zero value is not runnable; start
-// from DefaultConfig.
+// Config describes one simulation: the run (spec.Run, whose fields and
+// Validate, SimConfig and AddFlags methods it promotes) plus the observation
+// rails. The zero value is not runnable; start from DefaultConfig.
 type Config struct {
-	// K-ary N-cube topology (the paper evaluates K=8, N=3: 512 nodes).
-	K, N int
-
-	// Router microarchitecture: virtual channels per physical channel,
-	// flit buffer depth per VC, injection/delivery ports per node.
-	VirtualChannels int
-	BufferFlits     int
-	Ports           int
-
-	// Workload.
-	Pattern Pattern
-	// LocalityRadius applies to the Locality pattern (default 2).
-	LocalityRadius int
-	// HotFraction applies to the HotSpot pattern: the share of traffic
-	// destined for node 0 (default 5%).
-	HotFraction float64
-	Lengths     Lengths
-	// Load is the offered traffic in flits/cycle/node, generated by the
-	// paper's Bernoulli process.
-	Load float64
-
-	// Routing selects the routing algorithm (default: the paper's true
-	// fully adaptive routing). The deadlock-free algorithms (DOR, Duato)
-	// must run with Mechanism == NoDetection.
-	Routing Routing
-
-	// Detection mechanism and its threshold (t2 for NDM).
-	Mechanism Mechanism
-	Threshold int64
-	// T1 is NDM's short threshold (default 1, as in the paper).
-	T1 int64
-	// SelectivePromotion enables the selective P->G re-arming variant the
-	// paper mentions as future work (default: the paper's simple policy).
-	SelectivePromotion bool
-
-	// CMH-only knobs; ignored by the other mechanisms. Threshold doubles
-	// as CMH's probe initiation delay. Zero values select the internal/probe
-	// defaults (steal-idle transport, local victim, 64-hop cap).
-	ProbeTransport ProbeTransport
-	ProbeVictim    ProbeVictim
-	ProbeMaxHops   int
-
-	// Recovery style for marked messages.
-	Recovery Recovery
-
-	// InjectionLimit is the injection-limitation threshold (maximum busy
-	// network output VCs that still admits a new message); negative
-	// disables the mechanism.
-	InjectionLimit int
-
-	// Simulation phases in cycles, and the RNG seed.
-	Warmup, Measure int64
-	Seed            uint64
+	spec.Run
 
 	// Shards is ignored: the engine is serial.
 	//
@@ -224,10 +93,6 @@ type Config struct {
 	// remains only because the frozen benchmark module (benchmark/) still
 	// sets it; it goes when that module is next revised. Leave it zero.
 	Shards int
-
-	// OracleEvery > 0 additionally runs the global deadlock oracle every
-	// so many cycles to measure actual deadlock frequency.
-	OracleEvery int64
 
 	// TracePath, when non-empty, enables the flight recorder (see
 	// internal/trace) and names the JSONL file receiving events. With
@@ -272,30 +137,10 @@ type Config struct {
 	ForensicsPath string
 }
 
-// DefaultConfig returns the paper's baseline: 8-ary 3-cube, 3 VCs with
-// 4-flit buffers, 4 ports, uniform 16-flit traffic at a moderate load, NDM
-// with threshold 32, progressive recovery, injection limitation on.
+// DefaultConfig returns the paper's baseline run (spec.Default: the 8-ary
+// 3-cube, NDM with threshold 32) with no observation rails.
 func DefaultConfig() Config {
-	return Config{
-		K: 8, N: 3,
-		VirtualChannels: 3,
-		BufferFlits:     4,
-		Ports:           4,
-		Pattern:         Uniform,
-		Routing:         Adaptive,
-		LocalityRadius:  2,
-		HotFraction:     0.05,
-		Lengths:         Len16,
-		Load:            0.3,
-		Mechanism:       NDM,
-		Threshold:       32,
-		T1:              1,
-		Recovery:        Progressive,
-		InjectionLimit:  6,
-		Warmup:          5_000,
-		Measure:         30_000,
-		Seed:            1,
-	}
+	return Config{Run: spec.Default()}
 }
 
 // Metrics are the measurements accumulated over the measurement window.
@@ -330,149 +175,6 @@ type Result struct {
 	// DetectLatencySamples counts the marks that contributed to the
 	// detection-latency percentiles.
 	DetectLatencySamples int64
-}
-
-func (c Config) patternFactory() (sim.PatternFactory, error) {
-	switch c.Pattern {
-	case Uniform, "":
-		return func(t *topology.Torus) traffic.Pattern { return traffic.NewUniform(t) }, nil
-	case Locality:
-		r := c.LocalityRadius
-		if r == 0 {
-			r = 2
-		}
-		if r < 1 {
-			return nil, fmt.Errorf("wormnet: locality radius %d, want at least 1", r)
-		}
-		return func(t *topology.Torus) traffic.Pattern { return traffic.NewLocality(t, r) }, nil
-	case BitReversal:
-		return c.bitPermutation(traffic.NewBitReversal)
-	case PerfectShuffle:
-		return c.bitPermutation(traffic.NewPerfectShuffle)
-	case Butterfly:
-		return c.bitPermutation(traffic.NewButterfly)
-	case HotSpot:
-		frac := c.HotFraction
-		if frac == 0 {
-			frac = 0.05
-		}
-		if frac < 0 || frac > 1 {
-			return nil, fmt.Errorf("wormnet: hot-spot fraction %g, want one in [0, 1]", frac)
-		}
-		return func(t *topology.Torus) traffic.Pattern { return traffic.NewHotSpot(t, 0, frac) }, nil
-	case Transpose:
-		return func(t *topology.Torus) traffic.Pattern { return traffic.NewTranspose(t) }, nil
-	case Tornado:
-		if c.K < 3 {
-			return nil, fmt.Errorf("wormnet: tornado needs a radix of at least 3, got k=%d", c.K)
-		}
-		return func(t *topology.Torus) traffic.Pattern { return traffic.NewTornado(t) }, nil
-	default:
-		return nil, fmt.Errorf("wormnet: unknown pattern %q", c.Pattern)
-	}
-}
-
-// bitPermutation returns build if the network has the power-of-two node
-// count the bit permutations need, which k^n is exactly when k is a power of
-// two.
-func (c Config) bitPermutation(build sim.PatternFactory) (sim.PatternFactory, error) {
-	if c.K&(c.K-1) != 0 {
-		return nil, fmt.Errorf("wormnet: %s needs a power-of-two radix, got k=%d", c.Pattern, c.K)
-	}
-	return build, nil
-}
-
-// mechanism describes the configured detector for sim.Mechanism.Factory,
-// the one place mechanism names are resolved.
-func (c Config) mechanism() (sim.Mechanism, error) {
-	m := sim.Mechanism{Name: string(c.Mechanism), Threshold: c.Threshold, T1: c.T1}
-	if m.Name == "" {
-		m.Name = string(NDM)
-	}
-	if c.SelectivePromotion {
-		m.Promotion = detect.PromoteWaiting
-	}
-	if c.Mechanism != CMH {
-		return m, nil
-	}
-	m.Probe.MaxHops = int32(c.ProbeMaxHops)
-	switch c.ProbeTransport {
-	case ProbeStealIdle, "":
-		m.Probe.Transport = probe.TransportStealIdle
-	case ProbeControlVC:
-		m.Probe.Transport = probe.TransportControlVC
-	default:
-		return m, fmt.Errorf("wormnet: unknown probe transport %q", c.ProbeTransport)
-	}
-	switch c.ProbeVictim {
-	case ProbeVictimLocal, "":
-		m.Probe.Victim = probe.VictimLocal
-	case ProbeVictimOldest:
-		m.Probe.Victim = probe.VictimOldest
-	default:
-		return m, fmt.Errorf("wormnet: unknown probe victim %q", c.ProbeVictim)
-	}
-	return m, nil
-}
-
-// SimConfig expands the public configuration into the internal simulation
-// config consumed by the sim engine and the sweep harness
-// (internal/harness). Tools inside this module use it to build harness
-// points from the same configuration surface Run accepts.
-func (c Config) SimConfig() (sim.Config, error) {
-	sc := sim.DefaultConfig()
-	if err := topology.Validate(c.K, c.N); err != nil {
-		return sc, fmt.Errorf("wormnet: %w", err)
-	}
-	sc.K, sc.N = c.K, c.N
-	sc.Router = router.Config{
-		VCsPerLink: c.VirtualChannels,
-		BufFlits:   c.BufferFlits,
-		InjPorts:   c.Ports,
-		DelPorts:   c.Ports,
-	}
-	pat, err := c.patternFactory()
-	if err != nil {
-		return sc, err
-	}
-	sc.Pattern = pat
-	dist, err := c.Lengths.dist()
-	if err != nil {
-		return sc, err
-	}
-	sc.Lengths = dist
-	sc.Load = c.Load
-	if c.Routing != "" {
-		alg, ok := routing.ByName(string(c.Routing))
-		if !ok {
-			return sc, fmt.Errorf("wormnet: unknown routing %q", c.Routing)
-		}
-		sc.Routing = alg
-	}
-	mech, err := c.mechanism()
-	if err != nil {
-		return sc, err
-	}
-	if inputs := 2*c.N + c.Ports; mech.Name == string(NDM) && inputs > detect.NDMMaxInputs {
-		return sc, fmt.Errorf("wormnet: ndm monitors at most %d input channels per router, %d-cube routers with %d ports have %d",
-			detect.NDMMaxInputs, c.N, c.Ports, inputs)
-	}
-	if sc.Detector, err = mech.Factory(); err != nil {
-		return sc, fmt.Errorf("wormnet: %w", err)
-	}
-	switch c.Recovery {
-	case Progressive, "":
-		sc.Recovery = recovery.Progressive
-	case Regressive:
-		sc.Recovery = recovery.Regressive
-	default:
-		return sc, fmt.Errorf("wormnet: unknown recovery %q", c.Recovery)
-	}
-	sc.InjectionLimit = c.InjectionLimit
-	sc.Warmup, sc.Measure = c.Warmup, c.Measure
-	sc.OracleEvery = c.OracleEvery
-	sc.Seed = c.Seed
-	return sc, nil
 }
 
 // ResultFromSim converts a raw engine result into the public Result,
@@ -662,25 +364,11 @@ func RunPaperTable(id int, opt TableOptions) (*TableResult, error) {
 		return nil, err
 	}
 	eo := exp.DefaultOptions()
-	if opt.K != 0 {
-		eo.K = opt.K
-	}
-	if opt.N != 0 {
-		eo.N = opt.N
-	}
-	if opt.Warmup != 0 {
-		eo.Warmup = opt.Warmup
-	}
-	if opt.Measure != 0 {
-		eo.Measure = opt.Measure
-	}
-	if opt.Seed != 0 {
-		eo.Seed = opt.Seed
-	}
+	eo.K, eo.N = cmp.Or(opt.K, eo.K), cmp.Or(opt.N, eo.N)
+	eo.Warmup, eo.Measure = cmp.Or(opt.Warmup, eo.Warmup), cmp.Or(opt.Measure, eo.Measure)
+	eo.Seed = cmp.Or(opt.Seed, eo.Seed)
 	eo.RelativeRates = opt.RelativeRates
-	if opt.SelectivePromotion {
-		eo.Promotion = detect.PromoteWaiting
-	}
+	eo.SelectivePromotion = opt.SelectivePromotion
 	eo.Workers = opt.Workers
 	eo.Repeats = opt.Repeats
 	eo.Journal = opt.Journal

@@ -150,6 +150,32 @@ func TestInvalidParametersAreErrors(t *testing.T) {
 	}
 }
 
+// TestSilentRewritesAreErrors: parameters a detector or the engine used to
+// replace without a word (a CMH delay of 0 ran as 8, a negative hop cap as
+// 64, a negative oracle interval as no oracle) or run as nonsense (a
+// negative timeout) are refused by SimConfig.
+func TestSilentRewritesAreErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"cmh-th0", func(c *Config) { c.Mechanism, c.Threshold = CMH, 0 }},
+		{"cmh-probe-hops-negative", func(c *Config) { c.Mechanism, c.ProbeMaxHops = CMH, -3 }},
+		{"oracle-every-negative", func(c *Config) { c.OracleEvery = -5 }},
+		{"hdr-block-th-negative", func(c *Config) { c.Mechanism, c.Threshold = HeaderBlock, -5 }},
+		{"src-age-th0", func(c *Config) { c.Mechanism, c.Threshold = SourceAge, 0 }},
+		{"src-stall-th0", func(c *Config) { c.Mechanism, c.Threshold = SourceStall, 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := small()
+			tc.mutate(&cfg)
+			if _, err := cfg.SimConfig(); err == nil {
+				t.Fatal("SimConfig accepted the configuration")
+			}
+		})
+	}
+}
+
 func TestSelectivePromotionRuns(t *testing.T) {
 	cfg := small()
 	cfg.SelectivePromotion = true
