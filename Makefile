@@ -41,7 +41,8 @@ bench-gate:
 	bash benchmark/run.sh compare BENCH_suite.json /tmp/wormnet-bench-suite.json
 
 # Determinism smoke: a 4-worker checkpointed sweep must be byte-identical
-# to a serial sweep, and so must a resume against the finished journal. Then
+# to a serial sweep, and so must a resume against the finished journal; a
+# resume of that journal with another pattern must fail and print nothing. Then
 # cmd/tables end to end on a small torus: every observation flag it accepts
 # must reach the harness, which creates each directory up front, and Tables
 # 1 and 2 with the PDM-vs-NDM report must print the same on 1 and 4 workers.
@@ -56,6 +57,9 @@ smoke: build
 	/tmp/wormnet-loadsweep -k 4 -n 2 -points 4 -warmup 500 -measure 2000 \
 		-workers 4 -checkpoint /tmp/wormnet-sweep.jsonl -resume -quiet -json > /tmp/wormnet-resumed.json
 	cmp /tmp/wormnet-serial.json /tmp/wormnet-resumed.json
+	! /tmp/wormnet-loadsweep -k 4 -n 2 -points 4 -warmup 500 -measure 2000 -pattern transpose \
+		-workers 4 -checkpoint /tmp/wormnet-sweep.jsonl -resume -quiet -json > /tmp/wormnet-changed.json
+	test ! -s /tmp/wormnet-changed.json
 	rm -rf /tmp/wormnet-tables-d.t2 /tmp/wormnet-tables-t.t2
 	/tmp/wormnet-tables -table 2 -k 4 -n 2 -relative -warmup 200 -measure 1500 -quiet \
 		-forensics-dir /tmp/wormnet-tables-d -trace-dir /tmp/wormnet-tables-t > /dev/null
@@ -65,7 +69,7 @@ smoke: build
 	/tmp/wormnet-tables -table 1,2 -k 4 -n 2 -relative -warmup 200 -measure 1500 \
 		-workers 4 -quiet > /tmp/wormnet-tables-par.txt
 	cmp /tmp/wormnet-tables-serial.txt /tmp/wormnet-tables-par.txt
-	@echo "smoke: parallel and resumed sweeps byte-identical to serial; tables dumps reach the harness; tables report identical on 1 and 4 workers"
+	@echo "smoke: parallel and resumed sweeps byte-identical to serial; a changed resume refused; tables dumps reach the harness; tables report identical on 1 and 4 workers"
 
 # Sweep determinism gates: a fixed-seed sweep must be byte-identical to the
 # committed golden (results/sweep_golden.json) run plain, with per-run metrics

@@ -66,6 +66,16 @@ func main() {
 	)
 	flag.Parse()
 
+	// mc.Options reads a zero as its own default; a zero typed here is refused
+	// instead of being run as one.
+	switch {
+	case *threshold < 1:
+		fail("-threshold must be >= 1, got %d", *threshold)
+	case fab.VirtualChannels < 1:
+		fail("-vcs must be >= 1, got %d", fab.VirtualChannels)
+	case fab.BufferFlits < 1:
+		fail("-buf must be >= 1, got %d", fab.BufferFlits)
+	}
 	inj, err := parseScript(*script, fab.K)
 	if err != nil {
 		fail("%v", err)

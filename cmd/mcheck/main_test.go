@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 )
 
@@ -61,5 +62,33 @@ func TestHelp(t *testing.T) {
 	first, rest, _ := bytes.Cut(stderr.Bytes(), []byte("\n"))
 	if err != nil || !bytes.HasPrefix(first, []byte("Usage of ")) || !bytes.Equal(rest, want) {
 		t.Errorf("mcheck -h: %v, output:\n%s", err, stderr.Bytes())
+	}
+}
+
+// TestMisuse: a threshold, VC count or buffer depth below 1 is refused before
+// the check starts (mc.Options would otherwise run its own default in place
+// of a zero), with exit 2, a message naming the flag and nothing on stdout.
+func TestMisuse(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"threshold0", []string{"-k", "3", "-mech", "ndm", "-threshold", "0"}, "-threshold must be >= 1, got 0"},
+		{"vcs0", []string{"-k", "3", "-mech", "ndm", "-vcs", "0"}, "-vcs must be >= 1, got 0"},
+		{"buf0", []string{"-k", "3", "-mech", "ndm", "-buf", "0"}, "-buf must be >= 1, got 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], tc.args...)
+			cmd.Env = append(os.Environ(), "MCHECK_MAIN=1")
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			ee, ok := err.(*exec.ExitError)
+			if !ok || ee.ExitCode() != 2 || !strings.Contains(stderr.String(), tc.want) || stdout.Len() != 0 {
+				t.Errorf("mcheck %v: %v, stderr %q, stdout %q; want exit 2 naming %q",
+					tc.args, err, stderr.String(), stdout.String(), tc.want)
+			}
+		})
 	}
 }

@@ -31,9 +31,9 @@ func main() {
 	flag.Float64Var(&cfg.HotFraction, "hot-fraction", cfg.HotFraction, "fraction of traffic to the hot node")
 	flag.StringVar((*string)(&cfg.Mechanism), "mech", string(cfg.Mechanism), "detection mechanism: "+strings.Join(sim.MechanismNames(), "|"))
 	flag.Int64Var(&cfg.T1, "t1", cfg.T1, "ndm short threshold t1")
-	flag.StringVar((*string)(&cfg.ProbeTransport), "probe-transport", "", "cmh probe transport: steal-idle|ctrl-vc (default steal-idle)")
-	flag.StringVar((*string)(&cfg.ProbeVictim), "probe-victim", "", "cmh victim selection: local|oldest (default local)")
-	flag.IntVar(&cfg.ProbeMaxHops, "probe-hops", 0, "cmh probe hop cap (0 = default 64)")
+	flag.StringVar((*string)(&cfg.ProbeTransport), "probe-transport", string(cfg.ProbeTransport), "cmh probe transport: steal-idle|ctrl-vc")
+	flag.StringVar((*string)(&cfg.ProbeVictim), "probe-victim", string(cfg.ProbeVictim), "cmh victim selection: local|oldest")
+	flag.IntVar(&cfg.ProbeMaxHops, "probe-hops", cfg.ProbeMaxHops, "cmh probe hop cap")
 	flag.StringVar((*string)(&cfg.Recovery), "recovery", string(cfg.Recovery), "recovery style: progressive|regressive")
 	flag.IntVar(&cfg.InjectionLimit, "inject-limit", cfg.InjectionLimit, "injection limitation threshold (busy output VCs); negative disables")
 	flag.Int64Var(&cfg.OracleEvery, "oracle-every", 0, "run the global deadlock oracle every N cycles (0 = only at detections)")

@@ -17,9 +17,10 @@
 //     own (point, replicate): the failure is recorded (and journaled) and
 //     the sweep continues.
 //   - Checkpointing. With Options.Journal set, every finished run is
-//     appended to a JSONL journal; with Options.Resume, journaled runs are
+//     appended to a JSONL journal with the run's description (the engine's
+//     configuration fingerprint); with Options.Resume, journaled runs are
 //     loaded instead of re-executed, so an interrupted sweep continues from
-//     where it was killed.
+//     where it was killed, and a journal of other runs is refused.
 package harness
 
 import (
@@ -68,7 +69,9 @@ type Options struct {
 	Journal string
 	// Resume loads completed runs from Journal instead of re-executing
 	// them. A missing journal file starts a fresh sweep. Journaled
-	// failures are kept as failures, not retried.
+	// failures are kept as failures, not retried. A journal whose runs are
+	// not this sweep's (another point count, replicate count, base seed,
+	// point key or run description) is refused.
 	Resume bool
 	// Progress, when non-nil, receives one-line progress reports
 	// (points done/total, runs done/total, ETA, worker utilization).
@@ -169,9 +172,10 @@ type job struct {
 
 type outcome struct {
 	job
-	res *sim.Result
-	err error
-	mc  *metrics.Collector
+	res  *sim.Result
+	err  error
+	mc   *metrics.Collector
+	desc string // the run's description, journaled sweeps only
 }
 
 // Run executes every (point, replicate) of the sweep and returns one
@@ -243,6 +247,10 @@ func Run(points []Point, opt Options) ([]PointResult, error) {
 			if loaded[[2]int{rec.Point, rec.Rep}] {
 				continue // duplicate record; first wins
 			}
+			if want := describe(points[rec.Point].Config, rec.Seed); rec.Run != want {
+				return nil, fmt.Errorf("harness: journal run (%d,%d) was %q; this sweep's is %q (configuration changed?)",
+					rec.Point, rec.Rep, rec.Run, want)
+			}
 			loaded[[2]int{rec.Point, rec.Rep}] = true
 			results[rec.Point].Runs[rec.Rep] = rec.Result
 			results[rec.Point].Errs[rec.Rep] = rec.Error
@@ -295,13 +303,17 @@ func Run(points []Point, opt Options) ([]PointResult, error) {
 					busy.Add(1)
 					cfg := points[j.point].Config
 					cfg.Seed = j.seed
+					var desc string
+					if opt.Journal != "" {
+						desc = describe(cfg, j.seed)
+					}
 					rails := opt.Observe.Attach(&cfg, opt.TraceDir != "", opt.SeriesDir != "", opt.ForensicsDir != "")
 					res, err := safeRun(run, points[j.point].Key, cfg)
 					if oerr := opt.Observe.flush(rails, j.point, j.rep, points[j.point].Key, err != nil); oerr != nil {
 						obsErrOnce.Do(func() { obsErr = oerr })
 					}
 					busy.Add(-1)
-					outCh <- outcome{job: j, res: res, err: err, mc: rails.Metrics}
+					outCh <- outcome{job: j, res: res, err: err, mc: rails.Metrics, desc: desc}
 				}
 			}()
 		}
@@ -326,7 +338,7 @@ func Run(points []Point, opt Options) ([]PointResult, error) {
 				pr.Errs[o.rep] = o.err.Error()
 			}
 			if journal != nil {
-				rec := record{Point: o.point, Rep: o.rep, Key: pr.Key, Seed: o.seed, Result: o.res}
+				rec := record{Point: o.point, Rep: o.rep, Key: pr.Key, Seed: o.seed, Run: o.desc, Result: o.res}
 				if o.err != nil {
 					rec.Error = o.err.Error()
 				}

@@ -271,6 +271,36 @@ func TestResumeRejectsMismatchedSweep(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsChangedConfig: a sweep of the same shape, keys and seeds
+// whose runs differ in configuration (here the pattern) is refused, and the
+// error names both runs' descriptions.
+func TestResumeRejectsChangedConfig(t *testing.T) {
+	pts := grid(2)
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	if _, err := Run(pts, Options{Journal: path}); err != nil {
+		t.Fatal(err)
+	}
+	r := spec.Default()
+	r.K, r.N, r.Pattern, r.Warmup, r.Measure = 3, 2, spec.Transpose, 100, 400
+	changed := grid(2)
+	for i := range changed {
+		r.Load = changed[i].Config.Load
+		changed[i].Config = simConfig(r)
+	}
+	var executed atomic.Int32
+	_, err := Run(changed, Options{Journal: path, Resume: true,
+		Run: func(_ string, cfg sim.Config) (*sim.Result, error) {
+			executed.Add(1)
+			return sim.Run(cfg)
+		}})
+	if err == nil || !strings.Contains(err.Error(), "bernoulli(uniform,") || !strings.Contains(err.Error(), "bernoulli(transpose,") {
+		t.Errorf("resume with a changed pattern: %v; want an error naming both runs", err)
+	}
+	if executed.Load() != 0 {
+		t.Errorf("refused resume still executed %d runs", executed.Load())
+	}
+}
+
 func TestResumeWithMissingJournalStartsFresh(t *testing.T) {
 	pts := grid(2)
 	path := filepath.Join(t.TempDir(), "new.jsonl")

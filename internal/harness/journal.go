@@ -12,7 +12,7 @@ import (
 
 const (
 	journalMagic   = "wormnet-harness"
-	journalVersion = 1
+	journalVersion = 2 // 2: each record carries its run's description
 )
 
 // header is the first line of a journal: enough of the sweep spec to refuse
@@ -25,14 +25,30 @@ type header struct {
 	BaseSeed   uint64 `json:"baseSeed"`
 }
 
-// record is one completed run: either Result or Error is set.
+// record is one completed run: either Result or Error is set. Run is the
+// run's description (describe), which a resume must reproduce.
 type record struct {
 	Point  int         `json:"point"`
 	Rep    int         `json:"rep"`
 	Key    string      `json:"key"`
 	Seed   uint64      `json:"seed"`
+	Run    string      `json:"run"`
 	Result *sim.Result `json:"result,omitempty"`
 	Error  string      `json:"error,omitempty"`
+}
+
+// describe is the description a journal record carries: the fingerprint
+// (sim.Fingerprint) of the run's configuration with its seed, which names
+// the topology, router, routing, detector, workload, load, recovery, phases
+// and seed. A configuration that builds no engine has none ("") and fails
+// its run with the reason. It is computed only for journaled sweeps.
+func describe(cfg sim.Config, seed uint64) string {
+	cfg.Seed = seed
+	id, err := sim.Fingerprint(cfg)
+	if err != nil {
+		return ""
+	}
+	return id
 }
 
 // readJournal loads the journal at path and validates it against the

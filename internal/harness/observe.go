@@ -46,9 +46,6 @@ type Observe struct {
 	// SeriesWindow is the sampling window in cycles
 	// (metrics.DefaultWindow when <= 0).
 	SeriesWindow int64
-	// SeriesRing bounds each run's sample ring (metrics.DefaultRing
-	// when <= 0).
-	SeriesRing int
 	// ForensicsDir, when non-empty, attaches an episode correlator to every
 	// run (as an observer on a per-run flight recorder, attached implicitly
 	// if TraceDir is off) and dumps the per-episode incident report to
@@ -130,8 +127,8 @@ type Rails struct {
 // Attach builds one run's rails and wires them into cfg; it is the only
 // place rails are put together. wantTrace, wantSeries and wantIncidents say
 // which outputs the run is for (a sweep wants a rail when its directory is
-// set, wormnet.Run when its path or address is); TraceLast, SeriesWindow and
-// SeriesRing size them. Forensics observes the trace stream, so it gets a
+// set, wormnet.Run when its path or address is); TraceLast and SeriesWindow
+// size them. Forensics observes the trace stream, so it gets a
 // ring-only recorder when trace output itself is off, and it feeds its
 // episode metrics to the collector when there is one.
 func (o Observe) Attach(cfg *sim.Config, wantTrace, wantSeries, wantIncidents bool) Rails {
@@ -141,7 +138,7 @@ func (o Observe) Attach(cfg *sim.Config, wantTrace, wantSeries, wantIncidents bo
 		cfg.Trace = r.Trace
 	}
 	if wantSeries {
-		r.Metrics = metrics.NewCollector(metrics.Options{Window: o.SeriesWindow, Ring: o.SeriesRing})
+		r.Metrics = metrics.NewCollector(metrics.Options{Window: o.SeriesWindow})
 		cfg.Metrics = r.Metrics
 	}
 	if wantIncidents {

@@ -27,7 +27,7 @@ import (
 func TestConcurrentScrapeRace(t *testing.T) {
 	cfg := tracedSweepPoints()[0].Config
 	cfg.Measure = 1 << 40 // stepped below until the scrapers are done
-	rails := Observe{SeriesWindow: 20, SeriesRing: 64}.Attach(&cfg, false, true, false)
+	rails := Observe{}.Attach(&cfg, false, true, false)
 	eng, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -77,14 +77,13 @@ func (v Victim) String() string {
 type Config struct {
 	// InitDelay is the number of cycles a header must stay blocked before
 	// its router starts probing (the analog of NDM/PDM thresholds).
-	// Defaults to 8.
 	InitDelay int64
 	// ReprobeEvery re-opens the digest-dedupe window this many cycles after
 	// a wave started, so still-blocked initiators re-probe a wait graph
 	// that may have changed shape. Defaults to 4*InitDelay.
 	ReprobeEvery int64
 	// MaxHops caps a probe's link traversals; probes past the cap are
-	// dropped. Bounds worst-case storm length. Defaults to 64.
+	// dropped. Bounds worst-case storm length.
 	MaxHops int32
 	// Transport selects the probe flit transport model.
 	Transport Transport
@@ -93,14 +92,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.InitDelay <= 0 {
-		c.InitDelay = 8
-	}
 	if c.ReprobeEvery <= 0 {
 		c.ReprobeEvery = 4 * c.InitDelay
-	}
-	if c.MaxHops <= 0 {
-		c.MaxHops = 64
 	}
 	return c
 }

@@ -101,7 +101,7 @@ func cycleN(d *Detector, f *router.Fabric, n int) int64 {
 // failed routing attempt and consumes no flit.
 func TestProbeReturnMarksInitiator(t *testing.T) {
 	r := newRing(t)
-	d := New(r.fab, Config{InitDelay: 1})
+	d := New(r.fab, Config{InitDelay: 1, MaxHops: 64})
 	r.b.Attempts, r.c.Attempts = 1, 1 // blocked, but only A initiates
 	if registerBlocked(d, r.fab, r.a, 0) {
 		t.Fatal("RouteFailed marked A before any probe ran")
@@ -133,7 +133,7 @@ func TestProbeReturnMarksInitiator(t *testing.T) {
 // The totals in the report are the detector's live ones.
 func TestCapabilities(t *testing.T) {
 	r := newRing(t)
-	d := New(r.fab, Config{InitDelay: 1})
+	d := New(r.fab, Config{InitDelay: 1, MaxHops: 64})
 	c := d.Capabilities()
 	if c.SetTracer == nil || c.ProbeTotals == nil || c.AppendState == nil {
 		t.Fatalf("missing capability: tracer %v, probe totals %v, encoding %v",
@@ -160,7 +160,7 @@ func TestCapabilities(t *testing.T) {
 // so the model checker could merge two different states.
 func TestAppendStateCountsTwoBytes(t *testing.T) {
 	r := newRing(t)
-	d := New(r.fab, Config{InitDelay: 1})
+	d := New(r.fab, Config{InitDelay: 1, MaxHops: 64})
 	registerBlocked(d, r.fab, r.a, 0)
 	now := cycleN(d, r.fab, 1)
 	if len(d.probes) != 1 || len(d.blocked) != 1 {
@@ -232,7 +232,7 @@ func TestAppendStateCountsTwoBytes(t *testing.T) {
 // launches its own probe, and all three return.
 func TestThreeInitiators(t *testing.T) {
 	r := newRing(t)
-	d := New(r.fab, Config{InitDelay: 1})
+	d := New(r.fab, Config{InitDelay: 1, MaxHops: 64})
 	registerBlocked(d, r.fab, r.a, 0)
 	registerBlocked(d, r.fab, r.b, 0)
 	registerBlocked(d, r.fab, r.c, 0)
@@ -249,7 +249,7 @@ func TestThreeInitiators(t *testing.T) {
 // ReprobeEvery reopens it.
 func TestDigestDedupe(t *testing.T) {
 	r := newRing(t)
-	d := New(r.fab, Config{InitDelay: 1, ReprobeEvery: 1 << 30})
+	d := New(r.fab, Config{InitDelay: 1, ReprobeEvery: 1 << 30, MaxHops: 64})
 	r.b.Attempts, r.c.Attempts = 1, 1
 	registerBlocked(d, r.fab, r.a, 0)
 
@@ -259,7 +259,7 @@ func TestDigestDedupe(t *testing.T) {
 	}
 
 	// A short reprobe window re-opens the wave and re-probes the edge.
-	d2 := New(r.fab, Config{InitDelay: 1, ReprobeEvery: 4})
+	d2 := New(r.fab, Config{InitDelay: 1, ReprobeEvery: 4, MaxHops: 64})
 	registerBlocked(d2, r.fab, r.a, 0)
 	cycleN(d2, r.fab, 10)
 	if pt := d2.ProbeTotals(); pt.Emitted < 2 {
@@ -279,7 +279,7 @@ func TestStealIdleYieldsToData(t *testing.T) {
 		{TransportControlVC, 1},
 	} {
 		r := newRing(t)
-		d := New(r.fab, Config{InitDelay: 1, Transport: tc.transport})
+		d := New(r.fab, Config{InitDelay: 1, Transport: tc.transport, MaxHops: 64})
 		r.b.Attempts, r.c.Attempts = 1, 1
 		registerBlocked(d, r.fab, r.a, 0)
 
@@ -304,7 +304,7 @@ func TestStealIdleYieldsToData(t *testing.T) {
 // initiator A (gen 10).
 func TestVictimOldest(t *testing.T) {
 	r := newRing(t)
-	d := New(r.fab, Config{InitDelay: 1, Victim: VictimOldest})
+	d := New(r.fab, Config{InitDelay: 1, Victim: VictimOldest, MaxHops: 64})
 	r.b.Attempts, r.c.Attempts = 1, 1
 	registerBlocked(d, r.fab, r.a, 0)
 
@@ -345,7 +345,7 @@ func TestMaxHopsDropsProbe(t *testing.T) {
 // that worm is not wait-blocked.
 func TestRoutableHeaderStopsChase(t *testing.T) {
 	r := newRing(t)
-	d := New(r.fab, Config{InitDelay: 1})
+	d := New(r.fab, Config{InitDelay: 1, MaxHops: 64})
 	r.b.Attempts, r.c.Attempts = 1, 1
 	registerBlocked(d, r.fab, r.a, 0)
 
@@ -372,7 +372,7 @@ func TestRoutableHeaderStopsChase(t *testing.T) {
 // must detect the ownership change and drop.
 func TestStaleProbeDropped(t *testing.T) {
 	r := newRing(t)
-	d := New(r.fab, Config{InitDelay: 1})
+	d := New(r.fab, Config{InitDelay: 1, MaxHops: 64})
 	r.b.Attempts, r.c.Attempts = 1, 1
 	registerBlocked(d, r.fab, r.a, 0)
 
@@ -422,7 +422,7 @@ func TestBodyWalk(t *testing.T) {
 	b.Attempts, b.BlockedSince = 1, 0
 	blockWorm(fab, c, l30)
 
-	d := New(fab, Config{InitDelay: 1})
+	d := New(fab, Config{InitDelay: 1, MaxHops: 64})
 	registerBlocked(d, fab, a, 0)
 
 	// Cycle 1: emit onto B's tail VC (flit on L12). Cycle 2: walk the body
@@ -442,7 +442,7 @@ func TestBodyWalk(t *testing.T) {
 // were launched neither marks nor initiates further waves.
 func TestRouteSucceededClearsState(t *testing.T) {
 	r := newRing(t)
-	d := New(r.fab, Config{InitDelay: 1})
+	d := New(r.fab, Config{InitDelay: 1, MaxHops: 64})
 	r.b.Attempts, r.c.Attempts = 1, 1
 	registerBlocked(d, r.fab, r.a, 0)
 	cycleN(d, r.fab, 3) // probe returns, pendingMark[A] set
@@ -497,7 +497,7 @@ func TestSelfDeadlockDetected(t *testing.T) {
 	m.Attempts = 1
 	m.BlockedSince = 0
 
-	d := New(fab, Config{InitDelay: 1})
+	d := New(fab, Config{InitDelay: 1, MaxHops: 64})
 	if registerBlocked(d, fab, m, 0) {
 		t.Fatal("RouteFailed marked the worm before any probe ran")
 	}
@@ -525,7 +525,7 @@ func TestSelfDeadlockDetected(t *testing.T) {
 func probingRing(t *testing.T) (*ringFixture, *Detector, int64) {
 	t.Helper()
 	r := newRing(t)
-	d := New(r.fab, Config{InitDelay: 2, Transport: TransportControlVC})
+	d := New(r.fab, Config{InitDelay: 2, Transport: TransportControlVC, MaxHops: 64})
 	for _, m := range []*router.Message{r.a, r.b, r.c} {
 		registerBlocked(d, r.fab, m, 0)
 	}
@@ -544,7 +544,7 @@ func probingRing(t *testing.T) (*ringFixture, *Detector, int64) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	r, d, now := probingRing(t)
 	snapBytes := d.Snapshot(nil)
-	fresh := New(r.fab, Config{InitDelay: 2, Transport: TransportControlVC})
+	fresh := New(r.fab, Config{InitDelay: 2, Transport: TransportControlVC, MaxHops: 64})
 	if err := fresh.Restore(snapBytes); err != nil {
 		t.Fatal(err)
 	}
@@ -744,7 +744,7 @@ func TestRestoreRejectsNonCanonical(t *testing.T) {
 			}
 		})
 	}
-	fresh := New(r.fab, Config{InitDelay: 2, Transport: TransportControlVC})
+	fresh := New(r.fab, Config{InitDelay: 2, Transport: TransportControlVC, MaxHops: 64})
 	if err := fresh.Restore(good); err != nil {
 		t.Fatalf("the untouched snapshot no longer restores: %v", err)
 	}

@@ -206,7 +206,7 @@ func (DuatoProtocol) Candidates(f *router.Fabric, m *router.Message, node int, b
 // ByName returns the algorithm with the given name.
 func ByName(name string) (Algorithm, bool) {
 	switch name {
-	case "", "adaptive", "true-fully-adaptive", "tfa":
+	case "adaptive", "true-fully-adaptive", "tfa":
 		return TrueFullyAdaptive{}, true
 	case "dor", "dimension-order", "ecube":
 		return DimensionOrder{}, true

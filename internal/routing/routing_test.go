@@ -24,7 +24,6 @@ func msgTo(f *router.Fabric, dst int) *router.Message {
 
 func TestByName(t *testing.T) {
 	for name, want := range map[string]string{
-		"":                    "true-fully-adaptive",
 		"adaptive":            "true-fully-adaptive",
 		"tfa":                 "true-fully-adaptive",
 		"true-fully-adaptive": "true-fully-adaptive",
@@ -39,8 +38,10 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q) = %v, %v", name, alg, ok)
 		}
 	}
-	if _, ok := ByName("bogus"); ok {
-		t.Error("bogus algorithm resolved")
+	for _, name := range []string{"bogus", ""} {
+		if _, ok := ByName(name); ok {
+			t.Errorf("ByName(%q) resolved", name)
+		}
 	}
 }
 

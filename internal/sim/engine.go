@@ -171,8 +171,8 @@ type Engine struct {
 	listed []uint8
 }
 
-// New builds an Engine from cfg. The configuration is validated; defaults
-// are filled in for zero-valued optional fields.
+// New builds an Engine from cfg once cfg.Validate accepts it; cfg is used
+// as given.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"wormnet/internal/detect"
 	"wormnet/internal/recovery"
 	"wormnet/internal/router"
+	"wormnet/internal/routing"
 	"wormnet/internal/topology"
 	"wormnet/internal/traffic"
 )
@@ -23,6 +24,7 @@ func smallConfig() Config {
 		Pattern:        uniformPattern,
 		Lengths:        traffic.Fixed(16),
 		Load:           0.2,
+		Routing:        routing.TrueFullyAdaptive{},
 		Detector:       func(f *router.Fabric) detect.Detector { return detect.NewNDM(f, 32) },
 		Recovery:       recovery.Progressive,
 		InjectionLimit: 6,

@@ -30,7 +30,7 @@ var fuzzConfigs = []func() Config{
 		return fuzzStorm(func(f *router.Fabric) detect.Detector { return detect.NewPDM(f, 24) })
 	},
 	func() Config {
-		return fuzzStorm(func(f *router.Fabric) detect.Detector { return probe.New(f, probe.Config{InitDelay: 8}) })
+		return fuzzStorm(func(f *router.Fabric) detect.Detector { return probe.New(f, probe.Config{InitDelay: 8, MaxHops: 64}) })
 	},
 	func() Config {
 		cfg := fuzzStorm(func(f *router.Fabric) detect.Detector { return detect.NewNDM(f, 16) })

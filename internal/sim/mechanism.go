@@ -21,11 +21,10 @@ type Mechanism struct {
 	// (it overrides Probe.InitDelay); every mechanism but "none" needs at
 	// least 1.
 	Threshold int64
-	// T1 and Promotion apply to NDM only; a zero T1 selects the paper's 1.
+	// T1 and Promotion apply to NDM only; NDM needs 1 <= T1 <= Threshold.
 	T1        int64
 	Promotion detect.PromotionPolicy
-	// Probe holds CMH's remaining knobs; zero values select the
-	// internal/probe defaults.
+	// Probe holds CMH's remaining knobs; its hop cap must be at least 1.
 	Probe probe.Config
 }
 
@@ -36,9 +35,8 @@ var mechanisms = []struct {
 	build func(Mechanism) DetectorFactory
 }{
 	{"ndm", func(m Mechanism) DetectorFactory {
-		t1 := max(m.T1, 1)
 		return func(f *router.Fabric) detect.Detector {
-			return detect.NewNDMOpt(f, t1, m.Threshold, m.Promotion)
+			return detect.NewNDMOpt(f, m.T1, m.Threshold, m.Promotion)
 		}
 	}},
 	{"pdm", func(m Mechanism) DetectorFactory {
@@ -73,21 +71,21 @@ func MechanismNames() []string {
 }
 
 // Factory resolves the description into the Config.Detector value: nil for
-// "none", an error for an unknown name or for parameters the mechanism would
-// otherwise silently replace (a threshold below 1, a negative probe hop cap).
+// "none", an error for an unknown name or for parameters out of range (a
+// threshold below 1, an NDM t1 outside [1, t2], a probe hop cap below 1).
 func (m Mechanism) Factory() (DetectorFactory, error) {
 	for _, k := range mechanisms {
 		if k.name != m.Name {
 			continue
 		}
-		switch t1 := max(m.T1, 1); {
+		switch {
 		case m.Name == "none":
-		case m.Name == "ndm" && m.Threshold < t1:
-			return nil, fmt.Errorf("sim: ndm needs 1 <= t1 <= t2, got t1=%d t2=%d", t1, m.Threshold)
+		case m.Name == "ndm" && (m.T1 < 1 || m.Threshold < m.T1):
+			return nil, fmt.Errorf("sim: ndm needs 1 <= t1 <= t2, got t1=%d t2=%d", m.T1, m.Threshold)
 		case m.Threshold < 1:
 			return nil, fmt.Errorf("sim: %s needs a threshold of at least 1, got %d", m.Name, m.Threshold)
-		case m.Name == "cmh" && m.Probe.MaxHops < 0:
-			return nil, fmt.Errorf("sim: cmh probe hop cap %d, want 0 (the default) or more", m.Probe.MaxHops)
+		case m.Name == "cmh" && m.Probe.MaxHops < 1:
+			return nil, fmt.Errorf("sim: cmh probe hop cap %d, want at least 1", m.Probe.MaxHops)
 		}
 		return k.build(m), nil
 	}

@@ -31,7 +31,7 @@ func TestMechanismFactory(t *testing.T) {
 		t.Fatalf("MechanismNames() = %v, want %d detectors then \"none\"", names, len(want))
 	}
 	for _, name := range names {
-		f, err := Mechanism{Name: name, Threshold: 32}.Factory()
+		f, err := Mechanism{Name: name, Threshold: 32, T1: 1, Probe: probe.Config{MaxHops: 64}}.Factory()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

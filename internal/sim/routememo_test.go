@@ -122,7 +122,7 @@ func TestRouteMemoLifecycleUnderRecovery(t *testing.T) {
 		{"ndm-regressive", func(c *Config) { c.Recovery = recovery.Regressive }},
 		{"cmh", func(c *Config) {
 			c.Detector = func(f *router.Fabric) detect.Detector {
-				return probe.New(f, probe.Config{InitDelay: 8})
+				return probe.New(f, probe.Config{InitDelay: 8, MaxHops: 64})
 			}
 		}},
 	}

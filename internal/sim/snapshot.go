@@ -70,6 +70,19 @@ func (e *Engine) fingerprint() []byte {
 	return e.snapID
 }
 
+// Fingerprint returns the fingerprint an engine built from cfg stamps on its
+// snapshots: the one text that says exactly which run a snapshot, or a
+// sweep journal's record, belongs to. It builds the engine to ask it, without
+// cfg's rails, which the fingerprint does not cover.
+func Fingerprint(cfg Config) (string, error) {
+	cfg.Trace, cfg.Metrics = nil, nil
+	e, err := New(cfg)
+	if err != nil {
+		return "", err
+	}
+	return string(e.fingerprint()), nil
+}
+
 // Snapshot appends the engine's state to dst and returns the extended slice.
 // It must be called between Steps. The encoding is deterministic — equal
 // states give equal bytes — and Snapshot does not allocate once dst has the

@@ -47,7 +47,7 @@ func gateCases() []gateCase {
 	}{
 		{"ndm", func(f *router.Fabric) detect.Detector { return detect.NewNDM(f, 16) }},
 		{"pdm", func(f *router.Fabric) detect.Detector { return detect.NewPDM(f, 24) }},
-		{"cmh", func(f *router.Fabric) detect.Detector { return probe.New(f, probe.Config{InitDelay: 8}) }},
+		{"cmh", func(f *router.Fabric) detect.Detector { return probe.New(f, probe.Config{InitDelay: 8, MaxHops: 64}) }},
 		{"hdr-block", func(*router.Fabric) detect.Detector { return detect.NewHeaderBlockTimeout(24) }},
 	}
 	loads := []struct {
@@ -441,7 +441,7 @@ func TestRestoreRefusesInconsistentState(t *testing.T) {
 // its dedupe windows through a reused key buffer).
 func TestSnapshotWarmBufferAllocationFree(t *testing.T) {
 	for _, mech := range []string{"ndm", "pdm", "cmh"} {
-		det, err := Mechanism{Name: mech, Threshold: 8}.Factory()
+		det, err := Mechanism{Name: mech, Threshold: 8, T1: 1, Probe: probe.Config{MaxHops: 64}}.Factory()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -170,7 +170,7 @@ var kernelDetectors = []struct {
 	}},
 	{"cmh", func(c *Config) {
 		c.Detector = func(f *router.Fabric) detect.Detector {
-			return probe.New(f, probe.Config{InitDelay: 8})
+			return probe.New(f, probe.Config{InitDelay: 8, MaxHops: 64})
 		}
 	}},
 }

@@ -8,7 +8,6 @@
 package spec
 
 import (
-	"cmp"
 	"flag"
 	"fmt"
 	"strconv"
@@ -159,17 +158,17 @@ type Run struct {
 
 	// Workload.
 	Pattern Pattern
-	// LocalityRadius applies to the Locality pattern (default 2).
+	// LocalityRadius applies to the Locality pattern and must be at least 1.
 	LocalityRadius int
 	// HotFraction applies to the HotSpot pattern: the share of traffic
-	// destined for node 0 (default 5%).
+	// destined for node 0, in [0, 1].
 	HotFraction float64
 	Lengths     Lengths
 	// Load is the offered traffic in flits/cycle/node, generated by the
 	// paper's Bernoulli process.
 	Load float64
 
-	// Routing selects the routing algorithm (default: the paper's true
+	// Routing selects the routing algorithm (Default: the paper's true
 	// fully adaptive routing). The deadlock-free algorithms (DOR, Duato)
 	// must run with Mechanism == NoDetection.
 	Routing Routing
@@ -178,15 +177,14 @@ type Run struct {
 	// but NoDetection needs a threshold of at least 1.
 	Mechanism Mechanism
 	Threshold int64
-	// T1 is NDM's short threshold (default 1, as in the paper).
+	// T1 is NDM's short threshold, at least 1 and at most Threshold.
 	T1 int64
 	// SelectivePromotion enables the selective P->G re-arming variant the
 	// paper mentions as future work (default: the paper's simple policy).
 	SelectivePromotion bool
 
 	// CMH-only knobs; ignored by the other mechanisms. Threshold doubles
-	// as CMH's probe initiation delay. Zero values select the internal/probe
-	// defaults (steal-idle transport, local victim, 64-hop cap).
+	// as CMH's probe initiation delay, and the hop cap must be at least 1.
 	ProbeTransport ProbeTransport
 	ProbeVictim    ProbeVictim
 	ProbeMaxHops   int
@@ -210,7 +208,9 @@ type Run struct {
 
 // Default returns the paper's baseline: 8-ary 3-cube, 3 VCs with 4-flit
 // buffers, 4 ports, uniform 16-flit traffic at a moderate load, NDM with
-// threshold 32, progressive recovery, injection limitation on.
+// t1=1 and t2=32, progressive recovery, injection limitation on. It is the
+// only place a run default is written down: below it, every zero or empty
+// field means what it says or is refused.
 func Default() Run {
 	return Run{
 		K: 8, N: 3,
@@ -226,6 +226,9 @@ func Default() Run {
 		Mechanism:       NDM,
 		Threshold:       32,
 		T1:              1,
+		ProbeTransport:  ProbeStealIdle,
+		ProbeVictim:     ProbeVictimLocal,
+		ProbeMaxHops:    64,
 		Recovery:        Progressive,
 		// Of the 18 output VCs per node (6 channels x 3 VCs), admit a new
 		// message only while at most a third are busy: the calibration that
@@ -246,10 +249,10 @@ func (r Run) Validate() error {
 
 func (r Run) patternFactory() (sim.PatternFactory, error) {
 	switch r.Pattern {
-	case Uniform, "":
+	case Uniform:
 		return func(t *topology.Torus) traffic.Pattern { return traffic.NewUniform(t) }, nil
 	case Locality:
-		rad := cmp.Or(r.LocalityRadius, 2)
+		rad := r.LocalityRadius
 		if rad < 1 {
 			return nil, fmt.Errorf("wormnet: locality radius %d, want at least 1", rad)
 		}
@@ -261,7 +264,7 @@ func (r Run) patternFactory() (sim.PatternFactory, error) {
 	case Butterfly:
 		return r.bitPermutation(traffic.NewButterfly)
 	case HotSpot:
-		frac := cmp.Or(r.HotFraction, 0.05)
+		frac := r.HotFraction
 		if frac < 0 || frac > 1 {
 			return nil, fmt.Errorf("wormnet: hot-spot fraction %g, want one in [0, 1]", frac)
 		}
@@ -291,7 +294,7 @@ func (r Run) bitPermutation(build sim.PatternFactory) (sim.PatternFactory, error
 // mechanism describes the configured detector for sim.Mechanism.Factory,
 // the one place mechanism names are resolved.
 func (r Run) mechanism() (sim.Mechanism, error) {
-	m := sim.Mechanism{Name: string(cmp.Or(r.Mechanism, NDM)), Threshold: r.Threshold, T1: r.T1}
+	m := sim.Mechanism{Name: string(r.Mechanism), Threshold: r.Threshold, T1: r.T1}
 	if r.SelectivePromotion {
 		m.Promotion = detect.PromoteWaiting
 	}
@@ -300,7 +303,7 @@ func (r Run) mechanism() (sim.Mechanism, error) {
 	}
 	m.Probe.MaxHops = int32(r.ProbeMaxHops)
 	switch r.ProbeTransport {
-	case ProbeStealIdle, "":
+	case ProbeStealIdle:
 		m.Probe.Transport = probe.TransportStealIdle
 	case ProbeControlVC:
 		m.Probe.Transport = probe.TransportControlVC
@@ -308,7 +311,7 @@ func (r Run) mechanism() (sim.Mechanism, error) {
 		return m, fmt.Errorf("wormnet: unknown probe transport %q", r.ProbeTransport)
 	}
 	switch r.ProbeVictim {
-	case ProbeVictimLocal, "":
+	case ProbeVictimLocal:
 		m.Probe.Victim = probe.VictimLocal
 	case ProbeVictimOldest:
 		m.Probe.Victim = probe.VictimOldest
@@ -317,6 +320,10 @@ func (r Run) mechanism() (sim.Mechanism, error) {
 	}
 	return m, nil
 }
+
+// sourceQueue bounds every node's source queue: while 16 messages wait, the
+// node generates no more.
+const sourceQueue = 16
 
 // SimConfig translates the description into the engine configuration: the
 // names become factories, and the result passes sim.Config.Validate. The
@@ -349,7 +356,7 @@ func (r Run) SimConfig() (sim.Config, error) {
 	}
 	var rec recovery.Style
 	switch r.Recovery {
-	case Progressive, "":
+	case Progressive:
 		rec = recovery.Progressive
 	case Regressive:
 		rec = recovery.Regressive
@@ -364,7 +371,7 @@ func (r Run) SimConfig() (sim.Config, error) {
 		Router:  router.Config{VCsPerLink: r.VirtualChannels, BufFlits: r.BufferFlits, InjPorts: r.Ports, DelPorts: r.Ports},
 		Pattern: pat, Lengths: dist, Load: r.Load,
 		Routing: alg, Detector: det, Recovery: rec,
-		InjectionLimit: r.InjectionLimit, OracleEvery: r.OracleEvery,
+		InjectionLimit: r.InjectionLimit, MaxSourceQueue: sourceQueue, OracleEvery: r.OracleEvery,
 		Warmup: r.Warmup, Measure: r.Measure, Seed: r.Seed,
 	}
 	if err := sc.Validate(); err != nil {

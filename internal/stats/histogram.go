@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"wormnet/internal/snap"
@@ -323,74 +322,4 @@ func (h *Histogram) Bars(width int) string {
 		fmt.Fprintf(&sb, "%8d.. %s %d\n", h.lowerBound(b), strings.Repeat("#", n), h.counts[b])
 	}
 	return sb.String()
-}
-
-// Series is a collection of scalar observations from repeated runs (e.g.
-// the detection percentage across seeds), summarized with mean, deviation
-// and a normal-approximation confidence interval.
-type Series struct {
-	vals []float64
-}
-
-// Add records an observation.
-func (s *Series) Add(v float64) { s.vals = append(s.vals, v) }
-
-// N returns the number of observations.
-func (s *Series) N() int { return len(s.vals) }
-
-// Mean returns the sample mean.
-func (s *Series) Mean() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum / float64(len(s.vals))
-}
-
-// StdDev returns the sample standard deviation (n-1 normalization).
-func (s *Series) StdDev() float64 {
-	n := len(s.vals)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, v := range s.vals {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
-// CI95 returns the half-width of a 95% confidence interval for the mean
-// using the normal approximation (adequate for the >= 5 seeds the harness
-// uses).
-func (s *Series) CI95() float64 {
-	n := len(s.vals)
-	if n < 2 {
-		return 0
-	}
-	return 1.96 * s.StdDev() / math.Sqrt(float64(n))
-}
-
-// Median returns the sample median.
-func (s *Series) Median() float64 {
-	n := len(s.vals)
-	if n == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), s.vals...)
-	sort.Float64s(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
-}
-
-// String renders "mean ± ci95 (n=N)".
-func (s *Series) String() string {
-	return fmt.Sprintf("%.4f ± %.4f (n=%d)", s.Mean(), s.CI95(), s.N())
 }

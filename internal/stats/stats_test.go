@@ -2,7 +2,6 @@ package stats
 
 import (
 	"bytes"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -201,33 +200,6 @@ func TestHistogramBars(t *testing.T) {
 	}
 	if h.Bars(0) != "" {
 		t.Error("width 0 should render nothing")
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	if s.Mean() != 0 || s.StdDev() != 0 || s.CI95() != 0 || s.Median() != 0 {
-		t.Error("empty series not zeroed")
-	}
-	for _, v := range []float64{1, 2, 3, 4, 5} {
-		s.Add(v)
-	}
-	if s.N() != 5 || s.Mean() != 3 || s.Median() != 3 {
-		t.Errorf("series stats: %s", s.String())
-	}
-	if sd := s.StdDev(); math.Abs(sd-math.Sqrt(2.5)) > 1e-12 {
-		t.Errorf("stddev %v", sd)
-	}
-	want := 1.96 * math.Sqrt(2.5) / math.Sqrt(5)
-	if ci := s.CI95(); math.Abs(ci-want) > 1e-12 {
-		t.Errorf("ci95 %v, want %v", ci, want)
-	}
-	var even Series
-	for _, v := range []float64{4, 1, 3, 2} {
-		even.Add(v)
-	}
-	if even.Median() != 2.5 {
-		t.Errorf("even median %v", even.Median())
 	}
 }
 

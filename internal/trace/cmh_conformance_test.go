@@ -52,7 +52,7 @@ func TestCMHTraceConformance(t *testing.T) {
 			cfg := saturatedConfig(tc.k, tc.n, initDelay, tc.seed)
 			cfg.Measure = measure
 			cfg.Detector = func(f *router.Fabric) detect.Detector {
-				return probe.New(f, probe.Config{InitDelay: initDelay})
+				return probe.New(f, probe.Config{InitDelay: initDelay, MaxHops: 64})
 			}
 			events := captureTrace(t, cfg)
 			if len(events) == 0 {

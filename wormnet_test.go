@@ -153,7 +153,10 @@ func TestInvalidParametersAreErrors(t *testing.T) {
 // TestSilentRewritesAreErrors: parameters a detector or the engine used to
 // replace without a word (a CMH delay of 0 ran as 8, a negative hop cap as
 // 64, a negative oracle interval as no oracle) or run as nonsense (a
-// negative timeout) are refused by SimConfig.
+// negative timeout) are refused by SimConfig. So is every zero or empty value
+// that used to stand for spec.Default's (an empty name ran the default
+// pattern, mechanism, routing, recovery, probe transport or victim; a zero
+// locality radius ran 2, a zero hop cap 64, and a t1 below 1 ran 1).
 func TestSilentRewritesAreErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -165,6 +168,16 @@ func TestSilentRewritesAreErrors(t *testing.T) {
 		{"hdr-block-th-negative", func(c *Config) { c.Mechanism, c.Threshold = HeaderBlock, -5 }},
 		{"src-age-th0", func(c *Config) { c.Mechanism, c.Threshold = SourceAge, 0 }},
 		{"src-stall-th0", func(c *Config) { c.Mechanism, c.Threshold = SourceStall, 0 }},
+		{"pattern-empty", func(c *Config) { c.Pattern = "" }},
+		{"mechanism-empty", func(c *Config) { c.Mechanism = "" }},
+		{"routing-empty", func(c *Config) { c.Routing = "" }},
+		{"recovery-empty", func(c *Config) { c.Recovery = "" }},
+		{"locality-radius-0", func(c *Config) { c.Pattern, c.LocalityRadius = Locality, 0 }},
+		{"ndm-t1-0", func(c *Config) { c.T1 = 0 }},
+		{"ndm-t1-negative-selective", func(c *Config) { c.T1, c.SelectivePromotion = -5, true }},
+		{"cmh-probe-hops-0", func(c *Config) { c.Mechanism, c.ProbeMaxHops = CMH, 0 }},
+		{"cmh-probe-transport-empty", func(c *Config) { c.Mechanism, c.ProbeTransport = CMH, "" }},
+		{"cmh-probe-victim-empty", func(c *Config) { c.Mechanism, c.ProbeVictim = CMH, "" }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := small()
@@ -173,6 +186,23 @@ func TestSilentRewritesAreErrors(t *testing.T) {
 				t.Fatal("SimConfig accepted the configuration")
 			}
 		})
+	}
+}
+
+// TestHotFractionZeroRunsItsValue: a hot-spot fraction of 0 runs a 0 % hot
+// spot (it once ran spec.Default's 5 %), so its counters differ from 0.05's.
+func TestHotFractionZeroRunsItsValue(t *testing.T) {
+	run := func(frac float64) Metrics {
+		cfg := small()
+		cfg.Pattern, cfg.HotFraction = HotSpot, frac
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Metrics
+	}
+	if zero, five := run(0), run(0.05); zero == five {
+		t.Errorf("hot fraction 0 ran the same as 0.05: %+v", zero)
 	}
 }
 
