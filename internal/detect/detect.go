@@ -85,13 +85,13 @@ type Capabilities struct {
 	// with the detection-threshold (DT) flag set, and input channels holding
 	// G. A mechanism without a flag class reports zero for it (PDM's single
 	// inactivity flag maps onto DT). The counts are maintained
-	// incrementally, so sampling is O(1). The engine takes the DT count once
-	// per cycle, right after EndCycle, for both the measured window and the
-	// metrics collector, so DT flags must change only inside EndCycle.
+	// incrementally, so sampling is O(1). The engine adds the DT count to
+	// its whole-run counters once per cycle, right after EndCycle, so DT
+	// flags must change only inside EndCycle.
 	FlagCounts func() (iFlags, dtFlags, gFlags int)
 	// ProbeTotals snapshots the cumulative control-message activity of a
-	// probe-based (edge-chasing) detector; the engine differences successive
-	// snapshots once per cycle, after EndCycle.
+	// probe-based (edge-chasing) detector; the engine reads it once per
+	// cycle, after EndCycle, into its whole-run counters.
 	ProbeTotals func() ProbeTotals
 	// AppendState folds the detector's internal state into the model
 	// checker's canonical state encoding (internal/mc). Two detector states
@@ -123,8 +123,7 @@ type Capabilities struct {
 
 // ProbeTotals is a snapshot of the cumulative control-message activity of a
 // probe-based (edge-chasing) detector. All counters are monotonic totals
-// since construction; the engine differences successive snapshots to charge
-// per-cycle metrics and the measured window.
+// since construction; the engine copies them into its whole-run counters.
 type ProbeTotals struct {
 	// Emitted counts probes launched by blocked initiators.
 	Emitted int64
@@ -143,18 +142,6 @@ type ProbeTotals struct {
 	// InFlight is the number of probes currently traversing the fabric
 	// (a gauge, not a total).
 	InFlight int
-}
-
-// Sub returns the activity between the earlier snapshot prev and t: the
-// difference of every cumulative counter. InFlight is a gauge, not a total,
-// and keeps t's value.
-func (t ProbeTotals) Sub(prev ProbeTotals) ProbeTotals {
-	t.Emitted -= prev.Emitted
-	t.Forwarded -= prev.Forwarded
-	t.Dropped -= prev.Dropped
-	t.Returned -= prev.Returned
-	t.Flits -= prev.Flits
-	return t
 }
 
 // passive supplies the events and the (empty) capability report of

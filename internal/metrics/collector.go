@@ -7,11 +7,13 @@ import (
 	"io"
 	"strconv"
 	"sync"
+
+	"wormnet/internal/stats"
 )
 
-// Metric identifies one of the collector's event counters. The engine
-// increments them at its instrumentation sites through Inc/Add; each maps
-// onto a registered Prometheus counter.
+// Metric identifies one of the collector's event counters; each maps onto a
+// registered Prometheus counter. The engine's counters come first: EndCycle
+// stores the engine's whole-run totals into them once per cycle.
 type Metric uint8
 
 // Event counters.
@@ -58,6 +60,9 @@ const (
 
 	numMetrics
 )
+
+// numEngineMetrics counts the engine's counters, MGenerated..MProbeFlits.
+const numEngineMetrics = MEpisodesTrue
 
 // metricSpec declares how each event counter appears in the registry.
 var metricSpecs = [numMetrics]struct {
@@ -171,11 +176,11 @@ const (
 )
 
 // Collector is the hot-path façade of the metrics subsystem: the engine
-// (and recovery, via the engine's hooks) call its nil-safe methods at
-// instrumentation sites, and its sampler snapshots network state every
-// window. A Collector is owned by exactly one simulation engine; sweeps
-// attach a distinct collector per run. Scrapers (the HTTP exporter, status
-// snapshots, series dumps) may read concurrently with the simulation.
+// observes its latency histograms at their sites and publishes its event
+// totals once per cycle through EndCycle, and the sampler snapshots network
+// state every window. A Collector is owned by exactly one simulation engine;
+// sweeps attach a distinct collector per run. Scrapers (the HTTP exporter,
+// status snapshots, series dumps) may read concurrently with the simulation.
 type Collector struct {
 	reg    *Registry
 	window int64
@@ -313,23 +318,6 @@ func (c *Collector) Attach(detector string, dims int) {
 	}
 }
 
-// Inc adds one to event counter m. Safe (and free beyond one branch) on a
-// nil receiver.
-func (c *Collector) Inc(m Metric) {
-	if c == nil {
-		return
-	}
-	c.counts[m].Inc()
-}
-
-// Add adds d to event counter m. Nil-safe.
-func (c *Collector) Add(m Metric, d int64) {
-	if c == nil {
-		return
-	}
-	c.counts[m].Add(d)
-}
-
 // Value returns event counter m's current value (0 on a nil receiver).
 func (c *Collector) Value(m Metric) int64 {
 	if c == nil {
@@ -392,14 +380,35 @@ func (c *Collector) SetEpisodesOpen(n int) {
 	c.gEpisodesOpen.Set(int64(n))
 }
 
-// EndCycle advances the collector's clock and, on window boundaries, takes
-// a sample by probing p. The engine calls it once per Step; on a nil
-// receiver it is a single branch.
-func (c *Collector) EndCycle(now int64, p Prober) {
+// EndCycle publishes the engine's whole-run totals t, with the flits
+// progressive recovery has absorbed so far, and, on window boundaries, takes
+// a sample by probing p. The engine calls it once per Step, at the end of
+// cycle now; on a nil receiver it is a single branch.
+func (c *Collector) EndCycle(now int64, t *stats.Counters, absorbedFlits int64, p Prober) {
 	if c == nil {
 		return
 	}
-	c.counts[MCycles].Inc()
+	totals := [numEngineMetrics]int64{
+		MGenerated:       t.Generated,
+		MInjected:        t.Injected,
+		MDelivered:       t.Delivered,
+		MDeliveredFlits:  t.DeliveredFlits,
+		MMarkedTrue:      t.TrueMarked,
+		MMarkedFalse:     t.FalseMarked,
+		MRecovered:       t.Absorbed + t.Aborted,
+		MReinjected:      t.Reinjected,
+		MAbsorbedFlits:   absorbedFlits,
+		MCycles:          t.Cycles,
+		MDTFlagCycles:    t.DTFlagCycleSum,
+		MProbesEmitted:   t.ProbesEmitted,
+		MProbesForwarded: t.ProbesForwarded,
+		MProbesDropped:   t.ProbesDropped,
+		MProbesReturned:  t.ProbesReturned,
+		MProbeFlits:      t.ProbeFlits,
+	}
+	for m, v := range totals {
+		c.counts[m].v.Store(v)
+	}
 	if now < c.nextSample {
 		return
 	}

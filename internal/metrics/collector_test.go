@@ -3,6 +3,8 @@ package metrics
 import (
 	"strings"
 	"testing"
+
+	"wormnet/internal/stats"
 )
 
 // fakeProber stamps recognizable gauge values, scaled by how often it has
@@ -29,9 +31,11 @@ func meteredCollector(t *testing.T, window int64, ring int, cycles int64) (*Coll
 	c := NewCollector(Options{Window: window, Ring: ring})
 	c.Attach("test", 2)
 	p := &fakeProber{}
+	var totals stats.Counters
 	for now := int64(0); now < cycles; now++ {
-		c.Inc(MDelivered)
-		c.EndCycle(now, p)
+		totals.Cycles++
+		totals.Delivered++
+		c.EndCycle(now, &totals, 0, p)
 	}
 	return c, p
 }
@@ -165,12 +169,10 @@ func TestSnapshot(t *testing.T) {
 
 func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
-	c.Inc(MDelivered)
-	c.Add(MDeliveredFlits, 5)
 	c.ObserveLatency(1)
 	c.ObserveDetectDelay(1)
 	c.ObserveDetectLatency(1)
-	c.EndCycle(0, nil)
+	c.EndCycle(0, &stats.Counters{Delivered: 1}, 5, nil)
 	c.SetClassVCs(1, 2, 3)
 	c.Attach("x", 3)
 	if c.Registry() != nil || c.Window() != 0 || c.Value(MDelivered) != 0 ||

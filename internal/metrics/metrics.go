@@ -11,9 +11,10 @@
 // receiver and returns immediately, so an unmetered simulation pays one
 // predictable branch per instrumentation site and performs zero
 // allocations. With a collector attached, counters and gauges are single
-// atomic operations and histogram observations are a bounds walk plus two
-// atomic adds — still zero allocations — so scrapers may read concurrently
-// with the simulation goroutine.
+// atomic operations — the engine's event counters are stored once per
+// cycle from its whole-run totals — and histogram observations are a
+// bounds walk plus two atomic adds — still zero allocations — so scrapers
+// may read concurrently with the simulation goroutine.
 //
 // Metrics are pure observation: they never feed back into simulation
 // behavior, so fixed-seed sweep output is byte-identical with metrics on

@@ -52,9 +52,17 @@ type Engine struct {
 	gen    *traffic.Generator
 	alg    routing.Algorithm
 
+	// st holds the whole-run totals, every event counted once, warm-up
+	// included; base and end are its readings when cycles Warmup and
+	// Warmup+Measure begin, so the measurement window is their difference
+	// (Stats). measuring is true inside the window: only the window's
+	// histograms and maxima (MaxLatency, MaxDeadlockSet) check it. view is
+	// what Stats returns a pointer to.
 	now        int64
 	measuring  bool
 	st         stats.Counters
+	base, end  stats.Counters
+	view       stats.Counters
 	latHist    *stats.Histogram
 	delayHist  *stats.Histogram
 	detLatHist *stats.Histogram
@@ -63,18 +71,13 @@ type Engine struct {
 	// methods are nil-safe, so emit sites do not guard the pointer.
 	tr *trace.Recorder
 	// mc is the live metrics collector; nil when metrics are off. Collector
-	// methods are nil-safe, so counter sites do not guard the pointer; the
-	// per-cycle block in Step does, to skip its side computations entirely.
+	// methods are nil-safe, so observation sites do not guard the pointer.
 	mc *metrics.Collector
-	// lastAbsorbedFlits is the recovery absorption total already forwarded
-	// to the metrics collector.
-	lastAbsorbedFlits int64
 	// caps is the detector's capability report, read once in New; every
-	// field may be nil. lastProbe holds the previous cycle's ProbeTotals
-	// snapshot so Step can charge per-cycle deltas to the measured window and
-	// the metrics collector.
-	caps      detect.Capabilities
-	lastProbe detect.ProbeTotals
+	// field may be nil. probesInFlight is the probes-in-flight gauge of the
+	// ProbeTotals Step read after this cycle's EndCycle, for ProbeMetrics.
+	caps           detect.Capabilities
+	probesInFlight int
 	// oracleSeen[id] is the cycle the oracle first observed message id in
 	// the deadlocked set (-1 = not currently deadlocked). Cleared when the
 	// message routes, delivers, or is re-queued. Grown on demand; in steady
@@ -286,6 +289,7 @@ func New(cfg Config) (*Engine, error) {
 	e.candBuf = make([]router.LinkID, 0, maxCands)
 	e.st.Nodes = topo.Nodes()
 	e.st.NetLinks = fab.NumNetLinks()
+	e.base, e.end = e.st, e.st
 	return e, nil
 }
 
@@ -308,8 +312,21 @@ func (e *Engine) Oracle() *deadlock.Oracle { return e.oracle }
 // Now returns the current cycle.
 func (e *Engine) Now() int64 { return e.now }
 
-// Stats returns the counters accumulated so far in the measurement window.
-func (e *Engine) Stats() *stats.Counters { return &e.st }
+// Stats returns the counters of the measurement window as they stand: zero
+// during warm-up, the counts since the window opened inside it, and the
+// window's final counts once it has closed. The pointer stays valid until
+// the next call.
+func (e *Engine) Stats() *stats.Counters {
+	switch {
+	case e.now <= e.cfg.Warmup:
+		e.view = e.base.Sub(&e.base)
+	case e.now <= e.cfg.Warmup+e.cfg.Measure:
+		e.view = e.st.Sub(&e.base)
+	default:
+		e.view = e.end.Sub(&e.base)
+	}
+	return &e.view
+}
 
 // LatencyHistogram returns the generation-to-delivery latency distribution
 // accumulated so far in the measurement window.
@@ -344,11 +361,10 @@ func (e *Engine) Run() (*Result, error) {
 			return nil, err
 		}
 	}
-	// st.Cycles was accumulated by Step, one count per measuring-phase
-	// cycle, so a run truncated or extended by manual Step calls reports
-	// the cycles it actually measured rather than the configured window.
+	// The window is what the engine measured: a run extended by manual Step
+	// calls still reports the configured window.
 	return &Result{
-		Counters:          e.st,
+		Counters:          *e.Stats(),
 		Detector:          e.det.Name(),
 		TotalCycles:       total,
 		LatencyHist:       e.latHist,
@@ -367,6 +383,12 @@ func (e *Engine) StopWorkers() {}
 // Step advances the simulation by one cycle, running the stages of
 // stages.go in order on the calling goroutine.
 func (e *Engine) Step() error {
+	if e.now == e.cfg.Warmup {
+		e.base = e.st
+	}
+	if e.now == e.cfg.Warmup+e.cfg.Measure {
+		e.end = e.st
+	}
 	e.measuring = e.now >= e.cfg.Warmup && e.now < e.cfg.Warmup+e.cfg.Measure
 	e.marksThisCycle = 0
 	e.tr.BeginCycle(e.now)
@@ -382,33 +404,17 @@ func (e *Engine) Step() error {
 	e.transferCommit()
 	e.runPhase(phaseDrain)
 	e.det.EndCycle(e.now, e.txLinks, e.transmitted)
-	// DT flags change only inside EndCycle, so one sample serves both the
-	// measured window and the metrics collector.
-	if e.caps.FlagCounts != nil && (e.measuring || e.mc != nil) {
+	// DT flags and probe totals change only inside EndCycle, so this is the
+	// one place to read them.
+	if e.caps.FlagCounts != nil {
 		_, dt, _ := e.caps.FlagCounts()
-		if e.measuring {
-			e.st.DTFlagCycleSum += int64(dt)
-		}
-		e.mc.Add(metrics.MDTFlagCycles, int64(dt))
+		e.st.DTFlagCycleSum += int64(dt)
 	}
 	if e.caps.ProbeTotals != nil {
 		pt := e.caps.ProbeTotals()
-		d := pt.Sub(e.lastProbe)
-		e.lastProbe = pt
-		if e.measuring {
-			e.st.ProbesEmitted += d.Emitted
-			e.st.ProbesForwarded += d.Forwarded
-			e.st.ProbesDropped += d.Dropped
-			e.st.ProbesReturned += d.Returned
-			e.st.ProbeFlits += d.Flits
-		}
-		if e.mc != nil {
-			e.mc.Add(metrics.MProbesEmitted, d.Emitted)
-			e.mc.Add(metrics.MProbesForwarded, d.Forwarded)
-			e.mc.Add(metrics.MProbesDropped, d.Dropped)
-			e.mc.Add(metrics.MProbesReturned, d.Returned)
-			e.mc.Add(metrics.MProbeFlits, d.Flits)
-		}
+		e.st.ProbesEmitted, e.st.ProbesForwarded, e.st.ProbesDropped = pt.Emitted, pt.Forwarded, pt.Dropped
+		e.st.ProbesReturned, e.st.ProbeFlits = pt.Returned, pt.Flits
+		e.probesInFlight = pt.InFlight
 	}
 	e.route()
 	e.feedSources()
@@ -416,28 +422,18 @@ func (e *Engine) Step() error {
 
 	if e.cfg.OracleEvery > 0 && e.now%e.cfg.OracleEvery == 0 {
 		e.runOracle()
-		if e.measuring {
-			e.st.OracleRuns++
-			if n := e.oracleSize; n > 0 {
-				e.st.DeadlockCycles++
-				e.st.DeadlockedMsgSum += int64(n)
-				if n > e.st.MaxDeadlockSet {
-					e.st.MaxDeadlockSet = n
-				}
+		e.st.OracleRuns++
+		if n := e.oracleSize; n > 0 {
+			e.st.DeadlockCycles++
+			e.st.DeadlockedMsgSum += int64(n)
+			if e.measuring && n > e.st.MaxDeadlockSet {
+				e.st.MaxDeadlockSet = n
 			}
 		}
 	}
-	if e.measuring {
-		e.st.RecordMarks(e.marksThisCycle)
-	}
-	if e.mc != nil {
-		// One guarded block rather than nil-safe calls: the absorption
-		// delta is a side computation the unmetered path must not pay for.
-		af := e.rec.AbsorbedFlits()
-		e.mc.Add(metrics.MAbsorbedFlits, af-e.lastAbsorbedFlits)
-		e.lastAbsorbedFlits = af
-		e.mc.EndCycle(e.now, e)
-	}
+	e.st.RecordMarks(e.marksThisCycle)
+	e.st.Cycles++
+	e.mc.EndCycle(e.now, &e.st, e.rec.AbsorbedFlits(), e)
 
 	if e.cfg.Debug {
 		if err := e.fab.CheckInvariants(); err != nil {
@@ -458,11 +454,6 @@ func (e *Engine) Step() error {
 			}
 		}
 	}
-	if e.measuring {
-		// One measured cycle actually executed; Run reports the total, so
-		// truncated or hand-stepped runs stay accounting-exact.
-		e.st.Cycles++
-	}
 	e.now++
 	return nil
 }
@@ -475,15 +466,13 @@ func (e *Engine) deliver(m *router.Message) {
 	e.inFlight--
 	e.tr.Emit(trace.KindDeliver, m.ID, router.NilLink, int32(m.Dst), e.now-m.GenTime, -1)
 	e.clearOracleSeen(m.ID)
-	e.mc.Inc(metrics.MDelivered)
-	e.mc.Add(metrics.MDeliveredFlits, int64(m.Length))
-	e.mc.ObserveLatency(e.now - m.GenTime)
+	lat := e.now - m.GenTime
+	e.st.Delivered++
+	e.st.DeliveredFlits += int64(m.Length)
+	e.st.LatencySum += lat
+	e.st.NetLatencySum += e.now - m.InjectTime
+	e.mc.ObserveLatency(lat)
 	if e.measuring {
-		e.st.Delivered++
-		e.st.DeliveredFlits += int64(m.Length)
-		lat := e.now - m.GenTime
-		e.st.LatencySum += lat
-		e.st.NetLatencySum += e.now - m.InjectTime
 		e.latHist.Add(lat)
 		if lat > e.st.MaxLatency {
 			e.st.MaxLatency = lat
@@ -612,18 +601,11 @@ func (e *Engine) mark(m *router.Message) {
 		node = int32(e.fab.RouterOf(e.fab.LinkOfVC(m.HeadVC)))
 	}
 	e.tr.Emit(trace.KindDetect, m.ID, router.NilLink, node, verdict, -1)
+	e.st.Marked++
 	if m.TrueDeadlock {
-		e.mc.Inc(metrics.MMarkedTrue)
+		e.st.TrueMarked++
 	} else {
-		e.mc.Inc(metrics.MMarkedFalse)
-	}
-	if e.measuring {
-		e.st.Marked++
-		if m.TrueDeadlock {
-			e.st.TrueMarked++
-		} else {
-			e.st.FalseMarked++
-		}
+		e.st.FalseMarked++
 	}
 	e.marksThisCycle++
 	e.mc.ObserveDetectDelay(e.now - m.BlockedSince)
@@ -687,20 +669,15 @@ func (e *Engine) onRecovered(m *router.Message, node int) {
 		delivered = 1
 	}
 	e.tr.Emit(trace.KindRecoverEnd, m.ID, router.NilLink, int32(node), delivered, -1)
-	e.mc.Inc(metrics.MRecovered)
-	if e.measuring {
-		if e.cfg.Recovery == recovery.Progressive {
-			e.st.Absorbed++
-		} else {
-			e.st.Aborted++
-		}
+	if e.cfg.Recovery == recovery.Progressive {
+		e.st.Absorbed++
+	} else {
+		e.st.Aborted++
 	}
 	if node == int(m.Dst) {
 		// Progressive recovery absorbed the message at its destination:
 		// it has been delivered through the recovery path.
-		if e.measuring {
-			e.st.RecoveredDelivered++
-		}
+		e.st.RecoveredDelivered++
 		e.deliver(m)
 		return
 	}
@@ -721,8 +698,5 @@ func (e *Engine) requeue(m *router.Message, node int) {
 	m.Retries++
 	e.queuePush(node, m.ID)
 	e.inFlight--
-	e.mc.Inc(metrics.MReinjected)
-	if e.measuring {
-		e.st.Reinjected++
-	}
+	e.st.Reinjected++
 }

@@ -88,5 +88,5 @@ func (e *Engine) ProbeMetrics(s *metrics.Sample) {
 	}
 	s.RecoveryDepth = int32(e.rec.Active())
 	s.OracleSet = int32(e.oracleSize)
-	s.ProbesInFlight = int32(e.lastProbe.InFlight)
+	s.ProbesInFlight = int32(e.probesInFlight)
 }

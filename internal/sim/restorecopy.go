@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"wormnet/internal/detect"
 	"wormnet/internal/rng"
 	"wormnet/internal/router"
 	"wormnet/internal/snap"
@@ -36,7 +35,7 @@ type restoreCopy struct {
 	src []byte
 
 	now                 int64
-	st                  stats.Counters
+	st, base, end       stats.Counters
 	lat, delay, detLat  stats.Histogram
 	fab                 router.FabricCopy
 	queued              []router.MsgID // every source queue, front to back, node by node
@@ -53,8 +52,6 @@ type restoreCopy struct {
 	oracleSeen          []int64
 	oracleCycle         int64
 	oracleSize          int
-	lastProbe           detect.ProbeTotals
-	lastAbsorbedFlits   int64
 
 	// Offsets into src, recorded by restoreBody: the detector's section is
 	// src[detAt:detEnd] and the recovery engine's src[recAt:].
@@ -65,7 +62,7 @@ type restoreCopy struct {
 func (e *Engine) saveCopy(src []byte) {
 	c := e.saved
 	c.now = e.now
-	c.st = e.st
+	c.st, c.base, c.end = e.st, e.base, e.end
 	c.lat.CopyFrom(e.latHist)
 	c.delay.CopyFrom(e.delayHist)
 	c.detLat.CopyFrom(e.detLatHist)
@@ -90,7 +87,6 @@ func (e *Engine) saveCopy(src []byte) {
 	c.rnd = *e.rnd
 	c.oracleSeen = append(c.oracleSeen[:0], e.oracleSeen...)
 	c.oracleCycle, c.oracleSize = e.oracleCycle, e.oracleSize
-	c.lastProbe, c.lastAbsorbedFlits = e.lastProbe, e.lastAbsorbedFlits
 	c.src = append(c.src[:0], src...)
 }
 
@@ -100,7 +96,7 @@ func (e *Engine) saveCopy(src []byte) {
 func (e *Engine) loadCopy(src []byte) error {
 	c := e.saved
 	e.now = c.now
-	e.st = c.st
+	e.st, e.base, e.end = c.st, c.base, c.end
 	e.latHist.CopyFrom(&c.lat)
 	e.delayHist.CopyFrom(&c.delay)
 	e.detLatHist.CopyFrom(&c.detLat)
@@ -140,7 +136,6 @@ func (e *Engine) loadCopy(src []byte) error {
 	}
 	e.oracleCycle, e.oracleSize = c.oracleCycle, c.oracleSize
 	e.oracle.Invalidate()
-	e.lastProbe, e.lastAbsorbedFlits = c.lastProbe, c.lastAbsorbedFlits
 
 	// The components' own sections, in the decoder's order, each after the
 	// fabric it checks itself against.

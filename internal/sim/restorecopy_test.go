@@ -181,7 +181,7 @@ func TestEngineRestoreCopyClassesEveryField(t *testing.T) {
 		"now":     "copied",
 		"st":      "copied",
 		"latHist": "copied", "delayHist": "copied", "detLatHist": "copied",
-		"lastAbsorbedFlits": "copied", "lastProbe": "copied",
+		"base": "copied", "end": "copied",
 		"oracleSeen": "copied", "oracleCycle": "copied", "oracleSize": "copied",
 		"queues": "copied", "neBits": "copied",
 		"pending": "copied", "pendingNew": "copied", "injecting": "copied", "txLinks": "copied",
@@ -196,6 +196,7 @@ func TestEngineRestoreCopyClassesEveryField(t *testing.T) {
 		"inputUsedAt": "rebuilt", // reset to never
 
 		"measuring": "scratch", "marksThisCycle": "scratch", "keyBits": "scratch",
+		"view": "scratch", "probesInFlight": "scratch", // set before each read
 		"moves": "scratch", "feed": "scratch", "feedN": "scratch", "feedErr": "scratch",
 		"cands": "scratch", "candBuf": "scratch", "freeCands": "scratch", "arbElig": "scratch",
 		"rd": "scratch", "saved": "scratch", "listed": "scratch",

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 
-	"wormnet/internal/detect"
 	"wormnet/internal/router"
 	"wormnet/internal/snap"
 )
@@ -13,14 +12,14 @@ import (
 // cycles.
 //
 // What a snapshot holds is everything that influences the engine's future
-// behaviour or the results it will report: the cycle counter, the counters and
-// the three histograms, the fabric (router.Fabric.AppendSnapshot: message
+// behaviour or the results it will report: the cycle counter, the whole-run
+// counters with their readings at the window's start and end (base, end), the
+// three histograms, the fabric (router.Fabric.AppendSnapshot: message
 // pool and free-list order, occupied VCs, round-robin pointers),
 // the source queues, the pending and pendingNew header lists, the injecting
 // and transmitted-link lists, the generator schedule (every node's
 // next arrival cycle, every node's random stream, the shared stream), the
-// oracle's first-sighting stamps with oracleCycle and oracleSize, the probe
-// and absorption totals already charged (lastProbe, lastAbsorbedFlits), the
+// oracle's first-sighting stamps with oracleCycle and oracleSize, the
 // detector (detect.Capabilities.Snapshot; nil means stateless) and the
 // recovery engine.
 //
@@ -34,7 +33,9 @@ import (
 // (recounted from message phases), the detector's flags and flag counts, the
 // route memos (left empty; a lookup refills one) and the oracle's cached set
 // (invalidated). The crossbar stamps inputUsedAt are reset to "never": a
-// stamp means "this cycle" and a snapshot sits between cycles.
+// stamp means "this cycle" and a snapshot sits between cycles. The
+// probes-in-flight gauge is left as it is: Step sets it before anything
+// reads it.
 //
 // Outside the snapshot altogether are the observation rails — the flight
 // recorder, the metrics collector and whatever observes them (forensics).
@@ -49,7 +50,7 @@ import (
 
 const (
 	snapMagic   = "WSNP"
-	snapVersion = 3
+	snapVersion = 4
 )
 
 // fingerprint describes every part of the configuration that shapes the
@@ -96,6 +97,8 @@ func (e *Engine) Snapshot(dst []byte) []byte {
 
 	dst = snap.I64(dst, e.now)
 	dst = e.st.AppendSnapshot(dst)
+	dst = e.base.AppendSnapshot(dst)
+	dst = e.end.AppendSnapshot(dst)
 	dst = e.latHist.AppendSnapshot(dst)
 	dst = e.delayHist.AppendSnapshot(dst)
 	dst = e.detLatHist.AppendSnapshot(dst)
@@ -131,9 +134,6 @@ func (e *Engine) Snapshot(dst []byte) []byte {
 	snap.PutU32(dst, at, uint32(n))
 	dst = snap.I64(dst, e.oracleCycle)
 	dst = snap.I64(dst, int64(e.oracleSize))
-
-	lp := &e.lastProbe
-	dst = snap.I64s(dst, []int64{lp.Emitted, lp.Forwarded, lp.Dropped, lp.Returned, lp.Flits, int64(lp.InFlight), e.lastAbsorbedFlits})
 
 	at = len(dst)
 	dst = snap.U32(dst, 0)
@@ -208,6 +208,8 @@ func (e *Engine) restoreBody(r *snap.Reader) {
 		r.Failf("sim: snapshot taken at cycle %d", e.now)
 	}
 	e.st.RestoreSnapshot(r)
+	e.base.RestoreSnapshot(r)
+	e.end.RestoreSnapshot(r)
 	e.latHist.RestoreSnapshot(r)
 	e.delayHist.RestoreSnapshot(r)
 	e.detLatHist.RestoreSnapshot(r)
@@ -324,11 +326,6 @@ func (e *Engine) restoreBody(r *snap.Reader) {
 	// The cached deadlocked set belongs to the state being replaced, and the
 	// fabric generation it is keyed on says nothing across a Restore.
 	e.oracle.Invalidate()
-
-	var charged [7]int64
-	r.I64s(charged[:])
-	e.lastProbe = detect.ProbeTotals{Emitted: charged[0], Forwarded: charged[1], Dropped: charged[2], Returned: charged[3], Flits: charged[4], InFlight: int(charged[5])}
-	e.lastAbsorbedFlits = charged[6]
 
 	det := r.Section()
 	e.saved.detAt, e.saved.detEnd = r.Offset()-len(det), r.Offset()

@@ -15,6 +15,7 @@ import (
 	"wormnet/internal/router"
 	"wormnet/internal/routing"
 	"wormnet/internal/snap"
+	"wormnet/internal/topology"
 	"wormnet/internal/trace"
 	"wormnet/internal/traffic"
 )
@@ -502,12 +503,16 @@ func TestRestoreRefusesForeignBytes(t *testing.T) {
 	if err := target.Restore(v1); err == nil || !strings.Contains(err.Error(), "snapshot format version 1,") {
 		t.Errorf("version 1 header: %v", err)
 	}
-	// So is a version 2 header, the format whose fabric section ended in the
-	// set of failed links.
-	v2 := bytes.Clone(good)
-	snap.PutU32(v2, 4, 2)
-	if err := target.Restore(v2); err == nil || !strings.Contains(err.Error(), "snapshot format version 2,") {
-		t.Errorf("version 2 header: %v", err)
+	// So are a version 2 header, the format whose fabric section ended in
+	// the set of failed links, and a version 3 header, the format that kept
+	// the measured window's counters and the probe and absorption totals
+	// already charged.
+	for _, v := range []uint32{2, 3} {
+		old := bytes.Clone(good)
+		snap.PutU32(old, 4, v)
+		if err := target.Restore(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("snapshot format version %d,", v)) {
+			t.Errorf("version %d header: %v", v, err)
+		}
 	}
 	if err := target.Restore(good); err != nil {
 		t.Fatalf("the untouched snapshot no longer restores: %v", err)
@@ -549,5 +554,28 @@ func TestRestoreRefusesForeignBytes(t *testing.T) {
 		if _, ok := differ[name]; !ok {
 			t.Errorf("fingerprint field %q has no differing-configuration case", name)
 		}
+	}
+}
+
+// TestFingerprintTellsHotFractions builds two hot-spot runs that differ only
+// in the hot fraction, by less than a whole percent: their fingerprints must
+// differ, or a snapshot of one restores into the other (and a sweep journal
+// of one resumes against the other) without a word.
+func TestFingerprintTellsHotFractions(t *testing.T) {
+	fingerprint := func(frac float64) string {
+		cfg := smallConfig()
+		cfg.Pattern = func(tp *topology.Torus) traffic.Pattern { return traffic.NewHotSpot(tp, 0, frac) }
+		id, err := Fingerprint(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	a, b := fingerprint(0.05), fingerprint(0.054)
+	if a == b {
+		t.Fatalf("hot fractions 0.05 and 0.054 share the fingerprint %q", a)
+	}
+	if !strings.Contains(a, "hot-spot(5%@0)") {
+		t.Errorf("fingerprint %q does not name the 5%% hot spot", a)
 	}
 }

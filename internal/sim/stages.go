@@ -3,7 +3,6 @@ package sim
 import (
 	"math/bits"
 
-	"wormnet/internal/metrics"
 	"wormnet/internal/router"
 	"wormnet/internal/trace"
 )
@@ -144,10 +143,7 @@ func (e *Engine) enqueueNew(node, dst, length int) *router.Message {
 	m := e.fab.NewMessage(node, dst, length, e.now)
 	m.Phase = router.PhaseQueued
 	e.queuePush(node, m.ID)
-	e.mc.Inc(metrics.MGenerated)
-	if e.measuring {
-		e.st.Generated++
-	}
+	e.st.Generated++
 	return m
 }
 
@@ -210,10 +206,7 @@ func (e *Engine) admitNode(node int) {
 		e.inFlight++
 		e.tr.Emit(trace.KindInject, m.ID, l, int32(node), int64(m.Length), int32(m.Dst))
 		e.tr.Emit(trace.KindVCAlloc, m.ID, l, int32(node), 0, int32(vc))
-		e.mc.Inc(metrics.MInjected)
-		if e.measuring {
-			e.st.Injected++
-		}
+		e.st.Injected++
 	}
 	if q.Len() == 0 {
 		e.queueDrained(node)

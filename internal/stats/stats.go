@@ -11,10 +11,11 @@ import (
 	"wormnet/internal/snap"
 )
 
-// Counters is the set of measurements accumulated over the measurement
-// window of one simulation run.
+// Counters is the set of measurements of one simulation run. The engine
+// counts over the whole run and reports the measurement window as the
+// difference of two readings (Sub).
 type Counters struct {
-	// Cycles is the number of measured cycles.
+	// Cycles is the number of cycles counted.
 	Cycles int64
 	// Nodes is the network size, for per-node rates.
 	Nodes int
@@ -52,14 +53,14 @@ type Counters struct {
 	MaxDeadlockSet   int
 	DeadlockedMsgSum int64 // sum of deadlock set sizes over runs that found one
 
-	// DTFlagCycleSum sums, over measured cycles, the number of output
+	// DTFlagCycleSum sums, over the cycles counted, the number of output
 	// channels whose detection-threshold flag (NDM's DT, PDM's IF) was set
 	// at the end of the cycle. Divided by Cycles it gives the mean DT-flag
 	// occupancy of the network; only populated when the detector's
 	// capability report has FlagCounts.
 	DTFlagCycleSum int64
 
-	// Probe-based (CMH edge-chasing) detection activity over the window:
+	// Probe-based (CMH edge-chasing) detection activity:
 	// probe lifecycle counts by outcome, and the control flits probe
 	// movement charged to physical links. All zero for router-local
 	// mechanisms (NDM, PDM), which send no control messages.
@@ -157,6 +158,24 @@ func (c *Counters) String() string {
 		"cycles=%d gen=%d inj=%d del=%d thr=%.4f lat=%.1f marked=%d (%.3f%%) true=%d false=%d",
 		c.Cycles, c.Generated, c.Injected, c.Delivered, c.Throughput(), c.AvgLatency(),
 		c.Marked, c.PctMarked(), c.TrueMarked, c.FalseMarked)
+}
+
+// Sub returns what c counted since base, an earlier reading of the same
+// counters: every count, and every MarksPerCycleHist bucket, minus base's.
+// The network size and the maxima (MaxLatency, MaxDeadlockSet) are c's own:
+// a maximum is no difference, so whoever keeps one keeps it over the span
+// the difference covers.
+func (c *Counters) Sub(base *Counters) Counters {
+	d := *c
+	bf, df := base.fields(), d.fields()
+	for i, v := range df {
+		*v -= *bf[i]
+	}
+	d.MaxLatency = c.MaxLatency
+	for i := range d.MarksPerCycleHist {
+		d.MarksPerCycleHist[i] -= base.MarksPerCycleHist[i]
+	}
+	return d
 }
 
 // AppendSnapshot appends every accumulated measurement to dst for

@@ -236,6 +236,52 @@ func TestCountersSnapshotCoversEveryField(t *testing.T) {
 	}
 }
 
+// TestCountersSubCoversEveryField sets every field of Counters by reflection,
+// base to i and c to 3i, and checks that Sub leaves 2i in every count and
+// histogram bucket and c's own value in the size and maximum fields: a
+// counter Sub misses would leak warm-up counts into the measured window.
+func TestCountersSubCoversEveryField(t *testing.T) {
+	var base, c Counters
+	vb, vc := reflect.ValueOf(&base).Elem(), reflect.ValueOf(&c).Elem()
+	next := int64(0)
+	set := func(b, c reflect.Value) {
+		next++
+		b.SetInt(next)
+		c.SetInt(3 * next)
+	}
+	for i := 0; i < vc.NumField(); i++ {
+		if vc.Field(i).Kind() == reflect.Array {
+			for j := 0; j < vc.Field(i).Len(); j++ {
+				set(vb.Field(i).Index(j), vc.Field(i).Index(j))
+			}
+			continue
+		}
+		set(vb.Field(i), vc.Field(i))
+	}
+	d := c.Sub(&base)
+	vd := reflect.ValueOf(&d).Elem()
+	own := map[string]bool{"Nodes": true, "NetLinks": true, "MaxLatency": true, "MaxDeadlockSet": true}
+	for i := 0; i < vd.NumField(); i++ {
+		name := vd.Type().Field(i).Name
+		f, fb := vd.Field(i), vb.Field(i)
+		if f.Kind() == reflect.Array {
+			for j := 0; j < f.Len(); j++ {
+				if got, want := f.Index(j).Int(), 2*fb.Index(j).Int(); got != want {
+					t.Errorf("%s[%d] = %d, want %d", name, j, got, want)
+				}
+			}
+			continue
+		}
+		want := 2 * fb.Int()
+		if own[name] {
+			want = vc.Field(i).Int()
+		}
+		if f.Int() != want {
+			t.Errorf("%s = %d, want %d", name, f.Int(), want)
+		}
+	}
+}
+
 // TestHistogramSnapshot round-trips samples into a histogram that held other
 // samples, and checks the inputs RestoreSnapshot refuses.
 func TestHistogramSnapshot(t *testing.T) {

@@ -9,6 +9,8 @@ package traffic
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"wormnet/internal/rng"
 	"wormnet/internal/topology"
@@ -224,7 +226,24 @@ func (h *HotSpot) Destination(src int, r *rng.Source) int {
 }
 
 // Name implements Pattern.
-func (h *HotSpot) Name() string { return fmt.Sprintf("hot-spot(%.0f%%@%d)", h.fraction*100, h.hot) }
+func (h *HotSpot) Name() string { return fmt.Sprintf("hot-spot(%s@%d)", percent(h.fraction), h.hot) }
+
+// percent names fraction f exactly as a percentage: the shortest decimal
+// that reads back to f, its point moved two places right, so 0.05 is "5%"
+// and 0.054 is "5.4%". Distinct fractions get distinct names, so a run's
+// fingerprint tells them apart.
+func percent(f float64) string {
+	whole, frac, _ := strings.Cut(strconv.FormatFloat(f, 'f', -1, 64), ".")
+	frac += "00"
+	whole = strings.TrimLeft(whole+frac[:2], "0")
+	if whole == "" {
+		whole = "0"
+	}
+	if frac = strings.TrimRight(frac[2:], "0"); frac != "" {
+		whole += "." + frac
+	}
+	return whole + "%"
+}
 
 // ---------------------------------------------------------------------------
 // Message lengths
@@ -273,7 +292,7 @@ func (b Bimodal) Mean() float64 {
 
 // Name implements LengthDist.
 func (b Bimodal) Name() string {
-	return fmt.Sprintf("%.0f%%x%d+%.0f%%x%d", b.PShort*100, b.Short, (1-b.PShort)*100, b.Long)
+	return fmt.Sprintf("%sx%d+%sx%d", percent(b.PShort), b.Short, percent(1-b.PShort), b.Long)
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ package traffic
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -351,9 +353,42 @@ func TestPatternNames(t *testing.T) {
 		{NewPerfectShuffle(tp), "perfect-shuffle"},
 		{NewButterfly(tp), "butterfly"},
 		{NewHotSpot(tp, 0, 0.05), "hot-spot(5%@0)"},
+		{NewHotSpot(tp, 0, 0.054), "hot-spot(5.4%@0)"},
+		{NewHotSpot(tp, 0, 0.25), "hot-spot(25%@0)"},
 	} {
 		if tc.p.Name() != tc.want {
 			t.Errorf("Name() = %q, want %q", tc.p.Name(), tc.want)
 		}
+	}
+	if got := (Bimodal{Short: 16, Long: 64, PShort: 0.6}).Name(); got != "60%x16+40%x64" {
+		t.Errorf("sl mix Name() = %q", got)
+	}
+}
+
+// TestPercentNamesEveryFraction checks that percent reads back exactly, its
+// decimal point moved back two places, so no two fractions share a name.
+func TestPercentNamesEveryFraction(t *testing.T) {
+	seen := map[string]float64{}
+	r := rng.New(7)
+	fracs := []float64{0, 1, 0.05, 0.054, 0.0540000001, 1.0 / 3, 0.1 + 0.2, 5e-324, 0.6, 1 - 0.6}
+	for i := 0; i < 2000; i++ {
+		fracs = append(fracs, r.Float64())
+	}
+	for _, f := range fracs {
+		name := percent(f)
+		num, ok := strings.CutSuffix(name, "%")
+		whole, frac, _ := strings.Cut(num, ".")
+		whole = "00" + whole
+		back, err := strconv.ParseFloat(whole[:len(whole)-2]+"."+whole[len(whole)-2:]+frac, 64)
+		if !ok || err != nil {
+			t.Fatalf("percent(%v) = %q: %v", f, name, err)
+		}
+		if back != f {
+			t.Errorf("percent(%v) = %q reads back as %v", f, name, back)
+		}
+		if g, ok := seen[name]; ok && g != f {
+			t.Errorf("percent(%v) and percent(%v) are both %q", f, g, name)
+		}
+		seen[name] = f
 	}
 }
