@@ -140,9 +140,10 @@ type Detector struct {
 	inits       []initiatorState
 	pendingMark []bool // probe returned for this victim; mark on next RouteFailed
 
-	// linkUsedAt[l] == now when a probe flit already crossed link l this
-	// cycle: at most one probe flit per link per cycle in either transport.
-	linkUsedAt []int64
+	// linkUsed is the set of links a probe flit crossed this cycle, bit l of
+	// word l>>6: at most one probe flit per link per cycle in either
+	// transport. EndCycle empties it before it returns.
+	linkUsed []uint64
 
 	candBuf []router.LinkID
 	keyBuf  []uint64 // scratch for writing a dedupe window's keys in sorted order
@@ -158,15 +159,11 @@ type Detector struct {
 
 // New constructs the detector over the fabric.
 func New(f *router.Fabric, cfg Config) *Detector {
-	d := &Detector{
-		fab:        f,
-		cfg:        cfg.withDefaults(),
-		linkUsedAt: make([]int64, f.NumLinks()),
+	return &Detector{
+		fab:      f,
+		cfg:      cfg.withDefaults(),
+		linkUsed: make([]uint64, (f.NumLinks()+63)/64),
 	}
-	for i := range d.linkUsedAt {
-		d.linkUsedAt[i] = -1
-	}
-	return d
 }
 
 // Name identifies the detector and its configuration in results tables.
@@ -272,11 +269,12 @@ func (d *Detector) VCFreed(l router.LinkID) {}
 func (d *Detector) EndCycle(now int64, txLinks []router.LinkID, transmitted []bool) {
 	d.advance(now, transmitted)
 	d.launch(now, transmitted)
+	clear(d.linkUsed)
 }
 
 // channelFree reports whether a probe flit may cross link l this cycle.
-func (d *Detector) channelFree(l router.LinkID, now int64, transmitted []bool) bool {
-	if d.linkUsedAt[l] == now {
+func (d *Detector) channelFree(l router.LinkID, transmitted []bool) bool {
+	if d.linkUsed[l>>6]>>(l&63)&1 != 0 {
 		return false
 	}
 	if d.cfg.Transport == TransportStealIdle && int(l) < len(transmitted) && transmitted[l] {
@@ -285,8 +283,8 @@ func (d *Detector) channelFree(l router.LinkID, now int64, transmitted []bool) b
 	return true
 }
 
-func (d *Detector) useChannel(l router.LinkID, now int64) {
-	d.linkUsedAt[l] = now
+func (d *Detector) useChannel(l router.LinkID) {
+	d.linkUsed[l>>6] |= 1 << (l & 63)
 	d.flits++
 }
 
@@ -312,11 +310,11 @@ func (d *Detector) advance(now int64, transmitted []bool) {
 			continue
 		}
 		nl := d.fab.LinkOfVC(nxt)
-		if !d.channelFree(nl, now, transmitted) {
+		if !d.channelFree(nl, transmitted) {
 			next = append(next, p) // wait for the link
 			continue
 		}
-		d.useChannel(nl, now)
+		d.useChannel(nl)
 		p.hops++
 		if p.hops > d.cfg.MaxHops {
 			d.drop(p, trace.ProbeDropHops)
@@ -420,11 +418,11 @@ func (d *Detector) expand(p pr, m *router.Message, node int, now int64, transmit
 			if st.seen.has(key) {
 				continue
 			}
-			if !d.channelFree(out, now, transmitted) {
+			if !d.channelFree(out, transmitted) {
 				blockedCh = true
 				continue
 			}
-			d.useChannel(out, now)
+			d.useChannel(out)
 			st.seen.add(key)
 			dig := roll(p.digest, out, occ)
 			child := pr{
@@ -542,7 +540,7 @@ func (d *Detector) launch(now int64, transmitted []bool) {
 // incarnation) plus its rank among live generation times (which fixes every
 // VictimOldest comparison it can still participate in). The rolling path
 // digest is carried but never compared (dedupe is edge-keyed), so it is
-// excluded. linkUsedAt and the cumulative counters are scratch/telemetry.
+// excluded. linkUsed and the cumulative counters are scratch/telemetry.
 func (d *Detector) AppendState(buf []byte, now int64) []byte {
 	buf = appendID(buf, int32(len(d.probes)))
 	for i := range d.probes {
@@ -624,8 +622,7 @@ const prSnapBytes = 5*4 + 2*8
 // probes (advance order), the blocked initiators (launch order), the messages
 // with a pending mark, every dedupe window that is not in its initial state
 // (wave start and the sorted edge keys), and the seven cumulative counters
-// ProbeTotals and the conservation checks read. linkUsedAt is not written: a
-// stamp only ever means "this cycle", and a snapshot sits between cycles.
+// ProbeTotals and the conservation checks read.
 func (d *Detector) Snapshot(dst []byte) []byte {
 	dst = snap.U32(dst, uint32(len(d.probes)))
 	for i := range d.probes {
@@ -683,16 +680,10 @@ func (d *Detector) counters() [7]*int64 {
 // and the fabric as they are now, and lists Snapshot writes in order must be
 // in that order, so that accepted bytes snapshot back to themselves. The
 // per-message tables are reset first and the blocked list's index rebuilt
-// from the list; linkUsedAt is reset to "never", which an engine restored to
-// an earlier cycle needs: its own stamps from the abandoned future would
-// otherwise read as "used this cycle" when that cycle number comes round
-// again.
+// from the list.
 func (d *Detector) Restore(src []byte) error {
 	r := snap.NewReader(src)
 	nMsgs, nVCs := d.fab.NumMessages(), len(d.fab.VCs)
-	for i := range d.linkUsedAt {
-		d.linkUsedAt[i] = -1
-	}
 	for i := range d.inits {
 		d.inits[i].waveStart = -1
 		d.inits[i].seen.reset()

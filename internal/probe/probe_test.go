@@ -592,22 +592,6 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	}
 }
 
-// TestRestoreResetsLinkStamps pins the stamp trap: linkUsedAt[l] == now means
-// "a probe flit crossed l this cycle", so a detector taken back to an earlier
-// cycle must not meet the stamps of the future it abandoned.
-func TestRestoreResetsLinkStamps(t *testing.T) {
-	r, d, now := probingRing(t)
-	early := d.Snapshot(nil)
-	future := now + 5
-	d.useChannel(r.l12, future)
-	if err := d.Restore(early); err != nil {
-		t.Fatal(err)
-	}
-	if !d.channelFree(r.l12, future, nil) {
-		t.Fatalf("after Restore, link %d still reads as used at cycle %d of the abandoned run", r.l12, future)
-	}
-}
-
 // TestRestoreRejectsForeignIdentifiers: identifiers outside the fabric and a
 // truncated or overlong input are errors, not panics.
 func TestRestoreRejectsForeignIdentifiers(t *testing.T) {

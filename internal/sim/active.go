@@ -168,13 +168,17 @@ func (e *Engine) auditActiveSets() error {
 
 	// Feeder rows: whatever auditFeedRows found at arbitration, and every
 	// count back at zero — a leftover one means the active-link key
-	// collection missed a target.
+	// collection missed a target. No input channel is still marked used: a
+	// mark that survived the cycle would bar the input in the next one.
 	if e.feedErr != nil {
 		return e.feedErr
 	}
 	for l, n := range e.feedN {
 		if n != 0 {
 			return fmt.Errorf("sim: feeder row for link %d holds %d entries after transfer", l, n)
+		}
+		if e.inputUsed[l] {
+			return fmt.Errorf("sim: input link %d is still marked used after transfer", l)
 		}
 	}
 	return nil

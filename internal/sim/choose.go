@@ -89,7 +89,7 @@ func (e *Engine) arbitrateChoose(tl router.LinkID, req []router.VCID, buf int32)
 	e.arbElig = e.arbElig[:0]
 	for _, u := range req {
 		uv := &vcs[u]
-		if vcs[uv.Next].Flits >= buf || e.inputUsedAt[uv.Link] == e.now {
+		if vcs[uv.Next].Flits >= buf || e.inputUsed[uv.Link] {
 			continue
 		}
 		e.arbElig = append(e.arbElig, u)

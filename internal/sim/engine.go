@@ -131,7 +131,7 @@ type Engine struct {
 	transmitted []bool          // flit crossed link l this cycle
 	txLinks     []router.LinkID // links with transmitted set this cycle
 	moves       []router.VCID   // transfer winners, decision order
-	inputUsedAt []int64         // cycle stamp: input channel already sent a flit
+	inputUsed   []bool          // input channel l sent a flit this cycle; transferCommit clears it
 	// The feeder table: target link l's row is feed[l*feedStride:][:feedN[l]],
 	// the VCs requesting to send into l, ascending, a slot per VC of the widest
 	// link. transferDecide fills and drains every row; every count is zero
@@ -147,8 +147,8 @@ type Engine struct {
 	candBuf []router.LinkID
 
 	marksThisCycle int
-	oracleCycle    int64 // last cycle the oracle ran (-1 = never)
-	oracleSize     int   // size of the most recent oracle deadlock set
+	oracleRan      bool // the oracle has run this cycle
+	oracleSize     int  // size of the most recent oracle deadlock set
 
 	// chooser, when non-nil, resolves VC selection and arbitration
 	// externally (see choose.go); freeCands and arbElig are its scratch
@@ -186,19 +186,18 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:         cfg,
-		topo:        topo,
-		fab:         fab,
-		oracle:      deadlock.New(fab),
-		rnd:         rng.New(cfg.Seed),
-		oracleCycle: -1,
-		latHist:     stats.NewHistogram(1.25),
-		delayHist:   stats.NewHistogram(1.25),
-		detLatHist:  stats.NewHistogram(1.25),
-		alg:         cfg.Routing,
-		tr:          cfg.Trace,
-		mc:          cfg.Metrics,
-		chooser:     cfg.Chooser,
+		cfg:        cfg,
+		topo:       topo,
+		fab:        fab,
+		oracle:     deadlock.New(fab),
+		rnd:        rng.New(cfg.Seed),
+		latHist:    stats.NewHistogram(1.25),
+		delayHist:  stats.NewHistogram(1.25),
+		detLatHist: stats.NewHistogram(1.25),
+		alg:        cfg.Routing,
+		tr:         cfg.Trace,
+		mc:         cfg.Metrics,
+		chooser:    cfg.Chooser,
 	}
 	e.oracle.SetCandidates(func(m *router.Message, node int, buf []router.VCID) []router.VCID {
 		return e.alg.Candidates(fab, m, node, buf)
@@ -223,10 +222,7 @@ func New(cfg Config) (*Engine, error) {
 	e.gen = traffic.NewGenerator(cfg.Pattern(topo), cfg.Lengths, cfg.Load)
 	e.queues = make([]msgQueue, topo.Nodes())
 	e.transmitted = make([]bool, fab.NumLinks())
-	e.inputUsedAt = make([]int64, fab.NumLinks())
-	for i := range e.inputUsedAt {
-		e.inputUsedAt[i] = -1
-	}
+	e.inputUsed = make([]bool, fab.NumLinks())
 	// Every node draws generation randomness from its own stream derived
 	// from the run seed, so the sequence each node sees is a pure function
 	// of (seed, node). The shared stream e.rnd serves VC selection in the
@@ -390,7 +386,7 @@ func (e *Engine) Step() error {
 		e.end = e.st
 	}
 	e.measuring = e.now >= e.cfg.Warmup && e.now < e.cfg.Warmup+e.cfg.Measure
-	e.marksThisCycle = 0
+	e.marksThisCycle, e.oracleRan = 0, false
 	e.tr.BeginCycle(e.now)
 
 	// Headers that arrived last cycle become routable now (routing takes
@@ -633,12 +629,12 @@ func (e *Engine) mark(m *router.Message) {
 // runOracle evaluates the global deadlock oracle at most once per cycle and
 // stamps newly deadlocked messages for detection-latency measurement.
 func (e *Engine) runOracle() {
-	if e.oracleCycle == e.now {
+	if e.oracleRan {
 		return
 	}
 	set := e.oracle.Deadlocked()
 	e.oracleSize = len(set)
-	e.oracleCycle = e.now
+	e.oracleRan = true
 	for _, id := range set {
 		for int(id) >= len(e.oracleSeen) {
 			e.oracleSeen = append(e.oracleSeen, -1)

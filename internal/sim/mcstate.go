@@ -17,11 +17,12 @@ import "wormnet/internal/router"
 // source-feed order.
 //
 // Deliberately excluded (stale or unobservable at a cycle boundary):
-// transmitted/txLinks and inputUsedAt (cleared or time-stamped scratch,
-// rewritten before next use), the per-link round-robin pointers (pinned at
-// their initial value under a Chooser — see Chooser), RNG streams (unused at
-// Load 0 under a Chooser), and all absolute cycle stamps (the checker's
-// encodings are age-clamped where ages are behavioral).
+// the per-cycle scratch (transmitted links, used crossbar inputs, the
+// oracle's ran-this-cycle flag: rewritten before next use), the per-link
+// round-robin pointers (pinned at their initial value under a Chooser — see
+// Chooser), RNG streams (unused at Load 0 under a Chooser), and all absolute
+// cycle stamps (the checker's encodings are age-clamped where ages are
+// behavioral).
 func (e *Engine) AppendSchedState(buf []byte) []byte {
 	buf = appendIDList16(buf, e.pending)
 	buf = appendIDList16(buf, e.pendingNew)

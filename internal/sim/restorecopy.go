@@ -20,7 +20,6 @@ import (
 // later Restore of byte-identical input puts that state back by slice copies.
 //
 // What the copy does not hold it rebuilds exactly as the decoder does: the
-// transmitted bitmap from the transmitted list, the crossbar stamps reset, the
 // deferred-arrival lists emptied, the route memos empty, the fabric's
 // generation bumped and the oracle's cached set invalidated. The two sections
 // owned by components behind interfaces — the detector and the recovery
@@ -43,14 +42,12 @@ type restoreCopy struct {
 	neBits              []uint64
 	pending, pendingNew []router.MsgID
 	injecting           []router.MsgID
-	txLinks             []router.LinkID
 	inFlight            int
 	genDue              []int64
 	genHeap             []int32
 	nodeRng             []rng.Source
 	rnd                 rng.Source
 	oracleSeen          []int64
-	oracleCycle         int64
 	oracleSize          int
 
 	// Offsets into src, recorded by restoreBody: the detector's section is
@@ -79,14 +76,13 @@ func (e *Engine) saveCopy(src []byte) {
 	c.pending = append(c.pending[:0], e.pending...)
 	c.pendingNew = append(c.pendingNew[:0], e.pendingNew...)
 	c.injecting = append(c.injecting[:0], e.injecting...)
-	c.txLinks = append(c.txLinks[:0], e.txLinks...)
 	c.inFlight = e.inFlight
 	c.genDue = append(c.genDue[:0], e.genDue...)
 	c.genHeap = append(c.genHeap[:0], e.genHeap...)
 	c.nodeRng = append(c.nodeRng[:0], e.nodeRng...)
 	c.rnd = *e.rnd
 	c.oracleSeen = append(c.oracleSeen[:0], e.oracleSeen...)
-	c.oracleCycle, c.oracleSize = e.oracleCycle, e.oracleSize
+	c.oracleSize = e.oracleSize
 	c.src = append(c.src[:0], src...)
 }
 
@@ -114,14 +110,6 @@ func (e *Engine) loadCopy(src []byte) error {
 	e.pending = append(e.pending[:0], c.pending...)
 	e.pendingNew = append(e.pendingNew[:0], c.pendingNew...)
 	e.injecting = append(e.injecting[:0], c.injecting...)
-	e.txLinks = append(e.txLinks[:0], c.txLinks...)
-	clear(e.transmitted)
-	for _, l := range e.txLinks {
-		e.transmitted[l] = true
-	}
-	for i := range e.inputUsedAt {
-		e.inputUsedAt[i] = -1
-	}
 	e.inFlight = c.inFlight
 	copy(e.genDue, c.genDue)
 	e.genHeap = append(e.genHeap[:0], c.genHeap...)
@@ -134,7 +122,7 @@ func (e *Engine) loadCopy(src []byte) error {
 	for i := copy(e.oracleSeen, c.oracleSeen); i < len(e.oracleSeen); i++ {
 		e.oracleSeen[i] = -1
 	}
-	e.oracleCycle, e.oracleSize = c.oracleCycle, c.oracleSize
+	e.oracleSize = c.oracleSize
 	e.oracle.Invalidate()
 
 	// The components' own sections, in the decoder's order, each after the

@@ -53,7 +53,7 @@ func tracedEngine(t *testing.T, cfg Config, sink *bytes.Buffer) (*Engine, *trace
 // same bytes again — the second time from the restore copy, which every
 // Debug audit must accept. A fresh engine decodes the bytes once. Both must
 // snapshot to the same bytes, and after 64 more audited cycles each, to the
-// same bytes again, having written the same trace.
+// same bytes again, having written the same trace and counted the same.
 func TestRestoreCopyMatchesDecode(t *testing.T) {
 	for name, data := range committedRestoreSeeds(t) {
 		t.Run(name, func(t *testing.T) {
@@ -90,6 +90,9 @@ func TestRestoreCopyMatchesDecode(t *testing.T) {
 			for round := 0; round < 2; round++ {
 				if got, want := e.Snapshot(nil), fresh.Snapshot(nil); !bytes.Equal(got, want) {
 					t.Fatalf("after %d cycles: the copy snapshots to %d bytes, the decode to %d, and they differ", 64*round, len(got), len(want))
+				}
+				if got, want := *e.Stats(), *fresh.Stats(); got != want {
+					t.Fatalf("after %d cycles: counters diverge\n copy   %+v\n decode %+v", 64*round, got, want)
 				}
 				if round == 0 {
 					stepN(t, e, 64)
@@ -182,20 +185,19 @@ func TestEngineRestoreCopyClassesEveryField(t *testing.T) {
 		"st":      "copied",
 		"latHist": "copied", "delayHist": "copied", "detLatHist": "copied",
 		"base": "copied", "end": "copied",
-		"oracleSeen": "copied", "oracleCycle": "copied", "oracleSize": "copied",
+		"oracleSeen": "copied", "oracleSize": "copied",
 		"queues": "copied", "neBits": "copied",
-		"pending": "copied", "pendingNew": "copied", "injecting": "copied", "txLinks": "copied",
+		"pending": "copied", "pendingNew": "copied", "injecting": "copied",
 		"nodeRng": "copied", "genDue": "copied", "genHeap": "copied", "inFlight": "copied",
 
-		"det":         "rebuilt", // its section decoded again
-		"rec":         "rebuilt", // its section decoded again
-		"oracle":      "rebuilt", // invalidated
-		"genDefA":     "rebuilt", // emptied
-		"genDefB":     "rebuilt", // emptied
-		"transmitted": "rebuilt", // from txLinks
-		"inputUsedAt": "rebuilt", // reset to never
+		"det":     "rebuilt", // its section decoded again
+		"rec":     "rebuilt", // its section decoded again
+		"oracle":  "rebuilt", // invalidated
+		"genDefA": "rebuilt", // emptied
+		"genDefB": "rebuilt", // emptied
 
-		"measuring": "scratch", "marksThisCycle": "scratch", "keyBits": "scratch",
+		"measuring": "scratch", "marksThisCycle": "scratch", "oracleRan": "scratch", "keyBits": "scratch",
+		"transmitted": "scratch", "txLinks": "scratch", "inputUsed": "scratch",
 		"view": "scratch", "probesInFlight": "scratch", // set before each read
 		"moves": "scratch", "feed": "scratch", "feedN": "scratch", "feedErr": "scratch",
 		"cands": "scratch", "candBuf": "scratch", "freeCands": "scratch", "arbElig": "scratch",

@@ -6,6 +6,7 @@ import (
 
 	"wormnet/internal/router"
 	"wormnet/internal/snap"
+	"wormnet/internal/stats"
 )
 
 // Snapshot and Restore: an exact byte encoding of an engine between two
@@ -13,15 +14,15 @@ import (
 //
 // What a snapshot holds is everything that influences the engine's future
 // behaviour or the results it will report: the cycle counter, the whole-run
-// counters with their readings at the window's start and end (base, end), the
-// three histograms, the fabric (router.Fabric.AppendSnapshot: message
-// pool and free-list order, occupied VCs, round-robin pointers),
-// the source queues, the pending and pendingNew header lists, the injecting
-// and transmitted-link lists, the generator schedule (every node's
-// next arrival cycle, every node's random stream, the shared stream), the
-// oracle's first-sighting stamps with oracleCycle and oracleSize, the
-// detector (detect.Capabilities.Snapshot; nil means stateless) and the
-// recovery engine.
+// counters with their readings at the window's start and end (base, end) once
+// each has been taken, the three histograms, the fabric
+// (router.Fabric.AppendSnapshot: message pool and free-list order, occupied
+// VCs, round-robin pointers), the source queues, the pending, pendingNew and
+// injecting lists, the generator schedule (every node's next arrival cycle,
+// every node's random stream, the shared stream), the oracle's
+// first-sighting stamps and the size of the set it last found, the detector
+// (detect.Capabilities.Snapshot; nil means stateless) and the recovery
+// engine.
 //
 // What it does not hold is whatever can be recomputed, and Restore recomputes
 // it through the code that maintains it while the engine runs, so a restored
@@ -29,13 +30,13 @@ import (
 // (router.Fabric.RestoreSnapshot), the nonempty-queue bitmap (queuePush), the
 // arrival heap and deferred lists (every scheduled node is pushed back on the
 // heap — the two containers are interchangeable, generate merges them in node
-// order), the transmitted bitmap (set from the lists), inFlight
-// (recounted from message phases), the detector's flags and flag counts, the
-// route memos (left empty; a lookup refills one) and the oracle's cached set
-// (invalidated). The crossbar stamps inputUsedAt are reset to "never": a
-// stamp means "this cycle" and a snapshot sits between cycles. The
-// probes-in-flight gauge is left as it is: Step sets it before anything
-// reads it.
+// order), inFlight (recounted from message phases), the detector's flags and
+// flag counts, the route memos (left empty; a lookup refills one) and the
+// oracle's cached set (invalidated). Nor does it hold a cycle's scratch — the
+// transmitted links, the used crossbar inputs, whether the oracle has run —
+// which the next Step rewrites before reading, or the probes-in-flight
+// gauge, which Step sets before anything reads it; Restore leaves them as
+// they are.
 //
 // Outside the snapshot altogether are the observation rails — the flight
 // recorder, the metrics collector and whatever observes them (forensics).
@@ -50,7 +51,7 @@ import (
 
 const (
 	snapMagic   = "WSNP"
-	snapVersion = 4
+	snapVersion = 5
 )
 
 // fingerprint describes every part of the configuration that shapes the
@@ -97,8 +98,12 @@ func (e *Engine) Snapshot(dst []byte) []byte {
 
 	dst = snap.I64(dst, e.now)
 	dst = e.st.AppendSnapshot(dst)
-	dst = e.base.AppendSnapshot(dst)
-	dst = e.end.AppendSnapshot(dst)
+	if e.now > e.cfg.Warmup {
+		dst = e.base.AppendSnapshot(dst)
+	}
+	if e.now > e.cfg.Warmup+e.cfg.Measure {
+		dst = e.end.AppendSnapshot(dst)
+	}
 	dst = e.latHist.AppendSnapshot(dst)
 	dst = e.delayHist.AppendSnapshot(dst)
 	dst = e.detLatHist.AppendSnapshot(dst)
@@ -114,7 +119,6 @@ func (e *Engine) Snapshot(dst []byte) []byte {
 	dst = snap.IDs(dst, e.pending)
 	dst = snap.IDs(dst, e.pendingNew)
 	dst = snap.IDs(dst, e.injecting)
-	dst = snap.IDs(dst, e.txLinks)
 
 	dst = snap.I64s(dst, e.genDue)
 	for i := range e.nodeRng {
@@ -132,7 +136,6 @@ func (e *Engine) Snapshot(dst []byte) []byte {
 		}
 	}
 	snap.PutU32(dst, at, uint32(n))
-	dst = snap.I64(dst, e.oracleCycle)
 	dst = snap.I64(dst, int64(e.oracleSize))
 
 	at = len(dst)
@@ -201,15 +204,21 @@ func (e *Engine) restore(r *snap.Reader) error {
 
 // restoreBody decodes everything after the header; errors stay in r.
 func (e *Engine) restoreBody(r *snap.Reader) {
-	nLinks := e.fab.NumLinks()
-
 	e.now = r.I64()
 	if e.now < 0 {
 		r.Failf("sim: snapshot taken at cycle %d", e.now)
 	}
 	e.st.RestoreSnapshot(r)
-	e.base.RestoreSnapshot(r)
-	e.end.RestoreSnapshot(r)
+	// A reading not yet taken is not in the snapshot (the fingerprint fixes
+	// Warmup and Measure, so the cycle says which are): it is what New left.
+	e.base = stats.Counters{Nodes: e.st.Nodes, NetLinks: e.st.NetLinks}
+	e.end = e.base
+	if e.now > e.cfg.Warmup {
+		e.base.RestoreSnapshot(r)
+	}
+	if e.now > e.cfg.Warmup+e.cfg.Measure {
+		e.end.RestoreSnapshot(r)
+	}
 	e.latHist.RestoreSnapshot(r)
 	e.delayHist.RestoreSnapshot(r)
 	e.detLatHist.RestoreSnapshot(r)
@@ -244,13 +253,7 @@ func (e *Engine) restoreBody(r *snap.Reader) {
 	}
 	e.pending = e.restoreHeaders(r, e.pending)
 	e.pendingNew = e.restoreHeaders(r, e.pendingNew)
-
-	// The transmitted bits cross the cycle boundary: transferDecide clears
-	// exactly the links it finds on the list. So the bits of the run being
-	// abandoned go, and the snapshot's list brings its own.
-	clear(e.transmitted)
 	e.injecting = snap.ReadIDs(r, e.injecting, 0, nMsgs)
-	e.txLinks = snap.ReadIDs(r, e.txLinks, 0, nLinks)
 	for _, id := range e.injecting {
 		// feed indexes the fabric with the injection port of every listed
 		// message that is still being fed.
@@ -259,16 +262,6 @@ func (e *Engine) restoreBody(r *snap.Reader) {
 			r.Failf("sim: snapshot lists message %d as injecting through link %d, not an injection port", id, m.InjLink)
 			return
 		}
-	}
-	for _, l := range e.txLinks {
-		if e.transmitted[l] {
-			r.Failf("sim: snapshot lists link %d as transmitted twice", l)
-			return
-		}
-		e.transmitted[l] = true
-	}
-	for i := range e.inputUsedAt {
-		e.inputUsedAt[i] = -1
 	}
 
 	inFlight := 0
@@ -318,10 +311,9 @@ func (e *Engine) restoreBody(r *snap.Reader) {
 		}
 		e.oracleSeen[id] = seen
 	}
-	e.oracleCycle = r.I64()
 	e.oracleSize = int(r.I64())
-	if e.oracleCycle >= e.now || e.oracleSize < 0 {
-		r.Failf("sim: snapshot of cycle %d says the oracle last ran at cycle %d and found %d messages", e.now, e.oracleCycle, e.oracleSize)
+	if e.oracleSize < 0 {
+		r.Failf("sim: snapshot says the oracle last found %d deadlocked messages", e.oracleSize)
 	}
 	// The cached deadlocked set belongs to the state being replaced, and the
 	// fabric generation it is keyed on says nothing across a Restore.

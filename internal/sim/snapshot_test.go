@@ -242,60 +242,80 @@ func TestSnapshotEquivalence(t *testing.T) {
 }
 
 // TestRestoreTraps pins, one subtest each, the ways a plausible Restore goes
-// wrong on an engine that has already run past the snapshot: every subtest
-// takes a deadlocking storm to cycle 120, snapshots it, runs on to cycle 300
-// and restores. (The detector-side traps — CMH's link stamps and the order its
-// dedupe keys are written in — are pinned in internal/probe.)
+// wrong on an engine that has already run past the snapshot. (The order CMH
+// writes its dedupe keys in is pinned in internal/probe.)
 func TestRestoreTraps(t *testing.T) {
 	const early, late = 120, 300
-	abandon := func(t *testing.T) (e *Engine, snapBytes []byte) {
-		e = mustNew(t, stormConfig())
-		stepN(t, e, early)
-		snapBytes = e.Snapshot(nil)
-		stepN(t, e, late-early)
-		return e, snapBytes
-	}
 
-	// transmitted bits cross the cycle boundary: transferDecide clears only
-	// the links it finds listed. Replacing the lists without clearing the
-	// abandoned run's bits and setting the snapshot's leaves links that read
-	// "transmitted" for ever (CMH's steal-idle transport never uses them).
-	t.Run("transmitted bits follow the lists", func(t *testing.T) {
-		e, snapBytes := abandon(t)
-		before := slices.Clone(e.txLinks)
-		if err := e.Restore(snapBytes); err != nil {
-			t.Fatal(err)
+	// A cycle's scratch — the transmitted links, the used crossbar inputs,
+	// whether the oracle has run, CMH's per-link probe budget — is not in the
+	// snapshot, and Restore leaves an engine's own as it is: the next Step
+	// rewrites each before reading it. So an engine taken back from a future
+	// it ran must step on exactly as a fresh engine restored from the same
+	// bytes: the same trace, the same counters and the same next snapshot.
+	// Threshold 32 lets the storm deadlock by cycle 240, where the snapshot is
+	// taken, so the oracle has a set to find; CMH runs steal-idle, the
+	// transport that reads the transmitted links.
+	t.Run("ran-ahead engine steps like a fresh restore", func(t *testing.T) {
+		for _, leg := range []struct {
+			name string
+			det  DetectorFactory
+		}{
+			{"ndm", func(f *router.Fabric) detect.Detector { return detect.NewNDM(f, 32) }},
+			{"cmh-steal-idle", func(f *router.Fabric) detect.Detector {
+				return probe.New(f, probe.Config{InitDelay: 32, MaxHops: 64, Transport: probe.TransportStealIdle})
+			}},
+		} {
+			t.Run(leg.name, func(t *testing.T) {
+				cfg := stormConfig()
+				cfg.Detector = leg.det
+				var aheadTrace, freshTrace bytes.Buffer
+				ahead, aheadRec := tracedEngine(t, cfg, &aheadTrace)
+				stepN(t, ahead, 240)
+				snapBytes := ahead.Snapshot(nil)
+				stepN(t, ahead, 160)
+				if err := ahead.Restore(snapBytes); err != nil {
+					t.Fatal(err)
+				}
+				if err := aheadRec.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				aheadTrace.Reset()
+				fresh, freshRec := tracedEngine(t, cfg, &freshTrace)
+				if err := fresh.Restore(snapBytes); err != nil {
+					t.Fatal(err)
+				}
+				restored := *fresh.Stats()
+				for round := 1; round <= 3; round++ {
+					stepN(t, ahead, 40)
+					stepN(t, fresh, 40)
+					if err := aheadRec.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					if err := freshRec.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(aheadTrace.Bytes(), freshTrace.Bytes()) {
+						t.Fatalf("round %d: trace of the ran-ahead engine (%d bytes) differs from a fresh restore's (%d bytes)", round, aheadTrace.Len(), freshTrace.Len())
+					}
+					if got, want := *ahead.Stats(), *fresh.Stats(); got != want {
+						t.Fatalf("round %d: counters diverge\n got %+v\nwant %+v", round, got, want)
+					}
+					if !bytes.Equal(ahead.Snapshot(nil), fresh.Snapshot(nil)) {
+						t.Fatalf("round %d: the ran-ahead engine and a fresh restore snapshot differently", round)
+					}
+				}
+				if st := fresh.Stats(); st.DeadlockCycles == restored.DeadlockCycles || st.Marked == restored.Marked {
+					t.Fatal("no deadlock seen or no message marked after the restore: nothing to get wrong")
+				}
+			})
 		}
-		if slices.Equal(before, e.txLinks) {
-			t.Fatal("the two cycles transmitted on the same links: nothing to get wrong")
-		}
-		if err := e.auditActiveSets(); err != nil {
-			t.Fatal(err)
-		}
-		stepN(t, e, 50) // Debug audits every cycle
 	})
 
-	// inputUsedAt[in] == now means "this input already sent a flit this
-	// cycle". Taken back to cycle 120, the engine must not meet the stamps it
-	// wrote in cycles 120..299 of the run it abandoned.
-	t.Run("crossbar stamps of the abandoned future", func(t *testing.T) {
-		e, snapBytes := abandon(t)
-		if err := e.Restore(snapBytes); err != nil {
-			t.Fatal(err)
-		}
-		for in, at := range e.inputUsedAt {
-			if at >= e.now {
-				t.Fatalf("input link %d carries crossbar stamp %d at cycle %d", in, at, e.now)
-			}
-		}
-	})
-
-	// The oracle caches its set under the fabric generation, and runOracle
-	// runs once per cycle by comparing oracleCycle with now: both must be
-	// brought back (or invalidated), or the restored engine is served the
-	// abandoned run's deadlocked set, or skips the oracle when the abandoned
-	// run's last cycle comes round again.
-	t.Run("oracle cache and oracleCycle", func(t *testing.T) {
+	// The oracle caches its set under the fabric generation, which a
+	// Restore does not bring back: the cache must be invalidated, or the
+	// restored engine is served the abandoned run's deadlocked set.
+	t.Run("oracle cache", func(t *testing.T) {
 		// Snapshot inside a deadlock, run on until the set has changed.
 		e := mustNew(t, stormConfig())
 		for e.oracleSize == 0 {
@@ -311,9 +331,6 @@ func TestRestoreTraps(t *testing.T) {
 		stale := slices.Clone(e.oracle.Deadlocked()) // cached and valid for the abandoned cycle
 		if err := e.Restore(snapBytes); err != nil {
 			t.Fatal(err)
-		}
-		if e.oracleCycle >= e.now {
-			t.Fatalf("oracleCycle %d at cycle %d: the oracle would not run again until then", e.oracleCycle, e.now)
 		}
 		fresh := mustNew(t, stormConfig())
 		if err := fresh.Restore(snapBytes); err != nil {
@@ -376,6 +393,39 @@ func TestRestoreTraps(t *testing.T) {
 	})
 }
 
+// TestSnapshotWritesReadingsOnceTaken: the window's readings base and end are
+// in a snapshot only once taken, and Restore brings an absent one back to what
+// New leaves, also into an engine that has taken both — by decode and, the
+// second time, from the restore copy. The reference for each cycle is an
+// engine run straight there.
+func TestSnapshotWritesReadingsOnceTaken(t *testing.T) {
+	cfg := stormConfig()
+	cfg.Warmup, cfg.Measure = 50, 100
+	src := mustNew(t, cfg)
+	cycles := []int64{30, 100, 200} // neither taken, base taken, both taken
+	var snaps [][]byte
+	for _, at := range cycles {
+		stepN(t, src, int(at-src.now))
+		snaps = append(snaps, src.Snapshot(nil))
+	}
+	for i, at := range cycles {
+		ref := mustNew(t, cfg)
+		stepN(t, ref, int(at))
+		for pass, e := range []*Engine{mustNew(t, cfg), src, src} {
+			if err := e.Restore(snaps[i]); err != nil {
+				t.Fatal(err)
+			}
+			if e.base != ref.base || e.end != ref.end {
+				t.Errorf("cycle %d, restore %d: base/end differ from an engine run straight there\n got %+v\n     %+v\nwant %+v\n     %+v",
+					at, pass, e.base, e.end, ref.base, ref.end)
+			}
+		}
+	}
+	if len(snaps[1]) >= len(snaps[2]) || src.base == src.end {
+		t.Fatal("the readings taken later add nothing to the snapshot: nothing to get wrong")
+	}
+}
+
 // TestRestoreRefusesInconsistentState: a snapshot whose lists contradict its
 // messages — here taken from an engine corrupted in memory just before
 // Snapshot — is refused with an error naming the contradiction. (The
@@ -395,9 +445,6 @@ func TestRestoreRefusesInconsistentState(t *testing.T) {
 		corrupt func(e *Engine)
 		want    string
 	}{
-		{"link transmitted twice", func(e *Engine) {
-			e.txLinks = append(e.txLinks, e.txLinks[0])
-		}, "as transmitted twice"},
 		{"message in the network also queued", func(e *Engine) { e.queuePush(3, inNetwork(e)) }, "queues message"},
 		{"queued message on no queue", func(e *Engine) {
 			for node := range e.queues {
@@ -418,7 +465,6 @@ func TestRestoreRefusesInconsistentState(t *testing.T) {
 			panic("nothing injecting")
 		}, "not an injection port"},
 		{"arrival scheduled in the past", func(e *Engine) { e.genDue[5] = e.now - 1 }, "before cycle"},
-		{"oracle ran in the future", func(e *Engine) { e.oracleCycle = e.now }, "oracle last ran"},
 		{"absorbing a message that is not recovering", func(e *Engine) {
 			m := e.fab.Msg(inNetwork(e))
 			m.Phase = router.PhaseRecovering
@@ -504,10 +550,11 @@ func TestRestoreRefusesForeignBytes(t *testing.T) {
 		t.Errorf("version 1 header: %v", err)
 	}
 	// So are a version 2 header, the format whose fabric section ended in
-	// the set of failed links, and a version 3 header, the format that kept
+	// the set of failed links, a version 3 header, the format that kept
 	// the measured window's counters and the probe and absorption totals
-	// already charged.
-	for _, v := range []uint32{2, 3} {
+	// already charged, and a version 4 header, the format that kept the
+	// transmitted links and the cycle the oracle last ran.
+	for _, v := range []uint32{2, 3, 4} {
 		old := bytes.Clone(good)
 		snap.PutU32(old, 4, v)
 		if err := target.Restore(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("snapshot format version %d,", v)) {

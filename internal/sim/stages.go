@@ -217,8 +217,8 @@ func (e *Engine) admitNode(node int) {
 // Stage 3: flit transfer (crossbar + channel).
 //
 // transferDecide arbitrates every output link against pre-cycle state:
-// nothing is mutated except arbitration state (round-robin pointers,
-// crossbar-port stamps, transmitted bits), so every decision sees the credit
+// nothing is mutated except arbitration state (round-robin pointers, the
+// used crossbar inputs, transmitted bits), so every decision sees the credit
 // each target buffer had when the cycle began. transferCommit then applies
 // the decided moves in decision order. Constraints: at most one flit crosses
 // each physical channel per cycle, and at most one flit leaves each input
@@ -244,7 +244,7 @@ func (e *Engine) transferDecide() {
 	// key bit position encodes the canonical arbitration position
 	// (precomputed in linkKey) — routers ascending, network output links
 	// before delivery ports, each in port order — NOT raw LinkID order: the
-	// crossbar-input constraint (inputUsedAt) couples the arbitrations of one
+	// crossbar-input constraint (inputUsed) couples the arbitrations of one
 	// router's outputs, so the order links are decided in is part of the
 	// determinism contract.
 	words, summary := fab.OccupiedBits()
@@ -314,8 +314,7 @@ func (e *Engine) arbitrate(tl router.LinkID, req []router.VCID, buf int32) {
 		if vcs[uv.Next].Flits >= buf {
 			continue // no credit at the target buffer
 		}
-		in := uv.Link
-		if e.inputUsedAt[in] == e.now {
+		if e.inputUsed[uv.Link] {
 			continue // crossbar input port already used this cycle
 		}
 		e.grant(tl, u)
@@ -327,19 +326,21 @@ func (e *Engine) arbitrate(tl router.LinkID, req []router.VCID, buf int32) {
 // grant records u as the winner of target link tl's arbitration.
 func (e *Engine) grant(tl router.LinkID, u router.VCID) {
 	e.moves = append(e.moves, u)
-	e.inputUsedAt[e.fab.VCs[u].Link] = e.now
+	e.inputUsed[e.fab.VCs[u].Link] = true
 	e.transmitted[tl] = true
 	e.txLinks = append(e.txLinks, tl)
 }
 
-// transferCommit moves one flit per decided winner. A header that reaches a
-// new router must route again, one cycle from now; a tail releases its VC,
-// which is traced and reported to the detector.
+// transferCommit moves one flit per decided winner and frees the winner's
+// input channel for the next cycle. A header that reaches a new router must
+// route again, one cycle from now; a tail releases its VC, which is traced
+// and reported to the detector.
 func (e *Engine) transferCommit() {
 	fab := e.fab
 	for _, u := range e.moves {
 		occ := fab.VCs[u].Occupant
 		v := fab.VCs[u].Next
+		e.inputUsed[fab.VCs[u].Link] = false
 		header, tail := fab.MoveFlit(u)
 		if header {
 			m := fab.Msg(occ)
