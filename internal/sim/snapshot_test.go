@@ -312,6 +312,69 @@ func TestRestoreTraps(t *testing.T) {
 		}
 	})
 
+	abandon := func(t *testing.T) (e *Engine, snapBytes []byte) {
+		e = mustNew(t, stormConfig())
+		stepN(t, e, early)
+		snapBytes = e.Snapshot(nil)
+		stepN(t, e, late-early)
+		return e, snapBytes
+	}
+	// stepBeside steps a restored engine and a fresh restore of the same
+	// bytes n cycles, one at a time, and fails once their snapshots differ.
+	stepBeside := func(t *testing.T, e *Engine, snapBytes []byte, n int) {
+		fresh := mustNew(t, stormConfig())
+		if err := fresh.Restore(snapBytes); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			stepN(t, e, 1)
+			stepN(t, fresh, 1)
+			if !slices.Equal(e.txLinks, fresh.txLinks) || !slices.Equal(e.transmitted, fresh.transmitted) {
+				t.Fatalf("cycle %d: transmitted links differ from a fresh restore's", e.now)
+			}
+			if !bytes.Equal(e.Snapshot(nil), fresh.Snapshot(nil)) {
+				t.Fatalf("cycle %d: the engine brought back and a fresh restore diverged", e.now)
+			}
+		}
+	}
+
+	// The transmitted links are scratch: Restore leaves the abandoned
+	// cycle's list and bits in place, and transferDecide clears the bits of
+	// the links it finds listed. The bits must still follow the list after
+	// Restore, or links read "transmitted" for ever (CMH's steal-idle
+	// transport never uses them); the next cycle must transmit on the links
+	// a fresh restore does.
+	t.Run("transmitted bits follow the lists", func(t *testing.T) {
+		e, snapBytes := abandon(t)
+		if len(e.txLinks) == 0 {
+			t.Fatal("the abandoned cycle transmitted on no link: nothing to get wrong")
+		}
+		if err := e.Restore(snapBytes); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.auditActiveSets(); err != nil {
+			t.Fatal(err)
+		}
+		stepBeside(t, e, snapBytes, 50) // Debug audits every cycle
+	})
+
+	// inputUsed[in] means "this input already sent a flit this cycle";
+	// transferCommit clears it as it applies each move, so it is empty
+	// between cycles. Taken back to cycle 120, the engine must not meet an
+	// input the run it abandoned (cycles 120..299) left marked.
+	t.Run("crossbar stamps of the abandoned future", func(t *testing.T) {
+		e, snapBytes := abandon(t)
+		if err := e.Restore(snapBytes); err != nil {
+			t.Fatal(err)
+		}
+		for in, used := range e.inputUsed {
+			if used {
+				t.Fatalf("input link %d is marked used at cycle %d", in, e.now)
+			}
+		}
+		stepBeside(t, e, snapBytes, 50)
+	})
+
 	// The oracle caches its set under the fabric generation, which a
 	// Restore does not bring back: the cache must be invalidated, or the
 	// restored engine is served the abandoned run's deadlocked set.
