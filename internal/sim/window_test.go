@@ -34,6 +34,9 @@ func TestWindowGolden(t *testing.T) {
 		{"cmh-ctrl-vc", func(r *spec.Run) {
 			r.Mechanism, r.ProbeTransport = spec.CMH, spec.ProbeControlVC
 		}},
+		{"cmh-steal-idle", func(r *spec.Run) {
+			r.Mechanism, r.ProbeTransport = spec.CMH, spec.ProbeStealIdle
+		}},
 	}
 	for _, leg := range legs {
 		t.Run(leg.name, func(t *testing.T) {
