@@ -94,11 +94,7 @@ type attempt struct {
 // every attempt is a blocked message re-trying its routing. Marked
 // messages are reported.
 func (w *world) cycle(tx []router.LinkID, atts ...attempt) []string {
-	transmitted := make([]bool, w.f.NumLinks())
-	for _, l := range tx {
-		transmitted[l] = true
-	}
-	w.ndm.EndCycle(w.now, tx, transmitted)
+	w.ndm.EndCycle(w.now, tx)
 	var marked []string
 	for _, a := range atts {
 		first := w.attempts[a.m.ID] == 0

@@ -16,7 +16,8 @@
 //
 // All mechanisms are distributed and use only information local to one
 // router, as the paper requires. The simulation engine feeds them routing
-// and flow-control events and a per-cycle transmission bitmap.
+// and flow-control events and, once per cycle, the list of channels a flit
+// crossed.
 package detect
 
 import (
@@ -53,17 +54,16 @@ type Detector interface {
 	VCFreed(l router.LinkID)
 
 	// EndCycle is invoked once per cycle after all flit movement. txLinks
-	// lists every physical channel a flit was transmitted across this cycle
-	// (each at most once), and transmitted is the same information as a
-	// bitmap indexed by LinkID. Both are scratch buffers owned by the engine
-	// and reused every cycle: implementations must not retain them past the
-	// call. txLinks is empty on a quiescent cycle — no flit moved anywhere —
-	// and implementations must keep their inactivity counters running across
-	// arbitrarily long quiescent stretches (the fabric's busy-link bitmap
-	// gives them the channels to count; the engine separately relies on
-	// quiescence to short-circuit its deadlock oracle, so EndCycle must not
-	// mutate fabric state).
-	EndCycle(now int64, txLinks []router.LinkID, transmitted []bool)
+	// lists every physical channel a flit was transmitted across this cycle,
+	// each at most once, in the engine's arbitration order. It is a scratch
+	// buffer owned by the engine and reused every cycle: implementations must
+	// not retain it past the call. txLinks is empty on a quiescent cycle —
+	// no flit moved anywhere — and implementations must keep their
+	// inactivity counters running across arbitrarily long quiescent
+	// stretches (the fabric's busy-link bitmap gives them the channels to
+	// count; the engine separately relies on quiescence to short-circuit its
+	// deadlock oracle, so EndCycle must not mutate fabric state).
+	EndCycle(now int64, txLinks []router.LinkID)
 
 	// Capabilities reports, once, what the mechanism offers beyond the four
 	// events above. The engine calls it right after construction.
@@ -153,7 +153,7 @@ type passive struct{}
 
 func (passive) RouteSucceeded(*router.Message, router.LinkID) {}
 func (passive) VCFreed(router.LinkID)                         {}
-func (passive) EndCycle(int64, []router.LinkID, []bool)       {}
+func (passive) EndCycle(int64, []router.LinkID)               {}
 func (passive) Capabilities() Capabilities                    { return Capabilities{} }
 
 // None is a Detector that never marks anything. It is used to measure raw

@@ -48,11 +48,7 @@ func occupy(t *testing.T, f *router.Fabric, l router.LinkID, dst int) *router.Me
 
 // tick runs detector end-of-cycle with the given transmitted links.
 func tick(d detect.Detector, now int64, f *router.Fabric, tx ...router.LinkID) {
-	transmitted := make([]bool, f.NumLinks())
-	for _, l := range tx {
-		transmitted[l] = true
-	}
-	d.EndCycle(now, tx, transmitted)
+	d.EndCycle(now, tx)
 }
 
 func TestNDMCounterThresholds(t *testing.T) {
@@ -484,7 +480,7 @@ func TestNoneDetector(t *testing.T) {
 	}
 	d.RouteSucceeded(nil, 0)
 	d.VCFreed(0)
-	d.EndCycle(0, nil, nil)
+	d.EndCycle(0, nil)
 	assertCaps(t, d, false, false, false, false, false)
 }
 
@@ -550,7 +546,7 @@ func TestTimeoutDetectorNoOps(t *testing.T) {
 	} {
 		d.RouteSucceeded(nil, 0)
 		d.VCFreed(0)
-		d.EndCycle(0, nil, nil)
+		d.EndCycle(0, nil)
 		if d.Name() == "" {
 			t.Error("empty name")
 		}

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"slices"
 	"testing"
 
 	"wormnet/internal/router"
@@ -10,7 +11,7 @@ import (
 // FuzzPDMFlags drives PDM's per-channel counter/flag hardware (paper Figure
 // 1) with an arbitrary interleaving of the events the engine can deliver —
 // VC allocations and worm releases, routing attempts and end-of-cycle
-// transmission bitmaps — and asserts that it never panics and that its state
+// transmitted lists — and asserts that it never panics and that its state
 // stays legal:
 //
 //   - the cached IF-occupancy count equals the number of set flags;
@@ -51,7 +52,6 @@ func FuzzPDMFlags(f *testing.F) {
 
 		nLinks := fab.NumLinks()
 		nNodes := topo.Nodes()
-		transmitted := make([]bool, nLinks)
 		var txLinks []router.LinkID
 		var live []*router.Message
 		outsBuf := make([]router.LinkID, 0, 4)
@@ -114,20 +114,16 @@ func FuzzPDMFlags(f *testing.F) {
 				}
 			case 3: // successful routing (a no-op for PDM; must not panic)
 				d.RouteSucceeded(probe, link())
-			case 4: // end of cycle with an arbitrary transmission bitmap
+			case 4: // end of cycle with an arbitrary transmitted list
 				txLinks = txLinks[:0]
-				for i := range transmitted {
-					transmitted[i] = false
-				}
 				for i := int(next()) % 8; i > 0; i-- {
 					l := link()
-					if !transmitted[l] {
-						transmitted[l] = true
+					if !slices.Contains(txLinks, l) {
 						txLinks = append(txLinks, l)
 					}
 				}
-				d.EndCycle(now, txLinks, transmitted)
-				ref.refEndCycle(txLinks, transmitted)
+				d.EndCycle(now, txLinks)
+				ref.refEndCycle(txLinks)
 				now++
 				for _, l := range txLinks {
 					if d.counter[l] != 0 || d.InactivitySet(l) {

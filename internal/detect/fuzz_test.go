@@ -12,7 +12,7 @@ import (
 // FuzzNDMFlags drives NDM's per-channel flag state machine with an arbitrary
 // interleaving of the events the engine can deliver — VC allocations and
 // worm releases, first and repeated routing failures, routing successes, and
-// end-of-cycle transmission bitmaps — and asserts that it never panics and
+// end-of-cycle transmitted lists — and asserts that it never panics and
 // that its state stays inside the legal lattice:
 //
 //   - DT set on a channel implies I set (t1 <= t2: a counter past the
@@ -66,7 +66,6 @@ func FuzzNDMFlags(f *testing.F) {
 
 		nLinks := fab.NumLinks()
 		nNodes := topo.Nodes()
-		transmitted := make([]bool, nLinks)
 		var txLinks []router.LinkID
 		var live []*router.Message // single-flit worms occupying one VC each
 		outsBuf := make([]router.LinkID, 0, 4)
@@ -125,20 +124,16 @@ func FuzzNDMFlags(f *testing.F) {
 				in := link()
 				d.RouteSucceeded(probe, in)
 				ref.RouteSucceeded(probe, in)
-			case 4: // end of cycle with an arbitrary transmission bitmap
+			case 4: // end of cycle with an arbitrary transmitted list
 				txLinks = txLinks[:0]
-				for i := range transmitted {
-					transmitted[i] = false
-				}
 				for i := int(next()) % 8; i > 0; i-- {
 					l := link()
-					if !transmitted[l] { // each link at most once, per contract
-						transmitted[l] = true
+					if !slices.Contains(txLinks, l) { // each link at most once, per contract
 						txLinks = append(txLinks, l)
 					}
 				}
-				d.EndCycle(now, txLinks, transmitted)
-				ref.refEndCycle(txLinks, transmitted)
+				d.EndCycle(now, txLinks)
+				ref.refEndCycle(txLinks)
 				now++
 			case 5: // flow-control event on an arbitrary channel
 				l := link()

@@ -11,14 +11,14 @@ import (
 	"wormnet/internal/trace"
 )
 
-// refIdleLinks is the differential reference for idleScan.each: the
+// refIdleLinks is the differential reference for idleScan.advance: the
 // list-walking selection the bitmap loop replaced, one link at a time off
-// the engine's transmitted []bool and the fabric's per-link occupancy.
-func refIdleLinks(f *router.Fabric, transmitted []bool) []router.LinkID {
+// the cycle's transmitted list and the fabric's per-link occupancy.
+func refIdleLinks(f *router.Fabric, txLinks []router.LinkID) []router.LinkID {
 	var out []router.LinkID
 	for l := 0; l < f.NumLinks(); l++ {
 		id := router.LinkID(l)
-		if f.BusyVCs(id) == 0 || transmitted[l] || !f.IsMonitored(id) {
+		if f.BusyVCs(id) == 0 || slices.Contains(txLinks, id) || !f.IsMonitored(id) {
 			continue
 		}
 		out = append(out, id)
@@ -30,7 +30,7 @@ func refIdleLinks(f *router.Fabric, transmitted []bool) []router.LinkID {
 // the kernel: its own reset with the per-input promotion walk (refPromote),
 // then one increment per idle link off refIdleLinks, a flag rising where it
 // reads set after the increment and clear before.
-func (d *NDM) refEndCycle(txLinks []router.LinkID, transmitted []bool) {
+func (d *NDM) refEndCycle(txLinks []router.LinkID) {
 	for _, id := range txLinks {
 		if d.IFlagSet(id) {
 			d.refPromote(id)
@@ -43,7 +43,7 @@ func (d *NDM) refEndCycle(txLinks []router.LinkID, transmitted []bool) {
 		}
 		d.counter[id] = 0
 	}
-	for _, id := range refIdleLinks(d.f, transmitted) {
+	for _, id := range refIdleLinks(d.f, txLinks) {
 		wasI, wasDT := d.IFlagSet(id), d.DTFlagSet(id)
 		d.counter[id]++
 		if d.IFlagSet(id) && !wasI {
@@ -72,7 +72,7 @@ func (d *NDM) refPromote(out router.LinkID) {
 	}
 }
 
-func (d *PDM) refEndCycle(txLinks []router.LinkID, transmitted []bool) {
+func (d *PDM) refEndCycle(txLinks []router.LinkID) {
 	for _, id := range txLinks {
 		if d.InactivitySet(id) {
 			d.ifBusy--
@@ -80,7 +80,7 @@ func (d *PDM) refEndCycle(txLinks []router.LinkID, transmitted []bool) {
 		}
 		d.counter[id] = 0
 	}
-	for _, id := range refIdleLinks(d.f, transmitted) {
+	for _, id := range refIdleLinks(d.f, txLinks) {
 		was := d.InactivitySet(id)
 		d.counter[id]++
 		if d.InactivitySet(id) && !was {
@@ -148,16 +148,9 @@ func TestTransmittedAndReleasedSameCycle(t *testing.T) {
 	}
 	del := f.DelLink(5, 0)
 	ndm, pdm := NewNDM(f, 2), NewPDM(f, 2)
-	transmitted := make([]bool, f.NumLinks())
 	endCycle := func(now int64, tx ...router.LinkID) {
-		for _, l := range tx {
-			transmitted[l] = true
-		}
-		ndm.EndCycle(now, tx, transmitted)
-		pdm.EndCycle(now, tx, transmitted)
-		for _, l := range tx {
-			transmitted[l] = false
-		}
+		ndm.EndCycle(now, tx)
+		pdm.EndCycle(now, tx)
 	}
 	hold := func() *router.Message {
 		m := f.NewMessage(0, 5, 1, 0)
@@ -176,7 +169,7 @@ func TestTransmittedAndReleasedSameCycle(t *testing.T) {
 	for now := int64(1); now <= 3; now++ {
 		endCycle(now)
 		if ndm.counter[del] != now || pdm.counter[del] != now {
-			t.Fatalf("cycle %d: counters ndm=%d pdm=%d, want %d (stale transmitted bit?)",
+			t.Fatalf("cycle %d: counters ndm=%d pdm=%d, want %d (stale tx mask bit?)",
 				now, ndm.counter[del], pdm.counter[del], now)
 		}
 	}
@@ -244,14 +237,12 @@ func TestISetBeforeDTSetWhenT1EqualsT2(t *testing.T) {
 	ref.SetTracer(recordInto(&want))
 	l := f.NetLink(0, 0)
 	f.Allocate(f.NewMessage(0, 5, 1, 0), router.NilVC, f.FreeVC(l))
-	transmitted := make([]bool, f.NumLinks())
 	for now := int64(0); now < 4; now++ {
-		d.EndCycle(now, nil, transmitted)
-		ref.refEndCycle(nil, transmitted)
+		d.EndCycle(now, nil)
+		ref.refEndCycle(nil)
 	}
-	transmitted[l] = true
-	d.EndCycle(4, []router.LinkID{l}, transmitted)
-	ref.refEndCycle([]router.LinkID{l}, transmitted)
+	d.EndCycle(4, []router.LinkID{l})
+	ref.refEndCycle([]router.LinkID{l})
 	if !slices.Equal(got, want) {
 		t.Fatalf("events %v, reference %v", got, want)
 	}

@@ -306,7 +306,7 @@ func (d *NDM) setP(in router.LinkID, msg router.MsgID, reason int64) {
 // is what makes the Figure 5 case work: a stale I flag left by a drained
 // message is reset by the first flit of the next message to use the
 // channel, and that reset promotes the messages waiting on it from P to G.
-func (d *NDM) EndCycle(_ int64, txLinks []router.LinkID, _ []bool) {
+func (d *NDM) EndCycle(_ int64, txLinks []router.LinkID) {
 	d.reset(txLinks)
 	// The counter is "only incremented if at least one virtual channel is
 	// occupied", so the busy links cover every counting channel.

@@ -139,7 +139,7 @@ func (d *PDM) VCFreed(router.LinkID) {}
 // consulted while the channel is fully busy, and any occupancy implies a
 // recent transmission that reset it, so the observable behavior is
 // identical.)
-func (d *PDM) EndCycle(_ int64, txLinks []router.LinkID, _ []bool) {
+func (d *PDM) EndCycle(_ int64, txLinks []router.LinkID) {
 	d.reset(txLinks)
 	d.idle.advance(txLinks, d.counter, d.Threshold+1, d.Threshold+1, d.raise)
 }

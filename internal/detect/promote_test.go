@@ -72,11 +72,7 @@ func (b *promoteBench) drain(m *router.Message) {
 // cycle advances the clock: tx channels transmitted, then the listed
 // messages fail a routing attempt requesting their single candidate output.
 func (b *promoteBench) cycle(tx []router.LinkID, fails ...*router.Message) {
-	transmitted := make([]bool, b.f.NumLinks())
-	for _, l := range tx {
-		transmitted[l] = true
-	}
-	b.ndm.EndCycle(b.now, tx, transmitted)
+	b.ndm.EndCycle(b.now, tx)
 	for _, m := range fails {
 		in := b.f.LinkOfVC(m.HeadVC)
 		node := b.f.RouterOf(in)

@@ -91,11 +91,7 @@ type attempt struct {
 // detector hardware updates, then the given routing attempts fail (their
 // outputs are all busy by construction). Marked messages are recorded.
 func (b *bench) cycle(tx []router.LinkID, atts ...attempt) {
-	transmitted := make([]bool, b.f.NumLinks())
-	for _, l := range tx {
-		transmitted[l] = true
-	}
-	b.det.EndCycle(b.now, tx, transmitted)
+	b.det.EndCycle(b.now, tx)
 	for _, a := range atts {
 		first := b.attempts[a.m.ID] == 0
 		b.attempts[a.m.ID]++

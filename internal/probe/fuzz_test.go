@@ -2,6 +2,7 @@ package probe
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"wormnet/internal/router"
@@ -11,7 +12,7 @@ import (
 // FuzzProbeDigest drives the detector with an arbitrary interleaving of the
 // events the engine can deliver — worm creation and release, first and
 // repeated routing failures, routing successes, end-of-cycle advances with
-// arbitrary transmission bitmaps, and worm extension — and asserts the
+// arbitrary transmitted lists, and worm extension — and asserts the
 // probe-accounting invariants that the forward/dedupe/return machinery must
 // preserve no matter the sequence:
 //
@@ -57,7 +58,6 @@ func FuzzProbeDigest(f *testing.F) {
 
 		nLinks := fab.NumLinks()
 		nNodes := topo.Nodes()
-		transmitted := make([]bool, nLinks)
 		var txLinks []router.LinkID
 		var live []*router.Message
 		outsBuf := make([]router.LinkID, 0, 8)
@@ -128,19 +128,14 @@ func FuzzProbeDigest(f *testing.F) {
 				m := live[int(next())%len(live)]
 				m.Attempts = 0
 				d.RouteSucceeded(m, fab.LinkOfVC(m.HeadVC))
-			case 4: // end of cycle with an arbitrary transmission bitmap
+			case 4: // end of cycle with an arbitrary transmitted list
 				txLinks = txLinks[:0]
-				for i := range transmitted {
-					transmitted[i] = false
-				}
 				for i := int(next()) % 8; i > 0; i-- {
-					l := link()
-					if !transmitted[l] {
-						transmitted[l] = true
+					if l := link(); !slices.Contains(txLinks, l) {
 						txLinks = append(txLinks, l)
 					}
 				}
-				d.EndCycle(now, txLinks, transmitted)
+				d.EndCycle(now, txLinks)
 				now++
 				// Between cycles the state must survive a snapshot: a
 				// fresh detector restored from it writes the same bytes

@@ -140,9 +140,10 @@ type Detector struct {
 	inits       []initiatorState
 	pendingMark []bool // probe returned for this victim; mark on next RouteFailed
 
-	// linkUsed is the set of links a probe flit crossed this cycle, bit l of
-	// word l>>6: at most one probe flit per link per cycle in either
-	// transport. EndCycle empties it before it returns.
+	// linkUsed is the set of links no probe flit may cross any more this
+	// cycle, bit l of word l>>6: those a probe flit crossed (at most one per
+	// link per cycle in either transport) and, under steal-idle, those a data
+	// flit crossed. EndCycle empties it before it returns.
 	linkUsed []uint64
 
 	candBuf []router.LinkID
@@ -264,23 +265,23 @@ func (d *Detector) VCFreed(l router.LinkID) {}
 
 // EndCycle advances every in-flight probe one step and launches new probes
 // from eligible blocked initiators. It reads fabric state but never mutates
-// it, honoring the detect.Detector contract; txLinks and transmitted are
-// engine-owned scratch, consulted only within the call.
-func (d *Detector) EndCycle(now int64, txLinks []router.LinkID, transmitted []bool) {
-	d.advance(now, transmitted)
-	d.launch(now, transmitted)
+// it, honoring the detect.Detector contract; txLinks is engine-owned scratch,
+// consulted only within the call. Under steal-idle the links that carried
+// data are taken before any probe moves, so no probe flit crosses them.
+func (d *Detector) EndCycle(now int64, txLinks []router.LinkID) {
+	if d.cfg.Transport == TransportStealIdle {
+		for _, l := range txLinks {
+			d.linkUsed[l>>6] |= 1 << (l & 63)
+		}
+	}
+	d.advance(now)
+	d.launch(now)
 	clear(d.linkUsed)
 }
 
 // channelFree reports whether a probe flit may cross link l this cycle.
-func (d *Detector) channelFree(l router.LinkID, transmitted []bool) bool {
-	if d.linkUsed[l>>6]>>(l&63)&1 != 0 {
-		return false
-	}
-	if d.cfg.Transport == TransportStealIdle && int(l) < len(transmitted) && transmitted[l] {
-		return false
-	}
-	return true
+func (d *Detector) channelFree(l router.LinkID) bool {
+	return d.linkUsed[l>>6]>>(l&63)&1 == 0
 }
 
 func (d *Detector) useChannel(l router.LinkID) {
@@ -290,7 +291,7 @@ func (d *Detector) useChannel(l router.LinkID) {
 
 // advance moves each in-flight probe at most one link along the worm it is
 // chasing, handling arrival at the header.
-func (d *Detector) advance(now int64, transmitted []bool) {
+func (d *Detector) advance(now int64) {
 	next := d.next[:0]
 	for _, p := range d.probes {
 		vc := &d.fab.VCs[p.at]
@@ -300,7 +301,7 @@ func (d *Detector) advance(now int64, transmitted []bool) {
 		}
 		m := d.fab.Msg(p.target)
 		if m.HeadVC == p.at {
-			next = d.arrive(p, m, now, transmitted, next)
+			next = d.arrive(p, m, now, next)
 			continue
 		}
 		nxt := vc.Next
@@ -310,7 +311,7 @@ func (d *Detector) advance(now int64, transmitted []bool) {
 			continue
 		}
 		nl := d.fab.LinkOfVC(nxt)
-		if !d.channelFree(nl, transmitted) {
+		if !d.channelFree(nl) {
 			next = append(next, p) // wait for the link
 			continue
 		}
@@ -327,7 +328,7 @@ func (d *Detector) advance(now int64, transmitted []bool) {
 }
 
 // arrive handles a probe that reached the header VC of the worm it chased.
-func (d *Detector) arrive(p pr, m *router.Message, now int64, transmitted []bool, next []pr) []pr {
+func (d *Detector) arrive(p pr, m *router.Message, now int64, next []pr) []pr {
 	if m.Phase != router.PhaseNetwork || m.Attempts == 0 {
 		// The worm is no longer wait-blocked; the edge evaporated.
 		d.drop(p, trace.ProbeDropStale)
@@ -342,7 +343,7 @@ func (d *Detector) arrive(p pr, m *router.Message, now int64, transmitted []bool
 		p.victimGen = m.GenTime
 	}
 	node := d.fab.RouterOf(d.fab.LinkOfVC(p.at))
-	return d.expand(p, m, node, now, transmitted, next, false)
+	return d.expand(p, m, node, now, next, false)
 }
 
 // expand fans a probe out from the blocked header of m at node onto the
@@ -352,7 +353,7 @@ func (d *Detector) arrive(p pr, m *router.Message, now int64, transmitted []bool
 // emit is false the probe physically arrived here: children are
 // KindProbeForward and the parent is consumed (relayed, returned, or
 // dropped).
-func (d *Detector) expand(p pr, m *router.Message, node int, now int64, transmitted []bool, next []pr, emit bool) []pr {
+func (d *Detector) expand(p pr, m *router.Message, node int, now int64, next []pr, emit bool) []pr {
 	outs := d.fab.Candidates(m, node, d.candBuf[:0])
 	d.candBuf = outs[:0]
 	st := &d.inits[p.initiator]
@@ -418,7 +419,7 @@ func (d *Detector) expand(p pr, m *router.Message, node int, now int64, transmit
 			if st.seen.has(key) {
 				continue
 			}
-			if !d.channelFree(out, transmitted) {
+			if !d.channelFree(out) {
 				blockedCh = true
 				continue
 			}
@@ -490,7 +491,7 @@ func (d *Detector) drop(p pr, reason int64) {
 // immediately; per-wave digest dedupe makes repeated launches idempotent
 // until ReprobeEvery re-opens the window, so edges gated by busy links are
 // retried every cycle without duplicating edges already probed.
-func (d *Detector) launch(now int64, transmitted []bool) {
+func (d *Detector) launch(now int64) {
 	for i := 0; i < len(d.blocked); i++ {
 		id := d.blocked[i]
 		m := d.fab.Msg(id)
@@ -517,7 +518,7 @@ func (d *Detector) launch(now int64, transmitted []bool) {
 			victim:    id,
 			victimGen: m.GenTime,
 		}
-		d.probes = d.expand(seed, m, node, now, transmitted, d.probes, true)
+		d.probes = d.expand(seed, m, node, now, d.probes, true)
 	}
 }
 

@@ -84,11 +84,10 @@ func registerBlocked(d *Detector, f *router.Fabric, m *router.Message, now int64
 }
 
 // cycleN runs n empty-transmission EndCycles starting at cycle 1.
-func cycleN(d *Detector, f *router.Fabric, n int) int64 {
-	transmitted := make([]bool, f.NumLinks())
+func cycleN(d *Detector, n int) int64 {
 	now := int64(1)
 	for i := 0; i < n; i++ {
-		d.EndCycle(now, nil, transmitted)
+		d.EndCycle(now, nil)
 		now++
 	}
 	return now
@@ -107,7 +106,7 @@ func TestProbeReturnMarksInitiator(t *testing.T) {
 		t.Fatal("RouteFailed marked A before any probe ran")
 	}
 
-	now := cycleN(d, r.fab, 3)
+	now := cycleN(d, 3)
 	pt := d.ProbeTotals()
 	if pt.Emitted != 1 || pt.Forwarded != 1 || pt.Returned != 1 || pt.Dropped != 0 {
 		t.Fatalf("probe lifecycle = %+v, want 1 emitted, 1 forwarded, 1 returned, 0 dropped", pt)
@@ -143,7 +142,7 @@ func TestCapabilities(t *testing.T) {
 		t.Error("CMH reports flag counts it does not keep")
 	}
 	registerBlocked(d, r.fab, r.a, 0)
-	now := cycleN(d, r.fab, 1)
+	now := cycleN(d, 1)
 	if pt := c.ProbeTotals(); pt.Emitted != 1 || pt.InFlight != 1 {
 		t.Errorf("probe totals through the report = %+v, want 1 emitted, 1 in flight", pt)
 	}
@@ -162,7 +161,7 @@ func TestAppendStateCountsTwoBytes(t *testing.T) {
 	r := newRing(t)
 	d := New(r.fab, Config{InitDelay: 1, MaxHops: 64})
 	registerBlocked(d, r.fab, r.a, 0)
-	now := cycleN(d, r.fab, 1)
+	now := cycleN(d, 1)
 	if len(d.probes) != 1 || len(d.blocked) != 1 {
 		t.Fatalf("%d probes, %d blocked initiators, want 1 and 1", len(d.probes), len(d.blocked))
 	}
@@ -237,7 +236,7 @@ func TestThreeInitiators(t *testing.T) {
 	registerBlocked(d, r.fab, r.b, 0)
 	registerBlocked(d, r.fab, r.c, 0)
 
-	cycleN(d, r.fab, 3)
+	cycleN(d, 3)
 	pt := d.ProbeTotals()
 	if pt.Emitted != 3 || pt.Forwarded != 3 || pt.Returned != 3 {
 		t.Fatalf("probe lifecycle = %+v, want 3 emitted, 3 forwarded, 3 returned", pt)
@@ -253,7 +252,7 @@ func TestDigestDedupe(t *testing.T) {
 	r.b.Attempts, r.c.Attempts = 1, 1
 	registerBlocked(d, r.fab, r.a, 0)
 
-	cycleN(d, r.fab, 10)
+	cycleN(d, 10)
 	if pt := d.ProbeTotals(); pt.Emitted != 1 {
 		t.Fatalf("emitted %d probes in one dedupe wave, want 1", pt.Emitted)
 	}
@@ -261,15 +260,16 @@ func TestDigestDedupe(t *testing.T) {
 	// A short reprobe window re-opens the wave and re-probes the edge.
 	d2 := New(r.fab, Config{InitDelay: 1, ReprobeEvery: 4, MaxHops: 64})
 	registerBlocked(d2, r.fab, r.a, 0)
-	cycleN(d2, r.fab, 10)
+	cycleN(d2, 10)
 	if pt := d2.ProbeTotals(); pt.Emitted < 2 {
 		t.Fatalf("emitted %d probes across reprobe windows, want >= 2", pt.Emitted)
 	}
 }
 
 // TestStealIdleYieldsToData verifies the transport models: with StealIdle a
-// data transmission on the requested link starves the emission, while the
-// dedicated control VC proceeds.
+// data transmission on the link a probe needs next holds the probe back one
+// cycle, while the dedicated control VC proceeds. Two probe moves cross a
+// link: an emission from a blocked header, and a step along a worm's body.
 func TestStealIdleYieldsToData(t *testing.T) {
 	for _, tc := range []struct {
 		transport Transport
@@ -283,18 +283,41 @@ func TestStealIdleYieldsToData(t *testing.T) {
 		r.b.Attempts, r.c.Attempts = 1, 1
 		registerBlocked(d, r.fab, r.a, 0)
 
-		transmitted := make([]bool, r.fab.NumLinks())
-		transmitted[r.l12] = true // data flit crossed A's requested output
-		d.EndCycle(1, []router.LinkID{r.l12}, transmitted)
+		d.EndCycle(1, []router.LinkID{r.l12}) // data flit crossed A's requested output
 		if pt := d.ProbeTotals(); pt.Emitted != tc.want {
 			t.Fatalf("%v: emitted %d with the link busy, want %d", tc.transport, pt.Emitted, tc.want)
 		}
 
 		// The gated edge is retried as soon as the link idles.
-		transmitted[r.l12] = false
-		d.EndCycle(2, nil, transmitted)
+		d.EndCycle(2, nil)
 		if pt := d.ProbeTotals(); pt.Emitted != 1 {
 			t.Fatalf("%v: emitted %d after the link idled, want 1", tc.transport, pt.Emitted)
+		}
+	}
+
+	for _, tc := range []struct {
+		transport Transport
+		want      int64 // probe flits after the cycle L23 carried data
+	}{
+		{TransportStealIdle, 1},
+		{TransportControlVC, 2},
+	} {
+		w := newBodyWalk(t)
+		d := New(w.fab, Config{InitDelay: 1, ReprobeEvery: 1 << 30, Transport: tc.transport, MaxHops: 64})
+		registerBlocked(d, w.fab, w.a, 0)
+
+		d.EndCycle(1, nil)                    // emit onto B's tail VC
+		d.EndCycle(2, []router.LinkID{w.l23}) // data flit crossed B's next body link
+		if pt := d.ProbeTotals(); pt.Flits != tc.want {
+			t.Fatalf("%v: %d probe flits with the body link busy, want %d", tc.transport, pt.Flits, tc.want)
+		}
+
+		// The walk goes on once the link idles and closes the cycle.
+		for now := int64(3); now <= 5; now++ {
+			d.EndCycle(now, nil)
+		}
+		if pt := d.ProbeTotals(); pt.Returned != 1 || pt.Flits != 3 {
+			t.Fatalf("%v: walk after the link idled: %+v, want 1 returned over 3 flits", tc.transport, pt)
 		}
 	}
 }
@@ -308,7 +331,7 @@ func TestVictimOldest(t *testing.T) {
 	r.b.Attempts, r.c.Attempts = 1, 1
 	registerBlocked(d, r.fab, r.a, 0)
 
-	now := cycleN(d, r.fab, 3)
+	now := cycleN(d, 3)
 	if pt := d.ProbeTotals(); pt.Returned != 1 {
 		t.Fatalf("returned = %d, want 1", pt.Returned)
 	}
@@ -330,7 +353,7 @@ func TestMaxHopsDropsProbe(t *testing.T) {
 	r.b.Attempts, r.c.Attempts = 1, 1
 	registerBlocked(d, r.fab, r.a, 0)
 
-	cycleN(d, r.fab, 4)
+	cycleN(d, 4)
 	pt := d.ProbeTotals()
 	if pt.Returned != 0 {
 		t.Fatalf("probe returned despite a 1-hop cap (lifecycle %+v)", pt)
@@ -352,13 +375,12 @@ func TestRoutableHeaderStopsChase(t *testing.T) {
 	// Break the cycle: release A's worm on L01 so C's requested output has
 	// a free VC (C will route next cycle). The probe chasing B then C must
 	// drop rather than manufacture a cycle.
-	d.EndCycle(1, nil, make([]bool, r.fab.NumLinks())) // emit toward B
+	d.EndCycle(1, nil) // emit toward B
 	r.fab.ReleaseWorm(r.a)
 	r.a.Phase = router.PhaseDelivered
-	cyc := make([]bool, r.fab.NumLinks())
-	d.EndCycle(2, nil, cyc) // forward at B's header toward C
-	d.EndCycle(3, nil, cyc) // arrive at C: C has a free output now
-	d.EndCycle(4, nil, cyc)
+	d.EndCycle(2, nil) // forward at B's header toward C
+	d.EndCycle(3, nil) // arrive at C: C has a free output now
+	d.EndCycle(4, nil)
 	pt := d.ProbeTotals()
 	if pt.Returned != 0 {
 		t.Fatalf("probe returned through a routable header (lifecycle %+v)", pt)
@@ -376,22 +398,29 @@ func TestStaleProbeDropped(t *testing.T) {
 	r.b.Attempts, r.c.Attempts = 1, 1
 	registerBlocked(d, r.fab, r.a, 0)
 
-	d.EndCycle(1, nil, make([]bool, r.fab.NumLinks())) // probe now on B's VC
+	d.EndCycle(1, nil) // probe now on B's VC
 	if pt := d.ProbeTotals(); pt.InFlight != 1 {
 		t.Fatalf("in flight = %d, want 1", pt.InFlight)
 	}
 	r.fab.ReleaseWorm(r.b)
 	r.b.Phase = router.PhaseDelivered
-	d.EndCycle(2, nil, make([]bool, r.fab.NumLinks()))
+	d.EndCycle(2, nil)
 	pt := d.ProbeTotals()
 	if pt.InFlight != 0 || pt.Dropped != 1 {
 		t.Fatalf("stale probe not dropped: %+v", pt)
 	}
 }
 
-// TestBodyWalk builds a two-link worm on a 4-ring and verifies the probe
-// walks the body link by link, charging one flit per traversal.
-func TestBodyWalk(t *testing.T) {
+// bodyWalkFixture is a 4-ring holding a wait-for cycle of three worms, one
+// of them, B, two links long.
+type bodyWalkFixture struct {
+	fab *router.Fabric
+	a   *router.Message
+	l23 router.LinkID // node 2 -> node 3, B's head link
+}
+
+func newBodyWalk(t *testing.T) *bodyWalkFixture {
+	t.Helper()
 	topo := topology.New(4, 1)
 	rcfg := router.DefaultConfig()
 	rcfg.VCsPerLink = 1
@@ -421,14 +450,20 @@ func TestBodyWalk(t *testing.T) {
 	fab.VCs[vc1].HasTail = true
 	b.Attempts, b.BlockedSince = 1, 0
 	blockWorm(fab, c, l30)
+	return &bodyWalkFixture{fab: fab, a: a, l23: l23}
+}
 
-	d := New(fab, Config{InitDelay: 1, MaxHops: 64})
-	registerBlocked(d, fab, a, 0)
+// TestBodyWalk verifies the probe walks a worm's body link by link, charging
+// one flit per traversal.
+func TestBodyWalk(t *testing.T) {
+	w := newBodyWalk(t)
+	d := New(w.fab, Config{InitDelay: 1, MaxHops: 64})
+	registerBlocked(d, w.fab, w.a, 0)
 
 	// Cycle 1: emit onto B's tail VC (flit on L12). Cycle 2: walk the body
 	// to B's head VC (flit on L23). Cycle 3: forward at node 3 onto C
 	// (flit on L30). Cycle 4: return at node 0 where L01 is held by A.
-	cycleN(d, fab, 4)
+	cycleN(d, 4)
 	pt := d.ProbeTotals()
 	if pt.Returned != 1 {
 		t.Fatalf("probe did not return around the 4-ring: %+v", pt)
@@ -445,7 +480,7 @@ func TestRouteSucceededClearsState(t *testing.T) {
 	d := New(r.fab, Config{InitDelay: 1, MaxHops: 64})
 	r.b.Attempts, r.c.Attempts = 1, 1
 	registerBlocked(d, r.fab, r.a, 0)
-	cycleN(d, r.fab, 3) // probe returns, pendingMark[A] set
+	cycleN(d, 3) // probe returns, pendingMark[A] set
 
 	d.RouteSucceeded(r.a, r.fab.LinkOfVC(r.a.HeadVC))
 	outs := r.fab.Candidates(r.a, 1, nil)
@@ -454,8 +489,7 @@ func TestRouteSucceededClearsState(t *testing.T) {
 	}
 
 	emitted := d.ProbeTotals().Emitted
-	transmitted := make([]bool, r.fab.NumLinks())
-	d.EndCycle(10, nil, transmitted)
+	d.EndCycle(10, nil)
 	// A re-blocked with first=false above, so it initiates again — but only
 	// because it genuinely re-registered; a fully routed message would not
 	// appear. Just assert the detector stayed consistent.
@@ -501,7 +535,7 @@ func TestSelfDeadlockDetected(t *testing.T) {
 	if registerBlocked(d, fab, m, 0) {
 		t.Fatal("RouteFailed marked the worm before any probe ran")
 	}
-	now := cycleN(d, fab, 2)
+	now := cycleN(d, 2)
 
 	pt := d.ProbeTotals()
 	if pt.Returned != 1 || pt.Emitted != 0 || pt.Forwarded != 0 {
@@ -531,7 +565,7 @@ func probingRing(t *testing.T) (*ringFixture, *Detector, int64) {
 	}
 	now := int64(0)
 	for ; len(d.probes) == 0 && now < 16; now++ {
-		d.EndCycle(now, nil, nil)
+		d.EndCycle(now, nil)
 	}
 	if len(d.probes) == 0 {
 		t.Fatal("the blocked ring launched no probe")
@@ -552,8 +586,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot of the restored detector differs from the bytes it was restored from")
 	}
 	for c := now + 1; c < now+12; c++ {
-		d.EndCycle(c, nil, nil)
-		fresh.EndCycle(c, nil, nil)
+		d.EndCycle(c, nil)
+		fresh.EndCycle(c, nil)
 		if got, want := fresh.AppendState(nil, c+1), d.AppendState(nil, c+1); !bytes.Equal(got, want) {
 			t.Fatalf("cycle %d: restored detector diverged from the original", c)
 		}

@@ -147,23 +147,16 @@ func (e *Engine) auditActiveSets() error {
 		return fmt.Errorf("sim: arrival heap and deferred list track %d nodes, %d have scheduled arrivals", tracked, scheduled)
 	}
 
-	// The transmitted bitmap holds exactly the links on the transmitted
-	// list: transferDecide clears the bits it finds listed and nothing else,
-	// so a bit set off the list would stay set for good.
-	listed := 0
+	// The transmitted list is in arbitration order, the order grant appends
+	// in, with no link twice: the detectors are promised each link at most
+	// once.
+	prev := int32(-1)
 	for _, l := range e.txLinks {
-		if !e.transmitted[l] {
-			return fmt.Errorf("sim: link %d on the transmitted list with its transmitted bit clear", l)
+		key := e.linkKey[l]
+		if key <= prev {
+			return fmt.Errorf("sim: link %d on the transmitted list twice or out of arbitration order", l)
 		}
-		listed++
-	}
-	for _, tx := range e.transmitted {
-		if tx {
-			listed--
-		}
-	}
-	if listed != 0 {
-		return fmt.Errorf("sim: transmitted bitmap and the transmitted list differ by %d links", -listed)
+		prev = key
 	}
 
 	// Feeder rows: whatever auditFeedRows found at arbitration, and every

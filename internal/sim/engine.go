@@ -128,10 +128,9 @@ type Engine struct {
 	inFlight int
 
 	// Per-cycle scratch state.
-	transmitted []bool          // flit crossed link l this cycle
-	txLinks     []router.LinkID // links with transmitted set this cycle
-	moves       []router.VCID   // transfer winners, decision order
-	inputUsed   []bool          // input channel l sent a flit this cycle; transferCommit clears it
+	txLinks   []router.LinkID // links a flit crossed this cycle, in grant order
+	moves     []router.VCID   // transfer winners, decision order
+	inputUsed []bool          // input channel l sent a flit this cycle; transferCommit clears it
 	// The feeder table: target link l's row is feed[l*feedStride:][:feedN[l]],
 	// the VCs requesting to send into l, ascending, a slot per VC of the widest
 	// link. transferDecide fills and drains every row; every count is zero
@@ -221,7 +220,6 @@ func New(cfg Config) (*Engine, error) {
 	})
 	e.gen = traffic.NewGenerator(cfg.Pattern(topo), cfg.Lengths, cfg.Load)
 	e.queues = make([]msgQueue, topo.Nodes())
-	e.transmitted = make([]bool, fab.NumLinks())
 	e.inputUsed = make([]bool, fab.NumLinks())
 	// Every node draws generation randomness from its own stream derived
 	// from the run seed, so the sequence each node sees is a pure function
@@ -399,7 +397,7 @@ func (e *Engine) Step() error {
 	e.runPhase(phaseTransferDecide)
 	e.transferCommit()
 	e.runPhase(phaseDrain)
-	e.det.EndCycle(e.now, e.txLinks, e.transmitted)
+	e.det.EndCycle(e.now, e.txLinks)
 	// DT flags and probe totals change only inside EndCycle, so this is the
 	// one place to read them.
 	if e.caps.FlagCounts != nil {

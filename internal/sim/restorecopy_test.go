@@ -197,7 +197,7 @@ func TestEngineRestoreCopyClassesEveryField(t *testing.T) {
 		"genDefB": "rebuilt", // emptied
 
 		"measuring": "scratch", "marksThisCycle": "scratch", "oracleRan": "scratch", "keyBits": "scratch",
-		"transmitted": "scratch", "txLinks": "scratch", "inputUsed": "scratch",
+		"txLinks": "scratch", "inputUsed": "scratch",
 		"view": "scratch", "probesInFlight": "scratch", // set before each read
 		"moves": "scratch", "feed": "scratch", "feedN": "scratch", "feedErr": "scratch",
 		"cands": "scratch", "candBuf": "scratch", "freeCands": "scratch", "arbElig": "scratch",

@@ -312,8 +312,8 @@ func (e *Engine) restoreBody(r *snap.Reader) {
 		e.oracleSeen[id] = seen
 	}
 	e.oracleSize = int(r.I64())
-	if e.oracleSize < 0 {
-		r.Failf("sim: snapshot says the oracle last found %d deadlocked messages", e.oracleSize)
+	if e.oracleSize < 0 || e.oracleSize > nMsgs {
+		r.Failf("sim: snapshot says the oracle last found %d deadlocked messages, of %d pooled", e.oracleSize, nMsgs)
 	}
 	// The cached deadlocked set belongs to the state being replaced, and the
 	// fabric generation it is keyed on says nothing across a Restore.

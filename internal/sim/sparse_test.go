@@ -105,9 +105,6 @@ func (e *Engine) refGenerate() {
 func (e *refKernel) refTransferDecide() {
 	fab := e.fab
 	vcs := fab.VCs
-	for _, l := range e.txLinks {
-		e.transmitted[l] = false
-	}
 	e.txLinks = e.txLinks[:0]
 	e.moves = e.moves[:0]
 	for i := len(vcs) - 1; i >= 0; i-- {
@@ -303,6 +300,9 @@ func TestActiveSetAuditCatchesCorruption(t *testing.T) {
 			e.keyBits[key>>6] |= 1 << (key & 63)
 			e.auditFeedRows()
 		}, "feeder row for link 2 is not ascending: [9 4]"},
+		{"link on the transmitted list twice", func(t *testing.T, e *Engine) {
+			e.txLinks = append(e.txLinks[:0], 2, 2)
+		}, "link 2 on the transmitted list twice"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

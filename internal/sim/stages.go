@@ -218,8 +218,8 @@ func (e *Engine) admitNode(node int) {
 //
 // transferDecide arbitrates every output link against pre-cycle state:
 // nothing is mutated except arbitration state (round-robin pointers, the
-// used crossbar inputs, transmitted bits), so every decision sees the credit
-// each target buffer had when the cycle began. transferCommit then applies
+// used crossbar inputs, the transmitted list), so every decision sees the
+// credit each target buffer had when the cycle began. transferCommit then applies
 // the decided moves in decision order. Constraints: at most one flit crosses
 // each physical channel per cycle, and at most one flit leaves each input
 // physical channel per cycle (the crossbar port).
@@ -227,10 +227,6 @@ func (e *Engine) admitNode(node int) {
 func (e *Engine) transferDecide() {
 	fab := e.fab
 	vcs := fab.VCs
-	// Clear the transmitted bits of the previous cycle.
-	for _, l := range e.txLinks {
-		e.transmitted[l] = false
-	}
 	e.txLinks = e.txLinks[:0]
 	e.moves = e.moves[:0]
 	buf := int32(fab.Cfg.BufFlits)
@@ -327,7 +323,6 @@ func (e *Engine) arbitrate(tl router.LinkID, req []router.VCID, buf int32) {
 func (e *Engine) grant(tl router.LinkID, u router.VCID) {
 	e.moves = append(e.moves, u)
 	e.inputUsed[e.fab.VCs[u].Link] = true
-	e.transmitted[tl] = true
 	e.txLinks = append(e.txLinks, tl)
 }
 
