@@ -206,6 +206,10 @@ forensics-smoke: build
 #   NEVER deadlock (parallel minimal channels always leave an escape), so
 #   zero deadlocked states is the expected — and verified — outcome there.
 #
+# The twelve summary lines must equal cmd/mcheck/testdata/exhaustive.golden
+# (TestConformancePartition holds the same runs to it in `go test`): a state
+# key that merged or split states moves the counts.
+#
 # Any violation exits nonzero with a minimized choice path; re-run with
 # -cex to emit a trace stream for `wormview trace`. The committed regression
 # counterexample (a liveness violation with detection disabled) must keep
@@ -213,10 +217,12 @@ forensics-smoke: build
 conformance-exhaustive: build
 	$(GO) build -o /tmp/wormnet-mcheck ./cmd/mcheck
 	$(GO) build -o /tmp/wormnet-wormview ./cmd/wormview
-	/tmp/wormnet-mcheck -k 3 -mech ndm,pdm,cmh -script face -window 0 -min-deadlocks 1
-	/tmp/wormnet-mcheck -k 3 -mech ndm,pdm,cmh -script face -window 1 -min-deadlocks 1
-	/tmp/wormnet-mcheck -k 3 -mech ndm,pdm,cmh -script face -window 2 -depth 14 -min-deadlocks 1
-	/tmp/wormnet-mcheck -k 2 -mech ndm,pdm,cmh -script face -window 1
+	{ /tmp/wormnet-mcheck -k 3 -mech ndm,pdm,cmh -script face -window 0 -min-deadlocks 1 && \
+	  /tmp/wormnet-mcheck -k 3 -mech ndm,pdm,cmh -script face -window 1 -min-deadlocks 1 && \
+	  /tmp/wormnet-mcheck -k 3 -mech ndm,pdm,cmh -script face -window 2 -depth 14 -min-deadlocks 1 && \
+	  /tmp/wormnet-mcheck -k 2 -mech ndm,pdm,cmh -script face -window 1; } > /tmp/wormnet-exhaustive.txt \
+		|| { cat /tmp/wormnet-exhaustive.txt; exit 1; }
+	diff cmd/mcheck/testdata/exhaustive.golden /tmp/wormnet-exhaustive.txt
 	/tmp/wormnet-wormview trace -summary internal/mc/testdata/liveness-cex-3x3-none.jsonl \
 		| grep -q 'oracle-deadlock'
 	@echo "conformance-exhaustive: all interleavings verified (safety, liveness, mark economy)"
@@ -225,11 +231,14 @@ conformance-exhaustive: build
 # two cores, the frontier expanded on every core). Adds the 8-message
 # double-face script on the 2x2 — ~1M states, exhaustive proof that even
 # with both parallel channels saturated the k=2 torus cannot deadlock — and
-# pushes the 3x3 window-2 space to fixpoint.
+# pushes the 3x3 window-2 space to fixpoint. Its summary lines must equal
+# cmd/mcheck/testdata/nightly.golden.
 conformance-nightly: build
 	$(GO) build -o /tmp/wormnet-mcheck ./cmd/mcheck
-	/tmp/wormnet-mcheck -k 2 -mech ndm -script dblface -window 0 -max-states 1500000
-	/tmp/wormnet-mcheck -k 3 -mech ndm,pdm,cmh -script face -window 2 -min-deadlocks 1
+	{ /tmp/wormnet-mcheck -k 2 -mech ndm -script dblface -window 0 -max-states 1500000 && \
+	  /tmp/wormnet-mcheck -k 3 -mech ndm,pdm,cmh -script face -window 2 -min-deadlocks 1; } > /tmp/wormnet-nightly.txt \
+		|| { cat /tmp/wormnet-nightly.txt; exit 1; }
+	diff cmd/mcheck/testdata/nightly.golden /tmp/wormnet-nightly.txt
 	@echo "conformance-nightly: deep exploration clean"
 
 # Regenerate the committed regression counterexample: the minimized

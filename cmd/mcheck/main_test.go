@@ -47,6 +47,35 @@ func TestSummaryNamesFabric(t *testing.T) {
 	}
 }
 
+// TestConformancePartition holds the four `make conformance-exhaustive` runs
+// to the committed summary lines in testdata/exhaustive.golden: for each of
+// the twelve checks the states, interleavings and depth explored and the
+// deadlocked states and true marks found. A state key that merged two
+// distinct states, or split one, moves these counts.
+func TestConformancePartition(t *testing.T) {
+	var out bytes.Buffer
+	for _, args := range [][]string{
+		{"-k", "3", "-mech", "ndm,pdm,cmh", "-script", "face", "-window", "0", "-min-deadlocks", "1"},
+		{"-k", "3", "-mech", "ndm,pdm,cmh", "-script", "face", "-window", "1", "-min-deadlocks", "1"},
+		{"-k", "3", "-mech", "ndm,pdm,cmh", "-script", "face", "-window", "2", "-depth", "14", "-min-deadlocks", "1"},
+		{"-k", "2", "-mech", "ndm,pdm,cmh", "-script", "face", "-window", "1"},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "MCHECK_MAIN=1")
+		cmd.Stdout, cmd.Stderr = &out, os.Stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("mcheck %v: %v", args, err)
+		}
+	}
+	want, err := os.ReadFile("testdata/exhaustive.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != string(want) {
+		t.Errorf("make conformance-exhaustive's checks printed\n%s\nwant (testdata/exhaustive.golden)\n%s", got, want)
+	}
+}
+
 // TestHelp: -h lists every flag with its default and help text (the golden
 // omits the "Usage of" line, which names the program).
 func TestHelp(t *testing.T) {
