@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check benchmark-check bench-gate ab smoke golden-gate trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex conformance-fuzz-seeds fuzz-restore-seeds fuzz shootout profile clean
+.PHONY: all build test race vet fmt-check benchmark-check bench-gate ab smoke golden-gate trace-smoke metrics-smoke forensics-smoke conformance-exhaustive conformance-nightly conformance-cex fuzz-restore-seeds fuzz shootout profile clean
 
 all: vet fmt-check test
 
@@ -249,19 +249,6 @@ conformance-cex: build
 		-cex internal/mc/testdata/liveness-cex-3x3-none.jsonl
 	@echo "conformance-cex: regenerated internal/mc/testdata/liveness-cex-3x3-none.jsonl"
 
-# Regenerate the committed fuzz corpora from model-checker frontier states
-# (canonical state encodings make structured opcode programs for the
-# detect/probe fuzz harnesses).
-conformance-fuzz-seeds: build
-	$(GO) build -o /tmp/wormnet-mcheck ./cmd/mcheck
-	/tmp/wormnet-mcheck -k 3 -mech ndm -script face -window 1 \
-		-emit-fuzz-seeds internal/detect/testdata/fuzz/FuzzNDMFlags -seeds 12
-	/tmp/wormnet-mcheck -k 3 -mech pdm -script face -window 1 \
-		-emit-fuzz-seeds internal/detect/testdata/fuzz/FuzzPDMFlags -seeds 12
-	/tmp/wormnet-mcheck -k 3 -mech cmh -script face -window 1 \
-		-emit-fuzz-seeds internal/probe/testdata/fuzz/FuzzProbeDigest -seeds 12
-	@echo "conformance-fuzz-seeds: corpora regenerated"
-
 # Regenerate the FuzzRestore corpus (engine snapshots from the equivalence
 # gate's configurations) after a change to the snapshot format or to the
 # configuration fingerprint; TestRestoreCorpusIsCurrent fails until then.
@@ -276,6 +263,8 @@ fuzz-restore-seeds:
 # documented beside it; in short:
 #   - FuzzRestore: mutated engine snapshots are refused with an error or
 #     restore to an engine that passes every Debug audit and steps on.
+#   - FuzzCanonicalEquality: restored states whose canonical bytes (the model
+#     checker's key) are equal step alike under one choice sequence.
 #   - FuzzNDMFlags, FuzzPDMFlags: mutated event programs keep the flag
 #     detectors' word loops equal to the eager per-link reference.
 #   - FuzzOracle: worm op programs keep the oracle's flat wait-for graph equal,

@@ -23,15 +23,19 @@
 // it, optionally replays it into a trace stream (-cex file.jsonl) that
 // `wormview trace` renders, and exits 1. -min-deadlocks guards against vacuous
 // liveness runs: if fewer deadlocked states were reached the run fails even
-// without a violation. -emit-fuzz-seeds writes sampled frontier-state
-// encodings as Go fuzz corpus files (see internal/detect's fuzz harnesses).
+// without a violation.
+//
+// States are keyed by the engine's canonical snapshot
+// (sim.Engine.AppendCanonical), which has no field width of its own, so the
+// paper's 8-ary 3-cube runs (mcheck -k 8 -n 3 -max-states 1000); the one
+// bound left is a router wide enough to offer a decision of more than 255
+// options, which a choice vector cannot record.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -49,20 +53,17 @@ func main() {
 	fab := spec.Run{K: 3, N: 2, VirtualChannels: 1, BufferFlits: 2}
 	fab.AddFlags(flag.CommandLine, []string{"k", "n", "vcs", "buf"}, nil)
 	var (
-		mechs      = flag.String("mech", "ndm,pdm,cmh", "comma-separated mechanisms to check: ndm, pdm, cmh, none")
-		threshold  = flag.Int64("threshold", 4, "detection threshold (NDM t2 / PDM threshold / CMH init delay)")
-		script     = flag.String("script", "face", "workload: 'face', 'dblface', or src>dst[xlen] entries (comma-separated)")
-		window     = flag.Int("window", 0, "injection deferral window in cycles (each deferral is an explored branch)")
-		depth      = flag.Int("depth", 0, "max explored depth in cycles (0 = to fixpoint)")
-		horizon    = flag.Int("horizon", 0, "liveness horizon in cycles (0 = auto)")
-		strict     = flag.Bool("strict", false, "require exactly one true mark per drained deadlock (see DESIGN.md §13)")
-		maxStates  = flag.Int("max-states", 2_000_000, "visited-state cap")
-		minDL      = flag.Int("min-deadlocks", 0, "fail unless at least this many deadlocked states were reached")
-		cex        = flag.String("cex", "", "write the minimized counterexample trace (JSONL) to this file")
-		seedDir    = flag.String("emit-fuzz-seeds", "", "write sampled frontier encodings as Go fuzz corpus files into this directory")
-		seedCount  = flag.Int("seeds", 16, "how many fuzz seeds to sample (with -emit-fuzz-seeds)")
-		seedPrefix = flag.String("seed-prefix", "mc", "corpus file name prefix (with -emit-fuzz-seeds)")
-		verbose    = flag.Bool("v", false, "progress output while exploring")
+		mechs     = flag.String("mech", "ndm,pdm,cmh", "comma-separated mechanisms to check: ndm, pdm, cmh, none")
+		threshold = flag.Int64("threshold", 4, "detection threshold (NDM t2 / PDM threshold / CMH init delay)")
+		script    = flag.String("script", "face", "workload: 'face', 'dblface', or src>dst[xlen] entries (comma-separated)")
+		window    = flag.Int("window", 0, "injection deferral window in cycles (each deferral is an explored branch)")
+		depth     = flag.Int("depth", 0, "max explored depth in cycles (0 = to fixpoint)")
+		horizon   = flag.Int("horizon", 0, "liveness horizon in cycles (0 = auto)")
+		strict    = flag.Bool("strict", false, "require exactly one true mark per drained deadlock (see DESIGN.md §13)")
+		maxStates = flag.Int("max-states", 2_000_000, "visited-state cap")
+		minDL     = flag.Int("min-deadlocks", 0, "fail unless at least this many deadlocked states were reached")
+		cex       = flag.String("cex", "", "write the minimized counterexample trace (JSONL) to this file")
+		verbose   = flag.Bool("v", false, "progress output while exploring")
 	)
 	flag.Parse()
 
@@ -93,9 +94,6 @@ func main() {
 			Script: inj, InjectWindow: *window,
 			MaxDepth: *depth, Horizon: *horizon, Strict: *strict,
 			MaxStates: *maxStates,
-		}
-		if *seedDir != "" {
-			o.CollectSeeds = *seedCount
 		}
 		if *verbose {
 			o.Log = os.Stderr
@@ -142,13 +140,6 @@ func main() {
 			fmt.Printf("  FAIL: %d deadlocked states reached, need >= %d (liveness check too vacuous)\n",
 				res.DeadlockStates, *minDL)
 			failed = true
-		}
-		if *seedDir != "" {
-			wrote, err := writeSeeds(*seedDir, *seedPrefix, mech, res.Seeds)
-			if err != nil {
-				fail("%v", err)
-			}
-			fmt.Printf("  wrote %d fuzz corpus seeds into %s\n", wrote, *seedDir)
 		}
 	}
 	if failed {
@@ -213,24 +204,4 @@ func parseScript(s string, k int) ([]mc.Inject, error) {
 		return nil, fmt.Errorf("empty script %q", s)
 	}
 	return out, nil
-}
-
-// writeSeeds emits frontier-state encodings as Go fuzz corpus files: two
-// header bytes (exercising the harness's policy/threshold decoding) followed
-// by the raw canonical encoding as the opcode program. Any byte string is a
-// valid program for the detect/probe fuzz harnesses, and model-checker
-// states carry far more structure than random bytes.
-func writeSeeds(dir, prefix, mech string, seeds [][]byte) (int, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, err
-	}
-	for i, enc := range seeds {
-		data := append([]byte{byte(i), byte(len(enc))}, enc...)
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-		name := filepath.Join(dir, fmt.Sprintf("%s-%s-%03d", prefix, mech, i))
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-			return i, err
-		}
-	}
-	return len(seeds), nil
 }

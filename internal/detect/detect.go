@@ -93,31 +93,31 @@ type Capabilities struct {
 	// probe-based (edge-chasing) detector; the engine reads it once per
 	// cycle, after EndCycle, into its whole-run counters.
 	ProbeTotals func() ProbeTotals
-	// AppendState folds the detector's internal state into the model
-	// checker's canonical state encoding (internal/mc). Two detector states
-	// with equal encodings must behave identically under identical future
-	// event sequences. Unbounded values (inactivity counters, ages derived
-	// from now) must be clamped at the point past their largest behavioral
-	// threshold so the encoding stays finite; absolute cycle numbers must
-	// never be encoded directly.
-	AppendState func(buf []byte, now int64) []byte
 	// Audit re-derives the mechanism's redundant state — cached flag counts
 	// from the counters and flags they count — and reports the first
 	// disagreement. It is the detector's share of the per-cycle Config.Debug
 	// audits, and the model checker asserts it in every state it explores.
 	Audit func() error
 	// Snapshot appends everything the mechanism would need to carry on from
-	// this cycle boundary exactly as it would have — the exact state, not
-	// AppendState's clamped canonical form — to dst, and Restore replaces the
-	// mechanism's state with such bytes (sim.Engine.Snapshot and Restore).
-	// Redundant state (cached counts, dense indexes) is rebuilt by Restore
-	// rather than read, so bytes that decode at all decode to a state Audit
-	// accepts; input that is truncated or names a link, channel or message
-	// outside the fabric is an error, never a panic.
+	// this cycle boundary exactly as it would have to dst, and Restore
+	// replaces the mechanism's state with such bytes (sim.Engine.Snapshot and
+	// Restore). Redundant state (cached counts, dense indexes) is rebuilt by
+	// Restore rather than read, so bytes that decode at all decode to a state
+	// Audit accepts; input that is truncated or names a link, channel or
+	// message outside the fabric is an error, never a panic.
+	//
+	// In canonical mode (snap.Mode; sim.Engine.AppendCanonical, the model
+	// checker's state key) Snapshot writes instead what decides the
+	// mechanism's future behaviour: two states with equal canonical bytes
+	// must act alike under equal future events. It leaves out telemetry,
+	// clamps every counter or age derived from the cycle just past the
+	// largest threshold it is compared with, so the key stays finite, and
+	// never writes an absolute cycle.
+	//
 	// A mechanism sets both fields or neither. Leaving them nil declares it
 	// stateless: every decision is a function of the event's arguments and
 	// the fabric (None, the crude timeouts).
-	Snapshot func(dst []byte) []byte
+	Snapshot func(dst []byte, m snap.Mode) []byte
 	Restore  func(src []byte) error
 }
 
@@ -233,6 +233,15 @@ func countPast(counter []int64, t int64) (n int) {
 		}
 	}
 	return n
+}
+
+// appendClamped is the canonical half of NDM's and PDM's Snapshot: every
+// inactivity counter, clamped at t+1.
+func appendClamped(dst []byte, counter []int64, t int64) []byte {
+	for _, c := range counter {
+		dst = snap.Int(dst, min(c, t+1))
+	}
+	return dst
 }
 
 // restoreCounters is the shared first step of NDM's and PDM's Restore: one

@@ -7,6 +7,7 @@ import (
 
 	"wormnet/internal/detect"
 	"wormnet/internal/router"
+	"wormnet/internal/snap"
 	"wormnet/internal/topology"
 )
 
@@ -485,7 +486,7 @@ func TestNoneDetector(t *testing.T) {
 }
 
 // assertCaps checks which fields of d's capability report are present.
-func assertCaps(t *testing.T, d detect.Detector, tracer, flags, probes, encoding, audit bool) {
+func assertCaps(t *testing.T, d detect.Detector, tracer, flags, probes, snapshot, audit bool) {
 	t.Helper()
 	c := d.Capabilities()
 	for _, f := range []struct {
@@ -495,7 +496,7 @@ func assertCaps(t *testing.T, d detect.Detector, tracer, flags, probes, encoding
 		{"SetTracer", c.SetTracer != nil, tracer},
 		{"FlagCounts", c.FlagCounts != nil, flags},
 		{"ProbeTotals", c.ProbeTotals != nil, probes},
-		{"AppendState", c.AppendState != nil, encoding},
+		{"Snapshot", c.Snapshot != nil, snapshot},
 		{"Audit", c.Audit != nil, audit},
 	} {
 		if f.got != f.want {
@@ -505,7 +506,7 @@ func assertCaps(t *testing.T, d detect.Detector, tracer, flags, probes, encoding
 }
 
 // TestFlagDetectorCapabilities: NDM and PDM hand over a tracer hook, flag
-// counts, a state encoding and an audit, and no probe totals. The counts read the
+// counts, a snapshot and an audit, and no probe totals. The counts read the
 // detector's live state: NDM reports all three flag classes, PDM only DT.
 func TestFlagDetectorCapabilities(t *testing.T) {
 	f := ringFabric(t)
@@ -531,8 +532,9 @@ func TestFlagDetectorCapabilities(t *testing.T) {
 	if i, dt, g := pdm.Capabilities().FlagCounts(); i != 0 || dt != 2 || g != 0 {
 		t.Errorf("pdm flag counts (I, DT, G) = (%d, %d, %d), want (0, 2, 0)", i, dt, g)
 	}
-	if a, b := ndm.Capabilities().AppendState(nil, 5), pdm.Capabilities().AppendState(nil, 5); len(a) == 0 || len(b) == 0 {
-		t.Errorf("empty state encodings: ndm %d bytes, pdm %d bytes", len(a), len(b))
+	canon := snap.Mode{Canonical: true, Now: 5}
+	if a, b := ndm.Capabilities().Snapshot(nil, canon), pdm.Capabilities().Snapshot(nil, canon); len(a) == 0 || len(b) == 0 {
+		t.Errorf("empty canonical states: ndm %d bytes, pdm %d bytes", len(a), len(b))
 	}
 }
 
@@ -582,7 +584,7 @@ func TestSnapshotRebuildsFlags(t *testing.T) {
 		}
 		caps := a.Capabilities()
 		b := mk(f)
-		snapBytes := caps.Snapshot(nil)
+		snapBytes := caps.Snapshot(nil, snap.Exact)
 		if err := b.Capabilities().Restore(snapBytes); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -604,7 +606,7 @@ func TestSnapshotRebuildsFlags(t *testing.T) {
 		for now := int64(9); now < 20; now++ {
 			tick(a, now, f, 3)
 			tick(b, now, f, 3)
-			if !bytes.Equal(b.Capabilities().Snapshot(nil), caps.Snapshot(nil)) {
+			if !bytes.Equal(b.Capabilities().Snapshot(nil, snap.Exact), caps.Snapshot(nil, snap.Exact)) {
 				t.Fatalf("%s: cycle %d: restored detector diverged", name, now)
 			}
 		}
@@ -621,7 +623,7 @@ func TestSnapshotRebuildsFlags(t *testing.T) {
 	// NDM's G/P bytes follow the counters, one per link. Only a router's input
 	// channels have a G/P flag, and a flag is a bool.
 	f := ringFabric(t)
-	good := detect.NewNDM(f, 6).Snapshot(nil)
+	good := detect.NewNDM(f, 6).Snapshot(nil, snap.Exact)
 	gp := len(good) - f.NumLinks()
 	for _, tc := range []struct {
 		name string

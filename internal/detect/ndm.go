@@ -110,9 +110,9 @@ func (d *NDM) Name() string {
 }
 
 // Capabilities implements Detector: NDM traces its flag transitions,
-// reports all three flag classes, is encodable and snapshots its state.
+// reports all three flag classes and snapshots its state.
 func (d *NDM) Capabilities() Capabilities {
-	return Capabilities{SetTracer: d.SetTracer, FlagCounts: d.FlagCounts, AppendState: d.AppendState,
+	return Capabilities{SetTracer: d.SetTracer, FlagCounts: d.FlagCounts,
 		Audit: d.Audit, Snapshot: d.Snapshot, Restore: d.Restore}
 }
 
@@ -138,32 +138,20 @@ func (d *NDM) GPIsGenerate(l router.LinkID) bool {
 	return p >= 0 && d.gpm[p>>6]>>(p&63)&1 != 0
 }
 
-// AppendState is NDM's Capabilities.AppendState: per link, the inactivity counter clamped
-// just past T2 (beyond which increments are inert — both flags are already
-// set and only a transmission resets them) and the I/DT/G-P flag bits. The
-// clamp keeps the encoding finite across arbitrarily long inactive
-// stretches without conflating any two behaviorally distinct states.
-func (d *NDM) AppendState(buf []byte, _ int64) []byte {
-	for l, c := range d.counter {
-		var flags byte
-		if c > d.T1 {
-			flags |= 1
+// Snapshot is NDM's Capabilities.Snapshot: per link, the inactivity counter
+// and the G/P flag (false on a link that is no input channel). In canonical
+// mode a counter is clamped just past T2 — beyond it increments are inert: the
+// I and DT flags, the counter past T1 <= T2 and past T2, are both set, and
+// only a transmission resets them — and the G/P flags go as each router's
+// word.
+func (d *NDM) Snapshot(dst []byte, m snap.Mode) []byte {
+	if m.Canonical {
+		dst = appendClamped(dst, d.counter, d.T2)
+		for _, w := range d.gpm {
+			dst = snap.Int(dst, int64(w))
 		}
-		if c > d.T2 {
-			c = d.T2 + 1
-			flags |= 2
-		}
-		if d.GPIsGenerate(router.LinkID(l)) {
-			flags |= 4
-		}
-		buf = append(buf, byte(c), byte(c>>8), flags)
+		return dst
 	}
-	return buf
-}
-
-// Snapshot is NDM's Capabilities.Snapshot: per link, the exact inactivity
-// counter and the G/P flag (false on a link that is no input channel).
-func (d *NDM) Snapshot(dst []byte) []byte {
 	dst = snap.I64s(dst, d.counter)
 	for l := range d.counter {
 		dst = snap.Bool(dst, d.GPIsGenerate(router.LinkID(l)))

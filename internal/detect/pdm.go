@@ -55,7 +55,7 @@ func (d *PDM) Name() string { return fmt.Sprintf("pdm(th=%d)", d.Threshold) }
 // Capabilities implements Detector: the same report as NDM's, with the I
 // and G flag classes PDM does not have reading zero.
 func (d *PDM) Capabilities() Capabilities {
-	return Capabilities{SetTracer: d.SetTracer, FlagCounts: d.FlagCounts, AppendState: d.AppendState,
+	return Capabilities{SetTracer: d.SetTracer, FlagCounts: d.FlagCounts,
 		Audit: d.Audit, Snapshot: d.Snapshot, Restore: d.Restore}
 }
 
@@ -73,23 +73,14 @@ func (d *PDM) FlagCounts() (iFlags, dtFlags, gFlags int) {
 // InactivitySet reports the IF flag of link l (exported for tests).
 func (d *PDM) InactivitySet(l router.LinkID) bool { return d.counter[l] > d.Threshold }
 
-// AppendState is PDM's Capabilities.AppendState: per link, the inactivity counter clamped
-// just past the threshold (beyond which increments are inert — the flag is
-// already set and only a transmission resets it) and the IF flag bit.
-func (d *PDM) AppendState(buf []byte, _ int64) []byte {
-	for _, c := range d.counter {
-		var bit byte
-		if c > d.Threshold {
-			c, bit = d.Threshold+1, 1
-		}
-		buf = append(buf, byte(c), byte(c>>8), bit)
+// Snapshot is PDM's Capabilities.Snapshot: the inactivity counter of every
+// link (the inactivity flag is the counter compared with the threshold). In
+// canonical mode a counter is clamped just past the threshold: beyond it
+// increments are inert — the flag is set, and only a transmission resets it.
+func (d *PDM) Snapshot(dst []byte, m snap.Mode) []byte {
+	if m.Canonical {
+		return appendClamped(dst, d.counter, d.Threshold)
 	}
-	return buf
-}
-
-// Snapshot is PDM's Capabilities.Snapshot: the exact inactivity counter of
-// every link (the inactivity flag is the counter compared with the threshold).
-func (d *PDM) Snapshot(dst []byte) []byte {
 	return snap.I64s(dst, d.counter)
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"wormnet/internal/sim"
+	"wormnet/internal/snap"
 	"wormnet/internal/trace"
 )
 
@@ -78,10 +79,12 @@ func (o *Options) newRunner(rec *trace.Recorder) (*runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Detector != nil && eng.Capabilities().AppendState == nil {
-		// Pruning on a state that omits the detector would conflate
-		// behaviorally distinct states (the timeouts read absolute stamps).
-		return nil, fmt.Errorf("mc: mechanism %q reports no state encoding", o.Mechanism)
+	if cfg.Detector != nil && eng.Capabilities().Snapshot == nil {
+		// The stateless mechanisms besides none are the crude timeouts, which
+		// decide from the absolute stamps on a message; the canonical state
+		// leaves those out, so pruning on it would conflate behaviorally
+		// distinct states.
+		return nil, fmt.Errorf("mc: mechanism %q decides from message time stamps the canonical state leaves out", o.Mechanism)
 	}
 	r := &runner{o: o, eng: eng, ch: ch, budget: make([]int, len(o.Script))}
 	for i := range r.budget {
@@ -147,27 +150,26 @@ func (r *runner) stepPath(path [][]uint8) error {
 }
 
 // snapshot appends the runner's exact state to dst: the engine's snapshot,
-// then the script position and every remaining deferral budget, one byte each
-// (applyDefaults keeps both within a byte).
+// then the script position and every deferral budget, four bytes each.
 func (r *runner) snapshot(dst []byte) []byte {
 	dst = r.eng.Snapshot(dst)
-	dst = append(dst, byte(r.scriptIdx))
+	dst = snap.U32(dst, uint32(r.scriptIdx))
 	for _, b := range r.budget {
-		dst = append(dst, byte(b))
+		dst = snap.U32(dst, uint32(b))
 	}
 	return dst
 }
 
 // restore returns the runner to a state its snapshot method wrote.
 func (r *runner) restore(src []byte) error {
-	own := 1 + len(r.budget)
+	own := 4 * (1 + len(r.budget))
 	if len(src) < own {
 		return fmt.Errorf("mc: runner snapshot of %d bytes", len(src))
 	}
-	tail := src[len(src)-own:]
-	r.scriptIdx = int(tail[0])
+	tail := snap.NewReader(src[len(src)-own:])
+	r.scriptIdx = int(tail.U32())
 	for i := range r.budget {
-		r.budget[i] = int(tail[1+i])
+		r.budget[i] = int(tail.U32())
 	}
 	return r.eng.Restore(src[:len(src)-own])
 }

@@ -88,13 +88,6 @@ func explore(o Options, workers int) (*Result, map[key]struct{}, error) {
 	}()
 	capped := false
 	progress := newProgress(&o, res)
-	// Sample every 31st new state so fuzz seeds spread across depths
-	// instead of clustering at the shallow frontier (the second state —
-	// the first real step — is always included).
-	seedStride := 31
-	if o.CollectSeeds > 0 {
-		seedStride = max(2, min(seedStride, o.MaxStates/o.CollectSeeds))
-	}
 	expandable := func(i int) bool { return o.MaxDepth == 0 || int(nodes[i].depth) < o.MaxDepth }
 	for head := 0; head < len(nodes); head++ {
 		depth := int(nodes[head].depth)
@@ -133,9 +126,6 @@ func explore(o Options, workers int) (*Result, map[key]struct{}, error) {
 			}
 			visited[c.key] = struct{}{}
 			res.States++
-			if o.CollectSeeds > 0 && len(res.Seeds) < o.CollectSeeds && (res.States == 2 || res.States%seedStride == 0) {
-				res.Seeds = append(res.Seeds, c.enc)
-			}
 			if c.probe.deadlocked {
 				res.DeadlockStates++
 				res.TrueMarks += c.probe.trueMarks
@@ -179,7 +169,6 @@ type expansion struct {
 type child struct {
 	key   key
 	eff   []uint8
-	enc   []byte // the canonical encoding, kept only when seeds are sampled
 	probe probeOutcome
 }
 
@@ -354,9 +343,6 @@ func (r *runner) expand(e *expansion, root, parent, enc []byte) ([]byte, []byte)
 		}
 		enc = r.encode(enc[:0])
 		c := child{key: hashState(enc), eff: eff}
-		if r.o.CollectSeeds > 0 {
-			c.enc = slices.Clone(enc)
-		}
 		// The liveness probe consumes the runner (it steps past the
 		// child), so it runs after encoding. Whether the child is new is
 		// the merger's to know: every deadlocked child is probed.

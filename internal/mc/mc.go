@@ -27,6 +27,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"math"
 
 	"wormnet/internal/spec"
 )
@@ -46,9 +47,9 @@ type Options struct {
 	// 2-message deadlocks reachable and the state space tiny).
 	VCs, BufFlits int
 	// Mechanism selects the detector family by its sim.Mechanism name;
-	// the checker needs one that reports a state encoding ("ndm", "pdm",
-	// "cmh") or "none" (no detection — every deadlock is a liveness
-	// violation; used to generate regression counterexamples).
+	// the checker needs one that snapshots its state ("ndm", "pdm", "cmh")
+	// or "none" (no detection — every deadlock is a liveness violation; used
+	// to generate regression counterexamples).
 	Mechanism string
 	// Threshold is the mechanism's detection threshold: NDM's t2, PDM's
 	// inactivity threshold, CMH's probe initiation delay. Zero selects 4.
@@ -77,9 +78,6 @@ type Options struct {
 	// MaxStates caps the visited-state set as a safety valve. Zero
 	// selects 2,000,000.
 	MaxStates int
-	// CollectSeeds, when positive, samples up to that many frontier-state
-	// encodings into Result.Seeds (fuzz corpus seeding).
-	CollectSeeds int
 	// Log, when non-nil, receives one-line progress reports.
 	Log io.Writer
 }
@@ -101,49 +99,31 @@ func (o *Options) applyDefaults() error {
 	return o.checkEncodable()
 }
 
-// Widths of the canonical state encoding (encode.go, sim.AppendSchedState,
-// the detectors' AppendState) and of the choice vectors: counts, node numbers,
-// flit counts, budgets and arities take one byte, identifiers and clamped
-// ages two, with 0xffff standing for -1.
-const (
-	maxByte = 1<<8 - 1
-	maxID   = 1<<16 - 2
-)
+// maxByte is the widest decision the chooser records: a choice and its arity
+// take one byte each in a choice vector (driver.go).
+const maxByte = 1<<8 - 1
 
-// checkEncodable rejects a fabric or script the fixed-width encodings cannot
-// hold. Past these bounds two different states would share one encoding and
-// the visited set would silently prune the second, so the checker refuses
-// to start instead.
+// checkEncodable rejects what the checker cannot explore soundly: a negative
+// deferral window, a router wide enough to offer a decision the one-byte
+// choice vectors cannot record, and a script message that does not fit the
+// fabric. The canonical state has no field width of its own to bound.
 func (o *Options) checkEncodable() error {
 	nodes := 1
-	for i := 0; i < o.N && nodes <= maxByte; i++ {
+	for i := 0; i < o.N && nodes <= math.MaxInt32; i++ {
 		nodes *= o.K
 	}
-	// One injection and one delivery port per node (newRunner).
-	links := nodes * (2*o.N + 2)
-	vcs := nodes * (2*o.N*o.VCs + 2)
 	switch {
-	case nodes > maxByte:
-		return fmt.Errorf("mc: the %d-ary %d-cube has more than %d nodes, the most the state encoding can number", o.K, o.N, maxByte)
-	case len(o.Script) > maxByte:
-		return fmt.Errorf("mc: script of %d messages; the state encoding counts at most %d", len(o.Script), maxByte)
-	case o.BufFlits < 0 || o.BufFlits > maxByte:
-		return fmt.Errorf("mc: BufFlits %d outside [1, %d], the flit counts the state encoding holds", o.BufFlits, maxByte)
-	case o.InjectWindow < 0 || o.InjectWindow > maxByte:
-		return fmt.Errorf("mc: InjectWindow %d outside [0, %d], the deferral budgets the state encoding holds", o.InjectWindow, maxByte)
-	case o.VCs < 0 || vcs > maxID || links > maxID:
-		return fmt.Errorf("mc: fabric of %d links and %d virtual channels; the state encoding numbers at most %d of each", links, vcs, maxID)
+	case o.InjectWindow < 0:
+		return fmt.Errorf("mc: InjectWindow %d: want 0 (immediate injection) or more", o.InjectWindow)
 	case 2*o.N*o.VCs+1 > maxByte:
 		return fmt.Errorf("mc: a router with %d input virtual channels can offer a decision more than %d wide", 2*o.N*o.VCs+1, maxByte)
-	case o.Threshold < 0 || 4*o.Threshold > maxID:
-		return fmt.Errorf("mc: Threshold %d outside [1, %d], the clamped ages the state encoding holds", o.Threshold, maxID/4)
 	}
 	for i, in := range o.Script {
 		if in.Src < 0 || in.Src >= nodes || in.Dst < 0 || in.Dst >= nodes {
 			return fmt.Errorf("mc: script message %d goes %d -> %d on a %d-node fabric", i, in.Src, in.Dst, nodes)
 		}
-		if in.Length < 1 || in.Length > maxByte {
-			return fmt.Errorf("mc: script message %d is %d flits long; the state encoding holds 1 to %d", i, in.Length, maxByte)
+		if in.Length < 1 || in.Length > math.MaxInt32 {
+			return fmt.Errorf("mc: script message %d is %d flits long; a message holds 1 to %d", i, in.Length, math.MaxInt32)
 		}
 	}
 	return nil
@@ -208,6 +188,4 @@ type Result struct {
 	TrueMarks int
 	// Violation is the first (cycle-minimal) invariant failure, or nil.
 	Violation *Violation
-	// Seeds holds sampled frontier-state encodings when CollectSeeds > 0.
-	Seeds [][]byte
 }

@@ -237,8 +237,8 @@ func TestReplayDeterminism(t *testing.T) {
 
 // TestMechanismResolution pins the detector each accepted mechanism name
 // checks (built through sim.Mechanism at the configured threshold), and that
-// a mechanism without a state encoding is refused rather than pruned on a
-// state that omits it.
+// a crude timeout, which decides from the absolute stamps the canonical state
+// leaves out, is refused rather than pruned on a state that omits them.
 func TestMechanismResolution(t *testing.T) {
 	for mech, want := range map[string]string{
 		"ndm":  "ndm(t2=4)",
@@ -262,28 +262,8 @@ func TestMechanismResolution(t *testing.T) {
 		t.Error("unknown mechanism accepted")
 	}
 	_, err := Check(Options{K: 2, N: 2, Mechanism: "hdr-block", Script: face22})
-	if err == nil || !strings.Contains(err.Error(), "state encoding") {
-		t.Errorf("timeout mechanism: err = %v, want a refusal naming the missing state encoding", err)
-	}
-}
-
-// TestSeedCollection checks the fuzz-corpus sampling contract: requesting
-// seeds yields at least one non-empty encoding, at most the requested count.
-func TestSeedCollection(t *testing.T) {
-	res, err := Check(Options{
-		K: 2, N: 2, VCs: 1, Mechanism: "pdm",
-		Script: face22, InjectWindow: 0, CollectSeeds: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Seeds) == 0 || len(res.Seeds) > 8 {
-		t.Fatalf("collected %d seeds, want 1..8", len(res.Seeds))
-	}
-	for i, s := range res.Seeds {
-		if len(s) == 0 {
-			t.Fatalf("seed %d is empty", i)
-		}
+	if err == nil || !strings.Contains(err.Error(), "time stamps the canonical state leaves out") {
+		t.Errorf("timeout mechanism: err = %v, want a refusal naming the stamps the canonical state leaves out", err)
 	}
 }
 
@@ -309,10 +289,6 @@ func checkByReplay(t *testing.T, o Options) (*Result, map[key]struct{}) {
 	res.States = 1
 	queue := [][][]uint8{nil}
 	capped := false
-	seedStride := 31
-	if o.CollectSeeds > 0 {
-		seedStride = max(2, min(seedStride, o.MaxStates/o.CollectSeeds))
-	}
 	extend := func(path [][]uint8, vec []uint8) [][]uint8 {
 		return append(slices.Clip(path), vec)
 	}
@@ -341,15 +317,11 @@ func checkByReplay(t *testing.T, o Options) (*Result, map[key]struct{}) {
 					Path: extend(path, slices.Clone(trial)), Cycle: r.eng.Now()}
 				return res, visited
 			}
-			enc := r.encode(nil)
-			k := hashState(enc)
+			k := hashState(r.encode(nil))
 			if _, seen := visited[k]; !seen {
 				visited[k] = struct{}{}
 				res.States++
 				childPath := extend(path, eff)
-				if o.CollectSeeds > 0 && len(res.Seeds) < o.CollectSeeds && (res.States == 2 || res.States%seedStride == 0) {
-					res.Seeds = append(res.Seeds, enc)
-				}
 				p := r.livenessProbe()
 				if p.deadlocked {
 					res.DeadlockStates++
@@ -378,12 +350,11 @@ var exploreWorkers = []int{1, 2, 3}
 
 // TestCheckMatchesReplayReference holds the parallel restore-based expansion
 // to the replay reference, on one, two and three workers: equal results
-// (every field, seeds included) and the same set of visited state keys. The
-// spaces: the 2x2 face cycle with a deferral window; the double-face script
-// capped at 20,000 states and at 20,001, a cap that lands inside a batch;
-// the 3x3 face cycle with windows 0 and 1 to fixpoint, and with window 2 to
-// depth 6; and a run that samples fuzz seeds. Every mechanism, unless
-// -short.
+// (every field) and the same set of visited state keys. The spaces: the 2x2
+// face cycle with a deferral window; the double-face script capped at 20,000
+// states and at 20,001, a cap that lands inside a batch; the 3x3 face cycle
+// with windows 0 and 1 to fixpoint, and with window 2 to depth 6. Every
+// mechanism, unless -short.
 func TestCheckMatchesReplayReference(t *testing.T) {
 	spaces := []struct {
 		name string
@@ -395,7 +366,6 @@ func TestCheckMatchesReplayReference(t *testing.T) {
 		{"3x3-face-w0", Options{K: 3, N: 2, Script: face33}},
 		{"3x3-face-w1", Options{K: 3, N: 2, Script: face33, InjectWindow: 1}},
 		{"3x3-face-w2-depth6", Options{K: 3, N: 2, Script: face33, InjectWindow: 2, MaxDepth: 6}},
-		{"3x3-face-w1-seeds", Options{K: 3, N: 2, Script: face33, InjectWindow: 1, CollectSeeds: 12}},
 	}
 	for _, sp := range spaces {
 		for _, mech := range []string{"ndm", "pdm", "cmh"} {
@@ -408,9 +378,6 @@ func TestCheckMatchesReplayReference(t *testing.T) {
 				want, wantVisited := checkByReplay(t, o)
 				if want.States < 100 {
 					t.Errorf("reference explored only %d states", want.States)
-				}
-				if o.CollectSeeds > 0 && len(want.Seeds) != o.CollectSeeds {
-					t.Errorf("reference sampled %d seeds, want %d", len(want.Seeds), o.CollectSeeds)
 				}
 				if o.MaxDepth > 0 && !want.DepthCapped {
 					t.Errorf("reference never reached depth %d", o.MaxDepth)
@@ -553,10 +520,12 @@ func TestRootOnlyCheckTakesNoSnapshot(t *testing.T) {
 	}
 }
 
-// TestUnencodableFabricsRefused: fabrics and scripts whose counts, node
-// numbers, flit counts or identifiers do not fit the fixed-width state
-// encoding are refused up front, each naming what does not fit; the largest
-// values that do fit are accepted.
+// TestUnencodableFabricsRefused: a router wide enough to offer a decision the
+// one-byte choice vectors cannot record, a negative deferral window and a
+// script message that does not fit the fabric are refused up front, each
+// naming what does not fit. The canonical state has no field width, so
+// fabrics, scripts, buffers, windows and thresholds past the old one- and
+// two-byte fields are accepted.
 func TestUnencodableFabricsRefused(t *testing.T) {
 	long := make([]Inject, 256)
 	for i := range long {
@@ -568,23 +537,19 @@ func TestUnencodableFabricsRefused(t *testing.T) {
 		want string // "" = accepted
 	}{
 		{"15x15 torus", Options{K: 15, N: 2, Script: face22}, ""},
-		{"16x16 torus", Options{K: 16, N: 2, Script: face22}, "nodes"},
-		{"2-ary 9-cube", Options{K: 2, N: 9, Script: face22}, "nodes"},
-		{"255-message script", Options{K: 2, N: 2, Script: long[:255]}, ""},
-		{"256-message script", Options{K: 2, N: 2, Script: long}, "script of 256 messages"},
-		{"255-flit message", Options{K: 2, N: 2, Script: []Inject{{0, 3, 255}}}, ""},
-		{"256-flit message", Options{K: 2, N: 2, Script: []Inject{{0, 3, 256}}}, "256 flits long"},
+		{"16x16 torus", Options{K: 16, N: 2, Script: face22}, ""},
+		{"2-ary 9-cube", Options{K: 2, N: 9, Script: face22}, ""},
+		{"256-message script", Options{K: 2, N: 2, Script: long}, ""},
+		{"256-flit message", Options{K: 2, N: 2, Script: []Inject{{0, 3, 256}}}, ""},
 		{"empty message", Options{K: 2, N: 2, Script: []Inject{{0, 3, 0}}}, "0 flits long"},
 		{"message to nowhere", Options{K: 2, N: 2, Script: []Inject{{0, 4, 2}}}, "0 -> 4"},
-		{"255-flit buffers", Options{K: 2, N: 2, BufFlits: 255, Script: face22}, ""},
-		{"256-flit buffers", Options{K: 2, N: 2, BufFlits: 256, Script: face22}, "BufFlits 256"},
-		{"window 255", Options{K: 2, N: 2, InjectWindow: 255, Script: face22}, ""},
-		{"window 256", Options{K: 2, N: 2, InjectWindow: 256, Script: face22}, "InjectWindow 256"},
+		{"256-flit buffers", Options{K: 2, N: 2, BufFlits: 256, Script: face22}, ""},
+		{"window 256", Options{K: 2, N: 2, InjectWindow: 256, Script: face22}, ""},
+		{"window -1", Options{K: 2, N: 2, InjectWindow: -1, Script: face22}, "InjectWindow -1"},
 		{"63 VCs", Options{K: 3, N: 2, VCs: 63, Script: face33}, ""},
 		{"64 VCs: arbitration 257 wide", Options{K: 3, N: 2, VCs: 64, Script: face33}, "257 input virtual channels"},
-		{"65,534 VCs or more", Options{K: 15, N: 2, VCs: 73, Script: face22}, "virtual channels"},
-		{"threshold 16383", Options{K: 2, N: 2, Threshold: 16383, Script: face22}, ""},
-		{"threshold 16384", Options{K: 2, N: 2, Threshold: 16384, Script: face22}, "Threshold 16384"},
+		{"65,534 VCs or more", Options{K: 17, N: 2, VCs: 63, Script: face22}, ""},
+		{"threshold 16384", Options{K: 2, N: 2, Threshold: 16384, Script: face22}, ""},
 	}
 	for _, tc := range cases {
 		o := tc.o
@@ -595,6 +560,20 @@ func TestUnencodableFabricsRefused(t *testing.T) {
 			t.Errorf("%s: refused: %v", tc.name, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestPaperFabricRuns: the checker starts on the paper's 8-ary 3-cube, 512
+// nodes, and explores the first thousand states of the face script, with a
+// deferral window of 2, without error. It makes no claim about the state
+// space.
+func TestPaperFabricRuns(t *testing.T) {
+	face := []Inject{{0, 9, 2}, {1, 8, 2}, {9, 0, 2}, {8, 1, 2}}
+	for _, mech := range []string{"ndm", "pdm", "cmh"} {
+		res, err := Check(Options{K: 8, N: 3, Mechanism: mech, Script: face, InjectWindow: 2, MaxStates: 1000})
+		if err != nil || res.Violation != nil || res.States < 1000 {
+			t.Errorf("%s on the 8-ary 3-cube: %v, %+v", mech, err, res)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wormnet/internal/router"
+	"wormnet/internal/snap"
 	"wormnet/internal/topology"
 )
 
@@ -23,7 +24,7 @@ import (
 //   - no in-flight probe exceeds the hop cap, and each sits on a VC still
 //     owned by the worm it chases;
 //   - at every end of cycle, a fresh detector restored from Snapshot
-//     snapshots to the same bytes and gives the same AppendState.
+//     snapshots to the same bytes, exact and canonical.
 //
 // The byte stream is an op-code program; indices are reduced modulo the
 // fabric's sizes so every input is valid by construction. The header bytes
@@ -139,16 +140,17 @@ func FuzzProbeDigest(f *testing.F) {
 				now++
 				// Between cycles the state must survive a snapshot: a
 				// fresh detector restored from it writes the same bytes
-				// and the same model-checker encoding.
-				state := d.Snapshot(nil)
+				// and the same canonical state.
+				state := d.Snapshot(nil, snap.Exact)
 				fresh := New(fab, cfg)
 				if err := fresh.Restore(state); err != nil {
 					t.Fatalf("cycle %d: Restore refused the detector's own snapshot: %v", now-1, err)
 				}
-				if again := fresh.Snapshot(nil); !bytes.Equal(again, state) {
+				if again := fresh.Snapshot(nil, snap.Exact); !bytes.Equal(again, state) {
 					t.Fatalf("cycle %d: the restored detector snapshots to different bytes", now-1)
 				}
-				if got, want := fresh.AppendState(nil, now), d.AppendState(nil, now); !bytes.Equal(got, want) {
+				canon := snap.Mode{Canonical: true, Now: now}
+				if got, want := fresh.Snapshot(nil, canon), d.Snapshot(nil, canon); !bytes.Equal(got, want) {
 					t.Fatalf("cycle %d: the restored detector encodes its state differently", now-1)
 				}
 			case 5: // extend a live worm by one VC (grow its body)

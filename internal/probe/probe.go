@@ -24,7 +24,6 @@
 package probe
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"wormnet/internal/detect"
@@ -174,10 +173,10 @@ func (d *Detector) Name() string {
 }
 
 // Capabilities implements detect.Detector: CMH traces its probe events,
-// reports probe totals, is encodable and snapshots its state; it has no
+// reports probe totals and snapshots its state; it has no
 // channel flags.
 func (d *Detector) Capabilities() detect.Capabilities {
-	return detect.Capabilities{SetTracer: d.SetTracer, ProbeTotals: d.ProbeTotals, AppendState: d.AppendState,
+	return detect.Capabilities{SetTracer: d.SetTracer, ProbeTotals: d.ProbeTotals,
 		Snapshot: d.Snapshot, Restore: d.Restore}
 }
 
@@ -522,91 +521,6 @@ func (d *Detector) launch(now int64) {
 	}
 }
 
-// AppendState is detect.Capabilities.AppendState for the model checker. The
-// encoding covers everything that influences future probe behavior:
-//
-//   - every in-flight probe, in advance order (ordering is behavioral: the
-//     per-link one-flit budget is consumed first come, first served);
-//   - every blocked initiator, in launch order, with its blocked age clamped
-//     at InitDelay (beyond which eligibility no longer changes);
-//   - the pending-mark bits, as a count and the marked IDs;
-//   - every non-default per-initiator wave window: wave age clamped at
-//     ReprobeEvery (beyond which the next launch reopens it), the
-//     wave-predates-blocking bit, and the count and sorted list of dedupe
-//     keys.
-//
-// Absolute cycle stamps never appear: ages are clamped at the point past
-// their largest behavioral threshold, and a probe's victim generation stamp
-// is encoded as its freshness (does the pooled slot still hold that
-// incarnation) plus its rank among live generation times (which fixes every
-// VictimOldest comparison it can still participate in). The rolling path
-// digest is carried but never compared (dedupe is edge-keyed), so it is
-// excluded. linkUsed and the cumulative counters are scratch/telemetry.
-func (d *Detector) AppendState(buf []byte, now int64) []byte {
-	buf = appendID(buf, int32(len(d.probes)))
-	for i := range d.probes {
-		p := &d.probes[i]
-		buf = appendID(buf, int32(p.initiator))
-		buf = appendID(buf, int32(p.target))
-		buf = appendID(buf, int32(p.at))
-		buf = appendID(buf, p.hops)
-		buf = appendID(buf, int32(p.victim))
-		buf = d.appendGenRank(buf, p.victim, p.victimGen)
-	}
-	buf = appendID(buf, int32(len(d.blocked)))
-	for _, id := range d.blocked {
-		buf = appendID(buf, int32(id))
-		m := d.fab.Msg(id)
-		if m == nil || m.Phase != router.PhaseNetwork {
-			buf = append(buf, 0xff, 0xff) // stale entry; launch retires it
-			continue
-		}
-		age := now - m.BlockedSince
-		if age > d.cfg.InitDelay {
-			age = d.cfg.InitDelay
-		}
-		buf = appendID(buf, int32(age))
-	}
-	pending := 0
-	for _, p := range d.pendingMark {
-		if p {
-			pending++
-		}
-	}
-	buf = appendID(buf, int32(pending))
-	for id, p := range d.pendingMark {
-		if p {
-			buf = appendID(buf, int32(id))
-		}
-	}
-	for id := range d.inits {
-		st := &d.inits[id]
-		if st.waveStart < 0 && st.seen.len() == 0 {
-			continue
-		}
-		buf = appendID(buf, int32(id))
-		var waveAge int32 = -1
-		var predates byte
-		if st.waveStart >= 0 {
-			a := now - st.waveStart
-			if a > d.cfg.ReprobeEvery {
-				a = d.cfg.ReprobeEvery
-			}
-			waveAge = int32(a)
-			if m := d.fab.Msg(router.MsgID(id)); m == nil || st.waveStart < m.BlockedSince {
-				predates = 1
-			}
-		}
-		buf = appendID(buf, waveAge)
-		buf = append(buf, predates)
-		buf = appendID(buf, int32(st.seen.len()))
-		for _, k := range d.sortedKeys(&st.seen) {
-			buf = binary.LittleEndian.AppendUint64(buf, k)
-		}
-	}
-	return buf
-}
-
 // sortedKeys returns a dedupe window's keys in ascending order, in a scratch
 // buffer the next call reuses.
 func (d *Detector) sortedKeys(seen *edgeSet) []uint64 {
@@ -620,51 +534,96 @@ const prSnapBytes = 5*4 + 2*8
 
 // Snapshot is detect.Capabilities.Snapshot: the exact state EndCycle and
 // RouteFailed carry from one cycle to the next. In order: the in-flight
-// probes (advance order), the blocked initiators (launch order), the messages
-// with a pending mark, every dedupe window that is not in its initial state
-// (wave start and the sorted edge keys), and the seven cumulative counters
+// probes (advance order: the one-flit budget of each link goes first come,
+// first served), the blocked initiators (launch order), the messages with a
+// pending mark, every dedupe window that is not in its initial state (wave
+// start and the sorted edge keys), and the seven cumulative counters
 // ProbeTotals and the conservation checks read.
-func (d *Detector) Snapshot(dst []byte) []byte {
-	dst = snap.U32(dst, uint32(len(d.probes)))
+//
+// Canonical mode writes no absolute cycle and no counter. A blocked
+// initiator's age is clamped at InitDelay (past it eligibility no longer
+// changes), -1 for a stale entry launch retires. A wave's age is clamped at
+// ReprobeEvery (past it the next launch reopens the window), -1 before the
+// first wave, with a bit for a wave older than the blocking. A probe's
+// victim generation becomes its freshness (does the pooled slot still hold
+// that incarnation) and its rank among the live messages' generation times,
+// which fixes every VictimOldest comparison it can still take part in. The
+// path digest is carried but never compared (dedupe is edge-keyed), so it is
+// left out.
+func (d *Detector) Snapshot(dst []byte, m snap.Mode) []byte {
+	dst = m.U32(dst, uint32(len(d.probes)))
 	for i := range d.probes {
 		p := &d.probes[i]
-		dst = snap.I32(dst, int32(p.initiator))
-		dst = snap.I32(dst, int32(p.target))
-		dst = snap.I32(dst, int32(p.at))
-		dst = snap.I32(dst, p.hops)
-		dst = snap.I32(dst, int32(p.victim))
+		dst = m.I32(dst, int32(p.initiator))
+		dst = m.I32(dst, int32(p.target))
+		dst = m.I32(dst, int32(p.at))
+		dst = m.I32(dst, p.hops)
+		dst = m.I32(dst, int32(p.victim))
+		if m.Canonical {
+			dst = d.appendGenRank(dst, p.victim, p.victimGen)
+			continue
+		}
 		dst = snap.U64(dst, p.digest)
 		dst = snap.I64(dst, p.victimGen)
 	}
-	dst = snap.IDs(dst, d.blocked)
+	dst = m.U32(dst, uint32(len(d.blocked)))
+	for _, id := range d.blocked {
+		dst = m.I32(dst, int32(id))
+		if !m.Canonical {
+			continue
+		}
+		age := int64(-1)
+		if msg := d.fab.Msg(id); msg != nil && msg.Phase == router.PhaseNetwork {
+			age = min(m.Now-msg.BlockedSince, d.cfg.InitDelay)
+		}
+		dst = m.I64(dst, age)
+	}
 
-	at, n := len(dst), 0
-	dst = snap.U32(dst, 0)
-	for id, pending := range d.pendingMark {
+	n := 0
+	for _, pending := range d.pendingMark {
 		if pending {
-			dst = snap.I32(dst, int32(id))
 			n++
 		}
 	}
-	snap.PutU32(dst, at, uint32(n))
+	dst = m.U32(dst, uint32(n))
+	for id, pending := range d.pendingMark {
+		if pending {
+			dst = m.I32(dst, int32(id))
+		}
+	}
 
-	at, n = len(dst), 0
-	dst = snap.U32(dst, 0)
+	n = 0
+	for id := range d.inits {
+		if d.inits[id].waveStart >= 0 || d.inits[id].seen.len() > 0 {
+			n++
+		}
+	}
+	dst = m.U32(dst, uint32(n))
 	for id := range d.inits {
 		st := &d.inits[id]
 		if st.waveStart < 0 && st.seen.len() == 0 {
 			continue
 		}
-		n++
-		dst = snap.I32(dst, int32(id))
-		dst = snap.I64(dst, st.waveStart)
-		dst = snap.U32(dst, uint32(st.seen.len()))
+		dst = m.I32(dst, int32(id))
+		if m.Canonical {
+			waveAge, predates := int64(-1), false
+			if st.waveStart >= 0 {
+				waveAge = min(m.Now-st.waveStart, d.cfg.ReprobeEvery)
+				msg := d.fab.Msg(router.MsgID(id))
+				predates = msg == nil || st.waveStart < msg.BlockedSince
+			}
+			dst = snap.Bool(m.I64(dst, waveAge), predates)
+		} else {
+			dst = snap.I64(dst, st.waveStart)
+		}
+		dst = m.U32(dst, uint32(st.seen.len()))
 		for _, k := range d.sortedKeys(&st.seen) {
 			dst = snap.U64(dst, k)
 		}
 	}
-	snap.PutU32(dst, at, uint32(n))
-
+	if m.Canonical {
+		return dst
+	}
 	for _, c := range d.counters() {
 		dst = snap.I64(dst, *c)
 	}
@@ -769,13 +728,15 @@ func (d *Detector) Restore(src []byte) error {
 	return r.Done()
 }
 
-// appendGenRank encodes a probe's victim generation stamp relative to the
-// live message population: freshness plus strictly-less / equal counts.
-func (d *Detector) appendGenRank(buf []byte, victim router.MsgID, gen int64) []byte {
-	var fresh, lt, eq byte
+// appendGenRank writes a probe's victim generation stamp relative to the
+// live message population: freshness, then how many live messages were
+// generated strictly earlier and how many at the same cycle.
+func (d *Detector) appendGenRank(dst []byte, victim router.MsgID, gen int64) []byte {
+	fresh := false
 	if vm := d.fab.Msg(victim); vm != nil && vm.GenTime == gen {
-		fresh = 1
+		fresh = true
 	}
+	var lt, eq int64
 	d.fab.LiveMessages(func(m *router.Message) {
 		switch {
 		case m.GenTime < gen:
@@ -784,13 +745,7 @@ func (d *Detector) appendGenRank(buf []byte, victim router.MsgID, gen int64) []b
 			eq++
 		}
 	})
-	return append(buf, fresh, lt, eq)
-}
-
-// appendID appends a small signed value as two little-endian bytes (-1
-// survives as 0xffff; model-checked fabrics keep every ID tiny).
-func appendID(buf []byte, v int32) []byte {
-	return append(buf, byte(v), byte(v>>8))
+	return snap.Int(snap.Int(snap.Bool(dst, fresh), lt), eq)
 }
 
 // FNV-1a parameters for the rolling path digest.

@@ -128,15 +128,15 @@ func TestProbeReturnMarksInitiator(t *testing.T) {
 }
 
 // TestCapabilities: CMH hands the engine a tracer hook, probe totals and a
-// state encoding — and no flag counts, because it keeps no channel flags.
+// snapshot — and no flag counts, because it keeps no channel flags.
 // The totals in the report are the detector's live ones.
 func TestCapabilities(t *testing.T) {
 	r := newRing(t)
 	d := New(r.fab, Config{InitDelay: 1, MaxHops: 64})
 	c := d.Capabilities()
-	if c.SetTracer == nil || c.ProbeTotals == nil || c.AppendState == nil {
-		t.Fatalf("missing capability: tracer %v, probe totals %v, encoding %v",
-			c.SetTracer != nil, c.ProbeTotals != nil, c.AppendState != nil)
+	if c.SetTracer == nil || c.ProbeTotals == nil || c.Snapshot == nil {
+		t.Fatalf("missing capability: tracer %v, probe totals %v, snapshot %v",
+			c.SetTracer != nil, c.ProbeTotals != nil, c.Snapshot != nil)
 	}
 	if c.FlagCounts != nil {
 		t.Error("CMH reports flag counts it does not keep")
@@ -146,18 +146,18 @@ func TestCapabilities(t *testing.T) {
 	if pt := c.ProbeTotals(); pt.Emitted != 1 || pt.InFlight != 1 {
 		t.Errorf("probe totals through the report = %+v, want 1 emitted, 1 in flight", pt)
 	}
-	if len(c.AppendState(nil, now)) == 0 {
-		t.Error("empty state encoding")
+	if len(c.Snapshot(nil, snap.Mode{Canonical: true, Now: now})) == 0 {
+		t.Error("empty canonical state")
 	}
 }
 
-// TestAppendStateCountsTwoBytes: every count in the encoding — in-flight
-// probes, blocked initiators, pending marks, a dedupe window's keys — is
-// written in two bytes. In one byte 257 wrapped to the 1 of a single entry
-// (and 256 to an empty window), and a pending-mark list ended by a 0xfe
-// separator could not tell that byte from the low byte of an ID like 0x01fe,
-// so the model checker could merge two different states.
-func TestAppendStateCountsTwoBytes(t *testing.T) {
+// TestCanonicalCountsHaveNoWidth: every count in the canonical state —
+// in-flight probes, blocked initiators, pending marks, a dedupe window's keys
+// — and every identifier is a canonical integer (snap.Int) of no fixed width,
+// so 257 entries are not the 1 of a single one, 256 keys not an empty window,
+// and message 0x01fe not message 0xfe: the model checker cannot merge two
+// such states.
+func TestCanonicalCountsHaveNoWidth(t *testing.T) {
 	r := newRing(t)
 	d := New(r.fab, Config{InitDelay: 1, MaxHops: 64})
 	registerBlocked(d, r.fab, r.a, 0)
@@ -165,65 +165,53 @@ func TestAppendStateCountsTwoBytes(t *testing.T) {
 	if len(d.probes) != 1 || len(d.blocked) != 1 {
 		t.Fatalf("%d probes, %d blocked initiators, want 1 and 1", len(d.probes), len(d.blocked))
 	}
-	const (
-		probeBytes   = 5*2 + 3             // five IDs and the generation rank
-		blockedAt    = 2 + probeBytes      // after the probe section
-		pendingAt    = blockedAt + 2 + 2*2 // after one blocked initiator
-		initAt       = pendingAt + 2       // after an empty pending-mark list
-		windowKeysAt = initAt + 2 + 2 + 1  // the window's ID, wave age, predates bit
-		pendingID    = 0x01fe              // low byte is the old separator
-		pendingOne   = pendingAt + 2 + 2   // initAt with one pending mark
-		windowOneAt  = windowKeysAt + pendingOne - initAt
-	)
-	one := d.AppendState(nil, now)
+	canon := func() []byte { return d.Snapshot(nil, snap.Mode{Canonical: true, Now: now}) }
+	one := canon()
 	for len(d.probes) < 257 {
 		d.probes = append(d.probes, d.probes[0])
 	}
-	manyProbes := d.AppendState(nil, now)
+	manyProbes := canon()
 	d.probes = d.probes[:1]
 	blocked := d.blocked[0]
 	for len(d.blocked) < 257 {
 		d.blocked = append(d.blocked, blocked)
 	}
-	manyBlocked := d.AppendState(nil, now)
+	manyBlocked := canon()
 	d.blocked = d.blocked[:1]
 
 	seen := &d.inits[r.a.ID].seen
 	for k := uint64(1 << 40); seen.len() < 256; k++ {
 		seen.add(k)
 	}
-	keys256 := d.AppendState(nil, now)
+	keys256 := canon()
 	seen.add(1 << 50)
-	keys257 := d.AppendState(nil, now)
+	keys257 := canon()
 
-	for len(d.pendingMark) <= pendingID {
-		d.pendingMark = append(d.pendingMark, false)
-	}
-	d.pendingMark[pendingID] = true
-	marked := d.AppendState(nil, now)
-
-	for _, tc := range []struct {
-		name     string
-		enc      []byte
-		at, want int
-	}{
-		{"probes, one", one, 0, 1},
-		{"probes, 257", manyProbes, 0, 257},
-		{"blocked, one", one, blockedAt, 1},
-		{"blocked, 257", manyBlocked, blockedAt, 257},
-		{"pending marks, none", one, pendingAt, 0},
-		{"pending marks, one", marked, pendingAt, 1},
-		{"pending mark ID", marked, pendingAt + 2, pendingID},
-		{"window keys, 256", keys256, windowKeysAt, 256},
-		{"window keys, 257", keys257, windowKeysAt, 257},
-		{"window keys after a pending mark", marked, windowOneAt, 257},
-	} {
-		if got := int(binary.LittleEndian.Uint16(tc.enc[tc.at:])); got != tc.want {
-			t.Errorf("%s: field at byte %d reads %d, want %d", tc.name, tc.at, got, tc.want)
+	mark := func(id int) []byte {
+		for len(d.pendingMark) <= id {
+			d.pendingMark = append(d.pendingMark, false)
 		}
+		d.pendingMark[id] = true
+		defer func() { d.pendingMark[id] = false }()
+		return canon()
 	}
-	if bytes.Equal(one[:2], manyProbes[:2]) || bytes.Equal(one[:blockedAt+2], manyBlocked[:blockedAt+2]) {
-		t.Error("1 and 257 entries encode the same count")
+	markLow, markHigh := mark(0xfe), mark(0x01fe)
+
+	if manyProbes[0] != 0xff || binary.LittleEndian.Uint64(manyProbes[1:]) != 257 {
+		t.Errorf("257 probes: the canonical state starts % x, want the escape byte and 257", manyProbes[:9])
+	}
+	for _, tc := range []struct {
+		name string
+		a, b []byte
+	}{
+		{"1 and 257 probes", one, manyProbes},
+		{"1 and 257 blocked initiators", one, manyBlocked},
+		{"256 and 257 window keys", keys256, keys257},
+		{"pending marks 0xfe and 0x01fe", markLow, markHigh},
+	} {
+		if bytes.Equal(tc.a, tc.b) {
+			t.Errorf("%s: equal canonical states", tc.name)
+		}
 	}
 }
 
@@ -577,18 +565,19 @@ func probingRing(t *testing.T) (*ringFixture, *Detector, int64) {
 // same fabric reproduces the state, and the detectors then behave alike.
 func TestSnapshotRoundTrip(t *testing.T) {
 	r, d, now := probingRing(t)
-	snapBytes := d.Snapshot(nil)
+	snapBytes := d.Snapshot(nil, snap.Exact)
 	fresh := New(r.fab, Config{InitDelay: 2, Transport: TransportControlVC, MaxHops: 64})
 	if err := fresh.Restore(snapBytes); err != nil {
 		t.Fatal(err)
 	}
-	if again := fresh.Snapshot(nil); !bytes.Equal(again, snapBytes) {
+	if again := fresh.Snapshot(nil, snap.Exact); !bytes.Equal(again, snapBytes) {
 		t.Fatalf("snapshot of the restored detector differs from the bytes it was restored from")
 	}
 	for c := now + 1; c < now+12; c++ {
 		d.EndCycle(c, nil)
 		fresh.EndCycle(c, nil)
-		if got, want := fresh.AppendState(nil, c+1), d.AppendState(nil, c+1); !bytes.Equal(got, want) {
+		canon := snap.Mode{Canonical: true, Now: c + 1}
+		if got, want := fresh.Snapshot(nil, canon), d.Snapshot(nil, canon); !bytes.Equal(got, want) {
 			t.Fatalf("cycle %d: restored detector diverged from the original", c)
 		}
 		if fresh.ProbeTotals() != d.ProbeTotals() {
@@ -612,15 +601,16 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	if slices.Equal(d.inits[0].seen.slots, e.inits[0].seen.slots) {
 		t.Fatal("insertion order did not change the table layout; the test compares nothing")
 	}
-	want := d.Snapshot(nil)
-	if got := e.Snapshot(nil); !bytes.Equal(got, want) {
+	want := d.Snapshot(nil, snap.Exact)
+	if got := e.Snapshot(nil, snap.Exact); !bytes.Equal(got, want) {
 		t.Fatal("equal windows filled in different orders snapshot differently")
 	}
-	if got, want := e.AppendState(nil, now), d.AppendState(nil, now); !bytes.Equal(got, want) {
+	canon := snap.Mode{Canonical: true, Now: now}
+	if got, want := e.Snapshot(nil, canon), d.Snapshot(nil, canon); !bytes.Equal(got, want) {
 		t.Fatal("equal windows filled in different orders encode differently")
 	}
 	for i := 0; i < 20; i++ {
-		if got := d.Snapshot(nil); !bytes.Equal(got, want) {
+		if got := d.Snapshot(nil, snap.Exact); !bytes.Equal(got, want) {
 			t.Fatalf("snapshot %d of an unchanged detector differs from the first", i)
 		}
 	}
@@ -630,7 +620,7 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 // truncated or overlong input are errors, not panics.
 func TestRestoreRejectsForeignIdentifiers(t *testing.T) {
 	_, d, _ := probingRing(t)
-	good := d.Snapshot(nil)
+	good := d.Snapshot(nil, snap.Exact)
 	for n := 0; n < len(good); n++ {
 		if err := d.Restore(good[:n]); err == nil {
 			t.Fatalf("Restore accepted the first %d of %d bytes", n, len(good))
@@ -692,7 +682,7 @@ func splitSnapshot(t *testing.T, b []byte) snapParts {
 
 func (p snapParts) encode() []byte {
 	b := bytes.Clone(p.head)
-	b = snap.IDs(b, p.pending)
+	b = snap.IDs(snap.Exact, b, p.pending)
 	b = snap.U32(b, uint32(len(p.windows)))
 	for _, w := range p.windows {
 		b = snap.I32(b, w.id)
@@ -716,7 +706,7 @@ func TestRestoreRejectsNonCanonical(t *testing.T) {
 		d.inits[r.a.ID].seen.add(edgeKey(router.LinkID(k), r.b.ID))
 	}
 	d.pendingMark[r.a.ID], d.pendingMark[r.c.ID] = true, true
-	good := d.Snapshot(nil)
+	good := d.Snapshot(nil, snap.Exact)
 	parts := splitSnapshot(t, good)
 	if !bytes.Equal(parts.encode(), good) {
 		t.Fatal("splitSnapshot does not round-trip")
@@ -766,7 +756,7 @@ func TestRestoreRejectsNonCanonical(t *testing.T) {
 	if err := fresh.Restore(good); err != nil {
 		t.Fatalf("the untouched snapshot no longer restores: %v", err)
 	}
-	if again := fresh.Snapshot(nil); !bytes.Equal(again, good) {
+	if again := fresh.Snapshot(nil, snap.Exact); !bytes.Equal(again, good) {
 		t.Fatal("the untouched snapshot re-encodes differently")
 	}
 }

@@ -89,26 +89,19 @@ func (e *Engine) Style() Style { return e.style }
 // Active returns the number of messages currently being absorbed.
 func (e *Engine) Active() int { return len(e.active) }
 
-// AppendActive appends the IDs of the messages currently being absorbed, in
-// absorption-list order, as two little-endian bytes each. The model checker
-// folds this into its state encoding: the list's order only affects hook
-// call order, but its membership decides which worms drain each cycle.
-func (e *Engine) AppendActive(buf []byte) []byte {
-	for _, id := range e.active {
-		buf = append(buf, byte(id), byte(id>>8))
-	}
-	return buf
-}
-
 // AbsorbedFlits returns the cumulative number of flits consumed through
 // absorption ports (progressive recovery only).
 func (e *Engine) AbsorbedFlits() int64 { return e.absorbedFlits }
 
 // AppendSnapshot appends the engine's state to dst for sim.Engine.Snapshot:
-// the absorption list in order (the order fixes the hook call order) and the
-// absorbed-flit total.
-func (e *Engine) AppendSnapshot(dst []byte) []byte {
-	dst = snap.IDs(dst, e.active)
+// the absorption list in order (the order fixes the hook call order; the
+// membership decides which worms drain each cycle) and, outside canonical
+// mode, the absorbed-flit total.
+func (e *Engine) AppendSnapshot(dst []byte, m snap.Mode) []byte {
+	dst = snap.IDs(m, dst, e.active)
+	if m.Canonical {
+		return dst
+	}
 	return snap.I64(dst, e.absorbedFlits)
 }
 

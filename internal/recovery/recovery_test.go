@@ -202,7 +202,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	m := buildWorm(t, f, []router.LinkID{f.NetLink(0, 0)}, 2)
 	e.Mark(m, 10)
 	e.Step()
-	b := e.AppendSnapshot(nil)
+	b := e.AppendSnapshot(nil, snap.Exact)
 
 	other := &recording{}
 	e2 := New(f, Progressive, other.hooks())
@@ -211,7 +211,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if e2.Active() != 1 || e2.AbsorbedFlits() != 1 || !bytes.Equal(e2.AppendSnapshot(nil), b) {
+	if e2.Active() != 1 || e2.AbsorbedFlits() != 1 || !bytes.Equal(e2.AppendSnapshot(nil, snap.Exact), b) {
 		t.Fatalf("restored engine absorbs %d messages, %d flits so far", e2.Active(), e2.AbsorbedFlits())
 	}
 
@@ -222,7 +222,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		"recovering message left out": {},
 		"message outside the pool":    {99},
 	} {
-		r := snap.NewReader(snap.I64(snap.IDs(nil, ids), 1))
+		r := snap.NewReader(snap.I64(snap.IDs(snap.Exact, nil, ids), 1))
 		New(f, Progressive, other.hooks()).RestoreSnapshot(&r)
 		if r.Done() == nil {
 			t.Errorf("%s: accepted", name)

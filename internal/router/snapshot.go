@@ -7,7 +7,8 @@ import (
 	"wormnet/internal/snap"
 )
 
-// The fabric's share of sim.Engine.Snapshot and Restore.
+// The fabric's share of sim.Engine.Snapshot and Restore, and of the model
+// checker's canonical state key (sim.Engine.AppendCanonical).
 //
 // Written: the whole message pool (every field of every entry but the route
 // memo, then the free list in order — NewMessage pops it from the back, so its
@@ -34,25 +35,29 @@ const (
 // NumMessages) are valid arguments to Msg.
 func (f *Fabric) NumMessages() int { return len(f.msgs) }
 
-func (m *Message) appendSnapshot(dst []byte) []byte {
-	dst = snap.I32(dst, m.Src)
-	dst = snap.I32(dst, m.Dst)
-	dst = snap.I32(dst, m.Length)
-	dst = snap.I32(dst, int32(m.HeadVC))
-	dst = snap.I32(dst, int32(m.TailVC))
-	dst = snap.I32(dst, m.Injected)
-	dst = snap.I32(dst, m.Consumed)
-	dst = snap.I32(dst, int32(m.InjLink))
+// appendSnapshot writes m. In canonical mode it writes m's ID first, Attempts
+// clamped at 2 (the engine reads it only as zero, one or more), and neither
+// Retries, TrueDeadlock nor the time stamps: they are telemetry, or absolute
+// stamps whose behavioural content a detector's canonical bytes carry as a
+// clamped age.
+func (m *Message) appendSnapshot(dst []byte, md snap.Mode) []byte {
+	if md.Canonical {
+		dst = md.I32(dst, int32(m.ID))
+	}
+	dst = md.I32(dst, m.Src)
+	dst = md.I32(dst, m.Dst)
+	dst = md.I32(dst, m.Length)
+	dst = md.I32(dst, int32(m.HeadVC))
+	dst = md.I32(dst, int32(m.TailVC))
+	dst = md.I32(dst, m.Injected)
+	dst = md.I32(dst, m.Consumed)
+	dst = md.I32(dst, int32(m.InjLink))
+	if md.Canonical {
+		return append(md.I32(dst, min(m.Attempts, 2)), uint8(m.Phase), snapBool(m.Marked))
+	}
 	dst = snap.I32(dst, m.Attempts)
 	dst = snap.I32(dst, m.Retries)
-	var flags uint8
-	if m.Marked {
-		flags |= 1
-	}
-	if m.TrueDeadlock {
-		flags |= 2
-	}
-	dst = append(dst, uint8(m.Phase), flags)
+	dst = append(dst, uint8(m.Phase), snapBool(m.Marked)|snapBool(m.TrueDeadlock)<<1)
 	dst = snap.I64(dst, m.GenTime)
 	dst = snap.I64(dst, m.InjectTime)
 	dst = snap.I64(dst, m.DeliverTime)
@@ -61,34 +66,50 @@ func (m *Message) appendSnapshot(dst []byte) []byte {
 	return snap.I64(dst, m.MarkTime)
 }
 
-// AppendSnapshot appends the fabric's state to dst.
-func (f *Fabric) AppendSnapshot(dst []byte) []byte {
-	dst = snap.U32(dst, uint32(len(f.msgs)))
-	for _, m := range f.msgs {
-		dst = m.appendSnapshot(dst)
+func snapBool(b bool) uint8 {
+	if b {
+		return 1
 	}
-	dst = snap.IDs(dst, f.free)
+	return 0
+}
 
-	dst = snap.U32(dst, uint32(f.NumOccupied()))
+// AppendSnapshot appends the fabric's state to dst. In canonical mode it
+// writes the live messages alone, each with its ID, and no free list or
+// round-robin pointers: a Chooser pins the pointers, and the key treats
+// states that differ only in which pool slots are free, or in their order, as
+// one. There both lists end in -1, which no message or VC is, instead of
+// starting with a count.
+func (f *Fabric) AppendSnapshot(dst []byte, md snap.Mode) []byte {
+	if md.Canonical {
+		for _, m := range f.msgs {
+			if m.Length > 0 { // LiveMessages' test
+				dst = m.appendSnapshot(dst, md)
+			}
+		}
+		dst = snap.Int(dst, -1)
+	} else {
+		dst = snap.U32(dst, uint32(len(f.msgs)))
+		for _, m := range f.msgs {
+			dst = m.appendSnapshot(dst, md)
+		}
+		dst = snap.IDs(md, dst, f.free)
+		dst = snap.U32(dst, uint32(f.NumOccupied()))
+	}
+
 	for i := range f.VCs {
 		vc := &f.VCs[i]
 		if vc.Occupant == NilMsg {
 			continue
 		}
-		dst = snap.I32(dst, int32(i))
-		dst = snap.I32(dst, int32(vc.Occupant))
-		dst = snap.I32(dst, int32(vc.Next))
-		dst = snap.I32(dst, vc.Flits)
-		var flags uint8
-		if vc.HasHeader {
-			flags |= 1
-		}
-		if vc.HasTail {
-			flags |= 2
-		}
-		dst = append(dst, flags)
+		dst = md.I32(dst, int32(i))
+		dst = md.I32(dst, int32(vc.Occupant))
+		dst = md.I32(dst, int32(vc.Next))
+		dst = md.I32(dst, vc.Flits)
+		dst = append(dst, snapBool(vc.HasHeader)|snapBool(vc.HasTail)<<1)
 	}
-
+	if md.Canonical {
+		return snap.Int(dst, -1)
+	}
 	for l := range f.Links {
 		dst = snap.I32(dst, f.Links[l].rr)
 	}

@@ -33,7 +33,7 @@ func TestMessageSnapshotCoversEveryField(t *testing.T) {
 			t.Fatalf("Message.%s has kind %s: teach the snapshot and this test about it", v.Type().Field(i).Name, fld.Kind())
 		}
 	}
-	b := m.appendSnapshot(nil)
+	b := m.appendSnapshot(nil, snap.Exact)
 	if len(b) != msgSnapBytes {
 		t.Fatalf("appendSnapshot wrote %d bytes, msgSnapBytes is %d", len(b), msgSnapBytes)
 	}
@@ -100,7 +100,7 @@ func restoreFabric(f *Fabric, b []byte) error {
 // addresses unchanged.
 func TestFabricSnapshotRoundTrip(t *testing.T) {
 	src := wormFabric(t)
-	b := src.AppendSnapshot(nil)
+	b := src.AppendSnapshot(nil, snap.Exact)
 
 	busy := newTestFabric(t, 4, 2)
 	for i := 0; i < 6; i++ {
@@ -119,7 +119,7 @@ func TestFabricSnapshotRoundTrip(t *testing.T) {
 		if err := dst.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if again := dst.AppendSnapshot(nil); !bytes.Equal(again, b) {
+		if again := dst.AppendSnapshot(nil, snap.Exact); !bytes.Equal(again, b) {
 			t.Errorf("%s: snapshot of the restored fabric differs from the bytes restored", name)
 		}
 		if dst.NumMessages() != 3 || dst.NumOccupied() != 3 || dst.NumBusyLinks() != 3 ||
@@ -144,7 +144,7 @@ func TestFabricSnapshotRoundTrip(t *testing.T) {
 // whose worms, identifiers or free list contradict one another, are errors.
 func TestFabricRestoreRefuses(t *testing.T) {
 	src := wormFabric(t)
-	good := src.AppendSnapshot(nil)
+	good := src.AppendSnapshot(nil, snap.Exact)
 	dst := newTestFabric(t, 4, 2)
 	for n := 0; n < len(good); n++ {
 		if err := restoreFabric(dst, good[:n]); err == nil {
@@ -194,7 +194,7 @@ func TestFabricRestoreRefuses(t *testing.T) {
 // surviving message addresses kept and a new generation.
 func TestFabricCopyRoundTrip(t *testing.T) {
 	src := wormFabric(t)
-	b := src.AppendSnapshot(nil)
+	b := src.AppendSnapshot(nil, snap.Exact)
 	src.Msg(0).Route = RouteMemo{Mask: 1, At: 1, Dst: 2}
 	var c FabricCopy
 	src.CopyTo(&c)
@@ -216,7 +216,7 @@ func TestFabricCopyRoundTrip(t *testing.T) {
 		if err := dst.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if again := dst.AppendSnapshot(nil); !bytes.Equal(again, b) {
+		if again := dst.AppendSnapshot(nil, snap.Exact); !bytes.Equal(again, b) {
 			t.Errorf("%s: snapshot of the fabric the copy was put into differs from the original's", name)
 		}
 		for id := 0; id < dst.NumMessages(); id++ {

@@ -93,7 +93,7 @@ func repeatedWindowKeySeed(t testing.TB) []byte {
 		}
 	}
 	full := e.Snapshot([]byte{cmhGate})
-	det := e.caps.Snapshot(nil)
+	det := e.caps.Snapshot(nil, snap.Exact)
 	at := bytes.Index(full, append(snap.U32(nil, uint32(len(det))), det...))
 	if at < 0 {
 		t.Fatal("the CMH detector section is not in the engine snapshot")

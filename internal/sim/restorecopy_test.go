@@ -14,7 +14,7 @@ import (
 
 // committedRestoreSeeds reads the committed FuzzRestore corpus: every file's
 // input, the configuration-selecting byte first.
-func committedRestoreSeeds(t *testing.T) map[string][]byte {
+func committedRestoreSeeds(t testing.TB) map[string][]byte {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(restoreCorpus, "*"))
 	if err != nil || len(files) == 0 {

@@ -95,30 +95,84 @@ func (e *Engine) Snapshot(dst []byte) []byte {
 	dst = snap.U32(dst, snapVersion)
 	dst = snap.U32(dst, uint32(len(id)))
 	dst = append(dst, id...)
+	return e.appendState(dst, snap.Exact)
+}
 
-	dst = snap.I64(dst, e.now)
-	dst = e.st.AppendSnapshot(dst)
-	if e.now > e.cfg.Warmup {
-		dst = e.base.AppendSnapshot(dst)
+// AppendCanonical appends the engine's canonical state to dst: the model
+// checker's state key (internal/mc). Two engines of one configuration, under
+// a Chooser, whose canonical bytes are equal take the same steps and reach
+// equal canonical bytes again under equal choices; their traces may differ
+// only in the attempt counts past 2 that route-fail events report and in the
+// oracle-deadlock events the first-sighting stamps gate
+// (FuzzCanonicalEquality). It is written by the same code as Snapshot, in
+// snap.Mode's canonical integers, and is never read back.
+//
+// What it holds: the live messages' transport state (router.Fabric's
+// canonical mode: Attempts clamped at 2), the occupied virtual channels, the
+// source queues and the pending, pendingNew and injecting lists in order (the
+// pending order fixes the routing order, a queue's order the admission order,
+// the injecting order the source-feed order), the detector's canonical state
+// (detect.Capabilities.Snapshot: NDM and PDM counters clamped just past T2 or
+// the threshold; CMH's blocked ages clamped at InitDelay, its wave ages at
+// ReprobeEvery with the wave-predates-blocking bit, its victim generations as
+// freshness and rank) and the recovery engine's absorption list.
+//
+// What it leaves out, with the reason:
+//   - the header and fingerprint: keys are compared within one configuration
+//     (and AppendCanonical never builds the fingerprint);
+//   - telemetry, which no decision reads: the cycle number, the whole-run
+//     counters and their window readings, the three histograms, CMH's probe
+//     totals and the absorbed-flit total;
+//   - what a Chooser pins: the per-node and shared random streams and the
+//     generator's due cycles (Load is 0, so generation never fires) and the
+//     links' round-robin pointers (never advanced: the chooser arbitrates);
+//   - the free list's order and the free pool slots: the key counts states
+//     that differ only there as one;
+//   - the oracle's first-sighting stamps and the size of its last set, which
+//     only feed telemetry and the trace;
+//   - absolute time stamps on messages (generated, injected, blocked since,
+//     ...) and CMH's path digest, which is carried but never compared: where
+//     a stamp decides anything, a detector writes it as a clamped age.
+//
+// Per-cycle scratch is in neither encoding (see Snapshot).
+func (e *Engine) AppendCanonical(dst []byte) []byte {
+	return e.appendState(dst, snap.Mode{Canonical: true, Now: e.now})
+}
+
+// appendState writes everything after Snapshot's header, in mode m.
+func (e *Engine) appendState(dst []byte, m snap.Mode) []byte {
+	if !m.Canonical {
+		dst = snap.I64(dst, e.now)
+		dst = e.st.AppendSnapshot(dst)
+		if e.now > e.cfg.Warmup {
+			dst = e.base.AppendSnapshot(dst)
+		}
+		if e.now > e.cfg.Warmup+e.cfg.Measure {
+			dst = e.end.AppendSnapshot(dst)
+		}
+		dst = e.latHist.AppendSnapshot(dst)
+		dst = e.delayHist.AppendSnapshot(dst)
+		dst = e.detLatHist.AppendSnapshot(dst)
 	}
-	if e.now > e.cfg.Warmup+e.cfg.Measure {
-		dst = e.end.AppendSnapshot(dst)
-	}
-	dst = e.latHist.AppendSnapshot(dst)
-	dst = e.delayHist.AppendSnapshot(dst)
-	dst = e.detLatHist.AppendSnapshot(dst)
-	dst = e.fab.AppendSnapshot(dst)
+	dst = e.fab.AppendSnapshot(dst, m)
 
 	for n := range e.queues {
 		q := &e.queues[n]
-		dst = snap.U32(dst, uint32(q.Len()))
+		dst = m.U32(dst, uint32(q.Len()))
 		for i := 0; i < q.Len(); i++ {
-			dst = snap.I32(dst, int32(q.At(i)))
+			dst = m.I32(dst, int32(q.At(i)))
 		}
 	}
-	dst = snap.IDs(dst, e.pending)
-	dst = snap.IDs(dst, e.pendingNew)
-	dst = snap.IDs(dst, e.injecting)
+	dst = snap.IDs(m, dst, e.pending)
+	dst = snap.IDs(m, dst, e.pendingNew)
+	dst = snap.IDs(m, dst, e.injecting)
+
+	if m.Canonical {
+		if e.caps.Snapshot != nil {
+			dst = e.caps.Snapshot(dst, m)
+		}
+		return e.rec.AppendSnapshot(dst, m)
+	}
 
 	dst = snap.I64s(dst, e.genDue)
 	for i := range e.nodeRng {
@@ -141,10 +195,10 @@ func (e *Engine) Snapshot(dst []byte) []byte {
 	at = len(dst)
 	dst = snap.U32(dst, 0)
 	if e.caps.Snapshot != nil {
-		dst = e.caps.Snapshot(dst)
+		dst = e.caps.Snapshot(dst, m)
 	}
 	snap.PutU32(dst, at, uint32(len(dst)-at-4))
-	return e.rec.AppendSnapshot(dst)
+	return e.rec.AppendSnapshot(dst, m)
 }
 
 // Restore replaces the engine's state with a snapshot taken from an engine of

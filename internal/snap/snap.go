@@ -3,7 +3,9 @@
 // package that owns a share of the engine's state (router, detect, probe,
 // recovery, traffic, rng, stats) writes and reads it through these, so the
 // encoding has one definition of "an integer", "a length" and "a truncated
-// input".
+// input". The writers of the fabric, the engine's lists, recovery and the
+// detectors take a Mode, which also lets them write the model checker's
+// canonical state key (sim.Engine.AppendCanonical) from the same code.
 //
 // The Reader is built for hostile input. An error is sticky: after the first
 // failed read every later read returns zero, so decoders check Err once per
@@ -50,14 +52,71 @@ func I64s(dst []byte, vals []int64) []byte {
 	return dst
 }
 
-// IDs appends a list of 32-bit identifiers: its length as a U32, then each
-// element as an I32 (so the -1 sentinels survive).
-func IDs[T ~int32](dst []byte, ids []T) []byte {
-	dst = U32(dst, uint32(len(ids)))
+// IDs appends a list of 32-bit identifiers: its length as m.U32 writes it,
+// then each element as m.I32 does (so the -1 sentinels survive).
+func IDs[T ~int32](m Mode, dst []byte, ids []T) []byte {
+	dst = m.U32(dst, uint32(len(ids)))
 	for _, id := range ids {
-		dst = I32(dst, int32(id))
+		dst = m.I32(dst, int32(id))
 	}
 	return dst
+}
+
+// Mode selects which of two encodings a state writer appends.
+//
+// Exact, the zero Mode, is the snapshot Restore reads back: every field, at
+// the fixed widths of U32, I32 and I64.
+//
+// A Canonical Mode is the model checker's state key: two engines whose
+// canonical bytes are equal act alike under equal choices from then on. It
+// leaves out what no future decision reads and writes ages clamped where a
+// larger age changes nothing. An integer v takes one byte, v+1, while v lies
+// in [-1, 254), and otherwise the escape byte 0xff and v's eight bytes (Int):
+// the key stays as compact as the tiny fabrics the checker explores allow,
+// and no field width bounds the fabric. It is hashed, never read back.
+// sim.Engine.AppendCanonical says what it leaves out.
+type Mode struct {
+	// Canonical selects the state key.
+	Canonical bool
+	// Now is the cycle a canonical writer measures ages from.
+	Now int64
+}
+
+// Exact is the zero Mode: the snapshot Restore reads.
+var Exact Mode
+
+// Int appends v as a canonical integer (see Mode). Unlike a varint, the
+// common case is one compare and one byte, no loop: the checker writes a key
+// for every state it reaches.
+func Int(dst []byte, v int64) []byte {
+	if u := uint64(v + 1); u < 0xff {
+		return append(dst, byte(u))
+	}
+	return I64(append(dst, 0xff), v)
+}
+
+// U32 appends a count or length: as U32 does, or as a canonical integer.
+func (m Mode) U32(dst []byte, v uint32) []byte {
+	if m.Canonical {
+		return Int(dst, int64(v))
+	}
+	return U32(dst, v)
+}
+
+// I32 appends v as I32 does, or as a canonical integer.
+func (m Mode) I32(dst []byte, v int32) []byte {
+	if m.Canonical {
+		return Int(dst, int64(v))
+	}
+	return I32(dst, v)
+}
+
+// I64 appends v as I64 does, or as a canonical integer.
+func (m Mode) I64(dst []byte, v int64) []byte {
+	if m.Canonical {
+		return Int(dst, v)
+	}
+	return I64(dst, v)
 }
 
 // PutU32 overwrites the four bytes at dst[at:] with v; with a U32(dst, 0)

@@ -15,7 +15,7 @@ func TestRoundTrip(t *testing.T) {
 	b = I32(b, -1)
 	b = U64(b, 1<<63)
 	b = I64(b, -2)
-	b = IDs(b, []int32{3, -1, 7})
+	b = IDs(Exact, b, []int32{3, -1, 7})
 	at := len(b)
 	b = U32(b, 0)
 	b = append(b, "xyz"...)
@@ -58,7 +58,7 @@ func TestReaderRefuses(t *testing.T) {
 		{"id below range", I32(nil, -2), func(r *Reader) { r.ID(-1, 4) }, "identifier -2 outside [-1, 4)"},
 		{"id at upper bound", I32(nil, 4), func(r *Reader) { r.ID(-1, 4) }, "identifier 4"},
 		{"list longer than input", U32(nil, 1<<30), func(r *Reader) { ReadIDs(r, []int32(nil), 0, 1) }, "truncated"},
-		{"list element out of range", IDs(nil, []int32{0, 5}), func(r *Reader) {
+		{"list element out of range", IDs(Exact, nil, []int32{0, 5}), func(r *Reader) {
 			if got := ReadIDs(r, []int32(nil), 0, 5); len(got) != 0 {
 				panic("ReadIDs returned elements of a refused list")
 			}
