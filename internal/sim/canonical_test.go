@@ -109,8 +109,9 @@ func checkerEngine(t *testing.T, gate int, src *Engine, sink *bytes.Buffer, seed
 	cfg.Chooser = &streamChooser{rng.New(seed)}
 	cfg.Load, cfg.OracleEvery = 0, 0
 	e, rec := tracedEngine(t, cfg, sink)
-	body := src.Snapshot(nil)[12+len(src.fingerprint()):]
-	if err := e.Restore(append(e.Snapshot(nil)[:12+len(e.fingerprint())], body...)); err != nil {
+	header := func(e *Engine) int { return len(snapMagic) + 4 + 4 + len(e.fingerprint()) } // magic, version, length, fingerprint
+	body := src.Snapshot(nil)[header(src):]
+	if err := e.Restore(append(e.Snapshot(nil)[:header(e)], body...)); err != nil {
 		t.Fatalf("moving a restored state under a chooser: %v", err)
 	}
 	for n := range e.genDue {
