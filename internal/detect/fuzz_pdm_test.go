@@ -25,9 +25,9 @@ import (
 //     after every event, and the detector's own audit passes.
 //
 // The byte stream is an op-code program with the same shape as
-// FuzzNDMFlags; the shared corpus seeds under testdata (sampled from the
-// model checker's frontier states, see `make conformance-fuzz-seeds`) are
-// valid programs for both harnesses.
+// FuzzNDMFlags; the committed corpus seeds under testdata (once sampled from
+// the model checker's frontier states) are valid programs for both
+// harnesses.
 func FuzzPDMFlags(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 5, 1, 9, 2, 4})
 	f.Add([]byte{1, 4, 0, 1, 0, 2, 4, 0, 4, 3, 4, 7, 4, 1})
