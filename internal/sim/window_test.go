@@ -20,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite the window goldens in testdata/
 // TestWindowGolden holds what a run reports to the committed bytes: the
 // measured-window counters read mid-run during warm-up, inside the window and
 // after it, the final Result with its three histograms, the metrics series
-// and the Prometheus text. Each leg is a saturated single-VC 4-ary 2-cube
+// as JSONL and CSV, the Prometheus text and the /status document. Each leg is a saturated single-VC 4-ary 2-cube
 // with a warm-up, stepped past the end of its window, so counts from all
 // three phases are in play and the window must exclude the first and the
 // last.
@@ -112,8 +112,20 @@ func windowRun(t *testing.T, r spec.Run, at []int64, last int64) []byte {
 	if err := mc.WriteSeriesJSONL(&out); err != nil {
 		t.Fatal(err)
 	}
+	out.WriteString("csv\n")
+	if err := mc.WriteSeriesCSV(&out); err != nil {
+		t.Fatal(err)
+	}
 	out.WriteString("prometheus\n")
 	if err := mc.Registry().WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	// The /status document, encoded as the exporter serves it.
+	out.WriteString("status\n")
+	enc := json.NewEncoder(&out)
+	enc.SetIndent("", "  ")
+	st := mc.Snapshot()
+	if err := enc.Encode(&st); err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes()
