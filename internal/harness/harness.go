@@ -286,10 +286,9 @@ func Run(points []Point, opt Options) ([]PointResult, error) {
 	prog := newProgress(opt.Progress, len(points), len(points)*replicates, len(jobs))
 	prog.report(pointsDone, len(loaded), 0, workers, false)
 
-	var agg *metrics.Registry
-	if opt.SeriesDir != "" {
-		agg = metrics.NewRegistry()
-	}
+	// agg is the aggregate of the runs merged so far: an unattached
+	// collector, nil (an empty aggregate.prom) until the first merge.
+	var agg *metrics.Collector
 
 	if len(jobs) > 0 {
 		jobCh := make(chan job)
@@ -327,10 +326,13 @@ func Run(points []Point, opt Options) ([]PointResult, error) {
 		runsDone := len(loaded)
 		for range jobs {
 			o := <-outCh
-			if agg != nil && o.mc != nil && o.err == nil {
+			if o.mc != nil && o.err == nil {
 				// Merge is commutative, so folding in completion order still
 				// yields a deterministic aggregate.
-				agg.Merge(o.mc.Registry())
+				if agg == nil {
+					agg = metrics.NewCollector(metrics.Options{})
+				}
+				agg.Merge(o.mc)
 			}
 			pr := &results[o.point]
 			pr.Runs[o.rep] = o.res
@@ -360,7 +362,7 @@ func Run(points []Point, opt Options) ([]PointResult, error) {
 			return nil, fmt.Errorf("harness: writing observation files: %w", obsErr)
 		}
 	}
-	if agg != nil {
+	if opt.SeriesDir != "" {
 		if err := WriteFile(filepath.Join(opt.SeriesDir, "aggregate.prom"), agg.WritePrometheus); err != nil {
 			return nil, fmt.Errorf("harness: writing sweep aggregate: %w", err)
 		}

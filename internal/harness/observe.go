@@ -39,8 +39,8 @@ type Observe struct {
 	// SeriesDir, when non-empty, attaches a distinct metrics collector to
 	// every run (collectors are single-run) and dumps its sampled time
 	// series to SeriesDir/p<point>-r<rep>-<key>.series.jsonl for each run
-	// that completed. The per-run registries of the runs executed in this
-	// invocation (journal-loaded runs carry no collector) are merged into
+	// that completed. The collectors of the runs executed in this
+	// invocation (journal-loaded runs carry none) are merged into
 	// SeriesDir/aggregate.prom in the Prometheus text format.
 	SeriesDir string
 	// SeriesWindow is the sampling window in cycles

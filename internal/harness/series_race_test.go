@@ -18,7 +18,7 @@ import (
 // concurrently. Under `go test -race` this sweep fails loudly if the harness
 // ever reintroduces collector sharing; without -race it still verifies that
 // every run dumped a decodable series, that the sweep aggregate merged every
-// run's registry, and that metering never perturbs results: the metered
+// run's collector, and that metering never perturbs results: the metered
 // concurrent sweep must be bit-identical to a serial unmetered one.
 func TestSeriesSweepRace(t *testing.T) {
 	points := tracedSweepPoints()
@@ -76,7 +76,7 @@ func TestSeriesSweepRace(t *testing.T) {
 		}
 	}
 
-	// The aggregate registry merged every run: its cycle counter is the sum
+	// The aggregate merged every run: its cycle counter is the sum
 	// of all runs' cycles, which is at least Measure per run.
 	agg, err := os.ReadFile(filepath.Join(dir, "aggregate.prom"))
 	if err != nil {

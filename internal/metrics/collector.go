@@ -5,92 +5,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
+	"reflect"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"wormnet/internal/stats"
 )
 
-// Metric identifies one of the collector's event counters; each maps onto a
-// registered Prometheus counter. The engine's counters come first: EndCycle
-// stores the engine's whole-run totals into them once per cycle.
-type Metric uint8
-
-// Event counters.
-const (
-	// MGenerated counts messages created at sources.
-	MGenerated Metric = iota
-	// MInjected counts messages admitted into the network.
-	MInjected
-	// MDelivered counts messages fully consumed at their destination.
-	MDelivered
-	// MDeliveredFlits counts flits of delivered messages.
-	MDeliveredFlits
-	// MMarkedTrue counts detector marks the oracle confirmed as true
-	// deadlocks; MMarkedFalse counts false detections.
-	MMarkedTrue
-	MMarkedFalse
-	// MRecovered counts messages fully removed from the fabric by recovery.
-	MRecovered
-	// MReinjected counts recovered messages re-entering a source queue.
-	MReinjected
-	// MAbsorbedFlits counts flits drained through progressive-recovery
-	// absorption ports.
-	MAbsorbedFlits
-	// MCycles counts simulated cycles.
-	MCycles
-	// MDTFlagCycles sums, over cycles, the number of output channels whose
-	// detection-threshold flag was set at the end of the cycle (the live
-	// carrier of the DT-occupancy metric; divide by MCycles for the mean).
-	MDTFlagCycles
-	// MProbesEmitted..MProbesReturned count CMH probe lifecycle events by
-	// outcome; MProbeFlits counts control flits probe movement charged to
-	// physical links (the bandwidth cost of edge chasing). Zero for
-	// detectors that do not transport probes.
-	MProbesEmitted
-	MProbesForwarded
-	MProbesDropped
-	MProbesReturned
-	MProbeFlits
-	// MEpisodesTrue / MEpisodesFalse count closed deadlock episodes by
-	// verdict, fed by the forensics episode correlator when one is attached
-	// (zero otherwise).
-	MEpisodesTrue
-	MEpisodesFalse
-
-	numMetrics
-)
-
-// numEngineMetrics counts the engine's counters, MGenerated..MProbeFlits.
-const numEngineMetrics = MEpisodesTrue
-
-// metricSpec declares how each event counter appears in the registry.
-var metricSpecs = [numMetrics]struct {
-	name, help, labelKey, labelVal string
-}{
-	MGenerated:       {"wormnet_messages_generated_total", "Messages created at sources.", "", ""},
-	MInjected:        {"wormnet_messages_injected_total", "Messages admitted into the network.", "", ""},
-	MDelivered:       {"wormnet_messages_delivered_total", "Messages fully consumed at their destination.", "", ""},
-	MDeliveredFlits:  {"wormnet_flits_delivered_total", "Flits of delivered messages.", "", ""},
-	MMarkedTrue:      {"wormnet_marks_total", "Detector marks by oracle verdict.", "verdict", "true"},
-	MMarkedFalse:     {"wormnet_marks_total", "Detector marks by oracle verdict.", "verdict", "false"},
-	MRecovered:       {"wormnet_recoveries_total", "Messages fully removed from the fabric by recovery.", "", ""},
-	MReinjected:      {"wormnet_messages_reinjected_total", "Recovered messages re-entering a source queue.", "", ""},
-	MAbsorbedFlits:   {"wormnet_recovery_absorbed_flits_total", "Flits drained through progressive-recovery absorption.", "", ""},
-	MCycles:          {"wormnet_cycles_total", "Simulated cycles.", "", ""},
-	MDTFlagCycles:    {"wormnet_dt_flag_cycle_sum_total", "Sum over cycles of output channels with the DT flag set.", "", ""},
-	MProbesEmitted:   {"wormnet_probes_total", "CMH probe lifecycle events, by outcome.", "event", "emit"},
-	MProbesForwarded: {"wormnet_probes_total", "CMH probe lifecycle events, by outcome.", "event", "forward"},
-	MProbesDropped:   {"wormnet_probes_total", "CMH probe lifecycle events, by outcome.", "event", "drop"},
-	MProbesReturned:  {"wormnet_probes_total", "CMH probe lifecycle events, by outcome.", "event", "return"},
-	MProbeFlits:      {"wormnet_probe_flits_total", "Control flits charged to physical links by probe movement.", "", ""},
-	MEpisodesTrue:    {"wormnet_episodes_total", "Closed deadlock episodes by verdict.", "verdict", "true-deadlock"},
-	MEpisodesFalse:   {"wormnet_episodes_total", "Closed deadlock episodes by verdict.", "verdict", "false-positive"},
-}
-
 // Sample is one time-series point: the network's state at the end of a
 // sampling window, plus the cumulative event counters at that instant
-// (consumers difference adjacent samples for per-window rates).
+// (consumers difference adjacent samples for per-window rates). Every
+// scalar field but Cycle carries one schema row, which names it by its JSON
+// key; the series CSV columns are the fields in declaration order.
 type Sample struct {
 	// Cycle is the simulation cycle the sample was taken at.
 	Cycle int64 `json:"cycle"`
@@ -153,8 +82,10 @@ func (s *Sample) copyInto(dst *Sample) {
 }
 
 // Prober supplies the instantaneous gauge fields of a Sample. The
-// simulation engine implements it; Probe must fill every gauge field
-// (counter fields are stamped by the collector) without retaining s.
+// simulation engine implements it; ProbeMetrics must fill every gauge field
+// it reports (each arrives holding the gauge's current value, and counter
+// fields are stamped by the collector) and count into the zeroed
+// per-dimension slices, without retaining s.
 type Prober interface {
 	ProbeMetrics(s *Sample)
 }
@@ -164,48 +95,35 @@ type Options struct {
 	// Window is the sampling window in cycles (default 256): one Sample is
 	// taken every Window cycles.
 	Window int64
-	// Ring bounds how many samples are kept (default 4096); older samples
-	// are overwritten. Series dumps emit the ring oldest-first.
-	Ring int
 }
 
-// DefaultWindow and DefaultRing are the Options defaults.
+// DefaultWindow is the Options default; ringSize bounds how many samples
+// are kept (older samples are overwritten, and series dumps emit the ring
+// oldest-first).
 const (
 	DefaultWindow = 256
-	DefaultRing   = 4096
+	ringSize      = 4096
 )
 
 // Collector is the hot-path façade of the metrics subsystem: the engine
 // observes its latency histograms at their sites and publishes its event
 // totals once per cycle through EndCycle, and the sampler snapshots network
 // state every window. A Collector is owned by exactly one simulation engine;
-// sweeps attach a distinct collector per run. Scrapers (the HTTP exporter,
-// status snapshots, series dumps) may read concurrently with the simulation.
+// sweeps attach a distinct collector per run and merge the finished runs
+// into an unattached one. Scrapers (the HTTP exporter, status snapshots,
+// series dumps) may read concurrently with the simulation.
 type Collector struct {
-	reg    *Registry
 	window int64
 
-	counts [numMetrics]*Counter
+	// The schema's counters and gauges, one slot per row, and its
+	// histograms, hLatency..hMTTR.
+	vals  [numRows]atomic.Int64
+	hists [hMTTR - hLatency + 1]histState
 
-	// Registry views of the latest sample's gauges.
-	gQueued, gBlocked, gBusyVCs, gBusyLinks *Gauge
-	gIFlags, gDTFlags, gGFlags              *Gauge
-	gRecoveryDepth, gOracleSet              *Gauge
-	gProbesInFlight                         *Gauge
-	gNonemptyQueues, gActiveLinks           *Gauge
-	gWormsInFlight                          *Gauge
-	dimVCs, dimLinks                        []*Gauge
-	classVCs                                [3]*Gauge // net, inj, del busy VCs
-
-	// Latency histograms (cycles), observed over the whole run.
-	latency  *Histogram // generation -> delivery
-	detDelay *Histogram // first failed attempt -> mark
-	detLat   *Histogram // oracle-first-deadlock -> mark
-
-	// Episode families (forensics correlator).
-	gEpisodesOpen *Gauge
-	epMTTD        *Histogram // episode open -> first mark
-	epMTTR        *Histogram // first mark -> episode close
+	// The per-run families: the detector of the run (of every merged run,
+	// sorted, in an aggregate) and the per-dimension busy gauges.
+	detectors        []string
+	dimVCs, dimLinks []atomic.Int64
 
 	// Sampler state. nextSample is touched only by the engine goroutine;
 	// the ring and scratch are guarded by mu against concurrent scrapes.
@@ -216,62 +134,15 @@ type Collector struct {
 	next       int
 	size       int
 
-	detector string
-	dims     int
 	attached bool
 }
 
-// NewCollector builds a collector. Zero-valued options select the defaults.
+// NewCollector builds a collector. A zero Window selects the default.
 func NewCollector(opt Options) *Collector {
 	if opt.Window <= 0 {
 		opt.Window = DefaultWindow
 	}
-	if opt.Ring <= 0 {
-		opt.Ring = DefaultRing
-	}
-	c := &Collector{reg: NewRegistry(), window: opt.Window, ring: make([]Sample, opt.Ring)}
-	for m := Metric(0); m < numMetrics; m++ {
-		spec := metricSpecs[m]
-		if spec.labelKey != "" {
-			c.counts[m] = c.reg.LabeledCounter(spec.name, spec.help, spec.labelKey, spec.labelVal)
-		} else {
-			c.counts[m] = c.reg.Counter(spec.name, spec.help)
-		}
-	}
-	c.gQueued = c.reg.Gauge("wormnet_source_queued", "Messages waiting in source queues.")
-	c.gBlocked = c.reg.Gauge("wormnet_blocked_headers", "Blocked headers (>= 1 failed routing attempt).")
-	c.gBusyVCs = c.reg.Gauge("wormnet_busy_vcs", "Occupied virtual channels.")
-	c.gBusyLinks = c.reg.Gauge("wormnet_busy_links", "Physical channels with at least one busy VC.")
-	c.gIFlags = c.reg.LabeledGauge("wormnet_flag_occupancy", "Detection flags currently set, by flag.", "flag", "i")
-	c.gDTFlags = c.reg.LabeledGauge("wormnet_flag_occupancy", "Detection flags currently set, by flag.", "flag", "dt")
-	c.gGFlags = c.reg.LabeledGauge("wormnet_flag_occupancy", "Detection flags currently set, by flag.", "flag", "g")
-	c.gRecoveryDepth = c.reg.Gauge("wormnet_recovery_depth", "Messages currently undergoing recovery.")
-	c.gOracleSet = c.reg.Gauge("wormnet_oracle_deadlocked", "Latest oracle deadlocked-set size.")
-	c.gProbesInFlight = c.reg.Gauge("wormnet_probes_in_flight", "CMH probes currently traversing the fabric.")
-	c.gNonemptyQueues = c.reg.Gauge("wormnet_nonempty_queues", "Nodes with a nonempty source queue.")
-	c.gActiveLinks = c.reg.Gauge("wormnet_active_links", "Output links that carried a flit in the sampled cycle.")
-	c.gWormsInFlight = c.reg.Gauge("wormnet_worms_in_flight", "Messages admitted into the network and not yet delivered or re-queued.")
-	c.latency = c.reg.Histogram("wormnet_latency_cycles",
-		"Generation-to-delivery latency of delivered messages.", ExpBounds(1<<14))
-	c.detDelay = c.reg.Histogram("wormnet_detect_delay_cycles",
-		"First failed routing attempt to detector mark.", ExpBounds(1<<12))
-	c.detLat = c.reg.Histogram("wormnet_detect_latency_cycles",
-		"Oracle-confirmed deadlock to detector mark.", ExpBounds(1<<12))
-	c.gEpisodesOpen = c.reg.Gauge("wormnet_episodes_open", "Deadlock episodes currently in flight.")
-	c.epMTTD = c.reg.Histogram("wormnet_episode_mttd_cycles",
-		"Episode open (first oracle sighting) to first detector mark.", ExpBounds(1<<12))
-	c.epMTTR = c.reg.Histogram("wormnet_episode_mttr_cycles",
-		"First detector mark to episode close (last member drained).", ExpBounds(1<<14))
-	return c
-}
-
-// Registry exposes the collector's registry (for the HTTP exporter, tests
-// and sweep aggregation). Nil-safe; returns nil on a nil collector.
-func (c *Collector) Registry() *Registry {
-	if c == nil {
-		return nil
-	}
-	return c.reg
+	return &Collector{window: opt.Window}
 }
 
 // Window returns the sampling window in cycles.
@@ -294,36 +165,40 @@ func (c *Collector) Attach(detector string, dims int) {
 		panic("metrics: Collector attached to a second engine; collectors are single-run")
 	}
 	c.attached = true
-	c.detector = detector
-	c.dims = dims
-	c.reg.LabeledGauge("wormnet_info", "Static run information.", "detector", detector).Set(1)
-	c.dimVCs = make([]*Gauge, dims)
-	c.dimLinks = make([]*Gauge, dims)
-	for d := 0; d < dims; d++ {
-		c.dimVCs[d] = c.reg.LabeledGauge("wormnet_dim_busy_vcs",
-			"Busy VCs on network channels, by dimension.", "dim", strconv.Itoa(d))
-		c.dimLinks[d] = c.reg.LabeledGauge("wormnet_dim_busy_links",
-			"Busy network channels, by dimension.", "dim", strconv.Itoa(d))
-	}
-	names := [3]string{"net", "inj", "del"}
-	for i, n := range names {
-		c.classVCs[i] = c.reg.LabeledGauge("wormnet_class_busy_vcs",
-			"Busy VCs by physical-channel class.", "class", n)
-	}
+	c.detectors = []string{detector}
+	c.dimVCs = make([]atomic.Int64, dims)
+	c.dimLinks = make([]atomic.Int64, dims)
 	c.scratch.DimVCs = make([]int32, dims)
 	c.scratch.DimLinks = make([]int32, dims)
+	c.ring = make([]Sample, ringSize)
 	for i := range c.ring {
 		c.ring[i].DimVCs = make([]int32, 0, dims)
 		c.ring[i].DimLinks = make([]int32, 0, dims)
 	}
 }
 
-// Value returns event counter m's current value (0 on a nil receiver).
+// Value returns row m's current value (0 on a nil receiver).
 func (c *Collector) Value(m Metric) int64 {
 	if c == nil {
 		return 0
 	}
-	return c.counts[m].Value()
+	return c.vals[m].Load()
+}
+
+// hist returns histogram row m's state.
+func (c *Collector) hist(m Metric) *histState { return &c.hists[m-hLatency] }
+
+// observe records one value into histogram row m: it lands in the first
+// bucket whose bound is >= v, or in +Inf.
+func (c *Collector) observe(m Metric, v int64) {
+	i := 0
+	if v > 1 {
+		i = min(bits.Len64(uint64(v-1)), schema[m].bounds())
+	}
+	h := c.hist(m)
+	h.buckets[i].Add(1)
+	h.sum.Add(v)
+	h.count.Add(1)
 }
 
 // ObserveLatency records one delivered message's generation-to-delivery
@@ -332,7 +207,7 @@ func (c *Collector) ObserveLatency(cycles int64) {
 	if c == nil {
 		return
 	}
-	c.latency.Observe(cycles)
+	c.observe(hLatency, cycles)
 }
 
 // ObserveDetectDelay records one mark's first-failed-attempt-to-mark delay.
@@ -340,7 +215,7 @@ func (c *Collector) ObserveDetectDelay(cycles int64) {
 	if c == nil {
 		return
 	}
-	c.detDelay.Observe(cycles)
+	c.observe(hDetectDelay, cycles)
 }
 
 // ObserveDetectLatency records one mark's oracle-to-mark latency.
@@ -348,7 +223,7 @@ func (c *Collector) ObserveDetectLatency(cycles int64) {
 	if c == nil {
 		return
 	}
-	c.detLat.Observe(cycles)
+	c.observe(hDetectLatency, cycles)
 }
 
 // ObserveEpisode records one closed deadlock episode: its oracle verdict
@@ -360,15 +235,15 @@ func (c *Collector) ObserveEpisode(trueDeadlock bool, mttd, mttr int64) {
 		return
 	}
 	if trueDeadlock {
-		c.counts[MEpisodesTrue].Inc()
+		c.vals[MEpisodesTrue].Add(1)
 	} else {
-		c.counts[MEpisodesFalse].Inc()
+		c.vals[MEpisodesFalse].Add(1)
 	}
 	if mttd >= 0 {
-		c.epMTTD.Observe(mttd)
+		c.observe(hMTTD, mttd)
 	}
 	if mttr >= 0 {
-		c.epMTTR.Observe(mttr)
+		c.observe(hMTTR, mttr)
 	}
 }
 
@@ -377,7 +252,7 @@ func (c *Collector) SetEpisodesOpen(n int) {
 	if c == nil {
 		return
 	}
-	c.gEpisodesOpen.Set(int64(n))
+	c.vals[gEpisodesOpen].Store(int64(n))
 }
 
 // EndCycle publishes the engine's whole-run totals t, with the flits
@@ -407,7 +282,7 @@ func (c *Collector) EndCycle(now int64, t *stats.Counters, absorbedFlits int64, 
 		MProbeFlits:      t.ProbeFlits,
 	}
 	for m, v := range totals {
-		c.counts[m].v.Store(v)
+		c.vals[m].Store(v)
 	}
 	if now < c.nextSample {
 		return
@@ -416,56 +291,80 @@ func (c *Collector) EndCycle(now int64, t *stats.Counters, absorbedFlits int64, 
 	c.takeSample(now, p)
 }
 
+// sampleColumns are the indices of Sample's scalar fields, in declaration
+// order, and sampleKeys their JSON keys: the series CSV columns before the
+// per-dimension ones. sampled lists the schema rows the sampler carries.
+var (
+	sampleColumns []int
+	sampleKeys    []string
+	sampled       []sampledRow
+)
+
+// sampledRow pairs a sampled schema row with the Sample field carrying it;
+// a histogram is carried by its sum field and its count field.
+type sampledRow struct {
+	m            Metric
+	field, count int
+}
+
+func init() {
+	t := reflect.TypeFor[Sample]()
+	field := map[string]int{}
+	for i := 0; i < t.NumField(); i++ {
+		key, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		field[key] = i
+		if t.Field(i).Type.Kind() != reflect.Slice {
+			sampleColumns = append(sampleColumns, i)
+			sampleKeys = append(sampleKeys, key)
+		}
+	}
+	for m, q := range schema {
+		if q.series == "" {
+			continue
+		}
+		r, ok, okCount := sampledRow{m: Metric(m)}, false, true
+		if q.kind == histogram {
+			r.field, ok = field[q.series+"Sum"]
+			r.count, okCount = field[q.series+"Count"]
+		} else {
+			r.field, ok = field[q.series]
+		}
+		if !ok || !okCount {
+			panic("metrics: no Sample field carries " + q.name + " (series " + q.series + ")")
+		}
+		sampled = append(sampled, r)
+	}
+}
+
 // takeSample snapshots one Sample into the ring and mirrors its gauges
-// into the registry. Runs on the engine goroutine; allocation-free once
+// into the schema's. Runs on the engine goroutine; allocation-free once
 // attached (scratch and ring slots are pre-sized).
 func (c *Collector) takeSample(now int64, p Prober) {
 	s := &c.scratch
+	v := reflect.ValueOf(s).Elem()
 	s.Cycle = now
-	s.Generated = c.counts[MGenerated].Value()
-	s.Injected = c.counts[MInjected].Value()
-	s.Delivered = c.counts[MDelivered].Value()
-	s.DeliveredFlit = c.counts[MDeliveredFlits].Value()
-	s.MarkedTrue = c.counts[MMarkedTrue].Value()
-	s.MarkedFalse = c.counts[MMarkedFalse].Value()
-	s.Recovered = c.counts[MRecovered].Value()
-	s.Reinjected = c.counts[MReinjected].Value()
-	s.Queued, s.Blocked, s.BusyVCs, s.BusyLinks = 0, 0, 0, 0
-	s.IFlags, s.DTFlags, s.GFlags = 0, 0, 0
-	s.RecoveryDepth, s.OracleSet = 0, 0
-	s.ProbesInFlight = 0
-	s.NonemptyQueues, s.ActiveLinks, s.WormsInFlight = 0, 0, 0
-	s.DimVCs = s.DimVCs[:c.dims]
-	s.DimLinks = s.DimLinks[:c.dims]
-	for i := range s.DimVCs {
-		s.DimVCs[i] = 0
-		s.DimLinks[i] = 0
+	for _, f := range sampled {
+		if schema[f.m].kind == histogram {
+			h := c.hist(f.m)
+			v.Field(f.field).SetInt(h.sum.Load())
+			v.Field(f.count).SetInt(h.count.Load())
+		} else {
+			v.Field(f.field).SetInt(c.vals[f.m].Load())
+		}
 	}
-	s.EpisodesTrue = c.counts[MEpisodesTrue].Value()
-	s.EpisodesFalse = c.counts[MEpisodesFalse].Value()
-	s.MTTDSum, s.MTTDCount = c.epMTTD.Sum(), c.epMTTD.Count()
-	s.MTTRSum, s.MTTRCount = c.epMTTR.Sum(), c.epMTTR.Count()
-	s.EpisodesOpen = int32(c.gEpisodesOpen.Value())
+	clear(s.DimVCs)
+	clear(s.DimLinks)
 	if p != nil {
 		p.ProbeMetrics(s)
 	}
-
-	c.gQueued.Set(int64(s.Queued))
-	c.gBlocked.Set(int64(s.Blocked))
-	c.gBusyVCs.Set(int64(s.BusyVCs))
-	c.gBusyLinks.Set(int64(s.BusyLinks))
-	c.gIFlags.Set(int64(s.IFlags))
-	c.gDTFlags.Set(int64(s.DTFlags))
-	c.gGFlags.Set(int64(s.GFlags))
-	c.gRecoveryDepth.Set(int64(s.RecoveryDepth))
-	c.gOracleSet.Set(int64(s.OracleSet))
-	c.gProbesInFlight.Set(int64(s.ProbesInFlight))
-	c.gNonemptyQueues.Set(int64(s.NonemptyQueues))
-	c.gActiveLinks.Set(int64(s.ActiveLinks))
-	c.gWormsInFlight.Set(int64(s.WormsInFlight))
-	for d := 0; d < c.dims && d < len(c.dimVCs); d++ {
-		c.dimVCs[d].Set(int64(s.DimVCs[d]))
-		c.dimLinks[d].Set(int64(s.DimLinks[d]))
+	for _, f := range sampled {
+		if schema[f.m].kind == gauge {
+			c.vals[f.m].Store(v.Field(f.field).Int())
+		}
+	}
+	for d := range c.dimVCs {
+		c.dimVCs[d].Store(int64(s.DimVCs[d]))
+		c.dimLinks[d].Store(int64(s.DimLinks[d]))
 	}
 
 	c.mu.Lock()
@@ -483,12 +382,12 @@ func (c *Collector) takeSample(now int64, p Prober) {
 // SetClassVCs lets the prober report busy-VC counts per channel class
 // (network, injection, delivery). Called from inside ProbeMetrics; nil-safe.
 func (c *Collector) SetClassVCs(net, inj, del int32) {
-	if c == nil || c.classVCs[0] == nil {
+	if c == nil {
 		return
 	}
-	c.classVCs[0].Set(int64(net))
-	c.classVCs[1].Set(int64(inj))
-	c.classVCs[2].Set(int64(del))
+	c.vals[gClassNet].Store(int64(net))
+	c.vals[gClassInj].Store(int64(inj))
+	c.vals[gClassDel].Store(int64(del))
 }
 
 // Samples appends the ring's contents, oldest first, to buf and returns it.
@@ -524,32 +423,6 @@ func (c *Collector) SampleCount() int {
 	return c.size
 }
 
-// seriesFields names the CSV columns / JSONL keys of the fixed Sample
-// fields, in emission order.
-var seriesFields = []string{
-	"cycle", "generated", "injected", "delivered", "deliveredFlits",
-	"markedTrue", "markedFalse", "recovered", "reinjected",
-	"queued", "blocked", "busyVCs", "busyLinks",
-	"iFlags", "dtFlags", "gFlags", "recoveryDepth", "oracleSet",
-	"probesInFlight", "nonemptyQueues", "activeLinks", "wormsInFlight",
-	"episodesTrue", "episodesFalse", "mttdSum", "mttdCount",
-	"mttrSum", "mttrCount", "episodesOpen",
-}
-
-func (s *Sample) fixedValues() [29]int64 {
-	return [29]int64{
-		s.Cycle, s.Generated, s.Injected, s.Delivered, s.DeliveredFlit,
-		s.MarkedTrue, s.MarkedFalse, s.Recovered, s.Reinjected,
-		int64(s.Queued), int64(s.Blocked), int64(s.BusyVCs), int64(s.BusyLinks),
-		int64(s.IFlags), int64(s.DTFlags), int64(s.GFlags),
-		int64(s.RecoveryDepth), int64(s.OracleSet),
-		int64(s.ProbesInFlight), int64(s.NonemptyQueues),
-		int64(s.ActiveLinks), int64(s.WormsInFlight),
-		s.EpisodesTrue, s.EpisodesFalse, s.MTTDSum, s.MTTDCount,
-		s.MTTRSum, s.MTTRCount, int64(s.EpisodesOpen),
-	}
-}
-
 // WriteSeriesJSONL emits the ring's samples, oldest first, one JSON object
 // per line.
 func (c *Collector) WriteSeriesJSONL(w io.Writer) error {
@@ -567,40 +440,32 @@ func (c *Collector) WriteSeriesJSONL(w io.Writer) error {
 }
 
 // WriteSeriesCSV emits the ring's samples, oldest first, as CSV with a
-// header row. Per-dimension columns are dimVCs0..N-1 and dimLinks0..N-1.
+// header row. The columns are the JSONL keys in the same order, with the
+// per-dimension ones spread out as dimVCs0..N-1 and dimLinks0..N-1.
 func (c *Collector) WriteSeriesCSV(w io.Writer) error {
 	if c == nil {
 		return nil
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
-	for i, f := range seriesFields {
-		if i > 0 {
-			bw.WriteByte(',')
-		}
-		bw.WriteString(f)
-	}
-	for d := 0; d < c.dims; d++ {
+	bw.WriteString(strings.Join(sampleKeys, ","))
+	for d := range c.dimVCs {
 		fmt.Fprintf(bw, ",dimVCs%d", d)
 	}
-	for d := 0; d < c.dims; d++ {
+	for d := range c.dimLinks {
 		fmt.Fprintf(bw, ",dimLinks%d", d)
 	}
 	bw.WriteByte('\n')
 	for _, s := range c.Samples(nil) {
-		vals := s.fixedValues()
-		for i, v := range vals {
+		v := reflect.ValueOf(&s).Elem()
+		for i, f := range sampleColumns {
 			if i > 0 {
 				bw.WriteByte(',')
 			}
-			bw.WriteString(strconv.FormatInt(v, 10))
+			bw.WriteString(strconv.FormatInt(v.Field(f).Int(), 10))
 		}
-		for _, v := range s.DimVCs {
+		for _, d := range append(s.DimVCs, s.DimLinks...) {
 			bw.WriteByte(',')
-			bw.WriteString(strconv.FormatInt(int64(v), 10))
-		}
-		for _, v := range s.DimLinks {
-			bw.WriteByte(',')
-			bw.WriteString(strconv.FormatInt(int64(v), 10))
+			bw.WriteString(strconv.FormatInt(int64(d), 10))
 		}
 		bw.WriteByte('\n')
 	}
@@ -650,18 +515,20 @@ func (c *Collector) Snapshot() Status {
 		return Status{}
 	}
 	st := Status{
-		Detector: c.detector,
+		Detector: strings.Join(c.detectors, ","),
 		Window:   c.window,
-		Cycles:   c.counts[MCycles].Value(),
-		Counters: make(map[string]int64, int(numMetrics)),
+		Cycles:   c.vals[MCycles].Load(),
+		Counters: make(map[string]int64),
 	}
-	for m := Metric(0); m < numMetrics; m++ {
-		spec := metricSpecs[m]
-		key := spec.name
-		if spec.labelKey != "" {
-			key = fmt.Sprintf("%s{%s=%q}", spec.name, spec.labelKey, spec.labelVal)
+	for m, q := range schema {
+		if q.kind != counter {
+			continue
 		}
-		st.Counters[key] = c.counts[m].Value()
+		key := q.name
+		if q.labelKey != "" {
+			key = fmt.Sprintf("%s{%s=%q}", q.name, q.labelKey, q.labelVal)
+		}
+		st.Counters[key] = c.vals[m].Load()
 	}
 	c.mu.Lock()
 	st.Samples = c.size

@@ -26,9 +26,9 @@ func (p *fakeProber) ProbeMetrics(s *Sample) {
 	}
 }
 
-func meteredCollector(t *testing.T, window int64, ring int, cycles int64) (*Collector, *fakeProber) {
+func meteredCollector(t *testing.T, window, cycles int64) (*Collector, *fakeProber) {
 	t.Helper()
-	c := NewCollector(Options{Window: window, Ring: ring})
+	c := NewCollector(Options{Window: window})
 	c.Attach("test", 2)
 	p := &fakeProber{}
 	var totals stats.Counters
@@ -41,7 +41,7 @@ func meteredCollector(t *testing.T, window int64, ring int, cycles int64) (*Coll
 }
 
 func TestCollectorSamplesOnWindowBoundaries(t *testing.T) {
-	c, p := meteredCollector(t, 100, 64, 1000)
+	c, p := meteredCollector(t, 100, 1000)
 	// Samples at cycles 0, 100, ..., 900.
 	if got := c.SampleCount(); got != 10 {
 		t.Fatalf("SampleCount = %d, want 10", got)
@@ -72,20 +72,20 @@ func TestCollectorSamplesOnWindowBoundaries(t *testing.T) {
 }
 
 func TestCollectorRingOverwritesOldest(t *testing.T) {
-	c, _ := meteredCollector(t, 10, 4, 100) // 10 samples into a 4-slot ring
+	c, _ := meteredCollector(t, 1, 4100) // 4100 samples into the 4096-slot ring
 	samples := c.Samples(nil)
-	if len(samples) != 4 {
-		t.Fatalf("got %d samples, want ring size 4", len(samples))
+	if len(samples) != ringSize {
+		t.Fatalf("got %d samples, want ring size %d", len(samples), ringSize)
 	}
-	for i, want := range []int64{60, 70, 80, 90} {
-		if samples[i].Cycle != want {
-			t.Errorf("sample %d at cycle %d, want %d (oldest-first)", i, samples[i].Cycle, want)
+	for i, s := range samples {
+		if want := int64(i + 4); s.Cycle != want {
+			t.Fatalf("sample %d at cycle %d, want %d (oldest-first)", i, s.Cycle, want)
 		}
 	}
 }
 
 func TestSeriesJSONLRoundTrip(t *testing.T) {
-	c, _ := meteredCollector(t, 50, 64, 300)
+	c, _ := meteredCollector(t, 50, 300)
 	var b strings.Builder
 	if err := c.WriteSeriesJSONL(&b); err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ not json
 }
 
 func TestSeriesCSVHeader(t *testing.T) {
-	c, _ := meteredCollector(t, 100, 8, 200)
+	c, _ := meteredCollector(t, 100, 200)
 	var b strings.Builder
 	if err := c.WriteSeriesCSV(&b); err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestSeriesCSVHeader(t *testing.T) {
 		t.Fatalf("got %d CSV lines, want 3:\n%s", len(lines), b.String())
 	}
 	header := strings.Split(lines[0], ",")
-	wantCols := len(seriesFields) + 2*2 // fixed fields + dimVCs0..1 + dimLinks0..1
+	wantCols := len(sampleKeys) + 2*2 // fixed fields + dimVCs0..1 + dimLinks0..1
 	if len(header) != wantCols {
 		t.Fatalf("header has %d columns, want %d: %v", len(header), wantCols, header)
 	}
@@ -145,7 +145,7 @@ func TestSeriesCSVHeader(t *testing.T) {
 }
 
 func TestSnapshot(t *testing.T) {
-	c, _ := meteredCollector(t, 100, 8, 250)
+	c, _ := meteredCollector(t, 100, 250)
 	st := c.Snapshot()
 	if st.Detector != "test" {
 		t.Errorf("Detector = %q", st.Detector)
@@ -175,11 +175,14 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	c.EndCycle(0, &stats.Counters{Delivered: 1}, 5, nil)
 	c.SetClassVCs(1, 2, 3)
 	c.Attach("x", 3)
-	if c.Registry() != nil || c.Window() != 0 || c.Value(MDelivered) != 0 ||
+	if c.Window() != 0 || c.Value(MDelivered) != 0 ||
 		c.SampleCount() != 0 || c.Samples(nil) != nil {
 		t.Error("nil collector accessors returned non-zero values")
 	}
 	if err := c.WriteSeriesJSONL(nil); err != nil {
+		t.Error(err)
+	}
+	if err := c.WritePrometheus(nil); err != nil {
 		t.Error(err)
 	}
 	st := c.Snapshot()

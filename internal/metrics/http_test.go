@@ -25,7 +25,7 @@ func get(t *testing.T, url string) (string, string) {
 }
 
 func TestServerEndpoints(t *testing.T) {
-	c, _ := meteredCollector(t, 100, 8, 250)
+	c, _ := meteredCollector(t, 100, 250)
 	srv, err := Serve("127.0.0.1:0", c)
 	if err != nil {
 		t.Fatal(err)

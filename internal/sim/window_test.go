@@ -117,7 +117,7 @@ func windowRun(t *testing.T, r spec.Run, at []int64, last int64) []byte {
 		t.Fatal(err)
 	}
 	out.WriteString("prometheus\n")
-	if err := mc.Registry().WritePrometheus(&out); err != nil {
+	if err := mc.WritePrometheus(&out); err != nil {
 		t.Fatal(err)
 	}
 	// The /status document, encoded as the exporter serves it.
