@@ -41,7 +41,7 @@ func main() {
 	flag.StringVar(&cfg.TracePath, "trace", "", "write flight-recorder events to this JSONL file")
 	flag.IntVar(&cfg.TraceLast, "trace-last", 0, "keep only the last N events in a ring, written only if a detection fires or the run fails (0 streams everything)")
 	flag.StringVar(&cfg.MetricsAddr, "metrics-addr", "", "serve live Prometheus /metrics, JSON /status and /debug/pprof on this address while the run is in flight (\":0\" picks a free port, printed to stderr)")
-	flag.Int64Var(&cfg.MetricsWindow, "metrics-window", 0, "cycles per time-series sample window (0 = default)")
+	flag.Int64Var(&cfg.MetricsWindow, "metrics-window", 0, "metrics sampling window in cycles (default 256; requires -metrics-addr or -series)")
 	flag.StringVar(&cfg.SeriesPath, "series", "", "write the sampled time series to this file after the run (.csv for CSV, anything else JSONL)")
 	flag.StringVar(&cfg.ForensicsPath, "forensics", "", "reconstruct deadlock episodes online and write the incident report (JSONL) to this file after the run")
 	flag.Parse()
@@ -53,6 +53,12 @@ func main() {
 		}
 	}
 	switch {
+	case *observe < 0:
+		fail(fmt.Sprintf("-observe must be >= 0, got %d", *observe))
+	case cfg.TraceLast < 0:
+		fail(fmt.Sprintf("-trace-last must be >= 0, got %d", cfg.TraceLast))
+	case cfg.MetricsWindow < 0:
+		fail(fmt.Sprintf("-metrics-window must be >= 0, got %d", cfg.MetricsWindow))
 	case cfg.TraceLast > 0 && cfg.TracePath == "":
 		fail("-trace-last requires -trace")
 	case cfg.MetricsWindow > 0 && !metered:

@@ -5,6 +5,8 @@ import (
 	"flag"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -35,5 +37,31 @@ func TestHelp(t *testing.T) {
 	first, rest, _ := bytes.Cut(stderr.Bytes(), []byte("\n"))
 	if err != nil || !bytes.HasPrefix(first, []byte("Usage of ")) || !bytes.Equal(rest, want) {
 		t.Errorf("wormsim -h: %v, output:\n%s", err, stderr.Bytes())
+	}
+}
+
+// TestNegativeRailSizesRefused: a negative rail size exits 2 naming its
+// flag; each once ran as the default (or, for -observe, as a plain run).
+func TestNegativeRailSizesRefused(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		want string
+		args []string
+	}{
+		{"-metrics-window must be >= 0, got -5", []string{"-metrics-window", "-5", "-series", filepath.Join(dir, "s.jsonl")}},
+		{"-trace-last must be >= 0, got -5", []string{"-trace", filepath.Join(dir, "t.jsonl"), "-trace-last", "-5"}},
+		{"-observe must be >= 0, got -5", []string{"-observe", "-5"}},
+	} {
+		cmd := exec.Command(os.Args[0], append(tc.args, "-k", "4", "-n", "2", "-warmup", "0", "-measure", "100")...)
+		cmd.Env = append(os.Environ(), "WORMSIM_MAIN=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("wormsim %v: %v, stderr %q; want exit 2 saying %q", tc.args, err, stderr.String(), tc.want)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("refused runs left %d files", len(entries))
 	}
 }

@@ -34,7 +34,7 @@ type Observe struct {
 	// file.
 	TraceDir string
 	// TraceLast bounds each run's ring to the most recent TraceLast events
-	// (trace.DefaultCapacity when <= 0).
+	// (trace.DefaultCapacity when 0; Validate refuses a negative one).
 	TraceLast int
 	// SeriesDir, when non-empty, attaches a distinct metrics collector to
 	// every run (collectors are single-run) and dumps its sampled time
@@ -44,7 +44,7 @@ type Observe struct {
 	// SeriesDir/aggregate.prom in the Prometheus text format.
 	SeriesDir string
 	// SeriesWindow is the sampling window in cycles
-	// (metrics.DefaultWindow when <= 0).
+	// (metrics.DefaultWindow when 0; Validate refuses a negative one).
 	SeriesWindow int64
 	// ForensicsDir, when non-empty, attaches an episode correlator to every
 	// run (as an observer on a per-run flight recorder, attached implicitly
@@ -74,6 +74,12 @@ func (o *Observe) AddFlags(fs *flag.FlagSet) {
 // Validate rejects option combinations AddFlags can produce that make no
 // sense on their own.
 func (o *Observe) Validate() error {
+	switch {
+	case o.TraceLast < 0:
+		return fmt.Errorf("-trace-last must be >= 0, got %d", o.TraceLast)
+	case o.SeriesWindow < 0:
+		return fmt.Errorf("-series-window must be >= 0, got %d", o.SeriesWindow)
+	}
 	if o.TraceLast != 0 && o.TraceDir == "" {
 		return fmt.Errorf("-trace-last requires -trace-dir")
 	}

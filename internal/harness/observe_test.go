@@ -38,6 +38,8 @@ func TestSweepOptionsValidation(t *testing.T) {
 		{"replicates", "-resume requires -checkpoint", []string{"-resume"}},
 		{"replicates", "-trace-last requires -trace-dir", []string{"-trace-last", "64"}},
 		{"replicates", "-series-window requires -series-dir", []string{"-series-window", "100"}},
+		{"replicates", "-trace-last must be >= 0, got -3", []string{"-trace-dir", "t", "-trace-last", "-3"}},
+		{"replicates", "-series-window must be >= 0, got -7", []string{"-series-dir", "s", "-series-window", "-7"}},
 	} {
 		_, err := parseSweep(t, tc.repeat, tc.args...).Options()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

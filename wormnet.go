@@ -99,8 +99,8 @@ type Config struct {
 	// TraceLast == 0 every event is streamed to the file as it happens;
 	// with TraceLast > 0 only the most recent TraceLast events are kept in
 	// a ring, written out only when the run marked at least one message
-	// (or failed), so long healthy runs leave no file behind. Missing
-	// parent directories are created.
+	// (or failed), so long healthy runs leave no file behind. Run refuses
+	// a negative TraceLast. Missing parent directories are created.
 	TracePath string
 	TraceLast int
 
@@ -112,8 +112,9 @@ type Config struct {
 	// Metrics are pure observation: results are identical with or without
 	// them.
 	MetricsAddr string
-	// MetricsWindow is the collector's sampling window in cycles (default
-	// 256). It also applies when SeriesPath alone enables the collector.
+	// MetricsWindow is the collector's sampling window in cycles (0 selects
+	// 256; Run refuses a negative window). It also applies when SeriesPath
+	// alone enables the collector.
 	MetricsWindow int64
 	// SeriesPath, when non-empty, attaches the collector (with or without
 	// MetricsAddr) and writes its sampled time series to this file when the
@@ -203,6 +204,12 @@ func Run(cfg Config) (*Result, error) {
 	sc, err := cfg.SimConfig()
 	if err != nil {
 		return nil, err
+	}
+	switch {
+	case cfg.TraceLast < 0:
+		return nil, fmt.Errorf("wormnet: TraceLast must be >= 0, got %d", cfg.TraceLast)
+	case cfg.MetricsWindow < 0:
+		return nil, fmt.Errorf("wormnet: MetricsWindow must be >= 0, got %d", cfg.MetricsWindow)
 	}
 	// The rails come from the same attach path the sweep harness uses.
 	obs := harness.Observe{TraceLast: cfg.TraceLast, SeriesWindow: cfg.MetricsWindow}

@@ -101,11 +101,13 @@ func TestRunRecoveryStyles(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
-		"pattern":   func(c *Config) { c.Pattern = "nope" },
-		"mechanism": func(c *Config) { c.Mechanism = "nope" },
-		"recovery":  func(c *Config) { c.Recovery = "nope" },
-		"lengths":   func(c *Config) { c.Lengths = Lengths{} },
-		"topology":  func(c *Config) { c.K = 0 },
+		"pattern":        func(c *Config) { c.Pattern = "nope" },
+		"mechanism":      func(c *Config) { c.Mechanism = "nope" },
+		"recovery":       func(c *Config) { c.Recovery = "nope" },
+		"lengths":        func(c *Config) { c.Lengths = Lengths{} },
+		"topology":       func(c *Config) { c.K = 0 },
+		"trace-last":     func(c *Config) { c.TracePath, c.TraceLast = filepath.Join(t.TempDir(), "t.jsonl"), -5 },
+		"metrics-window": func(c *Config) { c.SeriesPath, c.MetricsWindow = filepath.Join(t.TempDir(), "s.jsonl"), -5 },
 	} {
 		cfg := small()
 		mutate(&cfg)
