@@ -289,18 +289,23 @@ fuzz:
 # Metrics smoke: scrape a live run's /metrics, /status and /debug/pprof,
 # check that an emitted time series parses back through `wormview metrics`,
 # and hold a fixed-seed sweep to byte-identical output with metrics on and
-# off (metrics are pure observation).
+# off (metrics are pure observation). The live run binds a free port and is
+# scraped at the address it reports on stderr, waited for up to 20 s.
 metrics-smoke: build
 	$(GO) build -o /tmp/wormnet-wormsim ./cmd/wormsim
 	$(GO) build -o /tmp/wormnet-wormview ./cmd/wormview
 	$(GO) build -o /tmp/wormnet-loadsweep ./cmd/loadsweep
 	/tmp/wormnet-wormsim -k 4 -n 2 -vcs 1 -load 2.0 -inject-limit -1 -th 16 \
-		-warmup 0 -measure 100000000 -metrics-addr 127.0.0.1:19815 \
-		>/dev/null 2>&1 & echo $$! > /tmp/wormnet-metrics.pid
-	sleep 1; ok=0; \
-	{ curl -sf http://127.0.0.1:19815/metrics | grep -q '^wormnet_cycles_total' \
-		&& curl -sf http://127.0.0.1:19815/status | grep -q '"detector"' \
-		&& curl -sf http://127.0.0.1:19815/debug/pprof/cmdline >/dev/null; } || ok=1; \
+		-warmup 0 -measure 100000000 -metrics-addr 127.0.0.1:0 \
+		>/dev/null 2>/tmp/wormnet-metrics.err & echo $$! > /tmp/wormnet-metrics.pid
+	addr=; for i in $$(seq 200); do \
+		addr=$$(sed -n 's|^wormsim: metrics listening on http://\(.*\)/metrics$$|\1|p' /tmp/wormnet-metrics.err); \
+		[ -n "$$addr" ] && break; sleep 0.1; \
+	done; ok=0; \
+	if [ -z "$$addr" ]; then echo "metrics-smoke: wormsim did not report its address within 20 s" >&2; ok=1; \
+	else { curl -sf http://$$addr/metrics | grep -q '^wormnet_cycles_total' \
+		&& curl -sf http://$$addr/status | grep -q '"detector"' \
+		&& curl -sf http://$$addr/debug/pprof/cmdline >/dev/null; } || ok=1; fi; \
 	kill `cat /tmp/wormnet-metrics.pid`; exit $$ok
 	/tmp/wormnet-wormsim -k 4 -n 2 -vcs 1 -load 2.0 -inject-limit -1 -th 16 \
 		-warmup 0 -measure 4000 -metrics-window 200 \
