@@ -242,7 +242,7 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s %s\n", q.name, q.help, q.name, kindNames[q.kind])
 				family = q.name
 			}
-			if q.kind == histogram {
+			if q.kind == histogram { // one member: its buckets, sum and count
 				c.writeHistogram(bw, m)
 				return
 			}
@@ -328,7 +328,7 @@ func (c *Collector) Merge(o *Collector) {
 }
 
 // mergeMax keeps, per index, the larger of two gauge vectors, growing into
-// to the longer one.
+// to the length of from when from is longer.
 func mergeMax(into, from []atomic.Int64) []atomic.Int64 {
 	if len(from) > len(into) {
 		grown := make([]atomic.Int64, len(from))
