@@ -207,9 +207,6 @@ var exposition = func() []Metric {
 	rows := make([]Metric, numRows)
 	for i := range rows {
 		rows[i] = Metric(i)
-		if q := &schema[i]; q.kind == histogram && q.bounds() >= maxBuckets {
-			panic("metrics: " + q.name + " has more buckets than a histogram holds")
-		}
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		a, b := &schema[rows[i]], &schema[rows[j]]

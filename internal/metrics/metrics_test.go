@@ -144,8 +144,9 @@ func TestMergeIsCommutative(t *testing.T) {
 }
 
 // TestSchemaDeclaresEachQuantityOnce: no two schema rows render the same
-// member, and every scalar Sample field but the cycle is carried by exactly
-// one row, so a new Sample field without its row fails here.
+// member, every histogram's buckets fit its state, and every scalar Sample
+// field but the cycle is carried by exactly one row, so a new Sample field
+// without its row fails here.
 func TestSchemaDeclaresEachQuantityOnce(t *testing.T) {
 	members := map[string]bool{}
 	for _, q := range schema {
@@ -154,6 +155,9 @@ func TestSchemaDeclaresEachQuantityOnce(t *testing.T) {
 			t.Errorf("%s is declared twice", key)
 		}
 		members[key] = true
+		if q.kind == histogram && q.bounds() >= maxBuckets {
+			t.Errorf("%s has %d finite bounds; a histogram holds %d", q.name, q.bounds(), maxBuckets-1)
+		}
 	}
 	carried := map[int]int{}
 	for _, f := range sampled {
