@@ -77,6 +77,13 @@ func windowRun(t *testing.T, r spec.Run, at []int64, last int64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return windowRunConfig(t, cfg, at, last)
+}
+
+// windowRunConfig is windowRun on a built configuration, which the caller may
+// have given a tracer or Debug.
+func windowRunConfig(t *testing.T, cfg sim.Config, at []int64, last int64) []byte {
+	t.Helper()
 	mc := metrics.NewCollector(metrics.Options{Window: 100})
 	cfg.Metrics = mc
 	e, err := sim.New(cfg)
