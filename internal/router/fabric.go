@@ -177,11 +177,13 @@ type Fabric struct {
 	// release paths. busy[l] counts occupied VCs of link l; occBits is the
 	// occupied-VC set, indexed by VCID, and busyBits the busy-link set —
 	// links with busy > 0 — indexed by LinkID (see bitset for the layout both
-	// share). gen is the structural generation counter (Gen).
+	// share). stamp holds the per-router change stamps (Stamp), shifted by one
+	// so that an injection link's missing upstream router (Src -1) bumps the
+	// unused slot 0 instead of taking a branch.
 	busy     []int16
 	occBits  bitset
 	busyBits bitset
-	gen      uint64
+	stamp    []uint64
 
 	// wormBuf is ReleaseWorm's reusable result buffer.
 	wormBuf []VCID
@@ -192,13 +194,16 @@ type Fabric struct {
 	auditWant []uint64
 }
 
-// Gen returns the structural generation counter: the total number of
-// changes that can affect routing and deadlock analysis. Every VC
-// allocation or release bumps it.
-// Observers (the deadlock oracle) compare generations to detect that cached
-// analyses are still current. Message-level state (Phase, Attempts) is not
-// covered; owners report those separately.
-func (f *Fabric) Gen() uint64 { return f.gen }
+// Stamp returns router node's change stamp. It grows whenever a virtual
+// channel on a link into or out of the router changes hands (an allocation
+// or a release), and on every restore, so an unchanged stamp proves that the
+// router's input and output channels have the occupants they had when it was
+// read: the headers waiting there, their free candidate VCs and the worms
+// holding the others. Observers that cache something derived from a router's
+// channels — the deadlock oracle's wait edges, the CMH prober's parked
+// probes — compare stamps to know it is still current. Message-level state
+// (Phase, Attempts) is not covered; owners report those separately.
+func (f *Fabric) Stamp(node int) uint64 { return f.stamp[node+1] }
 
 // NewFabric builds the fabric for the given topology and configuration.
 func NewFabric(t *topology.Torus, cfg Config) (*Fabric, error) {
@@ -259,15 +264,31 @@ func NewFabric(t *topology.Torus, cfg Config) (*Fabric, error) {
 		}
 	}
 	f.busy = make([]int16, total)
+	f.stamp = make([]uint64, nodes+1)
 	f.occBits = newBitset(int(vcCount))
 	f.busyBits = newBitset(total)
 	return f, nil
 }
 
+// touch bumps the change stamps of the routers at both ends of link l.
+func (f *Fabric) touch(l LinkID) {
+	lk := &f.Links[l]
+	f.stamp[lk.Src+1]++
+	f.stamp[lk.Dst+1]++
+}
+
+// touchAll bumps every router's change stamp, for the restores that rewrite
+// the channels without going through addOccupied and removeOccupied.
+func (f *Fabric) touchAll() {
+	for i := range f.stamp {
+		f.stamp[i]++
+	}
+}
+
 // addOccupied registers vc in the occupancy structures.
 func (f *Fabric) addOccupied(vc VCID) {
 	l := f.VCs[vc].Link
-	f.gen++
+	f.touch(l)
 	f.busy[l]++
 	if f.busy[l] == 1 {
 		f.busyBits.set(int(l))
@@ -278,7 +299,7 @@ func (f *Fabric) addOccupied(vc VCID) {
 // removeOccupied unregisters vc.
 func (f *Fabric) removeOccupied(vc VCID) {
 	l := f.VCs[vc].Link
-	f.gen++
+	f.touch(l)
 	f.busy[l]--
 	if f.busy[l] == 0 {
 		f.busyBits.clear(int(l))

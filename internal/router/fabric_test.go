@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -587,4 +588,55 @@ func TestMessageString(t *testing.T) {
 	if m.Remaining() != 16 {
 		t.Errorf("Remaining = %d", m.Remaining())
 	}
+}
+
+// TestStampTracksChannelChanges: a VC changing hands bumps the change stamp
+// of exactly the routers at the ends of its link — both ends of a network
+// link, the router of an injection or delivery port — and nothing else does.
+func TestStampTracksChannelChanges(t *testing.T) {
+	f := newTestFabric(t, 4, 2)
+	stamps := func() []uint64 {
+		s := make([]uint64, f.Topo.Nodes())
+		for node := range s {
+			s[node] = f.Stamp(node)
+		}
+		return s
+	}
+	expect := func(what string, before []uint64, bumped ...int) {
+		t.Helper()
+		after := stamps()
+		for node := range after {
+			want := slices.Contains(bumped, node)
+			if got := after[node] != before[node]; got != want {
+				t.Errorf("%s: router %d stamp changed = %v, want %v", what, node, got, want)
+			}
+		}
+	}
+	m := f.NewMessage(1, 3, 4, 0)
+	m.Phase = PhaseNetwork
+	before := stamps()
+	inj := f.FreeVC(f.InjLink(1, 0))
+	f.Allocate(m, NilVC, inj)
+	m.HeadVC = inj
+	expect("injection allocation", before, 1)
+
+	before = stamps()
+	net := f.NetLink(1, 0)
+	vc := f.FreeVC(net)
+	f.Allocate(m, inj, vc)
+	expect("network allocation", before, 1, int(f.Links[net].Dst))
+
+	before = stamps()
+	f.VCs[inj].Flits, f.VCs[inj].HasHeader = 1, true
+	m.Attempts++
+	expect("flits and message state", before)
+
+	before = stamps()
+	f.ReleaseWorm(m)
+	expect("worm release", before, 1, int(f.Links[net].Dst))
+
+	before = stamps()
+	del := f.FreeVC(f.DelLink(2, 0))
+	f.Allocate(m, NilVC, del)
+	expect("delivery allocation", before, 2)
 }

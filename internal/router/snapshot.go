@@ -18,9 +18,9 @@ import (
 // Derived, and therefore rebuilt rather than read: the busy counts, both
 // levels of the occupied-VC and busy-link bitmaps are cleared and come back
 // through addOccupied, the code that maintains them while the engine runs.
-// Route memos come back empty (a lookup refills one). The structural
-// generation counter is not restored but keeps counting up, so a generation
-// observed before a Restore is never seen again after it.
+// Route memos come back empty (a lookup refills one). The per-router change
+// stamps are not restored but every one is bumped, so a stamp observed
+// before a Restore is never seen again after it.
 //
 // restoreMessage assigns every field of Message by name; a field added to the
 // struct needs a line there and in appendSnapshot
@@ -196,7 +196,7 @@ func (f *Fabric) RestoreSnapshot(r *snap.Reader) {
 			}
 		}
 	}
-	f.gen++ // emptying the fabric above released VCs without a bump
+	f.touchAll() // emptying the fabric above released VCs without a bump
 	if r.Err() == nil {
 		f.checkWorms(r, nOcc)
 	}
@@ -237,7 +237,7 @@ func (f *Fabric) CopyTo(c *FabricCopy) {
 // CopyFrom puts back what CopyTo recorded from a fabric of the same topology
 // and configuration, leaving what RestoreSnapshot leaves: pool entries
 // overwritten in place (entries beyond the copy's pool dropped, missing ones
-// allocated), route memos empty, and the generation counter bumped.
+// allocated), route memos empty, and every router's change stamp bumped.
 func (f *Fabric) CopyFrom(c *FabricCopy) {
 	if n := len(c.msgs); n < len(f.msgs) {
 		clear(f.msgs[n:]) // let the dropped entries go
@@ -257,7 +257,7 @@ func (f *Fabric) CopyFrom(c *FabricCopy) {
 	copy(f.busy, c.busy)
 	copy(f.occBits.bits, c.occBits)
 	copy(f.busyBits.bits, c.busyBits)
-	f.gen++
+	f.touchAll()
 }
 
 // restoreMessage decodes pool entry id into m, rejecting fields that index

@@ -191,7 +191,7 @@ func TestFabricRestoreRefuses(t *testing.T) {
 // fabric, and into one holding other worms, a larger pool and a filled route
 // memo, leaves what restoring the fabric's snapshot leaves: the same bytes,
 // the occupancy structures consistent (CheckInvariants), route memos empty,
-// surviving message addresses kept and a new generation.
+// surviving message addresses kept and every router's change stamp bumped.
 func TestFabricCopyRoundTrip(t *testing.T) {
 	src := wormFabric(t)
 	b := src.AppendSnapshot(nil, snap.Exact)
@@ -211,7 +211,10 @@ func TestFabricCopyRoundTrip(t *testing.T) {
 	kept := busy.Msg(1)
 
 	for name, dst := range map[string]*Fabric{"fresh": newTestFabric(t, 4, 2), "busy": busy} {
-		gen := dst.Gen()
+		before := make([]uint64, dst.Topo.Nodes())
+		for node := range before {
+			before[node] = dst.Stamp(node)
+		}
 		dst.CopyFrom(&c)
 		if err := dst.CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -224,8 +227,10 @@ func TestFabricCopyRoundTrip(t *testing.T) {
 				t.Errorf("%s: message %d comes back with route memo %+v", name, id, r)
 			}
 		}
-		if dst.Gen() <= gen {
-			t.Errorf("%s: generation %d after the copy, %d before", name, dst.Gen(), gen)
+		for node, was := range before {
+			if dst.Stamp(node) == was {
+				t.Errorf("%s: router %d keeps change stamp %d across the copy", name, node, was)
+			}
 		}
 	}
 	if busy.Msg(1) != kept {
@@ -246,7 +251,7 @@ func TestFabricCopyClassesEveryField(t *testing.T) {
 		"Links": "copied", // the round-robin pointers; the rest is configuration
 		"VCs":   "copied", "msgs": "copied", "free": "copied",
 		"busy": "copied", "occBits": "copied", "busyBits": "copied",
-		"gen":     "rebuilt", // bumped, as by RestoreSnapshot
+		"stamp":   "rebuilt", // bumped, as by RestoreSnapshot
 		"wormBuf": "scratch", "freeSeen": "scratch", "auditBusy": "scratch", "auditWant": "scratch",
 	}
 	tp := reflect.TypeOf(Fabric{})

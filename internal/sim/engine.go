@@ -146,8 +146,9 @@ type Engine struct {
 	candBuf []router.LinkID
 
 	marksThisCycle int
-	oracleRan      bool // the oracle has run this cycle
-	oracleSize     int  // size of the most recent oracle deadlock set
+	oracleRan      bool  // the oracle has run this cycle
+	oracleSize     int   // size of the most recent oracle deadlock set
+	oracleErr      error // Debug: the first CrossCheck failure, reported by Step
 
 	// chooser, when non-nil, resolves VC selection and arbitration
 	// externally (see choose.go); freeCands and arbElig are its scratch
@@ -433,7 +434,8 @@ func (e *Engine) Step() error {
 		if err := e.fab.CheckInvariants(); err != nil {
 			return fmt.Errorf("cycle %d: %w", e.now, err)
 		}
-		if err := e.oracle.CrossCheck(); err != nil {
+		if err := e.oracleErr; err != nil {
+			e.oracleErr = nil
 			return fmt.Errorf("cycle %d: %w", e.now, err)
 		}
 		if err := e.auditActiveSets(); err != nil {
@@ -534,10 +536,10 @@ func (e *Engine) route() {
 		first := m.Attempts == 1
 		if first {
 			m.BlockedSince = e.now
-			// Attempts 0 -> 1 adds this message to the oracle's blocked-set
-			// seed without touching fabric state, so the cached deadlocked
-			// set must be invalidated explicitly.
-			e.oracle.Invalidate()
+			// Attempts 0 -> 1 makes this message a seed of the oracle's
+			// wait-for graph without touching fabric state, so no router
+			// stamp sees it: report it.
+			e.oracle.MessageChanged(m.ID)
 		}
 		// The feasible output physical channels, for the detection
 		// hardware (candidate VCs are grouped by link, so deduplicate
@@ -618,10 +620,10 @@ func (e *Engine) mark(m *router.Message) {
 	e.tr.Emit(trace.KindRecoverStart, m.ID, router.NilLink, node, int64(e.cfg.Recovery), -1)
 	e.rec.Mark(m, e.now)
 	// Progressive recovery flips the message to PhaseRecovering without
-	// releasing a VC, which silently removes it from the oracle's seed;
-	// regressive recovery releases the worm (tracked by the fabric's
-	// generation counter), so the call is redundant but harmless there.
-	e.oracle.Invalidate()
+	// releasing a VC, which no router stamp sees; regressive recovery
+	// releases the worm, which the stamps do see, so the report is redundant
+	// but harmless there.
+	e.oracle.MessageChanged(m.ID)
 }
 
 // runOracle evaluates the global deadlock oracle at most once per cycle and
@@ -631,6 +633,9 @@ func (e *Engine) runOracle() {
 		return
 	}
 	set := e.oracle.Deadlocked()
+	if e.cfg.Debug && e.oracleErr == nil {
+		e.oracleErr = e.oracle.CrossCheck()
+	}
 	e.oracleSize = len(set)
 	e.oracleRan = true
 	for _, id := range set {

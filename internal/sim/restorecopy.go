@@ -20,8 +20,8 @@ import (
 // later Restore of byte-identical input puts that state back by slice copies.
 //
 // What the copy does not hold it rebuilds exactly as the decoder does: the
-// deferred-arrival lists emptied, the route memos empty, the fabric's
-// generation bumped and the oracle's cached set invalidated. The two sections
+// deferred-arrival lists emptied, the route memos empty, every router's change
+// stamp bumped and the oracle's wait-for graph invalidated. The two sections
 // owned by components behind interfaces — the detector and the recovery
 // engine — are decoded again, from the same bytes, by their own restore
 // methods: the copy records only where each section starts and ends. So the

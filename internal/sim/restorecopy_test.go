@@ -197,7 +197,8 @@ func TestEngineRestoreCopyClassesEveryField(t *testing.T) {
 		"genDefB": "rebuilt", // emptied
 
 		"measuring": "scratch", "marksThisCycle": "scratch", "oracleRan": "scratch", "keyBits": "scratch",
-		"txLinks": "scratch", "inputUsed": "scratch",
+		"oracleErr": "scratch",
+		"txLinks":   "scratch", "inputUsed": "scratch",
 		"view": "scratch", "probesInFlight": "scratch", // set before each read
 		"moves": "scratch", "feed": "scratch", "feedN": "scratch", "feedErr": "scratch",
 		"cands": "scratch", "candBuf": "scratch", "freeCands": "scratch", "arbElig": "scratch",

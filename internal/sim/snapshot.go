@@ -32,7 +32,7 @@ import (
 // heap — the two containers are interchangeable, generate merges them in node
 // order), inFlight (recounted from message phases), the detector's flags and
 // flag counts, the route memos (left empty; a lookup refills one) and the
-// oracle's cached set (invalidated). Nor does it hold a cycle's scratch — the
+// oracle's wait-for graph (rebuilt from scratch at its next evaluation). Nor does it hold a cycle's scratch — the
 // transmitted links, the used crossbar inputs, whether the oracle has run —
 // which the next Step rewrites before reading, or the probes-in-flight
 // gauge, which Step sets before anything reads it; Restore leaves them as
@@ -369,8 +369,8 @@ func (e *Engine) restoreBody(r *snap.Reader) {
 	if e.oracleSize < 0 || e.oracleSize > nMsgs {
 		r.Failf("sim: snapshot says the oracle last found %d deadlocked messages, of %d pooled", e.oracleSize, nMsgs)
 	}
-	// The cached deadlocked set belongs to the state being replaced, and the
-	// fabric generation it is keyed on says nothing across a Restore.
+	// The oracle's wait-for graph belongs to the state being replaced: its
+	// next evaluation rebuilds it from scratch.
 	e.oracle.Invalidate()
 
 	det := r.Section()
