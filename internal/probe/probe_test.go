@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"wormnet/internal/router"
 	"wormnet/internal/snap"
@@ -232,8 +233,8 @@ func TestThreeInitiators(t *testing.T) {
 }
 
 // TestDigestDedupe keeps cycling within one wave: the initiator re-launches
-// every cycle, but the digest window suppresses duplicates until
-// ReprobeEvery reopens it.
+// every cycle, but the window of chased wait edges (keyed by edge, not by
+// the path digest) suppresses duplicates until ReprobeEvery reopens it.
 func TestDigestDedupe(t *testing.T) {
 	r := newRing(t)
 	d := New(r.fab, Config{InitDelay: 1, ReprobeEvery: 1 << 30, MaxHops: 64})
@@ -758,5 +759,14 @@ func TestRestoreRejectsNonCanonical(t *testing.T) {
 	}
 	if again := fresh.Snapshot(nil, snap.Exact); !bytes.Equal(again, good) {
 		t.Fatal("the untouched snapshot re-encodes differently")
+	}
+}
+
+// TestProbeStaysFortyBytes: a probe is copied every cycle it survives, so
+// the parked-probe memo index sits in what was padding and must not widen
+// the struct.
+func TestProbeStaysFortyBytes(t *testing.T) {
+	if got := unsafe.Sizeof(pr{}); got != 40 {
+		t.Errorf("a probe takes %d bytes, want 40", got)
 	}
 }
