@@ -362,12 +362,22 @@ func Run(points []Point, opt Options) ([]PointResult, error) {
 			return nil, fmt.Errorf("harness: writing observation files: %w", obsErr)
 		}
 	}
+	prog.finish()
 	if opt.SeriesDir != "" {
-		if err := WriteFile(filepath.Join(opt.SeriesDir, "aggregate.prom"), agg.WritePrometheus); err != nil {
+		path := filepath.Join(opt.SeriesDir, "aggregate.prom")
+		if len(loaded) > 0 {
+			// agg holds only the runs this invocation executed: the journal
+			// keeps results, not metrics collectors. A file written now would
+			// pass a partial aggregate off as the sweep's, so the one a
+			// complete earlier invocation wrote is left as it is.
+			if opt.Progress != nil {
+				fmt.Fprintf(opt.Progress, "harness: %s not written: it would lack the %d runs resumed from the journal\n",
+					path, len(loaded))
+			}
+		} else if err := WriteFile(path, agg.WritePrometheus); err != nil {
 			return nil, fmt.Errorf("harness: writing sweep aggregate: %w", err)
 		}
 	}
-	prog.finish()
 	return results, nil
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -361,5 +362,63 @@ func TestConfigErrorRecordedPerPoint(t *testing.T) {
 	}
 	if !res[0].OK() || !res[1].OK() {
 		t.Fatal("valid points affected by invalid one")
+	}
+}
+
+// TestResumeWritesNoPartialAggregate: the journal keeps no metrics
+// collectors, so a resumed sweep cannot aggregate the runs it loads. After a
+// complete resume the aggregate.prom the first invocation wrote is left
+// byte-equal; a partial resume into an empty series directory writes none.
+// Both say so on Progress, naming the file and the runs it would lack.
+func TestResumeWritesNoPartialAggregate(t *testing.T) {
+	pts := grid(3)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sweep.jsonl")
+	opts := Options{Workers: 2, Replicates: 2, BaseSeed: 5, Journal: path,
+		Observe: Observe{SeriesDir: filepath.Join(dir, "series")}}
+	if _, err := Run(pts, opts); err != nil {
+		t.Fatal(err)
+	}
+	agg := filepath.Join(dir, "series", "aggregate.prom")
+	want, err := os.ReadFile(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resume := func(seriesDir string) string {
+		t.Helper()
+		var progress bytes.Buffer
+		o := opts
+		o.Resume, o.Progress, o.SeriesDir = true, &progress, seriesDir
+		if _, err := Run(pts, o); err != nil {
+			t.Fatal(err)
+		}
+		return progress.String()
+	}
+
+	note := resume(filepath.Join(dir, "series"))
+	if got, err := os.ReadFile(agg); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("a complete resume rewrote %s (err %v)", agg, err)
+	}
+	if line := fmt.Sprintf("harness: %s not written: it would lack the 6 runs resumed from the journal\n", agg); !strings.Contains(note, line) {
+		t.Errorf("complete resume reported %q, want a line %q", note, line)
+	}
+
+	// Keep the header and the first two runs: a partial resume.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	if err := os.WriteFile(path, bytes.Join(lines[:3], nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := filepath.Join(dir, "fresh")
+	note = resume(fresh)
+	if _, err := os.Stat(filepath.Join(fresh, "aggregate.prom")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a partial resume left an aggregate in %s (stat: %v)", fresh, err)
+	}
+	if line := fmt.Sprintf("harness: %s not written: it would lack the 2 runs resumed from the journal\n",
+		filepath.Join(fresh, "aggregate.prom")); !strings.Contains(note, line) {
+		t.Errorf("partial resume reported %q, want a line %q", note, line)
 	}
 }

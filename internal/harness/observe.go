@@ -39,9 +39,11 @@ type Observe struct {
 	// SeriesDir, when non-empty, attaches a distinct metrics collector to
 	// every run (collectors are single-run) and dumps its sampled time
 	// series to SeriesDir/p<point>-r<rep>-<key>.series.jsonl for each run
-	// that completed. The collectors of the runs executed in this
-	// invocation (journal-loaded runs carry none) are merged into
-	// SeriesDir/aggregate.prom in the Prometheus text format.
+	// that completed. The collectors of the sweep's runs are merged into
+	// SeriesDir/aggregate.prom in the Prometheus text format. Runs loaded
+	// from the journal carry no collector, so a resumed sweep writes no
+	// aggregate — an existing one, from the invocation that ran them, is
+	// left as it is — and says so on Progress.
 	SeriesDir string
 	// SeriesWindow is the sampling window in cycles
 	// (metrics.DefaultWindow when 0; Validate refuses a negative one).
