@@ -346,9 +346,10 @@ func TestRestoreTraps(t *testing.T) {
 		}
 	})
 
-	// The oracle caches its set under the fabric generation, which a
-	// Restore does not bring back: the cache must be invalidated, or the
-	// restored engine is served the abandoned run's deadlocked set.
+	// The oracle keeps its wait-for graph between evaluations, checked
+	// against router stamps that a Restore bumps rather than brings back:
+	// the graph must be rebuilt, or the restored engine is served the
+	// abandoned run's deadlocked set.
 	t.Run("oracle cache", func(t *testing.T) {
 		// Snapshot inside a deadlock, run on until the set has changed.
 		e := mustNew(t, stormConfig())
